@@ -32,7 +32,7 @@ from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
 from .simulate import DistanceMatrix, Scenario, perturb_arrivals, simulate_arrivals
-from .solver import SolveResult, SolverOptions
+from .solver import _TIE_EPS, SolveResult, SolverOptions
 from .tdoa import arrival_deltas, locate_emitter_2d, locate_emitter_3d
 from .trilat import (
     TrilaterationProblem,
@@ -44,7 +44,6 @@ from .trilat import (
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
 
 MODES = ("doppler", "tdoa2d", "tdoa3d", "trilat2d", "trilat3d", "pipeline")
-_TIE_EPS = 1e-9
 
 _SCENARIO_KEYS = {"emitters", "receivers", "c", "carrier", "emission_time",
                   "noise_sigma_t", "seed", "distances"}
@@ -105,6 +104,14 @@ def _number(obj: dict, key: str, context: str, default=None, *,
     return value
 
 
+def _count(obj: dict, key: str, context: str, default=None) -> int:
+    """A positive whole number; 3.0 is accepted, 2.7 is rejected, never truncated."""
+    value = _number(obj, key, context, default, positive=True)
+    if not value.is_integer():
+        raise ValidationError(f"{context}.{key} must be a whole number", field=key)
+    return int(value)
+
+
 def _points(obj: dict, key: str, context: str, expect_dim: int | None) -> tuple[Point, ...]:
     raw = obj.get(key, [])
     if not isinstance(raw, list):
@@ -149,16 +156,15 @@ def _validate(raw: dict) -> ScenarioFile:
         raise ValidationError("solve.options must be an object", field="options")
     _reject_unknown(opts_raw, _OPTION_KEYS, "solve.options")
     options = SolverOptions(
-        max_iterations=int(_number(opts_raw, "max_iterations", "solve.options",
-                                   default=100.0, positive=True)),
+        max_iterations=_count(opts_raw, "max_iterations", "solve.options", default=100.0),
         step_tolerance=_number(opts_raw, "step_tolerance", "solve.options",
                                default=1e-10, positive=True),
         residual_tolerance=_number(opts_raw, "residual_tolerance", "solve.options",
                                    default=1e-12, positive=True),
         damping_initial=_number(opts_raw, "damping_initial", "solve.options",
                                 default=1e-3, positive=True),
-        multistart_count=int(_number(opts_raw, "multistart_count", "solve.options",
-                                     default=9.0, positive=True)),
+        multistart_count=_count(opts_raw, "multistart_count", "solve.options",
+                                default=9.0),
     )
     plane = None
     if "emitter_plane_z" in solve:
@@ -235,7 +241,7 @@ def _validate(raw: dict) -> ScenarioFile:
         if not isinstance(mc, dict):
             raise ValidationError("monte_carlo must be an object", field="monte_carlo")
         _reject_unknown(mc, {"trials", "sigma_t_list"}, "monte_carlo")
-        mc_trials = int(_number(mc, "trials", "monte_carlo", positive=True))
+        mc_trials = _count(mc, "trials", "monte_carlo")
         sig = mc.get("sigma_t_list")
         if (not isinstance(sig, list) or not sig
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0

@@ -29,6 +29,11 @@ __all__ = [
     "grid_search",
 ]
 
+_ANCHOR_GUARD = 1e-9   # evaluation this close to an anchor is nudged along +x
+_TIE_EPS = 1e-9        # residual norms within this are "tied"
+# Separates measurement noise from genuinely consistent data: well above
+# solver convergence, far below any meaningful range error.
+INCONSISTENCY_TOL = 1e-6
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 _GRID_CHUNK = 1 << 18
@@ -75,6 +80,18 @@ class SolveResult:
 def order_candidates(cands: Sequence[tuple[Point, float]]) -> tuple[tuple[Point, float], ...]:
     """Sort candidates by residual norm, then lexicographically by coordinates."""
     return tuple(sorted(cands, key=lambda c: (c[1], c[0].x, c[0].y, c[0].z)))
+
+
+def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Unit vectors from each anchor toward x, nudging x off coincident anchors."""
+    diff = x - anchors
+    norms = np.linalg.norm(diff, axis=1)
+    if np.any(norms < _ANCHOR_GUARD):
+        nudged = x.copy()
+        nudged[0] += _ANCHOR_GUARD
+        diff = nudged - anchors
+        norms = np.linalg.norm(diff, axis=1)
+    return diff / norms[:, None]
 
 
 def _solve_step(JtJ: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:

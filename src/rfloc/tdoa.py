@@ -6,8 +6,11 @@ consumer of RangeDifferenceSet relies on this one.
 
 With three receivers the two hyperbola branches may intersect twice; both
 intersections satisfy the measurements exactly, so the solvers return every
-minimizer found and callers pick from the candidate list when the primary
-estimate's tie-break (closer to the receiver centroid) is not what they want.
+root and callers pick from the candidate list when the primary estimate's
+tie-break (closer to the receiver centroid) is not what they want. Emitters
+on a known plane (2D, or 3D with a pinned height) are solved in closed form
+(Schau & Robinson 1987; Chan & Ho 1994); only the under-determined free-height
+3D solve searches with multi-start Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .errors import (
 )
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
-from .solver import SolveResult, SolverOptions, gauss_newton_raw, order_candidates
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _unit_rows,
+                     gauss_newton_raw, order_candidates)
 
 __all__ = [
     "RangeDelta",
@@ -42,10 +46,9 @@ __all__ = [
     "combined_direction",
 ]
 
-_ANCHOR_GUARD = 1e-9   # evaluation this close to an anchor is nudged along +x
 _DEDUP_TOL = 1e-6      # meters between distinct minimizers
-_TIE_EPS = 1e-9        # residual norms within this are "tied"
-_RUNAWAY_DIAMS = 1e6   # iterates beyond this many triangle diameters are divergent
+_RUNAWAY_DIAMS = 1e6   # points beyond this many triangle diameters are divergent
+_RANK_TOL = 1e-12      # relative: parallel linearized rows mean no unique line
 
 
 class RangeDelta(NamedTuple):
@@ -136,18 +139,6 @@ def hyperbolic_residuals(receivers: Sequence[Point], rd: RangeDifferenceSet,
                      for k in range(len(deltas))])
 
 
-def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Unit vectors from each anchor toward x, nudging x off coincident anchors."""
-    diff = x - anchors
-    norms = np.linalg.norm(diff, axis=1)
-    if np.any(norms < _ANCHOR_GUARD):
-        nudged = x.copy()
-        nudged[0] += _ANCHOR_GUARD
-        diff = nudged - anchors
-        norms = np.linalg.norm(diff, axis=1)
-    return diff / norms[:, None]
-
-
 def hyperbolic_jacobian(receivers: Sequence[Point], rd: RangeDifferenceSet,
                         p: Point) -> np.ndarray:
     """Analytic Jacobian of hyperbolic_residuals w.r.t. the point coordinates.
@@ -205,18 +196,32 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None):
     return residual, jacobian
 
 
-def _check_triangle(recv: np.ndarray) -> float:
-    """Non-collinearity check; returns the triangle diameter (max pairwise distance)."""
-    diffs = [recv[1] - recv[0], recv[2] - recv[0], recv[2] - recv[1]]
-    diam = max(float(np.linalg.norm(d)) for d in diffs)
-    v1, v2 = diffs[0], diffs[1]
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for 3-vectors; np.cross costs more than the closed-form solve itself."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _triangle(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
+              name: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(receivers reference first, differences, triangle diameter), validated."""
+    if len(receivers) != 3:
+        raise ValueError(f"{name} needs exactly 3 receivers, got {len(receivers)}")
+    recv, deltas, got = _ordered_receivers(receivers, rd)
+    if got != dim:
+        raise DimensionError(f"{name} needs {dim}D receivers")
+    if len(deltas) != 2:
+        raise ValueError("need range differences for exactly 2 receiver pairs")
+    v1, v2, v3 = recv[1] - recv[0], recv[2] - recv[0], recv[2] - recv[1]
+    diam = math.sqrt(max(v1 @ v1, v2 @ v2, v3 @ v3))
     if recv.shape[1] == 2:
         area2 = abs(float(v1[0] * v2[1] - v1[1] * v2[0]))
     else:
-        area2 = float(np.linalg.norm(np.cross(v1, v2)))
+        normal = _cross(v1, v2)
+        area2 = math.sqrt(normal @ normal)
     if diam == 0.0 or area2 <= 1e-12 * diam * diam:
         raise GeometryDegenerate("receivers are collinear (or coincident)")
-    return diam
+    return recv, deltas, diam
 
 
 def _ring_starts(center: np.ndarray, radius: float, count: int) -> list[np.ndarray]:
@@ -232,48 +237,31 @@ def _ring_starts(center: np.ndarray, radius: float, count: int) -> list[np.ndarr
     return starts
 
 
-def _multistart(residual, jacobian, starts, opts: SolverOptions, runaway: float,
-                center: np.ndarray):
-    """Run every start, split converged minimizers from the best failed iterate.
-
-    The hyperbolic objective plateaus toward the branch asymptotes, so the
-    residual-change criterion can fire on iterates that ran off to enormous
-    coordinates; anything beyond the runaway radius is treated as a failed
-    run, not a minimizer.
-    """
-    converged_runs = []
-    best_failed = None
-    for s in starts:
-        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, s, opts)
-        if ok and float(np.linalg.norm(x - center)) <= runaway:
-            converged_runs.append((x, norm, iters))
-        elif best_failed is None or norm < best_failed[1]:
-            best_failed = (x, norm, iters)
-    return converged_runs, best_failed
-
-
 def _dedup(runs) -> list[tuple[np.ndarray, float, int]]:
     """Collapse minimizers closer than the dedup tolerance, keeping the best norm."""
     runs = sorted(runs, key=lambda r: (r[1], tuple(r[0])))
     kept: list[tuple[np.ndarray, float, int]] = []
     for x, norm, iters in runs:
-        if any(np.linalg.norm(x - kx) < _DEDUP_TOL for kx, *_rest in kept):
-            continue
-        kept.append((x, norm, iters))
+        if not any(np.linalg.norm(x - kx) < _DEDUP_TOL for kx, *_rest in kept):
+            kept.append((x, norm, iters))
     return kept
 
 
-def _polish(residual, jacobian, x: np.ndarray,
-            max_steps: int = 8) -> tuple[np.ndarray, float]:
-    """Drive a converged iterate to the residual floor with pure Newton steps.
+def _polish(residual, jacobian, x: np.ndarray, max_steps: int = 8,
+            floor: float = 0.0) -> tuple[np.ndarray, float]:
+    """Drive an approximate root to the residual floor with pure Newton steps.
 
     Near-tangent branch crossings leave the default stopping rules satisfied
     while the root is still ~1e-2 m away; a few undamped steps accepted only
-    on strict improvement pin it to machine precision.
+    on strict improvement pin it to machine precision. Steps stop once the
+    residual norm is at or below floor: there a near-singular Jacobian turns
+    rounding noise into a large step along the branches.
     """
     r = residual(x)
     f = float(r @ r)
     for _ in range(max_steps):
+        if f <= floor * floor:
+            break
         J = jacobian(x)
         try:
             step = np.linalg.solve(J.T @ J, -(J.T @ r))
@@ -290,55 +278,60 @@ def _polish(residual, jacobian, x: np.ndarray,
     return x, math.sqrt(f)
 
 
-def _far_field_starts(recv: np.ndarray, deltas: np.ndarray, center: np.ndarray,
-                      diam: float) -> list[np.ndarray]:
-    """Seed starts along directions where the far-field residuals vanish.
+def _plane_roots(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
+                 diam: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Closed-form intersections of the two branches on the emitter plane.
 
-    A root far outside the array satisfies (r_k - r_ref) . u ~ delta_k for its
-    bearing u, so a dense 1D bearing scan locates candidate directions; the
-    ring starts alone routinely miss such distant roots. Uses the first two
-    receiver coordinates (the solved plane).
+    With u = p - s_0 on the plane and h_k each receiver's height above it
+    (0 in 2D), squaring |p - s_k| = r0 - d_k against r0 = |p - s_0| leaves
+    two equations linear in (u, r0):
+        2 e_k . u - 2 d_k r0 = |e_k|^2 + h_k^2 - h_0^2 - d_k^2,
+    with e_k the planar offset of receiver k from the reference. Their
+    solutions form the line m + t n (minimum-norm m, unit null direction n),
+    and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Returns the
+    admissible roots (r0 >= 0, r0 >= d_k, within the runaway radius) as planar
+    points; when there are none (the branches do not meet), Gauss-Newton
+    starts on the line instead. A rank-deficient system gives no roots and
+    the receiver centroid as the start.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, 721)[:-1]
-    u = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    baseline = recv[1:, :2] - recv[0, :2]
-    g = u @ baseline.T - deltas
-    score = (g * g).sum(axis=1)
-    prev = np.roll(score, 1)
-    nxt = np.roll(score, -1)
-    minima = np.where((score <= prev) & (score < nxt))[0]
-    best = minima[np.argsort(score[minima])][:3]
-    starts = []
-    for idx in best:
-        direction = u[idx]
-        for radius in (3.0, 10.0, 30.0):
-            starts.append(center + radius * diam * direction)
-    return starts
-
-
-def _companion_starts(runs: list[tuple[np.ndarray, float, int]], jacobian,
-                      diam: float) -> list[np.ndarray]:
-    """Extra starts along the locally flat direction of the best minimizers.
-
-    When the two branches cross near-tangentially their two intersections sit
-    close together and share one basin boundary; ring starts then all fall
-    into the same root. Stepping off a found root along the smallest-curvature
-    direction of J^T J lands past the ridge so the companion gets found too.
-    Only meaningful for the square 2-unknown solves.
-    """
-    best_norm = min(r[1] for r in runs)
-    starts = []
-    for x_star, norm, _ in runs:
-        if norm > best_norm + _DEDUP_TOL:
-            continue
-        J = jacobian(x_star)
-        _w, V = np.linalg.eigh(J.T @ J)
-        flat = V[:, 0]
-        for scale in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
-            step = scale * diam * flat
-            starts.append(x_star + step)
-            starts.append(x_star - step)
-    return starts
+    planar = recv[:, :2]
+    h = recv[:, 2] - fixed_z if fixed_z is not None else np.zeros(3)
+    e = planar[1:] - planar[0]
+    A = 2 * np.column_stack([e, -deltas])
+    rhs = (e * e).sum(axis=1) + h[1:] ** 2 - h[0] ** 2 - deltas ** 2
+    n = _cross(A[0], A[1])
+    n_norm = np.sqrt(n @ n)
+    if n_norm <= _RANK_TOL * np.sqrt((A[0] @ A[0]) * (A[1] @ A[1])):
+        return [], [planar.mean(axis=0)]
+    n = n / n_norm
+    # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0).
+    g00, g01, g11 = A[0] @ A[0], A[0] @ A[1], A[1] @ A[1]
+    m = A.T @ np.array([g11 * rhs[0] - g01 * rhs[1],
+                        g00 * rhs[1] - g01 * rhs[0]]) / (g00 * g11 - g01 * g01)
+    a = n[:2] @ n[:2] - n[2] * n[2]
+    b = 2 * (m[:2] @ n[:2] - m[2] * n[2])
+    c = m[:2] @ m[:2] + h[0] * h[0] - m[2] * m[2]
+    disc = b * b - 4 * a * c
+    ts = []
+    if disc >= 0:
+        # a -> 0 in the far field: the pair q/a, c/q avoids the cancellation
+        # that would wreck the near root there.
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        ts = ([q / a] if a else []) + ([c / q] if q else [])
+    roots = []
+    for t in ts:
+        u = m + t * n
+        if u[2] >= 0 and np.all(u[2] >= deltas) and _within(u[:2], 0.0, diam):
+            roots.append(planar[0] + u[:2])
+    if roots:
+        return roots, []
+    # Along the line every residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the
+    # quadratic's vertex minimizes |q|, and t* minimizes the far-field
+    # |q| / r0^2 (a zero of (q' r0 - 2 q r0') / r0^3, linear in t).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = [-b / (2 * a), (2 * c * n[2] - b * m[2]) / (2 * a * m[2] - b * n[2])]
+    starts = [planar[0] + (m + t * n)[:2] for t in ts if math.isfinite(t)]
+    return roots, starts or [planar[0] + m[:2]]
 
 
 def _pick_estimate(cands: list[tuple[Point, float, int]],
@@ -350,94 +343,116 @@ def _pick_estimate(cands: list[tuple[Point, float, int]],
                                     c[0].x, c[0].y, c[0].z))
 
 
-def _locate(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
-            to_point, start_center: np.ndarray, diam: float,
-            centroid3: np.ndarray, opts: SolverOptions,
-            flags: frozenset[str]) -> SolveResult:
-    residual, jacobian = _closures(recv, deltas, fixed_z)
-    starts = _ring_starts(start_center, diam, opts.multistart_count)
-    if len(start_center) == 2:
-        starts += _far_field_starts(recv, deltas, start_center, diam)
-    runaway = _RUNAWAY_DIAMS * diam
-    runs, best_failed = _multistart(residual, jacobian, starts, opts, runaway,
-                                    start_center)
-    if not runs:
-        assert best_failed is not None
-        x, norm, iters = best_failed
-        p = to_point(x)
-        best = SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
-                           iterations=iters, converged=False, flags=flags)
-        raise NoConvergence("no start converged", best=best)
-    runs = [(*_polish(residual, jacobian, x), iters) for x, _norm, iters in runs]
-    deduped = _dedup(runs)
-    if len(start_center) == 2:
-        extra = _companion_starts(deduped, jacobian, diam)
-        more, _ = _multistart(residual, jacobian, extra, opts, runaway, start_center)
-        more = [(*_polish(residual, jacobian, x), iters) for x, _norm, iters in more]
-        deduped = _dedup(deduped + more)
-    cands = [(to_point(x), norm, iters) for x, norm, iters in deduped]
+def _within(x: np.ndarray, center, diam: float) -> bool:
+    """Whether x lies inside the runaway radius around center.
+
+    The hyperbolic objective plateaus toward the branch asymptotes, so the
+    residual-change criterion can fire on iterates that ran off to enormous
+    coordinates: such runs fail, and roots that far out are not trusted.
+    """
+    return float(np.linalg.norm(x - center)) <= _RUNAWAY_DIAMS * diam
+
+
+def _failed(message: str, x: np.ndarray, norm: float, iters: int, to_point,
+            flags: frozenset[str]) -> NoConvergence:
+    p = to_point(x)
+    best = SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
+                       iterations=iters, converged=False, flags=flags)
+    return NoConvergence(message, best=best)
+
+
+def _result(runs, to_point, centroid3: np.ndarray, flags: frozenset[str]) -> SolveResult:
+    cands = [(to_point(x), norm, iters) for x, norm, iters in _dedup(runs)]
     estimate, norm, iters = _pick_estimate(cands, centroid3)
-    return SolveResult(
-        estimate=estimate,
-        candidates=order_candidates([(p, n) for p, n, _ in cands]),
-        residual_norm=norm,
-        iterations=iters,
-        converged=True,
-        flags=flags,
-    )
+    return SolveResult(estimate=estimate,
+                       candidates=order_candidates([(p, n) for p, n, _ in cands]),
+                       residual_norm=norm, iterations=iters, converged=True, flags=flags)
+
+
+def _locate_on_plane(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
+                     to_point, diam: float, centroid3: np.ndarray,
+                     opts: SolverOptions) -> SolveResult:
+    """Two unknowns: polished closed-form roots, or one flagged fallback run."""
+    residual, jacobian = _closures(recv, deltas, fixed_z)
+    roots, starts = _plane_roots(recv, deltas, fixed_z, diam)
+    if roots:
+        # The residuals' rounding floor: a few ulps of the largest coordinate.
+        floor = 8 * np.finfo(float).eps * (np.abs(roots).max() + np.abs(recv).max())
+        runs = [(*_polish(residual, jacobian, x, floor=floor), 0) for x in roots]
+        return _result(runs, to_point, centroid3, frozenset())
+    start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
+    x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
+    flags = frozenset({"inconsistent"} if norm > INCONSISTENCY_TOL else ())
+    if not (ok and _within(x, centroid3[:2], diam)):
+        raise _failed("the branches do not meet and the least-squares run did not "
+                      "converge to a finite point", x, norm, iters, to_point, flags)
+    return _result([(x, norm, iters)], to_point, centroid3, flags)
+
+
+def _locate_free(recv: np.ndarray, deltas: np.ndarray, diam: float,
+                 opts: SolverOptions) -> SolveResult:
+    """Three unknowns, two equations: multi-start Gauss-Newton from a ring."""
+    residual, jacobian = _closures(recv, deltas, None)
+    centroid = recv.mean(axis=0)
+    to_point = lambda x: Point.of(x[0], x[1], x[2])  # noqa: E731
+    flags = frozenset({"under_determined"})
+    runs, best_failed = [], None
+    for s in _ring_starts(centroid, diam, opts.multistart_count):
+        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, s, opts)
+        if ok and _within(x, centroid, diam):
+            runs.append((x, norm, iters))
+        elif best_failed is None or norm < best_failed[1]:
+            best_failed = (x, norm, iters)
+    if not runs:
+        raise _failed("no start converged", *best_failed, to_point, flags)
+    runs = [(*_polish(residual, jacobian, x), iters) for x, _norm, iters in runs]
+    return _result(runs, to_point, centroid, flags)
 
 
 def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,
                       opts: SolverOptions | None = None) -> SolveResult:
-    """Solve the two-hyperbola system for a 2D emitter position.
+    """Solve the two-hyperbola system for a 2D emitter position, in closed form.
 
-    Multi-start damped Gauss-Newton from the receiver centroid plus a ring of
-    starts one triangle diameter out; all converged minimizers come back as
-    candidates (deduplicated at 1e-6 m), since the two branches may cross at
-    two points that both reproduce the measured differences.
+    The squared range differences are linear in (x, y, r0) up to one
+    quadratic (see _plane_roots); each admissible root is polished with
+    Newton steps on the unsquared residuals and comes back as a candidate
+    (deduplicated at 1e-6 m), since the two branches may cross at two points
+    that both reproduce the measured differences. When the branches do not
+    meet, one damped Gauss-Newton run gives the least-squares point, flagged
+    inconsistent when its residual norm exceeds INCONSISTENCY_TOL. It starts
+    from whichever of two points on the linearized solution line fits the
+    differences better: the quadratic's vertex, or the point minimizing its
+    far-field residual. NoConvergence is raised if that run does not converge
+    or stops beyond 1e6 triangle diameters, as it does when the branches
+    diverge and the least-squares point is at infinity; its best iterate
+    then keeps their common bearing. opts only configures that run.
     """
-    opts = opts or SolverOptions()
-    if len(receivers) != 3:
-        raise ValueError(f"locate_emitter_2d needs exactly 3 receivers, got {len(receivers)}")
-    recv, deltas, dim = _ordered_receivers(receivers, rd)
-    if dim != 2:
-        raise DimensionError("locate_emitter_2d needs 2D receivers")
-    if len(deltas) != 2:
-        raise ValueError("need range differences for exactly 2 receiver pairs")
-    diam = _check_triangle(recv)
-    centroid = recv.mean(axis=0)
-    centroid3 = np.array([centroid[0], centroid[1], 0.0])
-    return _locate(recv, deltas, None, lambda x: Point.of(x[0], x[1]),
-                   centroid, diam, centroid3, opts, frozenset())
+    recv, deltas, diam = _triangle(receivers, rd, 2, "locate_emitter_2d")
+    return _locate_on_plane(recv, deltas, None, lambda x: Point.of(x[0], x[1]),
+                            diam, np.append(recv.mean(axis=0), 0.0), opts or SolverOptions())
 
 
 def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
                       emitter_plane_z: float | None = 0.0,
                       opts: SolverOptions | None = None) -> SolveResult:
-    """Minimize the two squared hyperboloid residuals for a 3D emitter.
+    """Locate a 3D emitter from the two hyperboloid range differences.
 
-    Three receivers give two equations; with emitter_plane_z set (default 0,
-    the ground-emitter closure) z is pinned and the solve is 2-in-2. With
-    None the solve runs over (x, y, z) and the result carries the
-    under_determined flag: a 1-parameter family fits the data and only the
-    minimizer reached from the starts is returned.
+    Three receivers give two equations. With emitter_plane_z set (default 0,
+    the ground-emitter closure) z is pinned and the solve is 2-in-2, in
+    closed form exactly as locate_emitter_2d, with each receiver's height
+    above the plane carried into the squared equations. With None the solve
+    runs over (x, y, z) by multi-start Gauss-Newton (the centroid plus
+    opts.multistart_count - 1 starts on a ring one triangle diameter out) and
+    the result carries the under_determined flag: a 1-parameter family fits
+    the data and only the minimizers reached from the starts are returned.
     """
     opts = opts or SolverOptions()
-    if len(receivers) != 3:
-        raise ValueError(f"locate_emitter_3d needs exactly 3 receivers, got {len(receivers)}")
-    recv, deltas, dim = _ordered_receivers(receivers, rd)
-    if dim != 3:
-        raise DimensionError("locate_emitter_3d needs 3D receivers")
-    if len(deltas) != 2:
-        raise ValueError("need range differences for exactly 2 receiver pairs")
-    diam = _check_triangle(recv)
-    centroid = recv.mean(axis=0)
+    recv, deltas, diam = _triangle(receivers, rd, 3, "locate_emitter_3d")
     if emitter_plane_z is None:
-        return _locate(recv, deltas, None, lambda x: Point.of(x[0], x[1], x[2]),
-                       centroid, diam, centroid, opts, frozenset({"under_determined"}))
+        return _locate_free(recv, deltas, diam, opts)
     z = float(emitter_plane_z)
-    return _locate(recv, deltas, z, lambda x: Point.of(x[0], x[1], z),
-                   centroid[:2], diam, centroid, opts, frozenset())
+    return _locate_on_plane(recv, deltas, z, lambda x: Point.of(x[0], x[1], z),
+                            diam, recv.mean(axis=0), opts)
 
 
 def combined_direction(receivers: Sequence[Point], emitter: Point) -> DirectionVector:

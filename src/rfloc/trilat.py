@@ -26,7 +26,8 @@ from .errors import (
 )
 from .geometry import Point
 from .simulate import DistanceMatrix
-from .solver import SolveResult, SolverOptions, gauss_newton_raw, order_candidates
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _unit_rows,
+                     gauss_newton_raw, order_candidates)
 
 __all__ = [
     "TrilaterationProblem",
@@ -40,12 +41,6 @@ __all__ = [
     "INCONSISTENCY_TOL",
 ]
 
-# Separates measurement noise from genuinely consistent ranges: well above
-# solver convergence, far below any meaningful range error.
-INCONSISTENCY_TOL = 1e-6
-
-_ANCHOR_GUARD = 1e-9
-_TIE_EPS = 1e-9
 _RADICAND_SLACK = 1e-9  # relative: radicand >= -slack * d^2 clamps to 0
 
 
@@ -87,17 +82,6 @@ def trilateration_residuals(problem: TrilaterationProblem, q: Point) -> np.ndarr
         raise DimensionError(f"point is {q.dim}D, problem is {problem.dimension}D")
     x = np.array(q.coords)
     return np.linalg.norm(x - problem.anchor_array, axis=1) - problem.distance_array
-
-
-def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    diff = x - anchors
-    norms = np.linalg.norm(diff, axis=1)
-    if np.any(norms < _ANCHOR_GUARD):
-        nudged = x.copy()
-        nudged[0] += _ANCHOR_GUARD
-        diff = nudged - anchors
-        norms = np.linalg.norm(diff, axis=1)
-    return diff / norms[:, None]
 
 
 def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarray:

@@ -180,6 +180,26 @@ def test_monte_carlo_rows_and_csv():
     assert lines[1].split(",")[-1] in ("true", "false")
 
 
+def test_monte_carlo_large_noise_no_more_failures():
+    # At sigma_t = 1e-6 s (300 m of range noise against 1000 m baselines) the
+    # hyperbolas often do not meet. Where they still have a finite
+    # least-squares point the trial comes back flagged inconsistent; where
+    # they diverge, or the run stalls on a receiver, it stays non-converged.
+    # The bounds are the earlier multi-start solver's: 7 of 200 non-converged
+    # and a mean error of 533 m. A far asymptote iterate counted as converged
+    # would put the mean at 1e14 m.
+    with open(NOISE_SWEEP) as fh:
+        raw = json.load(fh)
+    raw["monte_carlo"]["sigma_t_list"] = [1e-6]
+    report = run(_validate(raw))
+    rows = report["monte_carlo"]["rows"]
+    assert len(rows) == 200 and report["errors"] == []
+    assert sum(not r["converged"] for r in rows) <= 7
+    summary = report["monte_carlo"]["summaries"][0]
+    assert 100.0 < summary["mean_error_m"] < 1000.0
+    assert max(r["error_m"] for r in rows if r["converged"]) < 1e5
+
+
 def test_csv_single_solve():
     report = run(parse_scenario(BASELINE))
     lines = report_to_csv(report).strip().split("\n")
@@ -242,6 +262,21 @@ def test_main_solve_error_exit_code(tmp_path, capsys):
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["errors"][0]["type"] == "GeometryDegenerate"
+
+
+@pytest.mark.parametrize("key", ["max_iterations", "multistart_count", "trials"])
+def test_main_fractional_count_rejected(tmp_path, capsys, key):
+    with open(NOISE_SWEEP) as fh:
+        doc = json.load(fh)
+    target = doc["monte_carlo"] if key == "trials" else doc["solve"].setdefault("options", {})
+    path = tmp_path / "counts.json"
+    target[key] = 2.7  # must not be truncated to 2
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert f"{key} must be a whole number" in capsys.readouterr().err
+    target[key] = 3.0  # a whole number written as a float is fine
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--quiet"]) == 0
 
 
 def test_main_mode_override_revalidates(capsys):

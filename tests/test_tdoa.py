@@ -30,6 +30,7 @@ from rfloc.errors import (
     DegenerateDirection,
     GeometryDegenerate,
     InsufficientReceivers,
+    NoConvergence,
 )
 
 C = 3e8
@@ -272,3 +273,129 @@ def test_range_difference_set_validation():
         RangeDifferenceSet(0, ((0, 1e-7, 30.0),))  # reference as "other"
     with pytest.raises(ValueError):
         RangeDifferenceSet(0, ((1, 1e-7, 30.0), (1, 2e-7, 60.0)))
+
+
+def test_locate_2d_returns_both_branch_intersections():
+    # The branches cross twice; both crossings reproduce the differences.
+    emitter = Point.of(150, -60)
+    rd = _deltas_from_truth(RECV_2D, emitter)
+    result = locate_emitter_2d(RECV_2D, rd)
+    assert len(result.candidates) == 2
+    for p, norm in result.candidates:
+        assert norm < 1e-9
+        assert np.max(np.abs(hyperbolic_residuals(RECV_2D, rd, p))) < 1e-9
+    assert min(distance(p, emitter) for p, _ in result.candidates) < 1e-9
+    assert distance(result.candidates[0][0], result.candidates[1][0]) > 1.0
+    # The primary estimate is the crossing nearer the receiver centroid.
+    centroid = Point.of(100 / 3, 100 / 3)
+    assert result.estimate == min((p for p, _ in result.candidates),
+                                  key=lambda p: distance(p, centroid))
+
+
+def test_locate_3d_far_field_candidates_distinct():
+    # A 0.4 m drone cluster and emitters 5-6 km out (scenarios/pipeline_demo.json).
+    # Far-field roots are ill-conditioned: each must be listed once, not as
+    # near-copies, and the true emitter must be among at most two roots.
+    drones = (Point.of(10.12, -4.91, 149.8), Point.of(9.87, -5.2, 150.0),
+              Point.of(10.05, -4.77, 150.2))
+    for emitter in (Point.of(5200, 1400, 0), Point.of(-4100, 4800, 0),
+                    Point.of(-900, -6300, 0)):
+        result = locate_emitter_3d(drones, _deltas_from_truth(drones, emitter))
+        points = [p for p, _ in result.candidates]
+        assert 1 <= len(points) <= 2
+        if len(points) == 2:
+            assert distance(points[0], points[1]) > 1e-6
+        assert min(distance(p, emitter) for p in points) < 1e-5
+        assert not result.flags
+
+
+def test_locate_2d_hyperbolas_do_not_meet():
+    # |d_1| and |d_2| are within the baselines, so each branch exists, but the
+    # squared system's quadratic has a negative discriminant: the branches
+    # never cross. The result is the least-squares point reached from the
+    # quadratic's vertex, flagged, not an exception.
+    receivers = (Point.of(0, 0), Point.of(1000, 0), Point.of(0, 1000))
+    rd = RangeDifferenceSet.from_range_differences(0, [(1, -630.0), (2, 810.0)], C)
+    result = locate_emitter_2d(receivers, rd)
+    assert result.flags == frozenset({"inconsistent"})
+    assert result.converged
+    assert result.residual_norm > 1.0
+    res = hyperbolic_residuals(receivers, rd, result.estimate)
+    assert float(np.linalg.norm(res)) == pytest.approx(result.residual_norm, rel=1e-12)
+    # A stationary point of the squared residuals.
+    J = hyperbolic_jacobian(receivers, rd, result.estimate)
+    assert np.linalg.norm(J.T @ res) < 1e-6 * result.residual_norm
+    assert result.candidates == ((result.estimate, result.residual_norm),)
+
+
+def test_locate_2d_diverging_branches_keep_bearing():
+    # Here the branches diverge: the squared residuals have no finite
+    # minimizer and fall toward their infimum along the bearing u that best
+    # fits the far-field differences d_k ~ (s_k - s_0) . u, i.e. (-1, 1)/sqrt(2).
+    # The fallback run leaves the runaway radius along it: no estimate, but
+    # the failure's best iterate keeps the bearing.
+    receivers = (Point.of(0, 0), Point.of(1000, 0), Point.of(0, 1000))
+    rd = RangeDifferenceSet.from_range_differences(0, [(1, -720.0), (2, 720.0)], C)
+    with pytest.raises(NoConvergence) as info:
+        locate_emitter_2d(receivers, rd)
+    result = info.value.best
+    assert result.flags == frozenset({"inconsistent"}) and not result.converged
+    far = np.array([result.estimate.x, result.estimate.y])
+    assert np.linalg.norm(far) > 1e6
+    assert far / np.linalg.norm(far) == pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)],
+                                                      abs=1e-3)
+
+
+def test_locate_3d_far_field_branches_just_miss():
+    # A 0.4 m drone cluster, an emitter ~8 km out and 3 mm of range noise:
+    # the branches miss each other and the least-squares point lies tens of
+    # km out along the emitter's bearing. A run from the quadratic's vertex
+    # crawls along that valley and runs out of iterations; the run from the
+    # point with the least far-field residual reaches it. The estimate comes
+    # back flagged, at the noise level, on the emitter's bearing.
+    drones = (Point.of(-41.719631020401685, 19.70410940598606, 191.4913272433419),
+              Point.of(-41.83544315262567, 20.06958624297445, 191.68846925445155),
+              Point.of(-41.77661741131997, 19.96450386822809, 191.88561126556118))
+    rd = RangeDifferenceSet.from_range_differences(
+        0, [(1, -0.3907613165884266), (2, -0.2702241153720354)], C)
+    result = locate_emitter_3d(drones, rd, emitter_plane_z=0.0)
+    assert result.flags == frozenset({"inconsistent"}) and result.converged
+    assert result.residual_norm < 0.01
+    bearing = math.atan2(result.estimate.y - 19.9, result.estimate.x + 41.8)
+    assert bearing == pytest.approx(math.atan2(-7714.9 - 19.9, 2508.0 + 41.8), abs=0.05)
+
+
+def test_locate_3d_parallel_linearized_rows():
+    # Drones in one vertical plane with d_2 = 2 d_1: the two squared equations
+    # have parallel rows, so there is no closed-form line to search. The
+    # fallback run starts from the drone centroid and its least-squares
+    # point comes back flagged.
+    drones = (Point.of(0, 0, 100), Point.of(100, 0, 150), Point.of(200, 0, 120))
+    rd = RangeDifferenceSet.from_range_differences(0, [(1, 10.0), (2, 20.0)], C)
+    result = locate_emitter_3d(drones, rd, emitter_plane_z=0.0)
+    assert result.flags == frozenset({"inconsistent"})
+    assert result.estimate.z == 0.0 and result.residual_norm > 1.0
+    res = hyperbolic_residuals(drones, rd, result.estimate)
+    assert float(np.linalg.norm(res)) == pytest.approx(result.residual_norm, rel=1e-12)
+
+
+def test_locate_2d_near_tangent_limit():
+    # Branches crossing almost tangentially (Jacobian sigma_min ~ 9e-8) 10 km
+    # out. Rounding the differences to float64 moves the exact root along the
+    # branches by ~ulp / sigma_min: the returned root reproduces the given
+    # differences to the residual floor but lies 5.5e-6 m from the emitter
+    # they were computed from, beyond criterion 3's 1e-6 m. About 1 in 4,500
+    # random round-trip cases are like this one; the distance is bounded by
+    # the conditioning, not by the solver.
+    receivers = (Point.of(-25.814673143228674, 709.0416618385482),
+                 Point.of(-478.2913255998525, 758.5592218065922),
+                 Point.of(267.06328842875496, -539.9102004661636))
+    emitter = Point.of(2488.009657003277, -10009.236275003837)
+    rd = RangeDifferenceSet.from_range_differences(
+        0, [(1, -159.77828150915775), (2, 1282.8321216788809)], C)
+    result = locate_emitter_2d(receivers, rd)
+    sigma_min = np.linalg.svd(hyperbolic_jacobian(receivers, rd, emitter))[1][-1]
+    floor = 8 * np.finfo(float).eps * 1e4   # a few ulps of the coordinates
+    err = min(distance(p, emitter) for p, _ in result.candidates)
+    assert result.residual_norm <= floor and not result.flags
+    assert err <= floor / sigma_min
