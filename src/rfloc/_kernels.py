@@ -1,44 +1,18 @@
 """Hot numeric kernels: batch objective evaluation for the solvers' oracles.
 
-Each kernel has a pure-numpy implementation and, when numba is importable
-and RFLOC_DISABLE_NUMBA is unset, an @njit-compiled twin. The public names
-(`sum_sq_range_residuals`, `sum_sq_tdoa_residuals`) are bound to whichever
-path is active; both raw paths stay importable for parity tests and for
-benchmarks/bench_kernels.py.
-
-Set RFLOC_DISABLE_NUMBA=1 to force the numpy fallback.
+One numpy implementation per kernel; `perfbench/run.py` measures their
+throughput (`kernels.*_mnodes_per_s`) on the verification lattices.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "sum_sq_range_residuals",
-    "sum_sq_tdoa_residuals",
-    "sum_sq_range_residuals_numpy",
-    "sum_sq_tdoa_residuals_numpy",
-    "sum_sq_range_residuals_numba",
-    "sum_sq_tdoa_residuals_numba",
-]
-
-_DISABLED = os.environ.get("RFLOC_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via RFLOC_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+__all__ = ["sum_sq_range_residuals", "sum_sq_tdoa_residuals"]
 
 
-def sum_sq_range_residuals_numpy(points: np.ndarray, anchors: np.ndarray,
-                                 dists: np.ndarray) -> np.ndarray:
+def sum_sq_range_residuals(points: np.ndarray, anchors: np.ndarray,
+                           dists: np.ndarray) -> np.ndarray:
     """Sum over anchors of (|p - anchor| - dist)^2 for each row p of points.
 
     points: (N, D) float64; anchors: (M, D); dists: (M,). Returns (N,).
@@ -51,8 +25,8 @@ def sum_sq_range_residuals_numpy(points: np.ndarray, anchors: np.ndarray,
     return total
 
 
-def sum_sq_tdoa_residuals_numpy(points: np.ndarray, receivers: np.ndarray,
-                                deltas: np.ndarray) -> np.ndarray:
+def sum_sq_tdoa_residuals(points: np.ndarray, receivers: np.ndarray,
+                          deltas: np.ndarray) -> np.ndarray:
     """Sum over k >= 1 of (|p - r0| - |p - rk| - deltas[k-1])^2 per row of points.
 
     receivers[0] is the reference; deltas holds the range differences for the
@@ -65,68 +39,3 @@ def sum_sq_tdoa_residuals_numpy(points: np.ndarray, receivers: np.ndarray,
         r = d_ref - np.sqrt(((points - receivers[k]) ** 2).sum(axis=1)) - deltas[k - 1]
         total += r * r
     return total
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def sum_sq_range_residuals_numba(points, anchors, dists):  # pragma: no cover - jit
-        n, dim = points.shape
-        m = anchors.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(m):
-                s = 0.0
-                for k in range(dim):
-                    d = points[i, k] - anchors[j, k]
-                    s += d * d
-                r = np.sqrt(s) - dists[j]
-                acc += r * r
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def sum_sq_tdoa_residuals_numba(points, receivers, deltas):  # pragma: no cover - jit
-        n, dim = points.shape
-        m = receivers.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            s0 = 0.0
-            for k in range(dim):
-                d = points[i, k] - receivers[0, k]
-                s0 += d * d
-            d_ref = np.sqrt(s0)
-            acc = 0.0
-            for j in range(1, m):
-                s = 0.0
-                for k in range(dim):
-                    d = points[i, k] - receivers[j, k]
-                    s += d * d
-                r = d_ref - np.sqrt(s) - deltas[j - 1]
-                acc += r * r
-            out[i] = acc
-        return out
-
-else:
-    sum_sq_range_residuals_numba = None
-    sum_sq_tdoa_residuals_numba = None
-
-
-USING_NUMBA = HAVE_NUMBA
-
-if USING_NUMBA:
-    def sum_sq_range_residuals(points, anchors, dists):
-        return sum_sq_range_residuals_numba(
-            np.ascontiguousarray(points, dtype=np.float64),
-            np.ascontiguousarray(anchors, dtype=np.float64),
-            np.ascontiguousarray(dists, dtype=np.float64))
-
-    def sum_sq_tdoa_residuals(points, receivers, deltas):
-        return sum_sq_tdoa_residuals_numba(
-            np.ascontiguousarray(points, dtype=np.float64),
-            np.ascontiguousarray(receivers, dtype=np.float64),
-            np.ascontiguousarray(deltas, dtype=np.float64))
-else:
-    sum_sq_range_residuals = sum_sq_range_residuals_numpy
-    sum_sq_tdoa_residuals = sum_sq_tdoa_residuals_numpy

@@ -29,9 +29,10 @@ import numpy as np
 
 from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
-from .errors import NoConvergence, ParseError, RflocError, ValidationError
+from .errors import GeometryDegenerate, NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
-from .simulate import DistanceMatrix, Scenario, perturb_arrivals, simulate_arrivals
+from .simulate import (DistanceMatrix, Scenario, _jitter, perturb_arrivals,
+                       simulate_arrivals)
 from .solver import _TIE_EPS, SolveResult, SolverOptions
 from .tdoa import arrival_deltas, locate_emitter_2d, locate_emitter_3d
 from .trilat import (
@@ -39,6 +40,7 @@ from .trilat import (
     team_relative_position,
     trilaterate_2d,
     trilaterate_3d,
+    trilaterate_batch,
 )
 
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
@@ -51,6 +53,9 @@ _SOLVE_KEYS = {"mode", "options", "emitter_plane_z"}
 _OPTION_KEYS = {"max_iterations", "step_tolerance", "residual_tolerance",
                 "damping_initial", "multistart_count"}
 _TOP_KEYS = {"schema_version", "scenario", "solve", "monte_carlo", "doppler"}
+# Report rows a Monte-Carlo sweep may ask for (trials x sigmas); each row is
+# kept in memory and written out, so a bigger sweep is refused, not truncated.
+MC_MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -249,6 +254,11 @@ def _validate(raw: dict) -> ScenarioFile:
             raise ValidationError("monte_carlo.sigma_t_list must be a list of "
                                   "sigmas >= 0", field="sigma_t_list")
         mc_sigmas = tuple(float(v) for v in sig)
+        if mc_trials * len(mc_sigmas) > MC_MAX_ROWS:
+            raise ValidationError(
+                f"monte_carlo.trials x len(monte_carlo.sigma_t_list) = "
+                f"{mc_trials} x {len(mc_sigmas)} exceeds {MC_MAX_ROWS} report rows",
+                field="trials")
         if mode == "doppler":
             raise ValidationError("monte_carlo is not applicable to doppler mode",
                                   field="monte_carlo")
@@ -316,11 +326,6 @@ def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
     return entry
 
 
-def _noisy_arrivals(sf: ScenarioFile, sigma_t: float, seed: int):
-    arrivals = simulate_arrivals(sf.scenario())
-    return perturb_arrivals(arrivals, sigma_t, seed)
-
-
 def _locate_one(sf: ScenarioFile, arrivals, emitter_index: int) -> SolveResult:
     rd = arrival_deltas(arrivals, emitter_index, 0, sf.c)
     if sf.mode == "tdoa2d":
@@ -328,8 +333,7 @@ def _locate_one(sf: ScenarioFile, arrivals, emitter_index: int) -> SolveResult:
     return locate_emitter_3d(sf.receivers, rd, sf.emitter_plane_z, sf.options)
 
 
-def _tdoa_solves(sf: ScenarioFile, sigma_t: float, seed: int):
-    arrivals = _noisy_arrivals(sf, sigma_t, seed)
+def _tdoa_solves(sf: ScenarioFile, arrivals):
     return [(_locate_one(sf, arrivals, j), sf.emitters[j])
             for j in range(len(sf.emitters))]
 
@@ -339,16 +343,18 @@ def _trilat_problem(sf: ScenarioFile, ranges: Sequence[float]) -> TrilaterationP
     return TrilaterationProblem(sf.emitters, tuple(ranges), dim)
 
 
-def _trilat_solves(sf: ScenarioFile, sigma_t: float, seed: int):
+def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
+    """Ranges from arrival timestamps; jitter can push one below 0, which clamps."""
+    return np.maximum(sf.c * (times - sf.emission_time), 0.0)
+
+
+def _trilat_solves(sf: ScenarioFile, arrivals):
+    """(result, receiver, index) per receiver; arrivals is None for explicit distances."""
     solve = trilaterate_2d if sf.mode == "trilat2d" else trilaterate_3d
     if sf.distances is not None:
         return [(solve(_trilat_problem(sf, sf.distances)), None, None)]
-    arrivals = _noisy_arrivals(sf, sigma_t, seed)
-    out = []
-    for i, receiver in enumerate(sf.receivers):
-        ranges = sf.c * (arrivals.times[i] - sf.emission_time)
-        out.append((solve(_trilat_problem(sf, np.maximum(ranges, 0.0))), receiver, i))
-    return out
+    return [(solve(_trilat_problem(sf, _ranges(sf, arrivals.times[i]))), receiver, i)
+            for i, receiver in enumerate(sf.receivers)]
 
 
 def _far_candidate(result: SolveResult, centroid: np.ndarray) -> Point:
@@ -364,8 +370,7 @@ def _far_candidate(result: SolveResult, centroid: np.ndarray) -> Point:
                                     c[0].x, c[0].y, c[0].z))[0]
 
 
-def _pipeline_solves(sf: ScenarioFile, sigma_t: float, seed: int):
-    arrivals = _noisy_arrivals(sf, sigma_t, seed)
+def _pipeline_solves(sf: ScenarioFile, arrivals):
     centroid = np.mean([r.array for r in sf.receivers], axis=0)
     per_emitter = []
     estimates = []
@@ -388,16 +393,19 @@ def _single_run_entries(sf: ScenarioFile, sigma_t: float, seed: int) -> list[dic
         est = doppler_distance(reading)
         return [{"kind": "doppler", "shift_hz": doppler_shift(reading),
                  "distance_m": est.meters, "idealized": est.idealized}]
+    arrivals = None
+    if sf.distances is None:
+        arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sigma_t, seed)
     if sf.mode.startswith("tdoa"):
         return [_solve_entry("tdoa_emitter", result, truth, emitter_index=j)
-                for j, (result, truth) in enumerate(_tdoa_solves(sf, sigma_t, seed))]
+                for j, (result, truth) in enumerate(_tdoa_solves(sf, arrivals))]
     if sf.mode.startswith("trilat"):
         entries = []
-        for result, truth, idx in _trilat_solves(sf, sigma_t, seed):
+        for result, truth, idx in _trilat_solves(sf, arrivals):
             extra = {} if idx is None else {"receiver_index": idx}
             entries.append(_solve_entry("trilat", result, truth, **extra))
         return entries
-    team, truth, per_emitter = _pipeline_solves(sf, sigma_t, seed)
+    team, truth, per_emitter = _pipeline_solves(sf, arrivals)
     entries = [_solve_entry("pipeline_emitter", result, sf.emitters[j],
                             emitter_index=j, selected=_coords3(chosen))
                for j, (result, chosen) in enumerate(per_emitter)]
@@ -405,58 +413,89 @@ def _single_run_entries(sf: ScenarioFile, sigma_t: float, seed: int) -> list[dic
     return entries
 
 
-def _mc_error_and_state(sf: ScenarioFile, sigma_t: float, seed: int):
-    """One Monte-Carlo trial: (estimate Point, residual_norm, converged, error_m)."""
-    if sf.mode.startswith("tdoa"):
-        result, truth = _tdoa_solves(sf, sigma_t, seed)[0]
-        return result.estimate, result.residual_norm, result.converged, \
-            distance(result.estimate, truth)
-    if sf.mode.startswith("trilat"):
-        result, truth, _ = _trilat_solves(sf, sigma_t, seed)[0]
-        return result.estimate, result.residual_norm, result.converged, \
-            distance(result.estimate, truth)
-    team, truth, _ = _pipeline_solves(sf, sigma_t, seed)
-    return team.estimate, team.residual_norm, team.converged, \
-        distance(team.estimate, truth)
+def _mc_trial(sf: ScenarioFile, arrivals, sigma_t: float, seed: int) -> tuple:
+    """One trial solved on its own: (x, y, z, residual_norm, converged, error_m).
+
+    error_m is None when the solve did not converge. arrivals is None when the
+    sweep's one simulation raised; simulating again raises it for this trial.
+    """
+    if arrivals is None:
+        arrivals = simulate_arrivals(sf.scenario())
+    noisy = perturb_arrivals(arrivals, sigma_t, seed)
+    try:
+        if sf.mode.startswith("tdoa"):
+            result, truth = _tdoa_solves(sf, noisy)[0]
+        elif sf.mode.startswith("trilat"):
+            result, truth, _ = _trilat_solves(sf, noisy)[0]
+        else:
+            result, truth, _ = _pipeline_solves(sf, noisy)
+    except NoConvergence as exc:
+        p = exc.best.estimate
+        return p.x, p.y, p.z, exc.best.residual_norm, False, None
+    p = result.estimate
+    return p.x, p.y, p.z, result.residual_norm, result.converged, distance(p, truth)
+
+
+def _trilat_batch(sf: ScenarioFile, arrivals, seeds: range) -> dict:
+    """_mc_trial's tuple, by (sigma_t index, trial), for every trial of the
+    sweep that one batched closed-form solve settles.
+
+    Each trial's jitter is drawn as perturb_arrivals draws it, so the tuples
+    are bit-identical to _mc_trial's. Trials the closed form rejects (no real
+    intersection, non-finite) are left to _mc_trial, which raises the scalar
+    solve's error; collinear anchors leave every trial to it.
+    """
+    times = arrivals.times
+    noisy = np.concatenate([
+        times + np.stack([_jitter(sigma_t, seed, times.shape) for seed in seeds])
+        if sigma_t > 0.0 else np.broadcast_to(times, (len(seeds),) + times.shape)
+        for sigma_t in sf.monte_carlo_sigmas])
+    try:
+        estimates, norms, rejected = trilaterate_batch(
+            [p.coords for p in sf.emitters], _ranges(sf, noisy[:, 0]))
+    except GeometryDegenerate:
+        return {}
+    truth = sf.receivers[0].coords
+    # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate.
+    return {divmod(k, len(seeds)): (*est, 0.0)[:3] + (norm, True, math.dist(est, truth))
+            for k, (est, norm, skip) in enumerate(zip(
+                estimates.tolist(), norms.tolist(), rejected.tolist())) if not skip}
 
 
 def _monte_carlo(sf: ScenarioFile, base_seed: int, errors: list[dict]) -> dict:
+    """Noise sweep: the true arrivals are simulated once, then each sigma_t
+    runs monte_carlo.trials trials seeded base_seed + trial. Trilat sweeps
+    solve every trial in one batched call first."""
+    try:
+        arrivals = simulate_arrivals(sf.scenario())
+    except RflocError:
+        arrivals = None  # every trial raises this error again
+    seeds = range(base_seed, base_seed + sf.monte_carlo_trials)
+    batched = {}
+    if arrivals is not None and sf.mode.startswith("trilat"):
+        batched = _trilat_batch(sf, arrivals, seeds)
     rows = []
     summaries = []
-    for sigma_t in sf.monte_carlo_sigmas:
+    for i, sigma_t in enumerate(sf.monte_carlo_sigmas):
         trial_errors = []
-        for trial in range(sf.monte_carlo_trials):
-            seed = base_seed + trial
+        for trial, seed in enumerate(seeds):
             try:
-                estimate, norm, converged, err = _mc_error_and_state(sf, sigma_t, seed)
-            except NoConvergence as exc:
-                best = exc.best
-                estimate, norm, converged = best.estimate, best.residual_norm, False
-                err = None
+                x, y, z, norm, converged, err = (batched[i, trial] if (i, trial) in batched
+                                                 else _mc_trial(sf, arrivals, sigma_t, seed))
             except RflocError as exc:
                 errors.append({"stage": f"monte_carlo sigma_t={sigma_t} trial={trial}",
                                "type": type(exc).__name__, "message": str(exc)})
                 continue
-            row = {"trial": trial, "sigma_t": sigma_t, "x": estimate.x,
-                   "y": estimate.y, "z": estimate.z, "residual_norm": norm,
-                   "converged": converged}
-            row["error_m"] = err
-            rows.append(row)
+            rows.append({"trial": trial, "sigma_t": sigma_t, "x": x, "y": y, "z": z,
+                         "residual_norm": norm, "converged": converged, "error_m": err})
             if err is not None:
                 trial_errors.append(err)
+        mean, (p10, p50, p90) = None, (None, None, None)
         if trial_errors:
-            arr = np.array(trial_errors)
-            summaries.append({
-                "sigma_t": sigma_t, "n": len(trial_errors),
-                "mean_error_m": float(arr.mean()),
-                "p10_error_m": float(np.quantile(arr, 0.10)),
-                "median_error_m": float(np.quantile(arr, 0.50)),
-                "p90_error_m": float(np.quantile(arr, 0.90)),
-            })
-        else:
-            summaries.append({"sigma_t": sigma_t, "n": 0, "mean_error_m": None,
-                              "p10_error_m": None, "median_error_m": None,
-                              "p90_error_m": None})
+            mean = float(np.mean(trial_errors))
+            p10, p50, p90 = np.quantile(trial_errors, [0.1, 0.5, 0.9]).tolist()
+        summaries.append({"sigma_t": sigma_t, "n": len(trial_errors), "mean_error_m": mean,
+                          "p10_error_m": p10, "median_error_m": p50, "p90_error_m": p90})
     return {"trials": sf.monte_carlo_trials,
             "sigma_t_list": list(sf.monte_carlo_sigmas),
             "summaries": summaries, "rows": rows}

@@ -152,6 +152,10 @@ def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> Arrival
         raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
     if sigma_t == 0.0:
         return ArrivalSet(arrivals.times, clock_model=arrivals.clock_model)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    noise = rng.normal(0.0, sigma_t, size=arrivals.times.shape)
+    noise = _jitter(sigma_t, seed, arrivals.times.shape)
     return ArrivalSet(arrivals.times + noise, clock_model=arrivals.clock_model)
+
+
+def _jitter(sigma_t: float, seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The timing noise perturb_arrivals adds for (sigma_t, seed)."""
+    return np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma_t, size=shape)

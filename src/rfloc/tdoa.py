@@ -31,8 +31,8 @@ from .errors import (
 )
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _unit_rows,
-                     gauss_newton_raw, order_candidates)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
+                     _unit_rows, gauss_newton_raw, order_candidates)
 
 __all__ = [
     "RangeDelta",
@@ -194,12 +194,6 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None):
             return (units[0] - units[1:])[:, :2]
 
     return residual, jacobian
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for 3-vectors; np.cross costs more than the closed-form solve itself."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _triangle(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,

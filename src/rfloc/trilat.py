@@ -26,8 +26,8 @@ from .errors import (
 )
 from .geometry import Point
 from .simulate import DistanceMatrix
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _unit_rows,
-                     gauss_newton_raw, order_candidates)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
+                     _unit_rows, gauss_newton_raw, order_candidates)
 
 __all__ = [
     "TrilaterationProblem",
@@ -36,6 +36,7 @@ __all__ = [
     "trilateration_objective",
     "trilaterate_2d",
     "trilaterate_3d",
+    "trilaterate_batch",
     "trilaterate_lsq",
     "team_relative_position",
     "INCONSISTENCY_TOL",
@@ -106,24 +107,135 @@ def trilateration_objective(problem: TrilaterationProblem) -> Callable[[np.ndarr
     return objective
 
 
-def _norms_and_flags(problem: TrilaterationProblem, roots: list[np.ndarray],
-                     base_flags: set[str]) -> tuple[list[tuple[Point, float]], set[str]]:
-    cands = []
-    for r in roots:
-        p = Point.from_array(r, dim=problem.dimension)
-        norm = float(np.linalg.norm(trilateration_residuals(problem, p)))
-        cands.append((p, norm))
-    flags = set(base_flags)
-    if min(n for _, n in cands) > INCONSISTENCY_TOL:
-        flags.add("inconsistent")
-    return cands, flags
-
-
 def _require_three(problem: TrilaterationProblem, dim: int, op: str) -> None:
     if problem.dimension != dim:
         raise DimensionError(f"{op} needs a {dim}D problem, got {problem.dimension}D")
     if len(problem.emitters) != 3:
         raise ValueError(f"{op} needs exactly 3 emitters, got {len(problem.emitters)}")
+
+
+def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
+    """Both closed-form roots of every row of ranges against one anchor triangle.
+
+    anchors is (3, D) with D = 2 or 3 and ranges is (N, 3). What depends on
+    the anchors alone is computed once. The rest runs in extended precision,
+    relative to the first anchor for conditioning: the radical-line (plane)
+    constants are O(range^2), and cancellation in plain float64 costs the
+    last couple of digits at km scales. Row dot products use np.vecdot,
+    which sums as `@` does; another summation order changes reports in the
+    last bits.
+
+    Returns the roots (N, 2, D), their residual norms against all three
+    ranges (N, 2), whether the second root is distinct (N,), the radicand
+    (N,), and whether it falls below the slack (N,): no real intersection.
+    """
+    e = anchors
+    dim = e.shape[1]
+    ld = np.longdouble
+    e2 = (e[1] - e[0]).astype(ld)
+    e3 = (e[2] - e[0]).astype(ld)
+    if dim == 2:
+        area2 = abs(float(e2[0] * e3[1] - e2[1] * e3[0]))
+        scale = max(float(np.hypot(*e2)), float(np.hypot(*e3)))
+    else:
+        cross = _cross(e2, e3)
+        area2 = float(np.sqrt(cross @ cross))
+        scale = max(float(np.sqrt(e2 @ e2)), float(np.sqrt(e3 @ e3)))
+    if scale == 0.0 or area2 <= 1e-12 * scale * scale:
+        raise GeometryDegenerate("emitters are collinear (or coincident)")
+
+    sq = ranges.astype(ld) ** 2
+    if dim == 2:
+        # Subtracting the first two circle equations leaves a line. Its point
+        # closest to the third anchor p0 is offset from the circle crossings
+        # purely along the line direction u.
+        n = 2.0 * e2
+        nn = n @ n
+        h = sq[:, 0] - sq[:, 1] + e2 @ e2
+        p0 = e3 + ((h - n @ e3) / nn)[:, None] * n
+        u = np.array([-n[1], n[0]]) / np.sqrt(nn)
+        ref = sq[:, 2]
+        radicand = ref - np.vecdot(p0 - e3, p0 - e3)
+    else:
+        # Radical planes of spheres (1,2) and (1,3) meet in a line normal to
+        # the anchor plane; p0 is the minimum-norm solution of the 2x3 system,
+        # p0 = A^T (A A^T)^{-1} b, kept in the anchor plane through anchor 1.
+        A = np.array([2.0 * e2, 2.0 * e3])
+        AAt = A @ A.T
+        det = AAt[0, 0] * AAt[1, 1] - AAt[0, 1] * AAt[1, 0]
+        u = cross / np.sqrt(cross @ cross)
+        b0 = sq[:, 0] - sq[:, 1] + e2 @ e2
+        b1 = sq[:, 0] - sq[:, 2] + e3 @ e3
+        w = np.stack([(AAt[1, 1] * b0 - AAt[0, 1] * b1) / det,
+                      (AAt[0, 0] * b1 - AAt[1, 0] * b0) / det], axis=1)
+        p0 = w @ A
+        p0 = p0 - np.vecdot(p0, u)[:, None] * u
+        ref = sq[:, 0]
+        radicand = ref - np.vecdot(p0, p0)
+    # A radicand within the slack of 0 clamps to one (tangent) root.
+    miss = radicand < -_RADICAND_SLACK * ref
+    two = radicand > _RADICAND_SLACK * ref
+    t = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), ld(0.0))[:, None]
+    roots = e[0] + np.stack([(p0 + t * u).astype(float), (p0 - t * u).astype(float)], axis=1)
+    r = np.linalg.norm(roots[:, :, None, :] - e, axis=-1) - ranges[:, None, :]
+    return roots, np.sqrt(np.vecdot(r, r)), two, radicand, miss
+
+
+def _pick_second(roots: np.ndarray, norms: np.ndarray, two: np.ndarray) -> np.ndarray:
+    """Whether each row's estimate is its second root (see trilaterate_2d/_3d)."""
+    a, b = roots[:, 0], roots[:, 1]
+    lex = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
+    if roots.shape[2] == 2:  # order_candidates' first: norm, then x, then y
+        second = (norms[:, 1] < norms[:, 0]) | ((norms[:, 1] == norms[:, 0]) & lex)
+    else:  # among residual-tied roots the greater z, then the lower x, y
+        tied = norms <= norms.min(axis=1, keepdims=True) + _TIE_EPS
+        higher = (b[:, 2] > a[:, 2]) | ((b[:, 2] == a[:, 2]) & lex)
+        second = tied[:, 1] & (~tied[:, 0] | higher)
+    return two & second
+
+
+def trilaterate_batch(anchors, ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form trilateration of N range triples against one anchor triangle.
+
+    anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns the
+    estimates (N, D), their residual norms (N,) and a mask of the rows the
+    closed form rejects: a radicand below the slack (trilaterate_2d/_3d
+    raise Inconsistent there) or a non-finite result. Every other row is
+    bit-identical to trilaterate_2d/_3d's estimate and residual norm for
+    that row. Raises GeometryDegenerate for collinear or coincident anchors.
+    """
+    anchors = np.asarray(anchors, dtype=float)
+    ranges = np.asarray(ranges, dtype=float)
+    if anchors.shape[0] != 3 or anchors.shape[1] not in (2, 3) or ranges.shape[1:] != (3,):
+        raise ValueError(f"need anchors (3, 2|3) and ranges (N, 3), got "
+                         f"{anchors.shape} and {ranges.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        roots, norms, two, _, miss = _closed_form(anchors, ranges)
+    pick = _pick_second(roots, norms, two).astype(int)
+    rows = np.arange(len(ranges))
+    estimates, norm = roots[rows, pick], norms[rows, pick]
+    rejected = miss | ~np.isfinite(norm) | ~np.isfinite(estimates).all(axis=1)
+    return estimates, norm, rejected
+
+
+def _solve_one(problem: TrilaterationProblem, miss_message: str) -> SolveResult:
+    """One problem through _closed_form, with every candidate and the flags."""
+    roots, norms, two, radicand, miss = _closed_form(problem.anchor_array,
+                                                     problem.distance_array[None, :])
+    if miss[0]:
+        raise Inconsistent(f"{miss_message} (radicand {float(radicand[0]):.3e})")
+    k = 2 if two[0] else 1
+    cands = [(Point.from_array(r, dim=problem.dimension), float(n))
+             for r, n in zip(roots[0, :k], norms[0, :k])]
+    estimate, norm = cands[int(_pick_second(roots, norms, two)[0])]
+    flags = set()
+    if two[0] and problem.dimension == 3:
+        flags.add("mirror_ambiguity")
+    if min(n for _, n in cands) > INCONSISTENCY_TOL:
+        flags.add("inconsistent")
+    return SolveResult(estimate=estimate, candidates=order_candidates(cands),
+                       residual_norm=norm, iterations=0, converged=True,
+                       flags=frozenset(flags))
 
 
 def trilaterate_2d(problem: TrilaterationProblem) -> SolveResult:
@@ -133,44 +245,11 @@ def trilaterate_2d(problem: TrilaterationProblem) -> SolveResult:
     with the third circle gives a quadratic whose two roots are both returned
     as candidates. The estimate is the root with the lower total residual
     against all three circles, and the inconsistent flag is set when even
-    that best norm exceeds INCONSISTENCY_TOL.
+    that best norm exceeds INCONSISTENCY_TOL. A radicand below
+    -1e-9 * d3^2 raises Inconsistent; within that slack it clamps to 0.
     """
     _require_three(problem, 2, "trilaterate_2d")
-    e = problem.anchor_array
-    d = problem.distance_array
-    # Work relative to the first anchor for conditioning, in extended
-    # precision: the radical-line constants are O(range^2) and cancellation
-    # in plain float64 costs the last couple of digits at km scales.
-    ld = np.longdouble
-    e2 = (e[1] - e[0]).astype(ld)
-    e3 = (e[2] - e[0]).astype(ld)
-    area2 = abs(float(e2[0] * e3[1] - e2[1] * e3[0]))
-    scale = max(float(np.hypot(*e2)), float(np.hypot(*e3)))
-    if scale == 0.0 or area2 <= 1e-12 * scale * scale:
-        raise GeometryDegenerate("emitters are collinear (or coincident)")
-
-    dl = d.astype(ld)
-    n = 2.0 * e2
-    h = dl[0] ** 2 - dl[1] ** 2 + e2 @ e2
-    # Closest point on the line to the third anchor; the offset to the circle
-    # crossing is then purely along the line direction.
-    nn = n @ n
-    p0 = e3 + ((h - n @ e3) / nn) * n
-    u = np.array([-n[1], n[0]]) / np.sqrt(nn)
-    radicand = dl[2] ** 2 - (p0 - e3) @ (p0 - e3)
-    if radicand < -_RADICAND_SLACK * dl[2] ** 2:
-        raise Inconsistent(
-            f"third circle misses the radical line (radicand {float(radicand):.3e})")
-    t = np.sqrt(radicand) if radicand > _RADICAND_SLACK * dl[2] ** 2 else ld(0.0)
-    roots = [(e[0] + (p0 + t * u).astype(float))]
-    if t > 0.0:
-        roots.append(e[0] + (p0 - t * u).astype(float))
-
-    cands, flags = _norms_and_flags(problem, roots, set())
-    ordered = order_candidates(cands)
-    estimate, norm = ordered[0]
-    return SolveResult(estimate=estimate, candidates=ordered, residual_norm=norm,
-                       iterations=0, converged=True, flags=frozenset(flags))
+    return _solve_one(problem, "third circle misses the radical line")
 
 
 def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
@@ -185,50 +264,7 @@ def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
     -1e-9 * d1^2 raises Inconsistent; within that slack it clamps to 0.
     """
     _require_three(problem, 3, "trilaterate_3d")
-    e = problem.anchor_array
-    d = problem.distance_array
-    ld = np.longdouble
-    e2 = (e[1] - e[0]).astype(ld)
-    e3 = (e[2] - e[0]).astype(ld)
-    cross = np.cross(e2, e3)
-    cross_norm = float(np.sqrt(cross @ cross))
-    scale = max(float(np.sqrt(e2 @ e2)), float(np.sqrt(e3 @ e3)))
-    if scale == 0.0 or cross_norm <= 1e-12 * scale * scale:
-        raise GeometryDegenerate("emitters are collinear (or coincident)")
-
-    # Radical planes of spheres (1,2) and (1,3), relative to the first anchor;
-    # extended precision for the same cancellation reason as the 2D path.
-    dl = d.astype(ld)
-    A = np.array([2.0 * e2, 2.0 * e3])
-    b = np.array([dl[0] ** 2 - dl[1] ** 2 + e2 @ e2,
-                  dl[0] ** 2 - dl[2] ** 2 + e3 @ e3])
-    u = cross / np.sqrt(cross @ cross)
-    # Minimum-norm solution of the 2x3 system: p0 = A^T (A A^T)^{-1} b.
-    AAt = A @ A.T
-    det = AAt[0, 0] * AAt[1, 1] - AAt[0, 1] * AAt[1, 0]
-    w0 = (AAt[1, 1] * b[0] - AAt[0, 1] * b[1]) / det
-    w1 = (AAt[0, 0] * b[1] - AAt[1, 0] * b[0]) / det
-    p0 = A.T @ np.array([w0, w1])
-    p0 = p0 - (p0 @ u) * u  # keep p0 in the anchor plane through anchor 1
-    radicand = dl[0] ** 2 - p0 @ p0
-    if radicand < -_RADICAND_SLACK * dl[0] ** 2:
-        raise Inconsistent(
-            f"spheres admit no real intersection (radicand {float(radicand):.3e})")
-    t = np.sqrt(radicand) if radicand > _RADICAND_SLACK * dl[0] ** 2 else ld(0.0)
-
-    flags: set[str] = set()
-    roots = [e[0] + (p0 + t * u).astype(float)]
-    if t > 0.0:
-        roots.append(e[0] + (p0 - t * u).astype(float))
-        flags.add("mirror_ambiguity")
-    cands, flags = _norms_and_flags(problem, roots, flags)
-    ordered = order_candidates(cands)
-
-    best_norm = min(n for _, n in ordered)
-    tied = [(p, n) for p, n in ordered if n <= best_norm + _TIE_EPS]
-    estimate, norm = max(tied, key=lambda c: (c[0].z, -c[0].x, -c[0].y))
-    return SolveResult(estimate=estimate, candidates=ordered, residual_norm=norm,
-                       iterations=0, converged=True, flags=frozenset(flags))
+    return _solve_one(problem, "spheres admit no real intersection")
 
 
 def trilaterate_lsq(problem: TrilaterationProblem, init,

@@ -4,10 +4,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from rfloc.cli import _validate, main, parse_scenario, report_to_csv, run
-from rfloc.errors import ParseError, ValidationError
+from rfloc import (Point, Scenario, TrilaterationProblem, distance, perturb_arrivals,
+                   simulate_arrivals, trilaterate_2d, trilaterate_3d)
+from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
+from rfloc.errors import Inconsistent, ParseError, ValidationError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 BASELINE = os.path.join(SCENARIO_DIR, "trilat3d_baseline.json")
@@ -198,6 +201,85 @@ def test_monte_carlo_large_noise_no_more_failures():
     summary = report["monte_carlo"]["summaries"][0]
     assert 100.0 < summary["mean_error_m"] < 1000.0
     assert max(r["error_m"] for r in rows if r["converged"]) < 1e5
+
+
+def _per_trial_monte_carlo(emitters, receiver, sigmas, trials, seed):
+    """Rows, summaries and errors of a trilat sweep, one public solve per trial."""
+    dim = len(receiver)
+    anchors = tuple(Point.of(*e) for e in emitters)
+    truth = Point.of(*receiver)
+    solve = trilaterate_2d if dim == 2 else trilaterate_3d
+    arrivals = simulate_arrivals(Scenario(anchors, (truth,), seed=seed))
+    rows, summaries, errors = [], [], []
+    for sigma in sigmas:
+        errs = []
+        for trial in range(trials):
+            noisy = perturb_arrivals(arrivals, sigma, seed + trial)
+            ranges = np.maximum(3e8 * noisy.times[0], 0.0)
+            try:
+                result = solve(TrilaterationProblem(anchors, tuple(ranges), dim))
+            except Inconsistent as exc:
+                errors.append({"stage": f"monte_carlo sigma_t={sigma} trial={trial}",
+                               "type": "Inconsistent", "message": str(exc)})
+                continue
+            p = result.estimate
+            errs.append(distance(p, truth))
+            rows.append({"trial": trial, "sigma_t": sigma, "x": p.x, "y": p.y, "z": p.z,
+                         "residual_norm": result.residual_norm, "converged": True,
+                         "error_m": errs[-1]})
+        arr = np.array(errs)
+        summaries.append({"sigma_t": sigma, "n": len(errs),
+                          "mean_error_m": float(arr.mean()),
+                          "p10_error_m": float(np.quantile(arr, 0.10)),
+                          "median_error_m": float(np.quantile(arr, 0.50)),
+                          "p90_error_m": float(np.quantile(arr, 0.90))})
+    return rows, summaries, errors
+
+
+@pytest.mark.parametrize("emitters, receiver", [
+    # 0.3 m from the third anchor's foot on the radical line x = 250: at
+    # sigma_t = 1e-9 s (0.3 m of range) the third circle often misses it.
+    ([[0, 0], [500, 0], [0, 500]], [250, 500.3]),
+    # 0.5 m above the anchor plane: the spheres often do not meet.
+    ([[0, 0, 0], [500, 0, 0], [0, 500, 0]], [180, 90, 0.5]),
+])
+def test_trilat_monte_carlo_matches_per_trial_solves(emitters, receiver):
+    sigmas, trials, seed = [0.0, 1e-9, 1e-8], 40, 11
+    mode = f"trilat{len(receiver)}d"
+    report = run(_validate({
+        "schema_version": 1, "solve": {"mode": mode},
+        "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
+        "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}}))
+    rows, summaries, errors = _per_trial_monte_carlo(emitters, receiver, sigmas, trials,
+                                                     seed)
+    mc = report["monte_carlo"]
+    assert mc["rows"] == rows
+    assert mc["summaries"] == summaries
+    assert report["errors"] == errors
+    assert sum(r["sigma_t"] == 0.0 for r in rows) == trials
+    assert errors and all(any(r["sigma_t"] == s for r in rows) for s in sigmas)
+
+
+def test_monte_carlo_row_cap(tmp_path, capsys):
+    assert MC_MAX_ROWS == 10 ** 6
+    with open(NOISE_SWEEP) as fh:
+        doc = json.load(fh)
+    for trials, sigmas, ok in ((MC_MAX_ROWS, [0.0], True), (MC_MAX_ROWS + 1, [0.0], False),
+                               (MC_MAX_ROWS // 4, [0.0] * 4, True),
+                               (MC_MAX_ROWS // 4, [0.0] * 5, False)):
+        doc["monte_carlo"] = {"trials": trials, "sigma_t_list": sigmas}
+        if ok:
+            assert _validate(doc).monte_carlo_trials == trials
+            continue
+        with pytest.raises(ValidationError, match="monte_carlo.trials") as info:
+            _validate(doc)
+        assert info.value.field == "trials"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "monte_carlo.trials" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_csv_single_solve():

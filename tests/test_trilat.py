@@ -27,7 +27,7 @@ from rfloc.errors import (
     Inconsistent,
     ValidationError,
 )
-from rfloc.trilat import TrilaterationProblem
+from rfloc.trilat import TrilaterationProblem, trilaterate_batch
 
 REF_EMITTERS = (Point.of(0, 0, 0), Point.of(500, 0, 0), Point.of(0, 500, 0))
 REF_DISTANCES = (300.0, 400.0, 500.0)
@@ -160,6 +160,33 @@ def test_consistent_data_exactness_seeded():
         result = trilaterate_2d(problem) if dim == 2 else trilaterate_3d(problem)
         best = min(distance(p, truth) for p, _ in result.candidates)
         assert best < 1e-9, f"trial {trial}: best {best}"
+
+
+def test_batch_rows_equal_scalar_solves():
+    # Each row of one batched call has the bits of its own scalar solve; the
+    # noisy rows include ones whose circles (spheres) do not meet.
+    rng = np.random.default_rng(72)
+    rejected_rows = 0
+    for trial in range(60):
+        dim = 2 if trial % 2 == 0 else 3
+        emitters, dists, _ = consistent_trilat_case(rng, dim)
+        ranges = np.maximum(np.array(dists) + rng.normal(0.0, [[0.0], [1e-6], [1.0], [30.0]],
+                                                         size=(4, 3)), 0.0)
+        estimates, norms, rejected = trilaterate_batch([p.coords for p in emitters], ranges)
+        solve = trilaterate_2d if dim == 2 else trilaterate_3d
+        for row, est, norm, skip in zip(ranges, estimates, norms, rejected):
+            problem = TrilaterationProblem(emitters, tuple(row), dim)
+            if skip:
+                rejected_rows += 1
+                with pytest.raises(Inconsistent):
+                    solve(problem)
+                continue
+            result = solve(problem)
+            assert tuple(est.tolist()) == result.estimate.coords
+            assert norm.item() == result.residual_norm
+    assert rejected_rows > 0
+    with pytest.raises(GeometryDegenerate):
+        trilaterate_batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0]])
 
 
 def test_lsq_reference_scenario():
