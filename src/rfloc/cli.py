@@ -31,7 +31,7 @@ from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import GeometryDegenerate, NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
-from .simulate import (DistanceMatrix, Scenario, _jitter, perturb_arrivals,
+from .simulate import (DistanceMatrix, Scenario, perturb_arrivals, perturb_times,
                        simulate_arrivals)
 from .solver import _TIE_EPS, SolveResult, SolverOptions
 from .tdoa import arrival_deltas, locate_emitter_2d, locate_emitter_3d
@@ -436,30 +436,23 @@ def _mc_trial(sf: ScenarioFile, arrivals, sigma_t: float, seed: int) -> tuple:
     return p.x, p.y, p.z, result.residual_norm, result.converged, distance(p, truth)
 
 
-def _trilat_batch(sf: ScenarioFile, arrivals, seeds: range) -> dict:
-    """_mc_trial's tuple, by (sigma_t index, trial), for every trial of the
-    sweep that one batched closed-form solve settles.
+def _trilat_batch(sf: ScenarioFile, arrivals, seeds: range):
+    """Every trial of a trilat sweep in one closed-form solve.
 
-    Each trial's jitter is drawn as perturb_arrivals draws it, so the tuples
-    are bit-identical to _mc_trial's. Trials the closed form rejects (no real
-    intersection, non-finite) are left to _mc_trial, which raises the scalar
-    solve's error; collinear anchors leave every trial to it.
+    Returns the estimates (S, T, D), residual norms (S, T) and rejected mask
+    (S, T) for S sigmas by T trials, or None when the anchors are collinear.
+    Each trial's jitter is drawn as perturb_arrivals draws it, so a row that
+    is not rejected is bit-identical to _mc_trial's solve of that trial.
     """
-    times = arrivals.times
-    noisy = np.concatenate([
-        times + np.stack([_jitter(sigma_t, seed, times.shape) for seed in seeds])
-        if sigma_t > 0.0 else np.broadcast_to(times, (len(seeds),) + times.shape)
-        for sigma_t in sf.monte_carlo_sigmas])
+    noisy = np.concatenate([perturb_times(arrivals.times, sigma_t, seeds)
+                            for sigma_t in sf.monte_carlo_sigmas])
     try:
-        estimates, norms, rejected = trilaterate_batch(
-            [p.coords for p in sf.emitters], _ranges(sf, noisy[:, 0]))
+        solved = trilaterate_batch([p.coords for p in sf.emitters],
+                                   _ranges(sf, noisy[:, 0]))
     except GeometryDegenerate:
-        return {}
-    truth = sf.receivers[0].coords
-    # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate.
-    return {divmod(k, len(seeds)): (*est, 0.0)[:3] + (norm, True, math.dist(est, truth))
-            for k, (est, norm, skip) in enumerate(zip(
-                estimates.tolist(), norms.tolist(), rejected.tolist())) if not skip}
+        return None
+    shape = (len(sf.monte_carlo_sigmas), len(seeds))
+    return tuple(a.reshape(shape + a.shape[1:]) for a in solved)
 
 
 def _monte_carlo(sf: ScenarioFile, base_seed: int, errors: list[dict]) -> dict:
@@ -471,17 +464,23 @@ def _monte_carlo(sf: ScenarioFile, base_seed: int, errors: list[dict]) -> dict:
     except RflocError:
         arrivals = None  # every trial raises this error again
     seeds = range(base_seed, base_seed + sf.monte_carlo_trials)
-    batched = {}
+    batch = None
     if arrivals is not None and sf.mode.startswith("trilat"):
-        batched = _trilat_batch(sf, arrivals, seeds)
+        batch = _trilat_batch(sf, arrivals, seeds)
     rows = []
     summaries = []
     for i, sigma_t in enumerate(sf.monte_carlo_sigmas):
+        if batch is not None:
+            estimates, norms, rejected = (a[i].tolist() for a in batch)
         trial_errors = []
         for trial, seed in enumerate(seeds):
             try:
-                x, y, z, norm, converged, err = (batched[i, trial] if (i, trial) in batched
-                                                 else _mc_trial(sf, arrivals, sigma_t, seed))
+                if batch is None or rejected[trial]:
+                    x, y, z, norm, converged, err = _mc_trial(sf, arrivals, sigma_t, seed)
+                else:  # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate
+                    est = estimates[trial]
+                    (x, y, z), norm, converged = (*est, 0.0)[:3], norms[trial], True
+                    err = math.dist(est, sf.receivers[0].coords)
             except RflocError as exc:
                 errors.append({"stage": f"monte_carlo sigma_t={sigma_t} trial={trial}",
                                "type": type(exc).__name__, "message": str(exc)})

@@ -25,6 +25,7 @@ __all__ = [
     "true_distance_matrix",
     "simulate_arrivals",
     "perturb_arrivals",
+    "perturb_times",
 ]
 
 
@@ -148,14 +149,20 @@ def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> Arrival
     with `seed`, so identical inputs give bit-identical outputs. sigma_t = 0
     returns the timestamps unchanged.
     """
+    times = perturb_times(arrivals.times, sigma_t, (seed,))[0]
+    return ArrivalSet(times, clock_model=arrivals.clock_model)
+
+
+def perturb_times(times: np.ndarray, sigma_t: float, seeds: Sequence[int]) -> np.ndarray:
+    """One jittered copy of times per seed, shape (len(seeds), *times.shape).
+
+    Copy k is what perturb_arrivals gives for seeds[k]: times plus
+    N(0, sigma_t) jitter from PCG64(seeds[k]). sigma_t = 0 gives the times
+    unchanged, as a read-only broadcast.
+    """
     if not (math.isfinite(sigma_t) and sigma_t >= 0.0):
         raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
     if sigma_t == 0.0:
-        return ArrivalSet(arrivals.times, clock_model=arrivals.clock_model)
-    noise = _jitter(sigma_t, seed, arrivals.times.shape)
-    return ArrivalSet(arrivals.times + noise, clock_model=arrivals.clock_model)
-
-
-def _jitter(sigma_t: float, seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The timing noise perturb_arrivals adds for (sigma_t, seed)."""
-    return np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma_t, size=shape)
+        return np.broadcast_to(times, (len(seeds),) + times.shape)
+    return times + np.stack([np.random.Generator(np.random.PCG64(seed)).normal(
+        0.0, sigma_t, size=times.shape) for seed in seeds])

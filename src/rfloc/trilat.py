@@ -114,6 +114,12 @@ def _require_three(problem: TrilaterationProblem, dim: int, op: str) -> None:
         raise ValueError(f"{op} needs exactly 3 emitters, got {len(problem.emitters)}")
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k, through the same matmul loop as `@` on
+    two vectors (b may be one vector for all rows)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     """Both closed-form roots of every row of ranges against one anchor triangle.
 
@@ -121,9 +127,9 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     the anchors alone is computed once. The rest runs in extended precision,
     relative to the first anchor for conditioning: the radical-line (plane)
     constants are O(range^2), and cancellation in plain float64 costs the
-    last couple of digits at km scales. Row dot products use np.vecdot,
-    which sums as `@` does; another summation order changes reports in the
-    last bits.
+    last couple of digits at km scales. Row dot products go through
+    _rowdot, which sums as `@` does; another summation order changes
+    reports in the last bits.
 
     Returns the roots (N, 2, D), their residual norms against all three
     ranges (N, 2), whether the second root is distinct (N,), the radicand
@@ -155,7 +161,7 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
         p0 = e3 + ((h - n @ e3) / nn)[:, None] * n
         u = np.array([-n[1], n[0]]) / np.sqrt(nn)
         ref = sq[:, 2]
-        radicand = ref - np.vecdot(p0 - e3, p0 - e3)
+        radicand = ref - _rowdot(p0 - e3, p0 - e3)
     else:
         # Radical planes of spheres (1,2) and (1,3) meet in a line normal to
         # the anchor plane; p0 is the minimum-norm solution of the 2x3 system,
@@ -169,16 +175,16 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
         w = np.stack([(AAt[1, 1] * b0 - AAt[0, 1] * b1) / det,
                       (AAt[0, 0] * b1 - AAt[1, 0] * b0) / det], axis=1)
         p0 = w @ A
-        p0 = p0 - np.vecdot(p0, u)[:, None] * u
+        p0 = p0 - _rowdot(p0, u)[:, None] * u
         ref = sq[:, 0]
-        radicand = ref - np.vecdot(p0, p0)
+        radicand = ref - _rowdot(p0, p0)
     # A radicand within the slack of 0 clamps to one (tangent) root.
     miss = radicand < -_RADICAND_SLACK * ref
     two = radicand > _RADICAND_SLACK * ref
     t = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), ld(0.0))[:, None]
     roots = e[0] + np.stack([(p0 + t * u).astype(float), (p0 - t * u).astype(float)], axis=1)
     r = np.linalg.norm(roots[:, :, None, :] - e, axis=-1) - ranges[:, None, :]
-    return roots, np.sqrt(np.vecdot(r, r)), two, radicand, miss
+    return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
 
 
 def _pick_second(roots: np.ndarray, norms: np.ndarray, two: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from rfloc import (
     true_distance_matrix,
 )
 from rfloc.errors import DimensionError, InvalidNoise, ValidationError
+from rfloc.simulate import perturb_times
 
 C = 3e8
 
@@ -121,6 +122,21 @@ def test_perturb_sample_std():
     noise = out.times - a.times
     assert abs(noise.std(ddof=1) - 1e-9) / 1e-9 < 0.05
     assert abs(noise.mean()) < 5e-11
+
+
+def test_perturb_times_one_copy_per_seed():
+    times = np.arange(6, dtype=float).reshape(2, 3) * 1e-6
+    seeds = range(40, 45)
+    out = perturb_times(times, 1e-9, seeds)
+    assert out.shape == (5, 2, 3)
+    for k, seed in enumerate(seeds):
+        noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1e-9, size=(2, 3))
+        assert np.array_equal(out[k], times + noise)
+    assert np.array_equal(out[2], perturb_arrivals(ArrivalSet(times), 1e-9, seed=42).times)
+    still = perturb_times(times, 0.0, seeds)
+    assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
+    with pytest.raises(InvalidNoise):
+        perturb_times(times, math.inf, seeds)
 
 
 def test_perturb_negative_sigma():
