@@ -207,8 +207,8 @@ def _validate(raw: dict) -> ScenarioFile:
 
     # Mode-specific shape rules.
     if mode in ("trilat2d", "trilat3d"):
-        if len(emitters) < 3:
-            raise ValidationError(f"{mode} needs at least 3 emitters", field="emitters")
+        if len(emitters) != 3:
+            raise ValidationError(f"{mode} needs exactly 3 emitters", field="emitters")
         if (distances is None) == (len(receivers) == 0):
             raise ValidationError(
                 "trilat modes need exactly one range source: scenario.distances "

@@ -36,7 +36,10 @@ _TIE_EPS = 1e-9        # residual norms within this are "tied"
 INCONSISTENCY_TOL = 1e-6
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
-_GRID_CHUNK = 1 << 18
+# Nodes per grid_search objective call. A chunk (1-1.5 MiB) and the kernels'
+# 0.5 MiB buffers stay near L2 size: on a 2-vCPU Xeon with 2 MiB of L2
+# per core, 1 << 16 beat 1 << 18 by 20-30 %.
+_GRID_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -231,11 +234,15 @@ def grid_search(
 ) -> tuple[Point, float]:
     """Exhaustive lattice minimization; the independent brute-force oracle.
 
-    objective receives an (N, dim) array of lattice nodes and must return the
-    (N,) objective values. The lattice spans each (lo, hi) bound at the given
-    resolution, nodes at lo + k * resolution. Ties go to the lexicographically
-    smallest node. Raises BudgetExceeded when the lattice is larger than
-    node_budget nodes.
+    objective receives an (N, dim) float64 array of lattice nodes, N at most
+    _GRID_CHUNK, and must return the (N,) objective values. The lattice spans
+    each (lo, hi) bound at the given resolution, nodes at lo + k * resolution.
+    Each chunk holds whole rows of the last axis (a row longer than a chunk is
+    split into pieces), in lexicographic order, and is laid out column-major so
+    that the kernels' column views are contiguous. Ties go to the
+    lexicographically smallest node: the first occurrence within a chunk, and
+    strict < across chunks. Raises BudgetExceeded when the lattice is larger
+    than node_budget nodes.
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
@@ -254,24 +261,29 @@ def grid_search(
     if total > node_budget:
         raise BudgetExceeded(f"lattice has {total} nodes, budget is {node_budget}")
 
+    axes = [los[k] + np.arange(counts[k]) * resolution for k in range(dim)]
+    last = axes[-1]
+    n_rows = total // last.size
+    rows_per_chunk = max(1, _GRID_CHUNK // last.size)
+    width = min(last.size, _GRID_CHUNK)
+
     best_val = math.inf
     best_node: np.ndarray | None = None
-    strides = np.ones(dim, dtype=np.int64)
-    for k in range(dim - 2, -1, -1):
-        strides[k] = strides[k + 1] * counts[k + 1]
-
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, total), dtype=np.int64)
-        points = np.empty((idx.size, dim))
-        rem = idx
-        for k in range(dim):
-            points[:, k] = los[k] + (rem // strides[k]) * resolution
-            rem = rem % strides[k]
-        values = np.asarray(objective(points), dtype=float)
-        pos = int(np.argmin(values))  # first occurrence: lexicographic within chunk
-        if values[pos] < best_val:    # strict: earlier chunks win ties
-            best_val = float(values[pos])
-            best_node = points[pos].copy()
+    for r0 in range(0, n_rows, rows_per_chunk):
+        rows = np.unravel_index(np.arange(r0, min(r0 + rows_per_chunk, n_rows)),
+                                tuple(counts[:-1]))
+        for c0 in range(0, last.size, width):
+            piece = last[c0:c0 + width]
+            block = np.empty((dim, rows[0].size, piece.size))
+            for k in range(dim - 1):
+                block[k] = axes[k][rows[k], None]
+            block[-1] = piece
+            points = block.reshape(dim, -1).T
+            values = np.asarray(objective(points), dtype=float)
+            pos = int(np.argmin(values))  # first occurrence: lexicographic within chunk
+            if values[pos] < best_val:    # strict: earlier chunks win ties
+                best_val = float(values[pos])
+                best_node = points[pos].copy()
 
     assert best_node is not None
     return Point.from_array(best_node, dim=dim), best_val

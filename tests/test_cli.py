@@ -376,3 +376,20 @@ def test_main_export_csv(tmp_path):
 def test_main_negative_seed_rejected(capsys):
     assert main(["run", BASELINE, "--seed", "-3", "--quiet"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, emitters", [
+    ("trilat2d", [[0, 0], [500, 0], [0, 500], [500, 500]]),
+    ("trilat3d", [[0, 0, 0], [500, 0, 0], [0, 500, 0], [500, 500, 10]]),
+])
+def test_trilat_needs_exactly_three_emitters(tmp_path, capsys, mode, emitters):
+    doc = {"schema_version": 1,
+           "scenario": {"emitters": emitters, "distances": [300, 400, 500, 600]},
+           "solve": {"mode": mode}}
+    with pytest.raises(ValidationError) as info:
+        _validate(doc)
+    assert info.value.field == "emitters"
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert "needs exactly 3 emitters" in capsys.readouterr().err

@@ -70,3 +70,50 @@ def test_tdoa_objective_matches_residuals():
     for row, value in zip(points, values):
         r = hyperbolic_residuals(receivers, rd, Point.of(*row))
         assert value == pytest.approx(float(r @ r), rel=1e-12, abs=1e-12)
+
+
+def _row_sum_range(points, anchors, dists):
+    """The range objective with numpy's row sum, on a C-ordered copy of points."""
+    points = np.ascontiguousarray(points)
+    total = np.zeros(points.shape[0])
+    for a, d in zip(anchors, dists):
+        r = np.sqrt(((points - a) ** 2).sum(axis=1)) - d
+        total += r * r
+    return total
+
+
+def _row_sum_tdoa(points, receivers, deltas):
+    """The TDOA objective with numpy's row sum, on a C-ordered copy of points."""
+    points = np.ascontiguousarray(points)
+    d_ref = np.sqrt(((points - receivers[0]) ** 2).sum(axis=1))
+    total = np.zeros(points.shape[0])
+    for k in range(1, receivers.shape[0]):
+        r = d_ref - np.sqrt(((points - receivers[k]) ** 2).sum(axis=1)) - deltas[k - 1]
+        total += r * r
+    return total
+
+
+def _layouts(points):
+    return {"C": points, "F": np.asfortranarray(points), "strided": points[::2]}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_range_kernel_bit_identical_to_row_sum(dim):
+    rng = np.random.default_rng(56 + dim)
+    points = _batch(rng, n=4097, dim=dim)
+    anchors = rng.uniform(-500, 500, size=(3, dim))
+    dists = rng.uniform(0, 800, size=3)
+    for layout, pts in _layouts(points).items():
+        got = _kernels.sum_sq_range_residuals(pts, anchors, dists)
+        assert np.array_equal(got, _row_sum_range(pts, anchors, dists)), layout
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tdoa_kernel_bit_identical_to_row_sum(dim):
+    rng = np.random.default_rng(58 + dim)
+    points = _batch(rng, n=4097, dim=dim)
+    receivers = rng.uniform(-500, 500, size=(4, dim))
+    deltas = rng.uniform(-300, 300, size=3)
+    for layout, pts in _layouts(points).items():
+        got = _kernels.sum_sq_tdoa_residuals(pts, receivers, deltas)
+        assert np.array_equal(got, _row_sum_tdoa(pts, receivers, deltas)), layout

@@ -7,11 +7,14 @@ import pytest
 
 from rfloc import (
     Point,
+    TrilaterationProblem,
     SolverOptions,
     finite_difference_jacobian,
     gauss_newton,
     grid_search,
+    trilateration_objective,
 )
+from rfloc import solver
 from rfloc.errors import BudgetExceeded, NoConvergence, ValidationError
 
 
@@ -191,3 +194,87 @@ def test_grid_rejects_bad_inputs():
         grid_search(obj, [], 0.1)
     with pytest.raises(ValueError):
         grid_search(obj, [(1, 0), (0, 1)], 0.1)
+
+
+def _brute_force(objective, bounds, resolution):
+    """First argmin over the whole lattice, built at once in lexicographic order."""
+    axes = [lo + np.arange(math.floor((hi - lo) / resolution + 1e-9) + 1) * resolution
+            for lo, hi in bounds]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bounds))
+    values = objective(nodes)
+    pos = int(np.argmin(values))
+    return tuple(float(v) for v in nodes[pos]), float(values[pos]), nodes
+
+
+def _recording(objective, dim, calls):
+    """objective, asserting the chunk contract and keeping every chunk it sees."""
+    def wrapped(points):
+        assert isinstance(points, np.ndarray) and points.dtype == np.float64
+        assert points.ndim == 2 and points.shape[1] == dim
+        assert 0 < points.shape[0] <= solver._GRID_CHUNK
+        calls.append(points.copy())
+        return objective(points)
+    return wrapped
+
+
+_LATTICES = [
+    ([(-2.0, 3.0), (1.0, 1.0)], 0.1),                    # degenerate last axis
+    ([(0.5, 0.5), (-3.0, 9.0)], 0.05),                   # one row, longer than a chunk
+    ([(-1.0, 1.0), (2.0, 2.0), (0.0, 1.5)], 0.1),        # degenerate middle axis
+    ([(0.0, 0.3), (-0.2, 0.2), (-5.0, 5.0)], 0.1),       # rows longer than a chunk
+]
+
+
+@pytest.mark.parametrize("chunk", [7, 64, solver._GRID_CHUNK])
+@pytest.mark.parametrize("bounds, resolution", _LATTICES)
+def test_grid_matches_brute_force(monkeypatch, chunk, bounds, resolution):
+    monkeypatch.setattr(solver, "_GRID_CHUNK", chunk)
+    dim = len(bounds)
+    anchors = (Point.of(0, 0, 0), Point.of(4, 1, 0), Point.of(1, 5, 2))
+    problem = TrilaterationProblem(tuple(Point.of(*a.coords[:dim]) for a in anchors),
+                                   (3.0, 4.5, 5.0), dim)
+    objective = trilateration_objective(problem)
+    calls = []
+    node, value = grid_search(_recording(objective, dim, calls), bounds, resolution)
+    want_node, want_value, nodes = _brute_force(objective, bounds, resolution)
+    assert node.coords[:dim] == want_node
+    assert value == want_value
+    assert np.array_equal(np.vstack(calls), nodes)  # every node once, in order
+
+
+@pytest.mark.parametrize("bounds, ties", [
+    ([(0.0, 9.0), (0.0, 9.0)], [(2.0, 0.0), (1.0, 9.0)]),            # across rows
+    ([(0.0, 0.0), (0.0, 99.0)], [(0.0, 25.0), (0.0, 24.0)]),          # inside a split row
+    ([(0.0, 2.0), (0.0, 1.0), (0.0, 9.0)], [(1.0, 0.0, 0.0), (0.0, 1.0, 9.0)]),
+])
+def test_grid_tie_across_chunk_boundary_goes_to_earlier_node(monkeypatch, bounds, ties):
+    # 25-node chunks: two 10-node rows, or 25-node pieces of a 100-node row, so
+    # each pair of tied nodes sits on either side of a chunk boundary.
+    monkeypatch.setattr(solver, "_GRID_CHUNK", 25)
+    dim = len(bounds)
+    tied = np.array(ties)
+
+    def objective(points):
+        hit = (points[:, None, :] == tied[None, :, :]).all(axis=2).any(axis=1)
+        return np.where(hit, 0.0, 1.0)
+
+    calls = []
+    node, value = grid_search(_recording(objective, dim, calls), bounds, 1.0)
+    first = min(ties)
+    assert node.coords[:dim] == first and value == 0.0
+    assert _brute_force(objective, bounds, 1.0)[0] == first
+    starts = np.cumsum([0] + [len(c) for c in calls])
+    nodes = np.vstack(calls)
+    index = [int(np.flatnonzero((nodes == t).all(axis=1))[0]) for t in sorted(ties)]
+    assert any(index[0] < s <= index[1] for s in starts)  # the tie straddles a boundary
+
+
+def test_grid_long_row_is_split(monkeypatch):
+    monkeypatch.setattr(solver, "_GRID_CHUNK", 1000)
+    calls = []
+    objective = lambda p: (p[:, 1] - 1234.56) ** 2
+    bounds = [(0.0, 0.0), (0.0, 2000.0)]
+    node, value = grid_search(_recording(objective, 2, calls), bounds, 0.1)
+    assert [len(c) for c in calls] == [1000] * 20 + [1]
+    want_node, want_value, _ = _brute_force(objective, bounds, 0.1)
+    assert node.coords == want_node and value == want_value
