@@ -33,7 +33,7 @@ from .errors import GeometryDegenerate, NoConvergence, ParseError, RflocError, V
 from .geometry import Point, distance
 from .simulate import (DistanceMatrix, Scenario, perturb_arrivals, perturb_times,
                        simulate_arrivals)
-from .solver import _TIE_EPS, SolveResult, SolverOptions
+from .solver import SolveResult, SolverOptions, _tied_by_centroid
 from .tdoa import arrival_deltas, locate_emitter_2d, locate_emitter_3d
 from .trilat import (
     TrilaterationProblem,
@@ -45,14 +45,11 @@ from .trilat import (
 
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
 
-MODES = ("doppler", "tdoa2d", "tdoa3d", "trilat2d", "trilat3d", "pipeline")
+# mode -> (point dimension, family); doppler mode takes no points.
+_MODES = {"doppler": (None, "doppler"), "tdoa2d": (2, "tdoa"), "tdoa3d": (3, "tdoa"),
+          "trilat2d": (2, "trilat"), "trilat3d": (3, "trilat"), "pipeline": (3, "pipeline")}
+MODES = tuple(_MODES)
 
-_SCENARIO_KEYS = {"emitters", "receivers", "c", "carrier", "emission_time",
-                  "noise_sigma_t", "seed", "distances"}
-_SOLVE_KEYS = {"mode", "options", "emitter_plane_z"}
-_OPTION_KEYS = {"max_iterations", "step_tolerance", "residual_tolerance",
-                "damping_initial", "multistart_count"}
-_TOP_KEYS = {"schema_version", "scenario", "solve", "monte_carlo", "doppler"}
 # Report rows a Monte-Carlo sweep may ask for (trials x sigmas); each row is
 # kept in memory and written out, so a bigger sweep is refused, not truncated.
 MC_MAX_ROWS = 1_000_000
@@ -85,128 +82,153 @@ class ScenarioFile:
                         noise_sigma_t=self.noise_sigma_t, seed=self.seed)
 
 
-def _reject_unknown(obj: dict, allowed: set[str], context: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"unknown field {context}.{key}", field=key)
+# ---------------------------------------------------------------------------
+# Field rules: each takes the JSON value and its "section.field" path and
+# returns the parsed value or raises ValidationError naming the field.
+# ---------------------------------------------------------------------------
+
+def _fail(where: str, what: str) -> ValidationError:
+    """The error for the value at where; its field is the last key, less any [i]."""
+    return ValidationError(f"{where or 'scenario document'} {what}",
+                           field=where.rpartition(".")[2].partition("[")[0])
 
 
-def _number(obj: dict, key: str, context: str, default=None, *,
-            nonneg=False, positive=False) -> float:
-    if key not in obj:
-        if default is None:
-            raise ValidationError(f"missing field {context}.{key}", field=key)
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValidationError(f"{context}.{key} must be a finite number", field=key)
-    value = float(value)
-    if positive and value <= 0.0:
-        raise ValidationError(f"{context}.{key} must be positive", field=key)
-    if nonneg and value < 0.0:
-        raise ValidationError(f"{context}.{key} must be >= 0", field=key)
+def _finite(value, where: str) -> float:
+    # abs() <= max also refuses NaN and integers beyond the float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise _fail(where, "must be a finite number")
+    return float(value)
+
+
+def _nonneg(value, where: str) -> float:
+    value = _finite(value, where)
+    if value < 0.0:
+        raise _fail(where, "must be >= 0")
     return value
 
 
-def _count(obj: dict, key: str, context: str, default=None) -> int:
+def _positive(value, where: str) -> float:
+    value = _finite(value, where)
+    if value <= 0.0:
+        raise _fail(where, "must be positive")
+    return value
+
+
+def _count(value, where: str) -> int:
     """A positive whole number; 3.0 is accepted, 2.7 is rejected, never truncated."""
-    value = _number(obj, key, context, default, positive=True)
+    value = _positive(value, where)
     if not value.is_integer():
-        raise ValidationError(f"{context}.{key} must be a whole number", field=key)
+        raise _fail(where, "must be a whole number")
     return int(value)
 
 
-def _points(obj: dict, key: str, context: str, expect_dim: int | None) -> tuple[Point, ...]:
-    raw = obj.get(key, [])
-    if not isinstance(raw, list):
-        raise ValidationError(f"{context}.{key} must be a list of coordinate lists",
-                              field=key)
+def _seed(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _fail(where, "must be a non-negative integer")
+    return value
+
+
+def _nonneg_list(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise _fail(where, "must be a non-empty list of numbers >= 0")
+    return tuple(_nonneg(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _points(value, where: str) -> tuple[Point, ...]:
+    if not isinstance(value, list):
+        raise _fail(where, "must be a list of coordinate lists")
     points = []
-    for i, entry in enumerate(raw):
-        if (not isinstance(entry, list) or len(entry) not in (2, 3)
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in entry)):
-            raise ValidationError(
-                f"{context}.{key}[{i}] must be [x, y] or [x, y, z]", field=key)
-        points.append(Point.of(*[float(v) for v in entry]))
-    dims = {p.dim for p in points}
-    if len(dims) > 1:
-        raise ValidationError(f"{context}.{key} mixes 2D and 3D points", field=key)
-    if points and expect_dim is not None and points[0].dim != expect_dim:
-        raise ValidationError(
-            f"{context}.{key} must be {expect_dim}D for this mode", field=key)
+    for i, entry in enumerate(value):
+        if not isinstance(entry, list) or len(entry) not in (2, 3):
+            raise _fail(f"{where}[{i}]", "must be [x, y] or [x, y, z]")
+        points.append(Point.of(*(_finite(v, f"{where}[{i}]") for v in entry)))
+    if len({p.dim for p in points}) > 1:
+        raise _fail(where, "mixes 2D and 3D points")
     return tuple(points)
 
 
-def _validate(raw: dict) -> ScenarioFile:
-    if not isinstance(raw, dict):
-        raise ValidationError("scenario document must be a JSON object", field="")
-    _reject_unknown(raw, _TOP_KEYS, "")
-    version = raw.get("schema_version")
-    if version != 1:
-        raise ValidationError(f"schema_version must be 1, got {version!r}",
-                              field="schema_version")
+def _plane(value, where: str) -> float | None:
+    return None if value is None else _finite(value, where)
 
-    solve = raw.get("solve")
-    if not isinstance(solve, dict):
-        raise ValidationError("missing or invalid 'solve' section", field="solve")
-    _reject_unknown(solve, _SOLVE_KEYS, "solve")
-    mode = solve.get("mode")
-    if mode not in MODES:
-        raise ValidationError(f"solve.mode must be one of {MODES}, got {mode!r}",
-                              field="mode")
-    opts_raw = solve.get("options", {})
-    if not isinstance(opts_raw, dict):
-        raise ValidationError("solve.options must be an object", field="options")
-    _reject_unknown(opts_raw, _OPTION_KEYS, "solve.options")
-    options = SolverOptions(
-        max_iterations=_count(opts_raw, "max_iterations", "solve.options", default=100.0),
-        step_tolerance=_number(opts_raw, "step_tolerance", "solve.options",
-                               default=1e-10, positive=True),
-        residual_tolerance=_number(opts_raw, "residual_tolerance", "solve.options",
-                                   default=1e-12, positive=True),
-        damping_initial=_number(opts_raw, "damping_initial", "solve.options",
-                                default=1e-3, positive=True),
-        multistart_count=_count(opts_raw, "multistart_count", "solve.options",
-                                default=9.0),
-    )
-    plane = None
-    if "emitter_plane_z" in solve:
-        value = solve["emitter_plane_z"]
-        if value is not None:
-            plane = _number(solve, "emitter_plane_z", "solve")
-    elif mode in ("tdoa3d", "pipeline"):
-        plane = 0.0
 
-    scen = raw.get("scenario")
-    if not isinstance(scen, dict):
-        raise ValidationError("missing or invalid 'scenario' section", field="scenario")
-    _reject_unknown(scen, _SCENARIO_KEYS, "scenario")
-    expect_dim = {"tdoa2d": 2, "trilat2d": 2, "tdoa3d": 3,
-                  "trilat3d": 3, "pipeline": 3}.get(mode)
-    emitters = _points(scen, "emitters", "scenario", expect_dim)
-    receivers = _points(scen, "receivers", "scenario", expect_dim)
-    c = _number(scen, "c", "scenario", default=3.0e8, positive=True)
-    carrier = _number(scen, "carrier", "scenario", default=1.0e9, positive=True)
-    emission_time = _number(scen, "emission_time", "scenario", default=0.0)
-    noise_sigma_t = _number(scen, "noise_sigma_t", "scenario", default=0.0, nonneg=True)
-    seed_val = scen.get("seed", 0)
-    if isinstance(seed_val, bool) or not isinstance(seed_val, int) or seed_val < 0:
-        raise ValidationError("scenario.seed must be a non-negative integer", field="seed")
+def _mode(value, where: str) -> str:
+    if value not in MODES:
+        raise _fail(where, f"must be one of {MODES}, got {value!r}")
+    return value
 
-    distances = None
-    if "distances" in scen:
-        raw_d = scen["distances"]
-        if (not isinstance(raw_d, list) or not raw_d
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0
-                       or not math.isfinite(v) for v in raw_d)):
-            raise ValidationError("scenario.distances must be a list of ranges >= 0",
-                                  field="distances")
-        distances = tuple(float(v) for v in raw_d)
+
+def _schema_version(value, where: str) -> int:
+    if value != 1:
+        raise _fail(where, f"must be 1, got {value!r}")
+    return 1
+
+
+def _section(value, path: str) -> dict:
+    """value checked against _SECTIONS[path]: unknown keys are refused, fields
+    are parsed in table order, and absent ones take their defaults."""
+    if not isinstance(value, dict):
+        raise _fail(path, "must be a JSON object")
+    fields = _SECTIONS[path]
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in fields:
+            raise ValidationError(f"unknown field {prefix}{key}", field=key)
+    parsed = {}
+    for key, (rule, default) in fields.items():
+        if key in value:
+            parsed[key] = rule(value[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ValidationError(f"missing field {prefix}{key}", field=key)
+        else:
+            parsed[key] = default
+    return parsed
+
+
+def _by_mode(value, where: str):
+    """Left as it is here; _validate checks it once the mode is known."""
+    return value
+
+
+_REQUIRED = "required"
+# path -> field -> (rule, default); "" is the document itself. The field
+# names of "scenario" are ScenarioFile's, those of "solve.options" are
+# SolverOptions'.
+_SECTIONS = {
+    "": {"schema_version": (_schema_version, _REQUIRED), "solve": (_section, _REQUIRED),
+         "scenario": (_section, _REQUIRED), "doppler": (_by_mode, None),
+         "monte_carlo": (_by_mode, None)},
+    "solve": {"mode": (_mode, _REQUIRED), "options": (_section, {}),
+              "emitter_plane_z": (_plane, None)},
+    "solve.options": {"max_iterations": (_count, SolverOptions.max_iterations),
+                      "step_tolerance": (_positive, SolverOptions.step_tolerance),
+                      "residual_tolerance": (_positive, SolverOptions.residual_tolerance),
+                      "damping_initial": (_positive, SolverOptions.damping_initial),
+                      "multistart_count": (_count, SolverOptions.multistart_count)},
+    "scenario": {"emitters": (_points, ()), "receivers": (_points, ()),
+                 "c": (_positive, 3.0e8), "carrier": (_positive, 1.0e9),
+                 "emission_time": (_finite, 0.0), "noise_sigma_t": (_nonneg, 0.0),
+                 "seed": (_seed, 0), "distances": (_nonneg_list, None)},
+    "doppler": {"f_received": (_positive, _REQUIRED)},
+    "monte_carlo": {"trials": (_count, _REQUIRED), "sigma_t_list": (_nonneg_list, _REQUIRED)},
+}
+
+
+def _validate(raw) -> ScenarioFile:
+    doc = _section(raw, "")
+    solve, scen, dopp, mc = doc["solve"], doc["scenario"], doc["doppler"], doc["monte_carlo"]
+    mode = solve["mode"]
+    dim, family = _MODES[mode]
+    plane = solve["emitter_plane_z"]
+    if "emitter_plane_z" not in raw["solve"] and family in ("tdoa", "pipeline") and dim == 3:
+        plane = 0.0  # ground emitters
+    emitters, receivers, distances = scen["emitters"], scen["receivers"], scen["distances"]
+    for key, points in (("emitters", emitters), ("receivers", receivers)):
+        if points and dim is not None and points[0].dim != dim:
+            raise ValidationError(f"scenario.{key} must be {dim}D for this mode", field=key)
 
     # Mode-specific shape rules.
-    if mode in ("trilat2d", "trilat3d"):
+    if family == "trilat":
         if len(emitters) != 3:
             raise ValidationError(f"{mode} needs exactly 3 emitters", field="emitters")
         if (distances is None) == (len(receivers) == 0):
@@ -215,69 +237,48 @@ def _validate(raw: dict) -> ScenarioFile:
                 "or scenario.receivers", field="distances")
         if distances is not None and len(distances) != len(emitters):
             raise ValidationError("one distance per emitter required", field="distances")
-    elif mode in ("tdoa2d", "tdoa3d", "pipeline"):
+    elif family != "doppler":
         if distances is not None:
             raise ValidationError(f"{mode} derives ranges from geometry; "
                                   "scenario.distances not allowed", field="distances")
         if len(receivers) != 3:
             raise ValidationError(f"{mode} needs exactly 3 receivers", field="receivers")
-        need_emitters = 3 if mode == "pipeline" else 1
-        if len(emitters) < need_emitters:
-            raise ValidationError(f"{mode} needs at least {need_emitters} emitter(s)",
-                                  field="emitters")
-        if mode == "pipeline" and len(emitters) != 3:
-            raise ValidationError("pipeline needs exactly 3 emitters", field="emitters")
+        if not emitters or (family == "pipeline" and len(emitters) != 3):
+            need = "exactly 3 emitters" if family == "pipeline" else "at least 1 emitter"
+            raise ValidationError(f"{mode} needs {need}", field="emitters")
 
-    dopp = raw.get("doppler")
     f_received = None
-    if mode == "doppler":
-        if not isinstance(dopp, dict):
-            raise ValidationError("doppler mode needs a 'doppler' section",
-                                  field="doppler")
-        _reject_unknown(dopp, {"f_received"}, "doppler")
-        f_received = _number(dopp, "f_received", "doppler", positive=True)
+    if family == "doppler":
+        f_received = _section(dopp, "doppler")["f_received"]
     elif dopp is not None:
         raise ValidationError("'doppler' section only valid in doppler mode",
                               field="doppler")
 
-    mc_trials = mc_sigmas = None
-    mc = raw.get("monte_carlo")
     if mc is not None:
-        if not isinstance(mc, dict):
-            raise ValidationError("monte_carlo must be an object", field="monte_carlo")
-        _reject_unknown(mc, {"trials", "sigma_t_list"}, "monte_carlo")
-        mc_trials = _count(mc, "trials", "monte_carlo")
-        sig = mc.get("sigma_t_list")
-        if (not isinstance(sig, list) or not sig
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0
-                       or not math.isfinite(v) for v in sig)):
-            raise ValidationError("monte_carlo.sigma_t_list must be a list of "
-                                  "sigmas >= 0", field="sigma_t_list")
-        mc_sigmas = tuple(float(v) for v in sig)
-        if mc_trials * len(mc_sigmas) > MC_MAX_ROWS:
+        mc = _section(mc, "monte_carlo")
+        if mc["trials"] * len(mc["sigma_t_list"]) > MC_MAX_ROWS:
             raise ValidationError(
                 f"monte_carlo.trials x len(monte_carlo.sigma_t_list) = "
-                f"{mc_trials} x {len(mc_sigmas)} exceeds {MC_MAX_ROWS} report rows",
-                field="trials")
-        if mode == "doppler":
+                f"{mc['trials']} x {len(mc['sigma_t_list'])} exceeds {MC_MAX_ROWS} "
+                "report rows", field="trials")
+        if family == "doppler":
             raise ValidationError("monte_carlo is not applicable to doppler mode",
                                   field="monte_carlo")
-        if mode in ("trilat2d", "trilat3d") and distances is not None:
+        if family == "trilat" and distances is not None:
             raise ValidationError("monte_carlo needs geometry-derived ranges, not "
                                   "explicit distances", field="monte_carlo")
-        if mode.startswith("tdoa") and len(emitters) != 1:
+        if family == "tdoa" and len(emitters) != 1:
             raise ValidationError("tdoa monte_carlo expects exactly 1 emitter",
                                   field="emitters")
-        if mode.startswith("trilat") and len(receivers) != 1:
+        if family == "trilat" and len(receivers) != 1:
             raise ValidationError("trilat monte_carlo expects exactly 1 receiver",
                                   field="receivers")
 
     return ScenarioFile(
-        schema_version=1, mode=mode, emitters=emitters, receivers=receivers,
-        c=c, carrier=carrier, emission_time=emission_time,
-        noise_sigma_t=noise_sigma_t, seed=seed_val, distances=distances,
-        options=options, emitter_plane_z=plane,
-        monte_carlo_trials=mc_trials, monte_carlo_sigmas=mc_sigmas,
+        schema_version=1, mode=mode, **scen, options=SolverOptions(**solve["options"]),
+        emitter_plane_z=plane,
+        monte_carlo_trials=None if mc is None else mc["trials"],
+        monte_carlo_sigmas=None if mc is None else mc["sigma_t_list"],
         doppler_f_received=f_received, raw=raw,
     )
 
@@ -326,68 +327,50 @@ def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
     return entry
 
 
-def _locate_one(sf: ScenarioFile, arrivals, emitter_index: int) -> SolveResult:
-    rd = arrival_deltas(arrivals, emitter_index, 0, sf.c)
-    if sf.mode == "tdoa2d":
-        return locate_emitter_2d(sf.receivers, rd, sf.options)
-    return locate_emitter_3d(sf.receivers, rd, sf.emitter_plane_z, sf.options)
-
-
-def _tdoa_solves(sf: ScenarioFile, arrivals):
-    return [(_locate_one(sf, arrivals, j), sf.emitters[j])
-            for j in range(len(sf.emitters))]
-
-
-def _trilat_problem(sf: ScenarioFile, ranges: Sequence[float]) -> TrilaterationProblem:
-    dim = 2 if sf.mode == "trilat2d" else 3
-    return TrilaterationProblem(sf.emitters, tuple(ranges), dim)
-
-
 def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
     """Ranges from arrival timestamps; jitter can push one below 0, which clamps."""
     return np.maximum(sf.c * (times - sf.emission_time), 0.0)
 
 
-def _trilat_solves(sf: ScenarioFile, arrivals):
-    """(result, receiver, index) per receiver; arrivals is None for explicit distances."""
-    solve = trilaterate_2d if sf.mode == "trilat2d" else trilaterate_3d
-    if sf.distances is not None:
-        return [(solve(_trilat_problem(sf, sf.distances)), None, None)]
-    return [(solve(_trilat_problem(sf, _ranges(sf, arrivals.times[i]))), receiver, i)
-            for i, receiver in enumerate(sf.receivers)]
+def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | None, dict]]:
+    """(kind, result, truth, extra report fields) per solve, in report order.
 
-
-def _far_candidate(result: SolveResult, centroid: np.ndarray) -> Point:
-    """Among residual-tied candidates, the one farthest from the receiver centroid.
-
-    Residual-tied TDOA candidates reproduce the measurements equally well; for
-    the two-step pipeline the far-field one gives the better-conditioned
-    reference geometry for the team trilateration, so it wins here.
+    arrivals is None for explicit trilat distances. A pipeline's team
+    position comes last, after its per-emitter solves.
     """
-    best = min(n for _, n in result.candidates)
-    tied = [(p, n) for p, n in result.candidates if n <= best + _TIE_EPS]
-    return max(tied, key=lambda c: (float(np.linalg.norm(c[0].array - centroid)),
-                                    c[0].x, c[0].y, c[0].z))[0]
-
-
-def _pipeline_solves(sf: ScenarioFile, arrivals):
-    centroid = np.mean([r.array for r in sf.receivers], axis=0)
-    per_emitter = []
-    estimates = []
+    dim, family = _MODES[sf.mode]
+    if family == "trilat":
+        solve = trilaterate_2d if dim == 2 else trilaterate_3d
+        if sf.distances is not None:
+            return [("trilat", solve(TrilaterationProblem(sf.emitters, sf.distances, dim)),
+                     None, {})]
+        return [("trilat", solve(TrilaterationProblem(
+                    sf.emitters, tuple(_ranges(sf, arrivals.times[i])), dim)),
+                 receiver, {"receiver_index": i}) for i, receiver in enumerate(sf.receivers)]
+    results = []
     for j in range(len(sf.emitters)):
-        result = _locate_one(sf, arrivals, j)
-        chosen = _far_candidate(result, centroid)
-        per_emitter.append((result, chosen))
-        estimates.append(chosen)
-    dm = DistanceMatrix(np.array([[distance(r, e) for e in estimates]
-                                  for r in sf.receivers]))
-    team = team_relative_position(sf.receivers, estimates, dm, sf.options)
-    truth = Point.from_array(centroid, dim=3)
-    return team, truth, per_emitter
+        rd = arrival_deltas(arrivals, j, 0, sf.c)
+        results.append(locate_emitter_2d(sf.receivers, rd, sf.options) if dim == 2 else
+                       locate_emitter_3d(sf.receivers, rd, sf.emitter_plane_z, sf.options))
+    if family == "tdoa":
+        return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
+                for j, result in enumerate(results)]
+    # Residual-tied TDOA candidates reproduce the measurements equally well;
+    # for the two-step pipeline the one farthest from the receiver centroid
+    # gives the better-conditioned reference geometry for the team
+    # trilateration, so it wins here.
+    centroid = np.mean([r.array for r in sf.receivers], axis=0)
+    chosen = [_tied_by_centroid(result.candidates, centroid)[-1][0] for result in results]
+    dm = DistanceMatrix(np.array([[distance(r, e) for e in chosen] for r in sf.receivers]))
+    team = team_relative_position(sf.receivers, chosen, dm, sf.options)
+    solves = [("pipeline_emitter", result, sf.emitters[j],
+               {"emitter_index": j, "selected": _coords3(chosen[j])})
+              for j, result in enumerate(results)]
+    return solves + [("team_position", team, Point.from_array(centroid, dim=3), {})]
 
 
 def _single_run_entries(sf: ScenarioFile, sigma_t: float, seed: int) -> list[dict]:
-    if sf.mode == "doppler":
+    if _MODES[sf.mode][1] == "doppler":
         reading = DopplerReading(f_emitted=sf.carrier, f_received=sf.doppler_f_received,
                                  c=sf.c)
         est = doppler_distance(reading)
@@ -396,21 +379,8 @@ def _single_run_entries(sf: ScenarioFile, sigma_t: float, seed: int) -> list[dic
     arrivals = None
     if sf.distances is None:
         arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sigma_t, seed)
-    if sf.mode.startswith("tdoa"):
-        return [_solve_entry("tdoa_emitter", result, truth, emitter_index=j)
-                for j, (result, truth) in enumerate(_tdoa_solves(sf, arrivals))]
-    if sf.mode.startswith("trilat"):
-        entries = []
-        for result, truth, idx in _trilat_solves(sf, arrivals):
-            extra = {} if idx is None else {"receiver_index": idx}
-            entries.append(_solve_entry("trilat", result, truth, **extra))
-        return entries
-    team, truth, per_emitter = _pipeline_solves(sf, arrivals)
-    entries = [_solve_entry("pipeline_emitter", result, sf.emitters[j],
-                            emitter_index=j, selected=_coords3(chosen))
-               for j, (result, chosen) in enumerate(per_emitter)]
-    entries.append(_solve_entry("team_position", team, truth))
-    return entries
+    return [_solve_entry(kind, result, truth, **extra)
+            for kind, result, truth, extra in _solves(sf, arrivals)]
 
 
 def _mc_trial(sf: ScenarioFile, arrivals, sigma_t: float, seed: int) -> tuple:
@@ -418,17 +388,15 @@ def _mc_trial(sf: ScenarioFile, arrivals, sigma_t: float, seed: int) -> tuple:
 
     error_m is None when the solve did not converge. arrivals is None when the
     sweep's one simulation raised; simulating again raises it for this trial.
+    A sweep's row is its file's last solve: validation allows one emitter per
+    tdoa sweep and one receiver per trilat sweep, and a pipeline's team
+    position comes last.
     """
     if arrivals is None:
         arrivals = simulate_arrivals(sf.scenario())
     noisy = perturb_arrivals(arrivals, sigma_t, seed)
     try:
-        if sf.mode.startswith("tdoa"):
-            result, truth = _tdoa_solves(sf, noisy)[0]
-        elif sf.mode.startswith("trilat"):
-            result, truth, _ = _trilat_solves(sf, noisy)[0]
-        else:
-            result, truth, _ = _pipeline_solves(sf, noisy)
+        _, result, truth, _ = _solves(sf, noisy)[-1]
     except NoConvergence as exc:
         p = exc.best.estimate
         return p.x, p.y, p.z, exc.best.residual_norm, False, None
@@ -465,7 +433,7 @@ def _monte_carlo(sf: ScenarioFile, base_seed: int, errors: list[dict]) -> dict:
         arrivals = None  # every trial raises this error again
     seeds = range(base_seed, base_seed + sf.monte_carlo_trials)
     batch = None
-    if arrivals is not None and sf.mode.startswith("trilat"):
+    if arrivals is not None and _MODES[sf.mode][1] == "trilat":
         batch = _trilat_batch(sf, arrivals, seeds)
     rows = []
     summaries = []

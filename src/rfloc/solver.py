@@ -85,6 +85,20 @@ def order_candidates(cands: Sequence[tuple[Point, float]]) -> tuple[tuple[Point,
     return tuple(sorted(cands, key=lambda c: (c[1], c[0].x, c[0].y, c[0].z)))
 
 
+def _tied_by_centroid(cands: Sequence[tuple], centroid: np.ndarray) -> list[tuple]:
+    """The candidates within _TIE_EPS of the lowest residual norm, nearest first.
+
+    cands are (point, residual_norm, ...) tuples; the tied ones reproduce the
+    measurements equally well. They are sorted by distance to the centroid,
+    then by x, y, z, so each caller's convention is an index: the TDOA
+    solvers take the nearest, the team pipeline the farthest.
+    """
+    best = min(c[1] for c in cands)
+    tied = [c for c in cands if c[1] <= best + _TIE_EPS]
+    return sorted(tied, key=lambda c: (float(np.linalg.norm(c[0].array - centroid)),
+                                       c[0].x, c[0].y, c[0].z))
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b for 3-vectors; np.cross costs more than a closed-form solve itself."""
     return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
@@ -241,8 +255,9 @@ def grid_search(
     split into pieces), in lexicographic order, and is laid out column-major so
     that the kernels' column views are contiguous. Ties go to the
     lexicographically smallest node: the first occurrence within a chunk, and
-    strict < across chunks. Raises BudgetExceeded when the lattice is larger
-    than node_budget nodes.
+    strict < across chunks. NaN values are passed over. Raises BudgetExceeded
+    when the lattice is larger than node_budget nodes, and ValueError when no
+    node has a value below +inf.
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
@@ -281,9 +296,14 @@ def grid_search(
             points = block.reshape(dim, -1).T
             values = np.asarray(objective(points), dtype=float)
             pos = int(np.argmin(values))  # first occurrence: lexicographic within chunk
+            if math.isnan(values[pos]):   # argmin stops at the first NaN
+                if np.isnan(values).all():
+                    continue
+                pos = int(np.nanargmin(values))
             if values[pos] < best_val:    # strict: earlier chunks win ties
                 best_val = float(values[pos])
                 best_node = points[pos].copy()
 
-    assert best_node is not None
+    if best_node is None:
+        raise ValueError("objective has no finite value on the lattice")
     return Point.from_array(best_node, dim=dim), best_val

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
-                     _unit_rows, gauss_newton_raw, order_candidates)
+from .solver import (INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
+                     _tied_by_centroid, _unit_rows, gauss_newton_raw, order_candidates)
 
 __all__ = [
     "RangeDelta",
@@ -328,15 +328,6 @@ def _plane_roots(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
     return roots, starts or [planar[0] + m[:2]]
 
 
-def _pick_estimate(cands: list[tuple[Point, float, int]],
-                   centroid: np.ndarray) -> tuple[Point, float, int]:
-    """Lowest residual norm wins; ties go to the candidate nearest the centroid."""
-    best_norm = min(c[1] for c in cands)
-    tied = [c for c in cands if c[1] <= best_norm + _TIE_EPS]
-    return min(tied, key=lambda c: (float(np.linalg.norm(c[0].array - centroid)),
-                                    c[0].x, c[0].y, c[0].z))
-
-
 def _within(x: np.ndarray, center, diam: float) -> bool:
     """Whether x lies inside the runaway radius around center.
 
@@ -357,7 +348,7 @@ def _failed(message: str, x: np.ndarray, norm: float, iters: int, to_point,
 
 def _result(runs, to_point, centroid3: np.ndarray, flags: frozenset[str]) -> SolveResult:
     cands = [(to_point(x), norm, iters) for x, norm, iters in _dedup(runs)]
-    estimate, norm, iters = _pick_estimate(cands, centroid3)
+    estimate, norm, iters = _tied_by_centroid(cands, centroid3)[0]
     return SolveResult(estimate=estimate,
                        candidates=order_candidates([(p, n) for p, n, _ in cands]),
                        residual_norm=norm, iterations=iters, converged=True, flags=flags)

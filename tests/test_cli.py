@@ -6,9 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfloc import (Point, Scenario, TrilaterationProblem, distance, perturb_arrivals,
                    simulate_arrivals, trilaterate_2d, trilaterate_3d)
+from rfloc import cli
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, ParseError, ValidationError
 
@@ -160,6 +162,30 @@ def test_pipeline_noise_free_team_error():
     team = [e for e in report["solves"] if e["kind"] == "team_position"]
     assert len(team) == 1
     assert team[0]["error_m"] < 1e-3
+
+
+def test_pipeline_selects_far_candidate():
+    # Emitters 0 and 2 each have a residual-tied near-field root next to the
+    # true far one; the solve's estimate is the near root, the pipeline's
+    # selection the far one.
+    report = run(parse_scenario(PIPELINE))
+    entries = [e for e in report["solves"] if e["kind"] == "pipeline_emitter"]
+    assert [len(e["candidates"]) for e in entries] == [2, 1, 2]
+    for e in entries:
+        assert math.dist(e["selected"], e["truth"]) < 1e-3
+    assert all(math.dist(entries[j]["estimate"], entries[j]["truth"]) > 1e3 for j in (0, 2))
+
+
+def test_pipeline_monte_carlo_rows_are_team_positions():
+    with open(PIPELINE) as fh:
+        doc = json.load(fh)
+    doc["monte_carlo"] = {"trials": 2, "sigma_t_list": [0.0]}
+    report = run(_validate(doc))
+    team = report["solves"][-1]
+    assert team["kind"] == "team_position"
+    for row in report["monte_carlo"]["rows"]:
+        assert [row["x"], row["y"], row["z"]] == team["estimate"]
+        assert row["error_m"] == team["error_m"]
 
 
 def test_monte_carlo_medians_increase_with_noise():
@@ -393,3 +419,164 @@ def test_trilat_needs_exactly_three_emitters(tmp_path, capsys, mode, emitters):
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--quiet"]) == 2
     assert "needs exactly 3 emitters" in capsys.readouterr().err
+
+
+def _trilat_receiver_doc():
+    return {"schema_version": 1, "solve": {"mode": "trilat3d"},
+            "scenario": {"emitters": [[0, 0, 0], [500, 0, 0], [0, 500, 0]],
+                         "receivers": [[180, 90, 5]]}}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400])
+@pytest.mark.parametrize("field", ["emitters", "receivers"])
+def test_nonfinite_coordinate_rejected(tmp_path, capsys, field, token):
+    doc = _trilat_receiver_doc()
+    doc["scenario"][field][0][1] = 12345.5
+    text = json.dumps(doc).replace("12345.5", token)  # json.loads reads each token
+    with pytest.raises(ValidationError) as info:
+        _validate(json.loads(text))
+    assert info.value.field == field
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    for verb in ("validate", "run"):
+        assert main([verb, str(path), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+# Single faults, one per field of cli._SECTIONS: each bad value must be
+# refused with ValidationError.field naming the field, unless the field's rule
+# lists it as acceptable (a negative emission time, a fractional tolerance).
+_BAD = {"string": "3", "true": True, "nan": math.nan, "+inf": math.inf,
+        "-inf": -math.inf, "negative": -1.0, "zero": 0, "fractional": 2.7}
+_ACCEPTABLE = {cli._finite: {"negative", "zero", "fractional"},
+               cli._plane: {"negative", "zero", "fractional"},
+               cli._nonneg: {"zero", "fractional"},
+               cli._positive: {"fractional"},
+               cli._seed: {"zero"},
+               cli._schema_version: {"true"}}  # true == 1 in JSON's Python reading
+# Rules over lists also see each bad value as a list element.
+_ELEMENT = {cli._nonneg_list: lambda v: [v], cli._points: lambda v: [[v, 0.0]]}
+
+
+def _document_with(path):
+    """A valid document and its section at path ("" is the document)."""
+    with open(DOPPLER if path == "doppler" else NOISE_SWEEP) as fh:
+        doc = json.load(fh)
+    doc["solve"]["options"] = {}
+    section = doc
+    for key in filter(None, path.split(".")):
+        section = section[key]
+    return doc, section
+
+
+def _single_faults():
+    for path, fields in cli._SECTIONS.items():
+        yield pytest.param(path, "surprise", "unknown", id=f"{path}.surprise")
+        for key, (rule, default) in fields.items():
+            if default is cli._REQUIRED:
+                yield pytest.param(path, key, "missing", id=f"{path}.{key}-missing")
+            for label, value in _BAD.items():
+                if label not in _ACCEPTABLE.get(rule, ()):
+                    yield pytest.param(path, key, value, id=f"{path}.{key}-{label}")
+                if rule in _ELEMENT and label not in _ACCEPTABLE[cli._finite]:
+                    yield pytest.param(path, key, _ELEMENT[rule](value),
+                                       id=f"{path}.{key}-element-{label}")
+
+
+@pytest.mark.parametrize("path, key, value", _single_faults())
+def test_single_fault_names_its_field(path, key, value):
+    doc, section = _document_with(path)
+    _validate(doc)  # the document is valid before the fault
+    if value == "missing":
+        del section[key]
+    else:
+        section[key] = value
+    with pytest.raises(ValidationError) as info:
+        _validate(doc)
+    assert info.value.field == key
+
+
+@pytest.mark.parametrize("mode", [["tdoa2d"], {"tdoa2d": 1}, None, 2])
+def test_mode_of_wrong_type_rejected(mode):
+    doc, solve = _document_with("solve")
+    solve["mode"] = mode
+    with pytest.raises(ValidationError) as info:
+        _validate(doc)
+    assert info.value.field == "mode"
+
+
+def _mutation_values():
+    return st.sampled_from(["x", True, False, None, math.nan, math.inf, -math.inf, -1, 0,
+                            2.7, 3, 1e-9, [], {}, [0, 0], [[0.0, 0.0, 0.0]],
+                            *cli.MODES])
+
+
+def _paths(obj, prefix=()):
+    """Every key and list index in a JSON document, as a path of keys."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_scenarios_exit_cleanly(tmp_path_factory, data):
+    name = data.draw(st.sampled_from([BASELINE, NOISE_SWEEP, PIPELINE, DOPPLER]))
+    with open(name) as fh:
+        doc = json.load(fh)
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from([(), *_paths(doc)]))
+        parent = doc
+        for key in target[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if not target or action == "add":
+            node = parent[target[-1]] if target else doc
+            if isinstance(node, dict):
+                node["surprise"] = data.draw(_mutation_values())
+        elif action == "delete":
+            del parent[target[-1]]
+        else:
+            parent[target[-1]] = data.draw(_mutation_values())
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path), "--quiet"])
+    assert code in (0, 2)
+    if code == 0:
+        sf = parse_scenario(str(path))
+        if (sf.monte_carlo_trials or 0) * len(sf.monte_carlo_sigmas or ()) <= 50:
+            assert main(["run", "--quiet", str(path)]) in (0, 1, 2)
+
+
+def _readme_table(heading):
+    """Rows of the README table that follows the line starting with heading."""
+    with open(os.path.join(SCENARIO_DIR, os.pardir, "README.md")) as fh:
+        text = fh.read()
+    lines = text[text.index(heading):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|")) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+
+
+def test_readme_tables_match_the_code():
+    fields = {row[0]: row[2] for row in _readme_table("Fields, as `rfloc.cli._SECTIONS`")}
+    expected = {}
+    for path, section in cli._SECTIONS.items():
+        for key, (_, default) in section.items():
+            expected[f"{path}.{key}".lstrip(".")] = default
+    assert fields.keys() == expected.keys()
+    for name, default in expected.items():
+        if default is cli._REQUIRED:
+            assert fields[name] == "required"
+        elif isinstance(default, (int, float)):
+            assert float(fields[name]) == default
+    dims = {"[x, y]": 2, "[x, y, z]": 3, "either": None}
+    modes = {row[0]: dims[row[1]] for row in _readme_table("Modes, as `rfloc.cli._MODES`")}
+    assert modes == {mode: dim for mode, (dim, _) in cli._MODES.items()}

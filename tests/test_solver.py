@@ -196,6 +196,29 @@ def test_grid_rejects_bad_inputs():
         grid_search(obj, [(1, 0), (0, 1)], 0.1)
 
 
+@pytest.mark.parametrize("chunk", [7, solver._GRID_CHUNK])
+@pytest.mark.parametrize("nan_at", [
+    lambda p: (p[:, 0] == 0) & (p[:, 1] == 0),  # one node, the lattice's first
+    lambda p: p[:, 0] < 2,                      # whole rows: 7-node chunks all NaN
+], ids=["origin", "rows"])
+def test_grid_skips_nan_values(monkeypatch, chunk, nan_at):
+    monkeypatch.setattr(solver, "_GRID_CHUNK", chunk)
+
+    def objective(points):
+        values = (points[:, 0] - 3.0) ** 2 + (points[:, 1] - 4.0) ** 2
+        values[nan_at(points)] = np.nan
+        return values
+
+    node, value = grid_search(objective, [(0, 10), (0, 10)], 1.0)
+    assert node.coords == (3.0, 4.0)
+    assert value == 0.0
+
+
+def test_grid_all_nan_raises():
+    with pytest.raises(ValueError, match="no finite value"):
+        grid_search(lambda p: np.full(p.shape[0], np.nan), [(0, 10), (0, 10)], 1.0)
+
+
 def _brute_force(objective, bounds, resolution):
     """First argmin over the whole lattice, built at once in lexicographic order."""
     axes = [lo + np.arange(math.floor((hi - lo) / resolution + 1e-9) + 1) * resolution
@@ -278,3 +301,13 @@ def test_grid_long_row_is_split(monkeypatch):
     assert [len(c) for c in calls] == [1000] * 20 + [1]
     want_node, want_value, _ = _brute_force(objective, bounds, 0.1)
     assert node.coords == want_node and value == want_value
+
+
+def test_tied_by_centroid_orders_residual_ties_nearest_first():
+    centroid = np.zeros(3)
+    cands = [(Point.of(3.0, 0.0), 1e-3, "untied"),       # nearest, but not tied
+             (Point.of(0.0, -5.0), 5e-10, "far"),
+             (Point.of(0.0, 4.0), 0.0, "near+y"),
+             (Point.of(-4.0, 0.0), 2e-10, "near-x")]    # as near: x breaks the tie
+    assert [c[2] for c in solver._tied_by_centroid(cands, centroid)] == \
+        ["near-x", "near+y", "far"]
