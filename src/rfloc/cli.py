@@ -31,7 +31,7 @@ from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import GeometryDegenerate, NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
-from .simulate import (DistanceMatrix, Scenario, perturb_arrivals, perturb_times,
+from .simulate import (ArrivalSet, DistanceMatrix, Scenario, perturb_arrivals, perturb_sweep,
                        simulate_arrivals)
 from .solver import SolveResult, SolverOptions, _tied_by_centroid
 from .tdoa import arrival_deltas, locate_emitter_2d, locate_emitter_3d
@@ -40,7 +40,8 @@ from .trilat import (
     team_relative_position,
     trilaterate_2d,
     trilaterate_3d,
-    trilaterate_batch,
+    _batch,
+    _inconsistent,
 )
 
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
@@ -159,7 +160,7 @@ def _mode(value, where: str) -> str:
 
 
 def _schema_version(value, where: str) -> int:
-    if value != 1:
+    if isinstance(value, bool) or value != 1:
         raise _fail(where, f"must be 1, got {value!r}")
     return 1
 
@@ -369,90 +370,124 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
     return solves + [("team_position", team, Point.from_array(centroid, dim=3), {})]
 
 
-def _single_run_entries(sf: ScenarioFile, sigma_t: float, seed: int) -> list[dict]:
+def _single_run_entries(sf: ScenarioFile, arrivals: ArrivalSet | None,
+                        seed: int) -> list[dict]:
+    """The single-epoch solves; arrivals is the file's noise-free simulation,
+    None for doppler mode and explicit trilat distances."""
     if _MODES[sf.mode][1] == "doppler":
         reading = DopplerReading(f_emitted=sf.carrier, f_received=sf.doppler_f_received,
                                  c=sf.c)
         est = doppler_distance(reading)
         return [{"kind": "doppler", "shift_hz": doppler_shift(reading),
                  "distance_m": est.meters, "idealized": est.idealized}]
-    arrivals = None
-    if sf.distances is None:
-        arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sigma_t, seed)
+    if arrivals is not None:
+        arrivals = perturb_arrivals(arrivals, sf.noise_sigma_t, seed)
     return [_solve_entry(kind, result, truth, **extra)
             for kind, result, truth, extra in _solves(sf, arrivals)]
 
 
-def _mc_trial(sf: ScenarioFile, arrivals, sigma_t: float, seed: int) -> tuple:
-    """One trial solved on its own: (x, y, z, residual_norm, converged, error_m).
+def _error_entry(stage: str, exc: RflocError) -> dict:
+    return {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
 
-    error_m is None when the solve did not converge. arrivals is None when the
-    sweep's one simulation raised; simulating again raises it for this trial.
-    A sweep's row is its file's last solve: validation allows one emitter per
+
+def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
+    """One trial solved on its own from its jittered arrival times.
+
+    Returns (x, y, z, residual_norm, converged, error_m), with error_m None
+    when the solve did not converge, or the error the trial raised. A
+    sweep's row is its file's last solve: validation allows one emitter per
     tdoa sweep and one receiver per trilat sweep, and a pipeline's team
     position comes last.
     """
-    if arrivals is None:
-        arrivals = simulate_arrivals(sf.scenario())
-    noisy = perturb_arrivals(arrivals, sigma_t, seed)
     try:
-        _, result, truth, _ = _solves(sf, noisy)[-1]
+        _, result, truth, _ = _solves(sf, ArrivalSet(times))[-1]
     except NoConvergence as exc:
+        if exc.best is None:
+            return exc
         p = exc.best.estimate
         return p.x, p.y, p.z, exc.best.residual_norm, False, None
+    except RflocError as exc:
+        return exc
     p = result.estimate
     return p.x, p.y, p.z, result.residual_norm, result.converged, distance(p, truth)
 
 
-def _trilat_batch(sf: ScenarioFile, arrivals, seeds: range):
-    """Every trial of a trilat sweep in one closed-form solve.
+def _trilat_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
+    """_mc_trial of every (R, E) slice of times, from one closed-form batch.
 
-    Returns the estimates (S, T, D), residual norms (S, T) and rejected mask
-    (S, T) for S sigmas by T trials, or None when the anchors are collinear.
-    Each trial's jitter is drawn as perturb_arrivals draws it, so a row that
-    is not rejected is bit-identical to _mc_trial's solve of that trial.
+    A row the batch solves is bit-identical to _mc_trial's solve of it. A row
+    whose radicand falls below the slack gets the Inconsistent error its
+    scalar solve raises, from the batch's radicand. Only rows with
+    non-finite times, ranges or results, and every row when the anchors are
+    collinear, are solved again on their own.
     """
-    noisy = np.concatenate([perturb_times(arrivals.times, sigma_t, seeds)
-                            for sigma_t in sf.monte_carlo_sigmas])
+    ranges = _ranges(sf, times[:, 0])
     try:
-        solved = trilaterate_batch([p.coords for p in sf.emitters],
-                                   _ranges(sf, noisy[:, 0]))
+        estimates, norms, rejected, miss, radicand = _batch(
+            [p.coords for p in sf.emitters], ranges)
     except GeometryDegenerate:
-        return None
-    shape = (len(sf.monte_carlo_sigmas), len(seeds))
-    return tuple(a.reshape(shape + a.shape[1:]) for a in solved)
+        return [_mc_trial(sf, t) for t in times]
+    finite = np.isfinite(times).all(axis=(1, 2)) & np.isfinite(ranges).all(axis=1)
+    truth, dim = sf.receivers[0].coords, _MODES[sf.mode][0]
+    trials = []
+    for k, (est, norm, reject, missed, finite_row) in enumerate(zip(
+            estimates.tolist(), norms.tolist(), rejected.tolist(), miss.tolist(),
+            finite.tolist())):
+        if not reject:  # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate
+            trials.append((*est, 0.0)[:3] + (norm, True, math.dist(est, truth)))
+        elif missed and finite_row:
+            trials.append(_inconsistent(dim, radicand[k]))
+        else:
+            trials.append(_mc_trial(sf, times[k]))
+    return trials
 
 
-def _monte_carlo(sf: ScenarioFile, base_seed: int, errors: list[dict]) -> dict:
-    """Noise sweep: the true arrivals are simulated once, then each sigma_t
-    runs monte_carlo.trials trials seeded base_seed + trial. Trilat sweeps
-    solve every trial in one batched call first."""
-    try:
-        arrivals = simulate_arrivals(sf.scenario())
-    except RflocError:
-        arrivals = None  # every trial raises this error again
-    seeds = range(base_seed, base_seed + sf.monte_carlo_trials)
-    batch = None
-    if arrivals is not None and _MODES[sf.mode][1] == "trilat":
-        batch = _trilat_batch(sf, arrivals, seeds)
+def _quantiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
+    """np.quantile(values, qs).tolist() from one sort: numpy's default linear
+    rule (Hyndman & Fan type 7), with its two-sided interpolation."""
+    v = sorted(values)
+    last = len(v) - 1
+    out = []
+    for q in qs:
+        pos = last * q
+        i = j = math.floor(pos)
+        if pos >= last:
+            i = j = -1  # numpy takes the last value, with gamma = pos + 1
+        else:
+            j += 1
+        a, b = v[i], v[j]
+        d, g = b - a, pos - i
+        out.append(a + d * g if g < 0.5 else b - d * (1 - g))
+    return out
+
+
+def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed: int,
+                 errors: list[dict]) -> dict:
+    """Noise sweep of the file's one noise-free simulation, or of the error
+    simulating raised, which every trial then reports. Each sigma_t runs
+    monte_carlo.trials trials seeded base_seed + trial; each seed's jitter
+    is drawn once for all sigmas, and a trilat sweep solves every trial in
+    one batched call."""
+    sigmas, trials = sf.monte_carlo_sigmas, sf.monte_carlo_trials
+    if isinstance(arrivals, RflocError):
+        outcomes = [[arrivals] * trials for _ in sigmas]
+    else:
+        noisy = perturb_sweep(arrivals.times, sigmas, range(base_seed, base_seed + trials))
+        if _MODES[sf.mode][1] == "trilat":
+            flat = _trilat_trials(sf, np.concatenate(noisy))
+            outcomes = [flat[i * trials:(i + 1) * trials] for i in range(len(sigmas))]
+        else:
+            outcomes = [[_mc_trial(sf, t) for t in times] for times in noisy]
     rows = []
     summaries = []
-    for i, sigma_t in enumerate(sf.monte_carlo_sigmas):
-        if batch is not None:
-            estimates, norms, rejected = (a[i].tolist() for a in batch)
+    for sigma_t, sigma_outcomes in zip(sigmas, outcomes):
         trial_errors = []
-        for trial, seed in enumerate(seeds):
-            try:
-                if batch is None or rejected[trial]:
-                    x, y, z, norm, converged, err = _mc_trial(sf, arrivals, sigma_t, seed)
-                else:  # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate
-                    est = estimates[trial]
-                    (x, y, z), norm, converged = (*est, 0.0)[:3], norms[trial], True
-                    err = math.dist(est, sf.receivers[0].coords)
-            except RflocError as exc:
-                errors.append({"stage": f"monte_carlo sigma_t={sigma_t} trial={trial}",
-                               "type": type(exc).__name__, "message": str(exc)})
+        for trial, outcome in enumerate(sigma_outcomes):
+            if isinstance(outcome, RflocError):
+                errors.append(_error_entry(f"monte_carlo sigma_t={sigma_t} trial={trial}",
+                                           outcome))
                 continue
+            x, y, z, norm, converged, err = outcome
             rows.append({"trial": trial, "sigma_t": sigma_t, "x": x, "y": y, "z": z,
                          "residual_norm": norm, "converged": converged, "error_m": err})
             if err is not None:
@@ -460,11 +495,11 @@ def _monte_carlo(sf: ScenarioFile, base_seed: int, errors: list[dict]) -> dict:
         mean, (p10, p50, p90) = None, (None, None, None)
         if trial_errors:
             mean = float(np.mean(trial_errors))
-            p10, p50, p90 = np.quantile(trial_errors, [0.1, 0.5, 0.9]).tolist()
+            p10, p50, p90 = _quantiles(trial_errors, (0.1, 0.5, 0.9))
         summaries.append({"sigma_t": sigma_t, "n": len(trial_errors), "mean_error_m": mean,
                           "p10_error_m": p10, "median_error_m": p50, "p90_error_m": p90})
-    return {"trials": sf.monte_carlo_trials,
-            "sigma_t_list": list(sf.monte_carlo_sigmas),
+    return {"trials": trials,
+            "sigma_t_list": list(sigmas),
             "summaries": summaries, "rows": rows}
 
 
@@ -487,17 +522,23 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
         "monte_carlo": None,
         "errors": errors,
     }
+    # One noise-free simulation serves the single solve and the sweep.
+    arrivals = None
     try:
-        report["solves"] = _single_run_entries(sf, sf.noise_sigma_t, base_seed)
+        if _MODES[sf.mode][1] != "doppler" and sf.distances is None:
+            arrivals = simulate_arrivals(sf.scenario())
+        report["solves"] = _single_run_entries(sf, arrivals, base_seed)
     except NoConvergence as exc:
-        errors.append({"stage": "solve", "type": "NoConvergence", "message": str(exc)})
+        errors.append(_error_entry("solve", exc))
         if exc.best is not None:
             report["solves"] = [_solve_entry("best_iterate", exc.best, None)]
     except RflocError as exc:
-        errors.append({"stage": "solve", "type": type(exc).__name__, "message": str(exc)})
+        errors.append(_error_entry("solve", exc))
+        if arrivals is None:
+            arrivals = exc  # simulating raised; every trial raises it again
 
     if sf.monte_carlo_sigmas is not None:
-        report["monte_carlo"] = _monte_carlo(sf, base_seed, errors)
+        report["monte_carlo"] = _monte_carlo(sf, arrivals, base_seed, errors)
     return report
 
 

@@ -2,9 +2,11 @@
 
 All receivers timestamp against one shared clock by default; an optional
 per-receiver offset list exists to show what breaks when that assumption is
-violated. Timing noise is zero-mean Gaussian jitter drawn from a seeded
-numpy PCG64 generator (Generator.normal), so identical (arrivals, sigma,
-seed) triples reproduce bit-identical output on any platform.
+violated. Timing noise is zero-mean Gaussian jitter: one array of standard
+normals per seed from numpy's PCG64 generator, scaled by sigma exactly as
+Generator.normal scales it, so identical (arrivals, sigma, seed) triples
+reproduce bit-identical output on any platform, and one draw serves every
+sigma of a sweep.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "simulate_arrivals",
     "perturb_arrivals",
     "perturb_times",
+    "perturb_sweep",
 ]
 
 
@@ -160,9 +163,27 @@ def perturb_times(times: np.ndarray, sigma_t: float, seeds: Sequence[int]) -> np
     N(0, sigma_t) jitter from PCG64(seeds[k]). sigma_t = 0 gives the times
     unchanged, as a read-only broadcast.
     """
-    if not (math.isfinite(sigma_t) and sigma_t >= 0.0):
-        raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
-    if sigma_t == 0.0:
-        return np.broadcast_to(times, (len(seeds),) + times.shape)
-    return times + np.stack([np.random.Generator(np.random.PCG64(seed)).normal(
-        0.0, sigma_t, size=times.shape) for seed in seeds])
+    return perturb_sweep(times, (sigma_t,), seeds)[0]
+
+
+def perturb_sweep(times: np.ndarray, sigmas: Sequence[float],
+                  seeds: Sequence[int]) -> list[np.ndarray]:
+    """perturb_times(times, sigma_t, seeds) for every sigma_t in sigmas.
+
+    Each seed's standard normals z are drawn once, and only if some sigma_t is
+    above 0; every sigma_t then adds 0.0 + sigma_t * z, which is how
+    Generator.normal(0.0, sigma_t) turns the same z into jitter, so each copy
+    is bit-identical to a draw of its own.
+    """
+    for sigma_t in sigmas:
+        if not (math.isfinite(sigma_t) and sigma_t >= 0.0):
+            raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
+    shape = (len(seeds),) + times.shape
+    if max(sigmas, default=0.0) == 0.0:
+        return [np.broadcast_to(times, shape)] * len(sigmas)
+    z = np.empty(shape)
+    for k, seed in enumerate(seeds):
+        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=z[k])
+    with np.errstate(over="ignore"):  # as Generator.normal: a huge sigma_t gives inf
+        return [times + (0.0 + sigma_t * z) if sigma_t > 0.0 else np.broadcast_to(times, shape)
+                for sigma_t in sigmas]

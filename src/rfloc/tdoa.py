@@ -28,6 +28,7 @@ from .errors import (
     GeometryDegenerate,
     InsufficientReceivers,
     NoConvergence,
+    ValidationError,
 )
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
@@ -75,7 +76,7 @@ class RangeDifferenceSet:
             raise ValueError("duplicate receiver in range differences")
         for d in self.deltas:
             if not (math.isfinite(d.delta_t) and math.isfinite(d.delta_d)):
-                raise ValueError("non-finite range difference")
+                raise ValidationError("non-finite range difference", field="deltas")
 
     @classmethod
     def from_range_differences(cls, reference_index: int,
@@ -340,6 +341,9 @@ def _within(x: np.ndarray, center, diam: float) -> bool:
 
 def _failed(message: str, x: np.ndarray, norm: float, iters: int, to_point,
             flags: frozenset[str]) -> NoConvergence:
+    """The solve's NoConvergence, with no best iterate when x overflowed."""
+    if not np.all(np.isfinite(x)):
+        return NoConvergence(f"{message}; the iterate is not finite")
     p = to_point(x)
     best = SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
                        iterations=iters, converged=False, flags=flags)

@@ -210,26 +210,40 @@ def trilaterate_batch(anchors, ranges) -> tuple[np.ndarray, np.ndarray, np.ndarr
     bit-identical to trilaterate_2d/_3d's estimate and residual norm for
     that row. Raises GeometryDegenerate for collinear or coincident anchors.
     """
+    return _batch(anchors, ranges)[:3]
+
+
+def _batch(anchors, ranges):
+    """trilaterate_batch's estimates, norms and rejected mask, then the
+    radicand-miss mask and the radicands: the rows where trilaterate_2d/_3d
+    raise _inconsistent(D, radicand)."""
     anchors = np.asarray(anchors, dtype=float)
     ranges = np.asarray(ranges, dtype=float)
     if anchors.shape[0] != 3 or anchors.shape[1] not in (2, 3) or ranges.shape[1:] != (3,):
         raise ValueError(f"need anchors (3, 2|3) and ranges (N, 3), got "
                          f"{anchors.shape} and {ranges.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        roots, norms, two, _, miss = _closed_form(anchors, ranges)
+        roots, norms, two, radicand, miss = _closed_form(anchors, ranges)
     pick = _pick_second(roots, norms, two).astype(int)
     rows = np.arange(len(ranges))
     estimates, norm = roots[rows, pick], norms[rows, pick]
     rejected = miss | ~np.isfinite(norm) | ~np.isfinite(estimates).all(axis=1)
-    return estimates, norm, rejected
+    return estimates, norm, rejected, miss, radicand
 
 
-def _solve_one(problem: TrilaterationProblem, miss_message: str) -> SolveResult:
+def _inconsistent(dim: int, radicand) -> Inconsistent:
+    """The error of a closed-form solve whose radicand falls below the slack."""
+    what = ("third circle misses the radical line" if dim == 2
+            else "spheres admit no real intersection")
+    return Inconsistent(f"{what} (radicand {float(radicand):.3e})")
+
+
+def _solve_one(problem: TrilaterationProblem) -> SolveResult:
     """One problem through _closed_form, with every candidate and the flags."""
     roots, norms, two, radicand, miss = _closed_form(problem.anchor_array,
                                                      problem.distance_array[None, :])
     if miss[0]:
-        raise Inconsistent(f"{miss_message} (radicand {float(radicand[0]):.3e})")
+        raise _inconsistent(problem.dimension, radicand[0])
     k = 2 if two[0] else 1
     cands = [(Point.from_array(r, dim=problem.dimension), float(n))
              for r, n in zip(roots[0, :k], norms[0, :k])]
@@ -255,7 +269,7 @@ def trilaterate_2d(problem: TrilaterationProblem) -> SolveResult:
     -1e-9 * d3^2 raises Inconsistent; within that slack it clamps to 0.
     """
     _require_three(problem, 2, "trilaterate_2d")
-    return _solve_one(problem, "third circle misses the radical line")
+    return _solve_one(problem)
 
 
 def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
@@ -270,7 +284,7 @@ def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
     -1e-9 * d1^2 raises Inconsistent; within that slack it clamps to 0.
     """
     _require_three(problem, 3, "trilaterate_3d")
-    return _solve_one(problem, "spheres admit no real intersection")
+    return _solve_one(problem)
 
 
 def trilaterate_lsq(problem: TrilaterationProblem, init,

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from rfloc import (Point, Scenario, TrilaterationProblem, distance, perturb_arrivals,
                    simulate_arrivals, trilaterate_2d, trilaterate_3d)
-from rfloc import cli
+from rfloc import cli, errors as rfloc_errors, trilat
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
-from rfloc.errors import Inconsistent, ParseError, ValidationError
+from rfloc.errors import Inconsistent, ParseError, RflocError, ValidationError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 BASELINE = os.path.join(SCENARIO_DIR, "trilat3d_baseline.json")
@@ -72,6 +72,21 @@ def test_schema_version_enforced():
     with pytest.raises(ValidationError) as exc:
         _validate(raw)
     assert exc.value.field == "schema_version"
+
+
+def test_schema_version_refuses_bools(tmp_path, capsys):
+    raw = _baseline_raw()
+    raw["schema_version"] = 1.0  # the same JSON number as 1
+    assert _validate(raw).schema_version == 1
+    for value in (False, True):
+        raw["schema_version"] = value
+        with pytest.raises(ValidationError) as exc:
+            _validate(raw)
+        assert exc.value.field == "schema_version"
+    path = tmp_path / "bool_version.json"
+    path.write_text(json.dumps(raw))  # "schema_version": true
+    assert main(["validate", str(path), "--quiet"]) == 2
+    assert "schema_version" in capsys.readouterr().err
 
 
 def test_negative_noise_rejected():
@@ -286,6 +301,85 @@ def test_trilat_monte_carlo_matches_per_trial_solves(emitters, receiver):
     assert errors and all(any(r["sigma_t"] == s for r in rows) for s in sigmas)
 
 
+def _trilat_sweep(sigmas, trials=40, seed=11):
+    emitters, receiver = [[0, 0], [500, 0], [0, 500]], [250, 500.3]
+    return _validate({
+        "schema_version": 1, "solve": {"mode": "trilat2d"},
+        "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
+        "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
+
+
+def test_monte_carlo_draws_once_per_trial_seed(monkeypatch):
+    made, solved = [], []
+    pcg64, solve_one = np.random.PCG64, trilat._solve_one
+
+    def counted_pcg64(seed=None):
+        made.append(seed)
+        return pcg64(seed)
+
+    def counted_solve_one(problem):
+        solved.append(problem)
+        return solve_one(problem)
+
+    monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
+    monkeypatch.setattr(trilat, "_solve_one", counted_solve_one)
+    report = run(_trilat_sweep([0.0, 1e-9, 1e-8]))
+    assert made == list(range(11, 51))
+    # The single-epoch solve is the only scalar one: the batch reports the
+    # rows whose radicand misses the slack itself.
+    assert len(solved) == 1
+    assert any(e["type"] == "Inconsistent" for e in report["errors"])
+
+    made.clear()
+    sweep = parse_scenario(NOISE_SWEEP)
+    run(sweep)
+    assert made == list(range(sweep.seed, sweep.seed + sweep.monte_carlo_trials))
+
+    made.clear()
+    run(_trilat_sweep([0.0, 0.0]))
+    with open(NOISE_SWEEP) as fh:
+        doc = json.load(fh)
+    doc["monte_carlo"]["sigma_t_list"] = [0.0, 0.0]
+    run(_validate(doc))
+    assert made == []
+
+
+@pytest.mark.parametrize("scenario", [PIPELINE, NOISE_SWEEP])
+@pytest.mark.parametrize("where", ["noise_sigma_t", "sigma_t_list"])
+def test_overflowing_noise_is_an_embedded_error(tmp_path, capsys, scenario, where):
+    # sigma_t = 1e300 s overflows c * delta_t; each solve it breaks reports a
+    # package error in the report, never a traceback.
+    with open(scenario) as fh:
+        doc = json.load(fh)
+    if where == "noise_sigma_t":
+        doc["scenario"]["noise_sigma_t"] = 1e300
+        doc.pop("monte_carlo", None)
+    else:
+        doc["monte_carlo"] = {"trials": 20, "sigma_t_list": [0.0, 1e300]}
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--quiet", "--output", str(tmp_path / "r.json")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "r.json") as fh:
+        report = json.load(fh)
+    assert report["errors"]
+    assert all(issubclass(getattr(rfloc_errors, e["type"]), RflocError)
+               for e in report["errors"])
+    if where == "noise_sigma_t":
+        assert [e["stage"] for e in report["errors"]] == ["solve"]
+    else:
+        assert {e["stage"].split()[1] for e in report["errors"]} == {"sigma_t=1e+300"}
+        assert sum(r["sigma_t"] == 0.0 for r in report["monte_carlo"]["rows"]) == 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.0, 1.0, 2.5, 1e-3]), min_size=1, max_size=500))
+def test_quantiles_match_numpy(values):
+    assert cli._quantiles(values, (0.1, 0.5, 0.9)) == np.quantile(
+        values, [0.1, 0.5, 0.9]).tolist()
+
+
 def test_monte_carlo_row_cap(tmp_path, capsys):
     assert MC_MAX_ROWS == 10 ** 6
     with open(NOISE_SWEEP) as fh:
@@ -455,7 +549,7 @@ _ACCEPTABLE = {cli._finite: {"negative", "zero", "fractional"},
                cli._nonneg: {"zero", "fractional"},
                cli._positive: {"fractional"},
                cli._seed: {"zero"},
-               cli._schema_version: {"true"}}  # true == 1 in JSON's Python reading
+               cli._schema_version: set()}
 # Rules over lists also see each bad value as a list element.
 _ELEMENT = {cli._nonneg_list: lambda v: [v], cli._points: lambda v: [[v, 0.0]]}
 

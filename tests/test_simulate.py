@@ -15,7 +15,7 @@ from rfloc import (
     true_distance_matrix,
 )
 from rfloc.errors import DimensionError, InvalidNoise, ValidationError
-from rfloc.simulate import perturb_times
+from rfloc.simulate import perturb_sweep, perturb_times
 
 C = 3e8
 
@@ -137,6 +137,25 @@ def test_perturb_times_one_copy_per_seed():
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
         perturb_times(times, math.inf, seeds)
+
+
+@pytest.mark.parametrize("sigma", [5e-324, 1e-12, 1e-9, 1e-7, 1e300])
+def test_perturb_sweep_scales_one_draw_bit_for_bit(sigma):
+    # Generator.normal(0, sigma) is 0.0 + sigma * z for its standard normal z;
+    # the 0.0 matters: it turns a -0.0 product (sigma = 5e-324) into 0.0,
+    # which a time of -0.0 then shows.
+    times = np.array([[-0.0, -0.0, -0.0], [1e-6, 2e-6, 3e-6]])
+    seeds = range(40, 45)
+    still, noisy = perturb_sweep(times, [0.0, sigma], seeds)
+    for k, seed in enumerate(seeds):
+        z = np.random.Generator(np.random.PCG64(seed)).standard_normal((2, 3))
+        noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, size=(2, 3))
+        assert (0.0 + sigma * z).tobytes() == noise.tobytes()
+        assert noisy[k].tobytes() == (times + noise).tobytes()
+    assert perturb_times(times, sigma, seeds).tobytes() == noisy.tobytes()
+    assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
+    with pytest.raises(InvalidNoise):
+        perturb_sweep(times, [sigma, -1e-9], seeds)
 
 
 def test_perturb_negative_sigma():

@@ -31,6 +31,7 @@ from rfloc.errors import (
     GeometryDegenerate,
     InsufficientReceivers,
     NoConvergence,
+    ValidationError,
 )
 
 C = 3e8
@@ -273,6 +274,14 @@ def test_range_difference_set_validation():
         RangeDifferenceSet(0, ((0, 1e-7, 30.0),))  # reference as "other"
     with pytest.raises(ValueError):
         RangeDifferenceSet(0, ((1, 1e-7, 30.0), (1, 2e-7, 60.0)))
+
+
+def test_range_difference_set_non_finite_is_a_package_error():
+    # An overflowing timing jitter reaches here; cli.run embeds the error.
+    for delta in ((1, 1e300, math.inf), (1, math.nan, math.nan)):
+        with pytest.raises(ValidationError) as info:
+            RangeDifferenceSet(0, (delta,))
+        assert info.value.field == "deltas"
 
 
 def test_locate_2d_returns_both_branch_intersections():
