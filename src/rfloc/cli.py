@@ -33,8 +33,8 @@ from .errors import GeometryDegenerate, NoConvergence, ParseError, RflocError, V
 from .geometry import Point, distance
 from .simulate import (ArrivalSet, DistanceMatrix, Scenario, perturb_arrivals, perturb_sweep,
                        simulate_arrivals)
-from .solver import SolveResult, SolverOptions, _tied_by_centroid
-from .tdoa import arrival_deltas, locate_emitter_2d, locate_emitter_3d
+from .solver import SolveResult, SolverOptions
+from .tdoa import _fix, _fixes, _plane_batch, _triangle
 from .trilat import (
     TrilaterationProblem,
     team_relative_position,
@@ -54,6 +54,10 @@ MODES = tuple(_MODES)
 # Report rows a Monte-Carlo sweep may ask for (trials x sigmas); each row is
 # kept in memory and written out, so a bigger sweep is refused, not truncated.
 MC_MAX_ROWS = 1_000_000
+# Emitter solves per closed-form batch of a TDOA or pipeline sweep: enough
+# rows that numpy's per-call cost vanishes, few enough that the batch's
+# temporaries stay a few MB.
+_MC_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -330,14 +334,31 @@ def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
 
 def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
     """Ranges from arrival timestamps; jitter can push one below 0, which clamps."""
-    return np.maximum(sf.c * (times - sf.emission_time), 0.0)
+    with np.errstate(over="ignore"):  # an overflowed range is refused downstream
+        return np.maximum(sf.c * (times - sf.emission_time), 0.0)
+
+
+def _range_differences(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
+    """c (t_ref - t_k) against receiver 0 for times (..., R, E): (..., E, R - 1)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused
+        return (sf.c * (times[..., :1, :] - times[..., 1:, :])).swapaxes(-1, -2)
+
+
+def _team(sf: ScenarioFile, chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
+    """The pipeline's team position from its chosen emitter roots, and its
+    truth, the receiver centroid."""
+    centroid = np.mean([r.array for r in sf.receivers], axis=0)
+    dm = DistanceMatrix(np.array([[distance(r, e) for e in chosen] for r in sf.receivers]))
+    return (team_relative_position(sf.receivers, chosen, dm, sf.options),
+            Point.from_array(centroid, dim=3))
 
 
 def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | None, dict]]:
     """(kind, result, truth, extra report fields) per solve, in report order.
 
     arrivals is None for explicit trilat distances. A pipeline's team
-    position comes last, after its per-emitter solves.
+    position comes last, after its per-emitter solves, which are solved in
+    one batch.
     """
     dim, family = _MODES[sf.mode]
     if family == "trilat":
@@ -348,26 +369,21 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
         return [("trilat", solve(TrilaterationProblem(
                     sf.emitters, tuple(_ranges(sf, arrivals.times[i])), dim)),
                  receiver, {"receiver_index": i}) for i, receiver in enumerate(sf.receivers)]
-    results = []
-    for j in range(len(sf.emitters)):
-        rd = arrival_deltas(arrivals, j, 0, sf.c)
-        results.append(locate_emitter_2d(sf.receivers, rd, sf.options) if dim == 2 else
-                       locate_emitter_3d(sf.receivers, rd, sf.emitter_plane_z, sf.options))
+    fixes = _fixes(np.array([p.coords for p in sf.receivers]),
+                   _range_differences(sf, arrivals.times),
+                   sf.emitter_plane_z if dim == 3 else None, sf.options)
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
-                for j, result in enumerate(results)]
+                for j, (result, _) in enumerate(fixes)]
     # Residual-tied TDOA candidates reproduce the measurements equally well;
     # for the two-step pipeline the one farthest from the receiver centroid
     # gives the better-conditioned reference geometry for the team
     # trilateration, so it wins here.
-    centroid = np.mean([r.array for r in sf.receivers], axis=0)
-    chosen = [_tied_by_centroid(result.candidates, centroid)[-1][0] for result in results]
-    dm = DistanceMatrix(np.array([[distance(r, e) for e in chosen] for r in sf.receivers]))
-    team = team_relative_position(sf.receivers, chosen, dm, sf.options)
+    chosen = [far for _, far in fixes]
     solves = [("pipeline_emitter", result, sf.emitters[j],
                {"emitter_index": j, "selected": _coords3(chosen[j])})
-              for j, result in enumerate(results)]
-    return solves + [("team_position", team, Point.from_array(centroid, dim=3), {})]
+              for j, (result, _) in enumerate(fixes)]
+    return solves + [("team_position", *_team(sf, chosen), {})]
 
 
 def _single_run_entries(sf: ScenarioFile, arrivals: ArrivalSet | None,
@@ -390,17 +406,12 @@ def _error_entry(stage: str, exc: RflocError) -> dict:
     return {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
 
 
-def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
-    """One trial solved on its own from its jittered arrival times.
-
-    Returns (x, y, z, residual_norm, converged, error_m), with error_m None
-    when the solve did not converge, or the error the trial raised. A
-    sweep's row is its file's last solve: validation allows one emitter per
-    tdoa sweep and one receiver per trilat sweep, and a pipeline's team
-    position comes last.
-    """
+def _mc_outcome(solve) -> tuple | RflocError:
+    """A sweep row from solve() -> (result, truth): (x, y, z, residual_norm,
+    converged, error_m), with error_m None when the solve did not converge,
+    or the error it raised."""
     try:
-        _, result, truth, _ = _solves(sf, ArrivalSet(times))[-1]
+        result, truth = solve()
     except NoConvergence as exc:
         if exc.best is None:
             return exc
@@ -410,6 +421,16 @@ def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
         return exc
     p = result.estimate
     return p.x, p.y, p.z, result.residual_norm, result.converged, distance(p, truth)
+
+
+def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
+    """One trial solved on its own from its jittered arrival times.
+
+    A sweep's row is its file's last solve: validation allows one emitter
+    per tdoa sweep and one receiver per trilat sweep, and a pipeline's team
+    position comes last.
+    """
+    return _mc_outcome(lambda: _solves(sf, ArrivalSet(times))[-1][1:3])
 
 
 def _trilat_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
@@ -442,6 +463,60 @@ def _trilat_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocErr
     return trials
 
 
+def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
+    """_mc_trial of every (R, E) slice of times, a TDOA or pipeline sweep,
+    from closed-form batches of _MC_CHUNK emitter solves.
+
+    Every trial is bit-identical to _mc_trial's solve of it: a tdoa row is
+    its estimate, or its fallback run when the branches do not meet; a
+    pipeline row is the team position from its emitters' farthest tied
+    roots. Only trials with a non-finite time or difference are solved
+    again on their own, as is every trial of a free-height 3D sweep or with
+    collinear receivers.
+    """
+    dim, family = _MODES[sf.mode]
+    plane = sf.emitter_plane_z if dim == 3 else None
+    recv = np.array([p.coords for p in sf.receivers])
+    try:
+        diam = _triangle(recv)
+    except GeometryDegenerate:
+        diam = None
+    if diam is None or (dim == 3 and plane is None):
+        return [_mc_trial(sf, t) for t in times]
+    n_emit = times.shape[2]
+    deltas = _range_differences(sf, times).reshape(len(times), -1)
+    finite = np.isfinite(times).all(axis=(1, 2)) & np.isfinite(deltas).all(axis=1)
+    deltas[~finite] = 0.0  # solved again on their own
+    deltas = deltas.reshape(-1, 2)
+    z = 0.0 if plane is None else plane
+    truth = sf.emitters[0].coords
+    trials = []
+    per = max(1, _MC_CHUNK // n_emit)
+    for lo in range(0, len(times), per):
+        chunk = deltas[lo * n_emit:(lo + per) * n_emit]
+        batch = _plane_batch(recv, chunk, plane, diam)
+        rows = np.arange(len(chunk))
+        est = batch.roots[rows, batch.ties[:, 0]].tolist()
+        norm = batch.norms[rows, batch.ties[:, 0]].tolist()
+
+        def fix(row):
+            return _fix(recv, chunk, plane, diam, batch, row, sf.options)
+
+        rooted = batch.count.tolist()
+        for i, finite_i in enumerate(finite[lo:lo + per].tolist()):
+            if not finite_i:
+                trials.append(_mc_trial(sf, times[lo + i]))
+            elif family == "pipeline":
+                emitters = range(i * n_emit, (i + 1) * n_emit)
+                trials.append(_mc_outcome(lambda: _team(sf, [fix(r)[1] for r in emitters])))
+            elif rooted[i]:
+                p = est[i] if plane is None else est[i] + [z]
+                trials.append((est[i][0], est[i][1], z, norm[i], True, math.dist(p, truth)))
+            else:
+                trials.append(_mc_outcome(lambda: (fix(i)[0], sf.emitters[0])))
+    return trials
+
+
 def _quantiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
     """np.quantile(values, qs).tolist() from one sort: numpy's default linear
     rule (Hyndman & Fan type 7), with its two-sided interpolation."""
@@ -466,18 +541,16 @@ def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed:
     """Noise sweep of the file's one noise-free simulation, or of the error
     simulating raised, which every trial then reports. Each sigma_t runs
     monte_carlo.trials trials seeded base_seed + trial; each seed's jitter
-    is drawn once for all sigmas, and a trilat sweep solves every trial in
-    one batched call."""
+    is drawn once for all sigmas, and the trials of every sigma are solved
+    in closed-form batches."""
     sigmas, trials = sf.monte_carlo_sigmas, sf.monte_carlo_trials
     if isinstance(arrivals, RflocError):
         outcomes = [[arrivals] * trials for _ in sigmas]
     else:
         noisy = perturb_sweep(arrivals.times, sigmas, range(base_seed, base_seed + trials))
-        if _MODES[sf.mode][1] == "trilat":
-            flat = _trilat_trials(sf, np.concatenate(noisy))
-            outcomes = [flat[i * trials:(i + 1) * trials] for i in range(len(sigmas))]
-        else:
-            outcomes = [[_mc_trial(sf, t) for t in times] for times in noisy]
+        batched = _trilat_trials if _MODES[sf.mode][1] == "trilat" else _tdoa_trials
+        flat = batched(sf, np.concatenate(noisy))
+        outcomes = [flat[i * trials:(i + 1) * trials] for i in range(len(sigmas))]
     rows = []
     summaries = []
     for sigma_t, sigma_outcomes in zip(sigmas, outcomes):

@@ -135,7 +135,8 @@ def simulate_arrivals(scenario: Scenario,
     tags the result accordingly; the default models the shared-clock setup.
     """
     dm = true_distance_matrix(scenario)
-    times = scenario.emission_time + dm.d / scenario.c
+    with np.errstate(over="ignore"):  # ArrivalSet refuses an overflowed time
+        times = scenario.emission_time + dm.d / scenario.c
     if clock_offsets is None:
         return ArrivalSet(times, clock_model="shared")
     offsets = tuple(float(o) for o in clock_offsets)

@@ -105,16 +105,36 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k, through the same matmul loop as `@` on
+    two vectors (b may be one vector for all rows). Another summation order
+    changes results in the last bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(diff, axis=-1) without its argument handling: the same
+    reduction, so the same bits."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
 def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Unit vectors from each anchor toward x, nudging x off coincident anchors."""
-    diff = x - anchors
-    norms = np.linalg.norm(diff, axis=1)
-    if np.any(norms < _ANCHOR_GUARD):
+    """Unit vectors from each anchor toward x, nudging x off coincident anchors.
+
+    x is one point (D,) or rows of points (..., D); the result is
+    (..., len(anchors), D). Only the rows within _ANCHOR_GUARD of an anchor
+    move, along +x.
+    """
+    diff = x[..., None, :] - anchors
+    norms = _norms(diff)
+    close = norms < _ANCHOR_GUARD
+    if close.any():
+        near = close.any(axis=-1)
         nudged = x.copy()
-        nudged[0] += _ANCHOR_GUARD
-        diff = nudged - anchors
-        norms = np.linalg.norm(diff, axis=1)
-    return diff / norms[:, None]
+        nudged[..., 0] = np.where(near, x[..., 0] + _ANCHOR_GUARD, x[..., 0])
+        diff = nudged[..., None, :] - anchors
+        norms = _norms(diff)
+    return diff / norms[..., None]
 
 
 def _solve_step(JtJ: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:
@@ -123,7 +143,7 @@ def _solve_step(JtJ: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None
         step = np.linalg.solve(A, -g)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(step)):
+    if not np.isfinite(step).all():
         return None
     return step
 
@@ -162,7 +182,7 @@ def gauss_newton_raw(
                 x_new = x + step
                 r_new = np.asarray(residual_fn(x_new), dtype=float)
                 f_new = float(r_new @ r_new)
-                if np.isfinite(f_new) and f_new <= f:
+                if math.isfinite(f_new) and f_new <= f:
                     accepted = True
                     break
             lam = lam_memory if lam == 0.0 else lam * 10.0
@@ -172,7 +192,7 @@ def gauss_newton_raw(
             break
         lam_memory = max((lam_memory if lam == 0.0 else lam) / 10.0, _DAMPING_MIN)
 
-        step_norm = float(np.linalg.norm(step))
+        step_norm = math.sqrt(step @ step)  # np.linalg.norm(step), without its overhead
         improvement = f - f_new
         x, r, f = x_new, r_new, f_new
         if step_norm < opts.step_tolerance or improvement < opts.residual_tolerance:

@@ -11,6 +11,13 @@ tie-break (closer to the receiver centroid) is not what they want. Emitters
 on a known plane (2D, or 3D with a pinned height) are solved in closed form
 (Schau & Robinson 1987; Chan & Ho 1994); only the under-determined free-height
 3D solve searches with multi-start Gauss-Newton.
+
+The closed form is one array program over rows of range differences against
+one receiver triangle (_plane_batch): locate_emitter_2d/3d are its one-row
+case, and the CLI sends a pipeline fix's emitters, or every trial of a sweep,
+through it in one call. Each row keeps the bits of its solve alone, so a
+batch never changes a report; rows whose branches do not meet rerun one
+Gauss-Newton fallback each.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from .errors import (
 )
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
-from .solver import (INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
-                     _tied_by_centroid, _unit_rows, gauss_newton_raw, order_candidates)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
+                     _rowdot, _tied_by_centroid, _unit_rows, gauss_newton_raw, order_candidates)
 
 __all__ = [
     "RangeDelta",
@@ -104,7 +111,8 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
         if k == reference_index:
             continue
         dt = t_ref - t[k]
-        deltas.append(RangeDelta(k, dt, c * dt))
+        with np.errstate(over="ignore"):  # RangeDifferenceSet refuses an overflow
+            deltas.append(RangeDelta(k, dt, c * dt))
     return RangeDifferenceSet(reference_index, tuple(deltas))
 
 
@@ -170,36 +178,38 @@ def hyperbolic_objective(receivers: Sequence[Point],
 
 
 def _closures(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None):
-    """Residual/Jacobian callables over the solver's unknown vector.
+    """Residual/Jacobian callables over the solver's unknowns.
 
     With fixed_z set, recv is (m, 3) and the unknowns are (x, y) on that
     plane; otherwise the unknowns match the receiver coordinates directly.
+    x may be one vector or rows (..., k) of them, each against its row of
+    deltas: residuals (..., 2), Jacobians (..., 2, k).
     """
     if fixed_z is None:
-        def residual(x: np.ndarray) -> np.ndarray:
-            d = np.linalg.norm(x - recv, axis=1)
-            return d[0] - d[1:] - deltas
-
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            units = _unit_rows(x, recv)
-            return units[0] - units[1:]
+        def points(x: np.ndarray) -> np.ndarray:
+            return x
     else:
-        def residual(x: np.ndarray) -> np.ndarray:
-            p = np.array([x[0], x[1], fixed_z])
-            d = np.linalg.norm(p - recv, axis=1)
-            return d[0] - d[1:] - deltas
+        def points(x: np.ndarray) -> np.ndarray:
+            p = np.empty(x.shape[:-1] + (3,))
+            p[..., :2] = x
+            p[..., 2] = fixed_z
+            return p
 
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            p = np.array([x[0], x[1], fixed_z])
-            units = _unit_rows(p, recv)
-            return (units[0] - units[1:])[:, :2]
+    def residual(x: np.ndarray) -> np.ndarray:
+        d = _norms(points(x)[..., None, :] - recv)
+        return d[..., :1] - d[..., 1:] - deltas
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        units = _unit_rows(points(x), recv)
+        rows = units[..., :1, :] - units[..., 1:, :]
+        return rows if fixed_z is None else rows[..., :2]
 
     return residual, jacobian
 
 
-def _triangle(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
-              name: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(receivers reference first, differences, triangle diameter), validated."""
+def _checked(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
+             name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(receivers reference first, differences) of a three-receiver solve."""
     if len(receivers) != 3:
         raise ValueError(f"{name} needs exactly 3 receivers, got {len(receivers)}")
     recv, deltas, got = _ordered_receivers(receivers, rd)
@@ -207,6 +217,11 @@ def _triangle(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
         raise DimensionError(f"{name} needs {dim}D receivers")
     if len(deltas) != 2:
         raise ValueError("need range differences for exactly 2 receiver pairs")
+    return recv, deltas
+
+
+def _triangle(recv: np.ndarray) -> float:
+    """The diameter of a receiver triangle (3, D); GeometryDegenerate when collinear."""
     v1, v2, v3 = recv[1] - recv[0], recv[2] - recv[0], recv[2] - recv[1]
     diam = math.sqrt(max(v1 @ v1, v2 @ v2, v3 @ v3))
     if recv.shape[1] == 2:
@@ -216,7 +231,7 @@ def _triangle(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
         area2 = math.sqrt(normal @ normal)
     if diam == 0.0 or area2 <= 1e-12 * diam * diam:
         raise GeometryDegenerate("receivers are collinear (or coincident)")
-    return recv, deltas, diam
+    return diam
 
 
 def _ring_starts(center: np.ndarray, radius: float, count: int) -> list[np.ndarray]:
@@ -242,40 +257,81 @@ def _dedup(runs) -> list[tuple[np.ndarray, float, int]]:
     return kept
 
 
-def _polish(residual, jacobian, x: np.ndarray, max_steps: int = 8,
-            floor: float = 0.0) -> tuple[np.ndarray, float]:
-    """Drive an approximate root to the residual floor with pure Newton steps.
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of every (k, k) matrix of a against its row of b (..., k);
+    NaN rows where a matrix is singular, which a stacked solve refuses as a whole."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    Near-tangent branch crossings leave the default stopping rules satisfied
-    while the root is still ~1e-2 m away; a few undamped steps accepted only
-    on strict improvement pin it to machine precision. Steps stop once the
-    residual norm is at or below floor: there a near-singular Jacobian turns
-    rounding noise into a large step along the branches.
+
+def _polish(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, x: np.ndarray,
+            floor: np.ndarray, max_steps: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Drive approximate roots to the residual floor with pure Newton steps.
+
+    x is (M, k), one start per row of deltas (M, 2), polished in place, and
+    floor (M,) the rows' residual floors. Near-tangent branch crossings
+    leave the default stopping rules satisfied while the root is still
+    ~1e-2 m away; a few undamped steps accepted only on strict improvement
+    pin it to machine precision. A row stops once its residual norm is at
+    or below its floor (there a near-singular Jacobian turns rounding noise
+    into a large step along the branches), or at its first step that is not
+    finite or does not improve. Returns x and the rows' residual norms.
     """
-    r = residual(x)
-    f = float(r @ r)
+    floor2 = floor * floor
+    r = _closures(recv, deltas, fixed_z)[0](x)
+    f = _rowdot(r, r)
+    live = np.nonzero(~(f <= floor2))[0]
     for _ in range(max_steps):
-        if f <= floor * floor:
+        if not live.size:
             break
-        J = jacobian(x)
-        try:
-            step = np.linalg.solve(J.T @ J, -(J.T @ r))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        x_new = x + step
+        residual, jacobian = _closures(recv, deltas[live], fixed_z)
+        xl, rl = x[live], r[live]
+        J = jacobian(xl)
+        Jt = J.swapaxes(-1, -2)
+        step = _solve_rows(Jt @ J, -(Jt @ rl[..., None])[..., 0])
+        x_new = xl + step
         r_new = residual(x_new)
-        f_new = float(r_new @ r_new)
-        if not (np.isfinite(f_new) and f_new < f):
-            break
-        x, r, f = x_new, r_new, f_new
-    return x, math.sqrt(f)
+        f_new = _rowdot(r_new, r_new)
+        ok = np.isfinite(step).all(axis=1) & np.isfinite(f_new) & (f_new < f[live])
+        live = live[ok]
+        x[live], r[live], f[live] = x_new[ok], r_new[ok], f_new[ok]
+        live = live[~(f[live] <= floor2[live])]
+    return x, np.sqrt(f)
 
 
-def _plane_roots(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
-                 diam: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Closed-form intersections of the two branches on the emitter plane.
+class _PlaneRoots(NamedTuple):
+    """The closed-form solve of N rows of differences (see _plane_batch)."""
+
+    roots: np.ndarray     # (N, 2, 2) planar points, in candidate order
+    norms: np.ndarray     # (N, 2) their residual norms
+    count: np.ndarray     # (N,) distinct admissible roots, 0 to 2
+    ties: np.ndarray      # (N, 2) residual-tied candidates, nearest the centroid first
+    starts: np.ndarray    # (N, 2, 2) fallback starts of the rows with no root
+    start_ok: np.ndarray  # (N, 2) which of them count
+
+
+# _plane_batch's work rows are the linearized equations A_0, A_1, the null
+# direction n and the minimum-norm point m, each over (x, y, r0). These
+# pairs of them give A_0.A_0, A_0.A_1, A_1.A_1, n.n, then n.n, m.n, m.m.
+_GRAM = (np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]))
+_QUAD = (np.array([2, 3, 3]), np.array([2, 2, 3]))
+_SOLVE = (np.array([2, 0]), np.array([1, 1]))   # (g11, g00) and (g01, g01) of A A^T
+_FLOOR_ULPS = 8 * np.finfo(float).eps   # a root's rounding floor per unit of coordinate
+
+
+def _plane_batch(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
+                 diam: float) -> _PlaneRoots:
+    """Closed-form intersections of the two branches on the emitter plane,
+    for every row of deltas (N, 2) against one reference-first receiver
+    triangle recv (3, D).
 
     With u = p - s_0 on the plane and h_k each receiver's height above it
     (0 in 2D), squaring |p - s_k| = r0 - d_k against r0 = |p - s_0| leaves
@@ -283,50 +339,117 @@ def _plane_roots(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
         2 e_k . u - 2 d_k r0 = |e_k|^2 + h_k^2 - h_0^2 - d_k^2,
     with e_k the planar offset of receiver k from the reference. Their
     solutions form the line m + t n (minimum-norm m, unit null direction n),
-    and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Returns the
-    admissible roots (r0 >= 0, r0 >= d_k, within the runaway radius) as planar
-    points; when there are none (the branches do not meet), Gauss-Newton
-    starts on the line instead. A rank-deficient system gives no roots and
-    the receiver centroid as the start.
+    and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
+    roots (r0 >= 0, r0 >= d_k, within the runaway radius) are polished,
+    deduplicated at 1e-6 m and sorted as order_candidates sorts them; ties
+    lists the residual-tied ones nearest the receiver centroid first (the
+    last entry repeated when only one is tied). A row with no root (the
+    branches do not meet) gets Gauss-Newton starts on the line instead, and
+    a rank-deficient row the receiver centroid as its one start.
+
+    Each row has the bits of a solve of that row alone: row dot products and
+    matrix products go through the loops `@` uses on one row, and the
+    polish through a stacked LAPACK solve.
     """
+    rows = len(deltas)
     planar = recv[:, :2]
-    h = recv[:, 2] - fixed_z if fixed_z is not None else np.zeros(3)
     e = planar[1:] - planar[0]
-    A = 2 * np.column_stack([e, -deltas])
-    rhs = (e * e).sum(axis=1) + h[1:] ** 2 - h[0] ** 2 - deltas ** 2
-    n = _cross(A[0], A[1])
-    n_norm = np.sqrt(n @ n)
-    if n_norm <= _RANK_TOL * np.sqrt((A[0] @ A[0]) * (A[1] @ A[1])):
-        return [], [planar.mean(axis=0)]
-    n = n / n_norm
-    # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0).
-    g00, g01, g11 = A[0] @ A[0], A[0] @ A[1], A[1] @ A[1]
-    m = A.T @ np.array([g11 * rhs[0] - g01 * rhs[1],
-                        g00 * rhs[1] - g01 * rhs[0]]) / (g00 * g11 - g01 * g01)
-    a = n[:2] @ n[:2] - n[2] * n[2]
-    b = 2 * (m[:2] @ n[:2] - m[2] * n[2])
-    c = m[:2] @ m[:2] + h[0] * h[0] - m[2] * m[2]
-    disc = b * b - 4 * a * c
-    ts = []
-    if disc >= 0:
+    h = recv[:, 2] - fixed_z if fixed_z is not None else np.zeros(3)
+    (ax, ay), (bx, by) = (2 * e).tolist()
+    W = np.empty((rows, 4, 3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        W[:, :2, :2] = 2 * e
+        dz = W[:, :2, 2]
+        dz[...] = 2 * -deltas
+        rhs = (e * e).sum(axis=1) + h[1:] ** 2 - h[0] ** 2 - deltas ** 2
+        W[:, 2, :2] = dz[:, ::-1] * (ay, bx) - dz * (by, ax)   # A_0 x A_1
+        W[:, 2, 2] = ax * by - ay * bx
+        g = _rowdot(W.take(_GRAM[0], axis=1), W.take(_GRAM[1], axis=1))
+        g00, g01, g11, n_norm = g.T
+        n_norm = np.sqrt(n_norm)
+        rank_def = n_norm <= _RANK_TOL * np.sqrt(g00 * g11)
+        W[:, 2] /= n_norm[:, None]
+        # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0).
+        w = g.take(_SOLVE[0], axis=1) * rhs - g.take(_SOLVE[1], axis=1) * rhs[:, ::-1]
+        W[:, 3] = (W[:, :2].swapaxes(1, 2) @ w[..., None])[..., 0] / \
+            (g00 * g11 - g01 * g01)[:, None]
+        # a = |n_xy|^2 - n_z^2, b = 2 (m_xy . n_xy - m_z n_z), c = |m_xy|^2 + h_0^2 - m_z^2
+        left, right = W.take(_QUAD[0], axis=1), W.take(_QUAD[1], axis=1)
+        quad = _rowdot(left[..., :2], right[..., :2])
+        quad[:, 2] += h[0] * h[0]
+        quad -= left[..., 2] * right[..., 2]
+        a, b, c = quad.T
+        b = 2 * b
+        disc = b * b - 4 * a * c
         # a -> 0 in the far field: the pair q/a, c/q avoids the cancellation
-        # that would wreck the near root there.
-        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
-        ts = ([q / a] if a else []) + ([c / q] if q else [])
-    roots = []
-    for t in ts:
-        u = m + t * n
-        if u[2] >= 0 and np.all(u[2] >= deltas) and _within(u[:2], 0.0, diam):
-            roots.append(planar[0] + u[:2])
-    if roots:
-        return roots, []
-    # Along the line every residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the
-    # quadratic's vertex minimizes |q|, and t* minimizes the far-field
-    # |q| / r0^2 (a zero of (q' r0 - 2 q r0') / r0^3, linear in t).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ts = [-b / (2 * a), (2 * c * n[2] - b * m[2]) / (2 * a * m[2] - b * n[2])]
-    starts = [planar[0] + (m + t * n)[:2] for t in ts if math.isfinite(t)]
-    return roots, starts or [planar[0] + m[:2]]
+        # that would wreck the near root there. A negative disc, a = 0 or
+        # q = 0 leaves that root NaN or infinite, so not admissible.
+        q = -(b + np.copysign(np.sqrt(disc), b)) / 2
+        t = np.empty((rows, 2))
+        np.divide(q, a, out=t[:, 0])
+        np.divide(c, q, out=t[:, 1])
+        n, m = W[:, 2], W[:, 3]
+        u = m[:, None] + t[..., None] * n[:, None]
+        uxy = u[..., :2]
+        valid = u[..., 2] >= np.maximum(deltas.max(axis=1), 0.0)[:, None]
+        valid &= np.sqrt(_rowdot(uxy, uxy)) <= _RUNAWAY_DIAMS * diam
+        valid &= ~rank_def[:, None]
+        roots = planar[0] + uxy
+    roots[~valid] = 0.0  # what follows never sees a slot without a root as inf or NaN
+
+    # Polish every admissible root against its row's rounding floor: a few
+    # ulps of the largest coordinate. A slot without a root has an infinite
+    # floor, so it never steps (its residuals may overflow, unused).
+    floor = _FLOOR_ULPS * (np.abs(roots).max(axis=(1, 2)) + np.abs(recv).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots, norms = _polish(recv, deltas.repeat(2, axis=0), fixed_z, roots.reshape(-1, 2),
+                               np.where(valid, floor[:, None], np.inf).ravel())
+    roots, norms = roots.reshape(rows, 2, 2), norms.reshape(rows, 2)
+
+    # Candidates by norm, then x, y; the second one dropped within
+    # _DEDUP_TOL of the first; the residual-tied ones by distance to the
+    # receiver centroid, then x, y.
+    count = valid.sum(axis=1)
+    order = np.lexsort((roots[..., 1], roots[..., 0], norms, ~valid), axis=-1)
+    pick = np.arange(rows)[:, None]
+    roots, norms = roots[pick, order], norms[pick, order]
+    gap = roots[:, 1] - roots[:, 0]
+    count -= (count == 2) & (np.sqrt(_rowdot(gap, gap)) < _DEDUP_TOL)
+    second = count == 2
+    best = np.where(second & (norms[:, 1] < norms[:, 0]), norms[:, 1], norms[:, 0])
+    tied = norms <= (best + _TIE_EPS)[:, None]
+    tied[:, 1] &= second
+    pts = np.empty((rows, 2, 3))
+    pts[..., :2] = roots
+    pts[..., 2] = 0.0 if fixed_z is None else fixed_z
+    centroid3 = np.zeros(3)
+    centroid3[:recv.shape[1]] = recv.mean(axis=0)
+    gap = pts - centroid3
+    dist = np.sqrt(_rowdot(gap, gap))
+    ties = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)
+    ties[:, 1] = np.where(tied.all(axis=1), ties[:, 1], ties[:, 0])
+
+    # Starts on the line for the rows with no root: the quadratic's vertex,
+    # and the point with the least far-field residual. Along the line every
+    # residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the vertex minimizes |q|,
+    # and t* minimizes the far-field |q| / r0^2 (a zero of
+    # (q' r0 - 2 q r0') / r0^3, linear in t).
+    starts = np.empty((rows, 2, 2))
+    start_ok = np.zeros((rows, 2), dtype=bool)
+    miss = np.nonzero(count == 0)[0]
+    if miss.size:
+        m, n, a, b, c = m[miss], n[miss], a[miss], b[miss], c[miss]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            t = np.stack([-b / (2 * a), (2 * c * n[:, 2] - b * m[:, 2]) /
+                          (2 * a * m[:, 2] - b * n[:, 2])], axis=1)
+            pts = planar[0] + (m[:, None] + t[..., None] * n[:, None])[..., :2]
+        ok = np.isfinite(t) & ~rank_def[miss, None]
+        alone = ~ok.any(axis=1)
+        ok[alone, 0] = True
+        pts[alone, 0] = np.where(rank_def[miss][alone, None], planar.mean(axis=0),
+                                 planar[0] + m[alone, :2])
+        starts[miss], start_ok[miss] = pts, ok
+    return _PlaneRoots(roots, norms, count, ties, starts, start_ok)
 
 
 def _within(x: np.ndarray, center, diam: float) -> bool:
@@ -350,36 +473,90 @@ def _failed(message: str, x: np.ndarray, norm: float, iters: int, to_point,
     return NoConvergence(message, best=best)
 
 
-def _result(runs, to_point, centroid3: np.ndarray, flags: frozenset[str]) -> SolveResult:
+def _result(runs, to_point, centroid3: np.ndarray,
+            flags: frozenset[str]) -> tuple[SolveResult, Point]:
+    """The solve from its runs, and its farthest residual-tied candidate."""
     cands = [(to_point(x), norm, iters) for x, norm, iters in _dedup(runs)]
-    estimate, norm, iters = _tied_by_centroid(cands, centroid3)[0]
+    tied = _tied_by_centroid(cands, centroid3)
+    estimate, norm, iters = tied[0]
     return SolveResult(estimate=estimate,
                        candidates=order_candidates([(p, n) for p, n, _ in cands]),
-                       residual_norm=norm, iterations=iters, converged=True, flags=flags)
+                       residual_norm=norm, iterations=iters, converged=True,
+                       flags=flags), tied[-1][0]
 
 
-def _locate_on_plane(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
-                     to_point, diam: float, centroid3: np.ndarray,
-                     opts: SolverOptions) -> SolveResult:
-    """Two unknowns: polished closed-form roots, or one flagged fallback run."""
+def _fixes(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
+           opts: SolverOptions) -> list[tuple[SolveResult, Point]]:
+    """Every row of deltas (N, 2) solved against the reference-first receivers
+    recv (3, D), in order: its SolveResult and its residual-tied candidate
+    farthest from the receiver centroid.
+
+    2D rows and 3D rows with fixed_z set go through one _plane_batch; a row
+    with no closed-form root runs one flagged Gauss-Newton fallback, and 3D
+    rows without a plane the multi-start search. The first row that fails
+    raises, as a loop of single solves would: ValidationError for a
+    non-finite difference, GeometryDegenerate (at the first row) for
+    collinear receivers, NoConvergence when its fallback does not converge.
+    """
+    finite = np.isfinite(deltas).all(axis=1)
+
+    def check(k):
+        if not finite[k]:
+            raise ValidationError("non-finite range difference", field="deltas")
+
+    check(0)
+    diam = _triangle(recv)
+    free = recv.shape[1] == 3 and fixed_z is None
+    z = None if fixed_z is None else float(fixed_z)
+    batch = None if free else _plane_batch(recv, deltas, z, diam)
+    out = []
+    for k in range(len(deltas)):
+        check(k)
+        out.append(_locate_free(recv, deltas[k], diam, opts) if free else
+                   _fix(recv, deltas, z, diam, batch, k, opts))
+    return out
+
+
+def _fix(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, diam: float,
+         batch: _PlaneRoots, k: int, opts: SolverOptions) -> tuple[SolveResult, Point]:
+    """Row k of batch = _plane_batch(recv, deltas, fixed_z, diam) as a solve:
+    its SolveResult and its residual-tied candidate farthest from the
+    receiver centroid. A row with no root runs the Gauss-Newton fallback."""
+    if fixed_z is None:
+        to_point = lambda x: Point.of(x[0], x[1])  # noqa: E731
+    else:
+        to_point = lambda x: Point.of(x[0], x[1], fixed_z)  # noqa: E731
+    count = int(batch.count[k])
+    if not count:
+        return _fallback(recv, deltas[k], fixed_z, diam, to_point,
+                         batch.starts[k][batch.start_ok[k]], opts)
+    roots, norms = batch.roots[k].tolist(), batch.norms[k].tolist()
+    near, far = batch.ties[k].tolist()
+    cands = tuple((to_point(roots[i]), norms[i]) for i in range(count))
+    return (SolveResult(estimate=cands[near][0], candidates=cands, residual_norm=norms[near],
+                        iterations=0, converged=True), cands[far][0])
+
+
+def _fallback(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, diam: float,
+              to_point, starts: np.ndarray, opts: SolverOptions) -> tuple[SolveResult, Point]:
+    """One damped Gauss-Newton run from whichever start fits the differences
+    better, flagged inconsistent beyond INCONSISTENCY_TOL; NoConvergence
+    when it stops beyond the runaway radius of the receiver centroid."""
     residual, jacobian = _closures(recv, deltas, fixed_z)
-    roots, starts = _plane_roots(recv, deltas, fixed_z, diam)
-    if roots:
-        # The residuals' rounding floor: a few ulps of the largest coordinate.
-        floor = 8 * np.finfo(float).eps * (np.abs(roots).max() + np.abs(recv).max())
-        runs = [(*_polish(residual, jacobian, x, floor=floor), 0) for x in roots]
-        return _result(runs, to_point, centroid3, frozenset())
-    start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
-    x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
+        start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
+        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
     flags = frozenset({"inconsistent"} if norm > INCONSISTENCY_TOL else ())
-    if not (ok and _within(x, centroid3[:2], diam)):
+    if not (ok and _within(x, recv[:, :2].mean(axis=0), diam)):
         raise _failed("the branches do not meet and the least-squares run did not "
                       "converge to a finite point", x, norm, iters, to_point, flags)
-    return _result([(x, norm, iters)], to_point, centroid3, flags)
+    p = to_point(x)
+    return SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
+                       iterations=iters, converged=True, flags=flags), p
 
 
 def _locate_free(recv: np.ndarray, deltas: np.ndarray, diam: float,
-                 opts: SolverOptions) -> SolveResult:
+                 opts: SolverOptions) -> tuple[SolveResult, Point]:
     """Three unknowns, two equations: multi-start Gauss-Newton from a ring."""
     residual, jacobian = _closures(recv, deltas, None)
     centroid = recv.mean(axis=0)
@@ -394,7 +571,9 @@ def _locate_free(recv: np.ndarray, deltas: np.ndarray, diam: float,
             best_failed = (x, norm, iters)
     if not runs:
         raise _failed("no start converged", *best_failed, to_point, flags)
-    runs = [(*_polish(residual, jacobian, x), iters) for x, _norm, iters in runs]
+    xs, norms = _polish(recv, np.broadcast_to(deltas, (len(runs), 2)), None,
+                        np.array([x for x, _norm, _iters in runs]), np.zeros(len(runs)))
+    runs = [(x, norm, iters) for x, norm, (_x, _norm, iters) in zip(xs, norms.tolist(), runs)]
     return _result(runs, to_point, centroid, flags)
 
 
@@ -403,7 +582,7 @@ def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,
     """Solve the two-hyperbola system for a 2D emitter position, in closed form.
 
     The squared range differences are linear in (x, y, r0) up to one
-    quadratic (see _plane_roots); each admissible root is polished with
+    quadratic (see _plane_batch); each admissible root is polished with
     Newton steps on the unsquared residuals and comes back as a candidate
     (deduplicated at 1e-6 m), since the two branches may cross at two points
     that both reproduce the measured differences. When the branches do not
@@ -416,9 +595,8 @@ def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,
     diverge and the least-squares point is at infinity; its best iterate
     then keeps their common bearing. opts only configures that run.
     """
-    recv, deltas, diam = _triangle(receivers, rd, 2, "locate_emitter_2d")
-    return _locate_on_plane(recv, deltas, None, lambda x: Point.of(x[0], x[1]),
-                            diam, np.append(recv.mean(axis=0), 0.0), opts or SolverOptions())
+    recv, deltas = _checked(receivers, rd, 2, "locate_emitter_2d")
+    return _fixes(recv, deltas[None], None, opts or SolverOptions())[0][0]
 
 
 def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
@@ -435,13 +613,8 @@ def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
     the result carries the under_determined flag: a 1-parameter family fits
     the data and only the minimizers reached from the starts are returned.
     """
-    opts = opts or SolverOptions()
-    recv, deltas, diam = _triangle(receivers, rd, 3, "locate_emitter_3d")
-    if emitter_plane_z is None:
-        return _locate_free(recv, deltas, diam, opts)
-    z = float(emitter_plane_z)
-    return _locate_on_plane(recv, deltas, z, lambda x: Point.of(x[0], x[1], z),
-                            diam, recv.mean(axis=0), opts)
+    recv, deltas = _checked(receivers, rd, 3, "locate_emitter_3d")
+    return _fixes(recv, deltas[None], emitter_plane_z, opts or SolverOptions())[0][0]
 
 
 def combined_direction(receivers: Sequence[Point], emitter: Point) -> DirectionVector:

@@ -27,7 +27,7 @@ from .errors import (
 from .geometry import Point
 from .simulate import DistanceMatrix
 from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
-                     _unit_rows, gauss_newton_raw, order_candidates)
+                     _norms, _rowdot, _unit_rows, gauss_newton_raw, order_candidates)
 
 __all__ = [
     "TrilaterationProblem",
@@ -112,12 +112,6 @@ def _require_three(problem: TrilaterationProblem, dim: int, op: str) -> None:
         raise DimensionError(f"{op} needs a {dim}D problem, got {problem.dimension}D")
     if len(problem.emitters) != 3:
         raise ValueError(f"{op} needs exactly 3 emitters, got {len(problem.emitters)}")
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] for every row k, through the same matmul loop as `@` on
-    two vectors (b may be one vector for all rows)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
@@ -240,8 +234,9 @@ def _inconsistent(dim: int, radicand) -> Inconsistent:
 
 def _solve_one(problem: TrilaterationProblem) -> SolveResult:
     """One problem through _closed_form, with every candidate and the flags."""
-    roots, norms, two, radicand, miss = _closed_form(problem.anchor_array,
-                                                     problem.distance_array[None, :])
+    with np.errstate(invalid="ignore", over="ignore"):  # as _batch: a huge range overflows
+        roots, norms, two, radicand, miss = _closed_form(problem.anchor_array,
+                                                         problem.distance_array[None, :])
     if miss[0]:
         raise _inconsistent(problem.dimension, radicand[0])
     k = 2 if two[0] else 1
@@ -310,7 +305,7 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
                                  f"{problem.dimension}D")
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x - anchors, axis=1) - dists
+        return _norms(x - anchors) - dists
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         return _unit_rows(x, anchors)

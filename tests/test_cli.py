@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from rfloc import (Point, Scenario, TrilaterationProblem, distance, perturb_arrivals,
                    simulate_arrivals, trilaterate_2d, trilaterate_3d)
-from rfloc import cli, errors as rfloc_errors, trilat
+from rfloc import cli, errors as rfloc_errors, tdoa, trilat
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, ParseError, RflocError, ValidationError
+from rfloc.simulate import perturb_sweep
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 BASELINE = os.path.join(SCENARIO_DIR, "trilat3d_baseline.json")
@@ -674,3 +677,67 @@ def test_readme_tables_match_the_code():
     dims = {"[x, y]": 2, "[x, y, z]": 3, "either": None}
     modes = {row[0]: dims[row[1]] for row in _readme_table("Modes, as `rfloc.cli._MODES`")}
     assert modes == {mode: dim for mode, (dim, _) in cli._MODES.items()}
+
+
+@pytest.mark.parametrize("mode, sigmas", [
+    # At 1e-6 s (300 m of range) many of the branches no longer meet.
+    ("tdoa2d", [0.0, 1e-8, 1e-6]),
+    ("tdoa3d", [0.0, 1e-11, 1e-9]),
+    ("pipeline", [0.0, 1e-11, 1e-9]),
+])
+def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
+    # Every trial of a batched TDOA or pipeline sweep is the row (or error)
+    # of its own solve, to the bit; the sweep includes trials whose emitters
+    # have no closed-form root and rerun the Gauss-Newton fallback.
+    with open(NOISE_SWEEP if mode == "tdoa2d" else PIPELINE) as fh:
+        doc = json.load(fh)
+    doc["solve"]["mode"] = mode
+    if mode == "tdoa3d":
+        doc["scenario"]["emitters"] = doc["scenario"]["emitters"][2:]
+    doc["monte_carlo"] = {"trials": 40, "sigma_t_list": sigmas}
+    sf = _validate(doc)
+    arrivals = simulate_arrivals(sf.scenario())
+    times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(sf.seed, sf.seed + 40)))
+    batched = cli._tdoa_trials(sf, times)
+    alone = [cli._mc_trial(sf, t) for t in times]
+    assert [repr(o) for o in batched] == [repr(o) for o in alone]
+    recv = np.array([p.coords for p in sf.receivers])
+    batch = tdoa._plane_batch(recv, cli._range_differences(sf, times).reshape(-1, 2),
+                              sf.emitter_plane_z, tdoa._triangle(recv))
+    assert (batch.count == 0).any() and (batch.count == 2).any()
+
+
+def _no_mc(doc):
+    doc.pop("monte_carlo", None)
+
+
+@pytest.mark.parametrize("scenario, doc_edit", [
+    (PIPELINE, lambda d: (_no_mc(d), d["scenario"].update(noise_sigma_t=1e300))),
+    (PIPELINE, lambda d: d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e300]})),
+    (NOISE_SWEEP, lambda d: (_no_mc(d), d["scenario"].update(noise_sigma_t=1e300))),
+    (NOISE_SWEEP, lambda d: d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e300]})),
+    (NOISE_SWEEP, lambda d: d["scenario"].update(c=1e-320)),
+    (BASELINE, lambda d: (d["scenario"].pop("distances"),
+                          d["scenario"].update(receivers=[[180.0, 90.0, 222.0]]),
+                          d.update(monte_carlo={"trials": 20,
+                                                "sigma_t_list": [0.0, 1e300, 1.7e308]}))),
+], ids=["pipeline-noise", "pipeline-sweep", "tdoa2d-noise", "tdoa2d-sweep", "tiny-c",
+        "trilat-sweep"])
+def test_overflowing_runs_print_only_the_summary(tmp_path, scenario, doc_edit):
+    # Numbers that overflow end as errors in the report; numpy's warnings
+    # about them must not reach stderr, whose one line is the summary.
+    with open(scenario) as fh:
+        doc = json.load(fh)
+    doc_edit(doc)
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "rfloc", "run", str(path), "--output",
+                           str(tmp_path / "r.json")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"{path}: mode=") and lines[0].endswith(" solve error(s)")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tdoa_roundtrip_case
+from rfloc import tdoa
 from rfloc import (
     ArrivalSet,
     Point,
@@ -408,3 +409,126 @@ def test_locate_2d_near_tangent_limit():
     err = min(distance(p, emitter) for p, _ in result.candidates)
     assert result.residual_norm <= floor and not result.flags
     assert err <= floor / sigma_min
+
+
+def _batch_rows(recv, deltas, fixed_z):
+    """Each row of one _plane_batch call and of a call on that row alone, as
+    the bytes of what the row means: its candidates, norms and tie order,
+    or its fallback starts when it has no root."""
+    def meaning(batch, k):
+        count = int(batch.count[k])
+        if not count:
+            return [0, batch.starts[k][batch.start_ok[k]].tobytes()]
+        return [count, batch.roots[k, :count].tobytes(), batch.norms[k, :count].tobytes(),
+                batch.ties[k].tobytes()]
+
+    diam = tdoa._triangle(recv)
+    together = tdoa._plane_batch(recv, deltas, fixed_z, diam)
+    counts = together.count.tolist()
+    for k in range(len(deltas)):
+        alone = tdoa._plane_batch(recv, deltas[k:k + 1], fixed_z, diam)
+        assert meaning(together, k) == meaning(alone, 0), k
+    return counts
+
+
+def test_plane_batch_rows_equal_single_row_solves():
+    # One call over many rows gives each row the bits of a call on that row
+    # alone: roots, norms, tie order, and the fallback starts of rows with no
+    # root. The rows mix exact, noisy, diverging and overflowing differences.
+    rng = np.random.default_rng(97)
+    counts = []
+    for trial in range(12):
+        recv = rng.uniform(-1000, 1000, size=(3, 2))
+        emitters = recv.mean(axis=0) + rng.uniform(-2e4, 2e4, size=(40, 2)) * \
+            rng.choice([0.01, 0.1, 1.0], size=(40, 1))
+        d = np.linalg.norm(emitters[:, None] - recv, axis=2)
+        deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (40, 1)) * \
+            rng.choice([0.0, 1e-3, 1.0, 100.0], size=(40, 1))
+        counts += _batch_rows(recv, deltas, None)
+    # The near-tangent row, branches that do not meet, branches that
+    # diverge, all-zero and overflowing differences.
+    recv = np.array([[-25.814673143228674, 709.0416618385482],
+                     [-478.2913255998525, 758.5592218065922],
+                     [267.06328842875496, -539.9102004661636]])
+    counts += _batch_rows(recv, np.array([[-159.77828150915775, 1282.8321216788809],
+                                          [0.0, 0.0], [1e300, -3.0]]), None)
+    square = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
+    counts += _batch_rows(square, np.array([[-630.0, 810.0], [-720.0, 720.0],
+                                            [100.0, 50.0], [1e300, 1e300]]), None)
+    assert {0, 1, 2} <= set(counts)
+
+
+def test_plane_batch_rows_equal_single_row_solves_3d():
+    # Receivers above the emitter plane: drone clusters of several sizes over
+    # ground emitters (plane 0 or 0.5), and drones in one vertical plane whose
+    # linearized rows are parallel (no line, the centroid as start).
+    rng = np.random.default_rng(98)
+    counts = []
+    for trial in range(12):
+        spread = [0.25, 5.0, 300.0][trial % 3]
+        recv = np.array([0.0, 0.0, 150.0]) + rng.uniform(-spread, spread, size=(3, 3))
+        plane = [0.0, 0.5][trial % 2]
+        emitters = np.column_stack([rng.uniform(-8000, 8000, size=(30, 2)),
+                                    np.full(30, plane)])
+        d = np.linalg.norm(emitters[:, None] - recv, axis=2)
+        deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (30, 1)) * \
+            rng.choice([0.0, 1e-4, 1e-2, 1.0], size=(30, 1))
+        counts += _batch_rows(recv, deltas, plane)
+    drones = np.array([[0.0, 0.0, 100.0], [100.0, 0.0, 150.0], [200.0, 0.0, 120.0]])
+    counts += _batch_rows(drones, np.array([[10.0, 20.0], [10.0, 5.0], [1e300, 0.0]]), 0.0)
+    assert {0, 1, 2} <= set(counts)
+
+
+def test_batched_fixes_equal_public_solves():
+    # _fixes over many rows returns what locate_emitter_2d gives each row.
+    rng = np.random.default_rng(99)
+    recv = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
+    emitters = rng.uniform(-3000, 3000, size=(10, 2))
+    d = np.linalg.norm(emitters[:, None] - recv, axis=2)
+    deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 30.0, (10, 2))
+    receivers = tuple(Point.of(*r) for r in recv)
+    fixes = tdoa._fixes(recv, deltas, None, SolverOptions())
+    assert len(fixes) == len(deltas)
+    for row, (result, _far) in zip(deltas, fixes):
+        rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
+        assert result == locate_emitter_2d(receivers, rd)
+
+
+@pytest.mark.parametrize("fixed_z", [None, 0.5])
+def test_polish_rows_equal_single_row_polish(fixed_z):
+    # Starts 1 mm to 10 m off the emitters take Newton steps and stop at
+    # different iterations, at their floor or at a step that does not
+    # improve; each row of one call has the bits of a call on that row.
+    rng = np.random.default_rng(31)
+    if fixed_z is None:
+        recv = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
+        emitters = rng.uniform(-3000, 3000, size=(60, 2))
+        points = emitters
+    else:
+        recv = np.array([[10.0, -5.0, 150.0], [40.0, 3.0, 160.0], [-20.0, 25.0, 140.0]])
+        emitters = rng.uniform(-3000, 3000, size=(60, 2))
+        points = np.column_stack([emitters, np.full(60, fixed_z)])
+    d = np.linalg.norm(points[:, None] - recv, axis=2)
+    deltas = d[:, :1] - d[:, 1:]
+    starts = emitters + rng.normal(0.0, 1.0, (60, 2)) * rng.choice([1e-3, 1.0, 10.0], (60, 1))
+    floor = tdoa._FLOOR_ULPS * (np.abs(starts).max(axis=1) + np.abs(recv).max())
+    xs, norms = tdoa._polish(recv, deltas, fixed_z, starts.copy(), floor)
+    moved = 0
+    for k in range(60):
+        x, norm = tdoa._polish(recv, deltas[k:k + 1], fixed_z, starts[k:k + 1].copy(),
+                               floor[k:k + 1])
+        assert (xs[k].tobytes(), norms[k].tobytes()) == (x[0].tobytes(), norm[0].tobytes())
+        moved += not np.array_equal(xs[k], starts[k])
+    assert moved == 60 and np.median(norms) < 1e-6
+
+
+def test_solve_rows_leaves_singular_rows_nan():
+    # A stacked np.linalg.solve refuses the whole stack for one singular
+    # matrix; _solve_rows then gives that row NaN and every other row the
+    # bits of its own solve.
+    a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 1.0], [0.5, 2.0]]])
+    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = tdoa._solve_rows(a, b)
+    assert np.isnan(out[1]).all()
+    for k in (0, 2):
+        assert out[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
