@@ -34,7 +34,7 @@ from .geometry import Point, distance
 from .simulate import (ArrivalSet, DistanceMatrix, Scenario, perturb_arrivals, perturb_sweep,
                        simulate_arrivals)
 from .solver import SolveResult, SolverOptions
-from .tdoa import _fix, _fixes, _plane_batch, _triangle
+from .tdoa import _fix, _fixes, _plane_batch, _range_differences, _triangle
 from .trilat import (
     TrilaterationProblem,
     team_relative_position,
@@ -198,7 +198,8 @@ def _by_mode(value, where: str):
 _REQUIRED = "required"
 # path -> field -> (rule, default); "" is the document itself. The field
 # names of "scenario" are ScenarioFile's, those of "solve.options" are
-# SolverOptions'.
+# SolverOptions', less multistart_count: schema v1 still accepts it as a
+# count, and it is ignored.
 _SECTIONS = {
     "": {"schema_version": (_schema_version, _REQUIRED), "solve": (_section, _REQUIRED),
          "scenario": (_section, _REQUIRED), "doppler": (_by_mode, None),
@@ -209,7 +210,7 @@ _SECTIONS = {
                       "step_tolerance": (_positive, SolverOptions.step_tolerance),
                       "residual_tolerance": (_positive, SolverOptions.residual_tolerance),
                       "damping_initial": (_positive, SolverOptions.damping_initial),
-                      "multistart_count": (_count, SolverOptions.multistart_count)},
+                      "multistart_count": (_count, None)},
     "scenario": {"emitters": (_points, ()), "receivers": (_points, ()),
                  "c": (_positive, 3.0e8), "carrier": (_positive, 1.0e9),
                  "emission_time": (_finite, 0.0), "noise_sigma_t": (_nonneg, 0.0),
@@ -225,8 +226,14 @@ def _validate(raw) -> ScenarioFile:
     mode = solve["mode"]
     dim, family = _MODES[mode]
     plane = solve["emitter_plane_z"]
-    if "emitter_plane_z" not in raw["solve"] and family in ("tdoa", "pipeline") and dim == 3:
-        plane = 0.0  # ground emitters
+    if family in ("tdoa", "pipeline"):
+        if dim == 2 or "emitter_plane_z" not in raw["solve"]:
+            plane = 0.0  # 2D emitters are solved on the plane z = 0; 3D ones default to ground
+        elif plane is None:
+            raise ValidationError(
+                f"solve.emitter_plane_z must be a number in {mode} mode: three receivers "
+                "give two range differences, too few for a free emitter height",
+                field="emitter_plane_z")
     emitters, receivers, distances = scen["emitters"], scen["receivers"], scen["distances"]
     for key, points in (("emitters", emitters), ("receivers", receivers)):
         if points and dim is not None and points[0].dim != dim:
@@ -279,8 +286,9 @@ def _validate(raw) -> ScenarioFile:
             raise ValidationError("trilat monte_carlo expects exactly 1 receiver",
                                   field="receivers")
 
+    options = {k: v for k, v in solve["options"].items() if k != "multistart_count"}
     return ScenarioFile(
-        schema_version=1, mode=mode, **scen, options=SolverOptions(**solve["options"]),
+        schema_version=1, mode=mode, **scen, options=SolverOptions(**options),
         emitter_plane_z=plane,
         monte_carlo_trials=None if mc is None else mc["trials"],
         monte_carlo_sigmas=None if mc is None else mc["sigma_t_list"],
@@ -338,10 +346,9 @@ def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
         return np.maximum(sf.c * (times - sf.emission_time), 0.0)
 
 
-def _range_differences(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
-    """c (t_ref - t_k) against receiver 0 for times (..., R, E): (..., E, R - 1)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows are refused
-        return (sf.c * (times[..., :1, :] - times[..., 1:, :])).swapaxes(-1, -2)
+def _receivers(sf: ScenarioFile) -> np.ndarray:
+    """The receivers as 3D rows (R, 3); 2D ones lie on the plane z = 0."""
+    return np.array([p.array for p in sf.receivers])
 
 
 def _team(sf: ScenarioFile, chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
@@ -369,9 +376,8 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
         return [("trilat", solve(TrilaterationProblem(
                     sf.emitters, tuple(_ranges(sf, arrivals.times[i])), dim)),
                  receiver, {"receiver_index": i}) for i, receiver in enumerate(sf.receivers)]
-    fixes = _fixes(np.array([p.coords for p in sf.receivers]),
-                   _range_differences(sf, arrivals.times),
-                   sf.emitter_plane_z if dim == 3 else None, sf.options)
+    fixes = _fixes(_receivers(sf), _range_differences(arrivals.times, sf.c),
+                   sf.emitter_plane_z, dim, sf.options)
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
                 for j, (result, _) in enumerate(fixes)]
@@ -471,25 +477,21 @@ def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError
     its estimate, or its fallback run when the branches do not meet; a
     pipeline row is the team position from its emitters' farthest tied
     roots. Only trials with a non-finite time or difference are solved
-    again on their own, as is every trial of a free-height 3D sweep or with
-    collinear receivers.
+    again on their own, as is every trial with collinear receivers.
     """
     dim, family = _MODES[sf.mode]
-    plane = sf.emitter_plane_z if dim == 3 else None
-    recv = np.array([p.coords for p in sf.receivers])
+    plane = sf.emitter_plane_z
+    recv = _receivers(sf)
     try:
         diam = _triangle(recv)
     except GeometryDegenerate:
-        diam = None
-    if diam is None or (dim == 3 and plane is None):
         return [_mc_trial(sf, t) for t in times]
     n_emit = times.shape[2]
-    deltas = _range_differences(sf, times).reshape(len(times), -1)
+    deltas = _range_differences(times, sf.c).reshape(len(times), -1)
     finite = np.isfinite(times).all(axis=(1, 2)) & np.isfinite(deltas).all(axis=1)
     deltas[~finite] = 0.0  # solved again on their own
     deltas = deltas.reshape(-1, 2)
-    z = 0.0 if plane is None else plane
-    truth = sf.emitters[0].coords
+    truth = sf.emitters[0].array.tolist()
     trials = []
     per = max(1, _MC_CHUNK // n_emit)
     for lo in range(0, len(times), per):
@@ -500,7 +502,7 @@ def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError
         norm = batch.norms[rows, batch.ties[:, 0]].tolist()
 
         def fix(row):
-            return _fix(recv, chunk, plane, diam, batch, row, sf.options)
+            return _fix(recv, chunk, plane, dim, diam, batch, row, sf.options)
 
         rooted = batch.count.tolist()
         for i, finite_i in enumerate(finite[lo:lo + per].tolist()):
@@ -510,8 +512,8 @@ def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError
                 emitters = range(i * n_emit, (i + 1) * n_emit)
                 trials.append(_mc_outcome(lambda: _team(sf, [fix(r)[1] for r in emitters])))
             elif rooted[i]:
-                p = est[i] if plane is None else est[i] + [z]
-                trials.append((est[i][0], est[i][1], z, norm[i], True, math.dist(p, truth)))
+                x, y = est[i]
+                trials.append((x, y, plane, norm[i], True, math.dist((x, y, plane), truth)))
             else:
                 trials.append(_mc_outcome(lambda: (fix(i)[0], sf.emitters[0])))
     return trials

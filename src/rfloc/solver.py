@@ -44,13 +44,12 @@ _GRID_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tunables for the damped Gauss-Newton loop and multi-start drivers."""
+    """Tunables for the damped Gauss-Newton loop."""
 
     max_iterations: int = 100
     step_tolerance: float = 1e-10       # meters
     residual_tolerance: float = 1e-12   # change in squared residual, meters^2
     damping_initial: float = 1e-3
-    multistart_count: int = 9
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -58,8 +57,6 @@ class SolverOptions:
         for name in ("step_tolerance", "residual_tolerance", "damping_initial"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"{name} must be positive", field=name)
-        if self.multistart_count < 1:
-            raise ValidationError("multistart_count must be >= 1", field="multistart_count")
 
 
 @dataclass(frozen=True)
@@ -83,20 +80,6 @@ class SolveResult:
 def order_candidates(cands: Sequence[tuple[Point, float]]) -> tuple[tuple[Point, float], ...]:
     """Sort candidates by residual norm, then lexicographically by coordinates."""
     return tuple(sorted(cands, key=lambda c: (c[1], c[0].x, c[0].y, c[0].z)))
-
-
-def _tied_by_centroid(cands: Sequence[tuple], centroid: np.ndarray) -> list[tuple]:
-    """The candidates within _TIE_EPS of the lowest residual norm, nearest first.
-
-    cands are (point, residual_norm, ...) tuples; the tied ones reproduce the
-    measurements equally well. They are sorted by distance to the centroid,
-    then by x, y, z, so each caller's convention is an index: the TDOA
-    solvers take the nearest, the team pipeline the farthest.
-    """
-    best = min(c[1] for c in cands)
-    tied = [c for c in cands if c[1] <= best + _TIE_EPS]
-    return sorted(tied, key=lambda c: (float(np.linalg.norm(c[0].array - centroid)),
-                                       c[0].x, c[0].y, c[0].z))
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

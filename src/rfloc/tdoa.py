@@ -7,14 +7,15 @@ consumer of RangeDifferenceSet relies on this one.
 With three receivers the two hyperbola branches may intersect twice; both
 intersections satisfy the measurements exactly, so the solvers return every
 root and callers pick from the candidate list when the primary estimate's
-tie-break (closer to the receiver centroid) is not what they want. Emitters
-on a known plane (2D, or 3D with a pinned height) are solved in closed form
-(Schau & Robinson 1987; Chan & Ho 1994); only the under-determined free-height
-3D solve searches with multi-start Gauss-Newton.
+tie-break (closer to the receiver centroid) is not what they want.
 
-The closed form is one array program over rows of range differences against
-one receiver triangle (_plane_batch): locate_emitter_2d/3d are its one-row
-case, and the CLI sends a pipeline fix's emitters, or every trial of a sweep,
+Three receivers give two equations, so every solve is on a known emitter
+plane and in closed form (Schau & Robinson 1987; Chan & Ho 1994): a 3D
+emitter on the plane z = emitter_plane_z, a 2D one on the plane z = 0 with
+its receivers lifted to 3D. A free emitter height is refused. The closed
+form is one array program over rows of range differences against one
+receiver triangle (_plane_batch): locate_emitter_2d/3d are its one-row case,
+and the CLI sends a pipeline fix's emitters, or every trial of a sweep,
 through it in one call. Each row keeps the bits of its solve alone, so a
 batch never changes a report; rows whose branches do not meet rerun one
 Gauss-Newton fallback each.
@@ -23,6 +24,7 @@ Gauss-Newton fallback each.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,7 +42,7 @@ from .errors import (
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
 from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
-                     _rowdot, _tied_by_centroid, _unit_rows, gauss_newton_raw, order_candidates)
+                     _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDelta",
@@ -94,6 +96,16 @@ class RangeDifferenceSet:
                    tuple(RangeDelta(i, dd / c, dd) for i, dd in pairs))
 
 
+def _range_differences(times: np.ndarray, c: float, reference_index: int = 0) -> np.ndarray:
+    """c (t_ref - t_k) for arrival times (..., R, E), against receiver
+    reference_index and every other receiver k in order: (..., E, R - 1).
+    Non-finite values pass through; RangeDifferenceSet and _fixes refuse them."""
+    others = [k for k in range(times.shape[-2]) if k != reference_index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = times[..., reference_index:reference_index + 1, :] - times[..., others, :]
+        return (c * dt).swapaxes(-1, -2)
+
+
 def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
                    reference_index: int, c: float) -> RangeDifferenceSet:
     """Differences of arrival times against the reference receiver, for one emitter.
@@ -104,16 +116,13 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
     n_receivers = arrivals.times.shape[0]
     if n_receivers < 2:
         raise InsufficientReceivers("need at least 2 receivers for arrival differences")
-    t = arrivals.times[:, emitter_index]
-    t_ref = t[reference_index]
-    deltas = []
-    for k in range(n_receivers):
-        if k == reference_index:
-            continue
-        dt = t_ref - t[k]
-        with np.errstate(over="ignore"):  # RangeDifferenceSet refuses an overflow
-            deltas.append(RangeDelta(k, dt, c * dt))
-    return RangeDifferenceSet(reference_index, tuple(deltas))
+    if not 0 <= reference_index < n_receivers:
+        raise IndexError(f"reference index {reference_index} out of range")
+    t = arrivals.times[:, [emitter_index]]
+    dd = _range_differences(t, c, reference_index)[0].tolist()
+    dt = _range_differences(t, 1.0, reference_index)[0].tolist()  # x * 1.0 is x exactly
+    others = [k for k in range(n_receivers) if k != reference_index]
+    return RangeDifferenceSet(reference_index, tuple(zip(others, dt, dd)))
 
 
 def _ordered_receivers(receivers: Sequence[Point],
@@ -177,23 +186,18 @@ def hyperbolic_objective(receivers: Sequence[Point],
     return objective
 
 
-def _closures(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None):
-    """Residual/Jacobian callables over the solver's unknowns.
+def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
+    """Residual/Jacobian callables over the unknowns (x, y) on the plane
+    z = plane, against the receivers recv (m, 3).
 
-    With fixed_z set, recv is (m, 3) and the unknowns are (x, y) on that
-    plane; otherwise the unknowns match the receiver coordinates directly.
-    x may be one vector or rows (..., k) of them, each against its row of
-    deltas: residuals (..., 2), Jacobians (..., 2, k).
+    x may be one vector or rows (..., 2) of them, each against its row of
+    deltas: residuals (..., 2), Jacobians (..., 2, 2).
     """
-    if fixed_z is None:
-        def points(x: np.ndarray) -> np.ndarray:
-            return x
-    else:
-        def points(x: np.ndarray) -> np.ndarray:
-            p = np.empty(x.shape[:-1] + (3,))
-            p[..., :2] = x
-            p[..., 2] = fixed_z
-            return p
+    def points(x: np.ndarray) -> np.ndarray:
+        p = np.empty(x.shape[:-1] + (3,))
+        p[..., :2] = x
+        p[..., 2] = plane
+        return p
 
     def residual(x: np.ndarray) -> np.ndarray:
         d = _norms(points(x)[..., None, :] - recv)
@@ -201,15 +205,15 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None):
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         units = _unit_rows(points(x), recv)
-        rows = units[..., :1, :] - units[..., 1:, :]
-        return rows if fixed_z is None else rows[..., :2]
+        return units[..., :1, :2] - units[..., 1:, :2]
 
     return residual, jacobian
 
 
 def _checked(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
              name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(receivers reference first, differences) of a three-receiver solve."""
+    """(receivers reference first, as 3D rows, differences) of a
+    three-receiver solve: 2D receivers are lifted to the plane z = 0."""
     if len(receivers) != 3:
         raise ValueError(f"{name} needs exactly 3 receivers, got {len(receivers)}")
     recv, deltas, got = _ordered_receivers(receivers, rd)
@@ -217,44 +221,20 @@ def _checked(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
         raise DimensionError(f"{name} needs {dim}D receivers")
     if len(deltas) != 2:
         raise ValueError("need range differences for exactly 2 receiver pairs")
+    if dim == 2:
+        recv = np.column_stack((recv, np.zeros(3)))
     return recv, deltas
 
 
 def _triangle(recv: np.ndarray) -> float:
-    """The diameter of a receiver triangle (3, D); GeometryDegenerate when collinear."""
+    """The diameter of a receiver triangle (3, 3); GeometryDegenerate when collinear."""
     v1, v2, v3 = recv[1] - recv[0], recv[2] - recv[0], recv[2] - recv[1]
     diam = math.sqrt(max(v1 @ v1, v2 @ v2, v3 @ v3))
-    if recv.shape[1] == 2:
-        area2 = abs(float(v1[0] * v2[1] - v1[1] * v2[0]))
-    else:
-        normal = _cross(v1, v2)
-        area2 = math.sqrt(normal @ normal)
-    if diam == 0.0 or area2 <= 1e-12 * diam * diam:
+    # hypot: twice the area without overflow, and exactly |normal_z| for a
+    # triangle on the plane z = 0.
+    if diam == 0.0 or math.hypot(*_cross(v1, v2)) <= 1e-12 * diam * diam:
         raise GeometryDegenerate("receivers are collinear (or coincident)")
     return diam
-
-
-def _ring_starts(center: np.ndarray, radius: float, count: int) -> list[np.ndarray]:
-    """The centroid plus count-1 starts evenly spaced on a circle around it."""
-    starts = [center.copy()]
-    n_ring = max(count - 1, 0)
-    for k in range(n_ring):
-        angle = 2.0 * math.pi * k / n_ring
-        offset = np.zeros_like(center)
-        offset[0] = radius * math.cos(angle)
-        offset[1] = radius * math.sin(angle)
-        starts.append(center + offset)
-    return starts
-
-
-def _dedup(runs) -> list[tuple[np.ndarray, float, int]]:
-    """Collapse minimizers closer than the dedup tolerance, keeping the best norm."""
-    runs = sorted(runs, key=lambda r: (r[1], tuple(r[0])))
-    kept: list[tuple[np.ndarray, float, int]] = []
-    for x, norm, iters in runs:
-        if not any(np.linalg.norm(x - kx) < _DEDUP_TOL for kx, *_rest in kept):
-            kept.append((x, norm, iters))
-    return kept
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,7 +252,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _polish(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, x: np.ndarray,
+def _polish(recv: np.ndarray, deltas: np.ndarray, plane: float, x: np.ndarray,
             floor: np.ndarray, max_steps: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Drive approximate roots to the residual floor with pure Newton steps.
 
@@ -286,13 +266,13 @@ def _polish(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, x: np.n
     finite or does not improve. Returns x and the rows' residual norms.
     """
     floor2 = floor * floor
-    r = _closures(recv, deltas, fixed_z)[0](x)
+    r = _closures(recv, deltas, plane)[0](x)
     f = _rowdot(r, r)
     live = np.nonzero(~(f <= floor2))[0]
     for _ in range(max_steps):
         if not live.size:
             break
-        residual, jacobian = _closures(recv, deltas[live], fixed_z)
+        residual, jacobian = _closures(recv, deltas[live], plane)
         xl, rl = x[live], r[live]
         J = jacobian(xl)
         Jt = J.swapaxes(-1, -2)
@@ -327,14 +307,14 @@ _SOLVE = (np.array([2, 0]), np.array([1, 1]))   # (g11, g00) and (g01, g01) of A
 _FLOOR_ULPS = 8 * np.finfo(float).eps   # a root's rounding floor per unit of coordinate
 
 
-def _plane_batch(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
+def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
                  diam: float) -> _PlaneRoots:
-    """Closed-form intersections of the two branches on the emitter plane,
-    for every row of deltas (N, 2) against one reference-first receiver
-    triangle recv (3, D).
+    """Closed-form intersections of the two branches on the emitter plane
+    z = plane, for every row of deltas (N, 2) against one reference-first
+    receiver triangle recv (3, 3).
 
-    With u = p - s_0 on the plane and h_k each receiver's height above it
-    (0 in 2D), squaring |p - s_k| = r0 - d_k against r0 = |p - s_0| leaves
+    With u = p - s_0 on the plane and h_k each receiver's height above it,
+    squaring |p - s_k| = r0 - d_k against r0 = |p - s_0| leaves
     two equations linear in (u, r0):
         2 e_k . u - 2 d_k r0 = |e_k|^2 + h_k^2 - h_0^2 - d_k^2,
     with e_k the planar offset of receiver k from the reference. Their
@@ -354,7 +334,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
     rows = len(deltas)
     planar = recv[:, :2]
     e = planar[1:] - planar[0]
-    h = recv[:, 2] - fixed_z if fixed_z is not None else np.zeros(3)
+    h = recv[:, 2] - plane
     (ax, ay), (bx, by) = (2 * e).tolist()
     W = np.empty((rows, 4, 3))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -402,7 +382,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
     # floor, so it never steps (its residuals may overflow, unused).
     floor = _FLOOR_ULPS * (np.abs(roots).max(axis=(1, 2)) + np.abs(recv).max())
     with np.errstate(over="ignore", invalid="ignore"):
-        roots, norms = _polish(recv, deltas.repeat(2, axis=0), fixed_z, roots.reshape(-1, 2),
+        roots, norms = _polish(recv, deltas.repeat(2, axis=0), plane, roots.reshape(-1, 2),
                                np.where(valid, floor[:, None], np.inf).ravel())
     roots, norms = roots.reshape(rows, 2, 2), norms.reshape(rows, 2)
 
@@ -421,10 +401,8 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
     tied[:, 1] &= second
     pts = np.empty((rows, 2, 3))
     pts[..., :2] = roots
-    pts[..., 2] = 0.0 if fixed_z is None else fixed_z
-    centroid3 = np.zeros(3)
-    centroid3[:recv.shape[1]] = recv.mean(axis=0)
-    gap = pts - centroid3
+    pts[..., 2] = plane
+    gap = pts - recv.mean(axis=0)
     dist = np.sqrt(_rowdot(gap, gap))
     ties = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)
     ties[:, 1] = np.where(tied.all(axis=1), ties[:, 1], ties[:, 0])
@@ -452,48 +430,15 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
     return _PlaneRoots(roots, norms, count, ties, starts, start_ok)
 
 
-def _within(x: np.ndarray, center, diam: float) -> bool:
-    """Whether x lies inside the runaway radius around center.
-
-    The hyperbolic objective plateaus toward the branch asymptotes, so the
-    residual-change criterion can fire on iterates that ran off to enormous
-    coordinates: such runs fail, and roots that far out are not trusted.
-    """
-    return float(np.linalg.norm(x - center)) <= _RUNAWAY_DIAMS * diam
-
-
-def _failed(message: str, x: np.ndarray, norm: float, iters: int, to_point,
-            flags: frozenset[str]) -> NoConvergence:
-    """The solve's NoConvergence, with no best iterate when x overflowed."""
-    if not np.all(np.isfinite(x)):
-        return NoConvergence(f"{message}; the iterate is not finite")
-    p = to_point(x)
-    best = SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
-                       iterations=iters, converged=False, flags=flags)
-    return NoConvergence(message, best=best)
-
-
-def _result(runs, to_point, centroid3: np.ndarray,
-            flags: frozenset[str]) -> tuple[SolveResult, Point]:
-    """The solve from its runs, and its farthest residual-tied candidate."""
-    cands = [(to_point(x), norm, iters) for x, norm, iters in _dedup(runs)]
-    tied = _tied_by_centroid(cands, centroid3)
-    estimate, norm, iters = tied[0]
-    return SolveResult(estimate=estimate,
-                       candidates=order_candidates([(p, n) for p, n, _ in cands]),
-                       residual_norm=norm, iterations=iters, converged=True,
-                       flags=flags), tied[-1][0]
-
-
-def _fixes(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
+def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int,
            opts: SolverOptions) -> list[tuple[SolveResult, Point]]:
-    """Every row of deltas (N, 2) solved against the reference-first receivers
-    recv (3, D), in order: its SolveResult and its residual-tied candidate
-    farthest from the receiver centroid.
+    """Every row of deltas (N, 2) solved on the plane z = plane against the
+    reference-first receivers recv (3, 3), in order, as dim-D points: its
+    SolveResult and its residual-tied candidate farthest from the receiver
+    centroid.
 
-    2D rows and 3D rows with fixed_z set go through one _plane_batch; a row
-    with no closed-form root runs one flagged Gauss-Newton fallback, and 3D
-    rows without a plane the multi-start search. The first row that fails
+    The rows go through one _plane_batch; a row with no closed-form root
+    runs one flagged Gauss-Newton fallback. The first row that fails
     raises, as a loop of single solves would: ValidationError for a
     non-finite difference, GeometryDegenerate (at the first row) for
     collinear receivers, NoConvergence when its fallback does not converge.
@@ -506,115 +451,108 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None,
 
     check(0)
     diam = _triangle(recv)
-    free = recv.shape[1] == 3 and fixed_z is None
-    z = None if fixed_z is None else float(fixed_z)
-    batch = None if free else _plane_batch(recv, deltas, z, diam)
+    batch = _plane_batch(recv, deltas, plane, diam)
     out = []
     for k in range(len(deltas)):
         check(k)
-        out.append(_locate_free(recv, deltas[k], diam, opts) if free else
-                   _fix(recv, deltas, z, diam, batch, k, opts))
+        out.append(_fix(recv, deltas, plane, dim, diam, batch, k, opts))
     return out
 
 
-def _fix(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, diam: float,
+def _point(x, plane: float, dim: int) -> Point:
+    """The planar solution x as a dim-D point, on the plane z = plane in 3D."""
+    return Point.of(x[0], x[1], plane) if dim == 3 else Point.of(x[0], x[1])
+
+
+def _fix(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
          batch: _PlaneRoots, k: int, opts: SolverOptions) -> tuple[SolveResult, Point]:
-    """Row k of batch = _plane_batch(recv, deltas, fixed_z, diam) as a solve:
+    """Row k of batch = _plane_batch(recv, deltas, plane, diam) as a solve:
     its SolveResult and its residual-tied candidate farthest from the
     receiver centroid. A row with no root runs the Gauss-Newton fallback."""
-    if fixed_z is None:
-        to_point = lambda x: Point.of(x[0], x[1])  # noqa: E731
-    else:
-        to_point = lambda x: Point.of(x[0], x[1], fixed_z)  # noqa: E731
     count = int(batch.count[k])
     if not count:
-        return _fallback(recv, deltas[k], fixed_z, diam, to_point,
+        return _fallback(recv, deltas[k], plane, dim, diam,
                          batch.starts[k][batch.start_ok[k]], opts)
     roots, norms = batch.roots[k].tolist(), batch.norms[k].tolist()
     near, far = batch.ties[k].tolist()
-    cands = tuple((to_point(roots[i]), norms[i]) for i in range(count))
+    cands = tuple((_point(roots[i], plane, dim), norms[i]) for i in range(count))
     return (SolveResult(estimate=cands[near][0], candidates=cands, residual_norm=norms[near],
                         iterations=0, converged=True), cands[far][0])
 
 
-def _fallback(recv: np.ndarray, deltas: np.ndarray, fixed_z: float | None, diam: float,
-              to_point, starts: np.ndarray, opts: SolverOptions) -> tuple[SolveResult, Point]:
+def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
+              starts: np.ndarray, opts: SolverOptions) -> tuple[SolveResult, Point]:
     """One damped Gauss-Newton run from whichever start fits the differences
-    better, flagged inconsistent beyond INCONSISTENCY_TOL; NoConvergence
-    when it stops beyond the runaway radius of the receiver centroid."""
-    residual, jacobian = _closures(recv, deltas, fixed_z)
+    better, flagged inconsistent beyond INCONSISTENCY_TOL.
+
+    The hyperbolic objective plateaus toward the branch asymptotes, so the
+    residual-change criterion can fire on iterates that ran off to enormous
+    coordinates: a run that stops beyond the runaway radius of the receiver
+    centroid fails like one that does not converge, with NoConvergence
+    carrying its iterate as the best one, or none when it overflowed.
+    """
+    residual, jacobian = _closures(recv, deltas, plane)
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
         start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
     flags = frozenset({"inconsistent"} if norm > INCONSISTENCY_TOL else ())
-    if not (ok and _within(x, recv[:, :2].mean(axis=0), diam)):
-        raise _failed("the branches do not meet and the least-squares run did not "
-                      "converge to a finite point", x, norm, iters, to_point, flags)
-    p = to_point(x)
-    return SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
-                       iterations=iters, converged=True, flags=flags), p
-
-
-def _locate_free(recv: np.ndarray, deltas: np.ndarray, diam: float,
-                 opts: SolverOptions) -> tuple[SolveResult, Point]:
-    """Three unknowns, two equations: multi-start Gauss-Newton from a ring."""
-    residual, jacobian = _closures(recv, deltas, None)
-    centroid = recv.mean(axis=0)
-    to_point = lambda x: Point.of(x[0], x[1], x[2])  # noqa: E731
-    flags = frozenset({"under_determined"})
-    runs, best_failed = [], None
-    for s in _ring_starts(centroid, diam, opts.multistart_count):
-        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, s, opts)
-        if ok and _within(x, centroid, diam):
-            runs.append((x, norm, iters))
-        elif best_failed is None or norm < best_failed[1]:
-            best_failed = (x, norm, iters)
-    if not runs:
-        raise _failed("no start converged", *best_failed, to_point, flags)
-    xs, norms = _polish(recv, np.broadcast_to(deltas, (len(runs), 2)), None,
-                        np.array([x for x, _norm, _iters in runs]), np.zeros(len(runs)))
-    runs = [(x, norm, iters) for x, norm, (_x, _norm, iters) in zip(xs, norms.tolist(), runs)]
-    return _result(runs, to_point, centroid, flags)
+    message = ("the branches do not meet and the least-squares run did not converge "
+               "to a finite point")
+    if not np.all(np.isfinite(x)):
+        raise NoConvergence(f"{message}; the iterate is not finite")
+    ok = ok and float(np.linalg.norm(x - recv[:, :2].mean(axis=0))) <= _RUNAWAY_DIAMS * diam
+    p = _point(x, plane, dim)
+    result = SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
+                         iterations=iters, converged=ok, flags=flags)
+    if not result.converged:
+        raise NoConvergence(message, best=result)
+    return result, p
 
 
 def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,
                       opts: SolverOptions | None = None) -> SolveResult:
     """Solve the two-hyperbola system for a 2D emitter position, in closed form.
 
-    The squared range differences are linear in (x, y, r0) up to one
-    quadratic (see _plane_batch); each admissible root is polished with
-    Newton steps on the unsquared residuals and comes back as a candidate
-    (deduplicated at 1e-6 m), since the two branches may cross at two points
-    that both reproduce the measured differences. When the branches do not
-    meet, one damped Gauss-Newton run gives the least-squares point, flagged
-    inconsistent when its residual norm exceeds INCONSISTENCY_TOL. It starts
-    from whichever of two points on the linearized solution line fits the
-    differences better: the quadratic's vertex, or the point minimizing its
-    far-field residual. NoConvergence is raised if that run does not converge
-    or stops beyond 1e6 triangle diameters, as it does when the branches
-    diverge and the least-squares point is at infinity; its best iterate
-    then keeps their common bearing. opts only configures that run.
+    This is locate_emitter_3d on the plane z = 0 with the receivers lifted
+    to 3D, bit for bit, returned as 2D points. The squared range differences
+    are linear in (x, y, r0) up to one quadratic (see _plane_batch); each
+    admissible root is polished with Newton steps on the unsquared residuals
+    and comes back as a candidate (deduplicated at 1e-6 m), since the two
+    branches may cross at two points that both reproduce the measured
+    differences. When the branches do not meet, one damped Gauss-Newton run
+    gives the least-squares point, flagged inconsistent when its residual
+    norm exceeds INCONSISTENCY_TOL. It starts from whichever of two points
+    on the linearized solution line fits the differences better: the
+    quadratic's vertex, or the point minimizing its far-field residual.
+    NoConvergence is raised if that run does not converge or stops beyond
+    1e6 triangle diameters, as it does when the branches diverge and the
+    least-squares point is at infinity; its best iterate then keeps their
+    common bearing. opts only configures that run.
     """
     recv, deltas = _checked(receivers, rd, 2, "locate_emitter_2d")
-    return _fixes(recv, deltas[None], None, opts or SolverOptions())[0][0]
+    return _fixes(recv, deltas[None], 0.0, 2, opts or SolverOptions())[0][0]
 
 
 def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
-                      emitter_plane_z: float | None = 0.0,
+                      emitter_plane_z: float = 0.0,
                       opts: SolverOptions | None = None) -> SolveResult:
-    """Locate a 3D emitter from the two hyperboloid range differences.
+    """Locate a 3D emitter on the plane z = emitter_plane_z from the two
+    hyperboloid range differences.
 
-    Three receivers give two equations. With emitter_plane_z set (default 0,
-    the ground-emitter closure) z is pinned and the solve is 2-in-2, in
+    Three receivers give two equations, so the emitter height is pinned
+    (default 0, the ground-emitter closure) and the solve is 2-in-2, in
     closed form exactly as locate_emitter_2d, with each receiver's height
-    above the plane carried into the squared equations. With None the solve
-    runs over (x, y, z) by multi-start Gauss-Newton (the centroid plus
-    opts.multistart_count - 1 starts on a ring one triangle diameter out) and
-    the result carries the under_determined flag: a 1-parameter family fits
-    the data and only the minimizers reached from the starts are returned.
+    above the plane carried into the squared equations. A free height would
+    leave a one-parameter family of points that fit the differences, so a
+    plane that is not a finite number (None included) is a ValidationError.
     """
     recv, deltas = _checked(receivers, rd, 3, "locate_emitter_3d")
-    return _fixes(recv, deltas[None], emitter_plane_z, opts or SolverOptions())[0][0]
+    if not (isinstance(emitter_plane_z, numbers.Real) and math.isfinite(emitter_plane_z)):
+        raise ValidationError(
+            f"emitter_plane_z must be a finite number, got {emitter_plane_z!r}: three "
+            "receivers give two range differences, too few for a free emitter height",
+            field="emitter_plane_z")
+    return _fixes(recv, deltas[None], float(emitter_plane_z), 3, opts or SolverOptions())[0][0]
 
 
 def combined_direction(receivers: Sequence[Point], emitter: Point) -> DirectionVector:

@@ -484,6 +484,52 @@ def test_main_fractional_count_rejected(tmp_path, capsys, key):
     assert main(["validate", str(path), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("mode", ["tdoa3d", "pipeline"])
+def test_free_emitter_height_is_an_input_error(tmp_path, capsys, mode):
+    # Three receivers give two range differences: a 3D emitter needs its
+    # plane, and null is refused before any solve, naming the field.
+    with open(PIPELINE) as fh:
+        doc = json.load(fh)
+    doc["solve"].update(mode=mode, emitter_plane_z=None)
+    with pytest.raises(ValidationError) as info:
+        _validate(doc)
+    assert info.value.field == "emitter_plane_z"
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("validate", "run"):
+        assert main([verb, str(path), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert "emitter_plane_z" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def test_multistart_count_is_validated_and_ignored(tmp_path, capsys):
+    # Schema v1 still accepts the count and refuses what is not one; the
+    # report is the same byte for byte, apart from its input echo and
+    # timestamp, with or without it.
+    def solved(doc):
+        report = run(_validate(doc))
+        del report["timestamp"], report["input"]
+        return json.dumps(report, indent=2)
+
+    with open(PIPELINE) as fh:
+        doc = json.load(fh)
+    doc["monte_carlo"] = {"trials": 20, "sigma_t_list": [0.0, 1e-9]}
+    plain = solved(doc)
+    for count in (3, 3.0):
+        doc["solve"]["options"] = {"multistart_count": count}
+        assert solved(doc) == plain
+    path = tmp_path / "count.json"
+    for count in (2.7, 0):
+        doc["solve"]["options"] = {"multistart_count": count}
+        with pytest.raises(ValidationError) as info:
+            _validate(doc)
+        assert info.value.field == "multistart_count"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path), "--quiet"]) == 2
+        assert "multistart_count" in capsys.readouterr().err
+
+
 def test_main_mode_override_revalidates(capsys):
     # baseline is 3D; forcing a 2D mode must fail validation (exit 2)
     assert main(["run", BASELINE, "--mode", "trilat2d", "--quiet"]) == 2
@@ -701,8 +747,8 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     batched = cli._tdoa_trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
-    recv = np.array([p.coords for p in sf.receivers])
-    batch = tdoa._plane_batch(recv, cli._range_differences(sf, times).reshape(-1, 2),
+    recv = np.array([p.array for p in sf.receivers])
+    batch = tdoa._plane_batch(recv, tdoa._range_differences(times, sf.c).reshape(-1, 2),
                               sf.emitter_plane_z, tdoa._triangle(recv))
     assert (batch.count == 0).any() and (batch.count == 2).any()
 

@@ -117,8 +117,6 @@ def test_solver_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValidationError):
         SolverOptions(step_tolerance=0.0)
-    with pytest.raises(ValidationError):
-        SolverOptions(multistart_count=0)
 
 
 def test_fd_jacobian_quadratic():
@@ -302,12 +300,3 @@ def test_grid_long_row_is_split(monkeypatch):
     want_node, want_value, _ = _brute_force(objective, bounds, 0.1)
     assert node.coords == want_node and value == want_value
 
-
-def test_tied_by_centroid_orders_residual_ties_nearest_first():
-    centroid = np.zeros(3)
-    cands = [(Point.of(3.0, 0.0), 1e-3, "untied"),       # nearest, but not tied
-             (Point.of(0.0, -5.0), 5e-10, "far"),
-             (Point.of(0.0, 4.0), 0.0, "near+y"),
-             (Point.of(-4.0, 0.0), 2e-10, "near-x")]    # as near: x breaks the tie
-    assert [c[2] for c in solver._tied_by_centroid(cands, centroid)] == \
-        ["near-x", "near+y", "far"]

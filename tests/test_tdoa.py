@@ -32,6 +32,7 @@ from rfloc.errors import (
     GeometryDegenerate,
     InsufficientReceivers,
     NoConvergence,
+    RflocError,
     ValidationError,
 )
 
@@ -79,6 +80,30 @@ def test_deltas_reference_excluded():
     rd = arrival_deltas(arrivals, 0, 1, C)
     assert rd.reference_index == 1
     assert [d.other_index for d in rd.deltas] == [0, 2]
+
+
+def test_arrival_deltas_equal_the_batched_rule():
+    # arrival_deltas is the batched rule c (t_ref - t_k) of the CLI's sweeps,
+    # read for one emitter: the same bits for every reference receiver, and
+    # delta_t is the rule with c = 1.
+    rng = np.random.default_rng(63)
+    for n_receivers in (2, 3, 5):
+        times = rng.uniform(1e-7, 5e-5, size=(n_receivers, 4)) * \
+            rng.choice([1.0, 1e3], size=(n_receivers, 1))
+        c = float(rng.uniform(1e8, 3e8))
+        for ref in range(n_receivers):
+            batched = tdoa._range_differences(times, c, ref)
+            delays = tdoa._range_differences(times, 1.0, ref)
+            others = [k for k in range(n_receivers) if k != ref]
+            for e in range(times.shape[1]):
+                rd = arrival_deltas(ArrivalSet(times), e, ref, c)
+                assert [d.other_index for d in rd.deltas] == others
+                assert np.array([d.delta_d for d in rd.deltas]).tobytes() == \
+                    batched[e].tobytes()
+                assert np.array([d.delta_t for d in rd.deltas]).tobytes() == \
+                    delays[e].tobytes()
+                assert [d.delta_t for d in rd.deltas] == \
+                    [times[ref, e] - times[k, e] for k in others]
 
 
 def test_emission_time_invariance_exact_dyadic():
@@ -232,13 +257,14 @@ def test_locate_3d_equidistant_emitter():
     assert distance(result.estimate, emitter) < 1e-6
 
 
-def test_locate_3d_free_z_flagged():
-    emitter = Point.of(200, 150, 0)
-    rd = _deltas_from_truth(DRONES, emitter)
-    result = locate_emitter_3d(DRONES, rd, emitter_plane_z=None)
-    assert "under_determined" in result.flags
-    res = hyperbolic_residuals(DRONES, rd, result.estimate)
-    assert np.max(np.abs(res)) < 1e-6
+def test_locate_3d_refuses_a_free_height():
+    # Two range differences cannot fix three coordinates: the plane is
+    # required, and anything but a finite number is a typed input error.
+    rd = _deltas_from_truth(DRONES, Point.of(200, 150, 0))
+    for plane in (None, math.nan, math.inf, "0"):
+        with pytest.raises(ValidationError) as info:
+            locate_emitter_3d(DRONES, rd, emitter_plane_z=plane)
+        assert isinstance(info.value, RflocError) and info.value.field == "emitter_plane_z"
 
 
 def test_locate_3d_collinear():
@@ -411,6 +437,11 @@ def test_locate_2d_near_tangent_limit():
     assert err <= floor / sigma_min
 
 
+def _lift(recv):
+    """2D receivers (3, 2) as the 3D rows a 2D solve uses, on the plane z = 0."""
+    return np.column_stack((recv, np.zeros(len(recv))))
+
+
 def _batch_rows(recv, deltas, fixed_z):
     """Each row of one _plane_batch call and of a call on that row alone, as
     the bytes of what the row means: its candidates, norms and tie order,
@@ -444,17 +475,17 @@ def test_plane_batch_rows_equal_single_row_solves():
         d = np.linalg.norm(emitters[:, None] - recv, axis=2)
         deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (40, 1)) * \
             rng.choice([0.0, 1e-3, 1.0, 100.0], size=(40, 1))
-        counts += _batch_rows(recv, deltas, None)
+        counts += _batch_rows(_lift(recv), deltas, 0.0)
     # The near-tangent row, branches that do not meet, branches that
     # diverge, all-zero and overflowing differences.
     recv = np.array([[-25.814673143228674, 709.0416618385482],
                      [-478.2913255998525, 758.5592218065922],
                      [267.06328842875496, -539.9102004661636]])
-    counts += _batch_rows(recv, np.array([[-159.77828150915775, 1282.8321216788809],
-                                          [0.0, 0.0], [1e300, -3.0]]), None)
+    counts += _batch_rows(_lift(recv), np.array([[-159.77828150915775, 1282.8321216788809],
+                                                 [0.0, 0.0], [1e300, -3.0]]), 0.0)
     square = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
-    counts += _batch_rows(square, np.array([[-630.0, 810.0], [-720.0, 720.0],
-                                            [100.0, 50.0], [1e300, 1e300]]), None)
+    counts += _batch_rows(_lift(square), np.array([[-630.0, 810.0], [-720.0, 720.0],
+                                                   [100.0, 50.0], [1e300, 1e300]]), 0.0)
     assert {0, 1, 2} <= set(counts)
 
 
@@ -487,7 +518,7 @@ def test_batched_fixes_equal_public_solves():
     d = np.linalg.norm(emitters[:, None] - recv, axis=2)
     deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 30.0, (10, 2))
     receivers = tuple(Point.of(*r) for r in recv)
-    fixes = tdoa._fixes(recv, deltas, None, SolverOptions())
+    fixes = tdoa._fixes(_lift(recv), deltas, 0.0, 2, SolverOptions())
     assert len(fixes) == len(deltas)
     for row, (result, _far) in zip(deltas, fixes):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
@@ -499,6 +530,7 @@ def test_polish_rows_equal_single_row_polish(fixed_z):
     # Starts 1 mm to 10 m off the emitters take Newton steps and stop at
     # different iterations, at their floor or at a step that does not
     # improve; each row of one call has the bits of a call on that row.
+    # None is the 2D case: its receivers lifted to the plane z = 0.
     rng = np.random.default_rng(31)
     if fixed_z is None:
         recv = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
@@ -512,10 +544,12 @@ def test_polish_rows_equal_single_row_polish(fixed_z):
     deltas = d[:, :1] - d[:, 1:]
     starts = emitters + rng.normal(0.0, 1.0, (60, 2)) * rng.choice([1e-3, 1.0, 10.0], (60, 1))
     floor = tdoa._FLOOR_ULPS * (np.abs(starts).max(axis=1) + np.abs(recv).max())
-    xs, norms = tdoa._polish(recv, deltas, fixed_z, starts.copy(), floor)
+    plane = 0.0 if fixed_z is None else fixed_z
+    recv = _lift(recv) if fixed_z is None else recv
+    xs, norms = tdoa._polish(recv, deltas, plane, starts.copy(), floor)
     moved = 0
     for k in range(60):
-        x, norm = tdoa._polish(recv, deltas[k:k + 1], fixed_z, starts[k:k + 1].copy(),
+        x, norm = tdoa._polish(recv, deltas[k:k + 1], plane, starts[k:k + 1].copy(),
                                floor[k:k + 1])
         assert (xs[k].tobytes(), norms[k].tobytes()) == (x[0].tobytes(), norm[0].tobytes())
         moved += not np.array_equal(xs[k], starts[k])
@@ -532,3 +566,44 @@ def test_solve_rows_leaves_singular_rows_nan():
     assert np.isnan(out[1]).all()
     for k in (0, 2):
         assert out[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+
+
+def _planar_outcome(solve):
+    """A solve's result or error as the hex of what a 2D solve and the same
+    solve on the plane z = 0 share: every point's x, y and z, the norms,
+    iterations, convergence and flags, and an error's type, message and
+    best iterate."""
+    def result(r):
+        def xyz(p):
+            return (p.x.hex(), p.y.hex(), p.z.hex())
+        return (xyz(r.estimate), [(xyz(p), n.hex()) for p, n in r.candidates],
+                r.residual_norm.hex(), r.iterations, r.converged, sorted(r.flags))
+    try:
+        return ("ok",) + result(solve())
+    except NoConvergence as exc:
+        return ("NoConvergence", str(exc), None if exc.best is None else result(exc.best))
+    except RflocError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_locate_2d_equals_the_plane_z0_solve():
+    # A 2D solve is the 3D solve of the same receivers lifted to z = 0 with
+    # the emitter on that plane, to the bit: roots, no-root fallbacks and
+    # diverging rows alike, from exact differences to 100 m of noise.
+    rng = np.random.default_rng(71)
+    kinds = set()
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(0.0, 5.0)
+        recv = rng.uniform(-scale, scale, size=(3, 2))
+        emitter = recv.mean(axis=0) + rng.uniform(-3.0, 3.0, size=2) * scale
+        d = np.linalg.norm(emitter - recv, axis=1)
+        deltas = d[0] - d[1:] + rng.normal(0.0, 1.0, 2) * rng.choice([0.0, 1e-3, 1.0, 100.0])
+        rd = RangeDifferenceSet.from_range_differences(
+            0, [(1, float(deltas[0])), (2, float(deltas[1]))], C)
+        flat = tuple(Point.of(*r) for r in recv)
+        lifted = tuple(Point.of(*r, 0.0) for r in recv)
+        alone = _planar_outcome(lambda: locate_emitter_2d(flat, rd))
+        assert alone == _planar_outcome(lambda: locate_emitter_3d(lifted, rd, 0.0))
+        kinds.add(alone[0] if alone[0] != "ok" else
+                  "inconsistent" if alone[-1] else f"{len(alone[2])} roots")
+    assert kinds == {"1 roots", "2 roots", "inconsistent", "NoConvergence"}
