@@ -98,10 +98,13 @@ def _fail(where: str, what: str) -> ValidationError:
                            field=where.rpartition(".")[2].partition("[")[0])
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _finite(value, where: str) -> float:
     # abs() <= max also refuses NaN and integers beyond the float range.
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
+            or not abs(value) <= _FLOAT_MAX):
         raise _fail(where, "must be a finite number")
     return float(value)
 
@@ -145,9 +148,10 @@ def _points(value, where: str) -> tuple[Point, ...]:
         raise _fail(where, "must be a list of coordinate lists")
     points = []
     for i, entry in enumerate(value):
+        at = f"{where}[{i}]"
         if not isinstance(entry, list) or len(entry) not in (2, 3):
-            raise _fail(f"{where}[{i}]", "must be [x, y] or [x, y, z]")
-        points.append(Point.of(*(_finite(v, f"{where}[{i}]") for v in entry)))
+            raise _fail(at, "must be [x, y] or [x, y, z]")
+        points.append(Point.of(*[_finite(v, at) for v in entry]))
     if len({p.dim for p in points}) > 1:
         raise _fail(where, "mixes 2D and 3D points")
     return tuple(points)
@@ -318,25 +322,22 @@ def parse_scenario(path: str) -> ScenarioFile:
 # Solve dispatch
 # ---------------------------------------------------------------------------
 
-def _coords3(p: Point) -> list[float]:
-    return [p.x, p.y, p.z]
-
-
 def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
                  **extra) -> dict:
+    p = result.estimate
     entry = {
         "kind": kind,
         **extra,
-        "estimate": _coords3(result.estimate),
+        "estimate": [p.x, p.y, p.z],
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "converged": result.converged,
         "flags": sorted(result.flags),
-        "candidates": [[_coords3(p), n] for p, n in result.candidates],
+        "candidates": [[[q.x, q.y, q.z], n] for q, n in result.candidates],
     }
     if truth is not None:
-        entry["truth"] = _coords3(truth)
-        entry["error_m"] = distance(result.estimate, truth)
+        entry["truth"] = [truth.x, truth.y, truth.z]
+        entry["error_m"] = distance(p, truth)
     return entry
 
 
@@ -348,16 +349,18 @@ def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
 
 def _receivers(sf: ScenarioFile) -> np.ndarray:
     """The receivers as 3D rows (R, 3); 2D ones lie on the plane z = 0."""
-    return np.array([p.array for p in sf.receivers])
+    return np.array([(p.x, p.y, p.z) for p in sf.receivers])
 
 
-def _team(sf: ScenarioFile, chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
+def _team(sf: ScenarioFile, recv: np.ndarray,
+          chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
     """The pipeline's team position from its chosen emitter roots, and its
-    truth, the receiver centroid."""
-    centroid = np.mean([r.array for r in sf.receivers], axis=0)
-    dm = DistanceMatrix(np.array([[distance(r, e) for e in chosen] for r in sf.receivers]))
+    truth, the centroid of the receivers recv (a sum and a division, as
+    np.mean)."""
+    emit = [e.coords for e in chosen]
+    dm = DistanceMatrix(np.array([[math.dist(r, e) for e in emit] for r in recv.tolist()]))
     return (team_relative_position(sf.receivers, chosen, dm, sf.options),
-            Point.from_array(centroid, dim=3))
+            Point.of(*(recv.sum(axis=0) / len(recv)).tolist()))
 
 
 def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | None, dict]]:
@@ -376,8 +379,9 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
         return [("trilat", solve(TrilaterationProblem(
                     sf.emitters, tuple(_ranges(sf, arrivals.times[i])), dim)),
                  receiver, {"receiver_index": i}) for i, receiver in enumerate(sf.receivers)]
-    fixes = _fixes(_receivers(sf), _range_differences(arrivals.times, sf.c),
-                   sf.emitter_plane_z, dim, sf.options)
+    recv = _receivers(sf)
+    fixes = _fixes(recv, _range_differences(arrivals.times, sf.c), sf.emitter_plane_z, dim,
+                   sf.options)
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
                 for j, (result, _) in enumerate(fixes)]
@@ -387,9 +391,9 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
     # trilateration, so it wins here.
     chosen = [far for _, far in fixes]
     solves = [("pipeline_emitter", result, sf.emitters[j],
-               {"emitter_index": j, "selected": _coords3(chosen[j])})
-              for j, (result, _) in enumerate(fixes)]
-    return solves + [("team_position", *_team(sf, chosen), {})]
+               {"emitter_index": j, "selected": [far.x, far.y, far.z]})
+              for j, (result, far) in enumerate(fixes)]
+    return solves + [("team_position", *_team(sf, recv, chosen), {})]
 
 
 def _single_run_entries(sf: ScenarioFile, arrivals: ArrivalSet | None,
@@ -510,7 +514,7 @@ def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError
                 trials.append(_mc_trial(sf, times[lo + i]))
             elif family == "pipeline":
                 emitters = range(i * n_emit, (i + 1) * n_emit)
-                trials.append(_mc_outcome(lambda: _team(sf, [fix(r)[1] for r in emitters])))
+                trials.append(_mc_outcome(lambda: _team(sf, recv, [fix(r)[1] for r in emitters])))
             elif rooted[i]:
                 x, y = est[i]
                 trials.append((x, y, plane, norm[i], True, math.dist((x, y, plane), truth)))

@@ -37,9 +37,9 @@ class Point:
     dim: int
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite coordinate {name!r}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            name = next(n for n in ("x", "y", "z") if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"non-finite coordinate {name!r}")
         if self.dim not in (2, 3):
             raise DimensionError(f"dim must be 2 or 3, got {self.dim}")
         if self.dim == 2 and self.z != 0.0:

@@ -91,7 +91,7 @@ class ArrivalSet:
         object.__setattr__(self, "times", _frozen_array(self.times))
         if self.times.ndim != 2:
             raise ValidationError("times must be a receiver-by-emitter matrix", field="times")
-        if not np.all(np.isfinite(self.times)):
+        if not np.isfinite(self.times).all():
             raise ValidationError("arrival times must be finite", field="times")
         if isinstance(self.clock_model, str):
             if self.clock_model != "shared":
@@ -115,16 +115,26 @@ class DistanceMatrix:
         object.__setattr__(self, "d", _frozen_array(self.d))
         if self.d.ndim != 2:
             raise ValidationError("d must be a receiver-by-emitter matrix", field="d")
-        if not np.all(np.isfinite(self.d)) or np.any(self.d < 0.0):
-            raise ValidationError("distances must be finite and >= 0", field="d")
+        _check_distances(self.d)
+
+
+def _check_distances(d: np.ndarray) -> None:
+    if not np.isfinite(d).all() or (d < 0.0).any():
+        raise ValidationError("distances must be finite and >= 0", field="d")
+
+
+def _distances(scenario: Scenario) -> np.ndarray:
+    """d[i][j] from receiver i to emitter j, inf where it overflows; unchecked."""
+    recv = np.array([(p.x, p.y, p.z) for p in scenario.receivers])
+    emit = np.array([(p.x, p.y, p.z) for p in scenario.emitters])
+    diff = recv[:, None, :] - emit[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
 
 
 def true_distance_matrix(scenario: Scenario) -> DistanceMatrix:
     """d[i][j] = Euclidean distance from receiver i to emitter j."""
-    recv = np.array([p.array for p in scenario.receivers])
-    emit = np.array([p.array for p in scenario.emitters])
-    diff = recv[:, None, :] - emit[None, :, :]
-    return DistanceMatrix(np.sqrt((diff ** 2).sum(axis=2)))
+    with np.errstate(over="ignore"):  # DistanceMatrix refuses an overflowed distance
+        return DistanceMatrix(_distances(scenario))
 
 
 def simulate_arrivals(scenario: Scenario,
@@ -134,9 +144,10 @@ def simulate_arrivals(scenario: Scenario,
     clock_offsets, when given, adds a fixed per-receiver timestamp offset and
     tags the result accordingly; the default models the shared-clock setup.
     """
-    dm = true_distance_matrix(scenario)
-    with np.errstate(over="ignore"):  # ArrivalSet refuses an overflowed time
-        times = scenario.emission_time + dm.d / scenario.c
+    with np.errstate(over="ignore"):  # an overflowed distance or time is refused
+        d = _distances(scenario)
+        times = scenario.emission_time + d / scenario.c
+    _check_distances(d)
     if clock_offsets is None:
         return ArrivalSet(times, clock_model="shared")
     offsets = tuple(float(o) for o in clock_offsets)
@@ -151,9 +162,11 @@ def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> Arrival
 
     Deterministic: the jitter comes from numpy's PCG64 bit generator seeded
     with `seed`, so identical inputs give bit-identical outputs. sigma_t = 0
-    returns the timestamps unchanged.
+    returns arrivals itself.
     """
-    times = perturb_times(arrivals.times, sigma_t, (seed,))[0]
+    if sigma_t == 0.0:
+        return arrivals
+    times = perturb_sweep(arrivals.times, (sigma_t,), (seed,))[0][0]
     return ArrivalSet(times, clock_model=arrivals.clock_model)
 
 

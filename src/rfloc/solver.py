@@ -111,7 +111,7 @@ def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     diff = x[..., None, :] - anchors
     norms = _norms(diff)
     close = norms < _ANCHOR_GUARD
-    if close.any():
+    if np.count_nonzero(close):  # close.any(), without its Python wrapper
         near = close.any(axis=-1)
         nudged = x.copy()
         nudged[..., 0] = np.where(near, x[..., 0] + _ANCHOR_GUARD, x[..., 0])
@@ -120,13 +120,13 @@ def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return diff / norms[..., None]
 
 
-def _solve_step(JtJ: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray | None:
+def _solve_step(JtJ: np.ndarray, minus_g: np.ndarray, lam: float) -> np.ndarray | None:
     A = JtJ if lam == 0.0 else JtJ + lam * np.eye(JtJ.shape[0])
     try:
-        step = np.linalg.solve(A, -g)
+        step = np.linalg.solve(A, minus_g)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(step).all():
+    if not all(map(math.isfinite, step.tolist())):  # np.isfinite(step).all(), on floats
         return None
     return step
 
@@ -153,14 +153,15 @@ def gauss_newton_raw(
 
     for iterations in range(1, opts.max_iterations + 1):
         J = np.asarray(jacobian_fn(x), dtype=float)
-        g = J.T @ r
-        JtJ = J.T @ J
+        Jt = J.T
+        minus_g = -(Jt @ r)
+        JtJ = Jt @ J
 
         # Pure Gauss-Newton first; damping ladder only if it fails.
         accepted = False
         lam = 0.0
         while True:
-            step = _solve_step(JtJ, g, lam)
+            step = _solve_step(JtJ, minus_g, lam)
             if step is not None:
                 x_new = x + step
                 r_new = np.asarray(residual_fn(x_new), dtype=float)

@@ -228,8 +228,9 @@ def _checked(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
 
 def _triangle(recv: np.ndarray) -> float:
     """The diameter of a receiver triangle (3, 3); GeometryDegenerate when collinear."""
-    v1, v2, v3 = recv[1] - recv[0], recv[2] - recv[0], recv[2] - recv[1]
-    diam = math.sqrt(max(v1 @ v1, v2 @ v2, v3 @ v3))
+    sides = recv[[1, 2, 2]] - recv[[0, 0, 1]]
+    diam = math.sqrt(max(_rowdot(sides, sides).tolist()))
+    v1, v2, _ = sides.tolist()
     # hypot: twice the area without overflow, and exactly |normal_z| for a
     # triangle on the plane z = 0.
     if diam == 0.0 or math.hypot(*_cross(v1, v2)) <= 1e-12 * diam * diam:
@@ -301,9 +302,9 @@ class _PlaneRoots(NamedTuple):
 # _plane_batch's work rows are the linearized equations A_0, A_1, the null
 # direction n and the minimum-norm point m, each over (x, y, r0). These
 # pairs of them give A_0.A_0, A_0.A_1, A_1.A_1, n.n, then n.n, m.n, m.m.
-_GRAM = (np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]))
-_QUAD = (np.array([2, 3, 3]), np.array([2, 2, 3]))
-_SOLVE = (np.array([2, 0]), np.array([1, 1]))   # (g11, g00) and (g01, g01) of A A^T
+# Each lists the left rows, then the right ones.
+_GRAM = np.array([0, 0, 1, 2, 0, 1, 1, 2])
+_QUAD = np.array([2, 3, 3, 2, 2, 3])
 _FLOOR_ULPS = 8 * np.finfo(float).eps   # a root's rounding floor per unit of coordinate
 
 
@@ -333,30 +334,40 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
     """
     rows = len(deltas)
     planar = recv[:, :2]
-    e = planar[1:] - planar[0]
-    h = recv[:, 2] - plane
-    (ax, ay), (bx, by) = (2 * e).tolist()
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = recv.tolist()
+    ex1, ey1, ex2, ey2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    ax, ay, bx, by = 2 * ex1, 2 * ey1, 2 * ex2, 2 * ey2
+    h0, h1, h2 = z0 - plane, z1 - plane, z2 - plane
     W = np.empty((rows, 4, 3))
+    # A row whose numbers overflow ends NaN or infinite: no admissible root.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        W[:, :2, :2] = 2 * e
+        # |e_k|^2 + h_k^2 - h_0^2, where h_0^2 is a power, not a product: the
+        # two can differ in the last bit.
+        h0sq = np.float64(h0) ** 2
+        rhs = np.subtract((ex1 * ex1 + ey1 * ey1 + h1 * h1 - h0sq,
+                           ex2 * ex2 + ey2 * ey2 + h2 * h2 - h0sq), deltas * deltas)
+        W[:, :2, :2] = ((ax, ay), (bx, by))
         dz = W[:, :2, 2]
-        dz[...] = 2 * -deltas
-        rhs = (e * e).sum(axis=1) + h[1:] ** 2 - h[0] ** 2 - deltas ** 2
+        np.multiply(deltas, -2.0, out=dz)
         W[:, 2, :2] = dz[:, ::-1] * (ay, bx) - dz * (by, ax)   # A_0 x A_1
         W[:, 2, 2] = ax * by - ay * bx
-        g = _rowdot(W.take(_GRAM[0], axis=1), W.take(_GRAM[1], axis=1))
+        pairs = W.take(_GRAM, axis=1)
+        g = _rowdot(pairs[:, :4], pairs[:, 4:])
         g00, g01, g11, n_norm = g.T
         n_norm = np.sqrt(n_norm)
-        rank_def = n_norm <= _RANK_TOL * np.sqrt(g00 * g11)
+        g00g11 = g00 * g11
+        rank_def = n_norm <= _RANK_TOL * np.sqrt(g00g11)
         W[:, 2] /= n_norm[:, None]
-        # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0).
-        w = g.take(_SOLVE[0], axis=1) * rhs - g.take(_SOLVE[1], axis=1) * rhs[:, ::-1]
+        # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0);
+        # g[:, 2::-2] is (g11, g00).
+        w = g[:, 2::-2] * rhs - g01[:, None] * rhs[:, ::-1]
         W[:, 3] = (W[:, :2].swapaxes(1, 2) @ w[..., None])[..., 0] / \
-            (g00 * g11 - g01 * g01)[:, None]
+            (g00g11 - g01 * g01)[:, None]
         # a = |n_xy|^2 - n_z^2, b = 2 (m_xy . n_xy - m_z n_z), c = |m_xy|^2 + h_0^2 - m_z^2
-        left, right = W.take(_QUAD[0], axis=1), W.take(_QUAD[1], axis=1)
+        pairs = W.take(_QUAD, axis=1)
+        left, right = pairs[:, :3], pairs[:, 3:]
         quad = _rowdot(left[..., :2], right[..., :2])
-        quad[:, 2] += h[0] * h[0]
+        quad[:, 2] += h0 * h0
         quad -= left[..., 2] * right[..., 2]
         a, b, c = quad.T
         b = 2 * b
@@ -371,62 +382,61 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
         n, m = W[:, 2], W[:, 3]
         u = m[:, None] + t[..., None] * n[:, None]
         uxy = u[..., :2]
-        valid = u[..., 2] >= np.maximum(deltas.max(axis=1), 0.0)[:, None]
+        valid = u[..., 2] >= deltas.max(axis=1, initial=0.0)[:, None]
         valid &= np.sqrt(_rowdot(uxy, uxy)) <= _RUNAWAY_DIAMS * diam
         valid &= ~rank_def[:, None]
         roots = planar[0] + uxy
-    roots[~valid] = 0.0  # what follows never sees a slot without a root as inf or NaN
+        roots[~valid] = 0.0  # what follows never sees a slot without a root as inf or NaN
 
-    # Polish every admissible root against its row's rounding floor: a few
-    # ulps of the largest coordinate. A slot without a root has an infinite
-    # floor, so it never steps (its residuals may overflow, unused).
-    floor = _FLOOR_ULPS * (np.abs(roots).max(axis=(1, 2)) + np.abs(recv).max())
-    with np.errstate(over="ignore", invalid="ignore"):
+        # Polish every admissible root against its row's rounding floor: a few
+        # ulps of the largest coordinate. A slot without a root has an infinite
+        # floor, so it never steps (its residuals may overflow, unused).
+        reach = max(map(abs, (x0, y0, z0, x1, y1, z1, x2, y2, z2)))
+        floor = _FLOOR_ULPS * (np.abs(roots).reshape(rows, 4).max(axis=1) + reach)
         roots, norms = _polish(recv, deltas.repeat(2, axis=0), plane, roots.reshape(-1, 2),
                                np.where(valid, floor[:, None], np.inf).ravel())
-    roots, norms = roots.reshape(rows, 2, 2), norms.reshape(rows, 2)
+        roots, norms = roots.reshape(rows, 2, 2), norms.reshape(rows, 2)
 
-    # Candidates by norm, then x, y; the second one dropped within
-    # _DEDUP_TOL of the first; the residual-tied ones by distance to the
-    # receiver centroid, then x, y.
-    count = valid.sum(axis=1)
-    order = np.lexsort((roots[..., 1], roots[..., 0], norms, ~valid), axis=-1)
-    pick = np.arange(rows)[:, None]
-    roots, norms = roots[pick, order], norms[pick, order]
-    gap = roots[:, 1] - roots[:, 0]
-    count -= (count == 2) & (np.sqrt(_rowdot(gap, gap)) < _DEDUP_TOL)
-    second = count == 2
-    best = np.where(second & (norms[:, 1] < norms[:, 0]), norms[:, 1], norms[:, 0])
-    tied = norms <= (best + _TIE_EPS)[:, None]
-    tied[:, 1] &= second
-    pts = np.empty((rows, 2, 3))
-    pts[..., :2] = roots
-    pts[..., 2] = plane
-    gap = pts - recv.mean(axis=0)
-    dist = np.sqrt(_rowdot(gap, gap))
-    ties = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)
-    ties[:, 1] = np.where(tied.all(axis=1), ties[:, 1], ties[:, 0])
+        # Candidates by norm, then x, y; the second one dropped within
+        # _DEDUP_TOL of the first; the residual-tied ones by distance to the
+        # receiver centroid (a sum and a division, as np.mean), then x, y.
+        count = valid.sum(axis=1)
+        order = np.lexsort((roots[..., 1], roots[..., 0], norms, ~valid), axis=-1)
+        pick = np.arange(rows)[:, None]
+        roots, norms = roots[pick, order], norms[pick, order]
+        gap = roots[:, 1] - roots[:, 0]
+        count -= (count == 2) & (np.sqrt(_rowdot(gap, gap)) < _DEDUP_TOL)
+        # Sorted, the first candidate is the best one (admissible first, then
+        # the least norm, NaN last): it sets the tie, and a row is all tied
+        # when its second candidate is.
+        tied = norms <= (norms[:, :1] + _TIE_EPS)
+        tied[:, 1] &= count == 2
+        gap = np.empty((rows, 2, 3))
+        gap[..., :2] = roots - ((x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3)
+        gap[..., 2] = plane - (z0 + z1 + z2) / 3
+        dist = np.sqrt(_rowdot(gap, gap))
+        ties = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)
+        ties[:, 1] = np.where(tied[:, 1], ties[:, 1], ties[:, 0])
 
-    # Starts on the line for the rows with no root: the quadratic's vertex,
-    # and the point with the least far-field residual. Along the line every
-    # residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the vertex minimizes |q|,
-    # and t* minimizes the far-field |q| / r0^2 (a zero of
-    # (q' r0 - 2 q r0') / r0^3, linear in t).
-    starts = np.empty((rows, 2, 2))
-    start_ok = np.zeros((rows, 2), dtype=bool)
-    miss = np.nonzero(count == 0)[0]
-    if miss.size:
-        m, n, a, b, c = m[miss], n[miss], a[miss], b[miss], c[miss]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Starts on the line for the rows with no root: the quadratic's vertex,
+        # and the point with the least far-field residual. Along the line every
+        # residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the vertex minimizes |q|,
+        # and t* minimizes the far-field |q| / r0^2 (a zero of
+        # (q' r0 - 2 q r0') / r0^3, linear in t).
+        starts = np.empty((rows, 2, 2))
+        start_ok = np.zeros((rows, 2), dtype=bool)
+        miss = np.nonzero(count == 0)[0]
+        if miss.size:
+            m, n, a, b, c = m[miss], n[miss], a[miss], b[miss], c[miss]
             t = np.stack([-b / (2 * a), (2 * c * n[:, 2] - b * m[:, 2]) /
                           (2 * a * m[:, 2] - b * n[:, 2])], axis=1)
             pts = planar[0] + (m[:, None] + t[..., None] * n[:, None])[..., :2]
-        ok = np.isfinite(t) & ~rank_def[miss, None]
-        alone = ~ok.any(axis=1)
-        ok[alone, 0] = True
-        pts[alone, 0] = np.where(rank_def[miss][alone, None], planar.mean(axis=0),
-                                 planar[0] + m[alone, :2])
-        starts[miss], start_ok[miss] = pts, ok
+            ok = np.isfinite(t) & ~rank_def[miss, None]
+            alone = ~ok.any(axis=1)
+            ok[alone, 0] = True
+            pts[alone, 0] = np.where(rank_def[miss][alone, None], planar.mean(axis=0),
+                                     planar[0] + m[alone, :2])
+            starts[miss], start_ok[miss] = pts, ok
     return _PlaneRoots(roots, norms, count, ties, starts, start_ok)
 
 
@@ -443,7 +453,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int,
     non-finite difference, GeometryDegenerate (at the first row) for
     collinear receivers, NoConvergence when its fallback does not converge.
     """
-    finite = np.isfinite(deltas).all(axis=1)
+    finite = np.isfinite(deltas).all(axis=1).tolist()
 
     def check(k):
         if not finite[k]:
@@ -473,9 +483,9 @@ def _fix(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: flo
     if not count:
         return _fallback(recv, deltas[k], plane, dim, diam,
                          batch.starts[k][batch.start_ok[k]], opts)
-    roots, norms = batch.roots[k].tolist(), batch.norms[k].tolist()
+    norms = batch.norms[k].tolist()
     near, far = batch.ties[k].tolist()
-    cands = tuple((_point(roots[i], plane, dim), norms[i]) for i in range(count))
+    cands = tuple(zip([_point(x, plane, dim) for x in batch.roots[k, :count].tolist()], norms))
     return (SolveResult(estimate=cands[near][0], candidates=cands, residual_norm=norms[near],
                         iterations=0, converged=True), cands[far][0])
 

@@ -291,9 +291,6 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
     (within solver tolerance). Raises NoConvergence with the best iterate
     attached when the iteration budget runs out.
     """
-    opts = opts or SolverOptions()
-    anchors = problem.anchor_array
-    dists = problem.distance_array
     if isinstance(init, Point):
         if init.dim != problem.dimension:
             raise DimensionError(f"init is {init.dim}D, problem is {problem.dimension}D")
@@ -303,15 +300,21 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
         if x0.size != problem.dimension:
             raise DimensionError(f"init has {x0.size} coordinates, problem is "
                                  f"{problem.dimension}D")
+    return _lsq(problem.anchor_array, problem.distance_array, x0, opts)
 
+
+def _lsq(anchors: np.ndarray, ranges: np.ndarray, x0: np.ndarray,
+         opts: SolverOptions | None) -> SolveResult:
+    """trilaterate_lsq of anchors (E, D) and ranges (E,) from x0 (D,)."""
     def residual(x: np.ndarray) -> np.ndarray:
-        return _norms(x - anchors) - dists
+        return _norms(x - anchors) - ranges
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         return _unit_rows(x, anchors)
 
-    x, norm, iterations, converged = gauss_newton_raw(residual, jacobian, x0, opts)
-    estimate = Point.from_array(x, dim=problem.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge anchors: an overflowed step fails
+        x, norm, iterations, converged = gauss_newton_raw(residual, jacobian, x0, opts)
+    estimate = Point.of(*x.tolist())
     flags = frozenset({"inconsistent"}) if norm > INCONSISTENCY_TOL else frozenset()
     result = SolveResult(estimate=estimate, candidates=((estimate, norm),),
                          residual_norm=norm, iterations=iterations,
@@ -336,15 +339,19 @@ def team_relative_position(drones: Sequence[Point], emitter_estimates: Sequence[
     estimates = list(emitter_estimates)
     if not drones:
         raise ValidationError("at least one drone required", field="drones")
-    if dm.d.shape != (len(drones), len(estimates)):
+    n = len(drones)
+    if dm.d.shape != (n, len(estimates)):
         raise ValidationError(
             f"distance matrix shape {dm.d.shape} does not match "
-            f"{len(drones)} drones x {len(estimates)} emitters", field="dm")
-    dim = estimates[0].dim
+            f"{n} drones x {len(estimates)} emitters", field="dm")
+    dim = drones[0].dim
     if any(p.dim != dim for p in estimates) or any(p.dim != dim for p in drones):
         raise DimensionError("drones and emitter estimates must share one dimension")
-
-    averaged = dm.d.mean(axis=0)
-    problem = TrilaterationProblem(tuple(estimates), tuple(averaged), dim)
-    centroid = np.mean([p.coords for p in drones], axis=0)
-    return trilaterate_lsq(problem, centroid, opts)
+    if len(estimates) < 3:
+        raise ValidationError("at least 3 emitters required", field="emitters")
+    # Means as np.mean takes them: one sum, then one division.
+    averaged = dm.d.sum(axis=0) / n
+    if not np.isfinite(averaged).all():  # the sum can overflow
+        raise ValidationError("distances must be finite and >= 0", field="distances")
+    return _lsq(np.array([p.coords for p in estimates]), averaged,
+                np.array([p.coords for p in drones]).sum(axis=0) / n, opts)

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfloc import (Point, Scenario, TrilaterationProblem, distance, perturb_arrivals,
-                   simulate_arrivals, trilaterate_2d, trilaterate_3d)
+from rfloc import (DistanceMatrix, Point, Scenario, TrilaterationProblem, arrival_deltas,
+                   distance, locate_emitter_3d, perturb_arrivals, simulate_arrivals,
+                   team_relative_position, trilaterate_2d, trilaterate_3d)
 from rfloc import cli, errors as rfloc_errors, tdoa, trilat
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
-from rfloc.errors import Inconsistent, ParseError, RflocError, ValidationError
+from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, ValidationError
 from rfloc.simulate import perturb_sweep
+
+from conftest import pipeline_raw_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 BASELINE = os.path.join(SCENARIO_DIR, "trilat3d_baseline.json")
@@ -204,6 +207,57 @@ def test_pipeline_monte_carlo_rows_are_team_positions():
     for row in report["monte_carlo"]["rows"]:
         assert [row["x"], row["y"], row["z"]] == team["estimate"]
         assert row["error_m"] == team["error_m"]
+
+
+def _entry(result, **extra) -> dict:
+    return {**extra, "estimate": list(result.estimate.coords),
+            "residual_norm": result.residual_norm, "iterations": result.iterations,
+            "flags": sorted(result.flags),
+            "candidates": [[list(p.coords), n] for p, n in result.candidates]}
+
+
+def _composed_pipeline(sf) -> tuple[list[dict], list[str]]:
+    """A pipeline file's single fix from the public calls alone: its solve
+    entries, less truth and error, and the types of the errors raised."""
+    arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sf.noise_sigma_t, sf.seed)
+    centroid = np.mean([r.coords for r in sf.receivers], axis=0)
+    entries, selected = [], []
+    try:
+        for j in range(len(sf.emitters)):
+            result = locate_emitter_3d(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
+                                       sf.emitter_plane_z, sf.options)
+            # The residual-tied candidate (within 1e-9 m) farthest from the
+            # receiver centroid, ties by x, then y.
+            best = min(n for _, n in result.candidates)
+            far = max((p for p, n in result.candidates if n <= best + 1e-9),
+                      key=lambda p: (math.dist(p.coords, centroid), p.x, p.y))
+            selected.append(far)
+            entries.append(_entry(result, selected=list(far.coords)))
+        dm = DistanceMatrix(np.array([[distance(r, e) for e in selected]
+                                      for r in sf.receivers]))
+        entries.append(_entry(team_relative_position(sf.receivers, selected, dm, sf.options)))
+    except NoConvergence as exc:
+        return ([] if exc.best is None else [_entry(exc.best)]), ["NoConvergence"]
+    return entries, []
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-12, 1e-11])
+def test_pipeline_fix_equals_its_public_composition(sigma):
+    # rfloc run's pipeline fix (one emitter batch, one team step) against the
+    # public calls it stands for, bit for bit: the shipped scenario and 17
+    # criterion-4 geometries per noise level.
+    rng = np.random.default_rng(4242 + int(sigma * 1e12))
+    with open(PIPELINE) as fh:
+        docs = [json.load(fh)] + [pipeline_raw_scenario(rng) for _ in range(17)]
+    for k, doc in enumerate(docs):
+        doc["scenario"].update(noise_sigma_t=sigma, seed=k)
+        sf = _validate(doc)
+        report = run(sf)
+        entries, errors = _composed_pipeline(sf)
+        assert [e["type"] for e in report["errors"]] == errors
+        keys = ("selected", "estimate", "residual_norm", "iterations", "flags", "candidates")
+        got = [{key: e[key] for key in keys if key in e} for e in report["solves"]]
+        assert json.dumps(got) == json.dumps(entries)
 
 
 def test_monte_carlo_medians_increase_with_noise():
@@ -757,21 +811,34 @@ def _no_mc(doc):
     doc.pop("monte_carlo", None)
 
 
-@pytest.mark.parametrize("scenario, doc_edit", [
-    (PIPELINE, lambda d: (_no_mc(d), d["scenario"].update(noise_sigma_t=1e300))),
-    (PIPELINE, lambda d: d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e300]})),
-    (NOISE_SWEEP, lambda d: (_no_mc(d), d["scenario"].update(noise_sigma_t=1e300))),
-    (NOISE_SWEEP, lambda d: d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e300]})),
-    (NOISE_SWEEP, lambda d: d["scenario"].update(c=1e-320)),
+def _drones(receivers):
+    def edit(doc):
+        doc["scenario"]["receivers"] = receivers
+        doc["monte_carlo"] = {"trials": 3, "sigma_t_list": [0.0, 1e-11]}
+    return edit
+
+
+@pytest.mark.parametrize("scenario, doc_edit, code", [
+    (PIPELINE, lambda d: (_no_mc(d), d["scenario"].update(noise_sigma_t=1e300)), 1),
+    (PIPELINE, lambda d: d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e300]}), 1),
+    (NOISE_SWEEP, lambda d: (_no_mc(d), d["scenario"].update(noise_sigma_t=1e300)), 1),
+    (NOISE_SWEEP, lambda d: d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e300]}),
+     1),
+    (NOISE_SWEEP, lambda d: d["scenario"].update(c=1e-320), 1),
     (BASELINE, lambda d: (d["scenario"].pop("distances"),
                           d["scenario"].update(receivers=[[180.0, 90.0, 222.0]]),
                           d.update(monte_carlo={"trials": 20,
-                                                "sigma_t_list": [0.0, 1e300, 1.7e308]}))),
+                                                "sigma_t_list": [0.0, 1e300, 1.7e308]})), 1),
+    # The team least squares squares coordinates near 1e90 m: a complete report.
+    (PIPELINE, _drones([[-5e89, -5e89, 150.0], [5e89, -5e89, 150.0], [0.0, 5e89, 151.0]]), 0),
+    # The simulated distances overflow: 7 embedded errors.
+    (PIPELINE, _drones([[-1e308, -1e308, 0.0], [1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]]), 1),
 ], ids=["pipeline-noise", "pipeline-sweep", "tdoa2d-noise", "tdoa2d-sweep", "tiny-c",
-        "trilat-sweep"])
-def test_overflowing_runs_print_only_the_summary(tmp_path, scenario, doc_edit):
-    # Numbers that overflow end as errors in the report; numpy's warnings
-    # about them must not reach stderr, whose one line is the summary.
+        "trilat-sweep", "pipeline-drones-1e90", "pipeline-drones-1e308"])
+def test_overflowing_runs_print_only_the_summary(tmp_path, scenario, doc_edit, code):
+    # Numbers that overflow end as errors in the report, or in a complete
+    # one; numpy's warnings about them must not reach stderr, whose one line
+    # is the summary.
     with open(scenario) as fh:
         doc = json.load(fh)
     doc_edit(doc)
@@ -783,7 +850,8 @@ def test_overflowing_runs_print_only_the_summary(tmp_path, scenario, doc_edit):
     proc = subprocess.run([sys.executable, "-m", "rfloc", "run", str(path), "--output",
                            str(tmp_path / "r.json")], env=env, capture_output=True, text=True,
                           timeout=120)
-    assert proc.returncode == 1
+    assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith(f"{path}: mode=") and lines[0].endswith(" solve error(s)")
+    assert lines[0].startswith(f"{path}: mode=")
+    assert lines[0].endswith(" solve error(s)" if code else " ok")

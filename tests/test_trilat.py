@@ -363,3 +363,7 @@ def test_team_position_validation():
         team_relative_position((), REF_EMITTERS, dm)
     with pytest.raises(ValidationError):
         team_relative_position((Point.of(0, 0, 0),), REF_EMITTERS, dm)
+    drones = (Point.of(0, 0, 0),) * 3
+    for emitters in ([], REF_EMITTERS[:1], REF_EMITTERS[:2]):
+        with pytest.raises(ValidationError, match="at least 3 emitters"):
+            team_relative_position(drones, emitters, DistanceMatrix(np.zeros((3, len(emitters)))))

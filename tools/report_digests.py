@@ -1,0 +1,166 @@
+"""Digests of every `rfloc run` in a fixed parity corpus, one line per file.
+
+    python3 tools/report_digests.py --seeds 11 12 [--root TREE] [--workdir DIR]
+
+The corpus is the shipped scenarios, the pipeline_fix, trilat_sweep and
+tdoa2d_sweep files that perfbench/workloads.py generates for each seed (as
+`perfbench/run.py --seed N` generates them), and a fixed list of edge
+documents derived from the shipped ones: huge noise, huge or collinear
+geometry, a subnormal c, off-ground emitter planes and pipeline sweeps whose
+branches do not meet.
+
+Each line is: file, sha256 of the report less `timestamp` as
+json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
+exit code, and sha256 of stderr, each hash cut to 16 hex digits. Stderr is
+taken as a separate `rfloc run` process would print it: each warning once
+per source line and file, with TREE and DIR replaced by fixed names. Run it
+on two trees with the same seeds and compare the outputs with diff. rfloc
+and the generators are imported from TREE (default: the checkout this
+script is in).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# perfbench/run.py seeds a workload's generator with [seed, its index here].
+WORKLOAD_INDEX = {"pipeline_fix": 0, "trilat_sweep": 1, "tdoa2d_sweep": 3}
+
+
+def _edit(doc: dict, scenario=None, solve=None, monte_carlo=None, drop=()) -> dict:
+    doc = copy.deepcopy(doc)
+    for key in drop:
+        doc["scenario"].pop(key, None)
+    doc["scenario"].update(scenario or {})
+    doc["solve"].update(solve or {})
+    if monte_carlo is not None:
+        doc["monte_carlo"] = monte_carlo
+    return doc
+
+
+def _sweep(*sigmas, trials=20) -> dict:
+    return {"trials": trials, "sigma_t_list": list(sigmas)}
+
+
+def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
+    """The edge documents, by name, derived from the shipped scenarios."""
+    pipe, tdoa, trilat = (shipped["pipeline_demo"], shipped["tdoa2d_noise_sweep"],
+                          shipped["trilat3d_baseline"])
+    tdoa1 = copy.deepcopy(tdoa)
+    tdoa1.pop("monte_carlo")
+    tdoa3 = _edit(pipe, solve={"mode": "tdoa3d"})
+    collinear3 = [[0.0, 0.0, 150.0], [10.0, 0.0, 150.0], [20.0, 0.0, 150.0]]
+    coincident3 = [[10.0, -5.0, 150.0]] * 3
+    huge = [[-5e89, -5e89, 150.0], [5e89, -5e89, 150.0], [0.0, 5e89, 151.0]]
+    overflow = [[-1e308, -1e308, 0.0], [1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]]
+    trilat_receiver = {"receivers": [[180.0, 90.0, 222.0]]}
+    docs = {}
+    for tag, sigma in (("1e300", 1e300), ("1.7e308", 1.7e308)):
+        docs[f"pipeline_noise_{tag}"] = _edit(pipe, {"noise_sigma_t": sigma})
+        docs[f"pipeline_sweep_{tag}"] = _edit(pipe, monte_carlo=_sweep(0.0, sigma))
+        docs[f"tdoa2d_noise_{tag}"] = _edit(tdoa1, {"noise_sigma_t": sigma})
+        docs[f"tdoa2d_sweep_{tag}"] = _edit(tdoa, monte_carlo=_sweep(0.0, 1e-7, sigma))
+        docs[f"tdoa3d_noise_{tag}"] = _edit(tdoa3, {"noise_sigma_t": sigma})
+        docs[f"trilat3d_sweep_{tag}"] = _edit(trilat, trilat_receiver, drop=("distances",),
+                                              monte_carlo=_sweep(0.0, 1e-9, sigma))
+    for tag, receivers in (("huge_1e90", huge), ("overflow_1e308", overflow),
+                           ("collinear", collinear3), ("coincident", coincident3)):
+        docs[f"pipeline_{tag}"] = _edit(pipe, {"receivers": receivers})
+        docs[f"pipeline_{tag}_sweep"] = _edit(pipe, {"receivers": receivers},
+                                             monte_carlo=_sweep(0.0, 1e-11))
+        docs[f"tdoa3d_{tag}"] = _edit(tdoa3, {"receivers": receivers})
+    for tag, receivers in (("collinear", [[0, 0], [10, 0], [20, 0]]),
+                           ("coincident", [[5, 5]] * 3)):
+        docs[f"tdoa2d_{tag}"] = _edit(tdoa, {"receivers": receivers})
+    docs["tdoa2d_tiny_c"] = _edit(tdoa, {"c": 1e-320})
+    docs["pipeline_tiny_c"] = _edit(pipe, {"c": 1e-320})
+    docs["pipeline_tiny_c_sweep"] = _edit(pipe, {"c": 1e-320}, monte_carlo=_sweep(0.0, 1e-11))
+    for tag, plane in (("0.5", 0.5), ("-3", -3.0)):
+        docs[f"pipeline_plane_{tag}"] = _edit(pipe, solve={"emitter_plane_z": plane})
+        docs[f"pipeline_plane_{tag}_sweep"] = _edit(pipe, solve={"emitter_plane_z": plane},
+                                                    monte_carlo=_sweep(0.0, 1e-9))
+        docs[f"tdoa3d_plane_{tag}"] = _edit(tdoa3, solve={"emitter_plane_z": plane})
+    # Pipeline sweeps at noise where the branches of many trials do not meet.
+    for tag, sigma in (("1e-9", 1e-9), ("1e-7", 1e-7), ("1e-6", 1e-6)):
+        docs[f"pipeline_noroot_sweep_{tag}"] = _edit(pipe, monte_carlo=_sweep(0.0, sigma,
+                                                                              trials=40))
+        docs[f"pipeline_noroot_{tag}"] = _edit(pipe, {"noise_sigma_t": sigma, "seed": 3})
+    return docs
+
+
+def write_corpus(root: str, workdir: str, seeds: list[int]) -> list[str]:
+    """Write the corpus under workdir; returns its files, sorted."""
+    import numpy as np
+    import workloads
+
+    shipped = {}
+    for name in sorted(os.listdir(os.path.join(root, "scenarios"))):
+        with open(os.path.join(root, "scenarios", name), encoding="utf-8") as fh:
+            shipped[name[:-len(".json")]] = json.load(fh)
+    groups = {"shipped": shipped, "edge": edge_documents(shipped)}
+    for group, docs in groups.items():
+        os.makedirs(os.path.join(workdir, group))
+        for name, doc in docs.items():
+            with open(os.path.join(workdir, group, name + ".json"), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1)
+    for seed in seeds:
+        for workload, index in WORKLOAD_INDEX.items():
+            out = os.path.join(workdir, f"{workload}_{seed}")
+            os.makedirs(out)
+            generate = getattr(workloads, "gen_" + workload)
+            generate(np.random.default_rng([seed, index]), out, 1.0)
+    return sorted(os.path.join(d, f) for d, _, files in os.walk(workdir) for f in files)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digest_line(path: str, root: str, workdir: str) -> str:
+    from rfloc import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")   # once per source line, as a fresh process
+        code = cli.main(["run", path])
+    report_sha = csv_sha = "-"
+    if out.getvalue():
+        report = json.loads(out.getvalue())
+        report.pop("timestamp")
+        report_sha = _sha(json.dumps(report, indent=2))
+        csv_sha = _sha(cli.report_to_csv(report))
+    stderr = err.getvalue().replace(workdir, "<corpus>").replace(root, "<root>")
+    return f"{os.path.relpath(path, workdir)} {report_sha} {csv_sha} {code} {_sha(stderr)}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--root", default=ROOT, help="source tree to run (default: this one)")
+    parser.add_argument("--workdir", default=None,
+                        help="empty or missing directory for the corpus (default: a "
+                             "temporary one, removed afterwards)")
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    with contextlib.ExitStack() as stack:
+        workdir = args.workdir or stack.enter_context(tempfile.TemporaryDirectory())
+        workdir = os.path.abspath(workdir)
+        for path in write_corpus(root, workdir, args.seeds):
+            print(digest_line(path, root, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
