@@ -303,13 +303,14 @@ def _validate(raw) -> ScenarioFile:
 def parse_scenario(path: str) -> ScenarioFile:
     """Load and validate a scenario file.
 
-    Raises ParseError for malformed JSON (with line/column) and
-    ValidationError (naming the field) for schema violations.
+    Raises ParseError for a file that cannot be read or is not UTF-8, for
+    malformed JSON (with line/column), and ValidationError (naming the
+    field) for schema violations.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)

@@ -27,7 +27,6 @@ __all__ = [
     "true_distance_matrix",
     "simulate_arrivals",
     "perturb_arrivals",
-    "perturb_times",
     "perturb_sweep",
 ]
 
@@ -170,24 +169,17 @@ def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> Arrival
     return ArrivalSet(times, clock_model=arrivals.clock_model)
 
 
-def perturb_times(times: np.ndarray, sigma_t: float, seeds: Sequence[int]) -> np.ndarray:
-    """One jittered copy of times per seed, shape (len(seeds), *times.shape).
-
-    Copy k is what perturb_arrivals gives for seeds[k]: times plus
-    N(0, sigma_t) jitter from PCG64(seeds[k]). sigma_t = 0 gives the times
-    unchanged, as a read-only broadcast.
-    """
-    return perturb_sweep(times, (sigma_t,), seeds)[0]
-
-
 def perturb_sweep(times: np.ndarray, sigmas: Sequence[float],
                   seeds: Sequence[int]) -> list[np.ndarray]:
-    """perturb_times(times, sigma_t, seeds) for every sigma_t in sigmas.
+    """One jittered copy of times per seed, (len(seeds), *times.shape), for
+    every sigma_t in sigmas.
 
-    Each seed's standard normals z are drawn once, and only if some sigma_t is
-    above 0; every sigma_t then adds 0.0 + sigma_t * z, which is how
-    Generator.normal(0.0, sigma_t) turns the same z into jitter, so each copy
-    is bit-identical to a draw of its own.
+    Copy k is what perturb_arrivals gives for seeds[k]: times plus
+    N(0, sigma_t) jitter from PCG64(seeds[k]). Each seed's standard normals
+    z are drawn once, and only if some sigma_t is above 0; every sigma_t
+    then adds 0.0 + sigma_t * z, which is how Generator.normal(0.0, sigma_t)
+    turns the same z into jitter, so each copy is bit-identical to a draw of
+    its own. sigma_t = 0 gives the times unchanged, as a read-only broadcast.
     """
     for sigma_t in sigmas:
         if not (math.isfinite(sigma_t) and sigma_t >= 0.0):

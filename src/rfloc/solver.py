@@ -205,21 +205,21 @@ def gauss_newton(
     init may be a Point or an array. Raises NoConvergence (with the best
     iterate attached) when the iteration budget runs out.
     """
-    x0 = _as_vector(init)
-    x, norm, iterations, converged = gauss_newton_raw(residual_fn, jacobian_fn, x0, opts)
-    estimate = Point.from_array(x, dim=len(x))
-    result = SolveResult(
-        estimate=estimate,
-        candidates=((estimate, norm),),
-        residual_norm=norm,
-        iterations=iterations,
-        converged=converged,
-    )
+    x, norm, iters, ok = gauss_newton_raw(residual_fn, jacobian_fn, _as_vector(init), opts)
+    return _outcome(Point.from_array(x, dim=len(x)), norm, iters, ok,
+                    "no convergence after {iterations} iterations (residual norm {norm:.3e})")
+
+
+def _outcome(estimate: Point, norm: float, iterations: int, converged: bool, failure: str,
+             judge: bool = False) -> SolveResult:
+    """The SolveResult of a gauss_newton_raw run ending at estimate, its one candidate,
+    flagged inconsistent beyond INCONSISTENCY_TOL when judge is set. A run that did not
+    converge raises NoConvergence with it and failure.format(iterations=..., norm=...)."""
+    flags = frozenset({"inconsistent"} if judge and norm > INCONSISTENCY_TOL else ())
+    result = SolveResult(estimate=estimate, candidates=((estimate, norm),), residual_norm=norm,
+                         iterations=iterations, converged=converged, flags=flags)
     if not converged:
-        raise NoConvergence(
-            f"no convergence after {iterations} iterations (residual norm {norm:.3e})",
-            best=result,
-        )
+        raise NoConvergence(failure.format(iterations=iterations, norm=norm), best=result)
     return result
 
 

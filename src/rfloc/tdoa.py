@@ -41,8 +41,8 @@ from .errors import (
 )
 from .geometry import DirectionVector, Point, average_direction, direction_unit
 from .simulate import ArrivalSet
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
-                     _rowdot, _unit_rows, gauss_newton_raw)
+from .solver import (_TIE_EPS, SolveResult, SolverOptions, _cross, _norms, _outcome, _rowdot,
+                     _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDelta",
@@ -59,6 +59,7 @@ __all__ = [
 _DEDUP_TOL = 1e-6      # meters between distinct minimizers
 _RUNAWAY_DIAMS = 1e6   # points beyond this many triangle diameters are divergent
 _RANK_TOL = 1e-12      # relative: parallel linearized rows mean no unique line
+_POLISH_STEPS = 8      # Newton steps at most per root in _polish
 
 
 class RangeDelta(NamedTuple):
@@ -125,9 +126,10 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
     return RangeDifferenceSet(reference_index, tuple(zip(others, dt, dd)))
 
 
-def _ordered_receivers(receivers: Sequence[Point],
-                       rd: RangeDifferenceSet) -> tuple[np.ndarray, np.ndarray, int]:
-    """Receiver coordinates with the reference first, plus aligned delta_d array."""
+def _ordered_receivers(receivers: Sequence[Point], rd: RangeDifferenceSet,
+                       at: Point | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Receiver coordinates with the reference first, plus aligned delta_d
+    array; the point at, when given, must share the receivers' dimension."""
     dim = receivers[0].dim
     if any(p.dim != dim for p in receivers):
         raise DimensionError("receivers must share one dimension")
@@ -139,7 +141,22 @@ def _ordered_receivers(receivers: Sequence[Point],
             raise IndexError(f"receiver index {d.other_index} out of range")
     rows = [receivers[rd.reference_index].coords]
     rows += [receivers[d.other_index].coords for d in rd.deltas]
+    if at is not None and at.dim != dim:
+        raise DimensionError(f"dimension mismatch: point {at.dim}D, receivers {dim}D")
     return np.array(rows, dtype=float), np.array([d.delta_d for d in rd.deltas]), dim
+
+
+def _residuals(p: np.ndarray, recv: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """hyperbolic_residuals at points p (..., D) against the reference-first
+    receivers recv (m, D), each against its row of deltas: (..., m - 1)."""
+    d = _norms(p[..., None, :] - recv)
+    return d[..., :1] - d[..., 1:] - deltas
+
+
+def _jacobian(p: np.ndarray, recv: np.ndarray) -> np.ndarray:
+    """hyperbolic_jacobian at points p (..., D): (..., m - 1, D)."""
+    units = _unit_rows(p, recv)
+    return units[..., :1, :] - units[..., 1:, :]
 
 
 def hyperbolic_residuals(receivers: Sequence[Point], rd: RangeDifferenceSet,
@@ -148,13 +165,7 @@ def hyperbolic_residuals(receivers: Sequence[Point], rd: RangeDifferenceSet,
 
     The zero vector means p lies on every hyperbola (2D) / hyperboloid (3D).
     """
-    recv, deltas, dim = _ordered_receivers(receivers, rd)
-    if p.dim != dim:
-        raise DimensionError(f"dimension mismatch: point {p.dim}D, receivers {dim}D")
-    x = np.array(p.coords)
-    d_ref = float(np.linalg.norm(x - recv[0]))
-    return np.array([d_ref - float(np.linalg.norm(x - recv[k + 1])) - deltas[k]
-                     for k in range(len(deltas))])
+    return _residuals(np.array(p.coords), *_ordered_receivers(receivers, rd, p)[:2])
 
 
 def hyperbolic_jacobian(receivers: Sequence[Point], rd: RangeDifferenceSet,
@@ -165,11 +176,7 @@ def hyperbolic_jacobian(receivers: Sequence[Point], rd: RangeDifferenceSet,
     from receiver k. Points within 1e-9 m of a receiver are nudged along +x
     before differentiation (the unit vector is undefined at an anchor).
     """
-    recv, deltas, dim = _ordered_receivers(receivers, rd)
-    if p.dim != dim:
-        raise DimensionError(f"dimension mismatch: point {p.dim}D, receivers {dim}D")
-    units = _unit_rows(np.array(p.coords), recv)
-    return np.array([units[0] - units[k + 1] for k in range(len(deltas))])
+    return _jacobian(np.array(p.coords), _ordered_receivers(receivers, rd, p)[0])
 
 
 def hyperbolic_objective(receivers: Sequence[Point],
@@ -187,25 +194,24 @@ def hyperbolic_objective(receivers: Sequence[Point],
 
 
 def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
-    """Residual/Jacobian callables over the unknowns (x, y) on the plane
-    z = plane, against the receivers recv (m, 3).
+    """The hyperbolic model over the unknowns (x, y) on the plane z = plane,
+    against the receivers recv (m, 3): _residuals at the point (x, y, plane),
+    and the first two columns of its _jacobian.
 
     x may be one vector or rows (..., 2) of them, each against its row of
     deltas: residuals (..., 2), Jacobians (..., 2, 2).
     """
-    def points(x: np.ndarray) -> np.ndarray:
+    def lift(x: np.ndarray) -> np.ndarray:
         p = np.empty(x.shape[:-1] + (3,))
         p[..., :2] = x
         p[..., 2] = plane
         return p
 
     def residual(x: np.ndarray) -> np.ndarray:
-        d = _norms(points(x)[..., None, :] - recv)
-        return d[..., :1] - d[..., 1:] - deltas
+        return _residuals(lift(x), recv, deltas)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        units = _unit_rows(points(x), recv)
-        return units[..., :1, :2] - units[..., 1:, :2]
+        return _jacobian(lift(x), recv)[..., :2]
 
     return residual, jacobian
 
@@ -254,13 +260,13 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _polish(recv: np.ndarray, deltas: np.ndarray, plane: float, x: np.ndarray,
-            floor: np.ndarray, max_steps: int = 8) -> tuple[np.ndarray, np.ndarray]:
+            floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drive approximate roots to the residual floor with pure Newton steps.
 
     x is (M, k), one start per row of deltas (M, 2), polished in place, and
     floor (M,) the rows' residual floors. Near-tangent branch crossings
     leave the default stopping rules satisfied while the root is still
-    ~1e-2 m away; a few undamped steps accepted only on strict improvement
+    ~1e-2 m away; at most _POLISH_STEPS undamped steps accepted only on strict improvement
     pin it to machine precision. A row stops once its residual norm is at
     or below its floor (there a near-singular Jacobian turns rounding noise
     into a large step along the branches), or at its first step that is not
@@ -270,7 +276,7 @@ def _polish(recv: np.ndarray, deltas: np.ndarray, plane: float, x: np.ndarray,
     r = _closures(recv, deltas, plane)[0](x)
     f = _rowdot(r, r)
     live = np.nonzero(~(f <= floor2))[0]
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         if not live.size:
             break
         residual, jacobian = _closures(recv, deltas[live], plane)
@@ -505,18 +511,13 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
         start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
-    flags = frozenset({"inconsistent"} if norm > INCONSISTENCY_TOL else ())
     message = ("the branches do not meet and the least-squares run did not converge "
                "to a finite point")
     if not np.all(np.isfinite(x)):
         raise NoConvergence(f"{message}; the iterate is not finite")
     ok = ok and float(np.linalg.norm(x - recv[:, :2].mean(axis=0))) <= _RUNAWAY_DIAMS * diam
     p = _point(x, plane, dim)
-    result = SolveResult(estimate=p, candidates=((p, norm),), residual_norm=norm,
-                         iterations=iters, converged=ok, flags=flags)
-    if not result.converged:
-        raise NoConvergence(message, best=result)
-    return result, p
+    return _outcome(p, norm, iters, ok, message, judge=True), p
 
 
 def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,

@@ -21,13 +21,12 @@ from .errors import (
     DimensionError,
     GeometryDegenerate,
     Inconsistent,
-    NoConvergence,
     ValidationError,
 )
 from .geometry import Point
 from .simulate import DistanceMatrix
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross,
-                     _norms, _rowdot, _unit_rows, gauss_newton_raw, order_candidates)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
+                     _outcome, _rowdot, _unit_rows, gauss_newton_raw, order_candidates)
 
 __all__ = [
     "TrilaterationProblem",
@@ -81,8 +80,7 @@ def trilateration_residuals(problem: TrilaterationProblem, q: Point) -> np.ndarr
     """Residual per anchor: |q - emitter_i| - distance_i (meters)."""
     if q.dim != problem.dimension:
         raise DimensionError(f"point is {q.dim}D, problem is {problem.dimension}D")
-    x = np.array(q.coords)
-    return np.linalg.norm(x - problem.anchor_array, axis=1) - problem.distance_array
+    return _norms(np.array(q.coords) - problem.anchor_array) - problem.distance_array
 
 
 def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarray:
@@ -177,7 +175,7 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     two = radicand > _RADICAND_SLACK * ref
     t = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), ld(0.0))[:, None]
     roots = e[0] + np.stack([(p0 + t * u).astype(float), (p0 - t * u).astype(float)], axis=1)
-    r = np.linalg.norm(roots[:, :, None, :] - e, axis=-1) - ranges[:, None, :]
+    r = _norms(roots[:, :, None, :] - e) - ranges[:, None, :]
     return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
 
 
@@ -192,6 +190,14 @@ def _pick_second(roots: np.ndarray, norms: np.ndarray, two: np.ndarray) -> np.nd
         higher = (b[:, 2] > a[:, 2]) | ((b[:, 2] == a[:, 2]) & lex)
         second = tied[:, 1] & (~tied[:, 0] | higher)
     return two & second
+
+
+def _trilaterate_rows(anchors: np.ndarray, ranges: np.ndarray):
+    """The one closed-form step: _closed_form's five arrays, then the index
+    (0 or 1) of each row's estimate among its roots, from _pick_second."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a rejected row
+        out = _closed_form(anchors, ranges)
+    return (*out, _pick_second(*out[:3]).astype(int))
 
 
 def trilaterate_batch(anchors, ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,9 +222,7 @@ def _batch(anchors, ranges):
     if anchors.shape[0] != 3 or anchors.shape[1] not in (2, 3) or ranges.shape[1:] != (3,):
         raise ValueError(f"need anchors (3, 2|3) and ranges (N, 3), got "
                          f"{anchors.shape} and {ranges.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        roots, norms, two, radicand, miss = _closed_form(anchors, ranges)
-    pick = _pick_second(roots, norms, two).astype(int)
+    roots, norms, two, radicand, miss, pick = _trilaterate_rows(anchors, ranges)
     rows = np.arange(len(ranges))
     estimates, norm = roots[rows, pick], norms[rows, pick]
     rejected = miss | ~np.isfinite(norm) | ~np.isfinite(estimates).all(axis=1)
@@ -233,16 +237,15 @@ def _inconsistent(dim: int, radicand) -> Inconsistent:
 
 
 def _solve_one(problem: TrilaterationProblem) -> SolveResult:
-    """One problem through _closed_form, with every candidate and the flags."""
-    with np.errstate(invalid="ignore", over="ignore"):  # as _batch: a huge range overflows
-        roots, norms, two, radicand, miss = _closed_form(problem.anchor_array,
-                                                         problem.distance_array[None, :])
+    """One problem through _trilaterate_rows, with every candidate and the flags."""
+    roots, norms, two, radicand, miss, pick = _trilaterate_rows(
+        problem.anchor_array, problem.distance_array[None, :])
     if miss[0]:
         raise _inconsistent(problem.dimension, radicand[0])
     k = 2 if two[0] else 1
     cands = [(Point.from_array(r, dim=problem.dimension), float(n))
              for r, n in zip(roots[0, :k], norms[0, :k])]
-    estimate, norm = cands[int(_pick_second(roots, norms, two)[0])]
+    estimate, norm = cands[int(pick[0])]
     flags = set()
     if two[0] and problem.dimension == 3:
         flags.add("mirror_ambiguity")
@@ -314,15 +317,8 @@ def _lsq(anchors: np.ndarray, ranges: np.ndarray, x0: np.ndarray,
 
     with np.errstate(over="ignore", invalid="ignore"):  # huge anchors: an overflowed step fails
         x, norm, iterations, converged = gauss_newton_raw(residual, jacobian, x0, opts)
-    estimate = Point.of(*x.tolist())
-    flags = frozenset({"inconsistent"}) if norm > INCONSISTENCY_TOL else frozenset()
-    result = SolveResult(estimate=estimate, candidates=((estimate, norm),),
-                         residual_norm=norm, iterations=iterations,
-                         converged=converged, flags=flags)
-    if not converged:
-        raise NoConvergence(
-            f"trilaterate_lsq did not converge after {iterations} iterations", best=result)
-    return result
+    return _outcome(Point.of(*x.tolist()), norm, iterations, converged,
+                    "trilaterate_lsq did not converge after {iterations} iterations", judge=True)
 
 
 def team_relative_position(drones: Sequence[Point], emitter_estimates: Sequence[Point],

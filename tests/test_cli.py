@@ -855,3 +855,81 @@ def test_overflowing_runs_print_only_the_summary(tmp_path, scenario, doc_edit, c
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"{path}: mode=")
     assert lines[0].endswith(" solve error(s)" if code else " ok")
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys, verb):
+    # The byte 0xff inside a JSON string: the file is not UTF-8.
+    path = tmp_path / "latin.json"
+    path.write_bytes(json.dumps(_baseline_raw()).replace("trilat3d", "trilat3d\xff")
+                     .encode("latin-1"))
+    with pytest.raises(ParseError) as info:
+        parse_scenario(str(path))
+    assert str(path) in str(info.value)
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and str(path) in err
+
+
+_TRIANGLE_2D = [[0, 0], [1000, 0], [0, 1000]]
+_DRONES = [[10.12, -4.91, 149.8], [9.87, -5.2, 150.0], [10.05, -4.77, 150.2]]
+_GROUND = [[5200, 1400, 0], [-4100, 4800, 0], [-900, -6300, 0]]
+
+
+@pytest.mark.parametrize("mode, scenario, extra, rule", [
+    ("tdoa2d", {"emitters": [[400, 300]], "receivers": _TRIANGLE_2D[:2]}, {},
+     ("receivers", "needs exactly 3 receivers")),
+    ("pipeline", {"emitters": _GROUND, "receivers": _DRONES + [[0, 0, 150]]}, {},
+     ("receivers", "needs exactly 3 receivers")),
+    ("tdoa2d", {"emitters": [], "receivers": _TRIANGLE_2D}, {},
+     ("emitters", "needs at least 1 emitter")),
+    ("pipeline", {"emitters": _GROUND[:2], "receivers": _DRONES}, {},
+     ("emitters", "needs exactly 3 emitters")),
+    ("doppler", {"emitters": [], "receivers": []},
+     {"doppler": {"f_received": 1.0000001e9},
+      "monte_carlo": {"trials": 3, "sigma_t_list": [0.0]}},
+     ("monte_carlo", "not applicable to doppler")),
+    ("tdoa2d", {"emitters": [[400, 300], [-200, 100]], "receivers": _TRIANGLE_2D},
+     {"monte_carlo": {"trials": 3, "sigma_t_list": [0.0]}},
+     ("emitters", "expects exactly 1 emitter")),
+    ("trilat2d", {"emitters": _TRIANGLE_2D, "receivers": [[180, 90], [20, 30]]},
+     {"monte_carlo": {"trials": 3, "sigma_t_list": [0.0]}},
+     ("receivers", "expects exactly 1 receiver")),
+], ids=["tdoa-2-receivers", "pipeline-4-receivers", "tdoa-no-emitter",
+        "pipeline-2-emitters", "doppler-monte-carlo", "tdoa-sweep-2-emitters",
+        "trilat-sweep-2-receivers"])
+def test_mode_shape_rules_name_their_field(tmp_path, capsys, mode, scenario, extra, rule):
+    field, words = rule
+    doc = {"schema_version": 1, "scenario": scenario, "solve": {"mode": mode}, **extra}
+    with pytest.raises(ValidationError) as info:
+        _validate(doc)
+    assert info.value.field == field and words in str(info.value)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, scenario", [
+    ("trilat2d", {"emitters": [[0, 0], [250, 0], [500, 0]], "receivers": [[180, 90]]}),
+    ("trilat3d", {"emitters": [[0, 0, 0], [250, 0, 0], [500, 0, 0]],
+                  "receivers": [[180, 90, 222]]}),
+    ("tdoa2d", {"emitters": [[400, 300]], "receivers": [[0, 0], [10, 0], [20, 0]]}),
+    ("pipeline", {"emitters": _GROUND,
+                  "receivers": [[0, 0, 150], [10, 0, 150], [20, 0, 150]]}),
+])
+def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
+    # Collinear anchors or receivers: the batched sweeps hand every trial to
+    # its own solve, which reports GeometryDegenerate.
+    sigmas, trials = [0.0, 1e-9], 5
+    sf = _validate({"schema_version": 1, "scenario": {**scenario, "seed": 3},
+                    "solve": {"mode": mode},
+                    "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
+    arrivals = simulate_arrivals(sf.scenario())
+    times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(3, 3 + trials)))
+    sweep = cli._trilat_trials if mode.startswith("trilat") else cli._tdoa_trials
+    batched = sweep(sf, times)
+    alone = [cli._mc_trial(sf, t) for t in times]
+    assert [repr(o) for o in batched] == [repr(o) for o in alone]
+    assert len(batched) == trials * len(sigmas)
+    assert all(type(o) is rfloc_errors.GeometryDegenerate for o in batched)

@@ -15,7 +15,7 @@ from rfloc import (
     true_distance_matrix,
 )
 from rfloc.errors import DimensionError, InvalidNoise, ValidationError
-from rfloc.simulate import perturb_sweep, perturb_times
+from rfloc.simulate import perturb_sweep
 
 C = 3e8
 
@@ -127,16 +127,16 @@ def test_perturb_sample_std():
 def test_perturb_times_one_copy_per_seed():
     times = np.arange(6, dtype=float).reshape(2, 3) * 1e-6
     seeds = range(40, 45)
-    out = perturb_times(times, 1e-9, seeds)
+    [out] = perturb_sweep(times, [1e-9], seeds)
     assert out.shape == (5, 2, 3)
     for k, seed in enumerate(seeds):
         noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1e-9, size=(2, 3))
         assert np.array_equal(out[k], times + noise)
     assert np.array_equal(out[2], perturb_arrivals(ArrivalSet(times), 1e-9, seed=42).times)
-    still = perturb_times(times, 0.0, seeds)
+    [still] = perturb_sweep(times, [0.0], seeds)
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
-        perturb_times(times, math.inf, seeds)
+        perturb_sweep(times, [math.inf], seeds)
 
 
 @pytest.mark.parametrize("sigma", [5e-324, 1e-12, 1e-9, 1e-7, 1e300])
@@ -152,7 +152,7 @@ def test_perturb_sweep_scales_one_draw_bit_for_bit(sigma):
         noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, size=(2, 3))
         assert (0.0 + sigma * z).tobytes() == noise.tobytes()
         assert noisy[k].tobytes() == (times + noise).tobytes()
-    assert perturb_times(times, sigma, seeds).tobytes() == noisy.tobytes()
+    assert perturb_sweep(times, [sigma], seeds)[0].tobytes() == noisy.tobytes()
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
         perturb_sweep(times, [sigma, -1e-9], seeds)

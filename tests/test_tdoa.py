@@ -163,6 +163,36 @@ def test_jacobian_matches_finite_differences():
         assert np.linalg.norm(J - J_fd) / np.linalg.norm(J) < 1e-5
 
 
+@pytest.mark.parametrize("plane", [0.0, 0.5, -3.0])
+def test_plane_and_3d_jacobians_match_finite_differences(plane):
+    # The solvers iterate the plane-pinned model of _closures; its Jacobian
+    # and the 3D hyperbolic_jacobian it is cut from, against drone triangles
+    # with heights, at criterion 6's 1e-5 relative bound.
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        recv = np.column_stack((rng.uniform(-400, 400, (3, 2)), rng.uniform(50, 250, 3)))
+        emitter = np.array([*rng.uniform(-2000, 2000, 2), plane])
+        d = np.linalg.norm(recv - emitter, axis=1)
+        deltas = d[:1] - d[1:]
+        residual, jacobian = tdoa._closures(recv, deltas, plane)
+        q = rng.uniform(-2000, 2000, 2)
+        J, J_fd = jacobian(q), finite_difference_jacobian(residual, q, h=1e-5)
+        assert J.shape == (2, 2)
+        assert np.linalg.norm(J - J_fd) / np.linalg.norm(J) < 1e-5
+
+        receivers = tuple(Point.of(*r) for r in recv)
+        rd = RangeDifferenceSet.from_range_differences(0, [(1, deltas[0]), (2, deltas[1])], C)
+        q3 = np.array([*q, rng.uniform(-300, 300)])
+        if min(np.linalg.norm(q3 - r) for r in recv) < 1.0:
+            continue
+        J3 = hyperbolic_jacobian(receivers, rd, Point.of(*q3))
+        J3_fd = finite_difference_jacobian(
+            lambda x: hyperbolic_residuals(receivers, rd, Point.of(*x)), q3, h=1e-5)
+        assert np.linalg.norm(J3 - J3_fd) / np.linalg.norm(J3) < 1e-5
+        assert np.array_equal(jacobian(q), hyperbolic_jacobian(
+            receivers, rd, Point.of(*q, plane))[:, :2])
+
+
 def test_locate_2d_roundtrip_reference_case():
     emitter = Point.of(40, 30)
     rd = _deltas_from_truth(RECV_2D, emitter)

@@ -6,8 +6,8 @@ The corpus is the shipped scenarios, the pipeline_fix, trilat_sweep and
 tdoa2d_sweep files that perfbench/workloads.py generates for each seed (as
 `perfbench/run.py --seed N` generates them), and a fixed list of edge
 documents derived from the shipped ones: huge noise, huge or collinear
-geometry, a subnormal c, off-ground emitter planes and pipeline sweeps whose
-branches do not meet.
+geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
+off-ground emitter planes and pipeline sweeps whose branches do not meet.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -64,6 +64,9 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
     huge = [[-5e89, -5e89, 150.0], [5e89, -5e89, 150.0], [0.0, 5e89, 151.0]]
     overflow = [[-1e308, -1e308, 0.0], [1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]]
     trilat_receiver = {"receivers": [[180.0, 90.0, 222.0]]}
+    trilat2 = _edit(trilat, {"emitters": [[0.0, 0.0], [500.0, 0.0], [0.0, 500.0]],
+                             "receivers": [[180.0, 90.0]]},
+                    solve={"mode": "trilat2d"}, drop=("distances",))
     docs = {}
     for tag, sigma in (("1e300", 1e300), ("1.7e308", 1.7e308)):
         docs[f"pipeline_noise_{tag}"] = _edit(pipe, {"noise_sigma_t": sigma})
@@ -73,6 +76,14 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
         docs[f"tdoa3d_noise_{tag}"] = _edit(tdoa3, {"noise_sigma_t": sigma})
         docs[f"trilat3d_sweep_{tag}"] = _edit(trilat, trilat_receiver, drop=("distances",),
                                               monte_carlo=_sweep(0.0, 1e-9, sigma))
+    docs["trilat2d_sweep_1e300"] = _edit(trilat2, monte_carlo=_sweep(0.0, 1e-9, 1e300))
+    # Collinear anchors: every trial of the sweep is solved on its own.
+    docs["trilat2d_collinear_sweep"] = _edit(
+        trilat2, {"emitters": [[0.0, 0.0], [250.0, 0.0], [500.0, 0.0]]},
+        monte_carlo=_sweep(0.0, 1e-9))
+    docs["trilat3d_collinear_sweep"] = _edit(
+        trilat, {"emitters": [[0.0, 0.0, 0.0], [250.0, 0.0, 0.0], [500.0, 0.0, 0.0]],
+                 **trilat_receiver}, drop=("distances",), monte_carlo=_sweep(0.0, 1e-9))
     for tag, receivers in (("huge_1e90", huge), ("overflow_1e308", overflow),
                            ("collinear", collinear3), ("coincident", coincident3)):
         docs[f"pipeline_{tag}"] = _edit(pipe, {"receivers": receivers})
