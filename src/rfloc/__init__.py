@@ -9,34 +9,23 @@ __version__ = "0.1.0"
 
 from . import errors
 from .doppler import DopplerRange, DopplerReading, doppler_distance, doppler_shift
-from .geometry import (
-    DirectionVector,
-    Point,
-    average_direction,
-    direction_unit,
-    distance,
-    renormalize,
-)
+from .geometry import Point, distance
 from .simulate import (
     ArrivalSet,
     DistanceMatrix,
     Scenario,
     perturb_arrivals,
     simulate_arrivals,
-    true_distance_matrix,
 )
 from .solver import (
     SolveResult,
     SolverOptions,
     finite_difference_jacobian,
-    gauss_newton,
     grid_search,
 )
 from .tdoa import (
-    RangeDelta,
     RangeDifferenceSet,
     arrival_deltas,
-    combined_direction,
     hyperbolic_jacobian,
     hyperbolic_objective,
     hyperbolic_residuals,
@@ -58,11 +47,7 @@ __all__ = [
     "__version__",
     "errors",
     "Point",
-    "DirectionVector",
     "distance",
-    "direction_unit",
-    "average_direction",
-    "renormalize",
     "DopplerReading",
     "DopplerRange",
     "doppler_shift",
@@ -70,15 +55,12 @@ __all__ = [
     "Scenario",
     "ArrivalSet",
     "DistanceMatrix",
-    "true_distance_matrix",
     "simulate_arrivals",
     "perturb_arrivals",
     "SolverOptions",
     "SolveResult",
-    "gauss_newton",
     "finite_difference_jacobian",
     "grid_search",
-    "RangeDelta",
     "RangeDifferenceSet",
     "arrival_deltas",
     "hyperbolic_residuals",
@@ -86,7 +68,6 @@ __all__ = [
     "hyperbolic_objective",
     "locate_emitter_2d",
     "locate_emitter_3d",
-    "combined_direction",
     "TrilaterationProblem",
     "trilateration_residuals",
     "trilateration_jacobian",

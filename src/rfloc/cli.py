@@ -304,8 +304,9 @@ def parse_scenario(path: str) -> ScenarioFile:
     """Load and validate a scenario file.
 
     Raises ParseError for a file that cannot be read or is not UTF-8, for
-    malformed JSON (with line/column), and ValidationError (naming the
-    field) for schema violations.
+    malformed JSON (with line/column) or JSON nested deeper than the parser
+    can recurse, and ValidationError (naming the field) for schema
+    violations.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -316,6 +317,8 @@ def parse_scenario(path: str) -> ScenarioFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from exc
     return _validate(raw)
 
 

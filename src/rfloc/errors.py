@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Two broad families matter to callers: input/validation problems
-(ParseError, ValidationError, DimensionError, InvalidNoise) and solve-time
-problems (GeometryDegenerate, NoConvergence, Inconsistent, BudgetExceeded).
-The CLI maps the first family to exit code 2 and the second to exit code 1.
+Every error is an RflocError. The CLI exits 2 on a ParseError or a
+ValidationError raised while it reads and validates a scenario file. Any
+RflocError raised inside `cli.run`, such as a solve's GeometryDegenerate,
+NoConvergence or Inconsistent, is embedded in the report's errors list
+instead, and the CLI exits 1.
 """
 
 
@@ -13,14 +14,6 @@ class RflocError(Exception):
 
 class DimensionError(RflocError):
     """Operands live in different dimensions (2D vs 3D), or an unsupported one."""
-
-
-class DegenerateDirection(RflocError):
-    """A direction was requested between coincident points (zero-length vector)."""
-
-
-class EmptyInput(RflocError):
-    """An aggregate operation received an empty collection."""
 
 
 class InvalidNoise(RflocError):

@@ -1,18 +1,16 @@
 """Forward scenario simulator: true ranges, arrival timestamps, timing noise.
 
-All receivers timestamp against one shared clock by default; an optional
-per-receiver offset list exists to show what breaks when that assumption is
-violated. Timing noise is zero-mean Gaussian jitter: one array of standard
-normals per seed from numpy's PCG64 generator, scaled by sigma exactly as
-Generator.normal scales it, so identical (arrivals, sigma, seed) triples
-reproduce bit-identical output on any platform, and one draw serves every
-sigma of a sweep.
+All receivers timestamp against one shared clock. Timing noise is
+zero-mean Gaussian jitter: one array of standard normals per seed from
+numpy's PCG64 generator, scaled by sigma exactly as Generator.normal scales
+it, so identical (arrivals, sigma, seed) triples reproduce bit-identical
+output on any platform, and one draw serves every sigma of a sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +22,6 @@ __all__ = [
     "Scenario",
     "ArrivalSet",
     "DistanceMatrix",
-    "true_distance_matrix",
     "simulate_arrivals",
     "perturb_arrivals",
     "perturb_sweep",
@@ -84,7 +81,6 @@ class ArrivalSet:
     """Arrival timestamps in seconds, indexed [receiver][emitter]."""
 
     times: np.ndarray
-    clock_model: str | tuple[float, ...] = "shared"
 
     def __post_init__(self):
         object.__setattr__(self, "times", _frozen_array(self.times))
@@ -92,16 +88,6 @@ class ArrivalSet:
             raise ValidationError("times must be a receiver-by-emitter matrix", field="times")
         if not np.isfinite(self.times).all():
             raise ValidationError("arrival times must be finite", field="times")
-        if isinstance(self.clock_model, str):
-            if self.clock_model != "shared":
-                raise ValidationError("clock_model must be 'shared' or an offset tuple",
-                                      field="clock_model")
-        else:
-            offsets = tuple(float(o) for o in self.clock_model)
-            if len(offsets) != self.times.shape[0]:
-                raise ValidationError("one clock offset per receiver required",
-                                      field="clock_model")
-            object.__setattr__(self, "clock_model", offsets)
 
 
 @dataclass(frozen=True)
@@ -130,30 +116,13 @@ def _distances(scenario: Scenario) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=2))
 
 
-def true_distance_matrix(scenario: Scenario) -> DistanceMatrix:
-    """d[i][j] = Euclidean distance from receiver i to emitter j."""
-    with np.errstate(over="ignore"):  # DistanceMatrix refuses an overflowed distance
-        return DistanceMatrix(_distances(scenario))
-
-
-def simulate_arrivals(scenario: Scenario,
-                      clock_offsets: Sequence[float] | None = None) -> ArrivalSet:
-    """Noise-free arrivals: times[i][j] = emission_time + d[i][j] / c.
-
-    clock_offsets, when given, adds a fixed per-receiver timestamp offset and
-    tags the result accordingly; the default models the shared-clock setup.
-    """
+def simulate_arrivals(scenario: Scenario) -> ArrivalSet:
+    """Noise-free arrivals: times[i][j] = emission_time + d[i][j] / c."""
     with np.errstate(over="ignore"):  # an overflowed distance or time is refused
         d = _distances(scenario)
         times = scenario.emission_time + d / scenario.c
     _check_distances(d)
-    if clock_offsets is None:
-        return ArrivalSet(times, clock_model="shared")
-    offsets = tuple(float(o) for o in clock_offsets)
-    if len(offsets) != len(scenario.receivers):
-        raise ValidationError("one clock offset per receiver required", field="clock_offsets")
-    times = times + np.array(offsets)[:, None]
-    return ArrivalSet(times, clock_model=offsets)
+    return ArrivalSet(times)
 
 
 def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> ArrivalSet:
@@ -166,7 +135,7 @@ def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> Arrival
     if sigma_t == 0.0:
         return arrivals
     times = perturb_sweep(arrivals.times, (sigma_t,), (seed,))[0][0]
-    return ArrivalSet(times, clock_model=arrivals.clock_model)
+    return ArrivalSet(times)
 
 
 def perturb_sweep(times: np.ndarray, sigmas: Sequence[float],

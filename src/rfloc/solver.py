@@ -24,7 +24,6 @@ from .geometry import Point
 __all__ = [
     "SolverOptions",
     "SolveResult",
-    "gauss_newton",
     "finite_difference_jacobian",
     "grid_search",
 ]
@@ -192,24 +191,6 @@ def _as_vector(init) -> np.ndarray:
     return np.asarray(init, dtype=float).ravel()
 
 
-def gauss_newton(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    init,
-    opts: SolverOptions | None = None,
-) -> SolveResult:
-    """Minimize the squared residual norm from a single starting point.
-
-    residual_fn and jacobian_fn take a coordinate vector of length 2 or 3
-    (the solved dimension) and return the residual vector / its Jacobian.
-    init may be a Point or an array. Raises NoConvergence (with the best
-    iterate attached) when the iteration budget runs out.
-    """
-    x, norm, iters, ok = gauss_newton_raw(residual_fn, jacobian_fn, _as_vector(init), opts)
-    return _outcome(Point.from_array(x, dim=len(x)), norm, iters, ok,
-                    "no convergence after {iterations} iterations (residual norm {norm:.3e})")
-
-
 def _outcome(estimate: Point, norm: float, iterations: int, converged: bool, failure: str,
              judge: bool = False) -> SolveResult:
     """The SolveResult of a gauss_newton_raw run ending at estimate, its one candidate,
@@ -310,4 +291,4 @@ def grid_search(
 
     if best_node is None:
         raise ValueError("objective has no finite value on the lattice")
-    return Point.from_array(best_node, dim=dim), best_val
+    return Point.of(*best_node.tolist()), best_val

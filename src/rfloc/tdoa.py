@@ -32,20 +32,18 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    DegenerateDirection,
     DimensionError,
     GeometryDegenerate,
     InsufficientReceivers,
     NoConvergence,
     ValidationError,
 )
-from .geometry import DirectionVector, Point, average_direction, direction_unit
+from .geometry import Point
 from .simulate import ArrivalSet
 from .solver import (_TIE_EPS, SolveResult, SolverOptions, _cross, _norms, _outcome, _rowdot,
                      _unit_rows, gauss_newton_raw)
 
 __all__ = [
-    "RangeDelta",
     "RangeDifferenceSet",
     "arrival_deltas",
     "hyperbolic_residuals",
@@ -53,7 +51,6 @@ __all__ = [
     "hyperbolic_objective",
     "locate_emitter_2d",
     "locate_emitter_3d",
-    "combined_direction",
 ]
 
 _DEDUP_TOL = 1e-6      # meters between distinct minimizers
@@ -62,7 +59,7 @@ _RANK_TOL = 1e-12      # relative: parallel linearized rows mean no unique line
 _POLISH_STEPS = 8      # Newton steps at most per root in _polish
 
 
-class RangeDelta(NamedTuple):
+class _RangeDelta(NamedTuple):
     other_index: int
     delta_t: float   # seconds, t_ref - t_other
     delta_d: float   # meters, c * delta_t
@@ -73,12 +70,12 @@ class RangeDifferenceSet:
     """Arrival-time and range differences of every receiver against a reference."""
 
     reference_index: int
-    deltas: tuple[RangeDelta, ...]
+    deltas: tuple[_RangeDelta, ...]
 
     def __post_init__(self):
         object.__setattr__(
             self, "deltas",
-            tuple(RangeDelta(int(d[0]), float(d[1]), float(d[2])) for d in self.deltas))
+            tuple(_RangeDelta(int(d[0]), float(d[1]), float(d[2])) for d in self.deltas))
         others = [d.other_index for d in self.deltas]
         if self.reference_index in others:
             raise ValueError("reference receiver cannot appear as 'other'")
@@ -94,7 +91,7 @@ class RangeDifferenceSet:
                                c: float) -> "RangeDifferenceSet":
         """Build from (other_index, delta_d meters) pairs, deriving delta_t = delta_d / c."""
         return cls(reference_index,
-                   tuple(RangeDelta(i, dd / c, dd) for i, dd in pairs))
+                   tuple(_RangeDelta(i, dd / c, dd) for i, dd in pairs))
 
 
 def _range_differences(times: np.ndarray, c: float, reference_index: int = 0) -> np.ndarray:
@@ -564,16 +561,3 @@ def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
             "receivers give two range differences, too few for a free emitter height",
             field="emitter_plane_z")
     return _fixes(recv, deltas[None], float(emitter_plane_z), 3, opts or SolverOptions())[0][0]
-
-
-def combined_direction(receivers: Sequence[Point], emitter: Point) -> DirectionVector:
-    """Average of the per-receiver unit vectors toward the emitter.
-
-    Exactly the composition of direction_unit and average_direction; the
-    result is generally shorter than unit length (renormalize separately if
-    a unit heading is needed). Raises DegenerateDirection when the emitter
-    coincides with a receiver.
-    """
-    if not receivers:
-        raise DegenerateDirection("no receivers to take directions from")
-    return average_direction([direction_unit(r, emitter) for r in receivers])

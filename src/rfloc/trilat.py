@@ -35,10 +35,8 @@ __all__ = [
     "trilateration_objective",
     "trilaterate_2d",
     "trilaterate_3d",
-    "trilaterate_batch",
     "trilaterate_lsq",
     "team_relative_position",
-    "INCONSISTENCY_TOL",
 ]
 
 _RADICAND_SLACK = 1e-9  # relative: radicand >= -slack * d^2 clamps to 0
@@ -200,23 +198,18 @@ def _trilaterate_rows(anchors: np.ndarray, ranges: np.ndarray):
     return (*out, _pick_second(*out[:3]).astype(int))
 
 
-def trilaterate_batch(anchors, ranges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch(anchors, ranges):
     """Closed-form trilateration of N range triples against one anchor triangle.
 
     anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns the
-    estimates (N, D), their residual norms (N,) and a mask of the rows the
-    closed form rejects: a radicand below the slack (trilaterate_2d/_3d
-    raise Inconsistent there) or a non-finite result. Every other row is
-    bit-identical to trilaterate_2d/_3d's estimate and residual norm for
-    that row. Raises GeometryDegenerate for collinear or coincident anchors.
+    estimates (N, D), their residual norms (N,), a mask of the rows the
+    closed form rejects (a radicand below the slack, or a non-finite
+    result), the radicand-miss mask and the radicands: the rows where
+    trilaterate_2d/_3d raise _inconsistent(D, radicand). Every row not
+    rejected is bit-identical to trilaterate_2d/_3d's estimate and residual
+    norm for that row. Raises GeometryDegenerate for collinear or coincident
+    anchors.
     """
-    return _batch(anchors, ranges)[:3]
-
-
-def _batch(anchors, ranges):
-    """trilaterate_batch's estimates, norms and rejected mask, then the
-    radicand-miss mask and the radicands: the rows where trilaterate_2d/_3d
-    raise _inconsistent(D, radicand)."""
     anchors = np.asarray(anchors, dtype=float)
     ranges = np.asarray(ranges, dtype=float)
     if anchors.shape[0] != 3 or anchors.shape[1] not in (2, 3) or ranges.shape[1:] != (3,):
@@ -243,8 +236,7 @@ def _solve_one(problem: TrilaterationProblem) -> SolveResult:
     if miss[0]:
         raise _inconsistent(problem.dimension, radicand[0])
     k = 2 if two[0] else 1
-    cands = [(Point.from_array(r, dim=problem.dimension), float(n))
-             for r, n in zip(roots[0, :k], norms[0, :k])]
+    cands = [(Point.of(*r.tolist()), float(n)) for r, n in zip(roots[0, :k], norms[0, :k])]
     estimate, norm = cands[int(pick[0])]
     flags = set()
     if two[0] and problem.dimension == 3:

@@ -871,6 +871,22 @@ def test_non_utf8_file_is_an_input_error(tmp_path, capsys, verb):
     assert "input error" in err and str(path) in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_deeply_nested_file_is_an_input_error(tmp_path, capsys, verb):
+    # 3,000 levels of arrays under emitters: json.loads raises RecursionError.
+    # Written as raw text, since json.dump would recurse as deep.
+    raw = _baseline_raw()
+    raw["scenario"]["emitters"] = "NESTED"
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(raw).replace('"NESTED"', "[" * 3000 + "]" * 3000))
+    with pytest.raises(ParseError) as info:
+        parse_scenario(str(path))
+    assert str(path) in str(info.value)
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err
+
+
 _TRIANGLE_2D = [[0, 0], [1000, 0], [0, 1000]]
 _DRONES = [[10.12, -4.91, 149.8], [9.87, -5.2, 150.0], [10.05, -4.77, 150.2]]
 _GROUND = [[5200, 1400, 0], [-4100, 4800, 0], [-900, -6300, 0]]

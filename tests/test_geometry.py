@@ -1,19 +1,10 @@
-"""Distance, unit directions, and direction averaging."""
-
-import math
+"""Points and distance."""
 
 import numpy as np
 import pytest
 
-from rfloc import (
-    DirectionVector,
-    Point,
-    average_direction,
-    direction_unit,
-    distance,
-    renormalize,
-)
-from rfloc.errors import DegenerateDirection, DimensionError, EmptyInput
+from rfloc import Point, distance
+from rfloc.errors import DimensionError
 
 
 def test_distance_identity():
@@ -61,87 +52,3 @@ def test_point_validation():
         Point.of(1.0)
     with pytest.raises(DimensionError):
         Point(1.0, 2.0, 3.0, dim=2)  # 2D points carry z == 0
-
-
-def test_direction_axis_aligned():
-    d = direction_unit(Point.of(0, 0), Point.of(10, 0))
-    assert d.components == (1.0, 0.0)
-    assert d.unit
-
-
-def test_direction_345():
-    d = direction_unit(Point.of(0, 0), Point.of(3, 4))
-    assert d.components == (0.6, 0.8)
-
-
-def test_direction_coincident():
-    with pytest.raises(DegenerateDirection):
-        direction_unit(Point.of(5, 5), Point.of(5, 5))
-
-
-def test_direction_unit_norm_property():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        p = Point.of(*rng.uniform(-1e3, 1e3, size=3))
-        q = Point.of(*rng.uniform(-1e3, 1e3, size=3))
-        d = direction_unit(p, q)
-        assert abs(math.hypot(*d.components) - 1.0) <= 1e-12
-
-
-def test_average_identical_vectors_exact():
-    v = DirectionVector((1.0, 0.0), unit=True)
-    out = average_direction([v, v, v])
-    assert out.components == (1.0, 0.0)
-    assert not out.unit
-
-
-def test_average_identical_random_exact():
-    # The mean of n copies must reproduce the vector bit-for-bit.
-    rng = np.random.default_rng(14)
-    for _ in range(200):
-        raw = rng.uniform(-1, 1, size=2)
-        raw /= np.linalg.norm(raw)
-        v = DirectionVector(tuple(raw), unit=True)
-        n = int(rng.integers(1, 8))
-        assert average_direction([v] * n).components == v.components
-
-
-def test_average_componentwise():
-    dirs = [DirectionVector((1.0, 0.0), unit=True),
-            DirectionVector((0.0, 1.0), unit=True),
-            DirectionVector((0.0, 1.0), unit=True)]
-    out = average_direction(dirs)
-    assert out.components == (1.0 / 3.0, 2.0 / 3.0)
-
-
-def test_average_antipodal_cancellation():
-    dirs = [DirectionVector((1.0, 0.0), unit=True),
-            DirectionVector((-1.0, 0.0), unit=True)]
-    out = average_direction(dirs)
-    assert out.components == (0.0, 0.0)
-    assert not out.unit
-
-
-def test_average_empty():
-    with pytest.raises(EmptyInput):
-        average_direction([])
-
-
-def test_average_mixed_dimensions():
-    with pytest.raises(DimensionError):
-        average_direction([DirectionVector((1.0, 0.0), unit=True),
-                           DirectionVector((1.0, 0.0, 0.0), unit=True)])
-
-
-def test_renormalize():
-    v = DirectionVector((0.5, 0.5), unit=False)
-    out = renormalize(v)
-    assert out.unit
-    assert abs(math.hypot(*out.components) - 1.0) <= 1e-12
-    with pytest.raises(DegenerateDirection):
-        renormalize(DirectionVector((0.0, 0.0), unit=False))
-
-
-def test_direction_vector_unit_flag_invariant():
-    with pytest.raises(ValueError):
-        DirectionVector((0.5, 0.5), unit=True)  # norm is not 1

@@ -12,17 +12,16 @@ from rfloc import (
     distance,
     perturb_arrivals,
     simulate_arrivals,
-    true_distance_matrix,
 )
 from rfloc.errors import DimensionError, InvalidNoise, ValidationError
-from rfloc.simulate import perturb_sweep
+from rfloc.simulate import _distances, perturb_sweep
 
 C = 3e8
 
 
 def test_distance_matrix_coincident():
     s = Scenario(emitters=(Point.of(0, 0, 0),), receivers=(Point.of(0, 0, 0),))
-    assert true_distance_matrix(s).d.tolist() == [[0.0]]
+    assert _distances(s).tolist() == [[0.0]]
 
 
 def test_distance_matrix_reference_geometry():
@@ -30,7 +29,7 @@ def test_distance_matrix_reference_geometry():
     s = Scenario(
         emitters=(Point.of(0, 0, 0), Point.of(500, 0, 0), Point.of(0, 500, 0)),
         receivers=(Point.of(180, 90, z),))
-    d = true_distance_matrix(s).d
+    d = _distances(s)
     assert d[0] == pytest.approx([300.0, 400.0, 500.0], abs=1e-9)
 
 
@@ -38,7 +37,7 @@ def test_distance_matrix_matches_distance_op():
     s = Scenario(
         emitters=(Point.of(0, 0), Point.of(100, 0), Point.of(0, 100)),
         receivers=(Point.of(40, 30),))
-    d = true_distance_matrix(s).d
+    d = _distances(s)
     expected = [distance(s.receivers[0], e) for e in s.emitters]
     assert d[0].tolist() == expected
     assert expected == pytest.approx([50.0, math.sqrt(4500.0), math.sqrt(6500.0)])
@@ -78,7 +77,7 @@ def test_roundtrip_range_differences():
         receivers = tuple(Point.of(*rng.uniform(-2000, 2000, 3)) for _ in range(3))
         s = Scenario(emitters=emitters, receivers=receivers,
                      emission_time=rng.uniform(0, 1e-3))
-        d = true_distance_matrix(s).d
+        d = _distances(s)
         t = simulate_arrivals(s).times
         for j in range(len(emitters)):
             for i in range(3):
@@ -86,17 +85,6 @@ def test_roundtrip_range_differences():
                     got = s.c * (t[i, j] - t[k, j])
                     want = d[i, j] - d[k, j]
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-6)
-
-
-def test_clock_offsets():
-    s = Scenario(emitters=(Point.of(0, 0),),
-                 receivers=(Point.of(300, 0), Point.of(600, 0)), c=C)
-    shared = simulate_arrivals(s)
-    assert shared.clock_model == "shared"
-    skewed = simulate_arrivals(s, clock_offsets=[0.0, 1e-6])
-    assert skewed.clock_model == (0.0, 1e-6)
-    assert skewed.times[0, 0] == shared.times[0, 0]
-    assert skewed.times[1, 0] == shared.times[1, 0] + 1e-6
 
 
 def test_perturb_zero_sigma_identity():
@@ -183,5 +171,3 @@ def test_scenario_validation():
 def test_arrival_set_validation():
     with pytest.raises(ValidationError):
         ArrivalSet(np.array([[np.inf]]))
-    with pytest.raises(ValidationError):
-        ArrivalSet(np.zeros((2, 2)), clock_model=(0.0,))  # one offset per receiver

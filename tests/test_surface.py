@@ -1,0 +1,89 @@
+"""The package's public surface: no dead imports, honest __all__ lists, and
+a pinned set of top-level names.
+
+The import and __all__ checks parse src/rfloc/*.py with the standard
+library's ast module, so they need no linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rfloc
+
+SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
+
+# A name stays public only if the CLI, a grid oracle, the acceptance module
+# or a documented paper step calls it. Adding one is a change to review.
+PUBLIC = {
+    "__version__", "errors",
+    "Point", "distance",
+    "DopplerReading", "DopplerRange", "doppler_shift", "doppler_distance",
+    "Scenario", "ArrivalSet", "DistanceMatrix", "simulate_arrivals", "perturb_arrivals",
+    "SolverOptions", "SolveResult", "finite_difference_jacobian", "grid_search",
+    "RangeDifferenceSet", "arrival_deltas", "hyperbolic_residuals", "hyperbolic_jacobian",
+    "hyperbolic_objective", "locate_emitter_2d", "locate_emitter_3d",
+    "TrilaterationProblem", "trilateration_residuals", "trilateration_jacobian",
+    "trilateration_objective", "trilaterate_2d", "trilaterate_3d", "trilaterate_lsq",
+    "team_relative_position",
+}
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import -> its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    return names
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module defines itself: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_all(tree))
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_lists_only_defined_names(path):
+    # A module lists what it defines; only the package __init__ re-exports.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    known = _defined(tree)
+    if path.name == "__init__.py":
+        known |= set(_imported(tree))
+    missing = [name for name in _all(tree) if name not in known]
+    assert not missing, f"{path.name}: __all__ names it does not define: {missing}"
+
+
+def test_public_surface_is_pinned():
+    assert len(rfloc.__all__) == len(set(rfloc.__all__))
+    assert set(rfloc.__all__) == PUBLIC
+    for name in rfloc.__all__:
+        getattr(rfloc, name)

@@ -14,9 +14,6 @@ from rfloc import (
     Scenario,
     SolverOptions,
     arrival_deltas,
-    average_direction,
-    combined_direction,
-    direction_unit,
     distance,
     finite_difference_jacobian,
     grid_search,
@@ -28,7 +25,6 @@ from rfloc import (
     simulate_arrivals,
 )
 from rfloc.errors import (
-    DegenerateDirection,
     GeometryDegenerate,
     InsufficientReceivers,
     NoConvergence,
@@ -302,28 +298,6 @@ def test_locate_3d_collinear():
     rd = RangeDifferenceSet.from_range_differences(0, [(1, 1.0), (2, 2.0)], C)
     with pytest.raises(GeometryDegenerate):
         locate_emitter_3d(drones, rd)
-
-
-def test_combined_direction_far_field():
-    receivers = (Point.of(-1, 0), Point.of(1, 0))
-    v = combined_direction(receivers, Point.of(0, 1e9))
-    assert v.components == pytest.approx((0.0, 1.0), abs=1e-9)
-
-
-def test_combined_direction_composition():
-    emitter = Point.of(40, 30)
-    expected = average_direction([direction_unit(r, emitter) for r in RECV_2D])
-    assert combined_direction(RECV_2D, emitter) == expected
-
-
-def test_combined_direction_single_receiver():
-    v = combined_direction((Point.of(0, 0),), Point.of(3, 4))
-    assert v.components == (0.6, 0.8)
-
-
-def test_combined_direction_coincident():
-    with pytest.raises(DegenerateDirection):
-        combined_direction(RECV_2D, Point.of(0, 0))
 
 
 def test_range_difference_set_validation():

@@ -27,7 +27,7 @@ from rfloc.errors import (
     Inconsistent,
     ValidationError,
 )
-from rfloc.trilat import TrilaterationProblem, trilaterate_batch
+from rfloc.trilat import TrilaterationProblem, _batch
 
 REF_EMITTERS = (Point.of(0, 0, 0), Point.of(500, 0, 0), Point.of(0, 500, 0))
 REF_DISTANCES = (300.0, 400.0, 500.0)
@@ -172,7 +172,7 @@ def test_batch_rows_equal_scalar_solves():
         emitters, dists, _ = consistent_trilat_case(rng, dim)
         ranges = np.maximum(np.array(dists) + rng.normal(0.0, [[0.0], [1e-6], [1.0], [30.0]],
                                                          size=(4, 3)), 0.0)
-        estimates, norms, rejected = trilaterate_batch([p.coords for p in emitters], ranges)
+        estimates, norms, rejected = _batch([p.coords for p in emitters], ranges)[:3]
         solve = trilaterate_2d if dim == 2 else trilaterate_3d
         for row, est, norm, skip in zip(ranges, estimates, norms, rejected):
             problem = TrilaterationProblem(emitters, tuple(row), dim)
@@ -186,7 +186,7 @@ def test_batch_rows_equal_scalar_solves():
             assert norm.item() == result.residual_norm
     assert rejected_rows > 0
     with pytest.raises(GeometryDegenerate):
-        trilaterate_batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0]])
+        _batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0]])
 
 
 def test_lsq_reference_scenario():
@@ -319,7 +319,7 @@ def test_team_position_small_offsets():
     dm = DistanceMatrix(np.array([[distance(d, e) for e in emitters]
                                   for d in drones]))
     result = team_relative_position(drones, emitters, dm)
-    centroid = Point.from_array(np.mean([d.coords for d in drones], axis=0), dim=3)
+    centroid = Point.of(*np.mean([d.coords for d in drones], axis=0).tolist())
     assert distance(result.estimate, centroid) < spread
     # grid oracle: the solver objective beats the lattice minimum around truth
     averaged = dm.d.mean(axis=0)
