@@ -29,19 +29,18 @@ import numpy as np
 
 from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
-from .errors import GeometryDegenerate, NoConvergence, ParseError, RflocError, ValidationError
+from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
 from .simulate import (ArrivalSet, DistanceMatrix, Scenario, perturb_arrivals, perturb_sweep,
                        simulate_arrivals)
 from .solver import SolveResult, SolverOptions
-from .tdoa import _fix, _fixes, _plane_batch, _range_differences, _triangle
+from .tdoa import _fixes, _range_differences
 from .trilat import (
     TrilaterationProblem,
     team_relative_position,
     trilaterate_2d,
     trilaterate_3d,
     _batch,
-    _inconsistent,
 )
 
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
@@ -83,8 +82,7 @@ class ScenarioFile:
 
     def scenario(self) -> Scenario:
         return Scenario(emitters=self.emitters, receivers=self.receivers, c=self.c,
-                        carrier=self.carrier, emission_time=self.emission_time,
-                        noise_sigma_t=self.noise_sigma_t, seed=self.seed)
+                        emission_time=self.emission_time)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +382,9 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
                     sf.emitters, tuple(_ranges(sf, arrivals.times[i])), dim)),
                  receiver, {"receiver_index": i}) for i, receiver in enumerate(sf.receivers)]
     recv = _receivers(sf)
-    fixes = _fixes(recv, _range_differences(arrivals.times, sf.c), sf.emitter_plane_z, dim,
-                   sf.options)
+    fix = _fixes(recv, _range_differences(arrivals.times, sf.c), sf.emitter_plane_z, dim,
+                 sf.options)[1]
+    fixes = [fix(j) for j in range(len(sf.emitters))]
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
                 for j, (result, _) in enumerate(fixes)]
@@ -448,82 +447,62 @@ def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
 
 
 def _trilat_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
-    """_mc_trial of every (R, E) slice of times, from one closed-form batch.
+    """_mc_trial of every (R, E) slice of times, from one trilat._batch.
 
-    A row the batch solves is bit-identical to _mc_trial's solve of it. A row
-    whose radicand falls below the slack gets the Inconsistent error its
-    scalar solve raises, from the batch's radicand. Only rows with
-    non-finite times, ranges or results, and every row when the anchors are
-    collinear, are solved again on their own.
+    Each row is the batch's estimate, bit-identical to _mc_trial's solve of
+    it, or the error that solve raises. Only trials whose times are not
+    finite run _mc_trial, for the error ArrivalSet raises.
     """
-    ranges = _ranges(sf, times[:, 0])
-    try:
-        estimates, norms, rejected, miss, radicand = _batch(
-            [p.coords for p in sf.emitters], ranges)
-    except GeometryDegenerate:
-        return [_mc_trial(sf, t) for t in times]
-    finite = np.isfinite(times).all(axis=(1, 2)) & np.isfinite(ranges).all(axis=1)
-    truth, dim = sf.receivers[0].coords, _MODES[sf.mode][0]
+    estimates, norms, errors = _batch([p.coords for p in sf.emitters],
+                                      _ranges(sf, times[:, 0]))
+    finite = np.isfinite(times).all(axis=(1, 2)).tolist()
+    truth = sf.receivers[0].coords
     trials = []
-    for k, (est, norm, reject, missed, finite_row) in enumerate(zip(
-            estimates.tolist(), norms.tolist(), rejected.tolist(), miss.tolist(),
-            finite.tolist())):
-        if not reject:  # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate
-            trials.append((*est, 0.0)[:3] + (norm, True, math.dist(est, truth)))
-        elif missed and finite_row:
-            trials.append(_inconsistent(dim, radicand[k]))
-        else:
+    for k, (est, norm, error, finite_k) in enumerate(zip(estimates.tolist(), norms.tolist(),
+                                                         errors, finite)):
+        if not finite_k:
             trials.append(_mc_trial(sf, times[k]))
+        elif error is not None:
+            trials.append(error)
+        else:  # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate
+            trials.append((*est, 0.0)[:3] + (norm, True, math.dist(est, truth)))
     return trials
 
 
 def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
     """_mc_trial of every (R, E) slice of times, a TDOA or pipeline sweep,
-    from closed-form batches of _MC_CHUNK emitter solves.
+    from one tdoa._fixes per chunk of _MC_CHUNK emitter solves.
 
-    Every trial is bit-identical to _mc_trial's solve of it: a tdoa row is
-    its estimate, or its fallback run when the branches do not meet; a
-    pipeline row is the team position from its emitters' farthest tied
-    roots. Only trials with a non-finite time or difference are solved
-    again on their own, as is every trial with collinear receivers.
+    Each row is bit-identical to _mc_trial's solve of it, or is the error
+    that solve raises: a tdoa row is its emitter's closed-form estimate or
+    fallback run; a pipeline row is the team position from its emitters'
+    farthest tied roots. Only trials whose times are not finite run
+    _mc_trial, for the error ArrivalSet raises.
     """
     dim, family = _MODES[sf.mode]
     plane = sf.emitter_plane_z
     recv = _receivers(sf)
-    try:
-        diam = _triangle(recv)
-    except GeometryDegenerate:
-        return [_mc_trial(sf, t) for t in times]
     n_emit = times.shape[2]
-    deltas = _range_differences(times, sf.c).reshape(len(times), -1)
-    finite = np.isfinite(times).all(axis=(1, 2)) & np.isfinite(deltas).all(axis=1)
-    deltas[~finite] = 0.0  # solved again on their own
-    deltas = deltas.reshape(-1, 2)
-    truth = sf.emitters[0].array.tolist()
+    deltas = _range_differences(times, sf.c).reshape(-1, 2)
+    finite = np.isfinite(times).all(axis=(1, 2)).tolist()
+    truth = sf.emitters[0]
+    at = truth.array.tolist()
     trials = []
     per = max(1, _MC_CHUNK // n_emit)
     for lo in range(0, len(times), per):
-        chunk = deltas[lo * n_emit:(lo + per) * n_emit]
-        batch = _plane_batch(recv, chunk, plane, diam)
-        rows = np.arange(len(chunk))
-        est = batch.roots[rows, batch.ties[:, 0]].tolist()
-        norm = batch.norms[rows, batch.ties[:, 0]].tolist()
-
-        def fix(row):
-            return _fix(recv, chunk, plane, dim, diam, batch, row, sf.options)
-
-        rooted = batch.count.tolist()
-        for i, finite_i in enumerate(finite[lo:lo + per].tolist()):
+        closed, fix = _fixes(recv, deltas[lo * n_emit:(lo + per) * n_emit], plane, dim,
+                             sf.options)
+        for i, finite_i in enumerate(finite[lo:lo + per]):
             if not finite_i:
                 trials.append(_mc_trial(sf, times[lo + i]))
             elif family == "pipeline":
                 emitters = range(i * n_emit, (i + 1) * n_emit)
                 trials.append(_mc_outcome(lambda: _team(sf, recv, [fix(r)[1] for r in emitters])))
-            elif rooted[i]:
-                x, y = est[i]
-                trials.append((x, y, plane, norm[i], True, math.dist((x, y, plane), truth)))
+            elif closed[i] is not None:
+                x, y, norm = closed[i]
+                trials.append((x, y, plane, norm, True, math.dist((x, y, plane), at)))
             else:
-                trials.append(_mc_outcome(lambda: (fix(i)[0], sf.emitters[0])))
+                trials.append(_mc_outcome(lambda: (fix(i)[0], truth)))
     return trials
 
 
@@ -544,6 +523,19 @@ def _quantiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
         d, g = b - a, pos - i
         out.append(a + d * g if g < 0.5 else b - d * (1 - g))
     return out
+
+
+def _mean(values: Sequence[float]) -> float:
+    """np.mean(values) as a float, bit for bit, unless the sum of finite
+    values overflows: their mean is then taken over the values divided by
+    the largest, and scaled back, so it stays finite."""
+    v = np.array(values)
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(v)
+    if math.isfinite(total) or not np.isfinite(v).all():
+        return float(total / len(v))
+    top = v.max()
+    return float(top * (np.add.reduce(v / top) / len(v)))
 
 
 def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed: int,
@@ -577,7 +569,7 @@ def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed:
                 trial_errors.append(err)
         mean, (p10, p50, p90) = None, (None, None, None)
         if trial_errors:
-            mean = float(np.mean(trial_errors))
+            mean = _mean(trial_errors)
             p10, p50, p90 = _quantiles(trial_errors, (0.1, 0.5, 0.9))
         summaries.append({"sigma_t": sigma_t, "n": len(trial_errors), "mean_error_m": mean,
                           "p10_error_m": p10, "median_error_m": p50, "p90_error_m": p90})

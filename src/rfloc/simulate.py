@@ -36,19 +36,16 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Emitter/receiver geometry plus signal and noise parameters.
+    """Emitter/receiver geometry, propagation speed and emission time.
 
-    Coordinates are meters, times seconds, frequencies hertz. Emitters and
-    receivers must share one dimension (all 2D or all 3D).
+    Coordinates are meters, times seconds. Emitters and receivers must share
+    one dimension (all 2D or all 3D).
     """
 
     emitters: tuple[Point, ...]
     receivers: tuple[Point, ...]
     c: float = 3.0e8
-    carrier: float = 1.0e9
     emission_time: float = 0.0
-    noise_sigma_t: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "emitters", tuple(self.emitters))
@@ -62,18 +59,8 @@ class Scenario:
             raise DimensionError("emitters and receivers must share one dimension")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValidationError("c must be positive", field="c")
-        if not (math.isfinite(self.carrier) and self.carrier > 0.0):
-            raise ValidationError("carrier must be positive", field="carrier")
         if not math.isfinite(self.emission_time):
             raise ValidationError("emission_time must be finite", field="emission_time")
-        if not (math.isfinite(self.noise_sigma_t) and self.noise_sigma_t >= 0.0):
-            raise ValidationError("noise_sigma_t must be >= 0", field="noise_sigma_t")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ValidationError("seed must be a non-negative integer", field="seed")
-
-    @property
-    def dim(self) -> int:
-        return self.emitters[0].dim
 
 
 @dataclass(frozen=True)

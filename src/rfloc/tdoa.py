@@ -14,11 +14,12 @@ plane and in closed form (Schau & Robinson 1987; Chan & Ho 1994): a 3D
 emitter on the plane z = emitter_plane_z, a 2D one on the plane z = 0 with
 its receivers lifted to 3D. A free emitter height is refused. The closed
 form is one array program over rows of range differences against one
-receiver triangle (_plane_batch): locate_emitter_2d/3d are its one-row case,
-and the CLI sends a pipeline fix's emitters, or every trial of a sweep,
-through it in one call. Each row keeps the bits of its solve alone, so a
-batch never changes a report; rows whose branches do not meet rerun one
-Gauss-Newton fallback each.
+receiver triangle (_plane_batch), and _fixes is its one driver:
+locate_emitter_2d/3d are its one-row case, and the CLI sends a pipeline
+fix's emitters, or every trial of a sweep, through it. Each row comes back
+as its solve alone would: its result, with the bits of that solve, or the
+error that solve raises. A row whose branches do not meet runs one
+Gauss-Newton fallback.
 """
 
 from __future__ import annotations
@@ -443,54 +444,57 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
     return _PlaneRoots(roots, norms, count, ties, starts, start_ok)
 
 
-def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int,
-           opts: SolverOptions) -> list[tuple[SolveResult, Point]]:
-    """Every row of deltas (N, 2) solved on the plane z = plane against the
-    reference-first receivers recv (3, 3), in order, as dim-D points: its
-    SolveResult and its residual-tied candidate farthest from the receiver
-    centroid.
-
-    The rows go through one _plane_batch; a row with no closed-form root
-    runs one flagged Gauss-Newton fallback. The first row that fails
-    raises, as a loop of single solves would: ValidationError for a
-    non-finite difference, GeometryDegenerate (at the first row) for
-    collinear receivers, NoConvergence when its fallback does not converge.
-    """
-    finite = np.isfinite(deltas).all(axis=1).tolist()
-
-    def check(k):
-        if not finite[k]:
-            raise ValidationError("non-finite range difference", field="deltas")
-
-    check(0)
-    diam = _triangle(recv)
-    batch = _plane_batch(recv, deltas, plane, diam)
-    out = []
-    for k in range(len(deltas)):
-        check(k)
-        out.append(_fix(recv, deltas, plane, dim, diam, batch, k, opts))
-    return out
-
-
 def _point(x, plane: float, dim: int) -> Point:
     """The planar solution x as a dim-D point, on the plane z = plane in 3D."""
     return Point.of(x[0], x[1], plane) if dim == 3 else Point.of(x[0], x[1])
 
 
-def _fix(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
-         batch: _PlaneRoots, k: int, opts: SolverOptions) -> tuple[SolveResult, Point]:
-    """Row k of batch = _plane_batch(recv, deltas, plane, diam) as a solve:
-    its SolveResult and its residual-tied candidate farthest from the
-    receiver centroid. A row with no root runs the Gauss-Newton fallback."""
-    count = int(batch.count[k])
-    if not count:
-        return _fallback(recv, deltas[k], plane, dim, diam,
-                         batch.starts[k][batch.start_ok[k]], opts)
-    norms = batch.norms[k].tolist()
-    near, far = batch.ties[k].tolist()
-    cands = tuple(zip([_point(x, plane, dim) for x in batch.roots[k, :count].tolist()], norms))
-    return (SolveResult(estimate=cands[near][0], candidates=cands, residual_norm=norms[near],
-                        iterations=0, converged=True), cands[far][0])
+def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: SolverOptions
+           ) -> tuple[list, Callable[[int], tuple[SolveResult, Point]]]:
+    """Every row of deltas (N, 2) solved on the plane z = plane against the
+    reference-first receivers recv (3, 3), each as a solve of that row alone.
+
+    Returns (closed, fix). closed[k] is (x, y, residual_norm) of row k's
+    closed-form estimate, or None when the row has no root or a non-finite
+    difference. fix(k) returns row k's SolveResult, as dim-D points, and its
+    residual-tied candidate farthest from the receiver centroid; or raises
+    that solve's error: ValidationError for a non-finite difference,
+    GeometryDegenerate for collinear receivers, NoConvergence when the
+    Gauss-Newton fallback of a row with no root does not converge. The rows
+    share one _plane_batch, and collinear receivers are found once.
+    """
+    finite = np.isfinite(deltas).all(axis=1).tolist()
+    try:
+        diam = _triangle(recv)
+    except GeometryDegenerate as exc:
+        diam, degenerate = None, str(exc)
+        closed = [None] * len(deltas)
+    else:
+        batch = _plane_batch(recv, deltas, plane, diam)
+        rows, near = np.arange(len(deltas)), batch.ties[:, 0]
+        closed = [(x, y, n) if c and f else None
+                  for (x, y), n, c, f in zip(batch.roots[rows, near].tolist(),
+                                             batch.norms[rows, near].tolist(),
+                                             batch.count.tolist(), finite)]
+
+    def fix(k: int) -> tuple[SolveResult, Point]:
+        if not finite[k]:
+            raise ValidationError("non-finite range difference", field="deltas")
+        if diam is None:
+            raise GeometryDegenerate(degenerate)
+        count = int(batch.count[k])
+        if not count:
+            return _fallback(recv, deltas[k], plane, dim, diam,
+                             batch.starts[k][batch.start_ok[k]], opts)
+        norms = batch.norms[k].tolist()
+        near, far = batch.ties[k].tolist()
+        cands = tuple(zip([_point(x, plane, dim) for x in batch.roots[k, :count].tolist()],
+                          norms))
+        return (SolveResult(estimate=cands[near][0], candidates=cands,
+                            residual_norm=norms[near], iterations=0, converged=True),
+                cands[far][0])
+
+    return closed, fix
 
 
 def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
@@ -538,7 +542,7 @@ def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,
     common bearing. opts only configures that run.
     """
     recv, deltas = _checked(receivers, rd, 2, "locate_emitter_2d")
-    return _fixes(recv, deltas[None], 0.0, 2, opts or SolverOptions())[0][0]
+    return _fixes(recv, deltas[None], 0.0, 2, opts or SolverOptions())[1](0)[0]
 
 
 def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
@@ -560,4 +564,5 @@ def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
             f"emitter_plane_z must be a finite number, got {emitter_plane_z!r}: three "
             "receivers give two range differences, too few for a free emitter height",
             field="emitter_plane_z")
-    return _fixes(recv, deltas[None], float(emitter_plane_z), 3, opts or SolverOptions())[0][0]
+    return _fixes(recv, deltas[None], float(emitter_plane_z), 3,
+                  opts or SolverOptions())[1](0)[0]

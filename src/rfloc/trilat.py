@@ -42,6 +42,10 @@ __all__ = [
 _RADICAND_SLACK = 1e-9  # relative: radicand >= -slack * d^2 clamps to 0
 
 
+def _bad_distances() -> ValidationError:
+    return ValidationError("distances must be finite and >= 0", field="distances")
+
+
 @dataclass(frozen=True)
 class TrilaterationProblem:
     """Anchor positions plus measured ranges to each, in a common dimension."""
@@ -61,9 +65,8 @@ class TrilaterationProblem:
             raise DimensionError(f"dimension must be 2 or 3, got {self.dimension}")
         if any(p.dim != self.dimension for p in self.emitters):
             raise DimensionError("emitter dimensions disagree with the problem dimension")
-        for d in self.distances:
-            if not (math.isfinite(d) and d >= 0.0):
-                raise ValidationError("distances must be finite and >= 0", field="distances")
+        if not all(math.isfinite(d) and d >= 0.0 for d in self.distances):
+            raise _bad_distances()
 
     @property
     def anchor_array(self) -> np.ndarray:
@@ -198,35 +201,41 @@ def _trilaterate_rows(anchors: np.ndarray, ranges: np.ndarray):
     return (*out, _pick_second(*out[:3]).astype(int))
 
 
+def _inconsistent(dim: int, radicand) -> Inconsistent:
+    """The error of a closed-form solve whose radicand falls below the slack."""
+    what = ("third circle misses the radical line" if dim == 2
+            else "spheres admit no real intersection")
+    return Inconsistent(f"{what} (radicand {float(radicand):.3e})")
+
+
 def _batch(anchors, ranges):
-    """Closed-form trilateration of N range triples against one anchor triangle.
+    """Closed-form trilateration of N range triples against one anchor
+    triangle, each row as trilaterate_2d/_3d solves it alone.
 
     anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns the
-    estimates (N, D), their residual norms (N,), a mask of the rows the
-    closed form rejects (a radicand below the slack, or a non-finite
-    result), the radicand-miss mask and the radicands: the rows where
-    trilaterate_2d/_3d raise _inconsistent(D, radicand). Every row not
-    rejected is bit-identical to trilaterate_2d/_3d's estimate and residual
-    norm for that row. Raises GeometryDegenerate for collinear or coincident
-    anchors.
+    estimates (N, D), their residual norms (N,) and, per row, None or the
+    error that row's solve raises: the TrilaterationProblem error of a range
+    that is not finite or is negative, GeometryDegenerate for collinear or
+    coincident anchors, or Inconsistent when the radicand falls below the
+    slack. A row without an error has the bits of trilaterate_2d/_3d's
+    estimate and residual norm, an overflowed norm included.
     """
     anchors = np.asarray(anchors, dtype=float)
     ranges = np.asarray(ranges, dtype=float)
     if anchors.shape[0] != 3 or anchors.shape[1] not in (2, 3) or ranges.shape[1:] != (3,):
         raise ValueError(f"need anchors (3, 2|3) and ranges (N, 3), got "
                          f"{anchors.shape} and {ranges.shape}")
-    roots, norms, two, radicand, miss, pick = _trilaterate_rows(anchors, ranges)
+    dim = anchors.shape[1]
+    valid = (np.isfinite(ranges) & (ranges >= 0.0)).all(axis=1).tolist()
+    try:
+        roots, norms, _, radicand, miss, pick = _trilaterate_rows(anchors, ranges)
+    except GeometryDegenerate as exc:
+        return (np.full((len(ranges), dim), np.nan), np.full(len(ranges), np.nan),
+                [GeometryDegenerate(str(exc)) if ok else _bad_distances() for ok in valid])
+    errors = [_bad_distances() if not ok else _inconsistent(dim, radicand[k]) if missed
+              else None for k, (ok, missed) in enumerate(zip(valid, miss.tolist()))]
     rows = np.arange(len(ranges))
-    estimates, norm = roots[rows, pick], norms[rows, pick]
-    rejected = miss | ~np.isfinite(norm) | ~np.isfinite(estimates).all(axis=1)
-    return estimates, norm, rejected, miss, radicand
-
-
-def _inconsistent(dim: int, radicand) -> Inconsistent:
-    """The error of a closed-form solve whose radicand falls below the slack."""
-    what = ("third circle misses the radical line" if dim == 2
-            else "spheres admit no real intersection")
-    return Inconsistent(f"{what} (radicand {float(radicand):.3e})")
+    return roots[rows, pick], norms[rows, pick], errors
 
 
 def _solve_one(problem: TrilaterationProblem) -> SolveResult:
@@ -340,6 +349,6 @@ def team_relative_position(drones: Sequence[Point], emitter_estimates: Sequence[
     # Means as np.mean takes them: one sum, then one division.
     averaged = dm.d.sum(axis=0) / n
     if not np.isfinite(averaged).all():  # the sum can overflow
-        raise ValidationError("distances must be finite and >= 0", field="distances")
+        raise _bad_distances()
     return _lsq(np.array([p.coords for p in estimates]), averaged,
                 np.array([p.coords for p in drones]).sum(axis=0) / n, opts)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ def _per_trial_monte_carlo(emitters, receiver, sigmas, trials, seed):
     anchors = tuple(Point.of(*e) for e in emitters)
     truth = Point.of(*receiver)
     solve = trilaterate_2d if dim == 2 else trilaterate_3d
-    arrivals = simulate_arrivals(Scenario(anchors, (truth,), seed=seed))
+    arrivals = simulate_arrivals(Scenario(anchors, (truth,)))
     rows, summaries, errors = [], [], []
     for sigma in sigmas:
         errs = []
@@ -949,3 +950,91 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     assert len(batched) == trials * len(sigmas)
     assert all(type(o) is rfloc_errors.GeometryDegenerate for o in batched)
+
+
+@pytest.mark.parametrize("mode, emitters, receiver, norm_overflows", [
+    ("trilat2d", [[0, 0], [500, 0], [0, 500]], [120, 80], True),
+    ("trilat3d", [[0, 0, 0], [500, 0, 0], [0, 500, 0]], [180, 90, 222], False),
+])
+def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, receiver,
+                                                           norm_overflows):
+    # Every trial of a batched trilat sweep is the row (or error) of its own
+    # solve, to the bit. At 1e300 s some ranges overflow and, in 2D, a
+    # closed-form residual norm overflows; at 1.7e308 s some times do too.
+    sigmas, trials, seed = [0.0, 1e-9, 1e300, 1.7e308], 40, 3
+    sf = _validate({"schema_version": 1, "solve": {"mode": mode},
+                    "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
+                    "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
+    arrivals = simulate_arrivals(sf.scenario())
+    times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(seed, seed + trials)))
+    batched = cli._trilat_trials(sf, times)
+    alone = [cli._mc_trial(sf, t) for t in times]
+    assert [repr(o) for o in batched] == [repr(o) for o in alone]
+    finite_times = np.isfinite(times).all(axis=(1, 2))
+    finite_ranges = np.isfinite(cli._ranges(sf, times[:, 0])).all(axis=1)
+    assert (~finite_times).any() and (finite_times & ~finite_ranges).any()
+    overflowed = [o for o in batched if isinstance(o, tuple) and math.isinf(o[3])]
+    assert bool(overflowed) == norm_overflows
+
+
+@pytest.mark.parametrize("mode, scenario, sigmas", [
+    ("tdoa2d", {"emitters": [[400, 300]], "receivers": [[0, 0], [10, 0], [20, 0]]},
+     [0.0, 1e-9]),
+    ("pipeline", {"emitters": _GROUND,
+                  "receivers": [[0, 0, 150], [10, 0, 150], [20, 0, 150]]}, [0.0, 1e-9]),
+    ("trilat2d", {"emitters": [[0, 0], [250, 0], [500, 0]], "receivers": [[180, 90]]},
+     [0.0, 1e-9]),
+    ("trilat3d", {"emitters": [[0, 0, 0], [250, 0, 0], [500, 0, 0]],
+                  "receivers": [[180, 90, 222]]}, [0.0, 1e-9]),
+    # Branches that do not meet, and circles that miss the radical line.
+    ("pipeline", {"emitters": _GROUND, "receivers": _DRONES}, [0.0, 1e-9, 1e300]),
+    ("tdoa2d", {"emitters": [[400, 300]], "receivers": _TRIANGLE_2D}, [1e-6, 1e300]),
+    ("trilat2d", {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[250, 500.3]]},
+     [1e-9, 1e300]),
+    ("trilat3d", {"emitters": [[0, 0, 0], [500, 0, 0], [0, 500, 0]],
+                  "receivers": [[180, 90, 0.5]]}, [1e-9, 1e300]),
+], ids=["tdoa2d-collinear", "pipeline-collinear", "trilat2d-collinear", "trilat3d-collinear",
+        "pipeline", "tdoa2d", "trilat2d", "trilat3d"])
+def test_sweeps_solve_finite_times_without_per_trial_runs(monkeypatch, mode, scenario, sigmas):
+    # _mc_trial is left for the trials whose jittered times are not finite,
+    # for ArrivalSet's error; at these sigmas there are none.
+    calls = []
+    mc_trial = cli._mc_trial
+
+    def counted(sf, times):
+        calls.append(times)
+        return mc_trial(sf, times)
+
+    monkeypatch.setattr(cli, "_mc_trial", counted)
+    report = run(_validate({"schema_version": 1, "scenario": {**scenario, "seed": 3},
+                            "solve": {"mode": mode},
+                            "monte_carlo": {"trials": 20, "sigma_t_list": sigmas}}))
+    assert calls == []
+    assert report["errors"]
+
+
+def test_overflowing_mean_error_is_finite(tmp_path):
+    # Three finite errors near 1e308 whose plain sum overflows: the summary's
+    # mean is finite, lies between them, and no numpy warning is raised.
+    doc = {"schema_version": 1, "solve": {"mode": "trilat2d"},
+           "scenario": {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[120, 80]],
+                        "seed": 3},
+           "monte_carlo": {"trials": 50, "sigma_t_list": [1e300]}}
+    path, out = tmp_path / "overflow.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--quiet", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    summary, = report["monte_carlo"]["summaries"]
+    json.dumps(report["monte_carlo"]["summaries"], allow_nan=False)
+    errors = [r["error_m"] for r in report["monte_carlo"]["rows"]]
+    assert summary["n"] == len(errors) == 3
+    assert min(errors) <= summary["mean_error_m"] <= max(errors)
+    assert math.isinf(sum(errors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=200))
+def test_mean_keeps_numpy_bits(values):
+    assert cli._mean(values) == float(np.mean(values))

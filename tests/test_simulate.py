@@ -158,10 +158,6 @@ def test_scenario_validation():
     assert exc.value.field == "emitters"
     with pytest.raises(ValidationError):
         Scenario(emitters=(Point.of(0, 0),), receivers=())
-    with pytest.raises(ValidationError) as exc:
-        Scenario(emitters=(Point.of(0, 0),), receivers=(Point.of(1, 1),),
-                 noise_sigma_t=-1e-9)
-    assert exc.value.field == "noise_sigma_t"
     with pytest.raises(ValidationError):
         Scenario(emitters=(Point.of(0, 0),), receivers=(Point.of(1, 1),), c=0.0)
     with pytest.raises(DimensionError):

@@ -6,6 +6,7 @@ library's ast module, so they need no linter.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,32 @@ def test_public_surface_is_pinned():
     assert set(rfloc.__all__) == PUBLIC
     for name in rfloc.__all__:
         getattr(rfloc, name)
+
+
+def _source(name: str) -> str:
+    return (Path(rfloc.__file__).parent / name).read_text(encoding="utf-8")
+
+
+def test_cli_reaches_the_solvers_only_through_their_row_drivers():
+    # A sweep's TDOA rows come from tdoa._fixes and its trilateration rows
+    # from trilat._batch; the CLI never rebuilds a row from their parts.
+    tree = ast.parse(_source("cli.py"))
+    private = {(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.module in ("tdoa", "trilat")
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {("tdoa", "_fixes"), ("tdoa", "_range_differences"),
+                       ("trilat", "_batch")}
+    for name in ("_plane_batch", "_triangle", "_fix", "_inconsistent", "_PlaneRoots"):
+        assert not re.search(rf"\b{name}\b", _source("cli.py")), name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_fixes_drives_the_plane_batch(path):
+    # The closed-form TDOA batch and its collinearity check have one caller.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = {(getattr(top, "name", "<module>"), call.func.id) for top in tree.body
+               for call in ast.walk(top) if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name)
+               and call.func.id in ("_plane_batch", "_triangle")}
+    expected = {("_fixes", "_plane_batch"), ("_fixes", "_triangle")}
+    assert callers == (expected if path.name == "tdoa.py" else set())

@@ -522,11 +522,14 @@ def test_batched_fixes_equal_public_solves():
     d = np.linalg.norm(emitters[:, None] - recv, axis=2)
     deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 30.0, (10, 2))
     receivers = tuple(Point.of(*r) for r in recv)
-    fixes = tdoa._fixes(_lift(recv), deltas, 0.0, 2, SolverOptions())
-    assert len(fixes) == len(deltas)
-    for row, (result, _far) in zip(deltas, fixes):
+    closed, fix = tdoa._fixes(_lift(recv), deltas, 0.0, 2, SolverOptions())
+    assert len(closed) == len(deltas)
+    for k, row in enumerate(deltas):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
+        result = fix(k)[0]
         assert result == locate_emitter_2d(receivers, rd)
+        if closed[k] is not None:
+            assert closed[k] == (*result.estimate.coords, result.residual_norm)
 
 
 @pytest.mark.parametrize("fixed_z", [None, 0.5])

@@ -172,21 +172,22 @@ def test_batch_rows_equal_scalar_solves():
         emitters, dists, _ = consistent_trilat_case(rng, dim)
         ranges = np.maximum(np.array(dists) + rng.normal(0.0, [[0.0], [1e-6], [1.0], [30.0]],
                                                          size=(4, 3)), 0.0)
-        estimates, norms, rejected = _batch([p.coords for p in emitters], ranges)[:3]
+        estimates, norms, errors = _batch([p.coords for p in emitters], ranges)
         solve = trilaterate_2d if dim == 2 else trilaterate_3d
-        for row, est, norm, skip in zip(ranges, estimates, norms, rejected):
+        for row, est, norm, error in zip(ranges, estimates, norms, errors):
             problem = TrilaterationProblem(emitters, tuple(row), dim)
-            if skip:
+            if error is not None:
                 rejected_rows += 1
-                with pytest.raises(Inconsistent):
+                with pytest.raises(Inconsistent) as raised:
                     solve(problem)
+                assert repr(error) == repr(raised.value)
                 continue
             result = solve(problem)
             assert tuple(est.tolist()) == result.estimate.coords
             assert norm.item() == result.residual_norm
     assert rejected_rows > 0
-    with pytest.raises(GeometryDegenerate):
-        _batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0]])
+    errors = _batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0], [1.0, math.inf, 1.0]])[2]
+    assert [type(e) for e in errors] == [GeometryDegenerate, ValidationError]
 
 
 def test_lsq_reference_scenario():

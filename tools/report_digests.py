@@ -7,7 +7,8 @@ tdoa2d_sweep files that perfbench/workloads.py generates for each seed (as
 `perfbench/run.py --seed N` generates them), and a fixed list of edge
 documents derived from the shipped ones: huge noise, huge or collinear
 geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
-off-ground emitter planes and pipeline sweeps whose branches do not meet.
+off-ground emitter planes, pipeline sweeps whose branches do not meet, and a
+sweep whose mean error overflows a plain sum.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -77,7 +78,10 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
         docs[f"trilat3d_sweep_{tag}"] = _edit(trilat, trilat_receiver, drop=("distances",),
                                               monte_carlo=_sweep(0.0, 1e-9, sigma))
     docs["trilat2d_sweep_1e300"] = _edit(trilat2, monte_carlo=_sweep(0.0, 1e-9, 1e300))
-    # Collinear anchors: every trial of the sweep is solved on its own.
+    # Finite errors near 1e308 whose sum overflows in the summary's mean.
+    docs["trilat2d_mean_overflow"] = _edit(trilat2, {"receivers": [[120.0, 80.0]], "seed": 3},
+                                           monte_carlo=_sweep(1e300, trials=50))
+    # Collinear anchors: every trial of the sweep reports GeometryDegenerate.
     docs["trilat2d_collinear_sweep"] = _edit(
         trilat2, {"emitters": [[0.0, 0.0], [250.0, 0.0], [500.0, 0.0]]},
         monte_carlo=_sweep(0.0, 1e-9))
