@@ -35,13 +35,7 @@ from .simulate import (ArrivalSet, DistanceMatrix, Scenario, perturb_arrivals, p
                        simulate_arrivals)
 from .solver import SolveResult, SolverOptions
 from .tdoa import _fixes, _range_differences
-from .trilat import (
-    TrilaterationProblem,
-    team_relative_position,
-    trilaterate_2d,
-    trilaterate_3d,
-    _batch,
-)
+from .trilat import _batch, team_relative_position
 
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
 
@@ -53,9 +47,9 @@ MODES = tuple(_MODES)
 # Report rows a Monte-Carlo sweep may ask for (trials x sigmas); each row is
 # kept in memory and written out, so a bigger sweep is refused, not truncated.
 MC_MAX_ROWS = 1_000_000
-# Emitter solves per closed-form batch of a TDOA or pipeline sweep: enough
-# rows that numpy's per-call cost vanishes, few enough that the batch's
-# temporaries stay a few MB.
+# Driver rows (trilaterations, or TDOA emitter solves) per closed-form batch
+# of a sweep: enough rows that numpy's per-call cost vanishes, few enough
+# that the batch's temporaries stay a few MB.
 _MC_CHUNK = 1 << 14
 
 
@@ -354,36 +348,58 @@ def _receivers(sf: ScenarioFile) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in sf.receivers])
 
 
-def _team(sf: ScenarioFile, recv: np.ndarray,
-          chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
+def _team(sf: ScenarioFile, chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
     """The pipeline's team position from its chosen emitter roots, and its
-    truth, the centroid of the receivers recv (a sum and a division, as
-    np.mean)."""
+    truth, the centroid of the receivers (a sum and a division, as np.mean)."""
+    recv = _receivers(sf)
     emit = [e.coords for e in chosen]
     dm = DistanceMatrix(np.array([[math.dist(r, e) for e in emit] for r in recv.tolist()]))
     return (team_relative_position(sf.receivers, chosen, dm, sf.options),
             Point.of(*(recv.sum(axis=0) / len(recv)).tolist()))
 
 
-def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | None, dict]]:
-    """(kind, result, truth, extra report fields) per solve, in report order.
+def _rows(sf: ScenarioFile, times: np.ndarray | None):
+    """The row driver of sf's mode over arrival times (..., R, E), as
+    (closed, fix) (see trilat._batch and tdoa._fixes): one trilateration row
+    per receiver, one TDOA row per emitter, each in times' order; times None
+    is the one row of explicit trilat distances.
 
-    arrivals is None for explicit trilat distances. A pipeline's team
-    position comes last, after its per-emitter solves, which are solved in
-    one batch.
+    A pipeline emitter's NoConvergence is raised without its best iterate:
+    that iterate is an emitter position, not the team's.
     """
     dim, family = _MODES[sf.mode]
     if family == "trilat":
-        solve = trilaterate_2d if dim == 2 else trilaterate_3d
+        ranges = [sf.distances] if times is None else _ranges(sf, times).reshape(-1, 3)
+        return _batch([p.coords for p in sf.emitters], ranges)
+    closed, fix = _fixes(_receivers(sf), _range_differences(times, sf.c).reshape(-1, 2),
+                         sf.emitter_plane_z, dim, sf.options)
+    if family == "tdoa":
+        return closed, fix
+
+    def emitter(k: int) -> tuple[SolveResult, Point]:
+        try:
+            return fix(k)
+        except NoConvergence as exc:
+            exc.best = None
+            raise
+
+    return closed, emitter
+
+
+def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | None, dict]]:
+    """(kind, result, truth, extra report fields) per solve, in report order,
+    from one _rows call.
+
+    arrivals is None for explicit trilat distances. A pipeline's team
+    position comes last, after its per-emitter solves.
+    """
+    family = _MODES[sf.mode][1]
+    fix = _rows(sf, None if arrivals is None else arrivals.times)[1]
+    if family == "trilat":
         if sf.distances is not None:
-            return [("trilat", solve(TrilaterationProblem(sf.emitters, sf.distances, dim)),
-                     None, {})]
-        return [("trilat", solve(TrilaterationProblem(
-                    sf.emitters, tuple(_ranges(sf, arrivals.times[i])), dim)),
-                 receiver, {"receiver_index": i}) for i, receiver in enumerate(sf.receivers)]
-    recv = _receivers(sf)
-    fix = _fixes(recv, _range_differences(arrivals.times, sf.c), sf.emitter_plane_z, dim,
-                 sf.options)[1]
+            return [("trilat", fix(0), None, {})]
+        return [("trilat", fix(i), receiver, {"receiver_index": i})
+                for i, receiver in enumerate(sf.receivers)]
     fixes = [fix(j) for j in range(len(sf.emitters))]
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
@@ -396,7 +412,7 @@ def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | 
     solves = [("pipeline_emitter", result, sf.emitters[j],
                {"emitter_index": j, "selected": [far.x, far.y, far.z]})
               for j, (result, far) in enumerate(fixes)]
-    return solves + [("team_position", *_team(sf, recv, chosen), {})]
+    return solves + [("team_position", *_team(sf, chosen), {})]
 
 
 def _single_run_entries(sf: ScenarioFile, arrivals: ArrivalSet | None,
@@ -422,16 +438,17 @@ def _error_entry(stage: str, exc: RflocError) -> dict:
 def _mc_outcome(solve) -> tuple | RflocError:
     """A sweep row from solve() -> (result, truth): (x, y, z, residual_norm,
     converged, error_m), with error_m None when the solve did not converge,
-    or the error it raised."""
+    or the error it raised, without its traceback: a sweep keeps its errors,
+    not the frames and batch arrays they were raised from."""
     try:
         result, truth = solve()
     except NoConvergence as exc:
         if exc.best is None:
-            return exc
+            return exc.with_traceback(None)
         p = exc.best.estimate
         return p.x, p.y, p.z, exc.best.residual_norm, False, None
     except RflocError as exc:
-        return exc
+        return exc.with_traceback(None)
     p = result.estimate
     return p.x, p.y, p.z, result.residual_norm, result.converged, distance(p, truth)
 
@@ -446,62 +463,35 @@ def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
     return _mc_outcome(lambda: _solves(sf, ArrivalSet(times))[-1][1:3])
 
 
-def _trilat_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
-    """_mc_trial of every (R, E) slice of times, from one trilat._batch.
-
-    Each row is the batch's estimate, bit-identical to _mc_trial's solve of
-    it, or the error that solve raises. Only trials whose times are not
-    finite run _mc_trial, for the error ArrivalSet raises.
-    """
-    estimates, norms, errors = _batch([p.coords for p in sf.emitters],
-                                      _ranges(sf, times[:, 0]))
-    finite = np.isfinite(times).all(axis=(1, 2)).tolist()
-    truth = sf.receivers[0].coords
-    trials = []
-    for k, (est, norm, error, finite_k) in enumerate(zip(estimates.tolist(), norms.tolist(),
-                                                         errors, finite)):
-        if not finite_k:
-            trials.append(_mc_trial(sf, times[k]))
-        elif error is not None:
-            trials.append(error)
-        else:  # (*est, 0.0)[:3] is (x, y, z) with z = 0 for a 2D estimate
-            trials.append((*est, 0.0)[:3] + (norm, True, math.dist(est, truth)))
-    return trials
-
-
-def _tdoa_trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
-    """_mc_trial of every (R, E) slice of times, a TDOA or pipeline sweep,
-    from one tdoa._fixes per chunk of _MC_CHUNK emitter solves.
+def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
+    """_mc_trial of every (R, E) slice of times, from one _rows call per
+    chunk of _MC_CHUNK driver rows.
 
     Each row is bit-identical to _mc_trial's solve of it, or is the error
-    that solve raises: a tdoa row is its emitter's closed-form estimate or
-    fallback run; a pipeline row is the team position from its emitters'
-    farthest tied roots. Only trials whose times are not finite run
-    _mc_trial, for the error ArrivalSet raises.
+    that solve raises: a trilat or tdoa row is its one driver row's
+    estimate, or its fallback run; a pipeline row is the team position from
+    its emitters' farthest tied roots. Only trials whose times are not
+    finite run _mc_trial, for the error ArrivalSet raises.
     """
-    dim, family = _MODES[sf.mode]
-    plane = sf.emitter_plane_z
-    recv = _receivers(sf)
-    n_emit = times.shape[2]
-    deltas = _range_differences(times, sf.c).reshape(-1, 2)
+    family = _MODES[sf.mode][1]
+    n_rows = 1 if family == "trilat" else times.shape[2]  # driver rows per trial
     finite = np.isfinite(times).all(axis=(1, 2)).tolist()
-    truth = sf.emitters[0]
-    at = truth.array.tolist()
+    truth = (sf.receivers if family == "trilat" else sf.emitters)[0]
+    at = truth.coords
     trials = []
-    per = max(1, _MC_CHUNK // n_emit)
+    per = max(1, _MC_CHUNK // n_rows)
     for lo in range(0, len(times), per):
-        closed, fix = _fixes(recv, deltas[lo * n_emit:(lo + per) * n_emit], plane, dim,
-                             sf.options)
+        closed, fix = _rows(sf, times[lo:lo + per])
         for i, finite_i in enumerate(finite[lo:lo + per]):
             if not finite_i:
                 trials.append(_mc_trial(sf, times[lo + i]))
             elif family == "pipeline":
-                emitters = range(i * n_emit, (i + 1) * n_emit)
-                trials.append(_mc_outcome(lambda: _team(sf, recv, [fix(r)[1] for r in emitters])))
-            elif closed[i] is not None:
-                x, y, norm = closed[i]
-                trials.append((x, y, plane, norm, True, math.dist((x, y, plane), at)))
-            else:
+                emitters = range(i * n_rows, (i + 1) * n_rows)
+                trials.append(_mc_outcome(lambda: _team(sf, [fix(r)[1] for r in emitters])))
+            elif closed[i] is not None:  # (*coords, 0.0)[:3] is (x, y, z), z = 0 in 2D
+                coords, norm = closed[i]
+                trials.append((*coords, 0.0)[:3] + (norm, True, math.dist(coords, at)))
+            else:  # a tdoa fallback run; a trilat row without a closed form raises in fix
                 trials.append(_mc_outcome(lambda: (fix(i)[0], truth)))
     return trials
 
@@ -550,8 +540,7 @@ def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed:
         outcomes = [[arrivals] * trials for _ in sigmas]
     else:
         noisy = perturb_sweep(arrivals.times, sigmas, range(base_seed, base_seed + trials))
-        batched = _trilat_trials if _MODES[sf.mode][1] == "trilat" else _tdoa_trials
-        flat = batched(sf, np.concatenate(noisy))
+        flat = _trials(sf, np.concatenate(noisy))
         outcomes = [flat[i * trials:(i + 1) * trials] for i in range(len(sigmas))]
     rows = []
     summaries = []

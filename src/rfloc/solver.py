@@ -76,11 +76,6 @@ class SolveResult:
     flags: frozenset[str] = frozenset()
 
 
-def order_candidates(cands: Sequence[tuple[Point, float]]) -> tuple[tuple[Point, float], ...]:
-    """Sort candidates by residual norm, then lexicographically by coordinates."""
-    return tuple(sorted(cands, key=lambda c: (c[1], c[0].x, c[0].y, c[0].z)))
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b for 3-vectors; np.cross costs more than a closed-form solve itself."""
     return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],

@@ -326,7 +326,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
     solutions form the line m + t n (minimum-norm m, unit null direction n),
     and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
     roots (r0 >= 0, r0 >= d_k, within the runaway radius) are polished,
-    deduplicated at 1e-6 m and sorted as order_candidates sorts them; ties
+    deduplicated at 1e-6 m and sorted by norm, then x, then y; ties
     lists the residual-tied ones nearest the receiver centroid first (the
     last entry repeated when only one is tied). A row with no root (the
     branches do not meet) gets Gauss-Newton starts on the line instead, and
@@ -454,14 +454,15 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
     """Every row of deltas (N, 2) solved on the plane z = plane against the
     reference-first receivers recv (3, 3), each as a solve of that row alone.
 
-    Returns (closed, fix). closed[k] is (x, y, residual_norm) of row k's
-    closed-form estimate, or None when the row has no root or a non-finite
-    difference. fix(k) returns row k's SolveResult, as dim-D points, and its
-    residual-tied candidate farthest from the receiver centroid; or raises
-    that solve's error: ValidationError for a non-finite difference,
-    GeometryDegenerate for collinear receivers, NoConvergence when the
-    Gauss-Newton fallback of a row with no root does not converge. The rows
-    share one _plane_batch, and collinear receivers are found once.
+    Returns (closed, fix). closed[k] is (coords, residual_norm) of row k's
+    closed-form estimate, its coords those of a dim-D point, or None when the
+    row has no root or a non-finite difference. fix(k) returns row k's
+    SolveResult, as dim-D points, and its residual-tied candidate farthest
+    from the receiver centroid; or raises that solve's error: ValidationError
+    for a non-finite difference, GeometryDegenerate for collinear receivers,
+    NoConvergence when the Gauss-Newton fallback of a row with no root does
+    not converge. The rows share one _plane_batch, and collinear receivers
+    are found once.
     """
     finite = np.isfinite(deltas).all(axis=1).tolist()
     try:
@@ -472,7 +473,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
     else:
         batch = _plane_batch(recv, deltas, plane, diam)
         rows, near = np.arange(len(deltas)), batch.ties[:, 0]
-        closed = [(x, y, n) if c and f else None
+        closed = [((x, y, plane)[:dim], n) if c and f else None
                   for (x, y), n, c, f in zip(batch.roots[rows, near].tolist(),
                                              batch.norms[rows, near].tolist(),
                                              batch.count.tolist(), finite)]

@@ -6,6 +6,11 @@ contributes two candidate roots. Measured ranges are rarely perfectly
 consistent, so every candidate is scored against all range equations and the
 best one wins; when even the best residual norm exceeds the inconsistency
 tolerance the result is flagged rather than silently trusted.
+
+The closed forms are one array program over rows of ranges against one
+anchor triangle (_closed_form). _batch is its one driver, which the CLI's
+single runs and sweeps share, and trilaterate_2d/3d are its one-row case.
+Each row comes back as its solve alone would: its result or its error.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import (
 from .geometry import Point
 from .simulate import DistanceMatrix
 from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
-                     _outcome, _rowdot, _unit_rows, gauss_newton_raw, order_candidates)
+                     _outcome, _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "TrilaterationProblem",
@@ -106,11 +111,13 @@ def trilateration_objective(problem: TrilaterationProblem) -> Callable[[np.ndarr
     return objective
 
 
-def _require_three(problem: TrilaterationProblem, dim: int, op: str) -> None:
+def _solve_alone(problem: TrilaterationProblem, dim: int, op: str) -> SolveResult:
+    """A dim-D problem with three anchors, solved as the one row of a _batch."""
     if problem.dimension != dim:
         raise DimensionError(f"{op} needs a {dim}D problem, got {problem.dimension}D")
     if len(problem.emitters) != 3:
         raise ValueError(f"{op} needs exactly 3 emitters, got {len(problem.emitters)}")
+    return _batch(problem.anchor_array, problem.distance_array[None, :])[1](0)
 
 
 def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
@@ -174,51 +181,44 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     # A radicand within the slack of 0 clamps to one (tangent) root.
     miss = radicand < -_RADICAND_SLACK * ref
     two = radicand > _RADICAND_SLACK * ref
-    t = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), ld(0.0))[:, None]
-    roots = e[0] + np.stack([(p0 + t * u).astype(float), (p0 - t * u).astype(float)], axis=1)
+    tu = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), ld(0.0))[:, None] * u
+    roots = np.empty((len(ranges), 2, dim))
+    roots[:, 0], roots[:, 1] = p0 + tu, p0 - tu  # longdouble rounded to float64
+    roots += e[0]
     r = _norms(roots[:, :, None, :] - e) - ranges[:, None, :]
     return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
 
 
-def _pick_second(roots: np.ndarray, norms: np.ndarray, two: np.ndarray) -> np.ndarray:
-    """Whether each row's estimate is its second root (see trilaterate_2d/_3d)."""
-    a, b = roots[:, 0], roots[:, 1]
-    lex = (b[:, 0] < a[:, 0]) | ((b[:, 0] == a[:, 0]) & (b[:, 1] < a[:, 1]))
-    if roots.shape[2] == 2:  # order_candidates' first: norm, then x, then y
-        second = (norms[:, 1] < norms[:, 0]) | ((norms[:, 1] == norms[:, 0]) & lex)
-    else:  # among residual-tied roots the greater z, then the lower x, y
+def _order(roots: np.ndarray, norms: np.ndarray, two: np.ndarray):
+    """Each row's candidates in (norm, x, y, z) order, as index pairs (N, 2),
+    and the index of its estimate (N,): in 2D the first candidate, in 3D the
+    residual-tied root with the greater z, then the lower x, y. A row with
+    one root has index 0."""
+    cols = roots.transpose(2, 0, 1)
+    order = np.lexsort((*cols[::-1], norms), axis=-1)
+    if roots.shape[2] == 2:
+        pick = order[:, 0]
+    else:
         tied = norms <= norms.min(axis=1, keepdims=True) + _TIE_EPS
-        higher = (b[:, 2] > a[:, 2]) | ((b[:, 2] == a[:, 2]) & lex)
-        second = tied[:, 1] & (~tied[:, 0] | higher)
-    return two & second
+        pick = np.lexsort((cols[1], cols[0], -cols[2], ~tied), axis=-1)[:, 0]
+    return order, np.where(two, pick, 0)
 
 
-def _trilaterate_rows(anchors: np.ndarray, ranges: np.ndarray):
-    """The one closed-form step: _closed_form's five arrays, then the index
-    (0 or 1) of each row's estimate among its roots, from _pick_second."""
-    with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a rejected row
-        out = _closed_form(anchors, ranges)
-    return (*out, _pick_second(*out[:3]).astype(int))
-
-
-def _inconsistent(dim: int, radicand) -> Inconsistent:
-    """The error of a closed-form solve whose radicand falls below the slack."""
-    what = ("third circle misses the radical line" if dim == 2
-            else "spheres admit no real intersection")
-    return Inconsistent(f"{what} (radicand {float(radicand):.3e})")
-
-
-def _batch(anchors, ranges):
+def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     """Closed-form trilateration of N range triples against one anchor
     triangle, each row as trilaterate_2d/_3d solves it alone.
 
-    anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns the
-    estimates (N, D), their residual norms (N,) and, per row, None or the
-    error that row's solve raises: the TrilaterationProblem error of a range
+    anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns (closed,
+    fix). closed[k] is (coords, residual_norm) of row k's estimate, or None
+    when row k's solve raises. fix(k) returns row k's SolveResult, its
+    candidates in (norm, x, y, z) order, flagged mirror_ambiguity (two 3D
+    roots) and inconsistent (even the best norm exceeds INCONSISTENCY_TOL);
+    or raises that row's error: the TrilaterationProblem error of a range
     that is not finite or is negative, GeometryDegenerate for collinear or
-    coincident anchors, or Inconsistent when the radicand falls below the
-    slack. A row without an error has the bits of trilaterate_2d/_3d's
-    estimate and residual norm, an overflowed norm included.
+    coincident anchors, Inconsistent when the radicand falls below the slack
+    or a residual norm does not fit in a float64. The norms of a row whose
+    float64 sum of squares overflows are taken again with math.dist and
+    math.hypot, which scale; every other row keeps the plain bits.
     """
     anchors = np.asarray(anchors, dtype=float)
     ranges = np.asarray(ranges, dtype=float)
@@ -228,33 +228,45 @@ def _batch(anchors, ranges):
     dim = anchors.shape[1]
     valid = (np.isfinite(ranges) & (ranges >= 0.0)).all(axis=1).tolist()
     try:
-        roots, norms, _, radicand, miss, pick = _trilaterate_rows(anchors, ranges)
+        with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a rejected row
+            roots, norms, two, radicand, miss = _closed_form(anchors, ranges)
     except GeometryDegenerate as exc:
-        return (np.full((len(ranges), dim), np.nan), np.full(len(ranges), np.nan),
-                [GeometryDegenerate(str(exc)) if ok else _bad_distances() for ok in valid])
-    errors = [_bad_distances() if not ok else _inconsistent(dim, radicand[k]) if missed
-              else None for k, (ok, missed) in enumerate(zip(valid, miss.tolist()))]
-    rows = np.arange(len(ranges))
-    return roots[rows, pick], norms[rows, pick], errors
+        errors = [GeometryDegenerate(str(exc)) if ok else _bad_distances() for ok in valid]
+        closed = [None] * len(ranges)
+    else:
+        what = ("third circle misses the radical line" if dim == 2
+                else "spheres admit no real intersection")
+        errors = [_bad_distances() if not ok else None if not missed else
+                  Inconsistent(f"{what} (radicand {float(radicand[k]):.3e})")
+                  for k, (ok, missed) in enumerate(zip(valid, miss.tolist()))]
+        finite = np.isfinite(norms)
+        for k in [] if finite.all() else np.nonzero(~finite.all(axis=1))[0].tolist():
+            if errors[k] is None:  # math.dist and math.hypot scale: no overflow on the way
+                norms[k] = [math.hypot(*(math.dist(root, a) - r for a, r in
+                                         zip(anchors.tolist(), ranges[k].tolist())))
+                            for root in roots[k].tolist()]
+                if not np.isfinite(norms[k]).all():
+                    errors[k] = Inconsistent("the residual norm overflows float64")
+        order, pick = _order(roots, norms, two)
+        rows = np.arange(len(ranges))
+        closed = [None if error is not None else (p, n) for error, p, n in
+                  zip(errors, zip(*roots[rows, pick].T.tolist()), norms[rows, pick].tolist())]
 
+    def fix(k: int) -> SolveResult:
+        if errors[k] is not None:
+            raise errors[k]
+        coords, norm = closed[k]
+        cands = tuple((Point.of(*roots[k, j].tolist()), float(norms[k, j]))
+                      for j in (order[k] if two[k] else (0,)))
+        flags = set()
+        if two[k] and dim == 3:
+            flags.add("mirror_ambiguity")
+        if cands[0][1] > INCONSISTENCY_TOL:
+            flags.add("inconsistent")
+        return SolveResult(estimate=Point.of(*coords), candidates=cands, residual_norm=norm,
+                           iterations=0, converged=True, flags=frozenset(flags))
 
-def _solve_one(problem: TrilaterationProblem) -> SolveResult:
-    """One problem through _trilaterate_rows, with every candidate and the flags."""
-    roots, norms, two, radicand, miss, pick = _trilaterate_rows(
-        problem.anchor_array, problem.distance_array[None, :])
-    if miss[0]:
-        raise _inconsistent(problem.dimension, radicand[0])
-    k = 2 if two[0] else 1
-    cands = [(Point.of(*r.tolist()), float(n)) for r, n in zip(roots[0, :k], norms[0, :k])]
-    estimate, norm = cands[int(pick[0])]
-    flags = set()
-    if two[0] and problem.dimension == 3:
-        flags.add("mirror_ambiguity")
-    if min(n for _, n in cands) > INCONSISTENCY_TOL:
-        flags.add("inconsistent")
-    return SolveResult(estimate=estimate, candidates=order_candidates(cands),
-                       residual_norm=norm, iterations=0, converged=True,
-                       flags=frozenset(flags))
+    return closed, fix
 
 
 def trilaterate_2d(problem: TrilaterationProblem) -> SolveResult:
@@ -267,8 +279,7 @@ def trilaterate_2d(problem: TrilaterationProblem) -> SolveResult:
     that best norm exceeds INCONSISTENCY_TOL. A radicand below
     -1e-9 * d3^2 raises Inconsistent; within that slack it clamps to 0.
     """
-    _require_three(problem, 2, "trilaterate_2d")
-    return _solve_one(problem)
+    return _solve_alone(problem, 2, "trilaterate_2d")
 
 
 def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
@@ -282,8 +293,7 @@ def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
     matching the aerial-receivers-above-ground convention. A radicand below
     -1e-9 * d1^2 raises Inconsistent; within that slack it clamps to 0.
     """
-    _require_three(problem, 3, "trilaterate_3d")
-    return _solve_one(problem)
+    return _solve_alone(problem, 3, "trilaterate_3d")
 
 
 def trilaterate_lsq(problem: TrilaterationProblem, init,

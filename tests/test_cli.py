@@ -1,5 +1,6 @@
 """Scenario parsing, report generation, CSV export, and exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from rfloc import (DistanceMatrix, Point, Scenario, TrilaterationProblem, arrival_deltas,
                    distance, locate_emitter_3d, perturb_arrivals, simulate_arrivals,
                    team_relative_position, trilaterate_2d, trilaterate_3d)
-from rfloc import cli, errors as rfloc_errors, tdoa, trilat
+from rfloc import cli, errors as rfloc_errors, tdoa
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, ValidationError
 from rfloc.simulate import perturb_sweep
@@ -219,14 +220,19 @@ def _entry(result, **extra) -> dict:
 
 def _composed_pipeline(sf) -> tuple[list[dict], list[str]]:
     """A pipeline file's single fix from the public calls alone: its solve
-    entries, less truth and error, and the types of the errors raised."""
+    entries, less truth and error, and the types of the errors raised. An
+    emitter's best iterate is no team position, so only the team step's
+    NoConvergence leaves a best_iterate entry."""
     arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sf.noise_sigma_t, sf.seed)
     centroid = np.mean([r.coords for r in sf.receivers], axis=0)
     entries, selected = [], []
     try:
         for j in range(len(sf.emitters)):
-            result = locate_emitter_3d(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
-                                       sf.emitter_plane_z, sf.options)
+            try:
+                result = locate_emitter_3d(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
+                                           sf.emitter_plane_z, sf.options)
+            except NoConvergence:
+                return [], ["NoConvergence"]
             # The residual-tied candidate (within 1e-9 m) farthest from the
             # receiver centroid, ties by x, then y.
             best = min(n for _, n in result.candidates)
@@ -369,23 +375,23 @@ def _trilat_sweep(sigmas, trials=40, seed=11):
 
 def test_monte_carlo_draws_once_per_trial_seed(monkeypatch):
     made, solved = [], []
-    pcg64, solve_one = np.random.PCG64, trilat._solve_one
+    pcg64, batch = np.random.PCG64, cli._batch
 
     def counted_pcg64(seed=None):
         made.append(seed)
         return pcg64(seed)
 
-    def counted_solve_one(problem):
-        solved.append(problem)
-        return solve_one(problem)
+    def counted_batch(anchors, ranges):
+        solved.append(len(ranges))
+        return batch(anchors, ranges)
 
     monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
-    monkeypatch.setattr(trilat, "_solve_one", counted_solve_one)
+    monkeypatch.setattr(cli, "_batch", counted_batch)
     report = run(_trilat_sweep([0.0, 1e-9, 1e-8]))
     assert made == list(range(11, 51))
-    # The single-epoch solve is the only scalar one: the batch reports the
-    # rows whose radicand misses the slack itself.
-    assert len(solved) == 1
+    # One batch for the single-epoch solve, one for the 120 sweep rows: the
+    # batch reports the rows whose radicand misses the slack itself.
+    assert solved == [1, 120]
     assert any(e["type"] == "Inconsistent" for e in report["errors"])
 
     made.clear()
@@ -799,7 +805,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     sf = _validate(doc)
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(sf.seed, sf.seed + 40)))
-    batched = cli._tdoa_trials(sf, times)
+    batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     recv = np.array([p.array for p in sf.receivers])
@@ -944,8 +950,7 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(3, 3 + trials)))
-    sweep = cli._trilat_trials if mode.startswith("trilat") else cli._tdoa_trials
-    batched = sweep(sf, times)
+    batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     assert len(batched) == trials * len(sigmas)
@@ -959,22 +964,33 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
 def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, receiver,
                                                            norm_overflows):
     # Every trial of a batched trilat sweep is the row (or error) of its own
-    # solve, to the bit. At 1e300 s some ranges overflow and, in 2D, a
-    # closed-form residual norm overflows; at 1.7e308 s some times do too.
+    # solve, to the bit. At 1e300 s some ranges overflow and, in 2D, the
+    # plain float64 residual norm of a row overflows, so the row's norm is
+    # taken with scaled arithmetic; at 1.7e308 s some times overflow too.
     sigmas, trials, seed = [0.0, 1e-9, 1e300, 1.7e308], 40, 3
     sf = _validate({"schema_version": 1, "solve": {"mode": mode},
                     "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(seed, seed + trials)))
-    batched = cli._trilat_trials(sf, times)
+    batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     finite_times = np.isfinite(times).all(axis=(1, 2))
-    finite_ranges = np.isfinite(cli._ranges(sf, times[:, 0])).all(axis=1)
+    ranges = cli._ranges(sf, times[:, 0])
+    finite_ranges = np.isfinite(ranges).all(axis=1)
     assert (~finite_times).any() and (finite_times & ~finite_ranges).any()
-    overflowed = [o for o in batched if isinstance(o, tuple) and math.isinf(o[3])]
+    anchors = np.array(emitters, dtype=float)
+    overflowed = []
+    for o, r in zip(batched, ranges):
+        if isinstance(o, tuple):
+            with np.errstate(over="ignore"):
+                res = np.linalg.norm(np.array(o[:len(receiver)]) - anchors, axis=1) - r
+                plain = np.sqrt(res @ res)
+            if math.isinf(plain):
+                overflowed.append(o[3])
     assert bool(overflowed) == norm_overflows
+    assert all(math.isfinite(norm) for norm in overflowed)
 
 
 @pytest.mark.parametrize("mode, scenario, sigmas", [
@@ -1038,3 +1054,75 @@ def test_overflowing_mean_error_is_finite(tmp_path):
 @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=200))
 def test_mean_keeps_numpy_bits(values):
     assert cli._mean(values) == float(np.mean(values))
+
+
+def _edge_documents():
+    """tools/report_digests.py's edge documents, built from the shipped scenarios."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_digests.py")
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    shipped = {}
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(os.path.join(SCENARIO_DIR, name)) as fh:
+            shipped[name[:-len(".json")]] = json.load(fh)
+    return module.edge_documents(shipped)
+
+
+def test_edge_documents_give_strict_json_reports():
+    # Huge noise, huge or degenerate geometry, overflowing norms and sums:
+    # every report is JSON without NaN or Infinity.
+    docs = _edge_documents()
+    assert len(docs) == 45
+    loose = []
+    for name, doc in docs.items():
+        try:
+            json.dumps(run(_validate(doc)), allow_nan=False)
+        except ValueError:
+            loose.append(name)
+    assert loose == []
+
+
+def test_pipeline_rows_are_never_emitter_iterates():
+    # At sigma_t = 1e-9 s many emitters' branches do not meet and their
+    # fallback does not converge. Such a trial is an error, not a row at the
+    # emitter's iterate on the emitter plane; a single run has no solves.
+    with open(PIPELINE) as fh:
+        doc = json.load(fh)
+    doc["monte_carlo"] = {"trials": 100, "sigma_t_list": [1e-9]}
+    sf = _validate(doc)
+    report = run(sf)
+    rows = report["monte_carlo"]["rows"]
+    swept = [e for e in report["errors"] if e["stage"].startswith("monte_carlo")]
+    assert rows and swept
+    assert len(rows) + len(swept) == 100
+    assert all(row["z"] != sf.emitter_plane_z for row in rows)
+    assert {e["type"] for e in swept} == {"NoConvergence"}
+    doc.pop("monte_carlo")
+    doc["scenario"].update(noise_sigma_t=1e-9, seed=0)
+    report = run(_validate(doc))
+    assert [e["type"] for e in report["errors"]] == ["NoConvergence"]
+    assert report["solves"] == []
+
+
+@pytest.mark.parametrize("mode, scenario, sigmas", [
+    ("trilat2d", {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[250, 500.3]]},
+     [0.0, 1e-9, 1e300]),
+    ("trilat3d", {"emitters": [[0, 0, 0], [500, 0, 0], [0, 500, 0]],
+                  "receivers": [[180, 90, 0.5]]}, [0.0, 1e-9, 1.7e308]),
+    ("tdoa2d", {"emitters": [[400, 300]], "receivers": _TRIANGLE_2D}, [0.0, 1e-6, 1e300]),
+    ("pipeline", {"emitters": _GROUND, "receivers": _DRONES}, [0.0, 1e-9, 1e300]),
+])
+def test_sweeps_do_not_depend_on_the_chunk_size(monkeypatch, mode, scenario, sigmas):
+    # Chunks of 7 driver rows (2 pipeline trials) give the rows, summaries
+    # and errors of the default chunks; the sweeps include errors, fallback
+    # runs and non-finite times.
+    sf = _validate({"schema_version": 1, "scenario": {**scenario, "seed": 3},
+                    "solve": {"mode": mode},
+                    "monte_carlo": {"trials": 20, "sigma_t_list": sigmas}})
+    whole = run(sf)
+    monkeypatch.setattr(cli, "_MC_CHUNK", 7)
+    chunked = run(sf)
+    assert chunked["monte_carlo"] == whole["monte_carlo"]
+    assert chunked["errors"] == whole["errors"]
+    assert whole["errors"] and len(whole["monte_carlo"]["rows"]) > 7

@@ -107,13 +107,38 @@ def test_cli_reaches_the_solvers_only_through_their_row_drivers():
         assert not re.search(rf"\b{name}\b", _source("cli.py")), name
 
 
+def _callers(path: Path, names: tuple[str, ...]) -> set[tuple[str, str]]:
+    """(top-level definition, callee) for every call of names in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(getattr(top, "name", "<module>"), call.func.id) for top in tree.body
+            for call in ast.walk(top) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id in names}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_fixes_drives_the_plane_batch(path):
     # The closed-form TDOA batch and its collinearity check have one caller.
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    callers = {(getattr(top, "name", "<module>"), call.func.id) for top in tree.body
-               for call in ast.walk(top) if isinstance(call, ast.Call)
-               and isinstance(call.func, ast.Name)
-               and call.func.id in ("_plane_batch", "_triangle")}
     expected = {("_fixes", "_plane_batch"), ("_fixes", "_triangle")}
-    assert callers == (expected if path.name == "tdoa.py" else set())
+    assert _callers(path, ("_plane_batch", "_triangle")) == (
+        expected if path.name == "tdoa.py" else set())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_batch_drives_the_closed_form_trilateration(path):
+    expected = {("_batch", "_closed_form")} if path.name == "trilat.py" else set()
+    assert _callers(path, ("_closed_form",)) == expected
+
+
+def test_cli_picks_its_row_driver_in_one_function():
+    cli = Path(rfloc.__file__).parent / "cli.py"
+    assert _callers(cli, ("_fixes", "_batch")) == {("_rows", "_fixes"), ("_rows", "_batch")}
+
+
+@pytest.mark.parametrize("name", ["order_candidates", "_solve_one", "_trilaterate_rows",
+                                  "_trilat_trials", "_tdoa_trials"])
+def test_one_row_driver_per_solver_leaves_no_twin(name):
+    # Single runs and sweeps share trilat._batch and tdoa._fixes; the
+    # per-problem solve, the Python-sorted candidate order and the
+    # per-family sweep loops are gone.
+    for path in SOURCES:
+        assert not re.search(rf"\b{name}\b", path.read_text(encoding="utf-8")), path.name

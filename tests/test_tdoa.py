@@ -529,7 +529,7 @@ def test_batched_fixes_equal_public_solves():
         result = fix(k)[0]
         assert result == locate_emitter_2d(receivers, rd)
         if closed[k] is not None:
-            assert closed[k] == (*result.estimate.coords, result.residual_norm)
+            assert closed[k] == (result.estimate.coords, result.residual_norm)
 
 
 @pytest.mark.parametrize("fixed_z", [None, 0.5])

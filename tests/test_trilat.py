@@ -172,22 +172,27 @@ def test_batch_rows_equal_scalar_solves():
         emitters, dists, _ = consistent_trilat_case(rng, dim)
         ranges = np.maximum(np.array(dists) + rng.normal(0.0, [[0.0], [1e-6], [1.0], [30.0]],
                                                          size=(4, 3)), 0.0)
-        estimates, norms, errors = _batch([p.coords for p in emitters], ranges)
+        closed, fix = _batch([p.coords for p in emitters], ranges)
         solve = trilaterate_2d if dim == 2 else trilaterate_3d
-        for row, est, norm, error in zip(ranges, estimates, norms, errors):
+        for k, row in enumerate(ranges):
             problem = TrilaterationProblem(emitters, tuple(row), dim)
-            if error is not None:
+            if closed[k] is None:
                 rejected_rows += 1
                 with pytest.raises(Inconsistent) as raised:
                     solve(problem)
-                assert repr(error) == repr(raised.value)
+                with pytest.raises(Inconsistent) as batched:
+                    fix(k)
+                assert repr(batched.value) == repr(raised.value)
                 continue
             result = solve(problem)
-            assert tuple(est.tolist()) == result.estimate.coords
-            assert norm.item() == result.residual_norm
+            assert fix(k) == result
+            assert closed[k] == (result.estimate.coords, result.residual_norm)
     assert rejected_rows > 0
-    errors = _batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0], [1.0, math.inf, 1.0]])[2]
-    assert [type(e) for e in errors] == [GeometryDegenerate, ValidationError]
+    closed, fix = _batch([[0, 0], [1, 0], [2, 0]], [[1.0, 1.0, 1.0], [1.0, math.inf, 1.0]])
+    assert closed == [None, None]
+    for k, error in enumerate([GeometryDegenerate, ValidationError]):
+        with pytest.raises(error):
+            fix(k)
 
 
 def test_lsq_reference_scenario():
