@@ -114,15 +114,19 @@ def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return diff / norms[..., None]
 
 
-def _solve_step(JtJ: np.ndarray, minus_g: np.ndarray, lam: float) -> np.ndarray | None:
-    A = JtJ if lam == 0.0 else JtJ + lam * np.eye(JtJ.shape[0])
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of every (k, k) matrix of a against its row of b (..., k);
+    NaN rows where a matrix is singular, which a stacked solve refuses as a whole."""
     try:
-        step = np.linalg.solve(A, minus_g)
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not all(map(math.isfinite, step.tolist())):  # np.isfinite(step).all(), on floats
-        return None
-    return step
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def gauss_newton_raw(
@@ -155,8 +159,10 @@ def gauss_newton_raw(
         accepted = False
         lam = 0.0
         while True:
-            step = _solve_step(JtJ, minus_g, lam)
-            if step is not None:
+            A = JtJ if lam == 0.0 else JtJ + lam * np.eye(len(JtJ))
+            step = _solve_rows(A[None], minus_g[None])[0]
+            # A singular rung leaves NaN: np.isfinite(step).all(), on floats.
+            if all(map(math.isfinite, step.tolist())):
                 x_new = x + step
                 r_new = np.asarray(residual_fn(x_new), dtype=float)
                 f_new = float(r_new @ r_new)
@@ -180,22 +186,23 @@ def gauss_newton_raw(
     return x, math.sqrt(f), iterations, converged
 
 
-def _as_vector(init) -> np.ndarray:
-    if isinstance(init, Point):
-        return np.array(init.coords, dtype=float)
-    return np.asarray(init, dtype=float).ravel()
-
-
-def _outcome(estimate: Point, norm: float, iterations: int, converged: bool, failure: str,
-             judge: bool = False) -> SolveResult:
-    """The SolveResult of a gauss_newton_raw run ending at estimate, its one candidate,
-    flagged inconsistent beyond INCONSISTENCY_TOL when judge is set. A run that did not
-    converge raises NoConvergence with it and failure.format(iterations=..., norm=...)."""
-    flags = frozenset({"inconsistent"} if judge and norm > INCONSISTENCY_TOL else ())
+def _outcome(coords, norm: float, iterations: int, converged: bool,
+             failure: str) -> SolveResult:
+    """The SolveResult of a gauss_newton_raw run ending at coords, its one candidate,
+    flagged inconsistent beyond INCONSISTENCY_TOL. A run that did not converge raises
+    NoConvergence with it and failure.format(iterations=..., norm=...); one whose
+    coordinates or residual norm are not finite raises it without a best iterate."""
+    message = failure.format(iterations=iterations, norm=norm)
+    if not all(map(math.isfinite, coords)):
+        raise NoConvergence(f"{message}; the iterate is not finite")
+    if not math.isfinite(norm):
+        raise NoConvergence(f"{message}; the residual norm is not finite")
+    estimate = Point.of(*coords)
+    flags = frozenset({"inconsistent"} if norm > INCONSISTENCY_TOL else ())
     result = SolveResult(estimate=estimate, candidates=((estimate, norm),), residual_norm=norm,
                          iterations=iterations, converged=converged, flags=flags)
     if not converged:
-        raise NoConvergence(failure.format(iterations=iterations, norm=norm), best=result)
+        raise NoConvergence(message, best=result)
     return result
 
 
@@ -207,7 +214,7 @@ def finite_difference_jacobian(
     """Central-difference Jacobian: entry (i, k) = (r_i(q + h e_k) - r_i(q - h e_k)) / 2h."""
     if not h > 0.0:
         raise ValueError("step h must be positive")
-    x = _as_vector(q)
+    x = np.array(q.coords) if isinstance(q, Point) else np.asarray(q, dtype=float).ravel()
     n = len(x)
     base = np.asarray(residual_fn(x), dtype=float)
     J = np.empty((base.size, n))

@@ -36,13 +36,12 @@ from .errors import (
     DimensionError,
     GeometryDegenerate,
     InsufficientReceivers,
-    NoConvergence,
     ValidationError,
 )
 from .geometry import Point
 from .simulate import ArrivalSet
 from .solver import (_TIE_EPS, SolveResult, SolverOptions, _cross, _norms, _outcome, _rowdot,
-                     _unit_rows, gauss_newton_raw)
+                     _solve_rows, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDifferenceSet",
@@ -242,21 +241,6 @@ def _triangle(recv: np.ndarray) -> float:
     return diam
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of every (k, k) matrix of a against its row of b (..., k);
-    NaN rows where a matrix is singular, which a stacked solve refuses as a whole."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _polish(recv: np.ndarray, deltas: np.ndarray, plane: float, x: np.ndarray,
             floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drive approximate roots to the residual floor with pure Newton steps.
@@ -444,11 +428,6 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
     return _PlaneRoots(roots, norms, count, ties, starts, start_ok)
 
 
-def _point(x, plane: float, dim: int) -> Point:
-    """The planar solution x as a dim-D point, on the plane z = plane in 3D."""
-    return Point.of(x[0], x[1], plane) if dim == 3 else Point.of(x[0], x[1])
-
-
 def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: SolverOptions
            ) -> tuple[list, Callable[[int], tuple[SolveResult, Point]]]:
     """Every row of deltas (N, 2) solved on the plane z = plane against the
@@ -489,8 +468,8 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
                              batch.starts[k][batch.start_ok[k]], opts)
         norms = batch.norms[k].tolist()
         near, far = batch.ties[k].tolist()
-        cands = tuple(zip([_point(x, plane, dim) for x in batch.roots[k, :count].tolist()],
-                          norms))
+        cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
+                           for x, y in batch.roots[k, :count].tolist()], norms))
         return (SolveResult(estimate=cands[near][0], candidates=cands,
                             residual_norm=norms[near], iterations=0, converged=True),
                 cands[far][0])
@@ -513,13 +492,11 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
         start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
-    message = ("the branches do not meet and the least-squares run did not converge "
-               "to a finite point")
-    if not np.all(np.isfinite(x)):
-        raise NoConvergence(f"{message}; the iterate is not finite")
     ok = ok and float(np.linalg.norm(x - recv[:, :2].mean(axis=0))) <= _RUNAWAY_DIAMS * diam
-    p = _point(x, plane, dim)
-    return _outcome(p, norm, iters, ok, message, judge=True), p
+    result = _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
+                      "the branches do not meet and the least-squares run did not converge "
+                      "to a finite point")
+    return result, result.estimate
 
 
 def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,

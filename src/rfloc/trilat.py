@@ -82,11 +82,17 @@ class TrilaterationProblem:
         return np.array(self.distances)
 
 
+def _residuals(p: np.ndarray, anchors: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """trilateration_residuals at points p (..., D) against anchors (E, D),
+    each against its row of ranges: (..., E)."""
+    return _norms(p[..., None, :] - anchors) - ranges
+
+
 def trilateration_residuals(problem: TrilaterationProblem, q: Point) -> np.ndarray:
     """Residual per anchor: |q - emitter_i| - distance_i (meters)."""
     if q.dim != problem.dimension:
         raise DimensionError(f"point is {q.dim}D, problem is {problem.dimension}D")
-    return _norms(np.array(q.coords) - problem.anchor_array) - problem.distance_array
+    return _residuals(np.array(q.coords), problem.anchor_array, problem.distance_array)
 
 
 def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarray:
@@ -185,7 +191,7 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     roots = np.empty((len(ranges), 2, dim))
     roots[:, 0], roots[:, 1] = p0 + tu, p0 - tu  # longdouble rounded to float64
     roots += e[0]
-    r = _norms(roots[:, :, None, :] - e) - ranges[:, None, :]
+    r = _residuals(roots, e, ranges[:, None, :])
     return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
 
 
@@ -303,7 +309,8 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
     Minimizes the squared range residuals from the given start. On consistent
     three-anchor data this lands on the same point as the closed forms
     (within solver tolerance). Raises NoConvergence with the best iterate
-    attached when the iteration budget runs out.
+    attached when the iteration budget runs out, and without one when the
+    iterate or its residual norm is not finite (a NaN start included).
     """
     if isinstance(init, Point):
         if init.dim != problem.dimension:
@@ -320,16 +327,11 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
 def _lsq(anchors: np.ndarray, ranges: np.ndarray, x0: np.ndarray,
          opts: SolverOptions | None) -> SolveResult:
     """trilaterate_lsq of anchors (E, D) and ranges (E,) from x0 (D,)."""
-    def residual(x: np.ndarray) -> np.ndarray:
-        return _norms(x - anchors) - ranges
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        return _unit_rows(x, anchors)
-
     with np.errstate(over="ignore", invalid="ignore"):  # huge anchors: an overflowed step fails
-        x, norm, iterations, converged = gauss_newton_raw(residual, jacobian, x0, opts)
-    return _outcome(Point.of(*x.tolist()), norm, iterations, converged,
-                    "trilaterate_lsq did not converge after {iterations} iterations", judge=True)
+        x, norm, iterations, converged = gauss_newton_raw(
+            lambda x: _residuals(x, anchors, ranges), lambda x: _unit_rows(x, anchors), x0, opts)
+    return _outcome(x.tolist(), norm, iterations, converged,
+                    "trilaterate_lsq did not converge after {iterations} iterations")
 
 
 def team_relative_position(drones: Sequence[Point], emitter_estimates: Sequence[Point],

@@ -1073,7 +1073,7 @@ def test_edge_documents_give_strict_json_reports():
     # Huge noise, huge or degenerate geometry, overflowing norms and sums:
     # every report is JSON without NaN or Infinity.
     docs = _edge_documents()
-    assert len(docs) == 45
+    assert len(docs) == 47
     loose = []
     for name, doc in docs.items():
         try:

@@ -104,6 +104,28 @@ def test_final_norm_never_exceeds_initial():
         assert norm <= start + 1e-12
 
 
+def test_singular_normal_equations_take_the_damping_ladder():
+    # r(x) = [x.x - 25] from (1, 0): J^T J = 4 x x^T is singular at every
+    # iterate, so the pure Gauss-Newton rung of each iteration is a NaN step
+    # from the stacked solve, rejected like the damped rungs that fail.
+    x, norm, iterations, converged = solver.gauss_newton_raw(
+        lambda x: np.array([x @ x - 25.0]), lambda x: 2.0 * x[None, :], np.array([1.0, 0.0]))
+    assert (x.tolist(), iterations, converged) == ([5.000000000000126, 0.0], 5, True)
+    assert norm < 1e-11
+
+
+def test_solve_rows_leaves_singular_rows_nan():
+    # A stacked np.linalg.solve refuses the whole stack for one singular
+    # matrix; _solve_rows then gives that row NaN and every other row the
+    # bits of its own solve.
+    a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 1.0], [0.5, 2.0]]])
+    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = solver._solve_rows(a, b)
+    assert np.isnan(out[1]).all()
+    for k in (0, 2):
+        assert out[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+
+
 def test_solver_options_validation():
     with pytest.raises(ValidationError):
         SolverOptions(max_iterations=0)

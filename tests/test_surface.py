@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import rfloc
+from rfloc import solver
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -142,3 +143,30 @@ def test_one_row_driver_per_solver_leaves_no_twin(name):
     # per-family sweep loops are gone.
     for path in SOURCES:
         assert not re.search(rf"\b{name}\b", path.read_text(encoding="utf-8")), path.name
+
+
+def test_one_linear_solve_serves_every_newton_step():
+    # _polish and every damping rung of gauss_newton_raw go through _solve_rows.
+    calls = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls |= {(path.name, getattr(top, "name", "<module>")) for top in tree.body
+                  for node in ast.walk(top) if isinstance(node, ast.Attribute)
+                  and ast.unparse(node) == "np.linalg.solve"}
+    assert calls == {("solver.py", "_solve_rows")}
+    assert not hasattr(solver, "_solve_step")
+
+
+def test_gauss_newton_has_two_callers():
+    # The TDOA fallback and the trilateration least squares; both end in _outcome.
+    callers = {(path.name, *caller) for path in SOURCES
+               for caller in _callers(path, ("gauss_newton_raw", "_outcome"))}
+    assert callers == {("tdoa.py", "_fallback", "gauss_newton_raw"),
+                       ("tdoa.py", "_fallback", "_outcome"),
+                       ("trilat.py", "_lsq", "gauss_newton_raw"),
+                       ("trilat.py", "_lsq", "_outcome")}
+
+
+def test_trilateration_has_one_range_model():
+    trilat = Path(rfloc.__file__).parent / "trilat.py"
+    assert _callers(trilat, ("_norms",)) == {("_residuals", "_norms")}

@@ -563,18 +563,6 @@ def test_polish_rows_equal_single_row_polish(fixed_z):
     assert moved == 60 and np.median(norms) < 1e-6
 
 
-def test_solve_rows_leaves_singular_rows_nan():
-    # A stacked np.linalg.solve refuses the whole stack for one singular
-    # matrix; _solve_rows then gives that row NaN and every other row the
-    # bits of its own solve.
-    a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 1.0], [0.5, 2.0]]])
-    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = tdoa._solve_rows(a, b)
-    assert np.isnan(out[1]).all()
-    for k in (0, 2):
-        assert out[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
-
-
 def _planar_outcome(solve):
     """A solve's result or error as the hex of what a 2D solve and the same
     solve on the plane z = 0 share: every point's x, y and z, the norms,

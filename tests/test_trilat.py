@@ -25,6 +25,7 @@ from rfloc.errors import (
     DimensionError,
     GeometryDegenerate,
     Inconsistent,
+    NoConvergence,
     ValidationError,
 )
 from rfloc.trilat import TrilaterationProblem, _batch
@@ -209,6 +210,14 @@ def test_lsq_init_at_solution():
     result = trilaterate_lsq(problem, Point.of(3, 4))
     assert result.iterations <= 1
     assert result.residual_norm < 1e-12
+
+
+def test_lsq_from_a_non_finite_start_has_no_best_iterate():
+    # The run cannot move from a NaN start: a typed error, not a Point that
+    # refuses its coordinates.
+    with pytest.raises(NoConvergence, match="the iterate is not finite$") as exc:
+        trilaterate_lsq(_demo_problem(), [math.nan, 0.0])
+    assert exc.value.best is None
 
 
 def test_lsq_matches_grid_minimizer_on_demo():

@@ -7,8 +7,10 @@ tdoa2d_sweep files that perfbench/workloads.py generates for each seed (as
 `perfbench/run.py --seed N` generates them), and a fixed list of edge
 documents derived from the shipped ones: huge noise, huge or collinear
 geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
-off-ground emitter planes, pipeline sweeps whose branches do not meet, and a
-sweep whose mean error overflows a plain sum.
+off-ground emitter planes, pipeline sweeps whose branches do not meet, a
+sweep whose mean error overflows a plain sum, a tdoa2d sweep whose
+Gauss-Newton start overflows, and a two-emitter tdoa2d run with one fallback
+that does not converge.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -110,6 +112,13 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
         docs[f"pipeline_noroot_sweep_{tag}"] = _edit(pipe, monte_carlo=_sweep(0.0, sigma,
                                                                               trials=40))
         docs[f"pipeline_noroot_{tag}"] = _edit(pipe, {"noise_sigma_t": sigma, "seed": 3})
+    # The fallback's start has a squared residual that overflows: the run never moves.
+    docs["tdoa2d_sweep_1e150"] = _edit(tdoa, {"noise_sigma_t": 1e150},
+                                       monte_carlo=_sweep(0.0, 1e150))
+    # Emitter 0 converges, emitter 1's branches do not meet and its fallback does not.
+    docs["tdoa2d_two_emitters_noroot"] = _edit(
+        tdoa1, {"emitters": [[400.0, 300.0], [5000.0, 9000.0]], "noise_sigma_t": 1e-7,
+                "seed": 1})
     return docs
 
 
