@@ -7,7 +7,8 @@ Verbs:
 
 Scenario files are single JSON documents (schema_version 1); distances are
 meters, times seconds, frequencies hertz. Exit codes: 0 success, 1 a solve
-raised an error (embedded in the report), 2 malformed input.
+raised an error (embedded in the report), 2 malformed input or a report
+that cannot be written.
 
 Reports are deterministic for a fixed file and seed: apart from the
 timestamp field, identical runs produce byte-identical JSON.
@@ -20,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -362,45 +364,37 @@ def _rows(sf: ScenarioFile, times: np.ndarray | None):
     """The row driver of sf's mode over arrival times (..., R, E), as
     (closed, fix) (see trilat._batch and tdoa._fixes): one trilateration row
     per receiver, one TDOA row per emitter, each in times' order; times None
-    is the one row of explicit trilat distances.
-
-    A pipeline emitter's NoConvergence is raised without its best iterate:
-    that iterate is an emitter position, not the team's.
-    """
+    is the one row of explicit trilat distances."""
     dim, family = _MODES[sf.mode]
     if family == "trilat":
         ranges = [sf.distances] if times is None else _ranges(sf, times).reshape(-1, 3)
         return _batch([p.coords for p in sf.emitters], ranges)
-    closed, fix = _fixes(_receivers(sf), _range_differences(times, sf.c).reshape(-1, 2),
-                         sf.emitter_plane_z, dim, sf.options)
-    if family == "tdoa":
-        return closed, fix
-
-    def emitter(k: int) -> tuple[SolveResult, Point]:
-        try:
-            return fix(k)
-        except NoConvergence as exc:
-            exc.best = None
-            raise
-
-    return closed, emitter
+    return _fixes(_receivers(sf), _range_differences(times, sf.c).reshape(-1, 2),
+                  sf.emitter_plane_z, dim, sf.options)
 
 
-def _solves(sf: ScenarioFile, arrivals) -> list[tuple[str, SolveResult, Point | None, dict]]:
-    """(kind, result, truth, extra report fields) per solve, in report order,
-    from one _rows call.
+def _solves(sf: ScenarioFile, fix, first: int = 0
+            ) -> list[tuple[str, SolveResult, Point | None, dict]]:
+    """(kind, result, truth, extra report fields) per solve of one trial, in
+    report order, from the fix of a _rows call whose driver rows first,
+    first + 1, ... are the trial's.
 
-    arrivals is None for explicit trilat distances. A pipeline's team
-    position comes last, after its per-emitter solves.
+    A pipeline's team position comes last, after its per-emitter solves; an
+    emitter's NoConvergence is raised without its best iterate, which is an
+    emitter position, not the team's.
     """
     family = _MODES[sf.mode][1]
-    fix = _rows(sf, None if arrivals is None else arrivals.times)[1]
     if family == "trilat":
         if sf.distances is not None:
-            return [("trilat", fix(0), None, {})]
-        return [("trilat", fix(i), receiver, {"receiver_index": i})
+            return [("trilat", fix(first), None, {})]
+        return [("trilat", fix(first + i), receiver, {"receiver_index": i})
                 for i, receiver in enumerate(sf.receivers)]
-    fixes = [fix(j) for j in range(len(sf.emitters))]
+    try:
+        fixes = [fix(first + j) for j in range(len(sf.emitters))]
+    except NoConvergence as exc:
+        if family == "pipeline":
+            exc.best = None
+        raise
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
                 for j, (result, _) in enumerate(fixes)]
@@ -427,8 +421,9 @@ def _single_run_entries(sf: ScenarioFile, arrivals: ArrivalSet | None,
                  "distance_m": est.meters, "idealized": est.idealized}]
     if arrivals is not None:
         arrivals = perturb_arrivals(arrivals, sf.noise_sigma_t, seed)
+    fix = _rows(sf, None if arrivals is None else arrivals.times)[1]
     return [_solve_entry(kind, result, truth, **extra)
-            for kind, result, truth, extra in _solves(sf, arrivals)]
+            for kind, result, truth, extra in _solves(sf, fix)]
 
 
 def _error_entry(stage: str, exc: RflocError) -> dict:
@@ -460,7 +455,7 @@ def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
     per tdoa sweep and one receiver per trilat sweep, and a pipeline's team
     position comes last.
     """
-    return _mc_outcome(lambda: _solves(sf, ArrivalSet(times))[-1][1:3])
+    return _mc_outcome(lambda: _solves(sf, _rows(sf, ArrivalSet(times).times)[1])[-1][1:3])
 
 
 def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
@@ -468,16 +463,15 @@ def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
     chunk of _MC_CHUNK driver rows.
 
     Each row is bit-identical to _mc_trial's solve of it, or is the error
-    that solve raises: a trilat or tdoa row is its one driver row's
-    estimate, or its fallback run; a pipeline row is the team position from
-    its emitters' farthest tied roots. Only trials whose times are not
-    finite run _mc_trial, for the error ArrivalSet raises.
+    that solve raises: a trilat or tdoa row with a closed form is its one
+    driver row's estimate; every other trial is its _solves from the
+    chunk's fix. Only trials whose times are not finite run _mc_trial, for
+    the error ArrivalSet raises.
     """
     family = _MODES[sf.mode][1]
     n_rows = 1 if family == "trilat" else times.shape[2]  # driver rows per trial
     finite = np.isfinite(times).all(axis=(1, 2)).tolist()
-    truth = (sf.receivers if family == "trilat" else sf.emitters)[0]
-    at = truth.coords
+    at = (sf.receivers if family == "trilat" else sf.emitters)[0].coords
     trials = []
     per = max(1, _MC_CHUNK // n_rows)
     for lo in range(0, len(times), per):
@@ -485,14 +479,11 @@ def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
         for i, finite_i in enumerate(finite[lo:lo + per]):
             if not finite_i:
                 trials.append(_mc_trial(sf, times[lo + i]))
-            elif family == "pipeline":
-                emitters = range(i * n_rows, (i + 1) * n_rows)
-                trials.append(_mc_outcome(lambda: _team(sf, [fix(r)[1] for r in emitters])))
-            elif closed[i] is not None:  # (*coords, 0.0)[:3] is (x, y, z), z = 0 in 2D
-                coords, norm = closed[i]
+            elif family != "pipeline" and closed[i] is not None:
+                coords, norm = closed[i]  # (*coords, 0.0)[:3] is (x, y, z), z = 0 in 2D
                 trials.append((*coords, 0.0)[:3] + (norm, True, math.dist(coords, at)))
-            else:  # a tdoa fallback run; a trilat row without a closed form raises in fix
-                trials.append(_mc_outcome(lambda: (fix(i)[0], truth)))
+            else:  # a tdoa fallback run, a pipeline team, or a trilat row's error
+                trials.append(_mc_outcome(lambda: _solves(sf, fix, i * n_rows)[-1][1:3]))
     return trials
 
 
@@ -672,6 +663,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -694,10 +686,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     report = run(sf, seed=args.seed)
-    if args.command == "run":
-        _emit(json.dumps(report, indent=2), args.output)
-    else:
-        _emit(report_to_csv(report), args.output)
+    text = json.dumps(report, indent=2) if args.command == "run" else report_to_csv(report)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):  # the exit's flush then writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = "stdout" if args.output is None else args.output
+        print(f"output error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         n_err = len(report["errors"])
         status = "ok" if n_err == 0 else f"{n_err} solve error(s)"

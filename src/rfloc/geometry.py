@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionError
 
 __all__ = ["Point", "distance"]
@@ -43,11 +41,6 @@ class Point:
         if len(coords) == 3:
             return cls(float(coords[0]), float(coords[1]), float(coords[2]), 3)
         raise DimensionError(f"expected 2 or 3 coordinates, got {len(coords)}")
-
-    @property
-    def array(self) -> np.ndarray:
-        """Always-3D coordinate array (z = 0 for 2D points)."""
-        return np.array([self.x, self.y, self.z])
 
     @property
     def coords(self) -> tuple[float, ...]:

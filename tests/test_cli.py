@@ -808,7 +808,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
-    recv = np.array([p.array for p in sf.receivers])
+    recv = cli._receivers(sf)
     batch = tdoa._plane_batch(recv, tdoa._range_differences(times, sf.c).reshape(-1, 2),
                               sf.emitter_plane_z, tdoa._triangle(recv))
     assert (batch.count == 0).any() and (batch.count == 2).any()
@@ -1073,7 +1073,7 @@ def test_edge_documents_give_strict_json_reports():
     # Huge noise, huge or degenerate geometry, overflowing norms and sums:
     # every report is JSON without NaN or Infinity.
     docs = _edge_documents()
-    assert len(docs) == 47
+    assert len(docs) == 49
     loose = []
     for name, doc in docs.items():
         try:
@@ -1126,3 +1126,52 @@ def test_sweeps_do_not_depend_on_the_chunk_size(monkeypatch, mode, scenario, sig
     assert chunked["monte_carlo"] == whole["monte_carlo"]
     assert chunked["errors"] == whole["errors"]
     assert whole["errors"] and len(whole["monte_carlo"]["rows"]) > 7
+
+
+@pytest.mark.parametrize("mode, scenario, key", [
+    ("trilat2d", {"emitters": [[0, 0], [500, 0], [0, 500]],
+                  "receivers": [[180, 90], [120, 300], [350, 60]]}, "receivers"),
+    ("trilat3d", {"emitters": [[0, 0, 0], [500, 0, 0], [0, 500, 0]],
+                  "receivers": [[180, 90, 222], [120, 300, 150], [350, 60, 80]]}, "receivers"),
+    ("tdoa2d", {"emitters": [[400, 300], [-250, 700]], "receivers": _TRIANGLE_2D}, "emitters"),
+    ("tdoa3d", {"emitters": _GROUND[:2], "receivers": _DRONES}, "emitters"),
+])
+def test_single_runs_index_their_driver_rows(mode, scenario, key):
+    # A single run with several receivers (trilat) or emitters (tdoa) has one
+    # entry per driver row, in order; each is the one entry of the same file
+    # cut down to that receiver or emitter, apart from its index.
+    index = "receiver_index" if key == "receivers" else "emitter_index"
+    doc = {"schema_version": 1, "scenario": scenario, "solve": {"mode": mode}}
+    report = run(_validate(doc))
+    assert report["errors"] == []
+    solves = report["solves"]
+    assert [entry[index] for entry in solves] == list(range(len(scenario[key])))
+    assert all(entry["converged"] and entry["iterations"] == 0 for entry in solves)
+    for k, entry in enumerate(solves):
+        cut = {**doc, "scenario": {**scenario, key: [scenario[key][k]]}}
+        assert run(_validate(cut))["solves"] == [{**entry, index: 0}]
+
+
+@pytest.mark.parametrize("verb", ["run", "export-csv"])
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, verb):
+    # Exit code 1 means a solve raised; a report that cannot be written is 2.
+    for output in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main([verb, BASELINE, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {output}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_closed_stdout_pipe_leaves_no_traceback():
+    # The reader goes away after 100 bytes of a report larger than a pipe's buffer.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "rfloc", "run", NOISE_SWEEP],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "output error: cannot write stdout: Broken pipe\n"

@@ -135,6 +135,25 @@ def test_cli_picks_its_row_driver_in_one_function():
     assert _callers(cli, ("_fixes", "_batch")) == {("_rows", "_fixes"), ("_rows", "_batch")}
 
 
+def test_cli_assembles_a_trial_in_one_function():
+    # Single runs, sweep rows and the per-trial reference take a trial's
+    # solves, and a pipeline's team, from _solves alone.
+    cli = Path(rfloc.__file__).parent / "cli.py"
+    assert _callers(cli, ("_team",)) == {("_solves", "_team")}
+    assert _callers(cli, ("fix",)) == {("_solves", "fix")}
+    assert _callers(cli, ("_solves",)) == {("_single_run_entries", "_solves"),
+                                           ("_mc_trial", "_solves"), ("_trials", "_solves")}
+
+
+def test_cli_row_driver_returns_the_drivers_unwrapped():
+    rows = next(node for node in ast.parse(_source("cli.py")).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_rows")
+    assert not [node for node in ast.walk(rows) if node is not rows and isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert "NoConvergence" not in {node.id for node in ast.walk(rows)
+                                   if isinstance(node, ast.Name)}
+
+
 @pytest.mark.parametrize("name", ["order_candidates", "_solve_one", "_trilaterate_rows",
                                   "_trilat_trials", "_tdoa_trials"])
 def test_one_row_driver_per_solver_leaves_no_twin(name):

@@ -9,8 +9,9 @@ documents derived from the shipped ones: huge noise, huge or collinear
 geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
 off-ground emitter planes, pipeline sweeps whose branches do not meet, a
 sweep whose mean error overflows a plain sum, a tdoa2d sweep whose
-Gauss-Newton start overflows, and a two-emitter tdoa2d run with one fallback
-that does not converge.
+Gauss-Newton start overflows, a two-emitter tdoa2d run with one fallback
+that does not converge, and single runs of three trilat3d receivers and of
+two converging tdoa3d emitters.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -119,6 +120,10 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
     docs["tdoa2d_two_emitters_noroot"] = _edit(
         tdoa1, {"emitters": [[400.0, 300.0], [5000.0, 9000.0]], "noise_sigma_t": 1e-7,
                 "seed": 1})
+    # Single runs of several driver rows, each solved in closed form.
+    three = [[180.0, 90.0, 222.0], [120.0, 300.0, 150.0], [350.0, 60.0, 80.0]]
+    docs["trilat3d_three_receivers"] = _edit(trilat, {"receivers": three}, drop=("distances",))
+    docs["tdoa3d_two_emitters"] = _edit(tdoa3, {"emitters": pipe["scenario"]["emitters"][:2]})
     return docs
 
 
