@@ -409,21 +409,18 @@ def _solves(sf: ScenarioFile, fix, first: int = 0
     return solves + [("team_position", *_team(sf, chosen), {})]
 
 
-def _single_run_entries(sf: ScenarioFile, arrivals: ArrivalSet | None,
-                        seed: int) -> list[dict]:
-    """The single-epoch solves; arrivals is the file's noise-free simulation,
-    None for doppler mode and explicit trilat distances."""
+def _single_run_entries(sf: ScenarioFile, times: np.ndarray | None, fix=None) -> list[dict]:
+    """The single-epoch solves of arrival times (R, E), None for doppler mode
+    and explicit trilat distances, from fix if a sweep's first driver batch
+    solved them as its block 0, else from a _rows call of their own."""
     if _MODES[sf.mode][1] == "doppler":
         reading = DopplerReading(f_emitted=sf.carrier, f_received=sf.doppler_f_received,
                                  c=sf.c)
         est = doppler_distance(reading)
         return [{"kind": "doppler", "shift_hz": doppler_shift(reading),
                  "distance_m": est.meters, "idealized": est.idealized}]
-    if arrivals is not None:
-        arrivals = perturb_arrivals(arrivals, sf.noise_sigma_t, seed)
-    fix = _rows(sf, None if arrivals is None else arrivals.times)[1]
     return [_solve_entry(kind, result, truth, **extra)
-            for kind, result, truth, extra in _solves(sf, fix)]
+            for kind, result, truth, extra in _solves(sf, fix or _rows(sf, times)[1])]
 
 
 def _error_entry(stage: str, exc: RflocError) -> dict:
@@ -458,7 +455,7 @@ def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
     return _mc_outcome(lambda: _solves(sf, _rows(sf, ArrivalSet(times).times)[1])[-1][1:3])
 
 
-def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
+def _trials(sf: ScenarioFile, times: np.ndarray, lead: bool = False) -> list:
     """_mc_trial of every (R, E) slice of times, from one _rows call per
     chunk of _MC_CHUNK driver rows.
 
@@ -466,7 +463,9 @@ def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
     that solve raises: a trilat or tdoa row with a closed form is its one
     driver row's estimate; every other trial is its _solves from the
     chunk's fix. Only trials whose times are not finite run _mc_trial, for
-    the error ArrivalSet raises.
+    the error ArrivalSet raises. With lead, times[0] is the file's single
+    epoch, riding in the first batch: in its place the list holds that
+    batch's fix, whose driver rows 0, 1, ... are the single epoch's.
     """
     family = _MODES[sf.mode][1]
     n_rows = 1 if family == "trilat" else times.shape[2]  # driver rows per trial
@@ -477,7 +476,9 @@ def _trials(sf: ScenarioFile, times: np.ndarray) -> list[tuple | RflocError]:
     for lo in range(0, len(times), per):
         closed, fix = _rows(sf, times[lo:lo + per])
         for i, finite_i in enumerate(finite[lo:lo + per]):
-            if not finite_i:
+            if lo + i < lead:
+                trials.append(fix)
+            elif not finite_i:
                 trials.append(_mc_trial(sf, times[lo + i]))
             elif family != "pipeline" and closed[i] is not None:
                 coords, norm = closed[i]  # (*coords, 0.0)[:3] is (x, y, z), z = 0 in 2D
@@ -519,19 +520,22 @@ def _mean(values: Sequence[float]) -> float:
     return float(top * (np.add.reduce(v / top) / len(v)))
 
 
-def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed: int,
-                 errors: list[dict]) -> dict:
+def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError,
+                 lead: np.ndarray | None, base_seed: int, errors: list[dict]) -> tuple:
     """Noise sweep of the file's one noise-free simulation, or of the error
     simulating raised, which every trial then reports. Each sigma_t runs
     monte_carlo.trials trials seeded base_seed + trial; each seed's jitter
     is drawn once for all sigmas, and the trials of every sigma are solved
-    in closed-form batches."""
+    in closed-form batches. lead, the single epoch's times or None, rides
+    in the first batch; returns (that batch's fix or None, the section)."""
     sigmas, trials = sf.monte_carlo_sigmas, sf.monte_carlo_trials
     if isinstance(arrivals, RflocError):
-        outcomes = [[arrivals] * trials for _ in sigmas]
+        fix, outcomes = None, [[arrivals] * trials for _ in sigmas]
     else:
         noisy = perturb_sweep(arrivals.times, sigmas, range(base_seed, base_seed + trials))
-        flat = _trials(sf, np.concatenate(noisy))
+        head = [] if lead is None else [lead[None]]
+        flat = _trials(sf, np.concatenate(head + noisy), bool(head))
+        fix = flat.pop(0) if head else None
         outcomes = [flat[i * trials:(i + 1) * trials] for i in range(len(sigmas))]
     rows = []
     summaries = []
@@ -553,17 +557,20 @@ def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError, base_seed:
             p10, p50, p90 = _quantiles(trial_errors, (0.1, 0.5, 0.9))
         summaries.append({"sigma_t": sigma_t, "n": len(trial_errors), "mean_error_m": mean,
                           "p10_error_m": p10, "median_error_m": p50, "p90_error_m": p90})
-    return {"trials": trials,
-            "sigma_t_list": list(sigmas),
-            "summaries": summaries, "rows": rows}
+    return fix, {"trials": trials,
+                 "sigma_t_list": list(sigmas),
+                 "summaries": summaries, "rows": rows}
 
 
 def run(sf: ScenarioFile, seed: int | None = None) -> dict:
     """Execute a validated scenario and build the JSON-ready report.
 
-    Module errors raised by individual solves are embedded under "errors"
-    rather than propagated; the CLI turns a non-empty error list into exit
-    code 1. Deterministic for a fixed scenario file and seed.
+    One noise-free simulation serves the single solve and the sweep, and
+    the single epoch rides in the sweep's first driver batch (see _trials).
+    Module errors raised by individual solves are embedded under "errors",
+    the solve's before the sweep's, rather than propagated; the CLI turns a
+    non-empty error list into exit code 1. Deterministic for a fixed
+    scenario file and seed.
     """
     base_seed = sf.seed if seed is None else seed
     errors: list[dict] = []
@@ -577,23 +584,26 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
         "monte_carlo": None,
         "errors": errors,
     }
-    # One noise-free simulation serves the single solve and the sweep.
-    arrivals = None
+    arrivals = lead = fix = None
     try:
         if _MODES[sf.mode][1] != "doppler" and sf.distances is None:
             arrivals = simulate_arrivals(sf.scenario())
-        report["solves"] = _single_run_entries(sf, arrivals, base_seed)
-    except NoConvergence as exc:
-        errors.append(_error_entry("solve", exc))
-        if exc.best is not None:
-            report["solves"] = [_solve_entry("best_iterate", exc.best, None)]
+            lead = perturb_arrivals(arrivals, sf.noise_sigma_t, base_seed).times
     except RflocError as exc:
         errors.append(_error_entry("solve", exc))
         if arrivals is None:
             arrivals = exc  # simulating raised; every trial raises it again
-
+    sweep_errors: list[dict] = []
     if sf.monte_carlo_sigmas is not None:
-        report["monte_carlo"] = _monte_carlo(sf, arrivals, base_seed, errors)
+        fix, report["monte_carlo"] = _monte_carlo(sf, arrivals, lead, base_seed, sweep_errors)
+    try:
+        if not errors:  # the single epoch was simulated and drawn
+            report["solves"] = _single_run_entries(sf, lead, fix)
+    except RflocError as exc:
+        errors.append(_error_entry("solve", exc))
+        if isinstance(exc, NoConvergence) and exc.best is not None:
+            report["solves"] = [_solve_entry("best_iterate", exc.best, None)]
+    errors += sweep_errors
     return report
 
 
@@ -658,15 +668,16 @@ def _load_with_overrides(path: str, mode: str | None) -> ScenarioFile:
     return sf
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _emit(text: str, out) -> None:
+    """Write text to stdout, or to out, an open --output file, and close it."""
+    if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with out:
+            out.write(text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -685,10 +696,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(sf, seed=args.seed)
-    text = json.dumps(report, indent=2) if args.command == "run" else report_to_csv(report)
     try:
-        _emit(text, args.output)
+        # Opened before the run (which raises no OSError): an unwritable path costs no solve.
+        out = None if args.output is None else open(args.output, "w", encoding="utf-8")
+        report = run(sf, seed=args.seed)
+        _emit(json.dumps(report, indent=2) if args.command == "run" else report_to_csv(report),
+              out)
     except OSError as exc:
         if isinstance(exc, BrokenPipeError):  # the exit's flush then writes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

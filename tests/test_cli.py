@@ -389,9 +389,10 @@ def test_monte_carlo_draws_once_per_trial_seed(monkeypatch):
     monkeypatch.setattr(cli, "_batch", counted_batch)
     report = run(_trilat_sweep([0.0, 1e-9, 1e-8]))
     assert made == list(range(11, 51))
-    # One batch for the single-epoch solve, one for the 120 sweep rows: the
-    # batch reports the rows whose radicand misses the slack itself.
-    assert solved == [1, 120]
+    # One batch of 121 rows: the single epoch rides as row 0 ahead of the 120
+    # sweep rows, and the batch reports the rows whose radicand misses the
+    # slack itself.
+    assert solved == [121]
     assert any(e["type"] == "Inconsistent" for e in report["errors"])
 
     made.clear()
@@ -1073,7 +1074,7 @@ def test_edge_documents_give_strict_json_reports():
     # Huge noise, huge or degenerate geometry, overflowing norms and sums:
     # every report is JSON without NaN or Infinity.
     docs = _edge_documents()
-    assert len(docs) == 49
+    assert len(docs) == 52
     loose = []
     for name, doc in docs.items():
         try:
@@ -1175,3 +1176,81 @@ def test_closed_stdout_pipe_leaves_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == "output error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "export-csv"])
+def test_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, verb):
+    # --output is opened before the run: a path that cannot be written costs
+    # no solve, and a writable one gets exactly the text of the report.
+    reports = []
+
+    def recorded(sf, seed=None):
+        reports.append(run(sf, seed=seed))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run", recorded)
+    for output in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main([verb, NOISE_SWEEP, "--output", str(output)]) == 2
+        assert capsys.readouterr().err.startswith(f"output error: cannot write {output}: ")
+    assert reports == []
+    good = tmp_path / "r.out"
+    assert main([verb, NOISE_SWEEP, "--quiet", "--output", str(good)]) == 0
+    [report] = reports
+    text = json.dumps(report, indent=2) if verb == "run" else report_to_csv(report)
+    assert good.read_bytes() == text.encode()
+
+
+def _single_epoch_doc(base, solve=None, **scenario):
+    """The document at path base, or a copy of dict base, with a 40-row sweep."""
+    if isinstance(base, dict):
+        doc = json.loads(json.dumps(base))
+    else:
+        with open(base) as fh:
+            doc = json.load(fh)
+    doc["solve"].update(solve or {})
+    doc["scenario"].update(scenario)
+    doc["monte_carlo"] = {"trials": 20, "sigma_t_list": [0.0, 1e-9]}
+    return doc
+
+
+_TRILAT2D = {"schema_version": 1, "solve": {"mode": "trilat2d"},
+             "scenario": {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[180, 90]]}}
+_TRILAT3D = {"schema_version": 1, "solve": {"mode": "trilat3d"},
+             "scenario": {"emitters": [[0, 0, 0], [500, 0, 0], [0, 500, 0]],
+                          "receivers": [[180, 90, 222]]}}
+
+
+@pytest.mark.parametrize("doc, kinds, solve_errors", [
+    (_single_epoch_doc(_TRILAT2D, noise_sigma_t=1e-9), ["trilat"], []),
+    (_single_epoch_doc(_TRILAT3D, noise_sigma_t=1e-9), ["trilat"], []),
+    (_single_epoch_doc(NOISE_SWEEP, noise_sigma_t=1e-8), ["tdoa_emitter"], []),
+    (_single_epoch_doc(PIPELINE, {"mode": "tdoa3d"}, emitters=[_GROUND[2]],
+                       noise_sigma_t=1e-11), ["tdoa_emitter"], []),
+    (_single_epoch_doc(PIPELINE, noise_sigma_t=1e-9, seed=5),
+     ["pipeline_emitter"] * 3 + ["team_position"], []),
+    # The branches do not meet: the fallback converges, or stops at its best iterate.
+    (_single_epoch_doc(NOISE_SWEEP, noise_sigma_t=1e-6, seed=4), ["tdoa_emitter"], []),
+    (_single_epoch_doc(NOISE_SWEEP, noise_sigma_t=1e-6, seed=3), ["best_iterate"],
+     ["NoConvergence"]),
+    (_single_epoch_doc(PIPELINE, noise_sigma_t=1e-9, seed=3), [], ["NoConvergence"]),
+    # Ranges that overflow, single times that are not finite, and a simulation
+    # that fails, which every trial reports too.
+    (_single_epoch_doc(NOISE_SWEEP, noise_sigma_t=1e300), [], ["ValidationError"]),
+    (_single_epoch_doc(_TRILAT2D, noise_sigma_t=1e300), [], ["ValidationError"]),
+    (_single_epoch_doc(PIPELINE, noise_sigma_t=1.7e308), [], ["ValidationError"]),
+    (_single_epoch_doc(PIPELINE, c=1e-320), [], ["ValidationError"]),
+], ids=["trilat2d", "trilat3d", "tdoa2d", "tdoa3d", "pipeline", "tdoa2d-fallback",
+        "tdoa2d-best-iterate", "pipeline-noroot", "tdoa2d-1e300", "trilat2d-1e300",
+        "pipeline-1.7e308", "pipeline-tiny-c"])
+def test_sweep_single_epoch_matches_the_file_without_its_sweep(doc, kinds, solve_errors):
+    # The single epoch rides in the sweep's first driver batch; its solves
+    # and solve-stage errors are those of the same file without a sweep, and
+    # its errors come before the sweep's.
+    swept = run(_validate(doc))
+    alone = run(_validate({k: v for k, v in doc.items() if k != "monte_carlo"}))
+    assert [entry["kind"] for entry in swept["solves"]] == kinds
+    assert swept["solves"] == alone["solves"]
+    assert swept["errors"][:len(solve_errors)] == alone["errors"]
+    assert [e["type"] for e in alone["errors"]] == solve_errors
+    assert all(e["stage"] != "solve" for e in swept["errors"][len(solve_errors):])
+    assert len(swept["monte_carlo"]["rows"]) + len(swept["errors"]) - len(solve_errors) == 40

@@ -10,8 +10,9 @@ geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
 off-ground emitter planes, pipeline sweeps whose branches do not meet, a
 sweep whose mean error overflows a plain sum, a tdoa2d sweep whose
 Gauss-Newton start overflows, a two-emitter tdoa2d run with one fallback
-that does not converge, and single runs of three trilat3d receivers and of
-two converging tdoa3d emitters.
+that does not converge, single runs of three trilat3d receivers and of
+two converging tdoa3d emitters, and sweeps whose single epoch needs the
+Gauss-Newton fallback or fails.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -124,6 +125,16 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
     three = [[180.0, 90.0, 222.0], [120.0, 300.0, 150.0], [350.0, 60.0, 80.0]]
     docs["trilat3d_three_receivers"] = _edit(trilat, {"receivers": three}, drop=("distances",))
     docs["tdoa3d_two_emitters"] = _edit(tdoa3, {"emitters": pipe["scenario"]["emitters"][:2]})
+    # Sweeps whose single epoch has no closed-form root and rides in the
+    # sweep's first driver batch: its fallback converges, its fallback
+    # stops at a best iterate, and a pipeline emitter fails while every
+    # sweep row solves.
+    docs["tdoa2d_sweep_fallback"] = _edit(tdoa, {"noise_sigma_t": 1e-6, "seed": 4},
+                                          monte_carlo=_sweep(0.0, 1e-7))
+    docs["tdoa2d_sweep_best_iterate"] = _edit(tdoa, {"noise_sigma_t": 1e-6, "seed": 3},
+                                              monte_carlo=_sweep(0.0, 1e-7))
+    docs["pipeline_sweep_single_noroot"] = _edit(pipe, {"noise_sigma_t": 1e-9, "seed": 3},
+                                                 monte_carlo=_sweep(0.0, 1e-11))
     return docs
 
 
