@@ -29,14 +29,12 @@ from .tdoa import (
     hyperbolic_jacobian,
     hyperbolic_objective,
     hyperbolic_residuals,
-    locate_emitter_2d,
-    locate_emitter_3d,
+    locate_emitter,
 )
 from .trilat import (
     TrilaterationProblem,
     team_relative_position,
-    trilaterate_2d,
-    trilaterate_3d,
+    trilaterate,
     trilaterate_lsq,
     trilateration_jacobian,
     trilateration_objective,
@@ -66,14 +64,12 @@ __all__ = [
     "hyperbolic_residuals",
     "hyperbolic_jacobian",
     "hyperbolic_objective",
-    "locate_emitter_2d",
-    "locate_emitter_3d",
+    "locate_emitter",
     "TrilaterationProblem",
     "trilateration_residuals",
     "trilateration_jacobian",
     "trilateration_objective",
-    "trilaterate_2d",
-    "trilaterate_3d",
+    "trilaterate",
     "trilaterate_lsq",
     "team_relative_position",
 ]

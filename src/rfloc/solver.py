@@ -13,6 +13,7 @@ deterministic lexicographic tie-break. It never shares the iterative path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,11 +52,18 @@ class SolverOptions:
     damping_initial: float = 1e-3
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1", field="max_iterations")
+        # As the scenario schema reads them: 3.0 iterations is 3, 2.5 is refused.
+        n = self.max_iterations
+        whole = isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()
+        if isinstance(n, bool) or not whole or n < 1:
+            raise ValidationError("max_iterations must be a whole number >= 1",
+                                  field="max_iterations")
+        object.__setattr__(self, "max_iterations", int(n))
         for name in ("step_tolerance", "residual_tolerance", "damping_initial"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive", field=name)
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0.0 < value < math.inf):
+                raise ValidationError(f"{name} must be positive and finite", field=name)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ emitter on the plane z = emitter_plane_z, a 2D one on the plane z = 0 with
 its receivers lifted to 3D. A free emitter height is refused. The closed
 form is one array program over rows of range differences against one
 receiver triangle (_plane_batch), and _fixes is its one driver:
-locate_emitter_2d/3d are its one-row case, and the CLI sends a pipeline
+locate_emitter is its one-row case, and the CLI sends a pipeline
 fix's emitters, or every trial of a sweep, through it. Each row comes back
 as its solve alone would: its result, with the bits of that solve, or the
 error that solve raises. A row whose branches do not meet runs one
@@ -49,8 +49,7 @@ __all__ = [
     "hyperbolic_residuals",
     "hyperbolic_jacobian",
     "hyperbolic_objective",
-    "locate_emitter_2d",
-    "locate_emitter_3d",
+    "locate_emitter",
 ]
 
 _DEDUP_TOL = 1e-6      # meters between distinct minimizers
@@ -116,6 +115,8 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
         raise InsufficientReceivers("need at least 2 receivers for arrival differences")
     if not 0 <= reference_index < n_receivers:
         raise IndexError(f"reference index {reference_index} out of range")
+    if not 0 <= emitter_index < arrivals.times.shape[1]:
+        raise IndexError(f"emitter index {emitter_index} out of range")
     t = arrivals.times[:, [emitter_index]]
     dd = _range_differences(t, c, reference_index)[0].tolist()
     dt = _range_differences(t, 1.0, reference_index)[0].tolist()  # x * 1.0 is x exactly
@@ -211,22 +212,6 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
         return _jacobian(lift(x), recv)[..., :2]
 
     return residual, jacobian
-
-
-def _checked(receivers: Sequence[Point], rd: RangeDifferenceSet, dim: int,
-             name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(receivers reference first, as 3D rows, differences) of a
-    three-receiver solve: 2D receivers are lifted to the plane z = 0."""
-    if len(receivers) != 3:
-        raise ValueError(f"{name} needs exactly 3 receivers, got {len(receivers)}")
-    recv, deltas, got = _ordered_receivers(receivers, rd)
-    if got != dim:
-        raise DimensionError(f"{name} needs {dim}D receivers")
-    if len(deltas) != 2:
-        raise ValueError("need range differences for exactly 2 receiver pairs")
-    if dim == 2:
-        recv = np.column_stack((recv, np.zeros(3)))
-    return recv, deltas
 
 
 def _triangle(recv: np.ndarray) -> float:
@@ -499,48 +484,46 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
     return result, result.estimate
 
 
-def locate_emitter_2d(receivers: Sequence[Point], rd: RangeDifferenceSet,
-                      opts: SolverOptions | None = None) -> SolveResult:
-    """Solve the two-hyperbola system for a 2D emitter position, in closed form.
+def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
+                   emitter_plane_z: float = 0.0,
+                   opts: SolverOptions | None = None) -> SolveResult:
+    """Locate an emitter from three receivers' two range differences, in
+    closed form, in the receivers' dimension.
 
-    This is locate_emitter_3d on the plane z = 0 with the receivers lifted
-    to 3D, bit for bit, returned as 2D points. The squared range differences
-    are linear in (x, y, r0) up to one quadratic (see _plane_batch); each
-    admissible root is polished with Newton steps on the unsquared residuals
-    and comes back as a candidate (deduplicated at 1e-6 m), since the two
-    branches may cross at two points that both reproduce the measured
-    differences. When the branches do not meet, one damped Gauss-Newton run
-    gives the least-squares point, flagged inconsistent when its residual
-    norm exceeds INCONSISTENCY_TOL. It starts from whichever of two points
-    on the linearized solution line fits the differences better: the
-    quadratic's vertex, or the point minimizing its far-field residual.
-    NoConvergence is raised if that run does not converge or stops beyond
-    1e6 triangle diameters, as it does when the branches diverge and the
-    least-squares point is at infinity; its best iterate then keeps their
-    common bearing. opts only configures that run.
+    Two equations fix two unknowns, so the emitter is pinned to the plane
+    z = emitter_plane_z: 3D receivers take any finite plane (default 0, the
+    ground-emitter closure), and 2D receivers are lifted to z = 0 and solved
+    on that plane, bit for bit as their 3D lift would be, returned as 2D
+    points. A free height would leave a one-parameter family of points that
+    fit the differences, so a plane that is not a finite number (None and
+    bools included), or not 0 for 2D receivers, is a ValidationError.
+
+    The squared range differences are linear in (x, y, r0) up to one
+    quadratic (see _plane_batch); each admissible root is polished with
+    Newton steps on the unsquared residuals and comes back as a candidate
+    (deduplicated at 1e-6 m), since the two branches may cross at two points
+    that both reproduce the measured differences. When the branches do not
+    meet, one damped Gauss-Newton run gives the least-squares point, flagged
+    inconsistent when its residual norm exceeds INCONSISTENCY_TOL. It starts
+    from whichever of two points on the linearized solution line fits the
+    differences better: the quadratic's vertex, or the point minimizing its
+    far-field residual. NoConvergence is raised if that run does not
+    converge or stops beyond 1e6 triangle diameters, as it does when the
+    branches diverge and the least-squares point is at infinity; its best
+    iterate then keeps their common bearing. opts only configures that run.
     """
-    recv, deltas = _checked(receivers, rd, 2, "locate_emitter_2d")
-    return _fixes(recv, deltas[None], 0.0, 2, opts or SolverOptions())[1](0)[0]
-
-
-def locate_emitter_3d(receivers: Sequence[Point], rd: RangeDifferenceSet,
-                      emitter_plane_z: float = 0.0,
-                      opts: SolverOptions | None = None) -> SolveResult:
-    """Locate a 3D emitter on the plane z = emitter_plane_z from the two
-    hyperboloid range differences.
-
-    Three receivers give two equations, so the emitter height is pinned
-    (default 0, the ground-emitter closure) and the solve is 2-in-2, in
-    closed form exactly as locate_emitter_2d, with each receiver's height
-    above the plane carried into the squared equations. A free height would
-    leave a one-parameter family of points that fit the differences, so a
-    plane that is not a finite number (None included) is a ValidationError.
-    """
-    recv, deltas = _checked(receivers, rd, 3, "locate_emitter_3d")
-    if not (isinstance(emitter_plane_z, numbers.Real) and math.isfinite(emitter_plane_z)):
+    if len(receivers) != 3:
+        raise ValueError(f"locate_emitter needs exactly 3 receivers, got {len(receivers)}")
+    recv, deltas, dim = _ordered_receivers(receivers, rd)
+    if len(deltas) != 2:
+        raise ValueError("need range differences for exactly 2 receiver pairs")
+    plane = emitter_plane_z
+    if (isinstance(plane, bool) or not isinstance(plane, numbers.Real)
+            or not math.isfinite(plane) or (dim == 2 and plane != 0)):
         raise ValidationError(
-            f"emitter_plane_z must be a finite number, got {emitter_plane_z!r}: three "
-            "receivers give two range differences, too few for a free emitter height",
+            f"emitter_plane_z must be a finite number (0 for 2D receivers), got {plane!r}: "
+            "three receivers give two range differences, too few for a free emitter height",
             field="emitter_plane_z")
-    return _fixes(recv, deltas[None], float(emitter_plane_z), 3,
-                  opts or SolverOptions())[1](0)[0]
+    if dim == 2:
+        recv = np.column_stack((recv, np.zeros(3)))
+    return _fixes(recv, deltas[None], float(plane), dim, opts or SolverOptions())[1](0)[0]

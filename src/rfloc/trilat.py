@@ -9,7 +9,7 @@ tolerance the result is flagged rather than silently trusted.
 
 The closed forms are one array program over rows of ranges against one
 anchor triangle (_closed_form). _batch is its one driver, which the CLI's
-single runs and sweeps share, and trilaterate_2d/3d are its one-row case.
+single runs and sweeps share, and trilaterate is its one-row case.
 Each row comes back as its solve alone would: its result or its error.
 """
 
@@ -38,8 +38,7 @@ __all__ = [
     "trilateration_residuals",
     "trilateration_jacobian",
     "trilateration_objective",
-    "trilaterate_2d",
-    "trilaterate_3d",
+    "trilaterate",
     "trilaterate_lsq",
     "team_relative_position",
 ]
@@ -115,15 +114,6 @@ def trilateration_objective(problem: TrilaterationProblem) -> Callable[[np.ndarr
         return _kernels.sum_sq_range_residuals(points, anchors, dists)
 
     return objective
-
-
-def _solve_alone(problem: TrilaterationProblem, dim: int, op: str) -> SolveResult:
-    """A dim-D problem with three anchors, solved as the one row of a _batch."""
-    if problem.dimension != dim:
-        raise DimensionError(f"{op} needs a {dim}D problem, got {problem.dimension}D")
-    if len(problem.emitters) != 3:
-        raise ValueError(f"{op} needs exactly 3 emitters, got {len(problem.emitters)}")
-    return _batch(problem.anchor_array, problem.distance_array[None, :])[1](0)
 
 
 def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
@@ -212,7 +202,7 @@ def _order(roots: np.ndarray, norms: np.ndarray, two: np.ndarray):
 
 def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     """Closed-form trilateration of N range triples against one anchor
-    triangle, each row as trilaterate_2d/_3d solves it alone.
+    triangle, each row as trilaterate solves it alone.
 
     anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns (closed,
     fix). closed[k] is (coords, residual_norm) of row k's estimate, or None
@@ -275,31 +265,24 @@ def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     return closed, fix
 
 
-def trilaterate_2d(problem: TrilaterationProblem) -> SolveResult:
-    """Closed-form 2D trilateration with candidate verification.
+def trilaterate(problem: TrilaterationProblem) -> SolveResult:
+    """Closed-form trilateration from exactly three anchors, 2D or 3D as the
+    problem is, with candidate verification.
 
-    Subtracting the first two circle equations leaves a line; intersecting it
-    with the third circle gives a quadratic whose two roots are both returned
-    as candidates. The estimate is the root with the lower total residual
-    against all three circles, and the inconsistent flag is set when even
-    that best norm exceeds INCONSISTENCY_TOL. A radicand below
-    -1e-9 * d3^2 raises Inconsistent; within that slack it clamps to 0.
+    In 2D the first two circle equations leave a line, which the third circle
+    crosses; in 3D two radical planes meet in a line normal to the anchor
+    plane, which the first sphere crosses. Both roots come back as
+    candidates, and the estimate has the lower residual norm against all
+    three ranges. Two distinct 3D roots are a mirror pair (equal norms,
+    mirror_ambiguity flag), and the estimate is the one with the greater z,
+    matching the aerial-receivers-above-ground convention. The inconsistent
+    flag is set when even the best norm exceeds INCONSISTENCY_TOL. A
+    radicand below -1e-9 * d^2 of that circle or sphere's range d raises
+    Inconsistent; within that slack it clamps to 0.
     """
-    return _solve_alone(problem, 2, "trilaterate_2d")
-
-
-def trilaterate_3d(problem: TrilaterationProblem) -> SolveResult:
-    """Closed-form 3D trilateration from exactly three spheres.
-
-    Pairwise subtraction gives two planes whose intersection line is normal
-    to the anchor plane; the first sphere then fixes the offset along it as
-    +/- sqrt(radicand). Three anchors are always coplanar, so two distinct
-    roots form a mirror pair (equal residual norms, mirror_ambiguity flag);
-    the primary estimate is the root on the non-negative side (greater z),
-    matching the aerial-receivers-above-ground convention. A radicand below
-    -1e-9 * d1^2 raises Inconsistent; within that slack it clamps to 0.
-    """
-    return _solve_alone(problem, 3, "trilaterate_3d")
+    if len(problem.emitters) != 3:
+        raise ValueError(f"trilaterate needs exactly 3 emitters, got {len(problem.emitters)}")
+    return _batch(problem.anchor_array, problem.distance_array[None, :])[1](0)
 
 
 def trilaterate_lsq(problem: TrilaterationProblem, init,

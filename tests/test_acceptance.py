@@ -43,9 +43,8 @@ from rfloc import (
     grid_search,
     hyperbolic_jacobian,
     hyperbolic_residuals,
-    locate_emitter_2d,
-    trilaterate_2d,
-    trilaterate_3d,
+    locate_emitter,
+    trilaterate,
     trilaterate_lsq,
     trilateration_jacobian,
     trilateration_objective,
@@ -79,7 +78,7 @@ def _demo_problem():
 
 def test_criterion_1_reference_reproduction():
     t0 = time.perf_counter()
-    algebraic = trilaterate_3d(_ref_problem())
+    algebraic = trilaterate(_ref_problem())
     centroid = np.mean([e.coords for e in REF_EMITTERS], axis=0)
     lsq = trilaterate_lsq(_ref_problem(), centroid + 1.0)
     elapsed = time.perf_counter() - t0
@@ -98,7 +97,7 @@ def test_criterion_1_reference_reproduction():
 
 
 def test_criterion_2_inconsistent_2d_fixture():
-    result = trilaterate_2d(_demo_problem())
+    result = trilaterate(_demo_problem())
     objective = trilateration_objective(_demo_problem())
 
     ok = abs(result.estimate.x - 5.0) <= 1e-9
@@ -130,7 +129,7 @@ def test_criterion_3_tdoa_roundtrip_1000():
     for _ in range(trials):
         receivers, emitter, pairs = tdoa_roundtrip_case(rng)
         rd = RangeDifferenceSet.from_range_differences(0, pairs, C)
-        result = locate_emitter_2d(receivers, rd)
+        result = locate_emitter(receivers, rd)
         if min(distance(p, emitter) for p, _ in result.candidates) < 1e-6:
             recovered += 1
     elapsed = time.perf_counter() - t0

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfloc import (DistanceMatrix, Point, Scenario, TrilaterationProblem, arrival_deltas,
-                   distance, locate_emitter_3d, perturb_arrivals, simulate_arrivals,
-                   team_relative_position, trilaterate_2d, trilaterate_3d)
+                   distance, locate_emitter, perturb_arrivals, simulate_arrivals,
+                   team_relative_position, trilaterate)
 from rfloc import cli, errors as rfloc_errors, tdoa
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, ValidationError
@@ -229,8 +229,8 @@ def _composed_pipeline(sf) -> tuple[list[dict], list[str]]:
     try:
         for j in range(len(sf.emitters)):
             try:
-                result = locate_emitter_3d(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
-                                           sf.emitter_plane_z, sf.options)
+                result = locate_emitter(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
+                                        sf.emitter_plane_z, sf.options)
             except NoConvergence:
                 return [], ["NoConvergence"]
             # The residual-tied candidate (within 1e-9 m) farthest from the
@@ -313,7 +313,6 @@ def _per_trial_monte_carlo(emitters, receiver, sigmas, trials, seed):
     dim = len(receiver)
     anchors = tuple(Point.of(*e) for e in emitters)
     truth = Point.of(*receiver)
-    solve = trilaterate_2d if dim == 2 else trilaterate_3d
     arrivals = simulate_arrivals(Scenario(anchors, (truth,)))
     rows, summaries, errors = [], [], []
     for sigma in sigmas:
@@ -322,7 +321,7 @@ def _per_trial_monte_carlo(emitters, receiver, sigmas, trials, seed):
             noisy = perturb_arrivals(arrivals, sigma, seed + trial)
             ranges = np.maximum(3e8 * noisy.times[0], 0.0)
             try:
-                result = solve(TrilaterationProblem(anchors, tuple(ranges), dim))
+                result = trilaterate(TrilaterationProblem(anchors, tuple(ranges), dim))
             except Inconsistent as exc:
                 errors.append({"stage": f"monte_carlo sigma_t={sigma} trial={trial}",
                                "type": "Inconsistent", "message": str(exc)})

@@ -20,8 +20,7 @@ from rfloc import (
     hyperbolic_jacobian,
     hyperbolic_objective,
     hyperbolic_residuals,
-    locate_emitter_2d,
-    locate_emitter_3d,
+    locate_emitter,
     simulate_arrivals,
 )
 from rfloc.errors import (
@@ -76,6 +75,14 @@ def test_deltas_reference_excluded():
     rd = arrival_deltas(arrivals, 0, 1, C)
     assert rd.reference_index == 1
     assert [d.other_index for d in rd.deltas] == [0, 2]
+
+
+def test_deltas_emitter_index_out_of_range():
+    # Checked like the reference index: -1 is refused, not read as the last emitter.
+    arrivals = ArrivalSet(np.array([[1e-7, 4e-7], [2e-7, 5e-7], [3e-7, 6e-7]]))
+    for index in (-1, -2, 2):
+        with pytest.raises(IndexError, match="emitter index"):
+            arrival_deltas(arrivals, index, 0, C)
 
 
 def test_arrival_deltas_equal_the_batched_rule():
@@ -192,7 +199,7 @@ def test_plane_and_3d_jacobians_match_finite_differences(plane):
 def test_locate_2d_roundtrip_reference_case():
     emitter = Point.of(40, 30)
     rd = _deltas_from_truth(RECV_2D, emitter)
-    result = locate_emitter_2d(RECV_2D, rd)
+    result = locate_emitter(RECV_2D, rd)
     assert distance(result.estimate, emitter) < 1e-6
     assert result.converged
     # grid-search oracle agrees
@@ -205,7 +212,7 @@ def test_locate_2d_roundtrip_reference_case():
 
 def test_locate_2d_zero_deltas_circumcenter():
     rd = RangeDifferenceSet.from_range_differences(0, [(1, 0.0), (2, 0.0)], C)
-    result = locate_emitter_2d(RECV_2D, rd)
+    result = locate_emitter(RECV_2D, rd)
     dists = [distance(result.estimate, r) for r in RECV_2D]
     assert max(dists) - min(dists) < 1e-9
     assert result.estimate.coords == pytest.approx((50.0, 50.0), abs=1e-6)
@@ -215,7 +222,7 @@ def test_locate_2d_collinear_receivers():
     receivers = (Point.of(0, 0), Point.of(50, 0), Point.of(100, 0))
     rd = RangeDifferenceSet.from_range_differences(0, [(1, 1.0), (2, 2.0)], C)
     with pytest.raises(GeometryDegenerate):
-        locate_emitter_2d(receivers, rd)
+        locate_emitter(receivers, rd)
 
 
 def test_locate_2d_roundtrip_seeded_trials():
@@ -224,7 +231,7 @@ def test_locate_2d_roundtrip_seeded_trials():
     for _ in range(200):
         receivers, emitter, pairs = tdoa_roundtrip_case(rng)
         rd = RangeDifferenceSet.from_range_differences(0, pairs, C)
-        result = locate_emitter_2d(receivers, rd)
+        result = locate_emitter(receivers, rd)
         best = min(distance(p, emitter) for p, _ in result.candidates)
         assert best < 1e-6
 
@@ -232,8 +239,8 @@ def test_locate_2d_roundtrip_seeded_trials():
 def test_locate_2d_deterministic():
     emitter = Point.of(-320, 210)
     rd = _deltas_from_truth(RECV_2D, emitter)
-    a = locate_emitter_2d(RECV_2D, rd)
-    b = locate_emitter_2d(RECV_2D, rd)
+    a = locate_emitter(RECV_2D, rd)
+    b = locate_emitter(RECV_2D, rd)
     assert a == b
 
 
@@ -244,8 +251,8 @@ def test_locate_2d_scaling_covariance():
     scaled_recv = tuple(Point.of(r.x * scale, r.y * scale) for r in RECV_2D)
     scaled_rd = RangeDifferenceSet.from_range_differences(
         0, [(d.other_index, d.delta_d * scale) for d in rd.deltas], C)
-    base = locate_emitter_2d(RECV_2D, rd)
-    scaled = locate_emitter_2d(scaled_recv, scaled_rd)
+    base = locate_emitter(RECV_2D, rd)
+    scaled = locate_emitter(scaled_recv, scaled_rd)
     assert scaled.estimate.x == pytest.approx(base.estimate.x * scale, abs=1e-6)
     assert scaled.estimate.y == pytest.approx(base.estimate.y * scale, abs=1e-6)
 
@@ -256,7 +263,7 @@ DRONES = (Point.of(0, 0, 100), Point.of(400, 0, 120), Point.of(0, 400, 140))
 def test_locate_3d_ground_plane():
     emitter = Point.of(200, 150, 0)
     rd = _deltas_from_truth(DRONES, emitter)
-    result = locate_emitter_3d(DRONES, rd, emitter_plane_z=0.0)
+    result = locate_emitter(DRONES, rd, emitter_plane_z=0.0)
     assert result.estimate.z == 0.0
     assert distance(result.estimate, emitter) < 1e-4
     # grid-search oracle on the plane
@@ -279,7 +286,7 @@ def test_locate_3d_equidistant_emitter():
     rd = RangeDifferenceSet.from_range_differences(0, [(1, 0.0), (2, 0.0)], C)
     res = hyperbolic_residuals(drones, rd, emitter)
     assert np.max(np.abs(res)) < 1e-9
-    result = locate_emitter_3d(drones, rd, emitter_plane_z=0.0)
+    result = locate_emitter(drones, rd, emitter_plane_z=0.0)
     assert distance(result.estimate, emitter) < 1e-6
 
 
@@ -289,15 +296,40 @@ def test_locate_3d_refuses_a_free_height():
     rd = _deltas_from_truth(DRONES, Point.of(200, 150, 0))
     for plane in (None, math.nan, math.inf, "0"):
         with pytest.raises(ValidationError) as info:
-            locate_emitter_3d(DRONES, rd, emitter_plane_z=plane)
+            locate_emitter(DRONES, rd, emitter_plane_z=plane)
         assert isinstance(info.value, RflocError) and info.value.field == "emitter_plane_z"
+
+
+def test_locate_2d_receivers_take_only_the_plane_z0():
+    # 2D receivers are solved on the plane z = 0: any zero names that plane,
+    # and another plane, None or a bool is refused rather than ignored.
+    rd = _deltas_from_truth(RECV_2D, Point.of(40, 30))
+    base = locate_emitter(RECV_2D, rd)
+    assert base.estimate.dim == 2 and all(p.dim == 2 for p, _ in base.candidates)
+    for plane in (0, 0.0, -0.0, np.float64(0.0)):
+        assert locate_emitter(RECV_2D, rd, plane) == base
+    for plane in (1.0, -3, None, math.nan, False, True):
+        with pytest.raises(ValidationError) as info:
+            locate_emitter(RECV_2D, rd, emitter_plane_z=plane)
+        assert info.value.field == "emitter_plane_z"
+
+
+def test_locate_3d_refuses_a_bool_plane():
+    # True is not the plane z = 1, nor False the ground.
+    rd = _deltas_from_truth(DRONES, Point.of(200, 150, 1))
+    for plane in (True, False, np.bool_(True)):
+        with pytest.raises(ValidationError) as info:
+            locate_emitter(DRONES, rd, emitter_plane_z=plane)
+        assert info.value.field == "emitter_plane_z"
+    result = locate_emitter(DRONES, rd, 1)
+    assert result.estimate.z == 1.0 and distance(result.estimate, Point.of(200, 150, 1)) < 1e-4
 
 
 def test_locate_3d_collinear():
     drones = (Point.of(0, 0, 100), Point.of(100, 0, 100), Point.of(200, 0, 100))
     rd = RangeDifferenceSet.from_range_differences(0, [(1, 1.0), (2, 2.0)], C)
     with pytest.raises(GeometryDegenerate):
-        locate_emitter_3d(drones, rd)
+        locate_emitter(drones, rd)
 
 
 def test_range_difference_set_validation():
@@ -319,7 +351,7 @@ def test_locate_2d_returns_both_branch_intersections():
     # The branches cross twice; both crossings reproduce the differences.
     emitter = Point.of(150, -60)
     rd = _deltas_from_truth(RECV_2D, emitter)
-    result = locate_emitter_2d(RECV_2D, rd)
+    result = locate_emitter(RECV_2D, rd)
     assert len(result.candidates) == 2
     for p, norm in result.candidates:
         assert norm < 1e-9
@@ -340,7 +372,7 @@ def test_locate_3d_far_field_candidates_distinct():
               Point.of(10.05, -4.77, 150.2))
     for emitter in (Point.of(5200, 1400, 0), Point.of(-4100, 4800, 0),
                     Point.of(-900, -6300, 0)):
-        result = locate_emitter_3d(drones, _deltas_from_truth(drones, emitter))
+        result = locate_emitter(drones, _deltas_from_truth(drones, emitter))
         points = [p for p, _ in result.candidates]
         assert 1 <= len(points) <= 2
         if len(points) == 2:
@@ -356,7 +388,7 @@ def test_locate_2d_hyperbolas_do_not_meet():
     # quadratic's vertex, flagged, not an exception.
     receivers = (Point.of(0, 0), Point.of(1000, 0), Point.of(0, 1000))
     rd = RangeDifferenceSet.from_range_differences(0, [(1, -630.0), (2, 810.0)], C)
-    result = locate_emitter_2d(receivers, rd)
+    result = locate_emitter(receivers, rd)
     assert result.flags == frozenset({"inconsistent"})
     assert result.converged
     assert result.residual_norm > 1.0
@@ -377,7 +409,7 @@ def test_locate_2d_diverging_branches_keep_bearing():
     receivers = (Point.of(0, 0), Point.of(1000, 0), Point.of(0, 1000))
     rd = RangeDifferenceSet.from_range_differences(0, [(1, -720.0), (2, 720.0)], C)
     with pytest.raises(NoConvergence) as info:
-        locate_emitter_2d(receivers, rd)
+        locate_emitter(receivers, rd)
     result = info.value.best
     assert result.flags == frozenset({"inconsistent"}) and not result.converged
     far = np.array([result.estimate.x, result.estimate.y])
@@ -398,7 +430,7 @@ def test_locate_3d_far_field_branches_just_miss():
               Point.of(-41.77661741131997, 19.96450386822809, 191.88561126556118))
     rd = RangeDifferenceSet.from_range_differences(
         0, [(1, -0.3907613165884266), (2, -0.2702241153720354)], C)
-    result = locate_emitter_3d(drones, rd, emitter_plane_z=0.0)
+    result = locate_emitter(drones, rd, emitter_plane_z=0.0)
     assert result.flags == frozenset({"inconsistent"}) and result.converged
     assert result.residual_norm < 0.01
     bearing = math.atan2(result.estimate.y - 19.9, result.estimate.x + 41.8)
@@ -412,7 +444,7 @@ def test_locate_3d_parallel_linearized_rows():
     # point comes back flagged.
     drones = (Point.of(0, 0, 100), Point.of(100, 0, 150), Point.of(200, 0, 120))
     rd = RangeDifferenceSet.from_range_differences(0, [(1, 10.0), (2, 20.0)], C)
-    result = locate_emitter_3d(drones, rd, emitter_plane_z=0.0)
+    result = locate_emitter(drones, rd, emitter_plane_z=0.0)
     assert result.flags == frozenset({"inconsistent"})
     assert result.estimate.z == 0.0 and result.residual_norm > 1.0
     res = hyperbolic_residuals(drones, rd, result.estimate)
@@ -433,7 +465,7 @@ def test_locate_2d_near_tangent_limit():
     emitter = Point.of(2488.009657003277, -10009.236275003837)
     rd = RangeDifferenceSet.from_range_differences(
         0, [(1, -159.77828150915775), (2, 1282.8321216788809)], C)
-    result = locate_emitter_2d(receivers, rd)
+    result = locate_emitter(receivers, rd)
     sigma_min = np.linalg.svd(hyperbolic_jacobian(receivers, rd, emitter))[1][-1]
     floor = 8 * np.finfo(float).eps * 1e4   # a few ulps of the coordinates
     err = min(distance(p, emitter) for p, _ in result.candidates)
@@ -515,7 +547,7 @@ def test_plane_batch_rows_equal_single_row_solves_3d():
 
 
 def test_batched_fixes_equal_public_solves():
-    # _fixes over many rows returns what locate_emitter_2d gives each row.
+    # _fixes over many rows returns what locate_emitter gives each row.
     rng = np.random.default_rng(99)
     recv = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
     emitters = rng.uniform(-3000, 3000, size=(10, 2))
@@ -527,9 +559,33 @@ def test_batched_fixes_equal_public_solves():
     for k, row in enumerate(deltas):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
         result = fix(k)[0]
-        assert result == locate_emitter_2d(receivers, rd)
+        assert result == locate_emitter(receivers, rd)
         if closed[k] is not None:
             assert closed[k] == (result.estimate.coords, result.residual_norm)
+
+
+def test_batched_fixes_equal_public_solves_3d():
+    # The same for 3D receivers over a raised emitter plane: each row of
+    # _fixes is what locate_emitter gives, a 3D point on that plane or the
+    # same error.
+    rng = np.random.default_rng(98)
+    recv = np.array([[10.0, -5.0, 150.0], [400.0, 3.0, 160.0], [-20.0, 380.0, 140.0]])
+    plane = 12.5
+    emitters = np.column_stack([rng.uniform(-3000, 3000, size=(20, 2)), np.full(20, plane)])
+    d = np.linalg.norm(emitters[:, None] - recv, axis=2)
+    noise = np.tile([0.0, 1.0, 30.0, 300.0], 5)[:, None]
+    deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (20, 2)) * noise
+    receivers = tuple(Point.of(*r) for r in recv)
+    _closed, fix = tdoa._fixes(recv, deltas, plane, 3, SolverOptions())
+    kinds = set()
+    for k, row in enumerate(deltas):
+        rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
+        alone = _planar_outcome(lambda: locate_emitter(receivers, rd, plane))
+        assert _planar_outcome(lambda: fix(k)[0]) == alone
+        if alone[0] == "ok":
+            assert alone[1][2] == plane.hex()
+        kinds.add(alone[0])
+    assert kinds == {"ok", "NoConvergence"}
 
 
 @pytest.mark.parametrize("fixed_z", [None, 0.5])
@@ -597,8 +653,8 @@ def test_locate_2d_equals_the_plane_z0_solve():
             0, [(1, float(deltas[0])), (2, float(deltas[1]))], C)
         flat = tuple(Point.of(*r) for r in recv)
         lifted = tuple(Point.of(*r, 0.0) for r in recv)
-        alone = _planar_outcome(lambda: locate_emitter_2d(flat, rd))
-        assert alone == _planar_outcome(lambda: locate_emitter_3d(lifted, rd, 0.0))
+        alone = _planar_outcome(lambda: locate_emitter(flat, rd))
+        assert alone == _planar_outcome(lambda: locate_emitter(lifted, rd, 0.0))
         kinds.add(alone[0] if alone[0] != "ok" else
                   "inconsistent" if alone[-1] else f"{len(alone[2])} roots")
     assert kinds == {"1 roots", "2 roots", "inconsistent", "NoConvergence"}

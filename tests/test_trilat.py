@@ -14,8 +14,7 @@ from rfloc import (
     finite_difference_jacobian,
     grid_search,
     team_relative_position,
-    trilaterate_2d,
-    trilaterate_3d,
+    trilaterate,
     trilaterate_lsq,
     trilateration_jacobian,
     trilateration_objective,
@@ -72,13 +71,13 @@ def test_2d_recovery():
     problem = TrilaterationProblem(
         (Point.of(0, 0), Point.of(10, 0), Point.of(0, 10)),
         (5.0, math.sqrt(65.0), math.sqrt(45.0)), 2)
-    result = trilaterate_2d(problem)
+    result = trilaterate(problem)
     assert distance(result.estimate, Point.of(3, 4)) < 1e-9
     assert result.converged and "inconsistent" not in result.flags
 
 
 def test_2d_demo_candidates_and_selection():
-    result = trilaterate_2d(_demo_problem())
+    result = trilaterate(_demo_problem())
     # both quadratic roots surface as candidates, on the x = 5 line
     ys = sorted(round(p.y, 9) for p, _ in result.candidates)
     assert ys == [5.0, 15.0]
@@ -96,7 +95,7 @@ def test_2d_collinear():
     problem = TrilaterationProblem(
         (Point.of(0, 0), Point.of(5, 0), Point.of(10, 0)), (1.0, 2.0, 3.0), 2)
     with pytest.raises(GeometryDegenerate):
-        trilaterate_2d(problem)
+        trilaterate(problem)
 
 
 def test_2d_inconsistent_when_circle_unreachable():
@@ -104,11 +103,11 @@ def test_2d_inconsistent_when_circle_unreachable():
     problem = TrilaterationProblem(
         (Point.of(0, 0), Point.of(10, 0), Point.of(8, 1000)), (5.0, 5.0, 1.0), 2)
     with pytest.raises(Inconsistent):
-        trilaterate_2d(problem)
+        trilaterate(problem)
 
 
 def test_3d_reference_scenario():
-    result = trilaterate_3d(_ref_problem())
+    result = trilaterate(_ref_problem())
     assert result.estimate.x == pytest.approx(180.0, abs=1e-9)
     assert result.estimate.y == pytest.approx(90.0, abs=1e-9)
     assert result.estimate.z == pytest.approx(REF_Z, abs=1e-6)
@@ -121,7 +120,7 @@ def test_3d_reference_scenario():
 def test_3d_derived_case():
     problem = TrilaterationProblem(
         REF_EMITTERS, (math.sqrt(52500.0), 450.0, math.sqrt(102500.0)), 3)
-    result = trilaterate_3d(problem)
+    result = trilaterate(problem)
     assert result.estimate.coords == pytest.approx((100.0, 200.0, 50.0), abs=1e-9)
     zs = sorted(p.z for p, _ in result.candidates)
     assert zs == pytest.approx([-50.0, 50.0], abs=1e-9)
@@ -130,7 +129,7 @@ def test_3d_derived_case():
 def test_3d_point_on_anchor_plane():
     truth = Point.of(250, 250, 0)
     dists = tuple(distance(truth, e) for e in REF_EMITTERS)
-    result = trilaterate_3d(TrilaterationProblem(REF_EMITTERS, dists, 3))
+    result = trilaterate(TrilaterationProblem(REF_EMITTERS, dists, 3))
     assert result.estimate.z == 0.0
     assert "mirror_ambiguity" not in result.flags
     assert len(result.candidates) == 1
@@ -141,13 +140,24 @@ def test_3d_collinear():
         (Point.of(0, 0, 0), Point.of(1, 0, 0), Point.of(2, 0, 0)),
         (1.0, 1.0, 1.0), 3)
     with pytest.raises(GeometryDegenerate):
-        trilaterate_3d(problem)
+        trilaterate(problem)
 
 
 def test_3d_inconsistent_radicand():
     problem = TrilaterationProblem(REF_EMITTERS, (1.0, 1.0, 1.0), 3)
     with pytest.raises(Inconsistent):
-        trilaterate_3d(problem)
+        trilaterate(problem)
+
+
+def test_trilaterate_takes_its_dimension_from_the_problem():
+    # One solve for both dimensions: 2D points from a 2D problem, a 3D mirror
+    # pair from a 3D one, and exactly three anchors in either.
+    flat = trilaterate(_demo_problem())
+    assert {p.dim for p, _ in flat.candidates} == {2} and "mirror_ambiguity" not in flat.flags
+    raised = trilaterate(_ref_problem())
+    assert {p.dim for p, _ in raised.candidates} == {3} and "mirror_ambiguity" in raised.flags
+    with pytest.raises(ValueError, match="exactly 3 emitters"):
+        trilaterate(TrilaterationProblem(REF_EMITTERS + (Point.of(0, 0, 50),), (1.0,) * 4, 3))
 
 
 def test_consistent_data_exactness_seeded():
@@ -158,7 +168,7 @@ def test_consistent_data_exactness_seeded():
         dim = 2 if trial % 2 == 0 else 3
         emitters, dists, truth = consistent_trilat_case(rng, dim)
         problem = TrilaterationProblem(emitters, dists, dim)
-        result = trilaterate_2d(problem) if dim == 2 else trilaterate_3d(problem)
+        result = trilaterate(problem)
         best = min(distance(p, truth) for p, _ in result.candidates)
         assert best < 1e-9, f"trial {trial}: best {best}"
 
@@ -174,18 +184,17 @@ def test_batch_rows_equal_scalar_solves():
         ranges = np.maximum(np.array(dists) + rng.normal(0.0, [[0.0], [1e-6], [1.0], [30.0]],
                                                          size=(4, 3)), 0.0)
         closed, fix = _batch([p.coords for p in emitters], ranges)
-        solve = trilaterate_2d if dim == 2 else trilaterate_3d
         for k, row in enumerate(ranges):
             problem = TrilaterationProblem(emitters, tuple(row), dim)
             if closed[k] is None:
                 rejected_rows += 1
                 with pytest.raises(Inconsistent) as raised:
-                    solve(problem)
+                    trilaterate(problem)
                 with pytest.raises(Inconsistent) as batched:
                     fix(k)
                 assert repr(batched.value) == repr(raised.value)
                 continue
-            result = solve(problem)
+            result = trilaterate(problem)
             assert fix(k) == result
             assert closed[k] == (result.estimate.coords, result.residual_norm)
     assert rejected_rows > 0
@@ -248,7 +257,7 @@ def test_lsq_agrees_with_closed_form_seeded():
         dim = 2 if trial % 2 == 0 else 3
         emitters, dists, truth = consistent_trilat_case(rng, dim)
         problem = TrilaterationProblem(emitters, dists, dim)
-        algebraic = trilaterate_2d(problem) if dim == 2 else trilaterate_3d(problem)
+        algebraic = trilaterate(problem)
         init = np.array(truth.coords) + rng.uniform(-20, 20, size=dim)
         lsq = trilaterate_lsq(problem, init)
         best = min(distance(p, lsq.estimate) for p, _ in algebraic.candidates)
@@ -256,7 +265,7 @@ def test_lsq_agrees_with_closed_form_seeded():
 
 
 def test_estimate_residual_optimality():
-    result = trilaterate_2d(_demo_problem())
+    result = trilaterate(_demo_problem())
     assert all(result.residual_norm <= n + 1e-12 for _, n in result.candidates)
 
 
@@ -265,12 +274,12 @@ def test_rigid_motion_covariance():
     for _ in range(100):
         emitters, dists, _truth = consistent_trilat_case(rng, 2)
         problem = TrilaterationProblem(emitters, dists, 2)
-        base = trilaterate_2d(problem)
+        base = trilaterate(problem)
         # translation
         v = rng.uniform(-500, 500, size=2)
         moved = TrilaterationProblem(
             tuple(Point.of(e.x + v[0], e.y + v[1]) for e in emitters), dists, 2)
-        shifted = trilaterate_2d(moved)
+        shifted = trilaterate(moved)
         for (p, _), (q, _) in zip(base.candidates, shifted.candidates):
             assert q.x == pytest.approx(p.x + v[0], abs=1e-7)
             assert q.y == pytest.approx(p.y + v[1], abs=1e-7)
@@ -279,7 +288,7 @@ def test_rigid_motion_covariance():
         R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         rotated = TrilaterationProblem(
             tuple(Point.of(*(R @ np.array(e.coords))) for e in emitters), dists, 2)
-        rot = trilaterate_2d(rotated)
+        rot = trilaterate(rotated)
         got = sorted((round(p.x, 6), round(p.y, 6)) for p, _ in rot.candidates)
         want = sorted((round(float((R @ np.array(p.coords))[0]), 6),
                        round(float((R @ np.array(p.coords))[1]), 6))
@@ -292,7 +301,7 @@ def test_mirror_candidates_have_equal_norms():
     rng = np.random.default_rng(74)
     for _ in range(100):
         emitters, dists, _truth = consistent_trilat_case(rng, 3)
-        result = trilaterate_3d(TrilaterationProblem(emitters, dists, 3))
+        result = trilaterate(TrilaterationProblem(emitters, dists, 3))
         if "mirror_ambiguity" in result.flags:
             norms = [n for _, n in result.candidates]
             assert abs(norms[0] - norms[1]) < 1e-6
@@ -367,7 +376,7 @@ def test_problem_validation():
     with pytest.raises(DimensionError):
         TrilaterationProblem(DEMO_EMITTERS, (1.0, 1.0, 1.0), 3)
     with pytest.raises(ValueError):
-        trilaterate_2d(TrilaterationProblem(
+        trilaterate(TrilaterationProblem(
             (Point.of(0, 0), Point.of(10, 0), Point.of(0, 10), Point.of(10, 10)),
             (5.0, 5.0, 5.0, 5.0), 2))
 
