@@ -33,7 +33,7 @@ from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
-from .simulate import (ArrivalSet, DistanceMatrix, Scenario, perturb_arrivals, perturb_sweep,
+from .simulate import (ArrivalSet, DistanceMatrix, Scenario, _perturb, perturb_arrivals,
                        simulate_arrivals)
 from .solver import SolveResult, SolverOptions
 from .tdoa import _fixes, _range_differences
@@ -521,18 +521,17 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError,
-                 lead: np.ndarray | None, base_seed: int, errors: list[dict]) -> tuple:
+                 lead: np.ndarray | None, noisy: list[np.ndarray], errors: list[dict]) -> tuple:
     """Noise sweep of the file's one noise-free simulation, or of the error
-    simulating raised, which every trial then reports. Each sigma_t runs
-    monte_carlo.trials trials seeded base_seed + trial; each seed's jitter
-    is drawn once for all sigmas, and the trials of every sigma are solved
-    in closed-form batches. lead, the single epoch's times or None, rides
-    in the first batch; returns (that batch's fix or None, the section)."""
+    simulating raised, which every trial then reports. noisy holds each
+    sigma_t's jittered times of monte_carlo.trials trials (see run), whose
+    trials are solved in closed-form batches. lead, the single epoch's
+    times or None, rides in the first batch; returns (that batch's fix or
+    None, the section)."""
     sigmas, trials = sf.monte_carlo_sigmas, sf.monte_carlo_trials
     if isinstance(arrivals, RflocError):
         fix, outcomes = None, [[arrivals] * trials for _ in sigmas]
     else:
-        noisy = perturb_sweep(arrivals.times, sigmas, range(base_seed, base_seed + trials))
         head = [] if lead is None else [lead[None]]
         flat = _trials(sf, np.concatenate(head + noisy), bool(head))
         fix = flat.pop(0) if head else None
@@ -565,8 +564,9 @@ def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError,
 def run(sf: ScenarioFile, seed: int | None = None) -> dict:
     """Execute a validated scenario and build the JSON-ready report.
 
-    One noise-free simulation serves the single solve and the sweep, and
-    the single epoch rides in the sweep's first driver batch (see _trials).
+    One noise-free simulation serves the single solve and the sweep; the
+    single epoch's jitter comes from trial 0's draw, which has its seed,
+    and the epoch rides in the sweep's first driver batch (see _trials).
     Module errors raised by individual solves are embedded under "errors",
     the solve's before the sweep's, rather than propagated; the CLI turns a
     non-empty error list into exit code 1. Deterministic for a fixed
@@ -584,18 +584,24 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
         "monte_carlo": None,
         "errors": errors,
     }
-    arrivals = lead = fix = None
+    sigmas = sf.monte_carlo_sigmas
+    arrivals = lead = fix = noisy = None
     try:
         if _MODES[sf.mode][1] != "doppler" and sf.distances is None:
             arrivals = simulate_arrivals(sf.scenario())
-            lead = perturb_arrivals(arrivals, sf.noise_sigma_t, base_seed).times
+            if sigmas is None:
+                lead = perturb_arrivals(arrivals, sf.noise_sigma_t, base_seed).times
+            else:  # trial k is seeded base_seed + k: trial 0 shares the single epoch's draw
+                times, *noisy = _perturb(arrivals.times, sf.noise_sigma_t, sigmas,
+                                         range(base_seed, base_seed + sf.monte_carlo_trials))
+                lead = ArrivalSet(times).times
     except RflocError as exc:
         errors.append(_error_entry("solve", exc))
-        if arrivals is None:
-            arrivals = exc  # simulating raised; every trial raises it again
+        if noisy is None:
+            arrivals = exc  # nothing drawn: every trial raises it again
     sweep_errors: list[dict] = []
-    if sf.monte_carlo_sigmas is not None:
-        fix, report["monte_carlo"] = _monte_carlo(sf, arrivals, lead, base_seed, sweep_errors)
+    if sigmas is not None:
+        fix, report["monte_carlo"] = _monte_carlo(sf, arrivals, lead, noisy, sweep_errors)
     try:
         if not errors:  # the single epoch was simulated and drawn
             report["solves"] = _single_run_entries(sf, lead, fix)

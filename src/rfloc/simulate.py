@@ -137,15 +137,25 @@ def perturb_sweep(times: np.ndarray, sigmas: Sequence[float],
     turns the same z into jitter, so each copy is bit-identical to a draw of
     its own. sigma_t = 0 gives the times unchanged, as a read-only broadcast.
     """
-    for sigma_t in sigmas:
+    return _perturb(times, 0.0, sigmas, seeds)[1:]
+
+
+def _perturb(times: np.ndarray, lead_sigma: float, sigmas: Sequence[float],
+             seeds: Sequence[int]) -> list[np.ndarray]:
+    """[lead, *perturb_sweep(times, sigmas, seeds)], where lead is times plus
+    N(0, lead_sigma) jitter from the same standard normals of seeds[0] as
+    copy 0 of each sigma_t: a sweep file's single epoch, whose seed is its
+    trial 0's, so that seed is drawn once."""
+    for sigma_t in (lead_sigma, *sigmas):
         if not (math.isfinite(sigma_t) and sigma_t >= 0.0):
             raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
     shape = (len(seeds),) + times.shape
-    if max(sigmas, default=0.0) == 0.0:
-        return [np.broadcast_to(times, shape)] * len(sigmas)
+    if max(lead_sigma, *sigmas) == 0.0:
+        return [times] + [np.broadcast_to(times, shape)] * len(sigmas)
     z = np.empty(shape)
     for k, seed in enumerate(seeds):
         np.random.Generator(np.random.PCG64(seed)).standard_normal(out=z[k])
     with np.errstate(over="ignore"):  # as Generator.normal: a huge sigma_t gives inf
-        return [times + (0.0 + sigma_t * z) if sigma_t > 0.0 else np.broadcast_to(times, shape)
-                for sigma_t in sigmas]
+        lead = times + (0.0 + lead_sigma * z[0]) if lead_sigma > 0.0 else times
+        return [lead] + [times + (0.0 + sigma_t * z) if sigma_t > 0.0
+                         else np.broadcast_to(times, shape) for sigma_t in sigmas]

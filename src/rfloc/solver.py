@@ -36,9 +36,11 @@ _TIE_EPS = 1e-9        # residual norms within this are "tied"
 INCONSISTENCY_TOL = 1e-6
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
-# Nodes per grid_search objective call. A chunk (1-1.5 MiB) and the kernels'
-# 0.5 MiB buffers stay near L2 size: on a 2-vCPU Xeon with 2 MiB of L2
-# per core, 1 << 16 beat 1 << 18 by 20-30 %.
+# Nodes per grid_search chunk. The lattice evaluator's (R, W) buffers (1 MiB
+# for range, 1.5 MiB for TDOA) stay near L2 size: on a 2-vCPU Xeon with
+# 2 MiB of L2 per core, the three oracle_grid lattices took 221, 203 and
+# 209 ms (sums of medians) at 1 << 15, 1 << 16 and 1 << 17. On the points
+# path, 1 << 16 beat 1 << 18 by 20-30 %.
 _GRID_CHUNK = 1 << 16
 
 
@@ -243,16 +245,21 @@ def grid_search(
 ) -> tuple[Point, float]:
     """Exhaustive lattice minimization; the independent brute-force oracle.
 
-    objective receives an (N, dim) float64 array of lattice nodes, N at most
-    _GRID_CHUNK, and must return the (N,) objective values. The lattice spans
-    each (lo, hi) bound at the given resolution, nodes at lo + k * resolution.
-    Each chunk holds whole rows of the last axis (a row longer than a chunk is
-    split into pieces), in lexicographic order, and is laid out column-major so
-    that the kernels' column views are contiguous. Ties go to the
-    lexicographically smallest node: the first occurrence within a chunk, and
-    strict < across chunks. NaN values are passed over. Raises BudgetExceeded
-    when the lattice is larger than node_budget nodes, and ValueError when no
-    node has a value below +inf.
+    The lattice spans each (lo, hi) bound at the given resolution, nodes at
+    lo + k * resolution, and is searched in chunks of at most _GRID_CHUNK
+    nodes in lexicographic order. A chunk holds whole rows of the last axis
+    (a row longer than a chunk is split into pieces): its row prefixes P
+    (R, dim-1), each a row's leading coordinates, crossed with a piece L (W,)
+    of the last axis. An objective with a lattice method (the GridObjective
+    of trilateration_objective and hyperbolic_objective) is evaluated chunk
+    by chunk from (P, L) by objective.lattice(), which returns the (R, W)
+    values, and no node coordinates are built. Any other objective receives
+    each chunk's nodes as an (R*W, dim) float64 array, column-major so that
+    its column views are contiguous, and must return the (R*W,) values. Ties
+    go to the lexicographically smallest node: the first occurrence within a
+    chunk, and strict < across chunks. NaN values are passed over. Raises
+    BudgetExceeded when the lattice is larger than node_budget nodes, and
+    ValueError when no node has a value below +inf.
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
@@ -276,20 +283,23 @@ def grid_search(
     n_rows = total // last.size
     rows_per_chunk = max(1, _GRID_CHUNK // last.size)
     width = min(last.size, _GRID_CHUNK)
+    evaluate = objective.lattice() if hasattr(objective, "lattice") else None
 
     best_val = math.inf
-    best_node: np.ndarray | None = None
+    best_node: tuple | None = None
     for r0 in range(0, n_rows, rows_per_chunk):
         rows = np.unravel_index(np.arange(r0, min(r0 + rows_per_chunk, n_rows)),
                                 tuple(counts[:-1]))
+        prefixes = np.column_stack([axes[k][rows[k]] for k in range(dim - 1)])
         for c0 in range(0, last.size, width):
             piece = last[c0:c0 + width]
-            block = np.empty((dim, rows[0].size, piece.size))
-            for k in range(dim - 1):
-                block[k] = axes[k][rows[k], None]
-            block[-1] = piece
-            points = block.reshape(dim, -1).T
-            values = np.asarray(objective(points), dtype=float)
+            if evaluate is not None:
+                values = np.asarray(evaluate(prefixes, piece), dtype=float).ravel()
+            else:
+                block = np.empty((dim, prefixes.shape[0], piece.size))
+                block[:-1] = prefixes.T[:, :, None]
+                block[-1] = piece
+                values = np.asarray(objective(block.reshape(dim, -1).T), dtype=float)
             pos = int(np.argmin(values))  # first occurrence: lexicographic within chunk
             if math.isnan(values[pos]):   # argmin stops at the first NaN
                 if np.isnan(values).all():
@@ -297,8 +307,9 @@ def grid_search(
                 pos = int(np.nanargmin(values))
             if values[pos] < best_val:    # strict: earlier chunks win ties
                 best_val = float(values[pos])
-                best_node = points[pos].copy()
+                i, j = divmod(pos, piece.size)
+                best_node = (*prefixes[i].tolist(), float(piece[j]))
 
     if best_node is None:
         raise ValueError("objective has no finite value on the lattice")
-    return Point.of(*best_node.tolist()), best_val
+    return Point.of(*best_node), best_val

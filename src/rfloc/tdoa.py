@@ -178,17 +178,15 @@ def hyperbolic_jacobian(receivers: Sequence[Point], rd: RangeDifferenceSet,
 
 
 def hyperbolic_objective(receivers: Sequence[Point],
-                         rd: RangeDifferenceSet) -> Callable[[np.ndarray], np.ndarray]:
+                         rd: RangeDifferenceSet) -> _kernels.GridObjective:
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
-    The returned callable maps an (N, dim) array of trial points to (N,) values.
+    Called on an (N, dim) array of trial points it returns (N,) values; its
+    lattice method evaluates a grid_search chunk from the chunk's axes (see
+    _kernels.GridObjective).
     """
     recv, deltas, _dim = _ordered_receivers(receivers, rd)
-
-    def objective(points: np.ndarray) -> np.ndarray:
-        return _kernels.sum_sq_tdoa_residuals(points, recv, deltas)
-
-    return objective
+    return _kernels.GridObjective(recv, deltas, tdoa=True)
 
 
 def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
@@ -518,8 +516,12 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
     if len(deltas) != 2:
         raise ValueError("need range differences for exactly 2 receiver pairs")
     plane = emitter_plane_z
-    if (isinstance(plane, bool) or not isinstance(plane, numbers.Real)
-            or not math.isfinite(plane) or (dim == 2 and plane != 0)):
+    try:  # an int beyond the float range overflows on its way to isfinite
+        finite = (isinstance(plane, numbers.Real) and not isinstance(plane, bool)
+                  and math.isfinite(plane))
+    except OverflowError:
+        finite = False
+    if not finite or (dim == 2 and plane != 0):
         raise ValidationError(
             f"emitter_plane_z must be a finite number (0 for 2D receivers), got {plane!r}: "
             "three receivers give two range differences, too few for a free emitter height",

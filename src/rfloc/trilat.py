@@ -105,15 +105,13 @@ def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarra
     return _unit_rows(np.array(q.coords), problem.anchor_array)
 
 
-def trilateration_objective(problem: TrilaterationProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized sum-of-squared-residuals objective for grid_search oracles."""
-    anchors = problem.anchor_array
-    dists = problem.distance_array
+def trilateration_objective(problem: TrilaterationProblem) -> _kernels.GridObjective:
+    """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
-    def objective(points: np.ndarray) -> np.ndarray:
-        return _kernels.sum_sq_range_residuals(points, anchors, dists)
-
-    return objective
+    Callable on (N, dim) points; its lattice method evaluates a grid_search
+    chunk from the chunk's axes (see _kernels.GridObjective).
+    """
+    return _kernels.GridObjective(problem.anchor_array, problem.distance_array, tdoa=False)
 
 
 def _closed_form(anchors: np.ndarray, ranges: np.ndarray):

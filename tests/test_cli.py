@@ -408,6 +408,33 @@ def test_monte_carlo_draws_once_per_trial_seed(monkeypatch):
     assert made == []
 
 
+def test_noisy_sweep_draws_its_single_epoch_with_trial_0(monkeypatch):
+    # The single epoch and trial 0 are both seeded base_seed: each seed gets
+    # one PCG64, and each part of the report is as if drawn on its own.
+    made = []
+    pcg64 = np.random.PCG64
+
+    def counted_pcg64(seed=None):
+        made.append(seed)
+        return pcg64(seed)
+
+    def doc(noise, sweep):
+        d = {"schema_version": 1, "solve": {"mode": "trilat2d"},
+             "scenario": {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[250, 300]],
+                          "seed": 5, "noise_sigma_t": noise}}
+        if sweep:
+            d["monte_carlo"] = {"trials": 4, "sigma_t_list": [1e-9, 1e-8]}
+        return _validate(d)
+
+    monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
+    report = run(doc(1e-9, sweep=True))
+    assert made == [5, 6, 7, 8]
+    made.clear()
+    assert run(doc(1e-9, sweep=False))["solves"] == report["solves"]
+    assert made == [5]
+    assert run(doc(0.0, sweep=True))["monte_carlo"] == report["monte_carlo"]
+
+
 @pytest.mark.parametrize("scenario", [PIPELINE, NOISE_SWEEP])
 @pytest.mark.parametrize("where", ["noise_sigma_t", "sigma_t_list"])
 def test_overflowing_noise_is_an_embedded_error(tmp_path, capsys, scenario, where):

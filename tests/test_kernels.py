@@ -97,6 +97,23 @@ def _layouts(points):
     return {"C": points, "F": np.asfortranarray(points), "strided": points[::2]}
 
 
+def _chunks(rng, dim):
+    """Two lattice chunks as grid_search cuts them: (row prefixes P, last-axis
+    piece L, their nodes in lexicographic order). The second chunk's 11 rows
+    span three values of the first axis in 3D; the first is smaller, so an
+    evaluator that sees both must grow its buffers."""
+    axes = [np.sort(rng.uniform(-1000, 1000, n)) for n in ((20,), (4, 5))[dim - 2] + (257,)]
+    chunks = []
+    for rows, width in ((range(14, 16), 100), (range(3, 14), 257)):
+        index = np.unravel_index(np.array(rows), [a.size for a in axes[:-1]])
+        prefixes = np.column_stack([a[i] for a, i in zip(axes, index)])
+        piece = axes[-1][:width]
+        nodes = np.column_stack([np.repeat(prefixes, piece.size, axis=0),
+                                 np.tile(piece, len(prefixes))])
+        chunks.append((prefixes, piece, nodes))
+    return chunks
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_range_kernel_bit_identical_to_row_sum(dim):
     rng = np.random.default_rng(56 + dim)
@@ -106,6 +123,11 @@ def test_range_kernel_bit_identical_to_row_sum(dim):
     for layout, pts in _layouts(points).items():
         got = _kernels.sum_sq_range_residuals(pts, anchors, dists)
         assert np.array_equal(got, _row_sum_range(pts, anchors, dists)), layout
+    evaluate = _kernels.GridObjective(anchors, dists, tdoa=False).lattice()
+    for prefixes, piece, nodes in _chunks(rng, dim):
+        got = evaluate(prefixes, piece)
+        assert got.shape == (len(prefixes), piece.size)
+        assert np.array_equal(got.ravel(), _row_sum_range(nodes, anchors, dists))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -117,3 +139,8 @@ def test_tdoa_kernel_bit_identical_to_row_sum(dim):
     for layout, pts in _layouts(points).items():
         got = _kernels.sum_sq_tdoa_residuals(pts, receivers, deltas)
         assert np.array_equal(got, _row_sum_tdoa(pts, receivers, deltas)), layout
+    evaluate = _kernels.GridObjective(receivers, deltas, tdoa=True).lattice()
+    for prefixes, piece, nodes in _chunks(rng, dim):
+        got = evaluate(prefixes, piece)
+        assert got.shape == (len(prefixes), piece.size)
+        assert np.array_equal(got.ravel(), _row_sum_tdoa(nodes, receivers, deltas))

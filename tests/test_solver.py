@@ -15,7 +15,7 @@ from rfloc import (
     trilateration_objective,
     trilateration_residuals,
 )
-from rfloc import solver
+from rfloc import _kernels, solver
 from rfloc.errors import BudgetExceeded, NoConvergence, ValidationError
 
 
@@ -298,6 +298,12 @@ def test_grid_matches_brute_force(monkeypatch, chunk, bounds, resolution):
     assert node.coords[:dim] == want_node
     assert value == want_value
     assert np.array_equal(np.vstack(calls), nodes)  # every node once, in order
+    # The bare objective goes through its lattice method, never the point kernel,
+    # to the same node and value, bit for bit.
+    monkeypatch.setattr(_kernels, "sum_sq_range_residuals", None)
+    lattice_node, lattice_value = grid_search(objective, bounds, resolution)
+    assert ([v.hex() for v in (*lattice_node.coords, lattice_value)]
+            == [v.hex() for v in (*node.coords, value)])
 
 
 @pytest.mark.parametrize("bounds, ties", [

@@ -292,9 +292,10 @@ def test_locate_3d_equidistant_emitter():
 
 def test_locate_3d_refuses_a_free_height():
     # Two range differences cannot fix three coordinates: the plane is
-    # required, and anything but a finite number is a typed input error.
+    # required, and anything but a finite number is a typed input error,
+    # an int beyond the float range included.
     rd = _deltas_from_truth(DRONES, Point.of(200, 150, 0))
-    for plane in (None, math.nan, math.inf, "0"):
+    for plane in (None, math.nan, math.inf, "0", 10**400, -10**400):
         with pytest.raises(ValidationError) as info:
             locate_emitter(DRONES, rd, emitter_plane_z=plane)
         assert isinstance(info.value, RflocError) and info.value.field == "emitter_plane_z"

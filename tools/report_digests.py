@@ -22,6 +22,11 @@ per source line and file, with TREE and DIR replaced by fixed names. Run it
 on two trees with the same seeds and compare the outputs with diff. rfloc
 and the generators are imported from TREE (default: the checkout this
 script is in).
+
+After the files come the grid oracle's lines, one per oracle_grid lattice
+and seed, generated as perfbench/run.py generates them: oracle_grid_N/NAME,
+then the coordinates of the node grid_search returns and its value, each
+as float.hex, so the oracle's bits compare across trees as well.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import warnings
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # perfbench/run.py seeds a workload's generator with [seed, its index here].
 WORKLOAD_INDEX = {"pipeline_fix": 0, "trilat_sweep": 1, "tdoa2d_sweep": 3}
+ORACLE_GRID_INDEX = 2
 
 
 def _edit(doc: dict, scenario=None, solve=None, monte_carlo=None, drop=()) -> dict:
@@ -184,6 +190,23 @@ def digest_line(path: str, root: str, workdir: str) -> str:
     return f"{os.path.relpath(path, workdir)} {report_sha} {csv_sha} {code} {_sha(stderr)}"
 
 
+def grid_lines(workdir: str, seeds: list[int]) -> list[str]:
+    """grid_search's node and value, in float hex, on each oracle_grid lattice."""
+    import numpy as np
+    import workloads
+
+    lines = []
+    for seed in seeds:
+        out = os.path.join(workdir, f"oracle_grid_{seed}")
+        os.makedirs(out)
+        rng = np.random.default_rng([seed, ORACLE_GRID_INDEX])
+        for op in workloads.gen_oracle_grid(rng, out, 1.0):
+            node, value = workloads.run_grid_op(op)
+            bits = " ".join(float.hex(v) for v in (*node.coords, value))
+            lines.append(f"oracle_grid_{seed}/{op.name} {bits}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -199,6 +222,8 @@ def main(argv=None) -> int:
         workdir = os.path.abspath(workdir)
         for path in write_corpus(root, workdir, args.seeds):
             print(digest_line(path, root, workdir), flush=True)
+        for line in grid_lines(workdir, args.seeds):
+            print(line, flush=True)
     return 0
 
 
