@@ -1,4 +1,4 @@
-"""Shared nonlinear least-squares machinery and brute-force verification oracles.
+"""Shared nonlinear least-squares machinery and lattice verification oracles.
 
 The iterative solver is a damped Gauss-Newton (Levenberg-style) loop: every
 iteration first attempts the pure Gauss-Newton step, and only when that step
@@ -6,8 +6,13 @@ is rejected or the normal equations are singular does it fall back to a
 damping ladder (damping multiplied by 10 on rejected steps, divided by 10 on
 accepted ones). Accepted squared-residual norms never increase.
 
-grid_search is the independent oracle: an exhaustive lattice scan with a
-deterministic lexicographic tie-break. It never shares the iterative path.
+grid_search is the independent oracle: the exact minimum of a lattice, with
+a deterministic lexicographic tie-break. It never shares the iterative path.
+The GridObjective of a range or TDOA problem is minimized by branch and
+bound: fixed tiles of the lattice are bounded from below
+(GridObjective.bound), and only those whose bound does not exceed the best
+value found are evaluated. Any other callable is scanned exhaustively,
+chunk by chunk.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import BudgetExceeded, NoConvergence, ValidationError
 from .geometry import Point
 
@@ -36,12 +42,15 @@ _TIE_EPS = 1e-9        # residual norms within this are "tied"
 INCONSISTENCY_TOL = 1e-6
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
-# Nodes per grid_search chunk. The lattice evaluator's (R, W) buffers (1 MiB
-# for range, 1.5 MiB for TDOA) stay near L2 size: on a 2-vCPU Xeon with
-# 2 MiB of L2 per core, the three oracle_grid lattices took 221, 203 and
-# 209 ms (sums of medians) at 1 << 15, 1 << 16 and 1 << 17. On the points
-# path, 1 << 16 beat 1 << 18 by 20-30 %.
+# Nodes per chunk of grid_search's exhaustive scan, the path of any objective
+# but a GridObjective: 1 << 16 beat 1 << 18 by 20-30 %.
 _GRID_CHUNK = 1 << 16
+# Nodes per axis of a _bounded_search tile, by dimension. Smaller tiles are
+# bounded more tightly but cost more bounds and more evaluator calls: on a
+# 2-vCPU Xeon the three oracle_grid lattices of five seeds took 41.6, 32.0,
+# 26.4 and 29.2 ms at 32, 48, 64 and 96 per 2D axis (16 in 3D), and 29.3
+# and 28.4 ms at 12 and 20 per 3D axis (64 in 2D); sums of medians of 15.
+_GRID_TILE = {2: 64, 3: 16}
 
 
 @dataclass(frozen=True)
@@ -237,53 +246,131 @@ def finite_difference_jacobian(
     return J
 
 
+def _first_min(values: np.ndarray) -> int | None:
+    """Position of the first least value, passing over NaN; None if all are NaN."""
+    pos = int(np.argmin(values))  # first occurrence: lexicographic within a block
+    if math.isnan(values[pos]):   # argmin stops at the first NaN
+        if np.isnan(values).all():
+            return None
+        pos = int(np.nanargmin(values))
+    return pos
+
+
+def _bounded_search(objective: _kernels.GridObjective, axes: list[np.ndarray]):
+    """The least value of objective on the lattice of axes and its node index,
+    (inf, None) if no node has a value below +inf.
+
+    The lattice is cut into tiles of _GRID_TILE[dim] nodes per axis. Every
+    tile's objective.bound over the box its nodes span is computed at once,
+    and tiles are evaluated in ascending bound order (stable, by tile
+    position among equal bounds; a NaN bound comes first) until a bound
+    exceeds the best value found. A tile holding a node of lower value, or
+    of equal value and smaller index, has a bound no greater than that
+    value, so it is evaluated before the search stops.
+    """
+    size = _GRID_TILE[len(axes)]
+    starts = [np.arange(0, a.size, size) for a in axes]
+    lo = np.stack(np.meshgrid(*[a[s] for a, s in zip(axes, starts)], indexing="ij"), axis=-1)
+    hi = np.stack(np.meshgrid(*[a[np.minimum(s + size, a.size) - 1]
+                                for a, s in zip(axes, starts)], indexing="ij"), axis=-1)
+    bounds = objective.bound(lo, hi).ravel()
+    bounds[np.isnan(bounds)] = -math.inf
+    evaluate = objective.lattice()
+    best_val, best_index = math.inf, None
+
+    def visit(t: int) -> None:
+        nonlocal best_val, best_index
+        first = [i * size for i in np.unravel_index(t, lo.shape[:-1])]
+        pieces = [a[f:f + size] for a, f in zip(axes, first)]
+        prefixes = np.stack(np.meshgrid(*pieces[:-1], indexing="ij"), axis=-1)
+        values = evaluate(prefixes.reshape(-1, len(axes) - 1), pieces[-1]).ravel()
+        pos = _first_min(values)
+        if pos is None or values[pos] == math.inf:  # records nothing, as strict < does
+            return
+        value = float(values[pos])
+        local = np.unravel_index(pos, [p.size for p in pieces])
+        index = tuple(f + int(i) for f, i in zip(first, local))
+        if value < best_val or (value == best_val and index < best_index):
+            best_val, best_index = value, index
+
+    # The first tile in bound order caps the minimum, so only the tiles
+    # bounded at or below its least value need sorting.
+    head = int(np.argmin(bounds))
+    visit(head)
+    rest = np.flatnonzero(bounds <= best_val)
+    for t in rest[np.argsort(bounds[rest], kind="stable")].tolist():
+        if bounds[t] > best_val:
+            break
+        if t != head:
+            visit(t)
+    return best_val, best_index
+
+
 def grid_search(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: Sequence[tuple[float, float]],
     resolution: float,
     node_budget: int = 50_000_000,
 ) -> tuple[Point, float]:
-    """Exhaustive lattice minimization; the independent brute-force oracle.
+    """Exact lattice minimization; the independent verification oracle.
 
     The lattice spans each (lo, hi) bound at the given resolution, nodes at
-    lo + k * resolution, and is searched in chunks of at most _GRID_CHUNK
-    nodes in lexicographic order. A chunk holds whole rows of the last axis
-    (a row longer than a chunk is split into pieces): its row prefixes P
-    (R, dim-1), each a row's leading coordinates, crossed with a piece L (W,)
-    of the last axis. An objective with a lattice method (the GridObjective
-    of trilateration_objective and hyperbolic_objective) is evaluated chunk
-    by chunk from (P, L) by objective.lattice(), which returns the (R, W)
-    values, and no node coordinates are built. Any other objective receives
-    each chunk's nodes as an (R*W, dim) float64 array, column-major so that
-    its column views are contiguous, and must return the (R*W,) values. Ties
-    go to the lexicographically smallest node: the first occurrence within a
-    chunk, and strict < across chunks. NaN values are passed over. Raises
-    BudgetExceeded when the lattice is larger than node_budget nodes, and
-    ValueError when no node has a value below +inf.
+    lo + k * resolution. It returns the node of least value, the
+    lexicographically smallest among equal values; NaN values are passed
+    over. Node values are computed elementwise, so the result is the same,
+    bit for bit, whichever nodes share a call.
+
+    A GridObjective (the objective of trilateration_objective and
+    hyperbolic_objective) is minimized exactly by bounds: the lattice is cut
+    into fixed tiles, each tile's GridObjective.bound is computed, and only
+    the tiles whose bound does not exceed the best value found are
+    evaluated, by objective.lattice() from their axes (_bounded_search).
+
+    Any other objective is scanned exhaustively in chunks of at most
+    _GRID_CHUNK nodes in lexicographic order. A chunk holds whole rows of
+    the last axis (a row longer than a chunk is split into pieces), and the
+    objective receives its nodes as an (R*W, dim) float64 array,
+    column-major so that its column views are contiguous, and must return
+    the (R*W,) values. Ties go to the first occurrence within a chunk, and
+    strict < across chunks.
+
+    Raises ValueError on a resolution or bound that is not finite, and
+    when no node has a value below +inf; BudgetExceeded, before anything is
+    allocated, when the lattice is larger than node_budget nodes.
     """
-    if not resolution > 0.0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError("resolution must be positive and finite")
     if not bounds:
         raise ValueError("bounds must be non-empty")
     dim = len(bounds)
     if dim not in (2, 3):
         raise ValueError(f"bounds must cover 2 or 3 dimensions, got {dim}")
 
-    los = np.array([float(lo) for lo, _ in bounds])
-    his = np.array([float(hi) for _, hi in bounds])
-    if np.any(his < los):
+    los = [float(lo) for lo, _ in bounds]
+    his = [float(hi) for _, hi in bounds]
+    if not all(map(math.isfinite, los + his)):
+        raise ValueError("bounds must be finite")
+    if any(hi < lo for lo, hi in zip(los, his)):
         raise ValueError("each bound needs lo <= hi")
-    counts = (np.floor((his - los) / resolution + 1e-9) + 1).astype(np.int64)
-    total = int(np.prod(counts))
+    # Python ints: an int64 product can wrap below the budget. A span that
+    # overflows the float range has more nodes than any budget.
+    spans = [(hi - lo) / resolution + 1e-9 for lo, hi in zip(los, his)]
+    counts = [math.floor(s) + 1 if math.isfinite(s) else math.inf for s in spans]
+    total = math.prod(counts)
     if total > node_budget:
         raise BudgetExceeded(f"lattice has {total} nodes, budget is {node_budget}")
 
     axes = [los[k] + np.arange(counts[k]) * resolution for k in range(dim)]
+    if isinstance(objective, _kernels.GridObjective):
+        best_val, best_index = _bounded_search(objective, axes)
+        if best_index is None:
+            raise ValueError("objective has no finite value on the lattice")
+        return Point.of(*(float(a[i]) for a, i in zip(axes, best_index))), best_val
+
     last = axes[-1]
     n_rows = total // last.size
     rows_per_chunk = max(1, _GRID_CHUNK // last.size)
     width = min(last.size, _GRID_CHUNK)
-    evaluate = objective.lattice() if hasattr(objective, "lattice") else None
 
     best_val = math.inf
     best_node: tuple | None = None
@@ -293,19 +380,12 @@ def grid_search(
         prefixes = np.column_stack([axes[k][rows[k]] for k in range(dim - 1)])
         for c0 in range(0, last.size, width):
             piece = last[c0:c0 + width]
-            if evaluate is not None:
-                values = np.asarray(evaluate(prefixes, piece), dtype=float).ravel()
-            else:
-                block = np.empty((dim, prefixes.shape[0], piece.size))
-                block[:-1] = prefixes.T[:, :, None]
-                block[-1] = piece
-                values = np.asarray(objective(block.reshape(dim, -1).T), dtype=float)
-            pos = int(np.argmin(values))  # first occurrence: lexicographic within chunk
-            if math.isnan(values[pos]):   # argmin stops at the first NaN
-                if np.isnan(values).all():
-                    continue
-                pos = int(np.nanargmin(values))
-            if values[pos] < best_val:    # strict: earlier chunks win ties
+            block = np.empty((dim, prefixes.shape[0], piece.size))
+            block[:-1] = prefixes.T[:, :, None]
+            block[-1] = piece
+            values = np.asarray(objective(block.reshape(dim, -1).T), dtype=float)
+            pos = _first_min(values)
+            if pos is not None and values[pos] < best_val:  # strict: earlier chunks win ties
                 best_val = float(values[pos])
                 i, j = divmod(pos, piece.size)
                 best_node = (*prefixes[i].tolist(), float(piece[j]))

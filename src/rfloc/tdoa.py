@@ -182,8 +182,8 @@ def hyperbolic_objective(receivers: Sequence[Point],
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
     Called on an (N, dim) array of trial points it returns (N,) values; its
-    lattice method evaluates a grid_search chunk from the chunk's axes (see
-    _kernels.GridObjective).
+    lattice and bound methods let grid_search evaluate only the lattice
+    tiles that can hold the minimum (see _kernels.GridObjective).
     """
     recv, deltas, _dim = _ordered_receivers(receivers, rd)
     return _kernels.GridObjective(recv, deltas, tdoa=True)

@@ -108,8 +108,9 @@ def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarra
 def trilateration_objective(problem: TrilaterationProblem) -> _kernels.GridObjective:
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
-    Callable on (N, dim) points; its lattice method evaluates a grid_search
-    chunk from the chunk's axes (see _kernels.GridObjective).
+    Callable on (N, dim) points; its lattice and bound methods let
+    grid_search evaluate only the lattice tiles that can hold the minimum
+    (see _kernels.GridObjective).
     """
     return _kernels.GridObjective(problem.anchor_array, problem.distance_array, tdoa=False)
 

@@ -1,6 +1,7 @@
 """Damped Gauss-Newton, finite differences, and the grid-search oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,22 +214,44 @@ def test_grid_includes_endpoints():
     assert nodes[:, 0].max() == 1.0 and nodes[:, 0].min() == 0.0
 
 
-def test_grid_budget():
-    def objective(points):
-        return np.zeros(points.shape[0])
+def _never_called(points):
+    raise AssertionError("the lattice should be refused before any node is evaluated")
 
-    with pytest.raises(BudgetExceeded):
-        grid_search(objective, [(0, 1000), (0, 1000)], 0.001, node_budget=10_000)
+
+_UNIT_OBJECTIVE = _kernels.GridObjective(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                                         np.ones(3), tdoa=False)
+
+
+def test_grid_budget():
+    for bounds, resolution, budget in [
+        ([(0, 1000), (0, 1000)], 0.001, 10_000),
+        ([(0, 4294967295)] * 2, 1.0, 50_000_000),       # 2^64 nodes: an int64 product wraps to 0
+        ([(0, 1), (0, 1e20)], 0.5, 50_000_000),         # 6e20 nodes: an int64 count overflows
+        ([(-1e308, 1e308), (0, 1)], 0.5, 50_000_000),   # the span itself overflows to inf
+    ]:
+        for objective in (_never_called, _UNIT_OBJECTIVE):
+            with pytest.raises(BudgetExceeded):
+                grid_search(objective, bounds, resolution, node_budget=budget)
 
 
 def test_grid_rejects_bad_inputs():
-    obj = lambda pts: np.zeros(pts.shape[0])
-    with pytest.raises(ValueError):
-        grid_search(obj, [(0, 1), (0, 1)], 0.0)
-    with pytest.raises(ValueError):
-        grid_search(obj, [], 0.1)
-    with pytest.raises(ValueError):
-        grid_search(obj, [(1, 0), (0, 1)], 0.1)
+    for bounds, resolution in [
+        ([(0, 1), (0, 1)], 0.0),
+        ([(0, 1), (0, 1)], math.inf),
+        ([(0, 1), (0, 1)], math.nan),
+        ([], 0.1),
+        ([(0, 1)], 0.1),
+        ([(1, 0), (0, 1)], 0.1),
+        ([(0, math.nan), (0, 1)], 0.1),
+        ([(0, 1), (math.nan, 1)], 0.1),
+        ([(0, math.inf), (0, 1)], 0.1),
+        ([(-math.inf, 0), (0, 1)], 0.1),
+    ]:
+        for objective in (_never_called, _UNIT_OBJECTIVE):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no cast warning on the way
+                with pytest.raises(ValueError):
+                    grid_search(objective, bounds, resolution)
 
 
 @pytest.mark.parametrize("chunk", [7, solver._GRID_CHUNK])
@@ -343,3 +366,171 @@ def test_grid_long_row_is_split(monkeypatch):
     want_node, want_value, _ = _brute_force(objective, bounds, 0.1)
     assert node.coords == want_node and value == want_value
 
+
+
+def _hexes(node, value):
+    return [v.hex() for v in (*node.coords, value)]
+
+
+def _random_case(rng, dim, tdoa):
+    """A range or TDOA GridObjective with 3-4 anchors around a random source,
+    and a lattice near it whose axes are degenerate, short, or longer than a
+    tile."""
+    anchors = rng.uniform(-20.0, 20.0, size=(rng.integers(3, 5), dim))
+    source = rng.uniform(-10.0, 10.0, dim)
+    dists = np.linalg.norm(anchors - source, axis=1) + rng.normal(0.0, 0.3, len(anchors))
+    targets = dists[0] - dists[1:] if tdoa else dists
+    objective = _kernels.GridObjective(anchors, targets, tdoa)
+    tile = solver._GRID_TILE[dim]
+    resolution = float(rng.choice([0.05, 0.1, 0.25]))
+    bounds = []
+    for _ in range(dim):
+        nodes = int(rng.choice([1, rng.integers(2, tile), rng.integers(tile + 1, 3 * tile)]))
+        lo = float(source[len(bounds)] + rng.uniform(-0.7, -0.3) * nodes * resolution)
+        bounds.append((lo, lo + (nodes - 1) * resolution))
+    return objective, bounds, resolution
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
+def test_bounded_search_matches_exhaustive_scan(dim, tdoa):
+    # The bare GridObjective takes the bounded tile path; the same objective
+    # behind a plain callable takes the exhaustive chunk scan.
+    rng = np.random.default_rng(90 + 2 * dim + tdoa)
+    for _ in range(25):
+        objective, bounds, resolution = _random_case(rng, dim, tdoa)
+        bounded = grid_search(objective, bounds, resolution)
+        scanned = grid_search(lambda p: objective(p), bounds, resolution)
+        assert _hexes(*bounded) == _hexes(*scanned), (bounds, resolution)
+
+
+class _Recording(_kernels.GridObjective):
+    """A GridObjective whose lattice() keeps every block it evaluates."""
+
+    __slots__ = ("blocks",)
+
+    def lattice(self):
+        self.blocks = []
+        evaluate = super().lattice()
+
+        def recorded(prefixes, last):
+            self.blocks.append((prefixes.copy(), last.copy()))
+            return evaluate(prefixes, last)
+
+        return recorded
+
+    def nodes(self):
+        return sum(len(p) * last.size for p, last in self.blocks)
+
+
+def test_bounded_search_tie_between_mirror_nodes_goes_to_smaller_node():
+    # Anchors on the line x = y make the objective symmetric under swapping x
+    # and y, bit for bit (dx*dx + dy*dy commutes). Its zeros are (0, 4) and
+    # (4, 0). Both share the first tile along x; along y a tile boundary
+    # falls between 0 and 4, so (4, 0)'s tile comes first in tile order and,
+    # at an equal bound, is evaluated first.
+    tile = solver._GRID_TILE[2]
+    anchors = np.array([[0.0, 0.0], [4.0, 4.0], [-3.0, -3.0]])
+    objective = _Recording(anchors, np.array([4.0, 4.0, math.sqrt(58.0)]), tdoa=False)
+    bounds = [(-2.0, 10.0), (1.0 - tile, 10.0)]
+    node, value = grid_search(objective, bounds, 1.0)
+    assert node.coords == (0.0, 4.0) and value == 0.0
+    first_prefixes, first_last = objective.blocks[0]
+    assert 4.0 in first_prefixes and 0.0 in first_last and 4.0 not in first_last
+    assert _hexes(node, value) == _hexes(*grid_search(lambda p: objective(p), bounds, 1.0))
+
+
+@pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
+def test_bounded_search_with_no_finite_value_raises_as_the_scan_does(tdoa):
+    # Squared offsets of 1e200 overflow: every range value is +inf, every
+    # range difference inf - inf, NaN.
+    for dim in (2, 3):
+        anchors = np.full((3, dim), 1e200) * np.arange(1, 4)[:, None]
+        objective = _kernels.GridObjective(anchors, np.ones(2 if tdoa else 3), tdoa)
+        bounds = [(0.0, 7.0)] * dim
+        errors = []
+        for candidate in (objective, lambda p: objective(p)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError) as caught:
+                grid_search(candidate, bounds, 0.1)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "objective has no finite value on the lattice"
+
+
+class _HalfNanBound(_kernels.GridObjective):
+    """A GridObjective whose bound is NaN on every box bounded at or below the
+    median, the tiles that hold the minimum among them."""
+
+    __slots__ = ()
+
+    def bound(self, lo, hi):
+        bound = super().bound(lo, hi)
+        return np.where(bound <= np.median(bound), np.nan, bound)
+
+
+def test_bounded_search_evaluates_tiles_whose_bound_is_nan():
+    rng = np.random.default_rng(97)
+    for dim in (2, 3):
+        for tdoa in (False, True):
+            base, bounds, resolution = _random_case(rng, dim, tdoa)
+            objective = _HalfNanBound(base.anchors, base.targets, tdoa)
+            assert (_hexes(*grid_search(objective, bounds, resolution))
+                    == _hexes(*grid_search(base, bounds, resolution)))
+
+
+def _random_boxes(rng, dim, scale):
+    """Boxes with 1-6 random nodes per axis: (lo, hi, [per-axis node arrays])."""
+    for _ in range(60):
+        axes = [np.sort(rng.uniform(-scale, scale, rng.integers(1, 7))) for _ in range(dim)]
+        yield np.array([a[0] for a in axes]), np.array([a[-1] for a in axes]), axes
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
+def test_bound_is_below_every_node_value_in_the_box(dim, tdoa):
+    rng = np.random.default_rng(70 + 2 * dim + tdoa)
+    for scale, overflow in ((30.0, False), (1e154, True)):
+        anchors = rng.uniform(-scale, scale, size=(4, dim))
+        targets = rng.uniform(-scale, scale, 3) if tdoa else rng.uniform(0.0, 2 * scale, 4)
+        objective = _kernels.GridObjective(anchors, targets, tdoa)
+        evaluate = objective.lattice()
+        boxes = list(_random_boxes(rng, dim, scale))
+        bounds = objective.bound(np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]))
+        assert bounds.shape == (len(boxes),)
+        for (lo, hi, axes), bound in zip(boxes, bounds):
+            assert np.array_equal(objective.bound(lo, hi), bound, equal_nan=True)
+            prefixes = np.stack(np.meshgrid(*axes[:-1], indexing="ij"), axis=-1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = evaluate(prefixes.reshape(-1, dim - 1), axes[-1])
+            values = values[~np.isnan(values)]
+            assert bound <= values.min(initial=math.inf) or overflow and math.isnan(bound)
+        if not overflow:
+            assert not np.isnan(bounds).any() and (bounds > 0.0).any()
+
+
+def test_bounded_search_evaluates_few_nodes_of_the_criterion_2_lattice():
+    # The 0.01 m lattice over [-10, 20]^2 of the inconsistent 2D fixture.
+    problem = TrilaterationProblem((Point.of(0, 0), Point.of(10, 0), Point.of(5, 10)),
+                                   (5.0, 5.0, 5.0), 2)
+    base = trilateration_objective(problem)
+    counts = []
+    for _ in range(2):
+        objective = _Recording(base.anchors, base.targets, base.tdoa)
+        node, value = grid_search(objective, [(-10.0, 20.0), (-10.0, 20.0)], 0.01)
+        counts.append(objective.nodes())
+    assert node.x == 5.0 and value == pytest.approx(4.6557, abs=1e-4)
+    assert counts[0] == counts[1] and 0 < counts[0] < 9_006_001 // 100
+
+
+def test_bounded_search_evaluates_few_nodes_of_a_far_emitter_tdoa_lattice():
+    # 2.8 km from a 300 m receiver triangle the range differences vary
+    # slowly, and the bound at the box center catches that: distance
+    # intervals alone leave about 98 % of this lattice's nodes to evaluate.
+    receivers = np.array([[0.0, 0.0], [300.0, 0.0], [100.0, 250.0]])
+    emitter = np.array([2500.0, 1200.0])
+    d = np.linalg.norm(receivers - emitter, axis=1)
+    objective = _Recording(receivers, d[0] - d[1:], tdoa=True)
+    bounds = [(2490.0, 2510.0), (1190.0, 1210.0)]
+    node, value = grid_search(objective, bounds, 0.01)
+    assert node.coords == (2500.0, 1200.0) and value == 0.0
+    assert objective.nodes() < 2001 ** 2 // 10
