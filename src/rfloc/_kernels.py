@@ -3,27 +3,30 @@
 One numpy implementation per kernel; `perfbench/run.py` measures their
 throughput (`kernels.*_mnodes_per_s`) on the verification lattices.
 
-One routine (`_sum_sq`) evaluates both objectives over coordinate arrays
-that broadcast: the columns of (N, D) points, or a lattice block given by
-its axes, the row prefixes P (R, D-1) and a piece L (W,) of the last axis.
-A block's squared offsets from an anchor are computed once per row
-(sum_k (P_k - a_k)^2, R values) and once per column ((L - a_last)^2, W
-values) and added as an (R, W) broadcast, not D times per node. Every step
-writes into preallocated buffers with in-place ufuncs, so a sweep
-allocates no per-node temporaries. Each distance is accumulated as
-dx*dx + dy*dy (+ dz*dz), left to right: the order of numpy's row sum
-`((points - a) ** 2).sum(axis=1)`, so both layouts are bit-identical to
-that formula. The expansion |p|^2 - 2 p.a + |a|^2 is not used: it
-cancels, and at 1e3 m coordinates its squared distances are off by up to
-about 2e-9 m^2.
+One routine (`_sum_sq`) evaluates both objectives over coordinate columns
+that broadcast: the columns of (N, D) points, or blocks of lattice nodes
+given per axis, such as (M, 8, 1) and (M, 1, 8) columns for M blocks of
+8x8 nodes. A block's squared offsets from an anchor are computed once per
+coordinate ((x - a_x)^2, 8 values per block along x) and added as a
+broadcast, not D times per node. Every step writes into preallocated
+buffers with in-place ufuncs, so a sweep allocates no per-node
+temporaries. Each distance is accumulated as dx*dx + dy*dy (+ dz*dz), left
+to right: the order of numpy's row sum `((points - a) ** 2).sum(axis=1)`,
+so every layout is bit-identical to that formula. The expansion
+|p|^2 - 2 p.a + |a|^2 is not used: it cancels, and at 1e3 m coordinates
+its squared distances are off by up to about 2e-9 m^2.
 
 GridObjective.bound, a lower bound of the objective over boxes from
 interval arithmetic on each residual (Moore 1966), lets grid_search's
-branch and bound (Land & Doig 1960) evaluate only the lattice tiles that
-can hold the minimum.
+branch and bound (Land & Doig 1960) evaluate only the lattice leaves that
+can hold the minimum. It takes the boxes' edges per axis too, so that a
+product of intervals, such as a lattice's tiles, costs one term per
+interval and axis, not one per box.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -112,25 +115,31 @@ def sum_sq_tdoa_residuals(points: np.ndarray, receivers: np.ndarray,
     return _on_points(points, receivers, deltas, tdoa=True)
 
 
-def _box_distances(lo: np.ndarray, hi: np.ndarray, a: np.ndarray) -> tuple:
-    """The least and greatest |p - a| over each box [lo, hi] (..., D): at the
-    box's point nearest a and at its farthest corner. Each axis's offsets
-    are differences of the box's bounds and a, and their squares add left to
-    right as _distances adds a node's, so the two hold for the computed
-    distances of the box's nodes, not only for the exact ones."""
-    near = far = None
-    for k in range(lo.shape[-1]):
-        below, above = lo[..., k] - a[k], hi[..., k] - a[k]
+def _squares(lo, hi, columns: np.ndarray) -> tuple:
+    """Per axis k, the squared least and greatest |p_k - a_k| over the boxes'
+    edges lo[k], hi[k] (see GridObjective.bound): at the box's point nearest
+    a and at its farthest corner. columns[k] holds the anchors' k-th
+    coordinates along a leading axis, (A, 1, ..., 1), so each result has
+    one row per anchor, and only the edges are visited, not the boxes."""
+    near, far = [], []
+    for low, high, a in zip(lo, hi, columns):
+        below, above = low - a, high - a
         n = np.maximum(np.maximum(below, -above), 0.0)
         f = np.maximum(-below, above)
         n *= n
         f *= f
-        near, far = (n, f) if near is None else (near + n, far + f)
-    return np.sqrt(near), np.sqrt(far)
+        near.append(n)
+        far.append(f)
+    return near, far
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+def _root(squares) -> np.ndarray:
+    """sqrt of the sum of squares, one per axis, added left to right as
+    _distances adds a node's squared offsets."""
+    total = squares[0]
+    for square in squares[1:]:
+        total = total + square
+    return np.sqrt(total)
 
 
 class GridObjective:
@@ -138,9 +147,10 @@ class GridObjective:
 
     Called on (N, D) points it returns their (N,) values through the point
     kernel, sum_sq_tdoa_residuals if tdoa, else sum_sq_range_residuals.
-    lattice() gives grid_search an evaluator of lattice blocks by their axes,
-    and bound() a lower bound of the objective over boxes, so that it need
-    evaluate only the lattice tiles that can hold the minimum.
+    evaluator() gives grid_search an evaluator of nodes by their coordinate
+    columns, and bound() a lower bound of the objective over boxes given by
+    their per-axis edges, so that it need evaluate only the lattice leaves
+    that can hold the minimum.
     """
 
     __slots__ = ("anchors", "targets", "tdoa")
@@ -152,34 +162,49 @@ class GridObjective:
         kernel = sum_sq_tdoa_residuals if self.tdoa else sum_sq_range_residuals
         return kernel(points, self.anchors, self.targets)
 
-    def lattice(self):
-        """A block evaluator: evaluate(P, L) returns the (R, W) values at the
-        nodes (P[i], L[j]) of row prefixes P (R, D-1) and a last-axis piece
-        L (W,), bit-identical to calling the objective on those nodes.
+    def evaluator(self):
+        """A node evaluator: evaluate(coords) returns the objective at every
+        node that coords span, bit-identical to calling the objective on
+        those nodes. coords[k] holds the nodes' k-th coordinates, D arrays
+        that broadcast to the nodes' shape: (N,) columns of points, or
+        (M, 8, 1) and (M, 1, 8) for M blocks of 8x8 nodes, whose squared
+        offsets from an anchor are then computed once per distinct
+        coordinate and added as a broadcast.
 
-        It keeps its node-sized buffers from call to call, since each fresh
-        megabyte array costs a page fault per 4 KiB page, so a result holds
-        only until the next call.
+        It keeps its buffers from call to call, since each fresh megabyte
+        array costs a page fault per 4 KiB page, so a result holds only
+        until the next call.
         """
-        flat: list[np.ndarray] = []
+        pool: dict[str, np.ndarray] = {}
 
-        def evaluate(prefixes: np.ndarray, last: np.ndarray) -> np.ndarray:
-            shape = (prefixes.shape[0], last.size)
-            n = shape[0] * shape[1]
-            if not flat or flat[0].size < n:
-                flat[:] = [np.empty(n) for _ in range(3)]
-            total, r, d_ref = (b[:n].reshape(shape) for b in flat)
-            coords = [prefixes[:, k:k + 1] for k in range(prefixes.shape[1])] + [last]
-            work = (np.empty((shape[0], 1)), np.empty((shape[0], 1)), np.empty(last.size))
-            return _sum_sq(coords, self.anchors, self.targets, self.tdoa, total, r, d_ref, work)
+        def buffer(name: str, shape: tuple) -> np.ndarray:
+            n = math.prod(shape)
+            if name not in pool or pool[name].size < n:
+                pool[name] = np.empty(n)
+            return pool[name][:n].reshape(shape)
+
+        def evaluate(coords) -> np.ndarray:
+            head = np.broadcast(*coords[:-1]).shape
+            shape = np.broadcast(*coords).shape
+            work = (buffer("head", head), buffer("scratch", head),
+                    buffer("tail", np.shape(coords[-1])))
+            return _sum_sq(coords, self.anchors, self.targets, self.tdoa, buffer("total", shape),
+                           buffer("r", shape), buffer("d_ref", shape) if self.tdoa else None, work)
 
         return evaluate
 
-    def bound(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """A lower bound of the objective over each box [lo, hi] (..., D).
+    def bound(self, lo, hi) -> np.ndarray:
+        """A lower bound of the objective over each box [lo, hi].
+
+        lo and hi hold the boxes' per-axis edges: lo[k] and hi[k] are the
+        least and greatest k-th coordinates, D arrays (or numbers) that
+        broadcast together, and the result has their broadcast shape. A
+        product of intervals, such as a lattice's tiles, is given by
+        (T0, 1) and (1, T1) edges, so each axis's terms are computed once
+        per interval, not once per box.
 
         Each residual's interval over the box follows from every anchor's
-        least and greatest distance (_box_distances): [dmin - t, dmax - t]
+        least and greatest distance (_squares): [dmin - t, dmax - t]
         for a range, [dmin_0 - dmax_k - t, dmax_0 - dmin_k - t] for a range
         difference. A range difference is also within L * h of its value
         at the box's center, h the half-diagonal: its gradient u_0 - u_k,
@@ -188,31 +213,41 @@ class GridObjective:
         1964), which narrows the interval where the box is far from both
         receivers. A term is the squared gap between 0 and the interval,
         shrunk first by _BOUND_SLACK times the magnitudes it came from; the
-        terms add in the evaluator's order. Every value that lattice() or
+        terms add in the evaluator's order. Every value that evaluator() or
         the point kernel computes at a node of the box is NaN or at least
         the bound. The bound is NaN, silently, where the squares overflow:
         the evaluator warns of the node values themselves.
         """
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        lo = [np.asarray(v, dtype=float) for v in lo]
+        hi = [np.asarray(v, dtype=float) for v in hi]
         if len(self.targets) == 0:
-            return np.zeros(lo.shape[:-1])
+            return np.zeros(np.broadcast_shapes(*(v.shape for v in lo + hi)))
+        # The anchors' coordinates along a leading axis: each step below
+        # treats every anchor at once, and [j] takes out anchor j's row.
+        ndim = max(v.ndim for v in lo + hi)
+        columns = self.anchors.T.reshape(self.anchors.shape[1], -1, *(1,) * ndim)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            dists = [_box_distances(lo, hi, a) for a in self.anchors]
+            near, far = _squares(lo, hi, columns)
+            rows = range(len(self.anchors))
             if self.tdoa:
-                (near0, far0), dists = dists[0], dists[1:]
-                half = (hi - lo) * 0.5
-                radius = _norm(half)
-                at_center = [_norm(lo - a + half) for a in self.anchors]
-            for k, ((near, far), t) in enumerate(zip(dists, self.targets)):
+                half = [(h - l) * 0.5 for l, h in zip(lo, hi)]
+                radius = _root([h * h for h in half])
+                offsets = [l - a + h for l, a, h in zip(lo, columns, half)]
+                center = [c * c for c in offsets]
+                near0, far0 = _root([n[0] for n in near]), _root([f[0] for f in far])
+                center0 = _root([c[0] for c in center])
+                rows = rows[1:]
+            for k, (j, t) in enumerate(zip(rows, self.targets)):
+                dmin, dmax = _root([n[j] for n in near]), _root([f[j] for f in far])
                 if self.tdoa:
-                    base = float(_norm(self.anchors[k + 1] - self.anchors[0]))
-                    reach = np.minimum(2.0, 2.0 * base / (near0 + near)) * radius
-                    mid = at_center[0] - at_center[k + 1] - t
-                    low = np.maximum(near0 - far - t, mid - reach)
-                    high = np.minimum(far0 - near - t, mid + reach)
-                    scale = far0 + far + abs(t)
+                    base = float(_root([d * d for d in self.anchors[j] - self.anchors[0]]))
+                    reach = np.minimum(2.0, 2.0 * base / (near0 + dmin)) * radius
+                    mid = center0 - _root([c[j] for c in center]) - t
+                    low = np.maximum(near0 - dmax - t, mid - reach)
+                    high = np.minimum(far0 - dmin - t, mid + reach)
+                    scale = far0 + dmax + abs(t)
                 else:
-                    low, high, scale = near - t, far - t, far + abs(t)
+                    low, high, scale = dmin - t, dmax - t, dmax + abs(t)
                 gap = np.maximum(np.maximum(low, -high) - _BOUND_SLACK * scale, 0.0)
                 term = gap * gap
                 total = term if k == 0 else total + term

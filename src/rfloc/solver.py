@@ -8,11 +8,11 @@ accepted ones). Accepted squared-residual norms never increase.
 
 grid_search is the independent oracle: the exact minimum of a lattice, with
 a deterministic lexicographic tie-break. It never shares the iterative path.
-The GridObjective of a range or TDOA problem is minimized by branch and
-bound: fixed tiles of the lattice are bounded from below
-(GridObjective.bound), and only those whose bound does not exceed the best
-value found are evaluated. Any other callable is scanned exhaustively,
-chunk by chunk.
+The GridObjective of a range or TDOA problem is minimized by a two-level
+branch and bound: the lattice's tiles, then the leaves of the tiles that
+can hold the minimum, are bounded from below (GridObjective.bound), and
+only the nodes of the leaves that can hold it are evaluated. Any other
+callable is scanned exhaustively, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -43,14 +43,17 @@ INCONSISTENCY_TOL = 1e-6
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 # Nodes per chunk of grid_search's exhaustive scan, the path of any objective
-# but a GridObjective: 1 << 16 beat 1 << 18 by 20-30 %.
+# but a GridObjective: 1 << 16 beat 1 << 18 by 20-30 %. The bounded search
+# takes at most as many nodes per evaluator call, and leaves per bound call.
 _GRID_CHUNK = 1 << 16
-# Nodes per axis of a _bounded_search tile, by dimension. Smaller tiles are
-# bounded more tightly but cost more bounds and more evaluator calls: on a
-# 2-vCPU Xeon the three oracle_grid lattices of five seeds took 41.6, 32.0,
-# 26.4 and 29.2 ms at 32, 48, 64 and 96 per 2D axis (16 in 3D), and 29.3
-# and 28.4 ms at 12 and 20 per 3D axis (64 in 2D); sums of medians of 15.
-_GRID_TILE = {2: 64, 3: 16}
+# Nodes per axis of a _bounded_search tile and of its leaves, by dimension.
+# Smaller boxes are bounded more tightly but cost more bound terms. On a
+# 2-vCPU Xeon the three oracle_grid lattices of ten seeds took 21.8 ms at
+# (64, 8) in 2D and (16, 4) in 3D, 22.0 at (64, 16) and (16, 8), 21.4 at
+# (128, 16) and (32, 8), 27.9 at (64, 4) and (16, 2), 29.3 at (128, 8) and
+# (32, 4), and 33.3 at (32, 8) and (8, 4): sums of medians of 11, the sizes
+# alternated call by call. The first three are within noise of each other.
+_GRID_LEVELS = {2: (64, 8), 3: (16, 4)}
 
 
 @dataclass(frozen=True)
@@ -256,54 +259,102 @@ def _first_min(values: np.ndarray) -> int | None:
     return pos
 
 
+def _along(k: int, dim: int, count: int, size: int) -> tuple:
+    """The shape (count, 1, ..., size, ..., 1) of count columns of size values
+    along axis k of a dim-dimensional lattice."""
+    return (count,) + tuple(size if j == k else 1 for j in range(dim))
+
+
+def _prune(objective: _kernels.GridObjective, evaluate, axes: list[np.ndarray],
+           firsts: list[np.ndarray], size: int, cut: float):
+    """One level of _bounded_search: M products of boxes of `size` nodes per
+    axis, firsts[k] (M, R_k) the first node index along axis k of each box.
+
+    Bounds every box in one call, from (M, R_0, 1) and (M, 1, R_1) edge
+    columns, and lowers cut to the least value, NaN passed over, at the
+    center nodes of the 8 boxes of least bound. Returns the cut and the
+    first node indices (per axis, flat) of the boxes bounded at or below it,
+    a NaN bound counting as -inf. Boxes are cut short at the lattice's end;
+    one that starts past the end repeats the last box, and is never kept.
+    """
+    shapes = [_along(k, len(axes), *f.shape) for k, f in enumerate(firsts)]
+    inside = [f < a.size for f, a in zip(firsts, axes)]
+    firsts = [np.minimum(f, (a.size - 1) // size * size) for f, a in zip(firsts, axes)]
+    lasts = [np.minimum(f + size, a.size) - 1 for f, a in zip(firsts, axes)]
+    bounds = objective.bound([a[f].reshape(s) for a, f, s in zip(axes, firsts, shapes)],
+                             [a[l].reshape(s) for a, l, s in zip(axes, lasts, shapes)])
+    bounds = np.where(np.isnan(bounds), -math.inf, bounds)
+    pick = np.unravel_index(np.argpartition(bounds.ravel(), min(7, bounds.size - 1))[:8],
+                            bounds.shape)
+    centers = [(f + l) // 2 for f, l in zip(firsts, lasts)]
+    values = evaluate([a[c[pick[0], pick[k + 1]]] for k, (a, c) in enumerate(zip(axes, centers))])
+    least = float(np.fmin.reduce(values))  # NaN only if every value is
+    cut = min(cut, least) if least == least else cut
+    keep = bounds <= cut
+    for valid, s in zip(inside, shapes):
+        keep &= valid.reshape(s)
+    kept = np.nonzero(keep)
+    return cut, [f[kept[0], kept[k + 1]] for k, f in enumerate(firsts)]
+
+
 def _bounded_search(objective: _kernels.GridObjective, axes: list[np.ndarray]):
     """The least value of objective on the lattice of axes and its node index,
     (inf, None) if no node has a value below +inf.
 
-    The lattice is cut into tiles of _GRID_TILE[dim] nodes per axis. Every
-    tile's objective.bound over the box its nodes span is computed at once,
-    and tiles are evaluated in ascending bound order (stable, by tile
-    position among equal bounds; a NaN bound comes first) until a bound
-    exceeds the best value found. A tile holding a node of lower value, or
-    of equal value and smaller index, has a bound no greater than that
-    value, so it is evaluated before the search stops.
+    A two-level branch and bound, each step one array pass (_prune). The
+    lattice is cut into tiles of _GRID_LEVELS[dim][0] nodes per axis, and
+    every tile's objective.bound over the box its nodes span is computed at
+    once. The least value at the center nodes of the 8 tiles of least bound
+    is a lattice value, so no less than the minimum: only the tiles bounded
+    at or below it can hold the minimum or a tie. Those tiles are split
+    into leaves of _GRID_LEVELS[dim][1] nodes per axis, their leaves are
+    bounded at once (in groups of at most _GRID_CHUNK leaves), the cut is
+    lowered by the center nodes of the 8 leaves of least bound and by the
+    best value found, and the nodes of the leaves bounded at or below it
+    are evaluated, gathered as coordinate columns, at most _GRID_CHUNK
+    nodes (or one leaf) per evaluator call. A box holding a node of value v
+    has a bound no greater than v, so every node of the least value is
+    evaluated, and the smallest lexicographic index among them wins.
     """
-    size = _GRID_TILE[len(axes)]
-    starts = [np.arange(0, a.size, size) for a in axes]
-    lo = np.stack(np.meshgrid(*[a[s] for a, s in zip(axes, starts)], indexing="ij"), axis=-1)
-    hi = np.stack(np.meshgrid(*[a[np.minimum(s + size, a.size) - 1]
-                                for a, s in zip(axes, starts)], indexing="ij"), axis=-1)
-    bounds = objective.bound(lo, hi).ravel()
-    bounds[np.isnan(bounds)] = -math.inf
-    evaluate = objective.lattice()
-    best_val, best_index = math.inf, None
-
-    def visit(t: int) -> None:
-        nonlocal best_val, best_index
-        first = [i * size for i in np.unravel_index(t, lo.shape[:-1])]
-        pieces = [a[f:f + size] for a, f in zip(axes, first)]
-        prefixes = np.stack(np.meshgrid(*pieces[:-1], indexing="ij"), axis=-1)
-        values = evaluate(prefixes.reshape(-1, len(axes) - 1), pieces[-1]).ravel()
-        pos = _first_min(values)
-        if pos is None or values[pos] == math.inf:  # records nothing, as strict < does
-            return
-        value = float(values[pos])
-        local = np.unravel_index(pos, [p.size for p in pieces])
-        index = tuple(f + int(i) for f, i in zip(first, local))
-        if value < best_val or (value == best_val and index < best_index):
-            best_val, best_index = value, index
-
-    # The first tile in bound order caps the minimum, so only the tiles
-    # bounded at or below its least value need sorting.
-    head = int(np.argmin(bounds))
-    visit(head)
-    rest = np.flatnonzero(bounds <= best_val)
-    for t in rest[np.argsort(bounds[rest], kind="stable")].tolist():
-        if bounds[t] > best_val:
-            break
-        if t != head:
-            visit(t)
-    return best_val, best_index
+    dim = len(axes)
+    tile, leaf = _GRID_LEVELS[dim]
+    counts = [a.size for a in axes]
+    evaluate = objective.evaluator()
+    cut, tiles = _prune(objective, evaluate, axes, [np.arange(0, n, tile)[None] for n in counts],
+                        tile, math.inf)
+    best_val, best_flat = math.inf, None
+    # Kept tiles are split in groups of at most _GRID_CHUNK leaves, and the
+    # kept leaves' nodes evaluated `chunk` leaves per call, as (C, L, 1) and
+    # (C, 1, L) columns for C leaves of L x L nodes, so that memory stays
+    # bounded when nothing is pruned. A leaf cut short by the lattice's end
+    # repeats its last node. The best value found is a lattice value, so it
+    # cuts later groups too.
+    group = max(1, _GRID_CHUNK // (tile // leaf) ** dim)
+    chunk = max(1, _GRID_CHUNK // leaf ** dim)
+    offsets = np.arange(leaf)
+    for g in range(0, len(tiles[0]), group):
+        cut, leaves = _prune(objective, evaluate, axes,
+                             [t[g:g + group, None] + np.arange(0, tile, leaf) for t in tiles],
+                             leaf, min(cut, best_val))
+        for c in range(0, len(leaves[0]), chunk):
+            nodes = [np.minimum(f[c:c + chunk, None] + offsets, n - 1)
+                     for f, n in zip(leaves, counts)]
+            values = evaluate([a[i].reshape(_along(k, dim, *i.shape))
+                               for k, (a, i) in enumerate(zip(axes, nodes))])
+            pos = _first_min(values.ravel())
+            if pos is None:
+                continue
+            value = float(values.flat[pos])
+            if value == math.inf or value > best_val:  # +inf records nothing, as strict < does
+                continue
+            tied = np.unravel_index(np.flatnonzero(values == value), values.shape)
+            flat = int(np.ravel_multi_index([i[tied[0], tied[k + 1]] for k, i in enumerate(nodes)],
+                                            counts).min())
+            if value < best_val or flat < best_flat:
+                best_val, best_flat = value, flat
+    if best_flat is None:
+        return best_val, None
+    return best_val, tuple(int(i) for i in np.unravel_index(best_flat, counts))
 
 
 def grid_search(
@@ -321,10 +372,12 @@ def grid_search(
     bit for bit, whichever nodes share a call.
 
     A GridObjective (the objective of trilateration_objective and
-    hyperbolic_objective) is minimized exactly by bounds: the lattice is cut
-    into fixed tiles, each tile's GridObjective.bound is computed, and only
-    the tiles whose bound does not exceed the best value found are
-    evaluated, by objective.lattice() from their axes (_bounded_search).
+    hyperbolic_objective) is minimized exactly by bounds, in two levels:
+    every tile of the lattice is bounded by GridObjective.bound, the tiles
+    whose bound exceeds a lattice value are dropped, the rest are split
+    into leaves and bounded and cut the same way, and only the nodes of the
+    leaves left are evaluated, by objective.evaluator() from their
+    coordinate columns (_bounded_search).
 
     Any other objective is scanned exhaustively in chunks of at most
     _GRID_CHUNK nodes in lexicographic order. A chunk holds whole rows of

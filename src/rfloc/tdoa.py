@@ -182,8 +182,9 @@ def hyperbolic_objective(receivers: Sequence[Point],
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
     Called on an (N, dim) array of trial points it returns (N,) values; its
-    lattice and bound methods let grid_search evaluate only the lattice
-    tiles that can hold the minimum (see _kernels.GridObjective).
+    evaluator and bound methods, which take coordinates and box edges as
+    per-axis columns, let grid_search evaluate only the lattice leaves that
+    can hold the minimum (see _kernels.GridObjective).
     """
     recv, deltas, _dim = _ordered_receivers(receivers, rd)
     return _kernels.GridObjective(recv, deltas, tdoa=True)

@@ -108,9 +108,10 @@ def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarra
 def trilateration_objective(problem: TrilaterationProblem) -> _kernels.GridObjective:
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
-    Callable on (N, dim) points; its lattice and bound methods let
-    grid_search evaluate only the lattice tiles that can hold the minimum
-    (see _kernels.GridObjective).
+    Callable on (N, dim) points; its evaluator and bound methods, which take
+    coordinates and box edges as per-axis columns, let grid_search evaluate
+    only the lattice leaves that can hold the minimum (see
+    _kernels.GridObjective).
     """
     return _kernels.GridObjective(problem.anchor_array, problem.distance_array, tdoa=False)
 

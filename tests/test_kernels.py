@@ -12,7 +12,7 @@ from rfloc import (
     trilateration_objective,
     trilateration_residuals,
 )
-from rfloc import _kernels
+from rfloc import _kernels, solver
 
 
 def _batch(rng, n=512, dim=3, span=1000.0):
@@ -97,21 +97,28 @@ def _layouts(points):
     return {"C": points, "F": np.asfortranarray(points), "strided": points[::2]}
 
 
-def _chunks(rng, dim):
-    """Two lattice chunks as grid_search cuts them: (row prefixes P, last-axis
-    piece L, their nodes in lexicographic order). The second chunk's 11 rows
-    span three values of the first axis in 3D; the first is smaller, so an
-    evaluator that sees both must grow its buffers."""
-    axes = [np.sort(rng.uniform(-1000, 1000, n)) for n in ((20,), (4, 5))[dim - 2] + (257,)]
-    chunks = []
-    for rows, width in ((range(14, 16), 100), (range(3, 14), 257)):
-        index = np.unravel_index(np.array(rows), [a.size for a in axes[:-1]])
-        prefixes = np.column_stack([a[i] for a, i in zip(axes, index)])
-        piece = axes[-1][:width]
-        nodes = np.column_stack([np.repeat(prefixes, piece.size, axis=0),
-                                 np.tile(piece, len(prefixes))])
-        chunks.append((prefixes, piece, nodes))
-    return chunks
+def _columns(rng, dim):
+    """Coordinate columns as grid_search's bounded search passes them to the
+    evaluator, each with its nodes in order: the center nodes of 8 boxes as
+    (8,) columns, then two chunks of C leaves of L nodes per axis as
+    (C, L, 1) and (C, 1, L) columns (in 3D (C, L, 1, 1), ...). The second
+    chunk is larger, so an evaluator that sees them in turn must grow its
+    buffers."""
+    leaf = solver._GRID_LEVELS[dim][1]
+    axes = [np.sort(rng.uniform(-1000, 1000, 40)) for _ in range(dim)]
+    index = [rng.integers(0, 40, 8) for _ in axes]
+    out = [([a[i] for a, i in zip(axes, index)],
+            np.column_stack([a[i] for a, i in zip(axes, index)]))]
+    for count in (3, 11):
+        columns = []
+        for k, a in enumerate(axes):
+            nodes = rng.integers(0, 40 - leaf, count)[:, None] + np.arange(leaf)
+            columns.append(a[nodes].reshape((count,) + tuple(leaf if j == k else 1
+                                                             for j in range(dim))))
+        shape = np.broadcast(*columns).shape
+        out.append((columns, np.column_stack([np.broadcast_to(c, shape).ravel()
+                                              for c in columns])))
+    return out
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -123,10 +130,10 @@ def test_range_kernel_bit_identical_to_row_sum(dim):
     for layout, pts in _layouts(points).items():
         got = _kernels.sum_sq_range_residuals(pts, anchors, dists)
         assert np.array_equal(got, _row_sum_range(pts, anchors, dists)), layout
-    evaluate = _kernels.GridObjective(anchors, dists, tdoa=False).lattice()
-    for prefixes, piece, nodes in _chunks(rng, dim):
-        got = evaluate(prefixes, piece)
-        assert got.shape == (len(prefixes), piece.size)
+    evaluate = _kernels.GridObjective(anchors, dists, tdoa=False).evaluator()
+    for columns, nodes in _columns(rng, dim):
+        got = evaluate(columns)
+        assert got.shape == np.broadcast(*columns).shape
         assert np.array_equal(got.ravel(), _row_sum_range(nodes, anchors, dists))
 
 
@@ -139,8 +146,8 @@ def test_tdoa_kernel_bit_identical_to_row_sum(dim):
     for layout, pts in _layouts(points).items():
         got = _kernels.sum_sq_tdoa_residuals(pts, receivers, deltas)
         assert np.array_equal(got, _row_sum_tdoa(pts, receivers, deltas)), layout
-    evaluate = _kernels.GridObjective(receivers, deltas, tdoa=True).lattice()
-    for prefixes, piece, nodes in _chunks(rng, dim):
-        got = evaluate(prefixes, piece)
-        assert got.shape == (len(prefixes), piece.size)
+    evaluate = _kernels.GridObjective(receivers, deltas, tdoa=True).evaluator()
+    for columns, nodes in _columns(rng, dim):
+        got = evaluate(columns)
+        assert got.shape == np.broadcast(*columns).shape
         assert np.array_equal(got.ravel(), _row_sum_tdoa(nodes, receivers, deltas))

@@ -1,10 +1,12 @@
 """Damped Gauss-Newton, finite differences, and the grid-search oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfloc import (
     Point,
@@ -321,7 +323,7 @@ def test_grid_matches_brute_force(monkeypatch, chunk, bounds, resolution):
     assert node.coords[:dim] == want_node
     assert value == want_value
     assert np.array_equal(np.vstack(calls), nodes)  # every node once, in order
-    # The bare objective goes through its lattice method, never the point kernel,
+    # The bare objective goes through its evaluator, never the point kernel,
     # to the same node and value, bit for bit.
     monkeypatch.setattr(_kernels, "sum_sq_range_residuals", None)
     lattice_node, lattice_value = grid_search(objective, bounds, resolution)
@@ -374,18 +376,20 @@ def _hexes(node, value):
 
 def _random_case(rng, dim, tdoa):
     """A range or TDOA GridObjective with 3-4 anchors around a random source,
-    and a lattice near it whose axes are degenerate, short, or longer than a
-    tile."""
+    and a lattice near it whose axes are degenerate, short, a leaf long give
+    or take one node, longer than a tile, or a tile and a leaf and one node
+    long, so that partial leaves fall inside partial tiles."""
     anchors = rng.uniform(-20.0, 20.0, size=(rng.integers(3, 5), dim))
     source = rng.uniform(-10.0, 10.0, dim)
     dists = np.linalg.norm(anchors - source, axis=1) + rng.normal(0.0, 0.3, len(anchors))
     targets = dists[0] - dists[1:] if tdoa else dists
     objective = _kernels.GridObjective(anchors, targets, tdoa)
-    tile = solver._GRID_TILE[dim]
+    tile, leaf = solver._GRID_LEVELS[dim]
     resolution = float(rng.choice([0.05, 0.1, 0.25]))
     bounds = []
     for _ in range(dim):
-        nodes = int(rng.choice([1, rng.integers(2, tile), rng.integers(tile + 1, 3 * tile)]))
+        nodes = int(rng.choice([1, rng.integers(2, tile), rng.integers(tile + 1, 3 * tile),
+                                leaf - 1, leaf, leaf + 1, tile + leaf + 1]))
         lo = float(source[len(bounds)] + rng.uniform(-0.7, -0.3) * nodes * resolution)
         bounds.append((lo, lo + (nodes - 1) * resolution))
     return objective, bounds, resolution
@@ -394,7 +398,7 @@ def _random_case(rng, dim, tdoa):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
 def test_bounded_search_matches_exhaustive_scan(dim, tdoa):
-    # The bare GridObjective takes the bounded tile path; the same objective
+    # The bare GridObjective takes the bounded search; the same objective
     # behind a plain callable takes the exhaustive chunk scan.
     rng = np.random.default_rng(90 + 2 * dim + tdoa)
     for _ in range(25):
@@ -404,40 +408,75 @@ def test_bounded_search_matches_exhaustive_scan(dim, tdoa):
         assert _hexes(*bounded) == _hexes(*scanned), (bounds, resolution)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bounded_search_matches_exhaustive_scan_on_drawn_lattices(data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    tdoa = data.draw(st.booleans())
+    tile, leaf = solver._GRID_LEVELS[dim]
+    coord = st.floats(-20.0, 20.0, allow_nan=False)
+    anchors = np.array(data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                          min_size=3, max_size=4)))
+    source = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+    noise = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=len(anchors),
+                                        max_size=len(anchors))))
+    dists = np.linalg.norm(anchors - source, axis=1) + noise
+    objective = _kernels.GridObjective(anchors, dists[0] - dists[1:] if tdoa else dists, tdoa)
+    resolution = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
+    bounds = []
+    for k in range(dim):
+        nodes = data.draw(st.integers(1, 3 * tile + leaf))
+        lo = float(source[k]) - data.draw(st.floats(0.0, 1.0)) * nodes * resolution
+        bounds.append((lo, lo + (nodes - 1) * resolution))
+    bounded = grid_search(objective, bounds, resolution)
+    scanned = grid_search(lambda p: objective(p), bounds, resolution)
+    assert _hexes(*bounded) == _hexes(*scanned)
+
+
 class _Recording(_kernels.GridObjective):
-    """A GridObjective whose lattice() keeps every block it evaluates."""
+    """A GridObjective whose evaluator() keeps every node it evaluates."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("calls",)
 
-    def lattice(self):
-        self.blocks = []
-        evaluate = super().lattice()
+    def evaluator(self):
+        self.calls = []
+        evaluate = super().evaluator()
 
-        def recorded(prefixes, last):
-            self.blocks.append((prefixes.copy(), last.copy()))
-            return evaluate(prefixes, last)
+        def recorded(coords):
+            values = evaluate(coords)
+            self.calls.append(np.column_stack([np.broadcast_to(c, values.shape).ravel()
+                                               for c in coords]))
+            return values
 
         return recorded
 
     def nodes(self):
-        return sum(len(p) * last.size for p, last in self.blocks)
+        """Every node evaluated, (N, D); a node evaluated twice appears twice."""
+        return np.vstack(self.calls)
 
 
-def test_bounded_search_tie_between_mirror_nodes_goes_to_smaller_node():
+def test_bounded_search_tie_between_mirror_nodes_goes_to_smaller_node(monkeypatch):
     # Anchors on the line x = y make the objective symmetric under swapping x
     # and y, bit for bit (dx*dx + dy*dy commutes). Its zeros are (0, 4) and
-    # (4, 0). Both share the first tile along x; along y a tile boundary
-    # falls between 0 and 4, so (4, 0)'s tile comes first in tile order and,
-    # at an equal bound, is evaluated first.
-    tile = solver._GRID_TILE[2]
+    # (4, 0). Along y a tile boundary, so a leaf boundary, falls between 0
+    # and 4: the two lie in different leaves, and (4, 0)'s comes first in
+    # the gathered leaves. Both are evaluated, in one evaluator call or, at
+    # one leaf per call, in two, and the smaller node index wins.
+    tile, leaf = solver._GRID_LEVELS[2]
     anchors = np.array([[0.0, 0.0], [4.0, 4.0], [-3.0, -3.0]])
-    objective = _Recording(anchors, np.array([4.0, 4.0, math.sqrt(58.0)]), tdoa=False)
     bounds = [(-2.0, 10.0), (1.0 - tile, 10.0)]
-    node, value = grid_search(objective, bounds, 1.0)
-    assert node.coords == (0.0, 4.0) and value == 0.0
-    first_prefixes, first_last = objective.blocks[0]
-    assert 4.0 in first_prefixes and 0.0 in first_last and 4.0 not in first_last
-    assert _hexes(node, value) == _hexes(*grid_search(lambda p: objective(p), bounds, 1.0))
+    lo = np.array([b[0] for b in bounds])
+    mirrors = [(0.0, 4.0), (4.0, 0.0)]
+    leaves = [tuple((np.array(m) - lo).astype(int) // leaf) for m in mirrors]
+    assert leaves[0] != leaves[1]
+    for chunk in (solver._GRID_CHUNK, leaf ** 2):
+        monkeypatch.setattr(solver, "_GRID_CHUNK", chunk)
+        objective = _Recording(anchors, np.array([4.0, 4.0, math.sqrt(58.0)]), tdoa=False)
+        node, value = grid_search(objective, bounds, 1.0)
+        assert node.coords == mirrors[0] and value == 0.0
+        evaluated = objective.nodes()
+        assert all((evaluated == m).all(axis=1).any() for m in mirrors)
+        assert _hexes(node, value) == _hexes(*grid_search(lambda p: objective(p), bounds, 1.0))
 
 
 @pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
@@ -459,7 +498,8 @@ def test_bounded_search_with_no_finite_value_raises_as_the_scan_does(tdoa):
 
 class _HalfNanBound(_kernels.GridObjective):
     """A GridObjective whose bound is NaN on every box bounded at or below the
-    median, the tiles that hold the minimum among them."""
+    median of its call, tiles and leaves alike: the boxes that hold the
+    minimum among them."""
 
     __slots__ = ()
 
@@ -478,6 +518,71 @@ def test_bounded_search_evaluates_tiles_whose_bound_is_nan():
                     == _hexes(*grid_search(base, bounds, resolution)))
 
 
+class _InfAtOddX(_Recording):
+    """A recording GridObjective that is +inf at every node whose first
+    coordinate is odd."""
+
+    __slots__ = ()
+
+    def __call__(self, points):
+        return np.where(points[:, 0] % 2 == 1, math.inf, super().__call__(points))
+
+    def evaluator(self):
+        evaluate = super().evaluator()
+
+        def masked(coords):
+            values = evaluate(coords)
+            values[np.broadcast_to(coords[0] % 2 == 1, values.shape)] = math.inf
+            return values
+
+        return masked
+
+
+def test_bounded_search_prunes_nothing_when_every_probe_is_inf():
+    # Along x the lattice is two whole tiles from 0 by 1, so every tile and
+    # leaf has an even first and an odd center node: every probe reads +inf,
+    # the cut stays +inf, and every node is evaluated.
+    rng = np.random.default_rng(98)
+    for dim in (2, 3):
+        tile = solver._GRID_LEVELS[dim][0]
+        for tdoa in (False, True):
+            anchors = rng.uniform(0.0, 2.0 * tile, size=(4, dim))
+            dists = np.linalg.norm(anchors - rng.uniform(0.0, 2.0 * tile, dim), axis=1)
+            objective = _InfAtOddX(anchors, dists[0] - dists[1:] if tdoa else dists, tdoa)
+            bounds = [(0.0, 2.0 * tile - 1.0)] + [(0.0, 20.0)] * (dim - 1)
+            node, value = grid_search(objective, bounds, 1.0)
+            assert len(np.unique(objective.nodes(), axis=0)) == 2 * tile * 21 ** (dim - 1)
+            assert node.x % 2 == 0 and value < math.inf
+            assert _hexes(node, value) == _hexes(*grid_search(lambda p: objective(p), bounds, 1.0))
+
+
+class _NanBound(_kernels.GridObjective):
+    """A GridObjective whose bound is NaN on every box: nothing is pruned."""
+
+    __slots__ = ()
+
+    def bound(self, lo, hi):
+        return np.full(np.broadcast(*lo, *hi).shape, math.nan)
+
+
+def test_bounded_search_memory_stays_bounded_when_nothing_prunes():
+    # 3163^2 = 1.0e7 nodes, all evaluated; an (N,) float64 array of them
+    # alone is 80 MB, so the nodes must go through in chunks.
+    problem = TrilaterationProblem((Point.of(0, 0), Point.of(10, 0), Point.of(5, 10)),
+                                   (5.0, 5.0, 5.0), 2)
+    base = trilateration_objective(problem)
+    objective = _NanBound(base.anchors, base.targets, base.tdoa)
+    bounds = [(-10.0, 21.62), (-10.0, 21.62)]
+    tracemalloc.start()
+    try:
+        node, value = grid_search(objective, bounds, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert _hexes(node, value) == _hexes(*grid_search(lambda p: base(p), bounds, 0.01))
+
+
 def _random_boxes(rng, dim, scale):
     """Boxes with 1-6 random nodes per axis: (lo, hi, [per-axis node arrays])."""
     for _ in range(60):
@@ -493,19 +598,41 @@ def test_bound_is_below_every_node_value_in_the_box(dim, tdoa):
         anchors = rng.uniform(-scale, scale, size=(4, dim))
         targets = rng.uniform(-scale, scale, 3) if tdoa else rng.uniform(0.0, 2 * scale, 4)
         objective = _kernels.GridObjective(anchors, targets, tdoa)
-        evaluate = objective.lattice()
+        evaluate = objective.evaluator()
         boxes = list(_random_boxes(rng, dim, scale))
-        bounds = objective.bound(np.array([b[0] for b in boxes]), np.array([b[1] for b in boxes]))
+        bounds = objective.bound(np.array([b[0] for b in boxes]).T,
+                                 np.array([b[1] for b in boxes]).T)
         assert bounds.shape == (len(boxes),)
         for (lo, hi, axes), bound in zip(boxes, bounds):
             assert np.array_equal(objective.bound(lo, hi), bound, equal_nan=True)
-            prefixes = np.stack(np.meshgrid(*axes[:-1], indexing="ij"), axis=-1)
+            columns = [a.reshape([-1 if j == k else 1 for j in range(dim)])
+                       for k, a in enumerate(axes)]
             with np.errstate(over="ignore", invalid="ignore"):
-                values = evaluate(prefixes.reshape(-1, dim - 1), axes[-1])
+                values = evaluate(columns)
             values = values[~np.isnan(values)]
             assert bound <= values.min(initial=math.inf) or overflow and math.isnan(bound)
         if not overflow:
             assert not np.isnan(bounds).any() and (bounds > 0.0).any()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
+def test_bound_of_a_product_of_intervals_is_each_box_bound(dim, tdoa):
+    # (T0, 1) and (1, T1) edges, as _bounded_search passes its tiles, give
+    # each box the bits of its own bound.
+    rng = np.random.default_rng(80 + 2 * dim + tdoa)
+    anchors = rng.uniform(-30.0, 30.0, size=(4, dim))
+    targets = rng.uniform(-30.0, 30.0, 3) if tdoa else rng.uniform(0.0, 60.0, 4)
+    objective = _kernels.GridObjective(anchors, targets, tdoa)
+    edges = [np.sort(rng.uniform(-40.0, 40.0, (2, 9)), axis=0) for _ in range(dim)]
+    shapes = [[-1 if j == k else 1 for j in range(dim)] for k in range(dim)]
+    product = objective.bound([e[0].reshape(s) for e, s in zip(edges, shapes)],
+                              [e[1].reshape(s) for e, s in zip(edges, shapes)])
+    assert product.shape == (9,) * dim
+    for index in np.ndindex(product.shape):
+        box = objective.bound([e[0][i] for e, i in zip(edges, index)],
+                              [e[1][i] for e, i in zip(edges, index)])
+        assert product[index].hex() == float(box).hex()
 
 
 def test_bounded_search_evaluates_few_nodes_of_the_criterion_2_lattice():
@@ -517,9 +644,9 @@ def test_bounded_search_evaluates_few_nodes_of_the_criterion_2_lattice():
     for _ in range(2):
         objective = _Recording(base.anchors, base.targets, base.tdoa)
         node, value = grid_search(objective, [(-10.0, 20.0), (-10.0, 20.0)], 0.01)
-        counts.append(objective.nodes())
+        counts.append(len(objective.nodes()))
     assert node.x == 5.0 and value == pytest.approx(4.6557, abs=1e-4)
-    assert counts[0] == counts[1] and 0 < counts[0] < 9_006_001 // 100
+    assert counts[0] == counts[1] and 0 < counts[0] < 9_006_001 // 1000
 
 
 def test_bounded_search_evaluates_few_nodes_of_a_far_emitter_tdoa_lattice():
@@ -533,4 +660,4 @@ def test_bounded_search_evaluates_few_nodes_of_a_far_emitter_tdoa_lattice():
     bounds = [(2490.0, 2510.0), (1190.0, 1210.0)]
     node, value = grid_search(objective, bounds, 0.01)
     assert node.coords == (2500.0, 1200.0) and value == 0.0
-    assert objective.nodes() < 2001 ** 2 // 10
+    assert len(objective.nodes()) < 20_000
