@@ -33,8 +33,7 @@ from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
-from .simulate import (ArrivalSet, DistanceMatrix, Scenario, _perturb, perturb_arrivals,
-                       simulate_arrivals)
+from .simulate import ArrivalSet, Scenario, _perturb, perturb_arrivals, simulate_arrivals
 from .solver import SolveResult, SolverOptions
 from .tdoa import _fixes, _range_differences
 from .trilat import _batch, team_relative_position
@@ -321,21 +320,26 @@ def parse_scenario(path: str) -> ScenarioFile:
 # ---------------------------------------------------------------------------
 
 def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
-                 **extra) -> dict:
+                 selected: Point | None = None, **extra) -> dict:
+    """A report entry; with a selected root, error_m is that root's error
+    and estimate_error_m the estimate's."""
     p = result.estimate
-    entry = {
-        "kind": kind,
-        **extra,
+    entry = {"kind": kind, **extra}
+    if selected is not None:
+        entry["selected"] = [selected.x, selected.y, selected.z]
+    entry.update({
         "estimate": [p.x, p.y, p.z],
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "converged": result.converged,
         "flags": sorted(result.flags),
         "candidates": [[[q.x, q.y, q.z], n] for q, n in result.candidates],
-    }
+    })
     if truth is not None:
         entry["truth"] = [truth.x, truth.y, truth.z]
-        entry["error_m"] = distance(p, truth)
+        entry["error_m"] = distance(selected or p, truth)
+        if selected is not None:
+            entry["estimate_error_m"] = distance(p, truth)
     return entry
 
 
@@ -350,14 +354,20 @@ def _receivers(sf: ScenarioFile) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in sf.receivers])
 
 
-def _team(sf: ScenarioFile, chosen: Sequence[Point]) -> tuple[SolveResult, Point]:
-    """The pipeline's team position from its chosen emitter roots, and its
-    truth, the centroid of the receivers (a sum and a division, as np.mean)."""
+def _team(sf: ScenarioFile, fixes: Sequence[SolveResult]
+          ) -> tuple[SolveResult, Point, tuple[Point, ...]]:
+    """The pipeline's team position by resection of its emitter fixes
+    against the beacons at scenario.emitters, its truth and the root of each
+    fix it rests on. The truth is the receivers' centroid: a sum and a
+    division, as np.mean, or the sum of the receivers divided by their count
+    when that sum overflows."""
+    team, selected = team_relative_position(sf.receivers, fixes, sf.emitters)
     recv = _receivers(sf)
-    emit = [e.coords for e in chosen]
-    dm = DistanceMatrix(np.array([[math.dist(r, e) for e in emit] for r in recv.tolist()]))
-    return (team_relative_position(sf.receivers, chosen, dm, sf.options),
-            Point.of(*(recv.sum(axis=0) / len(recv)).tolist()))
+    with np.errstate(over="ignore"):
+        centroid = recv.sum(axis=0) / len(recv)
+        if not np.isfinite(centroid).all():
+            centroid = (recv / len(recv)).sum(axis=0)
+    return team, Point.of(*centroid.tolist()), selected
 
 
 def _rows(sf: ScenarioFile, times: np.ndarray | None):
@@ -397,16 +407,14 @@ def _solves(sf: ScenarioFile, fix, first: int = 0
         raise
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
-                for j, (result, _) in enumerate(fixes)]
-    # Residual-tied TDOA candidates reproduce the measurements equally well;
-    # for the two-step pipeline the one farthest from the receiver centroid
-    # gives the better-conditioned reference geometry for the team
-    # trilateration, so it wins here.
-    chosen = [far for _, far in fixes]
+                for j, result in enumerate(fixes)]
+    # The team rests on one root per emitter: the combination whose bearing
+    # lines meet best at the beacons (see trilat.team_relative_position).
+    team, truth, selected = _team(sf, fixes)
     solves = [("pipeline_emitter", result, sf.emitters[j],
-               {"emitter_index": j, "selected": [far.x, far.y, far.z]})
-              for j, (result, far) in enumerate(fixes)]
-    return solves + [("team_position", *_team(sf, chosen), {})]
+               {"emitter_index": j, "selected": root})
+              for j, (result, root) in enumerate(zip(fixes, selected))]
+    return solves + [("team_position", team, truth, {})]
 
 
 def _single_run_entries(sf: ScenarioFile, times: np.ndarray | None, fix=None) -> list[dict]:

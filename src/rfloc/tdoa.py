@@ -266,7 +266,7 @@ class _PlaneRoots(NamedTuple):
     roots: np.ndarray     # (N, 2, 2) planar points, in candidate order
     norms: np.ndarray     # (N, 2) their residual norms
     count: np.ndarray     # (N,) distinct admissible roots, 0 to 2
-    ties: np.ndarray      # (N, 2) residual-tied candidates, nearest the centroid first
+    near: np.ndarray      # (N,) the residual-tied candidate nearest the centroid
     starts: np.ndarray    # (N, 2, 2) fallback starts of the rows with no root
     start_ok: np.ndarray  # (N, 2) which of them count
 
@@ -294,11 +294,10 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
     solutions form the line m + t n (minimum-norm m, unit null direction n),
     and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
     roots (r0 >= 0, r0 >= d_k, within the runaway radius) are polished,
-    deduplicated at 1e-6 m and sorted by norm, then x, then y; ties
-    lists the residual-tied ones nearest the receiver centroid first (the
-    last entry repeated when only one is tied). A row with no root (the
-    branches do not meet) gets Gauss-Newton starts on the line instead, and
-    a rank-deficient row the receiver centroid as its one start.
+    deduplicated at 1e-6 m and sorted by norm, then x, then y; near is
+    the residual-tied one nearest the receiver centroid. A row with no root
+    (the branches do not meet) gets Gauss-Newton starts on the line instead,
+    and a rank-deficient row the receiver centroid as its one start.
 
     Each row has the bits of a solve of that row alone: row dot products and
     matrix products go through the loops `@` uses on one row, and the
@@ -387,8 +386,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
         gap[..., :2] = roots - ((x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3)
         gap[..., 2] = plane - (z0 + z1 + z2) / 3
         dist = np.sqrt(_rowdot(gap, gap))
-        ties = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)
-        ties[:, 1] = np.where(tied[:, 1], ties[:, 1], ties[:, 0])
+        near = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)[:, 0]
 
         # Starts on the line for the rows with no root: the quadratic's vertex,
         # and the point with the least far-field residual. Along the line every
@@ -409,19 +407,18 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
             pts[alone, 0] = np.where(rank_def[miss][alone, None], planar.mean(axis=0),
                                      planar[0] + m[alone, :2])
             starts[miss], start_ok[miss] = pts, ok
-    return _PlaneRoots(roots, norms, count, ties, starts, start_ok)
+    return _PlaneRoots(roots, norms, count, near, starts, start_ok)
 
 
 def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: SolverOptions
-           ) -> tuple[list, Callable[[int], tuple[SolveResult, Point]]]:
+           ) -> tuple[list, Callable[[int], SolveResult]]:
     """Every row of deltas (N, 2) solved on the plane z = plane against the
     reference-first receivers recv (3, 3), each as a solve of that row alone.
 
     Returns (closed, fix). closed[k] is (coords, residual_norm) of row k's
     closed-form estimate, its coords those of a dim-D point, or None when the
     row has no root or a non-finite difference. fix(k) returns row k's
-    SolveResult, as dim-D points, and its residual-tied candidate farthest
-    from the receiver centroid; or raises that solve's error: ValidationError
+    SolveResult, as dim-D points, or raises that solve's error: ValidationError
     for a non-finite difference, GeometryDegenerate for collinear receivers,
     NoConvergence when the Gauss-Newton fallback of a row with no root does
     not converge. The rows share one _plane_batch, and collinear receivers
@@ -435,13 +432,13 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
         closed = [None] * len(deltas)
     else:
         batch = _plane_batch(recv, deltas, plane, diam)
-        rows, near = np.arange(len(deltas)), batch.ties[:, 0]
+        rows, near = np.arange(len(deltas)), batch.near
         closed = [((x, y, plane)[:dim], n) if c and f else None
                   for (x, y), n, c, f in zip(batch.roots[rows, near].tolist(),
                                              batch.norms[rows, near].tolist(),
                                              batch.count.tolist(), finite)]
 
-    def fix(k: int) -> tuple[SolveResult, Point]:
+    def fix(k: int) -> SolveResult:
         if not finite[k]:
             raise ValidationError("non-finite range difference", field="deltas")
         if diam is None:
@@ -451,18 +448,17 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
             return _fallback(recv, deltas[k], plane, dim, diam,
                              batch.starts[k][batch.start_ok[k]], opts)
         norms = batch.norms[k].tolist()
-        near, far = batch.ties[k].tolist()
+        near = int(batch.near[k])
         cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
                            for x, y in batch.roots[k, :count].tolist()], norms))
-        return (SolveResult(estimate=cands[near][0], candidates=cands,
-                            residual_norm=norms[near], iterations=0, converged=True),
-                cands[far][0])
+        return SolveResult(estimate=cands[near][0], candidates=cands,
+                           residual_norm=norms[near], iterations=0, converged=True)
 
     return closed, fix
 
 
 def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
-              starts: np.ndarray, opts: SolverOptions) -> tuple[SolveResult, Point]:
+              starts: np.ndarray, opts: SolverOptions) -> SolveResult:
     """One damped Gauss-Newton run from whichever start fits the differences
     better, flagged inconsistent beyond INCONSISTENCY_TOL.
 
@@ -477,10 +473,9 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
         start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
     ok = ok and float(np.linalg.norm(x - recv[:, :2].mean(axis=0))) <= _RUNAWAY_DIAMS * diam
-    result = _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
-                      "the branches do not meet and the least-squares run did not converge "
-                      "to a finite point")
-    return result, result.estimate
+    return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
+                    "the branches do not meet and the least-squares run did not converge "
+                    "to a finite point")
 
 
 def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
@@ -529,4 +524,4 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
             field="emitter_plane_z")
     if dim == 2:
         recv = np.column_stack((recv, np.zeros(3)))
-    return _fixes(recv, deltas[None], float(plane), dim, opts or SolverOptions())[1](0)[0]
+    return _fixes(recv, deltas[None], float(plane), dim, opts or SolverOptions())[1](0)

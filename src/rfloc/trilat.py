@@ -15,6 +15,7 @@ Each row comes back as its solve alone would: its result or its error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .simulate import DistanceMatrix
 from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
                      _outcome, _rowdot, _unit_rows, gauss_newton_raw)
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _RADICAND_SLACK = 1e-9  # relative: radicand >= -slack * d^2 clamps to 0
+_PARALLEL_TOL = 1e-12   # relative: bearing lines this near parallel fix no point
 
 
 def _bad_distances() -> ValidationError:
@@ -317,33 +318,117 @@ def _lsq(anchors: np.ndarray, ranges: np.ndarray, x0: np.ndarray,
                     "trilaterate_lsq did not converge after {iterations} iterations")
 
 
-def team_relative_position(drones: Sequence[Point], emitter_estimates: Sequence[Point],
-                           dm: DistanceMatrix,
-                           opts: SolverOptions | None = None) -> SolveResult:
-    """The team's relative reference point from per-drone emitter ranges.
+def _mean(values: Sequence[float]) -> float:
+    """The mean of finite values, added left to right as numpy adds rows;
+    if their sum overflows, the sum of the values divided by their count."""
+    n = len(values)
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    if math.isfinite(total):
+        return total / n
+    total = values[0] / n
+    for v in values[1:]:
+        total += v / n
+    return total
 
-    Averages each emitter's column of the distance matrix across drones, then
-    runs one least-squares trilateration against the emitter estimates,
-    initialized at the drone centroid. With a single drone this reduces to
-    trilaterate_lsq on that row.
+
+def _line_fit(rows: Sequence[tuple[float, float, float]]) -> tuple[float, float, float, bool]:
+    """The least-squares point (x, y) of the lines nx x + ny y = d (unit
+    normals), its residual norm, and whether the lines are parallel or fewer
+    than two; the point is then the least-squares one nearest the origin."""
+    m00 = m01 = m11 = g0 = g1 = 0.0
+    for nx, ny, d in rows:
+        m00 += nx * nx
+        m01 += nx * ny
+        m11 += ny * ny
+        g0 += nx * d
+        g1 += ny * d
+    det = m00 * m11 - m01 * m01
+    trace = m00 + m11  # the number of lines
+    ill = not det > _PARALLEL_TOL * trace * trace
+    if not ill:
+        x, y = (m11 * g0 - m01 * g1) / det, (m00 * g1 - m01 * g0) / det
+    elif trace > 0.0:
+        # Rank one: the normals' principal direction v, and x = v (v . g) / lambda.
+        lam = trace / 2 + math.hypot((m00 - m11) / 2, m01)
+        vx, vy = (lam - m11, m01) if m00 >= m11 else (m01, lam - m00)
+        scale = (vx * g0 + vy * g1) / (lam * (vx * vx + vy * vy))
+        x, y = vx * scale, vy * scale
+    else:
+        x = y = 0.0
+    ssq = 0.0
+    for nx, ny, d in rows:
+        r = nx * x + ny * y - d
+        ssq += r * r
+    return x, y, math.sqrt(ssq), ill
+
+
+def team_relative_position(drones: Sequence[Point], emitter_fixes: Sequence[SolveResult],
+                           beacons: Sequence[Point]) -> tuple[SolveResult, tuple[Point, ...]]:
+    """The team's position by resection against three beacons at known
+    positions, from the bearings of its emitter fixes; and the root of each
+    fix that the position rests on.
+
+    The team knows its formation, altitude and heading, not its planar
+    position c. Seen from the drones' planar centroid c0, root p of an
+    emitter fix has a bearing, and the team lies on the line through that
+    emitter's beacon E along it: n . (E - c) = 0, with n the unit normal of
+    p - c0. The three lines are a 3x2 linear least squares in c, solved in
+    closed form from its 2x2 normal equations (the pseudo-linear bearing
+    estimator: Stansfield 1947; Lingren & Gong 1978) for each combination of
+    the fixes' candidate roots; the combination of least residual norm
+    wins, the first one on a tie. A tight cluster measures bearings well and
+    ranges hardly at all, so only the bearings are used. The team's z is
+    the drones' mean altitude. The residual norm is the root sum of squares
+    of the point's distances to the lines.
+
+    A root with no planar bearing (at c0, or beyond the float range from
+    it) gives no line. When fewer than two lines are left, or they are
+    parallel, the point is the least-squares one nearest the beacons'
+    centroid, flagged ill_conditioned; a well-conditioned combination
+    beats any such one. A fix without a line is represented by its
+    estimate. A position beyond the float range is GeometryDegenerate.
     """
-    drones = list(drones)
-    estimates = list(emitter_estimates)
+    drones, fixes, beacons = list(drones), list(emitter_fixes), list(beacons)
     if not drones:
         raise ValidationError("at least one drone required", field="drones")
-    n = len(drones)
-    if dm.d.shape != (n, len(estimates)):
-        raise ValidationError(
-            f"distance matrix shape {dm.d.shape} does not match "
-            f"{n} drones x {len(estimates)} emitters", field="dm")
+    if len(beacons) != 3 or len(fixes) != 3:
+        raise ValidationError(f"3 beacons and one emitter fix each required, got "
+                              f"{len(beacons)} and {len(fixes)}", field="beacons")
     dim = drones[0].dim
-    if any(p.dim != dim for p in estimates) or any(p.dim != dim for p in drones):
-        raise DimensionError("drones and emitter estimates must share one dimension")
-    if len(estimates) < 3:
-        raise ValidationError("at least 3 emitters required", field="emitters")
-    # Means as np.mean takes them: one sum, then one division.
-    averaged = dm.d.sum(axis=0) / n
-    if not np.isfinite(averaged).all():  # the sum can overflow
-        raise _bad_distances()
-    return _lsq(np.array([p.coords for p in estimates]), averaged,
-                np.array([p.coords for p in drones]).sum(axis=0) / n, opts)
+    points = drones + beacons + [p for fix in fixes for p, _ in fix.candidates]
+    if any(p.dim != dim for p in points):
+        raise DimensionError("drones, beacons and emitter fixes must share one dimension")
+    cx, cy = _mean([p.x for p in drones]), _mean([p.y for p in drones])
+    bx, by = _mean([p.x for p in beacons]), _mean([p.y for p in beacons])
+    # Per fix, each root with its line (unit normal, offset) relative to the
+    # beacons' centroid, or the estimate alone when no root has a line.
+    options = []
+    for fix, beacon in zip(fixes, beacons):
+        ex, ey = beacon.x - bx, beacon.y - by
+        lines = []
+        for p, _ in fix.candidates:
+            ux, uy = p.x - cx, p.y - cy
+            h = math.hypot(ux, uy)
+            if 0.0 < h < math.inf:
+                nx, ny = -uy / h, ux / h
+                d = nx * ex + ny * ey
+                if math.isfinite(d):
+                    lines.append((p, (nx, ny, d)))
+        options.append(lines or [(fix.estimate, None)])
+    best = None
+    for combo in itertools.product(*options):
+        x, y, norm, ill = _line_fit([line for _, line in combo if line is not None])
+        key = (ill, norm if norm == norm else math.inf)  # an overflowed NaN never wins
+        if best is None or key < best[0]:
+            best = key, (x, y, norm), combo
+    (ill, _), (x, y, norm), combo = best
+    coords = (bx + x, by + y, _mean([p.z for p in drones]))[:dim]
+    if not all(map(math.isfinite, (*coords, norm))):
+        raise GeometryDegenerate("the team position overflows float64")
+    estimate = Point.of(*coords)
+    flags = frozenset({"ill_conditioned"} if ill else ())
+    return (SolveResult(estimate=estimate, candidates=((estimate, norm),), residual_norm=norm,
+                        iterations=0, converged=True, flags=flags),
+            tuple(p for p, _ in combo))

@@ -87,9 +87,9 @@ def pipeline_raw_scenario(rng: np.random.Generator, spread: float = 0.25,
                           emit_range: tuple[float, float] = (4000.0, 10000.0)) -> dict:
     """A raw pipeline scenario dict: tight drone cluster, far ground emitters.
 
-    The cluster is tight relative to the emitter ranges so the averaged-range
-    team solve sits within a millimeter of the drone centroid even when a
-    branch-ambiguous emitter estimate lands on the companion intersection.
+    The cluster is tight relative to the emitter ranges, as the team's
+    bearing resection assumes: it measures bearings to the emitters well
+    and their ranges hardly at all.
     """
     center = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50),
                        rng.uniform(100, 250)])

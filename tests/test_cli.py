@@ -190,7 +190,7 @@ def test_pipeline_noise_free_team_error():
 def test_pipeline_selects_far_candidate():
     # Emitters 0 and 2 each have a residual-tied near-field root next to the
     # true far one; the solve's estimate is the near root, the pipeline's
-    # selection the far one.
+    # selection (the root whose bearing line fits the resection) the far one.
     report = run(parse_scenario(PIPELINE))
     entries = [e for e in report["solves"] if e["kind"] == "pipeline_emitter"]
     assert [len(e["candidates"]) for e in entries] == [2, 1, 2]
@@ -220,32 +220,17 @@ def _entry(result, **extra) -> dict:
 
 def _composed_pipeline(sf) -> tuple[list[dict], list[str]]:
     """A pipeline file's single fix from the public calls alone: its solve
-    entries, less truth and error, and the types of the errors raised. An
-    emitter's best iterate is no team position, so only the team step's
-    NoConvergence leaves a best_iterate entry."""
+    entries, less truth and error, and the types of the errors raised: three
+    locate_emitter calls, then team_relative_position against the beacons."""
     arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sf.noise_sigma_t, sf.seed)
-    centroid = np.mean([r.coords for r in sf.receivers], axis=0)
-    entries, selected = [], []
     try:
-        for j in range(len(sf.emitters)):
-            try:
-                result = locate_emitter(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
-                                        sf.emitter_plane_z, sf.options)
-            except NoConvergence:
-                return [], ["NoConvergence"]
-            # The residual-tied candidate (within 1e-9 m) farthest from the
-            # receiver centroid, ties by x, then y.
-            best = min(n for _, n in result.candidates)
-            far = max((p for p, n in result.candidates if n <= best + 1e-9),
-                      key=lambda p: (math.dist(p.coords, centroid), p.x, p.y))
-            selected.append(far)
-            entries.append(_entry(result, selected=list(far.coords)))
-        dm = DistanceMatrix(np.array([[distance(r, e) for e in selected]
-                                      for r in sf.receivers]))
-        entries.append(_entry(team_relative_position(sf.receivers, selected, dm, sf.options)))
-    except NoConvergence as exc:
-        return ([] if exc.best is None else [_entry(exc.best)]), ["NoConvergence"]
-    return entries, []
+        fixes = [locate_emitter(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
+                                sf.emitter_plane_z, sf.options) for j in range(len(sf.emitters))]
+    except NoConvergence:
+        return [], ["NoConvergence"]
+    team, selected = team_relative_position(sf.receivers, fixes, sf.emitters)
+    return [_entry(result, selected=list(root.coords))
+            for result, root in zip(fixes, selected)] + [_entry(team)], []
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-12, 1e-11])
@@ -863,7 +848,8 @@ def _drones(receivers):
                           d["scenario"].update(receivers=[[180.0, 90.0, 222.0]]),
                           d.update(monte_carlo={"trials": 20,
                                                 "sigma_t_list": [0.0, 1e300, 1.7e308]})), 1),
-    # The team least squares squares coordinates near 1e90 m: a complete report.
+    # Drones about 1e90 m apart see every beacon on one bearing: a complete
+    # report, its team flagged ill_conditioned.
     (PIPELINE, _drones([[-5e89, -5e89, 150.0], [5e89, -5e89, 150.0], [0.0, 5e89, 151.0]]), 0),
     # The simulated distances overflow: 7 embedded errors.
     (PIPELINE, _drones([[-1e308, -1e308, 0.0], [1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]]), 1),

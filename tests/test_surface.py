@@ -144,6 +144,38 @@ def test_cli_assembles_a_trial_in_one_function():
                                            ("_mc_trial", "_solves"), ("_trials", "_solves")}
 
 
+def _reachable(start: str) -> set[str]:
+    """Every function and method name in src/rfloc that a call from start can
+    reach, by name alone: a call of an attribute or a name reaches every
+    definition of that name, in any module or class."""
+    defs: dict[str, list[ast.AST]] = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(node)
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in defs.get(name, []):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    todo.append(func.attr if isinstance(func, ast.Attribute)
+                                else getattr(func, "id", ""))
+    return seen & set(defs)
+
+
+def test_team_step_runs_no_gauss_newton():
+    # The pipeline's team position is a closed-form resection: no call path
+    # from cli._team reaches the damped Gauss-Newton or a linear solve.
+    reached = _reachable("_team")
+    assert {"team_relative_position", "_line_fit"} <= reached
+    assert not reached & {"gauss_newton_raw", "_lsq", "_solve_rows", "trilaterate_lsq"}
+
+
 def test_cli_row_driver_returns_the_drivers_unwrapped():
     rows = next(node for node in ast.parse(_source("cli.py")).body
                 if isinstance(node, ast.FunctionDef) and node.name == "_rows")

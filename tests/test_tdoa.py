@@ -481,14 +481,14 @@ def _lift(recv):
 
 def _batch_rows(recv, deltas, fixed_z):
     """Each row of one _plane_batch call and of a call on that row alone, as
-    the bytes of what the row means: its candidates, norms and tie order,
-    or its fallback starts when it has no root."""
+    the bytes of what the row means: its candidates, norms and nearest tied
+    one, or its fallback starts when it has no root."""
     def meaning(batch, k):
         count = int(batch.count[k])
         if not count:
             return [0, batch.starts[k][batch.start_ok[k]].tobytes()]
         return [count, batch.roots[k, :count].tobytes(), batch.norms[k, :count].tobytes(),
-                batch.ties[k].tobytes()]
+                batch.near[k].tobytes()]
 
     diam = tdoa._triangle(recv)
     together = tdoa._plane_batch(recv, deltas, fixed_z, diam)
@@ -501,8 +501,9 @@ def _batch_rows(recv, deltas, fixed_z):
 
 def test_plane_batch_rows_equal_single_row_solves():
     # One call over many rows gives each row the bits of a call on that row
-    # alone: roots, norms, tie order, and the fallback starts of rows with no
-    # root. The rows mix exact, noisy, diverging and overflowing differences.
+    # alone: roots, norms, nearest tied root, and the fallback starts of rows
+    # with no root. The rows mix exact, noisy, diverging and overflowing
+    # differences.
     rng = np.random.default_rng(97)
     counts = []
     for trial in range(12):
@@ -559,7 +560,7 @@ def test_batched_fixes_equal_public_solves():
     assert len(closed) == len(deltas)
     for k, row in enumerate(deltas):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
-        result = fix(k)[0]
+        result = fix(k)
         assert result == locate_emitter(receivers, rd)
         if closed[k] is not None:
             assert closed[k] == (result.estimate.coords, result.residual_norm)
@@ -582,7 +583,7 @@ def test_batched_fixes_equal_public_solves_3d():
     for k, row in enumerate(deltas):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
         alone = _planar_outcome(lambda: locate_emitter(receivers, rd, plane))
-        assert _planar_outcome(lambda: fix(k)[0]) == alone
+        assert _planar_outcome(lambda: fix(k)) == alone
         if alone[0] == "ok":
             assert alone[1][2] == plane.hex()
         kinds.add(alone[0])

@@ -1,4 +1,4 @@
-"""Closed-form and least-squares trilateration, plus the team position op."""
+"""Closed-form and least-squares trilateration, plus the team resection."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 
 from conftest import consistent_trilat_case
 from rfloc import (
-    DistanceMatrix,
     Point,
+    SolveResult,
     SolverOptions,
     distance,
     finite_difference_jacobian,
@@ -323,47 +323,117 @@ def test_jacobian_matches_finite_differences():
         assert np.linalg.norm(J - J_fd) / np.linalg.norm(J) < 1e-5
 
 
+def _fix(*roots):
+    """An emitter fix whose candidates are roots, all with residual 0."""
+    cands = tuple((p, 0.0) for p in roots)
+    return SolveResult(estimate=roots[0], candidates=cands, residual_norm=0.0, iterations=0,
+                       converged=True)
+
+
+def _along(origin, beacon, scale):
+    """The point scale of the way from origin to beacon, on the plane z = 0."""
+    return Point.of(origin.x + scale * (beacon.x - origin.x),
+                    origin.y + scale * (beacon.y - origin.y), 0.0)
+
+
+TEAM_BEACONS = (Point.of(5000, 0, 0), Point.of(-3000, 4000, 0), Point.of(0, -6000, 0))
+
+
 def test_team_position_coincident_drones():
+    # Three drones at one point: their centroid is that point. Each fix has
+    # its true root at the wrong range (the range is what a tight cluster
+    # does not measure) and a companion root off the bearing; the resection
+    # keeps the true roots and lands on the drones, at their altitude.
     truth = Point.of(120, -40, 60)
     drones = (truth, truth, truth)
-    dm = DistanceMatrix(np.array([[distance(d, e) for e in REF_EMITTERS]
-                                  for d in drones]))
-    result = team_relative_position(drones, REF_EMITTERS, dm)
-    assert distance(result.estimate, truth) < 1e-9
+    fixes = [_fix(_along(truth, b, 0.3), Point.of(b.y / 2, -b.x / 3, 0.0)) for b in TEAM_BEACONS]
+    fixes[1] = _fix(*fixes[1].candidates[1][0:1], _along(truth, TEAM_BEACONS[1], 2.5))
+    team, selected = team_relative_position(drones, fixes, TEAM_BEACONS)
+    assert distance(team.estimate, truth) < 1e-9
+    assert team.estimate.z == truth.z
+    assert team.iterations == 0 and team.converged and not team.flags
+    assert team.candidates == ((team.estimate, team.residual_norm),)
+    assert selected == (fixes[0].candidates[0][0], fixes[1].candidates[1][0],
+                        fixes[2].candidates[0][0])
 
 
-def test_team_position_small_offsets():
-    rng = np.random.default_rng(76)
-    center = np.array([150.0, 100.0, 80.0])
-    emitters = (Point.of(5000, 0, 0), Point.of(-3000, 4000, 0),
-                Point.of(0, -6000, 0))
-    spread = 2.0
-    drones = tuple(Point.of(*(center + rng.uniform(-spread, spread, 3)))
-                   for _ in range(3))
-    dm = DistanceMatrix(np.array([[distance(d, e) for e in emitters]
-                                  for d in drones]))
-    result = team_relative_position(drones, emitters, dm)
-    centroid = Point.of(*np.mean([d.coords for d in drones], axis=0).tolist())
-    assert distance(result.estimate, centroid) < spread
-    # grid oracle: the solver objective beats the lattice minimum around truth
-    averaged = dm.d.mean(axis=0)
-    problem = TrilaterationProblem(emitters, tuple(averaged), 3)
-    objective = trilateration_objective(problem)
-    bounds = [(centroid.x - 3, centroid.x + 3), (centroid.y - 3, centroid.y + 3),
-              (centroid.z - 3, centroid.z + 3)]
-    _node, value = grid_search(objective, bounds, 0.05)
-    solver_obj = float(objective(np.array([result.estimate.coords]))[0])
-    assert solver_obj <= value + 1e-12
+def test_team_position_validation():
+    drone = Point.of(0, 0, 100)
+    fixes = [_fix(Point.of(*b.coords)) for b in TEAM_BEACONS]
+    with pytest.raises(ValidationError):
+        team_relative_position((), fixes, TEAM_BEACONS)
+    for n in (0, 1, 2, 4):
+        with pytest.raises(ValidationError, match="3 beacons"):
+            team_relative_position((drone,), (fixes * 2)[:n], (TEAM_BEACONS * 2)[:n])
+    with pytest.raises(ValidationError, match="3 beacons"):
+        team_relative_position((drone,), fixes[:2], TEAM_BEACONS)
+    with pytest.raises(DimensionError):
+        team_relative_position((Point.of(0, 0),), fixes, TEAM_BEACONS)
+    with pytest.raises(DimensionError):
+        team_relative_position((drone,), [_fix(Point.of(1, 2))] + fixes[1:], TEAM_BEACONS)
 
 
-def test_team_position_single_row_reduces_to_lsq():
-    drone = Point.of(180, 90, REF_Z)
-    dm = DistanceMatrix(np.array([[distance(drone, e) for e in REF_EMITTERS]]))
-    team = team_relative_position((drone,), REF_EMITTERS, dm)
-    problem = TrilaterationProblem(REF_EMITTERS, tuple(dm.d[0]), 3)
-    direct = trilaterate_lsq(problem, drone)
-    assert team.estimate == direct.estimate
-    assert team.residual_norm == direct.residual_norm
+def test_team_position_degenerate_lines_are_flagged():
+    # A root at the drones' planar centroid has no bearing and gives no line;
+    # two lines left still meet.
+    drones = (Point.of(10, 20, 100), Point.of(12, 20, 101), Point.of(11, 23, 102))
+    center = Point.of(11, 21, 0)
+    fixes = [_fix(_along(center, b, 0.5)) for b in TEAM_BEACONS]
+    team, selected = team_relative_position(drones, [_fix(center)] + fixes[1:], TEAM_BEACONS)
+    assert math.dist(team.estimate.coords[:2], center.coords[:2]) < 1e-9
+    assert not team.flags and selected[0] == center
+    # Beacons on one line through the team: the lines coincide, and the point
+    # is the one on them nearest the beacons' centroid.
+    beacons = (Point.of(1011, 21, 0), Point.of(-1989, 21, 0), Point.of(4011, 21, 0))
+    fixes = [_fix(_along(center, b, 0.5)) for b in beacons]
+    team, _ = team_relative_position(drones, fixes, beacons)
+    assert team.flags == {"ill_conditioned"}
+    assert team.estimate.coords[:2] == pytest.approx((1011.0, 21.0), abs=1e-9)
+    # No line at all: the beacons' centroid.
+    team, _ = team_relative_position(drones, [_fix(center)] * 3, beacons)
+    assert team.flags == {"ill_conditioned"} and team.residual_norm == 0.0
+    assert team.estimate.coords == pytest.approx((1011.0, 21.0, 101.0))
+
+
+def test_team_position_is_the_least_squares_point_of_its_lines():
+    # Noisy bearings whose lines do not meet, two roots per fix: on a lattice
+    # around the estimate, no node is nearer (in the sum of squared
+    # distances) to the lines of any root combination than the estimate is
+    # to its own combination's.
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        center = rng.uniform(-100, 100, 2)
+        drones = tuple(Point.of(*(center + rng.uniform(-0.3, 0.3, 2)), 150.0 + k)
+                       for k in range(3))
+        c0 = np.mean([d.coords[:2] for d in drones], axis=0)
+        angles = rng.uniform(0, 2 * np.pi) + np.cumsum(rng.uniform(1.3, 2.3, 3))
+        beacons = tuple(Point.of(*(center + r * np.array([np.cos(a), np.sin(a)])), 0.0)
+                        for a, r in zip(angles, rng.uniform(4000, 8000, 3)))
+        fixes = []
+        for b in beacons:
+            theta = math.atan2(b.y - c0[1], b.x - c0[0]) + rng.normal(0.0, 0.02)
+            roots = [c0 + rng.uniform(500, 9000) * np.array([np.cos(t), np.sin(t)])
+                     for t in (theta, theta + rng.uniform(0.2, 1.0))]
+            fixes.append(_fix(*(Point.of(*p, 0.0) for p in roots)))
+        team, chosen = team_relative_position(drones, fixes, beacons)
+        assert not team.flags and team.residual_norm > 1.0
+
+        def ssq(points, combo):
+            total = 0.0
+            for b, p in zip(beacons, combo):
+                u = np.array(p.coords[:2]) - c0
+                n = np.array([-u[1], u[0]]) / np.linalg.norm(u)
+                total = total + ((points - b.coords[:2]) @ n) ** 2
+            return total
+
+        est = np.array(team.estimate.coords[:2])
+        assert team.residual_norm == pytest.approx(math.sqrt(ssq(est, chosen)), rel=1e-9)
+        axis = np.linspace(-400.0, 400.0, 161)
+        nodes = est + np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        combos = [tuple(f.candidates[i][0] for f, i in zip(fixes, idx))
+                  for idx in np.ndindex(2, 2, 2)]
+        least = min(ssq(nodes, combo).min() for combo in combos)
+        assert team.residual_norm ** 2 <= least * (1 + 1e-9)
 
 
 def test_problem_validation():
@@ -381,13 +451,17 @@ def test_problem_validation():
             (5.0, 5.0, 5.0, 5.0), 2))
 
 
-def test_team_position_validation():
-    dm = DistanceMatrix(np.ones((2, 3)))
-    with pytest.raises(ValidationError):
-        team_relative_position((), REF_EMITTERS, dm)
-    with pytest.raises(ValidationError):
-        team_relative_position((Point.of(0, 0, 0),), REF_EMITTERS, dm)
-    drones = (Point.of(0, 0, 0),) * 3
-    for emitters in ([], REF_EMITTERS[:1], REF_EMITTERS[:2]):
-        with pytest.raises(ValidationError, match="at least 3 emitters"):
-            team_relative_position(drones, emitters, DistanceMatrix(np.zeros((3, len(emitters)))))
+def test_team_position_overflow_is_total():
+    # Roots whose offsets from the drones overflow give no line; the one line
+    # left gives its point nearest the beacons' centroid. A position beyond
+    # the float range is GeometryDegenerate, not an infinite point.
+    drones = (Point.of(-1e308, 0, 0),) * 3
+    beacons = (Point.of(1e308, 1e308, 0), Point.of(1e308, -1e308, 0), Point.of(-1e308, 1e308, 0))
+    roots = (Point.of(1.5e308, 1e308, 0), beacons[1], beacons[2])
+    team, selected = team_relative_position(drones, [_fix(p) for p in roots], beacons)
+    assert team.flags == {"ill_conditioned"} and selected == roots
+    assert team.estimate.coords == (-1e308, 1e308 / 3, 0.0)
+    beacons = (Point.of(1.7e308, 1e307, 0), Point.of(1.7e308, -1e307, 0),
+               Point.of(-1.7e308, 1.6e308, 0))
+    with pytest.raises(GeometryDegenerate, match="overflows"):
+        team_relative_position((Point.of(0, 0, 0),), [_fix(b) for b in beacons], beacons)
