@@ -346,15 +346,16 @@ def test_team_position_coincident_drones():
     # keeps the true roots and lands on the drones, at their altitude.
     truth = Point.of(120, -40, 60)
     drones = (truth, truth, truth)
-    fixes = [_fix(_along(truth, b, 0.3), Point.of(b.y / 2, -b.x / 3, 0.0)) for b in TEAM_BEACONS]
-    fixes[1] = _fix(*fixes[1].candidates[1][0:1], _along(truth, TEAM_BEACONS[1], 2.5))
+    true_roots = [_along(truth, b, scale) for b, scale in zip(TEAM_BEACONS, (0.3, 2.5, 0.3))]
+    companions = [Point.of(b.y / 2, -b.x / 3, 0.0) for b in TEAM_BEACONS]
+    fixes = [_fix(true_roots[0], companions[0]), _fix(companions[1], true_roots[1]),
+             _fix(true_roots[2], companions[2])]
     team, selected = team_relative_position(drones, fixes, TEAM_BEACONS)
     assert distance(team.estimate, truth) < 1e-9
     assert team.estimate.z == truth.z
     assert team.iterations == 0 and team.converged and not team.flags
     assert team.candidates == ((team.estimate, team.residual_norm),)
-    assert selected == (fixes[0].candidates[0][0], fixes[1].candidates[1][0],
-                        fixes[2].candidates[0][0])
+    assert selected == tuple(true_roots)
 
 
 def test_team_position_validation():
@@ -396,11 +397,14 @@ def test_team_position_degenerate_lines_are_flagged():
 
 
 def test_team_position_is_the_least_squares_point_of_its_lines():
-    # Noisy bearings whose lines do not meet, two roots per fix: on a lattice
-    # around the estimate, no node is nearer (in the sum of squared
-    # distances) to the lines of any root combination than the estimate is
-    # to its own combination's.
+    # Noisy bearings whose lines do not meet, two roots per fix. On a
+    # lattice around the estimate no node is nearer its lines (in the sum
+    # of squared distances), and on one around each root combination's own
+    # least-squares point (np.linalg.lstsq) no node is nearer that
+    # combination's lines than the estimate is to its own.
     rng = np.random.default_rng(77)
+    axis = np.linspace(-2.0, 2.0, 81)
+    offsets = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     for _ in range(20):
         center = rng.uniform(-100, 100, 2)
         drones = tuple(Point.of(*(center + rng.uniform(-0.3, 0.3, 2)), 150.0 + k)
@@ -418,22 +422,23 @@ def test_team_position_is_the_least_squares_point_of_its_lines():
         team, chosen = team_relative_position(drones, fixes, beacons)
         assert not team.flags and team.residual_norm > 1.0
 
+        def lines(combo):
+            """Unit normals (3, 2) and offsets (3,) of the combination's lines."""
+            u = np.array([p.coords[:2] for p in combo]) - c0
+            n = np.column_stack([-u[:, 1], u[:, 0]]) / np.linalg.norm(u, axis=1)[:, None]
+            return n, (n * [b.coords[:2] for b in beacons]).sum(axis=1)
+
         def ssq(points, combo):
-            total = 0.0
-            for b, p in zip(beacons, combo):
-                u = np.array(p.coords[:2]) - c0
-                n = np.array([-u[1], u[0]]) / np.linalg.norm(u)
-                total = total + ((points - b.coords[:2]) @ n) ** 2
-            return total
+            n, d = lines(combo)
+            return ((points @ n.T - d) ** 2).sum(axis=-1)
 
         est = np.array(team.estimate.coords[:2])
         assert team.residual_norm == pytest.approx(math.sqrt(ssq(est, chosen)), rel=1e-9)
-        axis = np.linspace(-400.0, 400.0, 161)
-        nodes = est + np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
-        combos = [tuple(f.candidates[i][0] for f, i in zip(fixes, idx))
-                  for idx in np.ndindex(2, 2, 2)]
-        least = min(ssq(nodes, combo).min() for combo in combos)
-        assert team.residual_norm ** 2 <= least * (1 + 1e-9)
+        assert ssq(est + offsets, chosen).min() >= team.residual_norm ** 2 * (1 - 1e-9)
+        for idx in np.ndindex(2, 2, 2):
+            combo = tuple(f.candidates[i][0] for f, i in zip(fixes, idx))
+            own = np.linalg.lstsq(*lines(combo), rcond=None)[0]
+            assert ssq(own + offsets, combo).min() >= team.residual_norm ** 2 * (1 - 1e-9)
 
 
 def test_problem_validation():
