@@ -12,7 +12,6 @@ from .doppler import DopplerRange, DopplerReading, doppler_distance, doppler_shi
 from .geometry import Point, distance
 from .simulate import (
     ArrivalSet,
-    DistanceMatrix,
     Scenario,
     perturb_arrivals,
     simulate_arrivals,
@@ -52,7 +51,6 @@ __all__ = [
     "doppler_distance",
     "Scenario",
     "ArrivalSet",
-    "DistanceMatrix",
     "simulate_arrivals",
     "perturb_arrivals",
     "SolverOptions",

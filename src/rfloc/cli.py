@@ -34,7 +34,7 @@ from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
 from .simulate import ArrivalSet, Scenario, _perturb, perturb_arrivals, simulate_arrivals
-from .solver import SolveResult, SolverOptions
+from .solver import SolveResult, SolverOptions, _centroid
 from .tdoa import _fixes, _range_differences
 from .trilat import _batch, team_relative_position
 
@@ -76,8 +76,11 @@ class ScenarioFile:
     raw: dict
 
     def scenario(self) -> Scenario:
-        return Scenario(emitters=self.emitters, receivers=self.receivers, c=self.c,
-                        emission_time=self.emission_time)
+        """The scenario on a clock started at the emission: every solve
+        differences arrival times or takes ranges from them, so
+        emission_time cancels, and absolute times would round the flight
+        times to the float64 spacing of the clock (2.4e-7 s at 1.7e9 s)."""
+        return Scenario(emitters=self.emitters, receivers=self.receivers, c=self.c)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +347,10 @@ def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
 
 
 def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
-    """Ranges from arrival timestamps; jitter can push one below 0, which clamps."""
+    """Ranges from arrival times since the emission (see ScenarioFile.scenario);
+    jitter can push one below 0, which clamps."""
     with np.errstate(over="ignore"):  # an overflowed range is refused downstream
-        return np.maximum(sf.c * (times - sf.emission_time), 0.0)
+        return np.maximum(sf.c * times, 0.0)
 
 
 def _receivers(sf: ScenarioFile) -> np.ndarray:
@@ -358,16 +362,9 @@ def _team(sf: ScenarioFile, fixes: Sequence[SolveResult]
           ) -> tuple[SolveResult, Point, tuple[Point, ...]]:
     """The pipeline's team position by resection of its emitter fixes
     against the beacons at scenario.emitters, its truth and the root of each
-    fix it rests on. The truth is the receivers' centroid: a sum and a
-    division, as np.mean, or the sum of the receivers divided by their count
-    when that sum overflows."""
+    fix it rests on. The truth is the receivers' centroid."""
     team, selected = team_relative_position(sf.receivers, fixes, sf.emitters)
-    recv = _receivers(sf)
-    with np.errstate(over="ignore"):
-        centroid = recv.sum(axis=0) / len(recv)
-        if not np.isfinite(centroid).all():
-            centroid = (recv / len(recv)).sum(axis=0)
-    return team, Point.of(*centroid.tolist()), selected
+    return team, Point.of(*_centroid([(p.x, p.y, p.z) for p in sf.receivers])), selected
 
 
 def _rows(sf: ScenarioFile, times: np.ndarray | None):
@@ -518,7 +515,11 @@ def _quantiles(values: Sequence[float], qs: Sequence[float]) -> list[float]:
 def _mean(values: Sequence[float]) -> float:
     """np.mean(values) as a float, bit for bit, unless the sum of finite
     values overflows: their mean is then taken over the values divided by
-    the largest, and scaled back, so it stays finite."""
+    the largest, and scaled back, so it stays finite.
+
+    A sweep summary's mean error, not a centroid (solver._centroid): over
+    thousands of errors np.mean sums pairwise, and the summaries keep those
+    bits, which a left-to-right sum does not give."""
     v = np.array(values)
     with np.errstate(over="ignore"):
         total = np.add.reduce(v)

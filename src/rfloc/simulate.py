@@ -21,7 +21,6 @@ from .geometry import Point
 __all__ = [
     "Scenario",
     "ArrivalSet",
-    "DistanceMatrix",
     "simulate_arrivals",
     "perturb_arrivals",
     "perturb_sweep",
@@ -77,24 +76,6 @@ class ArrivalSet:
             raise ValidationError("arrival times must be finite", field="times")
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """True or measured ranges in meters, indexed [receiver][emitter]."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _frozen_array(self.d))
-        if self.d.ndim != 2:
-            raise ValidationError("d must be a receiver-by-emitter matrix", field="d")
-        _check_distances(self.d)
-
-
-def _check_distances(d: np.ndarray) -> None:
-    if not np.isfinite(d).all() or (d < 0.0).any():
-        raise ValidationError("distances must be finite and >= 0", field="d")
-
-
 def _distances(scenario: Scenario) -> np.ndarray:
     """d[i][j] from receiver i to emitter j, inf where it overflows; unchecked."""
     recv = np.array([(p.x, p.y, p.z) for p in scenario.receivers])
@@ -108,7 +89,8 @@ def simulate_arrivals(scenario: Scenario) -> ArrivalSet:
     with np.errstate(over="ignore"):  # an overflowed distance or time is refused
         d = _distances(scenario)
         times = scenario.emission_time + d / scenario.c
-    _check_distances(d)
+    if not np.isfinite(d).all():
+        raise ValidationError("distances must be finite and >= 0", field="d")
     return ArrivalSet(times)
 
 

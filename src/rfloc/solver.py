@@ -117,6 +117,29 @@ def _norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
+def _centroid(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """The mean of rows of finite coordinates, per coordinate: the values
+    added to 0.0 left to right, as numpy adds rows, and divided by their
+    count, so the bits of np.mean(rows, axis=0); where that sum overflows,
+    the values divided by their count, then added, so it stays finite and
+    within the values' range. Plain Python: on a few rows numpy's call
+    overhead costs more than the arithmetic."""
+    n = len(rows)
+    out = []
+    for values in zip(*rows):
+        total = 0.0
+        for v in values:
+            total += v
+        if math.isfinite(total):
+            out.append(total / n)
+            continue
+        total = 0.0
+        for v in values:
+            total += v / n
+        out.append(min(max(total, min(values)), max(values)))  # rounding may step past them
+    return tuple(out)
+
+
 def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Unit vectors from each anchor toward x, nudging x off coincident anchors.
 

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .geometry import Point
 from .simulate import ArrivalSet
-from .solver import (_TIE_EPS, SolveResult, SolverOptions, _cross, _norms, _outcome, _rowdot,
-                     _solve_rows, _unit_rows, gauss_newton_raw)
+from .solver import (_TIE_EPS, SolveResult, SolverOptions, _centroid, _cross, _norms, _outcome,
+                     _rowdot, _solve_rows, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDifferenceSet",
@@ -280,11 +280,12 @@ _QUAD = np.array([2, 3, 3, 2, 2, 3])
 _FLOOR_ULPS = 8 * np.finfo(float).eps   # a root's rounding floor per unit of coordinate
 
 
-def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
-                 diam: float) -> _PlaneRoots:
+def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float,
+                 centroid: tuple[float, float, float]) -> _PlaneRoots:
     """Closed-form intersections of the two branches on the emitter plane
     z = plane, for every row of deltas (N, 2) against one reference-first
-    receiver triangle recv (3, 3).
+    receiver triangle recv (3, 3), of diameter diam and with the _centroid
+    of its rows, centroid.
 
     With u = p - s_0 on the plane and h_k each receiver's height above it,
     squaring |p - s_k| = r0 - d_k against r0 = |p - s_0| leaves
@@ -306,6 +307,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
     rows = len(deltas)
     planar = recv[:, :2]
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = recv.tolist()
+    cx, cy, cz = centroid
     ex1, ey1, ex2, ey2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
     ax, ay, bx, by = 2 * ex1, 2 * ey1, 2 * ex2, 2 * ey2
     h0, h1, h2 = z0 - plane, z1 - plane, z2 - plane
@@ -370,7 +372,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
 
         # Candidates by norm, then x, y; the second one dropped within
         # _DEDUP_TOL of the first; the residual-tied ones by distance to the
-        # receiver centroid (a sum and a division, as np.mean), then x, y.
+        # receiver centroid, then x, y.
         count = valid.sum(axis=1)
         order = np.lexsort((roots[..., 1], roots[..., 0], norms, ~valid), axis=-1)
         pick = np.arange(rows)[:, None]
@@ -383,8 +385,8 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
         tied = norms <= (norms[:, :1] + _TIE_EPS)
         tied[:, 1] &= count == 2
         gap = np.empty((rows, 2, 3))
-        gap[..., :2] = roots - ((x0 + x1 + x2) / 3, (y0 + y1 + y2) / 3)
-        gap[..., 2] = plane - (z0 + z1 + z2) / 3
+        gap[..., :2] = roots - (cx, cy)
+        gap[..., 2] = plane - cz
         dist = np.sqrt(_rowdot(gap, gap))
         near = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)[:, 0]
 
@@ -404,7 +406,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float,
             ok = np.isfinite(t) & ~rank_def[miss, None]
             alone = ~ok.any(axis=1)
             ok[alone, 0] = True
-            pts[alone, 0] = np.where(rank_def[miss][alone, None], planar.mean(axis=0),
+            pts[alone, 0] = np.where(rank_def[miss][alone, None], (cx, cy),
                                      planar[0] + m[alone, :2])
             starts[miss], start_ok[miss] = pts, ok
     return _PlaneRoots(roots, norms, count, near, starts, start_ok)
@@ -422,7 +424,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
     for a non-finite difference, GeometryDegenerate for collinear receivers,
     NoConvergence when the Gauss-Newton fallback of a row with no root does
     not converge. The rows share one _plane_batch, and collinear receivers
-    are found once.
+    and the receivers' centroid are found once.
     """
     finite = np.isfinite(deltas).all(axis=1).tolist()
     try:
@@ -431,7 +433,8 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
         diam, degenerate = None, str(exc)
         closed = [None] * len(deltas)
     else:
-        batch = _plane_batch(recv, deltas, plane, diam)
+        centroid = _centroid(recv.tolist())
+        batch = _plane_batch(recv, deltas, plane, diam, centroid)
         rows, near = np.arange(len(deltas)), batch.near
         closed = [((x, y, plane)[:dim], n) if c and f else None
                   for (x, y), n, c, f in zip(batch.roots[rows, near].tolist(),
@@ -445,7 +448,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
             raise GeometryDegenerate(degenerate)
         count = int(batch.count[k])
         if not count:
-            return _fallback(recv, deltas[k], plane, dim, diam,
+            return _fallback(recv, deltas[k], plane, dim, diam, centroid[:2],
                              batch.starts[k][batch.start_ok[k]], opts)
         norms = batch.norms[k].tolist()
         near = int(batch.near[k])
@@ -458,21 +461,23 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
 
 
 def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
-              starts: np.ndarray, opts: SolverOptions) -> SolveResult:
+              center: tuple[float, float], starts: np.ndarray,
+              opts: SolverOptions) -> SolveResult:
     """One damped Gauss-Newton run from whichever start fits the differences
     better, flagged inconsistent beyond INCONSISTENCY_TOL.
 
     The hyperbolic objective plateaus toward the branch asymptotes, so the
     residual-change criterion can fire on iterates that ran off to enormous
-    coordinates: a run that stops beyond the runaway radius of the receiver
-    centroid fails like one that does not converge, with NoConvergence
-    carrying its iterate as the best one, or none when it overflowed.
+    coordinates: a run that stops beyond the runaway radius of center, the
+    receivers' planar centroid, fails like one that does not converge, with
+    NoConvergence carrying its iterate as the best one, or none when it
+    overflowed.
     """
     residual, jacobian = _closures(recv, deltas, plane)
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
         start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
-    ok = ok and float(np.linalg.norm(x - recv[:, :2].mean(axis=0))) <= _RUNAWAY_DIAMS * diam
+    ok = ok and float(np.linalg.norm(x - center)) <= _RUNAWAY_DIAMS * diam
     return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
                     "the branches do not meet and the least-squares run did not converge "
                     "to a finite point")

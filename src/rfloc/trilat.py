@@ -11,6 +11,11 @@ The closed forms are one array program over rows of ranges against one
 anchor triangle (_closed_form). _batch is its one driver, which the CLI's
 single runs and sweeps share, and trilaterate is its one-row case.
 Each row comes back as its solve alone would: its result or its error.
+
+The pipeline's team step, team_relative_position, uses bearings, not
+ranges: a closed-form bearing resection of the team's planar position
+against three beacons, from the directions of its emitter fixes seen from
+the drones' centroid.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _cross, _norms,
-                     _outcome, _rowdot, _unit_rows, gauss_newton_raw)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _centroid, _cross,
+                     _norms, _outcome, _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "TrilaterationProblem",
@@ -305,32 +310,12 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
         if x0.size != problem.dimension:
             raise DimensionError(f"init has {x0.size} coordinates, problem is "
                                  f"{problem.dimension}D")
-    return _lsq(problem.anchor_array, problem.distance_array, x0, opts)
-
-
-def _lsq(anchors: np.ndarray, ranges: np.ndarray, x0: np.ndarray,
-         opts: SolverOptions | None) -> SolveResult:
-    """trilaterate_lsq of anchors (E, D) and ranges (E,) from x0 (D,)."""
+    anchors, ranges = problem.anchor_array, problem.distance_array
     with np.errstate(over="ignore", invalid="ignore"):  # huge anchors: an overflowed step fails
         x, norm, iterations, converged = gauss_newton_raw(
             lambda x: _residuals(x, anchors, ranges), lambda x: _unit_rows(x, anchors), x0, opts)
     return _outcome(x.tolist(), norm, iterations, converged,
                     "trilaterate_lsq did not converge after {iterations} iterations")
-
-
-def _mean(values: Sequence[float]) -> float:
-    """The mean of finite values, added left to right as numpy adds rows;
-    if their sum overflows, the sum of the values divided by their count."""
-    n = len(values)
-    total = values[0]
-    for v in values[1:]:
-        total += v
-    if math.isfinite(total):
-        return total / n
-    total = values[0] / n
-    for v in values[1:]:
-        total += v / n
-    return total
 
 
 def _line_fit(rows: Sequence[tuple[float, float, float]]) -> tuple[float, float, float, bool]:
@@ -400,8 +385,8 @@ def team_relative_position(drones: Sequence[Point], emitter_fixes: Sequence[Solv
     points = drones + beacons + [p for fix in fixes for p, _ in fix.candidates]
     if any(p.dim != dim for p in points):
         raise DimensionError("drones, beacons and emitter fixes must share one dimension")
-    cx, cy = _mean([p.x for p in drones]), _mean([p.y for p in drones])
-    bx, by = _mean([p.x for p in beacons]), _mean([p.y for p in beacons])
+    cx, cy, cz = _centroid([(p.x, p.y, p.z) for p in drones])
+    bx, by = _centroid([(p.x, p.y) for p in beacons])
     # Per fix, each root with its line (unit normal, offset) relative to the
     # beacons' centroid, or the estimate alone when no root has a line.
     options = []
@@ -424,7 +409,7 @@ def team_relative_position(drones: Sequence[Point], emitter_fixes: Sequence[Solv
         if best is None or key < best[0]:
             best = key, (x, y, norm), combo
     (ill, _), (x, y, norm), combo = best
-    coords = (bx + x, by + y, _mean([p.z for p in drones]))[:dim]
+    coords = (bx + x, by + y, cz)[:dim]
     if not all(map(math.isfinite, (*coords, norm))):
         raise GeometryDegenerate("the team position overflows float64")
     estimate = Point.of(*coords)

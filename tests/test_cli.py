@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfloc import (DistanceMatrix, Point, Scenario, TrilaterationProblem, arrival_deltas,
-                   distance, locate_emitter, perturb_arrivals, simulate_arrivals,
-                   team_relative_position, trilaterate)
+from rfloc import (Point, Scenario, TrilaterationProblem, arrival_deltas, distance,
+                   locate_emitter, perturb_arrivals, simulate_arrivals, team_relative_position,
+                   trilaterate)
 from rfloc import cli, errors as rfloc_errors, tdoa
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, ValidationError
 from rfloc.simulate import perturb_sweep
+from rfloc.solver import _centroid
 
 from conftest import pipeline_raw_scenario
 
@@ -822,7 +823,8 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     recv = cli._receivers(sf)
     batch = tdoa._plane_batch(recv, tdoa._range_differences(times, sf.c).reshape(-1, 2),
-                              sf.emitter_plane_z, tdoa._triangle(recv))
+                              sf.emitter_plane_z, tdoa._triangle(recv),
+                              _centroid(recv.tolist()))
     assert (batch.count == 0).any() and (batch.count == 2).any()
 
 
@@ -835,6 +837,12 @@ def _drones(receivers):
         doc["scenario"]["receivers"] = receivers
         doc["monte_carlo"] = {"trials": 3, "sigma_t_list": [0.0, 1e-11]}
     return edit
+
+
+def _far(doc):
+    doc["scenario"].update(
+        receivers=[[1e308, 0.0, 149.8], [1e308, 0.4, 150.0], [1e308, 0.1, 150.2]],
+        emitters=[[1e308, 5000.0, 0.0], [1e308, -4000.0, 0.0], [1e308, 7000.0, 0.0]])
 
 
 @pytest.mark.parametrize("scenario, doc_edit, code", [
@@ -853,8 +861,10 @@ def _drones(receivers):
     (PIPELINE, _drones([[-5e89, -5e89, 150.0], [5e89, -5e89, 150.0], [0.0, 5e89, 151.0]]), 0),
     # The simulated distances overflow: 7 embedded errors.
     (PIPELINE, _drones([[-1e308, -1e308, 0.0], [1e308, -1e308, 1.0], [-1e308, 1e308, 2.0]]), 1),
+    # The drones' x sum overflows; their centroid, and every fix, does not.
+    (PIPELINE, _far, 0),
 ], ids=["pipeline-noise", "pipeline-sweep", "tdoa2d-noise", "tdoa2d-sweep", "tiny-c",
-        "trilat-sweep", "pipeline-drones-1e90", "pipeline-drones-1e308"])
+        "trilat-sweep", "pipeline-drones-1e90", "pipeline-drones-1e308", "pipeline-x-1e308"])
 def test_overflowing_runs_print_only_the_summary(tmp_path, scenario, doc_edit, code):
     # Numbers that overflow end as errors in the report, or in a complete
     # one; numpy's warnings about them must not reach stderr, whose one line
@@ -1086,14 +1096,42 @@ def test_edge_documents_give_strict_json_reports():
     # Huge noise, huge or degenerate geometry, overflowing norms and sums:
     # every report is JSON without NaN or Infinity.
     docs = _edge_documents()
-    assert len(docs) == 52
-    loose = []
+    assert len(docs) == 56
+    loose, reports = [], {}
     for name, doc in docs.items():
+        reports[name] = run(_validate(doc))
         try:
-            json.dumps(run(_validate(doc)), allow_nan=False)
+            json.dumps(reports[name], allow_nan=False)
         except ValueError:
             loose.append(name)
     assert loose == []
+    # Drones at x = 1e308: the fallback's runaway check keeps a finite
+    # receiver centroid, so every emitter is solved.
+    far = reports["pipeline_x_1e308"]
+    assert far["errors"] == []
+    emitters = [e for e in far["solves"] if e["kind"] == "pipeline_emitter"]
+    assert len(emitters) == 3 and all(e["error_m"] <= 1e-6 for e in emitters)
+
+
+@pytest.mark.parametrize("emission_time", [1.0, 1.7e9])
+@pytest.mark.parametrize("scenario, doc_edit", [
+    (PIPELINE, lambda d: None),
+    (NOISE_SWEEP, lambda d: None),
+    (BASELINE, lambda d: (d["scenario"].pop("distances"),
+                          d["scenario"].update(receivers=[[180.0, 90.0, 222.0]]),
+                          d.update(monte_carlo={"trials": 20, "sigma_t_list": [0.0, 1e-9]}))),
+], ids=["pipeline", "tdoa2d-sweep", "trilat3d-sweep"])
+def test_emission_time_cancels(scenario, doc_edit, emission_time):
+    # Differences and ranges do not depend on when the emitters sent: the
+    # reports at an emission time, a Unix time included, are those at 0.
+    with open(scenario) as fh:
+        doc = json.load(fh)
+    doc_edit(doc)
+    at_zero = run(_validate(doc))
+    doc["scenario"]["emission_time"] = emission_time
+    shifted = run(_validate(doc))
+    for key in ("solves", "monte_carlo", "errors"):
+        assert json.dumps(shifted[key]) == json.dumps(at_zero[key]), key
 
 
 def test_pipeline_rows_are_never_emitter_iterates():

@@ -159,6 +159,27 @@ def test_solver_options_take_a_whole_float_count_as_an_int():
         trilaterate_lsq(problem, np.array([1e4, 1e4]), SolverOptions(max_iterations=1.0))
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda dim: st.lists(
+    st.lists(_FINITE, min_size=dim, max_size=dim), min_size=1, max_size=8)))
+def test_centroid_is_numpys_mean_or_a_finite_mean(rows):
+    # Where a coordinate's sum is finite, np.mean's bits; where it overflows,
+    # a finite value within that coordinate's range.
+    got = solver._centroid(rows)
+    array = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, means = np.add.reduce(array, axis=0), np.mean(array, axis=0)
+    assert len(got) == array.shape[1]
+    for value, total, mean, column in zip(got, sums, means, array.T):
+        if math.isfinite(total):
+            assert np.float64(value).tobytes() == mean.tobytes()
+        else:
+            assert math.isfinite(value) and column.min() <= value <= column.max()
+
+
 def test_fd_jacobian_quadratic():
     def residual(x):
         return np.array([x[0] ** 2, x[0] * x[1]])

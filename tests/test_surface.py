@@ -22,7 +22,7 @@ PUBLIC = {
     "__version__", "errors",
     "Point", "distance",
     "DopplerReading", "DopplerRange", "doppler_shift", "doppler_distance",
-    "Scenario", "ArrivalSet", "DistanceMatrix", "simulate_arrivals", "perturb_arrivals",
+    "Scenario", "ArrivalSet", "simulate_arrivals", "perturb_arrivals",
     "SolverOptions", "SolveResult", "finite_difference_jacobian", "grid_search",
     "RangeDifferenceSet", "arrival_deltas", "hyperbolic_residuals", "hyperbolic_jacobian",
     "hyperbolic_objective", "locate_emitter",
@@ -173,7 +173,7 @@ def test_team_step_runs_no_gauss_newton():
     # from cli._team reaches the damped Gauss-Newton or a linear solve.
     reached = _reachable("_team")
     assert {"team_relative_position", "_line_fit"} <= reached
-    assert not reached & {"gauss_newton_raw", "_lsq", "_solve_rows", "trilaterate_lsq"}
+    assert not reached & {"gauss_newton_raw", "_solve_rows", "trilaterate_lsq"}
 
 
 def test_cli_row_driver_returns_the_drivers_unwrapped():
@@ -216,8 +216,8 @@ def test_gauss_newton_has_two_callers():
                for caller in _callers(path, ("gauss_newton_raw", "_outcome"))}
     assert callers == {("tdoa.py", "_fallback", "gauss_newton_raw"),
                        ("tdoa.py", "_fallback", "_outcome"),
-                       ("trilat.py", "_lsq", "gauss_newton_raw"),
-                       ("trilat.py", "_lsq", "_outcome")}
+                       ("trilat.py", "trilaterate_lsq", "gauss_newton_raw"),
+                       ("trilat.py", "trilaterate_lsq", "_outcome")}
 
 
 def test_trilateration_has_one_range_model():

@@ -30,6 +30,7 @@ from rfloc.errors import (
     RflocError,
     ValidationError,
 )
+from rfloc.solver import _centroid
 
 C = 3e8
 
@@ -490,11 +491,11 @@ def _batch_rows(recv, deltas, fixed_z):
         return [count, batch.roots[k, :count].tobytes(), batch.norms[k, :count].tobytes(),
                 batch.near[k].tobytes()]
 
-    diam = tdoa._triangle(recv)
-    together = tdoa._plane_batch(recv, deltas, fixed_z, diam)
+    diam, centroid = tdoa._triangle(recv), _centroid(recv.tolist())
+    together = tdoa._plane_batch(recv, deltas, fixed_z, diam, centroid)
     counts = together.count.tolist()
     for k in range(len(deltas)):
-        alone = tdoa._plane_batch(recv, deltas[k:k + 1], fixed_z, diam)
+        alone = tdoa._plane_batch(recv, deltas[k:k + 1], fixed_z, diam, centroid)
         assert meaning(together, k) == meaning(alone, 0), k
     return counts
 

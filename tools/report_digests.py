@@ -11,8 +11,10 @@ off-ground emitter planes, pipeline sweeps whose branches do not meet, a
 sweep whose mean error overflows a plain sum, a tdoa2d sweep whose
 Gauss-Newton start overflows, a two-emitter tdoa2d run with one fallback
 that does not converge, single runs of three trilat3d receivers and of
-two converging tdoa3d emitters, and sweeps whose single epoch needs the
-Gauss-Newton fallback or fails.
+two converging tdoa3d emitters, sweeps whose single epoch needs the
+Gauss-Newton fallback or fails, a pipeline and a tdoa3d run whose drones
+and beacons sit at x = 1e308, where the sum of the drones' x overflows,
+and a pipeline run and a tdoa2d sweep at a Unix-time emission_time.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -141,6 +143,16 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
                                               monte_carlo=_sweep(0.0, 1e-7))
     docs["pipeline_sweep_single_noroot"] = _edit(pipe, {"noise_sigma_t": 1e-9, "seed": 3},
                                                  monte_carlo=_sweep(0.0, 1e-11))
+    # Drones and beacons at x = 1e308: the receivers' centroid is finite
+    # only if their x are divided by their count before they are added.
+    far = {"receivers": [[1e308, y, r[2]] for y, r in
+                         zip((0.0, 0.4, 0.1), pipe["scenario"]["receivers"])],
+           "emitters": [[1e308, y, 0.0] for y in (5000.0, -4000.0, 7000.0)]}
+    docs["pipeline_x_1e308"] = _edit(pipe, far)
+    docs["tdoa3d_x_1e308"] = _edit(tdoa3, far)
+    # Emission at a Unix time: the arrival times' absolute value must cancel.
+    docs["pipeline_emission_1.7e9"] = _edit(pipe, {"emission_time": 1.7e9})
+    docs["tdoa2d_sweep_emission_1.7e9"] = _edit(tdoa, {"emission_time": 1.7e9})
     return docs
 
 
