@@ -17,8 +17,6 @@ timestamp field, identical runs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -623,27 +621,21 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
 
 
 def report_to_csv(report: dict) -> str:
-    """Flatten a report into CSV rows: trial, sigma_t, mode, x, y, z, residual_norm, converged."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "sigma_t", "mode", "x", "y", "z",
-                     "residual_norm", "converged"])
+    """CSV rows (trial, sigma_t, mode, x, y, z, residual_norm, converged) as
+    csv.writer writes them: no field needs quoting, and floats go by repr,
+    which matches it for Python floats, the only ones run builds."""
     mode = report["mode"]
     mc = report.get("monte_carlo")
     if mc:
-        for row in mc["rows"]:
-            writer.writerow([row["trial"], row["sigma_t"], mode, row["x"], row["y"],
-                             row["z"], row["residual_norm"],
-                             str(row["converged"]).lower()])
+        rows = ((r["trial"], r["sigma_t"], r["x"], r["y"], r["z"], r["residual_norm"],
+                 r["converged"]) for r in mc["rows"])
     else:
         sigma = report["input"].get("scenario", {}).get("noise_sigma_t", 0.0)
-        for entry in report["solves"]:
-            if "estimate" not in entry:
-                continue
-            x, y, z = entry["estimate"]
-            writer.writerow([0, sigma, mode, x, y, z, entry["residual_norm"],
-                             str(entry["converged"]).lower()])
-    return buf.getvalue()
+        rows = ((0, sigma, *e["estimate"], e["residual_norm"], e["converged"])
+                for e in report["solves"] if "estimate" in e)
+    return "".join(["trial,sigma_t,mode,x,y,z,residual_norm,converged\n"] + [
+        f"{trial},{sigma!r},{mode},{x!r},{y!r},{z!r},{norm!r},{'true' if ok else 'false'}\n"
+        for trial, sigma, x, y, z, norm, ok in rows])
 
 
 # ---------------------------------------------------------------------------

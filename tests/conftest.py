@@ -1,10 +1,13 @@
-"""Shared scenario generators for the test suite.
+"""Shared scenario generators and reference implementations for the test suite.
 
 Everything is driven by an explicit numpy Generator so tests stay
 deterministic; acceptance tests pin their own seeds.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 
@@ -116,3 +119,27 @@ def pipeline_raw_scenario(rng: np.random.Generator, spread: float = 0.25,
         },
         "solve": {"mode": "pipeline"},
     }
+
+
+def report_to_csv_reference(report: dict) -> str:
+    """cli.report_to_csv as csv.writer wrote it, the reference for its row template."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "sigma_t", "mode", "x", "y", "z",
+                     "residual_norm", "converged"])
+    mode = report["mode"]
+    mc = report.get("monte_carlo")
+    if mc:
+        for row in mc["rows"]:
+            writer.writerow([row["trial"], row["sigma_t"], mode, row["x"], row["y"],
+                             row["z"], row["residual_norm"],
+                             str(row["converged"]).lower()])
+    else:
+        sigma = report["input"].get("scenario", {}).get("noise_sigma_t", 0.0)
+        for entry in report["solves"]:
+            if "estimate" not in entry:
+                continue
+            x, y, z = entry["estimate"]
+            writer.writerow([0, sigma, mode, x, y, z, entry["residual_norm"],
+                             str(entry["converged"]).lower()])
+    return buf.getvalue()

@@ -21,7 +21,7 @@ from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, Va
 from rfloc.simulate import perturb_sweep
 from rfloc.solver import _centroid
 
-from conftest import pipeline_raw_scenario
+from conftest import pipeline_raw_scenario, report_to_csv_reference
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 BASELINE = os.path.join(SCENARIO_DIR, "trilat3d_baseline.json")
@@ -485,6 +485,52 @@ def test_csv_single_solve():
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "0" and fields[2] == "trilat3d"
+
+
+def _values(obj):
+    """Every value of a report, its containers walked."""
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return [obj]
+    return [leaf for value in obj for leaf in _values(value)]
+
+
+def _assert_csv_matches_reference(report):
+    # report_to_csv writes floats by repr, csv.writer's bytes only for
+    # Python floats: for a numpy float64 repr writes np.float64(0.1).
+    assert all(type(v) is float for v in _values(report) if isinstance(v, (float, np.generic)))
+    assert report_to_csv(report) == report_to_csv_reference(report)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+def test_csv_matches_csv_writer_on_shipped_scenarios(name):
+    _assert_csv_matches_reference(run(parse_scenario(os.path.join(SCENARIO_DIR, name))))
+
+
+_CSV_NUMBERS = st.one_of(st.floats(), st.integers(), st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]))
+_CSV_ROWS = st.fixed_dictionaries({
+    "trial": st.integers(0, 10**6), "sigma_t": _CSV_NUMBERS, "x": _CSV_NUMBERS,
+    "y": _CSV_NUMBERS, "z": _CSV_NUMBERS, "residual_norm": _CSV_NUMBERS,
+    "converged": st.booleans(), "error_m": st.none() | _CSV_NUMBERS})
+_CSV_SOLVES = st.fixed_dictionaries({
+    "kind": st.just("trilat"), "estimate": st.lists(_CSV_NUMBERS, min_size=3, max_size=3),
+    "residual_norm": _CSV_NUMBERS, "converged": st.booleans()}) | st.fixed_dictionaries({
+    "kind": st.just("doppler"), "distance_m": _CSV_NUMBERS})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({
+    "mode": st.sampled_from(cli.MODES),
+    "input": st.just({}) | st.fixed_dictionaries({"scenario": st.fixed_dictionaries(
+        {}, optional={"noise_sigma_t": _CSV_NUMBERS})}),
+    "solves": st.lists(_CSV_SOLVES, max_size=4),
+    "monte_carlo": st.none() | st.fixed_dictionaries({"rows": st.lists(_CSV_ROWS, max_size=6)})}))
+def test_csv_matches_csv_writer_on_drawn_reports(report):
+    # Sweep and single-solve reports, with -0.0, subnormals, the largest
+    # float, NaN, infinities and ints among their numbers.
+    assert report_to_csv(report) == report_to_csv_reference(report)
 
 
 def test_seed_override_changes_report():
@@ -1094,12 +1140,14 @@ def _edge_documents():
 
 def test_edge_documents_give_strict_json_reports():
     # Huge noise, huge or degenerate geometry, overflowing norms and sums:
-    # every report is JSON without NaN or Infinity.
+    # every report is JSON without NaN or Infinity, and its CSV is
+    # csv.writer's.
     docs = _edge_documents()
     assert len(docs) == 56
     loose, reports = [], {}
     for name, doc in docs.items():
         reports[name] = run(_validate(doc))
+        _assert_csv_matches_reference(reports[name])
         try:
             json.dumps(reports[name], allow_nan=False)
         except ValueError:
