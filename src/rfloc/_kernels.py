@@ -1,7 +1,9 @@
 """Hot numeric kernels: batch objective evaluation for the solvers' oracles.
 
-One numpy implementation per kernel; `perfbench/run.py` measures their
-throughput (`kernels.*_mnodes_per_s`) on the verification lattices.
+One numpy implementation per kernel. perfbench's oracle_grid workload runs
+them on the verification lattices, but its traced `kernels.*` metrics read
+0: its tracer wraps the two point kernels, and grid_search evaluates nodes
+through `GridObjective.evaluator()`, which calls neither.
 
 One routine (`_sum_sq`) evaluates both objectives over coordinate columns
 that broadcast: the columns of (N, D) points, or blocks of lattice nodes

@@ -31,7 +31,7 @@ from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
-from .simulate import ArrivalSet, Scenario, _perturb, perturb_arrivals, simulate_arrivals
+from .simulate import ArrivalSet, Scenario, _perturb, simulate_arrivals
 from .solver import SolveResult, SolverOptions, _centroid
 from .tdoa import _fixes, _range_differences
 from .trilat import _batch, team_relative_position
@@ -62,7 +62,6 @@ class ScenarioFile:
     receivers: tuple[Point, ...]
     c: float
     carrier: float
-    emission_time: float
     noise_sigma_t: float
     seed: int
     distances: tuple[float, ...] | None
@@ -74,10 +73,6 @@ class ScenarioFile:
     raw: dict
 
     def scenario(self) -> Scenario:
-        """The scenario on a clock started at the emission: every solve
-        differences arrival times or takes ranges from them, so
-        emission_time cancels, and absolute times would round the flight
-        times to the float64 spacing of the clock (2.4e-7 s at 1.7e9 s)."""
         return Scenario(emitters=self.emitters, receivers=self.receivers, c=self.c)
 
 
@@ -185,7 +180,7 @@ def _section(value, path: str) -> dict:
             raise ValidationError(f"missing field {prefix}{key}", field=key)
         else:
             parsed[key] = default
-    return parsed
+    return {key: v for key, v in parsed.items() if fields[key][1] is not _IGNORED}
 
 
 def _by_mode(value, where: str):
@@ -193,11 +188,11 @@ def _by_mode(value, where: str):
     return value
 
 
-_REQUIRED = "required"
+_REQUIRED, _IGNORED = "required", "ignored"
 # path -> field -> (rule, default); "" is the document itself. The field
 # names of "scenario" are ScenarioFile's, those of "solve.options" are
-# SolverOptions', less multistart_count: schema v1 still accepts it as a
-# count, and it is ignored.
+# SolverOptions'. Schema v1 still accepts and checks the _IGNORED fields,
+# and _section drops them: nothing reads them.
 _SECTIONS = {
     "": {"schema_version": (_schema_version, _REQUIRED), "solve": (_section, _REQUIRED),
          "scenario": (_section, _REQUIRED), "doppler": (_by_mode, None),
@@ -208,10 +203,10 @@ _SECTIONS = {
                       "step_tolerance": (_positive, SolverOptions.step_tolerance),
                       "residual_tolerance": (_positive, SolverOptions.residual_tolerance),
                       "damping_initial": (_positive, SolverOptions.damping_initial),
-                      "multistart_count": (_count, None)},
+                      "multistart_count": (_count, _IGNORED)},
     "scenario": {"emitters": (_points, ()), "receivers": (_points, ()),
                  "c": (_positive, 3.0e8), "carrier": (_positive, 1.0e9),
-                 "emission_time": (_finite, 0.0), "noise_sigma_t": (_nonneg, 0.0),
+                 "emission_time": (_finite, _IGNORED), "noise_sigma_t": (_nonneg, 0.0),
                  "seed": (_seed, 0), "distances": (_nonneg_list, None)},
     "doppler": {"f_received": (_positive, _REQUIRED)},
     "monte_carlo": {"trials": (_count, _REQUIRED), "sigma_t_list": (_nonneg_list, _REQUIRED)},
@@ -284,9 +279,8 @@ def _validate(raw) -> ScenarioFile:
             raise ValidationError("trilat monte_carlo expects exactly 1 receiver",
                                   field="receivers")
 
-    options = {k: v for k, v in solve["options"].items() if k != "multistart_count"}
     return ScenarioFile(
-        schema_version=1, mode=mode, **scen, options=SolverOptions(**options),
+        schema_version=1, mode=mode, **scen, options=SolverOptions(**solve["options"]),
         emitter_plane_z=plane,
         monte_carlo_trials=None if mc is None else mc["trials"],
         monte_carlo_sigmas=None if mc is None else mc["sigma_t_list"],
@@ -345,8 +339,8 @@ def _solve_entry(kind: str, result: SolveResult, truth: Point | None,
 
 
 def _ranges(sf: ScenarioFile, times: np.ndarray) -> np.ndarray:
-    """Ranges from arrival times since the emission (see ScenarioFile.scenario);
-    jitter can push one below 0, which clamps."""
+    """Ranges from arrival times, which are flight times; jitter can push
+    one below 0, which clamps."""
     with np.errstate(over="ignore"):  # an overflowed range is refused downstream
         return np.maximum(sf.c * times, 0.0)
 
@@ -596,12 +590,10 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
     try:
         if _MODES[sf.mode][1] != "doppler" and sf.distances is None:
             arrivals = simulate_arrivals(sf.scenario())
-            if sigmas is None:
-                lead = perturb_arrivals(arrivals, sf.noise_sigma_t, base_seed).times
-            else:  # trial k is seeded base_seed + k: trial 0 shares the single epoch's draw
-                times, *noisy = _perturb(arrivals.times, sf.noise_sigma_t, sigmas,
-                                         range(base_seed, base_seed + sf.monte_carlo_trials))
-                lead = ArrivalSet(times).times
+            # trial k is seeded base_seed + k: trial 0 shares the single epoch's draw
+            times, *noisy = _perturb(arrivals.times, sf.noise_sigma_t, sigmas or (),
+                                     range(base_seed, base_seed + (sf.monte_carlo_trials or 1)))
+            lead = ArrivalSet(times).times
     except RflocError as exc:
         errors.append(_error_entry("solve", exc))
         if noisy is None:

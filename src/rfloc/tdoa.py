@@ -107,11 +107,7 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
                    reference_index: int, c: float) -> RangeDifferenceSet:
     """Differences of arrival times against the reference receiver, for one emitter.
 
-    delta_t = t_ref - t_other; delta_d = c * delta_t. A shift of all arrival
-    times (the emission time) cancels only to the float64 spacing of absolute
-    times: on pipeline_demo's geometry locate_emitter's nearest candidate is
-    3 mm-2 cm off at emission_time 1 s and ~6 km off at 1.7e9 s, against
-    1e-6 m at 0. The CLI's clock starts at the emission (cli.ScenarioFile.scenario).
+    delta_t = t_ref - t_other; delta_d = c * delta_t.
     """
     n_receivers = arrivals.times.shape[0]
     if n_receivers < 2:

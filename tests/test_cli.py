@@ -18,7 +18,7 @@ from rfloc import (Point, Scenario, TrilaterationProblem, arrival_deltas, distan
 from rfloc import cli, errors as rfloc_errors, tdoa
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, ValidationError
-from rfloc.simulate import perturb_sweep
+from rfloc.simulate import _perturb
 from rfloc.solver import _centroid
 
 from conftest import pipeline_raw_scenario, report_to_csv_reference
@@ -863,7 +863,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     doc["monte_carlo"] = {"trials": 40, "sigma_t_list": sigmas}
     sf = _validate(doc)
     arrivals = simulate_arrivals(sf.scenario())
-    times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(sf.seed, sf.seed + 40)))
+    times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(sf.seed, sf.seed + 40))[1:])
     batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
@@ -1018,7 +1018,7 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
                     "solve": {"mode": mode},
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
-    times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(3, 3 + trials)))
+    times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(3, 3 + trials))[1:])
     batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
@@ -1041,7 +1041,7 @@ def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, recei
                     "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
-    times = np.concatenate(perturb_sweep(arrivals.times, sigmas, range(seed, seed + trials)))
+    times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(seed, seed + trials))[1:])
     batched = cli._trials(sf, times)
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]

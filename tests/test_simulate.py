@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfloc import (
     ArrivalSet,
@@ -14,7 +15,7 @@ from rfloc import (
     simulate_arrivals,
 )
 from rfloc.errors import DimensionError, InvalidNoise, ValidationError
-from rfloc.simulate import _distances, perturb_sweep
+from rfloc.simulate import _distances, _perturb
 
 C = 3e8
 
@@ -49,9 +50,9 @@ def test_arrivals_unit_delay():
 
 
 def test_arrivals_zero_path():
-    s = Scenario(emitters=(Point.of(7, 7),), receivers=(Point.of(7, 7),),
-                 emission_time=0.125)
-    assert simulate_arrivals(s).times[0, 0] == 0.125
+    # The clock starts at the emission: a zero path arrives at 0.0.
+    s = Scenario(emitters=(Point.of(7, 7),), receivers=(Point.of(7, 7),))
+    assert simulate_arrivals(s).times[0, 0].tobytes() == np.float64(0.0).tobytes()
 
 
 def test_arrivals_hand_value():
@@ -75,8 +76,7 @@ def test_roundtrip_range_differences():
     for _ in range(50):
         emitters = tuple(Point.of(*rng.uniform(-2000, 2000, 3)) for _ in range(2))
         receivers = tuple(Point.of(*rng.uniform(-2000, 2000, 3)) for _ in range(3))
-        s = Scenario(emitters=emitters, receivers=receivers,
-                     emission_time=rng.uniform(0, 1e-3))
+        s = Scenario(emitters=emitters, receivers=receivers)
         d = _distances(s)
         t = simulate_arrivals(s).times
         for j in range(len(emitters)):
@@ -112,19 +112,58 @@ def test_perturb_sample_std():
     assert abs(noise.mean()) < 5e-11
 
 
+def _drawn(times, seed, sigma):
+    """times plus jitter from a generator of its own: the draw rule's reference."""
+    return times + np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, times.shape)
+
+
+_SIGMAS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-12, 1e-9, 1e300]),
+                    st.floats(min_value=5e-324, max_value=1e-3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=4),
+       lead_sigma=_SIGMAS, sigmas=st.lists(_SIGMAS, max_size=3),
+       times=st.lists(st.floats(min_value=0.0, max_value=1e-3), min_size=6, max_size=6))
+def test_one_draw_matches_a_generator_per_seed_and_sigma(seeds, lead_sigma, sigmas, times):
+    # Every copy _perturb returns, the lead and each sigma's, is bit for bit
+    # what a fresh PCG64 generator of its seed draws. Flight times are never
+    # -0.0, so at sigma = 0 the reference, times + 0.0, is times itself.
+    times = np.array(times).reshape(3, 2)
+    lead, *copies = _perturb(times, lead_sigma, sigmas, seeds)
+    assert lead.tobytes() == _drawn(times, seeds[0], lead_sigma).tobytes()
+    assert len(copies) == len(sigmas)
+    for sigma, copy in zip(sigmas, copies):
+        assert copy.shape == (len(seeds), 3, 2)
+        for k, seed in enumerate(seeds):
+            assert copy[k].tobytes() == _drawn(times, seed, sigma).tobytes()
+
+
+def test_perturb_draws_a_single_run_without_sweep_sigmas():
+    # A file without a sweep passes no sigmas: only the lead copy comes back.
+    times = np.zeros((3, 1))
+    assert _perturb(times, 0.0, [], [1, 2])[1:] == []
+    [still] = _perturb(times, 0.0, (), range(7, 8))
+    assert still is times
+    [lead] = _perturb(times, 1e-9, (), range(7, 8))
+    assert lead.tobytes() == perturb_arrivals(ArrivalSet(times), 1e-9, seed=7).times.tobytes()
+
+
 def test_perturb_times_one_copy_per_seed():
     times = np.arange(6, dtype=float).reshape(2, 3) * 1e-6
     seeds = range(40, 45)
-    [out] = perturb_sweep(times, [1e-9], seeds)
+    [out] = _perturb(times, 0.0, [1e-9], seeds)[1:]
     assert out.shape == (5, 2, 3)
     for k, seed in enumerate(seeds):
         noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1e-9, size=(2, 3))
         assert np.array_equal(out[k], times + noise)
     assert np.array_equal(out[2], perturb_arrivals(ArrivalSet(times), 1e-9, seed=42).times)
-    [still] = perturb_sweep(times, [0.0], seeds)
+    [still] = _perturb(times, 0.0, [0.0], seeds)[1:]
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
-        perturb_sweep(times, [math.inf], seeds)
+        _perturb(times, 0.0, [math.inf], seeds)
+    with pytest.raises(InvalidNoise):
+        _perturb(times, -1e-9, [], seeds)
 
 
 @pytest.mark.parametrize("sigma", [5e-324, 1e-12, 1e-9, 1e-7, 1e300])
@@ -134,16 +173,17 @@ def test_perturb_sweep_scales_one_draw_bit_for_bit(sigma):
     # which a time of -0.0 then shows.
     times = np.array([[-0.0, -0.0, -0.0], [1e-6, 2e-6, 3e-6]])
     seeds = range(40, 45)
-    still, noisy = perturb_sweep(times, [0.0, sigma], seeds)
+    lead, still, noisy = _perturb(times, sigma, [0.0, sigma], seeds)
     for k, seed in enumerate(seeds):
         z = np.random.Generator(np.random.PCG64(seed)).standard_normal((2, 3))
         noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, size=(2, 3))
         assert (0.0 + sigma * z).tobytes() == noise.tobytes()
         assert noisy[k].tobytes() == (times + noise).tobytes()
-    assert perturb_sweep(times, [sigma], seeds)[0].tobytes() == noisy.tobytes()
+    assert lead.tobytes() == noisy[0].tobytes()
+    assert _perturb(times, 0.0, [sigma], seeds)[1].tobytes() == noisy.tobytes()
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
-        perturb_sweep(times, [sigma, -1e-9], seeds)
+        _perturb(times, 0.0, [sigma, -1e-9], seeds)
 
 
 def test_perturb_negative_sigma():

@@ -6,13 +6,14 @@ library's ast module, so they need no linter.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 import rfloc
-from rfloc import solver
+from rfloc import Scenario, solver
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -223,3 +224,34 @@ def test_gauss_newton_has_two_callers():
 def test_trilateration_has_one_range_model():
     trilat = Path(rfloc.__file__).parent / "trilat.py"
     assert _callers(trilat, ("_norms",)) == {("_residuals", "_norms")}
+
+
+def test_cli_draws_single_runs_and_sweeps_in_one_call():
+    # A single run is the one-seed case of a sweep's draw: cli.run calls
+    # simulate._perturb once, and the public one-seed wrapper and the
+    # sweep-only wrapper are not on the CLI's path (the latter is gone).
+    cli = Path(rfloc.__file__).parent / "cli.py"
+    run = next(node for node in ast.parse(_source("cli.py")).body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert [ast.unparse(call.func) for call in ast.walk(run) if isinstance(call, ast.Call)
+            and "perturb" in ast.unparse(call.func)] == ["_perturb"]
+    assert _callers(cli, ("_perturb",)) == {("run", "_perturb")}
+    assert not re.search(r"\bperturb_arrivals\b", _source("cli.py"))
+    for path in SOURCES:
+        assert not re.search(r"\bperturb_sweep\b", path.read_text(encoding="utf-8")), path.name
+
+
+def test_arrivals_are_flight_times():
+    # The simulator's clock starts at the emission, so a Scenario has no
+    # emission time, and the schema's emission_time is accepted, checked and
+    # dropped: src/ names it only in cli's table of fields.
+    assert "emission_time" not in {field.name for field in dataclasses.fields(Scenario)}
+    table = next(node for node in ast.parse(_source("cli.py")).body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_SECTIONS")
+    for path in SOURCES:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        named = [i for i, line in enumerate(lines, 1) if "emission_time" in line]
+        if path.name == "cli.py":
+            assert len(named) == 1 and table.lineno <= named[0] <= table.end_lineno
+        else:
+            assert not named, path.name
