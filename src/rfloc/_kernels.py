@@ -1,9 +1,9 @@
 """Hot numeric kernels: batch objective evaluation for the solvers' oracles.
 
-One numpy implementation per kernel. perfbench's oracle_grid workload runs
-them on the verification lattices, but its traced `kernels.*` metrics read
-0: its tracer wraps the two point kernels, and grid_search evaluates nodes
-through `GridObjective.evaluator()`, which calls neither.
+One numpy implementation, behind `GridObjective.evaluator()`, which
+grid_search, a GridObjective called on points and the point kernels all use.
+perfbench's traced `kernels.*` metrics read 0 on oracle_grid: its tracer
+wraps the point kernels, which grid_search never calls.
 
 One routine (`_sum_sq`) evaluates both objectives over coordinate columns
 that broadcast: the columns of (N, D) points, or blocks of lattice nodes
@@ -45,11 +45,8 @@ def _distances(coords, a, out, head, scratch, tail) -> np.ndarray:
 
     coords[k] holds the nodes' k-th coordinates, D >= 2 of them, and they
     broadcast to out's shape. head and scratch are buffers of the shape the
-    first D-1 broadcast to, tail one of the last one's. For points every
-    shape is out's: head None writes the sum straight into out, and scratch
-    may be tail.
+    first D-1 broadcast to, tail one of the last one's.
     """
-    head = out if head is None else head
     np.subtract(coords[0], a[0], out=head)
     np.multiply(head, head, out=head)
     for k in range(1, len(coords) - 1):
@@ -90,31 +87,18 @@ def _sum_sq(coords, anchors: np.ndarray, targets: np.ndarray, tdoa: bool,
     return total
 
 
-def _on_points(points, anchors: np.ndarray, targets: np.ndarray, tdoa: bool) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    tmp = np.empty(n)
-    return _sum_sq([points[:, k] for k in range(points.shape[1])], anchors, targets, tdoa,
-                   np.empty(n), np.empty(n), np.empty(n) if tdoa else None, (None, tmp, tmp))
-
-
 def sum_sq_range_residuals(points: np.ndarray, anchors: np.ndarray,
                            dists: np.ndarray) -> np.ndarray:
-    """Sum over anchors of (|p - anchor| - dist)^2 for each row p of points.
-
-    points: (N, D) float64; anchors: (M, D); dists: (M,). Returns (N,).
-    """
-    return _on_points(points, anchors, dists, tdoa=False)
+    """Sum over anchors of (|p - anchor| - dist)^2 for each row p of (N, D)
+    points, anchors (M, D) and dists (M,): (N,) values."""
+    return GridObjective(anchors, dists, tdoa=False)(points)
 
 
 def sum_sq_tdoa_residuals(points: np.ndarray, receivers: np.ndarray,
                           deltas: np.ndarray) -> np.ndarray:
-    """Sum over k >= 1 of (|p - r0| - |p - rk| - deltas[k-1])^2 per row of points.
-
-    receivers[0] is the reference; deltas holds the range differences for the
-    remaining receivers in order. Returns (N,).
-    """
-    return _on_points(points, receivers, deltas, tdoa=True)
+    """Sum over k >= 1 of (|p - r0| - |p - rk| - deltas[k-1])^2 per row p of
+    points, with receivers[0] = r0 the reference: (N,) values."""
+    return GridObjective(receivers, deltas, tdoa=True)(points)
 
 
 def _squares(lo, hi, columns: np.ndarray) -> tuple:
@@ -147,12 +131,12 @@ def _root(squares) -> np.ndarray:
 class GridObjective:
     """A sum-of-squared-residuals objective for the grid_search oracles.
 
-    Called on (N, D) points it returns their (N,) values through the point
-    kernel, sum_sq_tdoa_residuals if tdoa, else sum_sq_range_residuals.
-    evaluator() gives grid_search an evaluator of nodes by their coordinate
-    columns, and bound() a lower bound of the objective over boxes given by
-    their per-axis edges, so that it need evaluate only the lattice leaves
-    that can hold the minimum.
+    Called on (N, D) points it returns their (N,) values, evaluated from
+    the points' columns by a fresh evaluator(), so the result is the
+    caller's. evaluator() gives grid_search an evaluator of nodes by their
+    coordinate columns, and bound() a lower bound of the objective over
+    boxes given by their per-axis edges, so that it need evaluate only the
+    lattice leaves that can hold the minimum.
     """
 
     __slots__ = ("anchors", "targets", "tdoa")
@@ -161,13 +145,13 @@ class GridObjective:
         self.anchors, self.targets, self.tdoa = anchors, targets, tdoa
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        kernel = sum_sq_tdoa_residuals if self.tdoa else sum_sq_range_residuals
-        return kernel(points, self.anchors, self.targets)
+        points = np.asarray(points, dtype=np.float64)
+        return self.evaluator()([points[:, k] for k in range(points.shape[1])])
 
     def evaluator(self):
         """A node evaluator: evaluate(coords) returns the objective at every
-        node that coords span, bit-identical to calling the objective on
-        those nodes. coords[k] holds the nodes' k-th coordinates, D arrays
+        node that coords span, with the same bits for any layout of the
+        same nodes. coords[k] holds the nodes' k-th coordinates, D arrays
         that broadcast to the nodes' shape: (N,) columns of points, or
         (M, 8, 1) and (M, 1, 8) for M blocks of 8x8 nodes, whose squared
         offsets from an anchor are then computed once per distinct

@@ -612,6 +612,15 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
     return report
 
 
+def _csv_point(entry: dict) -> tuple:
+    """(x, y, z, residual_norm) of a solve entry's estimate, or of a pipeline
+    emitter's selected root, the one the team rests on, by its candidates."""
+    if "selected" not in entry:
+        return (*entry["estimate"], entry["residual_norm"])
+    point = entry["selected"]
+    return (*point, next(n for q, n in entry["candidates"] if q == point))
+
+
 def report_to_csv(report: dict) -> str:
     """CSV rows (trial, sigma_t, mode, x, y, z, residual_norm, converged) as
     csv.writer writes them: no field needs quoting, and floats go by repr,
@@ -623,7 +632,7 @@ def report_to_csv(report: dict) -> str:
                  r["converged"]) for r in mc["rows"])
     else:
         sigma = report["input"].get("scenario", {}).get("noise_sigma_t", 0.0)
-        rows = ((0, sigma, *e["estimate"], e["residual_norm"], e["converged"])
+        rows = ((0, sigma, *_csv_point(e), e["converged"])
                 for e in report["solves"] if "estimate" in e)
     return "".join(["trial,sigma_t,mode,x,y,z,residual_norm,converged\n"] + [
         f"{trial},{sigma!r},{mode},{x!r},{y!r},{z!r},{norm!r},{'true' if ok else 'false'}\n"

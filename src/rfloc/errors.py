@@ -33,7 +33,7 @@ class Inconsistent(RflocError):
 
 
 class BudgetExceeded(RflocError):
-    """A brute-force search lattice exceeds the configured node budget."""
+    """A grid_search lattice has more nodes than its budget."""
 
 
 class NoConvergence(RflocError):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidNoise, ValidationError
 from .geometry import Point
+from .solver import _norms
 
 __all__ = [
     "Scenario",
@@ -77,8 +78,7 @@ def _distances(scenario: Scenario) -> np.ndarray:
     """d[i][j] from receiver i to emitter j, inf where it overflows; unchecked."""
     recv = np.array([(p.x, p.y, p.z) for p in scenario.receivers])
     emit = np.array([(p.x, p.y, p.z) for p in scenario.emitters])
-    diff = recv[:, None, :] - emit[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    return _norms(recv[:, None, :] - emit[None, :, :])
 
 
 def simulate_arrivals(scenario: Scenario) -> ArrivalSet:

@@ -46,6 +46,8 @@ _DAMPING_MIN = 1e-15
 # but a GridObjective: 1 << 16 beat 1 << 18 by 20-30 %. The bounded search
 # takes at most as many nodes per evaluator call, and leaves per bound call.
 _GRID_CHUNK = 1 << 16
+# grid_search refuses a lattice of more nodes than this before allocating it.
+_GRID_BUDGET = 50_000_000
 # Nodes per axis of a _bounded_search tile and of its leaves, by dimension.
 # Smaller boxes are bounded more tightly but cost more bound terms. On a
 # 2-vCPU Xeon the three oracle_grid lattices of ten seeds took 21.8 ms at
@@ -384,7 +386,6 @@ def grid_search(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: Sequence[tuple[float, float]],
     resolution: float,
-    node_budget: int = 50_000_000,
 ) -> tuple[Point, float]:
     """Exact lattice minimization; the independent verification oracle.
 
@@ -412,7 +413,7 @@ def grid_search(
 
     Raises ValueError on a resolution or bound that is not finite, and
     when no node has a value below +inf; BudgetExceeded, before anything is
-    allocated, when the lattice is larger than node_budget nodes.
+    allocated, when the lattice is larger than _GRID_BUDGET nodes.
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError("resolution must be positive and finite")
@@ -433,8 +434,8 @@ def grid_search(
     spans = [(hi - lo) / resolution + 1e-9 for lo, hi in zip(los, his)]
     counts = [math.floor(s) + 1 if math.isfinite(s) else math.inf for s in spans]
     total = math.prod(counts)
-    if total > node_budget:
-        raise BudgetExceeded(f"lattice has {total} nodes, budget is {node_budget}")
+    if total > _GRID_BUDGET:
+        raise BudgetExceeded(f"lattice has {total} nodes, budget is {_GRID_BUDGET}")
 
     axes = [los[k] + np.arange(counts[k]) * resolution for k in range(dim)]
     if isinstance(objective, _kernels.GridObjective):

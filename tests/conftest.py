@@ -122,7 +122,8 @@ def pipeline_raw_scenario(rng: np.random.Generator, spread: float = 0.25,
 
 
 def report_to_csv_reference(report: dict) -> str:
-    """cli.report_to_csv as csv.writer wrote it, the reference for its row template."""
+    """cli.report_to_csv as csv.writer wrote it, the reference for its row
+    template, with a pipeline emitter's row at its selected root."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "sigma_t", "mode", "x", "y", "z",
@@ -140,6 +141,9 @@ def report_to_csv_reference(report: dict) -> str:
             if "estimate" not in entry:
                 continue
             x, y, z = entry["estimate"]
-            writer.writerow([0, sigma, mode, x, y, z, entry["residual_norm"],
-                             str(entry["converged"]).lower()])
+            norm = entry["residual_norm"]
+            if "selected" in entry:  # the root a pipeline team rests on, with its norm
+                x, y, z = entry["selected"]
+                norm = [n for q, n in entry["candidates"] if q == entry["selected"]][0]
+            writer.writerow([0, sigma, mode, x, y, z, norm, str(entry["converged"]).lower()])
     return buf.getvalue()

@@ -508,6 +508,23 @@ def test_csv_matches_csv_writer_on_shipped_scenarios(name):
     _assert_csv_matches_reference(run(parse_scenario(os.path.join(SCENARIO_DIR, name))))
 
 
+def test_pipeline_csv_rows_are_the_selected_roots():
+    # An emitter row is the root the team rests on, with that root's norm,
+    # not the best candidate, which on pipeline_demo is 5.3 and 5.9 km off
+    # for emitters 0 and 2; the team row is the team's estimate.
+    report = run(parse_scenario(PIPELINE))
+    rows = [line.split(",") for line in report_to_csv(report).splitlines()[1:]]
+    entries = report["solves"]
+    assert [e["kind"] for e in entries] == ["pipeline_emitter"] * 3 + ["team_position"]
+    assert len(rows) == 4
+    for row, entry in zip(rows, entries):
+        point = entry.get("selected", entry["estimate"])
+        assert [float(v) for v in row[3:6]] == point
+        assert float(row[6]) == next(n for q, n in entry["candidates"] if q == point)
+        assert math.dist(point, entry["truth"]) < 1e-6
+    assert [e["estimate_error_m"] > 5e3 for e in entries[:3]] == [True, False, True]
+
+
 _CSV_NUMBERS = st.one_of(st.floats(), st.integers(), st.sampled_from(
     [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]))
 _CSV_ROWS = st.fixed_dictionaries({
@@ -518,6 +535,15 @@ _CSV_SOLVES = st.fixed_dictionaries({
     "kind": st.just("trilat"), "estimate": st.lists(_CSV_NUMBERS, min_size=3, max_size=3),
     "residual_norm": _CSV_NUMBERS, "converged": st.booleans()}) | st.fixed_dictionaries({
     "kind": st.just("doppler"), "distance_m": _CSV_NUMBERS})
+# A pipeline emitter: 1-2 candidate roots, the first its estimate, and the
+# selected root one of them.
+_CSV_POINTS = st.lists(_CSV_NUMBERS, min_size=3, max_size=3)
+_CSV_SOLVES |= st.lists(st.tuples(_CSV_POINTS, _CSV_NUMBERS), min_size=1, max_size=2).flatmap(
+    lambda cands: st.fixed_dictionaries({
+        "kind": st.just("pipeline_emitter"),
+        "selected": st.sampled_from([list(p) for p, _ in cands]),
+        "estimate": st.just(list(cands[0][0])), "residual_norm": st.just(cands[0][1]),
+        "converged": st.booleans(), "candidates": st.just([[list(p), n] for p, n in cands])}))
 
 
 @settings(max_examples=300, deadline=None)

@@ -52,3 +52,5 @@ def test_point_validation():
         Point.of(1.0)
     with pytest.raises(DimensionError):
         Point(1.0, 2.0, 3.0, dim=2)  # 2D points carry z == 0
+    with pytest.raises(DimensionError, match="dim must be 2 or 3, got 4"):
+        Point(1.0, 2.0, 3.0, dim=4)

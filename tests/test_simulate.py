@@ -207,3 +207,7 @@ def test_scenario_validation():
 def test_arrival_set_validation():
     with pytest.raises(ValidationError):
         ArrivalSet(np.array([[np.inf]]))
+    for times in (np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValidationError, match="receiver-by-emitter matrix") as info:
+            ArrivalSet(times)
+        assert info.value.field == "times"

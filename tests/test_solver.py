@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from rfloc import (
     Point,
+    RangeDifferenceSet,
     TrilaterationProblem,
     SolverOptions,
     finite_difference_jacobian,
     grid_search,
+    hyperbolic_objective,
     trilaterate_lsq,
     trilateration_objective,
     trilateration_residuals,
@@ -245,16 +247,27 @@ _UNIT_OBJECTIVE = _kernels.GridObjective(np.array([[0.0, 0.0], [1.0, 0.0], [0.0,
                                          np.ones(3), tdoa=False)
 
 
-def test_grid_budget():
+def test_grid_budget(monkeypatch):
+    default = solver._GRID_BUDGET
     for bounds, resolution, budget in [
         ([(0, 1000), (0, 1000)], 0.001, 10_000),
-        ([(0, 4294967295)] * 2, 1.0, 50_000_000),       # 2^64 nodes: an int64 product wraps to 0
-        ([(0, 1), (0, 1e20)], 0.5, 50_000_000),         # 6e20 nodes: an int64 count overflows
-        ([(-1e308, 1e308), (0, 1)], 0.5, 50_000_000),   # the span itself overflows to inf
+        ([(0, 4294967295)] * 2, 1.0, default),      # 2^64 nodes: an int64 product wraps to 0
+        ([(0, 1), (0, 1e20)], 0.5, default),        # 6e20 nodes: an int64 count overflows
+        ([(-1e308, 1e308), (0, 1)], 0.5, default),  # the span itself overflows to inf
     ]:
+        monkeypatch.setattr(solver, "_GRID_BUDGET", budget)
         for objective in (_never_called, _UNIT_OBJECTIVE):
             with pytest.raises(BudgetExceeded):
-                grid_search(objective, bounds, resolution, node_budget=budget)
+                grid_search(objective, bounds, resolution)
+
+
+def test_grid_objective_without_differences_is_zero_everywhere():
+    # One receiver and no range differences: a sum of no terms, 0.0 at every
+    # node and bounded by 0.0 on every box, so the lattice's first node wins.
+    objective = hyperbolic_objective([Point.of(3, 4)], RangeDifferenceSet(0, ()))
+    node, value = grid_search(objective, [(-1.0, 2.0), (5.0, 9.0)], 0.5)
+    assert node.coords == (-1.0, 5.0) and value.hex() == (0.0).hex()
+    assert objective(np.array([[0.0, 0.0], [1e300, -1e300]])).tolist() == [0.0, 0.0]
 
 
 def test_grid_rejects_bad_inputs():

@@ -24,6 +24,7 @@ from rfloc import (
     simulate_arrivals,
 )
 from rfloc.errors import (
+    DimensionError,
     GeometryDegenerate,
     InsufficientReceivers,
     NoConvergence,
@@ -84,6 +85,37 @@ def test_deltas_emitter_index_out_of_range():
     for index in (-1, -2, 2):
         with pytest.raises(IndexError, match="emitter index"):
             arrival_deltas(arrivals, index, 0, C)
+    for index in (-1, 3):
+        with pytest.raises(IndexError, match="reference index"):
+            arrival_deltas(arrivals, 0, index, C)
+
+
+_RECEIVERS_2D = (Point.of(0, 0), Point.of(100, 0), Point.of(0, 100))
+_RD = RangeDifferenceSet.from_range_differences(0, [(1, -17.0), (2, 12.5)], C)
+
+
+@pytest.mark.parametrize("receivers, rd, at, error, match", [
+    ((Point.of(0, 0), Point.of(100, 0), Point.of(0, 100, 5)), _RD, Point.of(1, 1),
+     DimensionError, "receivers must share one dimension"),
+    (_RECEIVERS_2D, RangeDifferenceSet.from_range_differences(3, [(1, -17.0)], C),
+     Point.of(1, 1), IndexError, "reference index 3"),
+    (_RECEIVERS_2D, RangeDifferenceSet.from_range_differences(0, [(1, -17.0), (3, 1.0)], C),
+     Point.of(1, 1), IndexError, "receiver index 3"),
+    (_RECEIVERS_2D, _RD, Point.of(1, 1, 1), DimensionError, "point 3D, receivers 2D"),
+], ids=["mixed-dims", "reference", "other", "point-dim"])
+def test_receiver_checks_of_residuals_and_jacobian(receivers, rd, at, error, match):
+    for evaluate in (hyperbolic_residuals, hyperbolic_jacobian):
+        with pytest.raises(error, match=match):
+            evaluate(receivers, rd, at)
+
+
+def test_locate_emitter_needs_three_receivers_and_two_differences():
+    with pytest.raises(ValueError, match="exactly 3 receivers, got 2"):
+        locate_emitter(_RECEIVERS_2D[:2], RangeDifferenceSet.from_range_differences(
+            0, [(1, -17.0)], C))
+    with pytest.raises(ValueError, match="exactly 2 receiver pairs"):
+        locate_emitter(_RECEIVERS_2D, RangeDifferenceSet.from_range_differences(
+            0, [(1, -17.0)], C))
 
 
 def test_arrival_deltas_equal_the_batched_rule():

@@ -98,6 +98,18 @@ def test_2d_collinear():
         trilaterate(problem)
 
 
+def test_2d_residual_norm_overflow_is_inconsistent():
+    # Equal huge ranges to anchors 0 and 1 put the radical line on their
+    # bisector, and the unit circle about anchor 2 meets it at two roots
+    # about 1 m from every anchor. Both roots have residuals of -1.5e308
+    # against ranges 0 and 1, whose root sum of squares, 2.1e308, does not
+    # fit in a float64 even when math.hypot takes it.
+    problem = TrilaterationProblem(
+        (Point.of(0, 0), Point.of(2, 0), Point.of(1, 1)), (1.5e308, 1.5e308, 1.0), 2)
+    with pytest.raises(Inconsistent, match="residual norm overflows"):
+        trilaterate(problem)
+
+
 def test_2d_inconsistent_when_circle_unreachable():
     # third circle too small to reach the radical line of the first two
     problem = TrilaterationProblem(
@@ -450,10 +462,24 @@ def test_problem_validation():
         TrilaterationProblem(DEMO_EMITTERS, (1.0, 1.0, -3.0), 2)
     with pytest.raises(DimensionError):
         TrilaterationProblem(DEMO_EMITTERS, (1.0, 1.0, 1.0), 3)
+    with pytest.raises(DimensionError, match="dimension must be 2 or 3, got 4"):
+        TrilaterationProblem(DEMO_EMITTERS, (1.0, 1.0, 1.0), 4)
     with pytest.raises(ValueError):
         trilaterate(TrilaterationProblem(
             (Point.of(0, 0), Point.of(10, 0), Point.of(0, 10), Point.of(10, 10)),
             (5.0, 5.0, 5.0, 5.0), 2))
+
+
+def test_point_and_start_must_match_the_problem_dimension():
+    problem = TrilaterationProblem(DEMO_EMITTERS, DEMO_DISTANCES, 2)
+    for evaluate in (trilateration_residuals, trilateration_jacobian):
+        with pytest.raises(DimensionError, match="point is 3D, problem is 2D"):
+            evaluate(problem, Point.of(1, 2, 3))
+    with pytest.raises(DimensionError, match="init is 3D, problem is 2D"):
+        trilaterate_lsq(problem, Point.of(1, 2, 3))
+    for init in ([1.0], (1.0, 2.0, 3.0)):
+        with pytest.raises(DimensionError, match=f"init has {len(init)} coordinates"):
+            trilaterate_lsq(problem, init)
 
 
 def test_team_position_overflow_is_total():
