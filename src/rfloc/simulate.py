@@ -34,6 +34,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_speed(c: float) -> None:
+    """Refuse a propagation speed c that is not positive and finite."""
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValidationError(f"c must be positive and finite, got {c!r}", field="c")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Emitter/receiver geometry and propagation speed.
@@ -56,8 +62,7 @@ class Scenario:
         dims = {p.dim for p in self.emitters} | {p.dim for p in self.receivers}
         if len(dims) != 1:
             raise DimensionError("emitters and receivers must share one dimension")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValidationError("c must be positive", field="c")
+        _check_speed(self.c)
 
 
 @dataclass(frozen=True)

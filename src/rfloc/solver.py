@@ -161,19 +161,12 @@ def _unit_rows(x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return diff / norms[..., None]
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of every (k, k) matrix of a against its row of b (..., k);
-    NaN rows where a matrix is singular, which a stacked solve refuses as a whole."""
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for one (k, k) system; NaN where a is singular."""
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        return np.full(b.shape, np.nan)
 
 
 def gauss_newton_raw(
@@ -207,7 +200,7 @@ def gauss_newton_raw(
         lam = 0.0
         while True:
             A = JtJ if lam == 0.0 else JtJ + lam * np.eye(len(JtJ))
-            step = _solve_rows(A[None], minus_g[None])[0]
+            step = _solve(A, minus_g)
             # A singular rung leaves NaN: np.isfinite(step).all(), on floats.
             if all(map(math.isfinite, step.tolist())):
                 x_new = x + step

@@ -18,8 +18,9 @@ receiver triangle (_plane_batch), and _fixes is its one driver:
 locate_emitter is its one-row case, and the CLI sends a pipeline
 fix's emitters, or every trial of a sweep, through it. Each row comes back
 as its solve alone would: its result, with the bits of that solve, or the
-error that solve raises. A row whose branches do not meet runs one
-Gauss-Newton fallback.
+error that solve raises. Its roots are the quadratic's own, not refined by
+Newton steps. A row whose branches do not meet runs one damped Gauss-Newton
+fallback.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .simulate import ArrivalSet
+from .simulate import ArrivalSet, _check_speed
 from .solver import (_TIE_EPS, SolveResult, SolverOptions, _centroid, _cross, _norms, _outcome,
-                     _rowdot, _solve_rows, _unit_rows, gauss_newton_raw)
+                     _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDifferenceSet",
@@ -55,7 +56,6 @@ __all__ = [
 _DEDUP_TOL = 1e-6      # meters between distinct minimizers
 _RUNAWAY_DIAMS = 1e6   # points beyond this many triangle diameters are divergent
 _RANK_TOL = 1e-12      # relative: parallel linearized rows mean no unique line
-_POLISH_STEPS = 8      # Newton steps at most per root in _polish
 
 
 class _RangeDelta(NamedTuple):
@@ -89,6 +89,7 @@ class RangeDifferenceSet:
                                pairs: Sequence[tuple[int, float]],
                                c: float) -> "RangeDifferenceSet":
         """Build from (other_index, delta_d meters) pairs, deriving delta_t = delta_d / c."""
+        _check_speed(c)
         return cls(reference_index,
                    tuple(_RangeDelta(i, dd / c, dd) for i, dd in pairs))
 
@@ -109,6 +110,7 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
 
     delta_t = t_ref - t_other; delta_d = c * delta_t.
     """
+    _check_speed(c)
     n_receivers = arrivals.times.shape[0]
     if n_receivers < 2:
         raise InsufficientReceivers("need at least 2 receivers for arrival differences")
@@ -224,41 +226,6 @@ def _triangle(recv: np.ndarray) -> float:
     return diam
 
 
-def _polish(recv: np.ndarray, deltas: np.ndarray, plane: float, x: np.ndarray,
-            floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drive approximate roots to the residual floor with pure Newton steps.
-
-    x is (M, k), one start per row of deltas (M, 2), polished in place, and
-    floor (M,) the rows' residual floors. Near-tangent branch crossings
-    leave the default stopping rules satisfied while the root is still
-    ~1e-2 m away; at most _POLISH_STEPS undamped steps accepted only on strict improvement
-    pin it to machine precision. A row stops once its residual norm is at
-    or below its floor (there a near-singular Jacobian turns rounding noise
-    into a large step along the branches), or at its first step that is not
-    finite or does not improve. Returns x and the rows' residual norms.
-    """
-    floor2 = floor * floor
-    r = _closures(recv, deltas, plane)[0](x)
-    f = _rowdot(r, r)
-    live = np.nonzero(~(f <= floor2))[0]
-    for _ in range(_POLISH_STEPS):
-        if not live.size:
-            break
-        residual, jacobian = _closures(recv, deltas[live], plane)
-        xl, rl = x[live], r[live]
-        J = jacobian(xl)
-        Jt = J.swapaxes(-1, -2)
-        step = _solve_rows(Jt @ J, -(Jt @ rl[..., None])[..., 0])
-        x_new = xl + step
-        r_new = residual(x_new)
-        f_new = _rowdot(r_new, r_new)
-        ok = np.isfinite(step).all(axis=1) & np.isfinite(f_new) & (f_new < f[live])
-        live = live[ok]
-        x[live], r[live], f[live] = x_new[ok], r_new[ok], f_new[ok]
-        live = live[~(f[live] <= floor2[live])]
-    return x, np.sqrt(f)
-
-
 class _PlaneRoots(NamedTuple):
     """The closed-form solve of N rows of differences (see _plane_batch)."""
 
@@ -276,7 +243,6 @@ class _PlaneRoots(NamedTuple):
 # Each lists the left rows, then the right ones.
 _GRAM = np.array([0, 0, 1, 2, 0, 1, 1, 2])
 _QUAD = np.array([2, 3, 3, 2, 2, 3])
-_FLOOR_ULPS = 8 * np.finfo(float).eps   # a root's rounding floor per unit of coordinate
 
 
 def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float,
@@ -293,15 +259,14 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
     with e_k the planar offset of receiver k from the reference. Their
     solutions form the line m + t n (minimum-norm m, unit null direction n),
     and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
-    roots (r0 >= 0, r0 >= d_k, within the runaway radius) are polished,
-    deduplicated at 1e-6 m and sorted by norm, then x, then y; near is
-    the residual-tied one nearest the receiver centroid. A row with no root
-    (the branches do not meet) gets Gauss-Newton starts on the line instead,
-    and a rank-deficient row the receiver centroid as its one start.
+    roots (r0 >= 0, r0 >= d_k, within the runaway radius) are deduplicated
+    at 1e-6 m and sorted by residual norm, then x, then y; near is the
+    residual-tied one nearest the receiver centroid. A row with no root (the
+    branches do not meet) gets Gauss-Newton starts on the line instead, and
+    a rank-deficient row the receiver centroid as its one start.
 
     Each row has the bits of a solve of that row alone: row dot products and
-    matrix products go through the loops `@` uses on one row, and the
-    polish through a stacked LAPACK solve.
+    matrix products go through the loops `@` uses on one row.
     """
     rows = len(deltas)
     planar = recv[:, :2]
@@ -360,14 +325,9 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         roots = planar[0] + uxy
         roots[~valid] = 0.0  # what follows never sees a slot without a root as inf or NaN
 
-        # Polish every admissible root against its row's rounding floor: a few
-        # ulps of the largest coordinate. A slot without a root has an infinite
-        # floor, so it never steps (its residuals may overflow, unused).
-        reach = max(map(abs, (x0, y0, z0, x1, y1, z1, x2, y2, z2)))
-        floor = _FLOOR_ULPS * (np.abs(roots).reshape(rows, 4).max(axis=1) + reach)
-        roots, norms = _polish(recv, deltas.repeat(2, axis=0), plane, roots.reshape(-1, 2),
-                               np.where(valid, floor[:, None], np.inf).ravel())
-        roots, norms = roots.reshape(rows, 2, 2), norms.reshape(rows, 2)
+        # Each root's residual norm; a slot without a root (0.0) has an unused one.
+        r = _closures(recv, deltas[:, None], plane)[0](roots)
+        norms = np.sqrt(_rowdot(r, r))
 
         # Candidates by norm, then x, y; the second one dropped within
         # _DEDUP_TOL of the first; the residual-tied ones by distance to the
@@ -474,9 +434,9 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
     """
     residual, jacobian = _closures(recv, deltas, plane)
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
-        start = min(starts, key=lambda x: float(np.linalg.norm(residual(x))))
+        start = min(starts, key=lambda x: float(_norms(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
-    ok = ok and float(np.linalg.norm(x - center)) <= _RUNAWAY_DIAMS * diam
+    ok = ok and float(_norms(x - center)) <= _RUNAWAY_DIAMS * diam
     return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
                     "the branches do not meet and the least-squares run did not converge "
                     "to a finite point")
@@ -497,8 +457,8 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
     bools included), or not 0 for 2D receivers, is a ValidationError.
 
     The squared range differences are linear in (x, y, r0) up to one
-    quadratic (see _plane_batch); each admissible root is polished with
-    Newton steps on the unsquared residuals and comes back as a candidate
+    quadratic (see _plane_batch); each admissible root comes back as a
+    candidate, with its residual norm on the unsquared differences
     (deduplicated at 1e-6 m), since the two branches may cross at two points
     that both reproduce the measured differences. When the branches do not
     meet, one damped Gauss-Newton run gives the least-squares point, flagged

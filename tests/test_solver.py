@@ -119,16 +119,14 @@ def test_singular_normal_equations_take_the_damping_ladder():
     assert norm < 1e-11
 
 
-def test_solve_rows_leaves_singular_rows_nan():
-    # A stacked np.linalg.solve refuses the whole stack for one singular
-    # matrix; _solve_rows then gives that row NaN and every other row the
-    # bits of its own solve.
-    a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 1.0], [0.5, 2.0]]])
-    b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = solver._solve_rows(a, b)
-    assert np.isnan(out[1]).all()
-    for k in (0, 2):
-        assert out[k].tobytes() == np.linalg.solve(a[k], b[k]).tobytes()
+def test_solve_gives_nan_for_a_singular_system():
+    # np.linalg.solve raises on a singular matrix; _solve gives NaN instead,
+    # and a regular system the bits of np.linalg.solve.
+    b = np.array([3.0, 4.0])
+    assert np.isnan(solver._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), b)).all()
+    for a in ([[2.0, 1.0], [1.0, 3.0]], [[4.0, 1.0], [0.5, 2.0]]):
+        a = np.array(a)
+        assert solver._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
 
 
 def test_solver_options_validation():

@@ -174,7 +174,7 @@ def test_team_step_runs_no_gauss_newton():
     # from cli._team reaches the damped Gauss-Newton or a linear solve.
     reached = _reachable("_team")
     assert {"team_relative_position", "_line_fit"} <= reached
-    assert not reached & {"gauss_newton_raw", "_solve_rows", "trilaterate_lsq"}
+    assert not reached & {"gauss_newton_raw", "_solve", "trilaterate_lsq"}
 
 
 def test_cli_row_driver_returns_the_drivers_unwrapped():
@@ -187,28 +187,33 @@ def test_cli_row_driver_returns_the_drivers_unwrapped():
 
 
 @pytest.mark.parametrize("name", ["order_candidates", "_solve_one", "_trilaterate_rows",
-                                  "_trilat_trials", "_tdoa_trials",
+                                  "_trilat_trials", "_tdoa_trials", "_solve_rows",
+                                  "_polish", "_POLISH_STEPS", "_FLOOR_ULPS",
                                   *(f"{solve}_{dim}d" for solve in ("trilaterate", "locate_emitter")
                                     for dim in (2, 3))])
 def test_one_row_driver_per_solver_leaves_no_twin(name):
     # Single runs and sweeps share trilat._batch and tdoa._fixes; the
     # per-problem solve, the Python-sorted candidate order, the per-family
-    # sweep loops and the per-dimension public solves are gone. (The last
+    # sweep loops, the per-dimension public solves, the stacked linear solve
+    # and the TDOA roots' Newton polish are gone. (The per-dimension solves
     # are spelled from parts, so that this file does not name them either.)
     for path in SOURCES:
         assert not re.search(rf"\b{name}\b", path.read_text(encoding="utf-8")), path.name
 
 
 def test_one_linear_solve_serves_every_newton_step():
-    # _polish and every damping rung of gauss_newton_raw go through _solve_rows.
+    # Every damping rung of gauss_newton_raw solves its one system through
+    # _solve, and nothing else solves a linear system.
     calls = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         calls |= {(path.name, getattr(top, "name", "<module>")) for top in tree.body
                   for node in ast.walk(top) if isinstance(node, ast.Attribute)
                   and ast.unparse(node) == "np.linalg.solve"}
-    assert calls == {("solver.py", "_solve_rows")}
+    assert calls == {("solver.py", "_solve")}
     assert not hasattr(solver, "_solve_step")
+    assert {(path.name, *caller) for path in SOURCES for caller in _callers(path, ("_solve",))} \
+        == {("solver.py", "gauss_newton_raw", "_solve")}
 
 
 def test_gauss_newton_has_two_callers():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tdoa_roundtrip_case
+from conftest import pipeline_raw_scenario, sample_triangle_2d, tdoa_roundtrip_case
 from rfloc import tdoa
 from rfloc import (
     ArrivalSet,
@@ -381,6 +381,21 @@ def test_range_difference_set_non_finite_is_a_package_error():
         assert info.value.field == "deltas"
 
 
+@pytest.mark.parametrize("c", [0.0, -3e8, math.inf, math.nan])
+def test_public_constructors_refuse_a_speed_scenario_refuses(c):
+    # A zero c divided by zero, a negative one flipped every delta_t and a
+    # zero one made every difference 0; each is now Scenario's ValidationError.
+    arrivals = ArrivalSet(np.array([[2e-7], [1e-7]]))
+    for build in (lambda: RangeDifferenceSet.from_range_differences(0, [(1, 5.0)], c),
+                  lambda: arrival_deltas(arrivals, 0, 0, c)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert info.value.field == "c"
+    with pytest.raises(ValidationError) as info:
+        Scenario(emitters=(Point.of(1, 2),), receivers=(Point.of(0, 0),), c=c)
+    assert info.value.field == "c"
+
+
 def test_locate_2d_returns_both_branch_intersections():
     # The branches cross twice; both crossings reproduce the differences.
     emitter = Point.of(150, -60)
@@ -623,35 +638,43 @@ def test_batched_fixes_equal_public_solves_3d():
     assert kinds == {"ok", "NoConvergence"}
 
 
-@pytest.mark.parametrize("fixed_z", [None, 0.5])
-def test_polish_rows_equal_single_row_polish(fixed_z):
-    # Starts 1 mm to 10 m off the emitters take Newton steps and stop at
-    # different iterations, at their floor or at a step that does not
-    # improve; each row of one call has the bits of a call on that row.
-    # None is the 2D case: its receivers lifted to the plane z = 0.
-    rng = np.random.default_rng(31)
-    if fixed_z is None:
-        recv = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
-        emitters = rng.uniform(-3000, 3000, size=(60, 2))
-        points = emitters
-    else:
-        recv = np.array([[10.0, -5.0, 150.0], [40.0, 3.0, 160.0], [-20.0, 25.0, 140.0]])
-        emitters = rng.uniform(-3000, 3000, size=(60, 2))
-        points = np.column_stack([emitters, np.full(60, fixed_z)])
-    d = np.linalg.norm(points[:, None] - recv, axis=2)
-    deltas = d[:, :1] - d[:, 1:]
-    starts = emitters + rng.normal(0.0, 1.0, (60, 2)) * rng.choice([1e-3, 1.0, 10.0], (60, 1))
-    floor = tdoa._FLOOR_ULPS * (np.abs(starts).max(axis=1) + np.abs(recv).max())
-    plane = 0.0 if fixed_z is None else fixed_z
-    recv = _lift(recv) if fixed_z is None else recv
-    xs, norms = tdoa._polish(recv, deltas, plane, starts.copy(), floor)
-    moved = 0
-    for k in range(60):
-        x, norm = tdoa._polish(recv, deltas[k:k + 1], plane, starts[k:k + 1].copy(),
-                               floor[k:k + 1])
-        assert (xs[k].tobytes(), norms[k].tobytes()) == (x[0].tobytes(), norm[0].tobytes())
-        moved += not np.array_equal(xs[k], starts[k])
-    assert moved == 60 and np.median(norms) < 1e-6
+def _roundtrip_geometries(rng):
+    """Noise-free problems as (recv (3, 3), deltas (N, 2), dim), N emitters on
+    the plane z = 0 each: criterion-3 triangles, the same triangles with
+    receiver heights of 0-300 m, and pipeline clusters."""
+    for heights in (False, True):
+        for _ in range(100):
+            recv = _lift(sample_triangle_2d(rng))
+            if heights:
+                recv[:, 2] = rng.uniform(0.0, 300.0, 3)
+            diam = max(np.linalg.norm(recv[i] - recv[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+            theta = rng.uniform(0.0, 2.0 * np.pi, 10)
+            radius = rng.uniform(0.0, 10.0, 10) * diam
+            emitters = np.zeros((10, 3))
+            emitters[:, :2] = recv[:, :2].mean(axis=0) + radius[:, None] * np.column_stack(
+                (np.cos(theta), np.sin(theta)))
+            yield recv, emitters, 3 if heights else 2
+    for _ in range(300):
+        raw = pipeline_raw_scenario(rng)["scenario"]
+        yield np.array(raw["receivers"]), np.array(raw["emitters"]), 3
+
+
+def test_closed_form_roots_reach_the_rounding_floor():
+    # Without a Newton polish, every root of a noise-free round trip is the
+    # closed form's own: each candidate fits the differences to 1e-7 m (about
+    # 1e-8 m at most over 1e6 such solves), and none is flagged inconsistent.
+    rng = np.random.default_rng(2026)
+    solves = 0
+    for recv, emitters, dim in _roundtrip_geometries(rng):
+        d = np.linalg.norm(emitters[:, None] - recv, axis=2)
+        deltas = d[:, :1] - d[:, 1:]
+        closed, fix = tdoa._fixes(recv, deltas, 0.0, dim, SolverOptions())
+        for k in range(len(deltas)):
+            result = fix(k)
+            assert closed[k] is not None and not result.flags
+            assert max(norm for _, norm in result.candidates) <= 1e-7
+            solves += 1
+    assert solves == 2900
 
 
 def _planar_outcome(solve):
