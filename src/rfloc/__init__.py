@@ -18,7 +18,6 @@ from .simulate import (
 )
 from .solver import (
     SolveResult,
-    SolverOptions,
     finite_difference_jacobian,
     grid_search,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ArrivalSet",
     "simulate_arrivals",
     "perturb_arrivals",
-    "SolverOptions",
     "SolveResult",
     "finite_difference_jacobian",
     "grid_search",

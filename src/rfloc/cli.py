@@ -32,7 +32,7 @@ from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, distance
 from .simulate import ArrivalSet, Scenario, _perturb, simulate_arrivals
-from .solver import SolveResult, SolverOptions, _centroid
+from .solver import SolveResult, _centroid
 from .tdoa import _fixes, _range_differences
 from .trilat import _batch, team_relative_position
 
@@ -65,7 +65,6 @@ class ScenarioFile:
     noise_sigma_t: float
     seed: int
     distances: tuple[float, ...] | None
-    options: SolverOptions
     emitter_plane_z: float | None
     monte_carlo_trials: int | None
     monte_carlo_sigmas: tuple[float, ...] | None
@@ -190,19 +189,18 @@ def _by_mode(value, where: str):
 
 _REQUIRED, _IGNORED = "required", "ignored"
 # path -> field -> (rule, default); "" is the document itself. The field
-# names of "scenario" are ScenarioFile's, those of "solve.options" are
-# SolverOptions'. Schema v1 still accepts and checks the _IGNORED fields,
-# and _section drops them: nothing reads them.
+# names of "scenario" are ScenarioFile's. Schema v1 still accepts and checks
+# the _IGNORED fields, and _section drops them: nothing reads them.
 _SECTIONS = {
     "": {"schema_version": (_schema_version, _REQUIRED), "solve": (_section, _REQUIRED),
          "scenario": (_section, _REQUIRED), "doppler": (_by_mode, None),
          "monte_carlo": (_by_mode, None)},
     "solve": {"mode": (_mode, _REQUIRED), "options": (_section, {}),
               "emitter_plane_z": (_plane, None)},
-    "solve.options": {"max_iterations": (_count, SolverOptions.max_iterations),
-                      "step_tolerance": (_positive, SolverOptions.step_tolerance),
-                      "residual_tolerance": (_positive, SolverOptions.residual_tolerance),
-                      "damping_initial": (_positive, SolverOptions.damping_initial),
+    "solve.options": {"max_iterations": (_count, _IGNORED),
+                      "step_tolerance": (_positive, _IGNORED),
+                      "residual_tolerance": (_positive, _IGNORED),
+                      "damping_initial": (_positive, _IGNORED),
                       "multistart_count": (_count, _IGNORED)},
     "scenario": {"emitters": (_points, ()), "receivers": (_points, ()),
                  "c": (_positive, 3.0e8), "carrier": (_positive, 1.0e9),
@@ -280,8 +278,7 @@ def _validate(raw) -> ScenarioFile:
                                   field="receivers")
 
     return ScenarioFile(
-        schema_version=1, mode=mode, **scen, options=SolverOptions(**solve["options"]),
-        emitter_plane_z=plane,
+        schema_version=1, mode=mode, **scen, emitter_plane_z=plane,
         monte_carlo_trials=None if mc is None else mc["trials"],
         monte_carlo_sigmas=None if mc is None else mc["sigma_t_list"],
         doppler_f_received=f_received, raw=raw,
@@ -369,7 +366,7 @@ def _rows(sf: ScenarioFile, times: np.ndarray | None):
         ranges = [sf.distances] if times is None else _ranges(sf, times).reshape(-1, 3)
         return _batch([p.coords for p in sf.emitters], ranges)
     return _fixes(_receivers(sf), _range_differences(times, sf.c).reshape(-1, 2),
-                  sf.emitter_plane_z, dim, sf.options)
+                  sf.emitter_plane_z, dim)
 
 
 def _solves(sf: ScenarioFile, fix, first: int = 0

@@ -11,6 +11,7 @@ any platform, and one draw serves every sigma of a sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,10 +35,18 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a finite real number other than a bool (an int past floats is not)."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_speed(c: float) -> None:
-    """Refuse a propagation speed c that is not positive and finite."""
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValidationError(f"c must be positive and finite, got {c!r}", field="c")
+    """Refuse a propagation speed c that is not a positive finite real number."""
+    if not (_finite_real(c) and c > 0.0):
+        raise ValidationError(f"c must be a positive finite number, got {c!r}", field="c")
 
 
 @dataclass(frozen=True)
@@ -115,10 +124,10 @@ def _perturb(times: np.ndarray, lead_sigma: float, sigmas: Sequence[float],
     Generator.normal(0.0, sigma) does: each row is bit-identical to times +
     normal(0.0, sigma, times.shape) from a generator of its own. A sigma of 0
     leaves times as they are (a copy is then a read-only broadcast). Raises
-    InvalidNoise for a negative or non-finite sigma.
+    InvalidNoise for a sigma that is not a finite real number >= 0.
     """
     for sigma_t in (lead_sigma, *sigmas):
-        if not (math.isfinite(sigma_t) and sigma_t >= 0.0):
+        if not (_finite_real(sigma_t) and sigma_t >= 0.0):
             raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
     shape = (len(seeds),) + times.shape
     if max((lead_sigma, *sigmas)) == 0.0:

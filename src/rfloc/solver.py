@@ -18,18 +18,16 @@ callable is scanned exhaustively, chunk by chunk.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceeded, NoConvergence, ValidationError
+from .errors import BudgetExceeded, NoConvergence
 from .geometry import Point
 
 __all__ = [
-    "SolverOptions",
     "SolveResult",
     "finite_difference_jacobian",
     "grid_search",
@@ -40,6 +38,10 @@ _TIE_EPS = 1e-9        # residual norms within this are "tied"
 # Separates measurement noise from genuinely consistent data: well above
 # solver convergence, far below any meaningful range error.
 INCONSISTENCY_TOL = 1e-6
+_MAX_ITERATIONS = 100     # damped Gauss-Newton iterations per run, at most
+_STEP_TOL = 1e-10         # meters: a shorter accepted step stops the run
+_RESIDUAL_TOL = 1e-12     # meters^2: so does a smaller fall of the squared residual
+_DAMPING_INITIAL = 1e-3   # the damping ladder's first rung
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
 # Nodes per chunk of grid_search's exhaustive scan, the path of any objective
@@ -56,30 +58,6 @@ _GRID_BUDGET = 50_000_000
 # (32, 4), and 33.3 at (32, 8) and (8, 4): sums of medians of 11, the sizes
 # alternated call by call. The first three are within noise of each other.
 _GRID_LEVELS = {2: (64, 8), 3: (16, 4)}
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunables for the damped Gauss-Newton loop."""
-
-    max_iterations: int = 100
-    step_tolerance: float = 1e-10       # meters
-    residual_tolerance: float = 1e-12   # change in squared residual, meters^2
-    damping_initial: float = 1e-3
-
-    def __post_init__(self):
-        # As the scenario schema reads them: 3.0 iterations is 3, 2.5 is refused.
-        n = self.max_iterations
-        whole = isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()
-        if isinstance(n, bool) or not whole or n < 1:
-            raise ValidationError("max_iterations must be a whole number >= 1",
-                                  field="max_iterations")
-        object.__setattr__(self, "max_iterations", int(n))
-        for name in ("step_tolerance", "residual_tolerance", "damping_initial"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and 0.0 < value < math.inf):
-                raise ValidationError(f"{name} must be positive and finite", field=name)
 
 
 @dataclass(frozen=True)
@@ -173,7 +151,6 @@ def gauss_newton_raw(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    opts: SolverOptions | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Array-level damped Gauss-Newton. Returns (x, residual_norm, iterations, converged).
 
@@ -181,15 +158,14 @@ def gauss_newton_raw(
     iterate (the accepted objective is monotone non-increasing, so the last
     accepted iterate is the best).
     """
-    opts = opts or SolverOptions()
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual_fn(x), dtype=float)
     f = float(r @ r)
-    lam_memory = opts.damping_initial
+    lam_memory = _DAMPING_INITIAL
     iterations = 0
     converged = False
 
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         J = np.asarray(jacobian_fn(x), dtype=float)
         Jt = J.T
         minus_g = -(Jt @ r)
@@ -219,7 +195,7 @@ def gauss_newton_raw(
         step_norm = math.sqrt(step @ step)  # np.linalg.norm(step), without its overhead
         improvement = f - f_new
         x, r, f = x_new, r_new, f_new
-        if step_norm < opts.step_tolerance or improvement < opts.residual_tolerance:
+        if step_norm < _STEP_TOL or improvement < _RESIDUAL_TOL:
             converged = True
             break
 

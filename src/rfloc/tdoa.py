@@ -40,9 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .simulate import ArrivalSet, _check_speed
-from .solver import (_TIE_EPS, SolveResult, SolverOptions, _centroid, _cross, _norms, _outcome,
-                     _rowdot, _unit_rows, gauss_newton_raw)
+from .simulate import ArrivalSet, _check_speed, _finite_real
+from .solver import (_TIE_EPS, SolveResult, _centroid, _cross, _norms, _outcome, _rowdot,
+                     _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDifferenceSet",
@@ -72,6 +72,9 @@ class RangeDifferenceSet:
     deltas: tuple[_RangeDelta, ...]
 
     def __post_init__(self):
+        indices = [self.reference_index, *(d[0] for d in self.deltas)]
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in indices):
+            raise ValidationError(f"receiver indices must be integers: {indices}", field="deltas")
         object.__setattr__(
             self, "deltas",
             tuple(_RangeDelta(int(d[0]), float(d[1]), float(d[2])) for d in self.deltas))
@@ -129,15 +132,15 @@ def _ordered_receivers(receivers: Sequence[Point], rd: RangeDifferenceSet,
                        at: Point | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Receiver coordinates with the reference first, plus aligned delta_d
     array; the point at, when given, must share the receivers' dimension."""
-    dim = receivers[0].dim
-    if any(p.dim != dim for p in receivers):
-        raise DimensionError("receivers must share one dimension")
     n = len(receivers)
     if not (0 <= rd.reference_index < n):
         raise IndexError(f"reference index {rd.reference_index} out of range")
     for d in rd.deltas:
         if not (0 <= d.other_index < n):
             raise IndexError(f"receiver index {d.other_index} out of range")
+    dim = receivers[0].dim
+    if any(p.dim != dim for p in receivers):
+        raise DimensionError("receivers must share one dimension")
     rows = [receivers[rd.reference_index].coords]
     rows += [receivers[d.other_index].coords for d in rd.deltas]
     if at is not None and at.dim != dim:
@@ -371,7 +374,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
     return _PlaneRoots(roots, norms, count, near, starts, start_ok)
 
 
-def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: SolverOptions
+def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
            ) -> tuple[list, Callable[[int], SolveResult]]:
     """Every row of deltas (N, 2) solved on the plane z = plane against the
     reference-first receivers recv (3, 3), each as a solve of that row alone.
@@ -408,7 +411,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
         count = int(batch.count[k])
         if not count:
             return _fallback(recv, deltas[k], plane, dim, diam, centroid[:2],
-                             batch.starts[k][batch.start_ok[k]], opts)
+                             batch.starts[k][batch.start_ok[k]])
         norms = batch.norms[k].tolist()
         near = int(batch.near[k])
         cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
@@ -420,8 +423,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, opts: S
 
 
 def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
-              center: tuple[float, float], starts: np.ndarray,
-              opts: SolverOptions) -> SolveResult:
+              center: tuple[float, float], starts: np.ndarray) -> SolveResult:
     """One damped Gauss-Newton run from whichever start fits the differences
     better, flagged inconsistent beyond INCONSISTENCY_TOL.
 
@@ -435,7 +437,7 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
     residual, jacobian = _closures(recv, deltas, plane)
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
         start = min(starts, key=lambda x: float(_norms(residual(x))))
-        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start, opts)
+        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start)
     ok = ok and float(_norms(x - center)) <= _RUNAWAY_DIAMS * diam
     return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
                     "the branches do not meet and the least-squares run did not converge "
@@ -443,8 +445,7 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
 
 
 def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
-                   emitter_plane_z: float = 0.0,
-                   opts: SolverOptions | None = None) -> SolveResult:
+                   emitter_plane_z: float = 0.0) -> SolveResult:
     """Locate an emitter from three receivers' two range differences, in
     closed form, in the receivers' dimension.
 
@@ -468,7 +469,7 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
     far-field residual. NoConvergence is raised if that run does not
     converge or stops beyond 1e6 triangle diameters, as it does when the
     branches diverge and the least-squares point is at infinity; its best
-    iterate then keeps their common bearing. opts only configures that run.
+    iterate then keeps their common bearing.
     """
     if len(receivers) != 3:
         raise ValueError(f"locate_emitter needs exactly 3 receivers, got {len(receivers)}")
@@ -476,16 +477,11 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
     if len(deltas) != 2:
         raise ValueError("need range differences for exactly 2 receiver pairs")
     plane = emitter_plane_z
-    try:  # an int beyond the float range overflows on its way to isfinite
-        finite = (isinstance(plane, numbers.Real) and not isinstance(plane, bool)
-                  and math.isfinite(plane))
-    except OverflowError:
-        finite = False
-    if not finite or (dim == 2 and plane != 0):
+    if not _finite_real(plane) or (dim == 2 and plane != 0):
         raise ValidationError(
             f"emitter_plane_z must be a finite number (0 for 2D receivers), got {plane!r}: "
             "three receivers give two range differences, too few for a free emitter height",
             field="emitter_plane_z")
     if dim == 2:
         recv = np.column_stack((recv, np.zeros(3)))
-    return _fixes(recv, deltas[None], float(plane), dim, opts or SolverOptions())[1](0)
+    return _fixes(recv, deltas[None], float(plane), dim)[1](0)

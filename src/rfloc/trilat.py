@@ -35,8 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, SolverOptions, _centroid, _cross,
-                     _norms, _outcome, _rowdot, _unit_rows, gauss_newton_raw)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, _centroid, _cross, _norms,
+                     _outcome, _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "TrilaterationProblem",
@@ -291,8 +291,7 @@ def trilaterate(problem: TrilaterationProblem) -> SolveResult:
     return _batch(problem.anchor_array, problem.distance_array[None, :])[1](0)
 
 
-def trilaterate_lsq(problem: TrilaterationProblem, init,
-                    opts: SolverOptions | None = None) -> SolveResult:
+def trilaterate_lsq(problem: TrilaterationProblem, init) -> SolveResult:
     """Gauss-Newton least-squares trilateration; works for 3 or more anchors.
 
     Minimizes the squared range residuals from the given start. On consistent
@@ -313,7 +312,7 @@ def trilaterate_lsq(problem: TrilaterationProblem, init,
     anchors, ranges = problem.anchor_array, problem.distance_array
     with np.errstate(over="ignore", invalid="ignore"):  # huge anchors: an overflowed step fails
         x, norm, iterations, converged = gauss_newton_raw(
-            lambda x: _residuals(x, anchors, ranges), lambda x: _unit_rows(x, anchors), x0, opts)
+            lambda x: _residuals(x, anchors, ranges), lambda x: _unit_rows(x, anchors), x0)
     return _outcome(x.tolist(), norm, iterations, converged,
                     "trilaterate_lsq did not converge after {iterations} iterations")
 

@@ -226,7 +226,7 @@ def _composed_pipeline(sf) -> tuple[list[dict], list[str]]:
     arrivals = perturb_arrivals(simulate_arrivals(sf.scenario()), sf.noise_sigma_t, sf.seed)
     try:
         fixes = [locate_emitter(sf.receivers, arrival_deltas(arrivals, j, 0, sf.c),
-                                sf.emitter_plane_z, sf.options) for j in range(len(sf.emitters))]
+                                sf.emitter_plane_z) for j in range(len(sf.emitters))]
     except NoConvergence:
         return [], ["NoConvergence"]
     team, selected = team_relative_position(sf.receivers, fixes, sf.emitters)
@@ -674,6 +674,57 @@ def test_multistart_count_is_validated_and_ignored(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path), "--quiet"]) == 2
         assert "multistart_count" in capsys.readouterr().err
+
+
+# A value of each solve.options field other than its schema default, each of
+# which moved the report of _solver_options_doc() when the field still tuned
+# the damped Gauss-Newton run.
+_SOLVER_OPTIONS = {"max_iterations": 3, "step_tolerance": 1e-3, "residual_tolerance": 1e-3,
+                   "damping_initial": 10.0}
+
+
+def _solver_options_doc() -> dict:
+    """The tdoa2d sweep of tools/report_digests.py's tdoa2d_sweep_fallback,
+    whose single epoch and some rows run the Gauss-Newton fallback."""
+    with open(NOISE_SWEEP) as fh:
+        doc = json.load(fh)
+    doc["scenario"].update(noise_sigma_t=1e-6, seed=4)
+    doc["monte_carlo"] = {"trials": 20, "sigma_t_list": [0.0, 1e-7]}
+    return doc
+
+
+def test_solver_options_are_validated_and_ignored(tmp_path, capsys):
+    # The four fields of solve.options that tuned the Gauss-Newton run are
+    # schema v1's still: what is not a count, or not a positive finite
+    # number, is refused naming the field, and a valid value leaves the
+    # report as it is without the field, byte for byte, apart from its input
+    # echo and timestamp.
+    def solved(doc):
+        report = run(_validate(doc))
+        del report["timestamp"], report["input"]
+        return json.dumps(report, indent=2)
+
+    doc = _solver_options_doc()
+    plain = solved(doc)
+    path = tmp_path / "options.json"
+    for key, value in _SOLVER_OPTIONS.items():
+        doc["solve"]["options"] = {key: value}
+        assert solved(doc) == plain, key
+        bad = [math.nan, math.inf, 0, -3, True, "3", None]
+        if key == "max_iterations":
+            bad.append(2.7)
+        for value in bad:
+            doc["solve"]["options"] = {key: value}
+            with pytest.raises(ValidationError) as info:
+                _validate(doc)
+            assert info.value.field == key, value
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+    doc["solve"]["options"] = dict(_SOLVER_OPTIONS)
+    assert solved(doc) == plain
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--quiet"]) == 0
 
 
 def test_main_mode_override_revalidates(capsys):
@@ -1169,7 +1220,7 @@ def test_edge_documents_give_strict_json_reports():
     # every report is JSON without NaN or Infinity, and its CSV is
     # csv.writer's.
     docs = _edge_documents()
-    assert len(docs) == 56
+    assert len(docs) == 57
     loose, reports = [], {}
     for name, doc in docs.items():
         reports[name] = run(_validate(doc))

@@ -192,6 +192,16 @@ def test_perturb_negative_sigma():
         perturb_arrivals(a, -1e-9, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [True, "1e-9", None, 1e-9 + 0j, 10 ** 400])
+def test_perturb_refuses_a_sigma_that_is_not_a_real_number(sigma):
+    # True jittered by 1 s; the others raised a bare TypeError or OverflowError.
+    a = ArrivalSet(np.zeros((1, 1)))
+    with pytest.raises(InvalidNoise):
+        perturb_arrivals(a, sigma, seed=0)
+    with pytest.raises(InvalidNoise):
+        _perturb(a.times, 0.0, [1e-9, sigma], [0])
+
+
 def test_scenario_validation():
     with pytest.raises(ValidationError) as exc:
         Scenario(emitters=(), receivers=(Point.of(0, 0),))

@@ -12,7 +12,6 @@ from rfloc import (
     Point,
     RangeDifferenceSet,
     TrilaterationProblem,
-    SolverOptions,
     finite_difference_jacobian,
     grid_search,
     hyperbolic_objective,
@@ -21,7 +20,7 @@ from rfloc import (
     trilateration_residuals,
 )
 from rfloc import _kernels, solver
-from rfloc.errors import BudgetExceeded, NoConvergence, ValidationError
+from rfloc.errors import BudgetExceeded, NoConvergence
 
 
 def _linear_residual(x):
@@ -76,12 +75,12 @@ def test_init_at_solution_single_iteration():
     assert norm == 0.0
 
 
-def test_no_convergence_carries_best_iterate():
+def test_no_convergence_carries_best_iterate(monkeypatch):
     problem = TrilaterationProblem((Point.of(0, 0), Point.of(100, 0), Point.of(0, 100)),
                                    (50.0, 60.0, 70.0), 2)
-    opts = SolverOptions(max_iterations=1)
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
     with pytest.raises(NoConvergence) as exc:
-        trilaterate_lsq(problem, np.array([1e4, 1e4]), opts)
+        trilaterate_lsq(problem, np.array([1e4, 1e4]))
     best = exc.value.best
     assert best is not None and not best.converged
     # the accepted iterate already improved on the start
@@ -127,36 +126,6 @@ def test_solve_gives_nan_for_a_singular_system():
     for a in ([[2.0, 1.0], [1.0, 3.0]], [[4.0, 1.0], [0.5, 2.0]]):
         a = np.array(a)
         assert solver._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
-
-
-def test_solver_options_validation():
-    with pytest.raises(ValidationError):
-        SolverOptions(max_iterations=0)
-    with pytest.raises(ValidationError):
-        SolverOptions(step_tolerance=0.0)
-    # What the scenario schema refuses, refused with the field's name: a
-    # count that is not whole, or is a bool, and a number that is not finite.
-    for value in (2.5, math.nan, math.inf, 0.0, -3, True, "3", None):
-        with pytest.raises(ValidationError) as info:
-            SolverOptions(max_iterations=value)
-        assert info.value.field == "max_iterations"
-    for name in ("step_tolerance", "residual_tolerance", "damping_initial"):
-        for value in (math.inf, math.nan, -1e-3, True, "1e-3", None):
-            with pytest.raises(ValidationError) as info:
-                SolverOptions(**{name: value})
-            assert info.value.field == name
-
-
-def test_solver_options_take_a_whole_float_count_as_an_int():
-    # As the schema reads 3.0 iterations: the count 3, which range() accepts.
-    for value, count in ((3.0, 3), (1e9, 10 ** 9), (np.int64(7), 7)):
-        opts = SolverOptions(max_iterations=value)
-        assert opts == SolverOptions(max_iterations=count)
-        assert type(opts.max_iterations) is int
-    problem = TrilaterationProblem((Point.of(0, 0), Point.of(100, 0), Point.of(0, 100)),
-                                   (50.0, 60.0, 70.0), 2)
-    with pytest.raises(NoConvergence):
-        trilaterate_lsq(problem, np.array([1e4, 1e4]), SolverOptions(max_iterations=1.0))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -7,6 +7,7 @@ library's ast module, so they need no linter.
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -24,7 +25,7 @@ PUBLIC = {
     "Point", "distance",
     "DopplerReading", "DopplerRange", "doppler_shift", "doppler_distance",
     "Scenario", "ArrivalSet", "simulate_arrivals", "perturb_arrivals",
-    "SolverOptions", "SolveResult", "finite_difference_jacobian", "grid_search",
+    "SolveResult", "finite_difference_jacobian", "grid_search",
     "RangeDifferenceSet", "arrival_deltas", "hyperbolic_residuals", "hyperbolic_jacobian",
     "hyperbolic_objective", "locate_emitter",
     "TrilaterationProblem", "trilateration_residuals", "trilateration_jacobian",
@@ -188,15 +189,16 @@ def test_cli_row_driver_returns_the_drivers_unwrapped():
 
 @pytest.mark.parametrize("name", ["order_candidates", "_solve_one", "_trilaterate_rows",
                                   "_trilat_trials", "_tdoa_trials", "_solve_rows",
-                                  "_polish", "_POLISH_STEPS", "_FLOOR_ULPS",
+                                  "_polish", "_POLISH_STEPS", "_FLOOR_ULPS", "SolverOptions",
                                   *(f"{solve}_{dim}d" for solve in ("trilaterate", "locate_emitter")
                                     for dim in (2, 3))])
 def test_one_row_driver_per_solver_leaves_no_twin(name):
     # Single runs and sweeps share trilat._batch and tdoa._fixes; the
     # per-problem solve, the Python-sorted candidate order, the per-family
-    # sweep loops, the per-dimension public solves, the stacked linear solve
-    # and the TDOA roots' Newton polish are gone. (The per-dimension solves
-    # are spelled from parts, so that this file does not name them either.)
+    # sweep loops, the per-dimension public solves, the stacked linear solve,
+    # the TDOA roots' Newton polish and the Gauss-Newton's options are gone.
+    # (The per-dimension solves are spelled from parts, so that this file
+    # does not name them either.)
     for path in SOURCES:
         assert not re.search(rf"\b{name}\b", path.read_text(encoding="utf-8")), path.name
 
@@ -224,6 +226,16 @@ def test_gauss_newton_has_two_callers():
                        ("tdoa.py", "_fallback", "_outcome"),
                        ("trilat.py", "trilaterate_lsq", "gauss_newton_raw"),
                        ("trilat.py", "trilaterate_lsq", "_outcome")}
+
+
+def test_gauss_newton_takes_no_options():
+    # Its iteration cap, stop tolerances and first damping rung are solver's
+    # constants, not parameters of the loop or of its two callers.
+    assert list(inspect.signature(solver.gauss_newton_raw).parameters) == [
+        "residual_fn", "jacobian_fn", "x0"]
+    assert list(inspect.signature(rfloc.trilaterate_lsq).parameters) == ["problem", "init"]
+    assert list(inspect.signature(rfloc.locate_emitter).parameters) == [
+        "receivers", "rd", "emitter_plane_z"]
 
 
 def test_trilateration_has_one_range_model():

@@ -12,7 +12,6 @@ from rfloc import (
     Point,
     RangeDifferenceSet,
     Scenario,
-    SolverOptions,
     arrival_deltas,
     distance,
     finite_difference_jacobian,
@@ -107,6 +106,16 @@ def test_receiver_checks_of_residuals_and_jacobian(receivers, rd, at, error, mat
     for evaluate in (hyperbolic_residuals, hyperbolic_jacobian):
         with pytest.raises(error, match=match):
             evaluate(receivers, rd, at)
+
+
+def test_no_receivers_is_the_reference_index_error():
+    # receivers[0] was read before the index checks: a bare IndexError.
+    rd = RangeDifferenceSet(0, ())
+    for evaluate in (lambda: hyperbolic_residuals([], rd, Point.of(1, 1)),
+                     lambda: hyperbolic_jacobian([], rd, Point.of(1, 1)),
+                     lambda: hyperbolic_objective([], rd)):
+        with pytest.raises(IndexError, match="^reference index 0 out of range$"):
+            evaluate()
 
 
 def test_locate_emitter_needs_three_receivers_and_two_differences():
@@ -373,6 +382,28 @@ def test_range_difference_set_validation():
         RangeDifferenceSet(0, ((1, 1e-7, 30.0), (1, 2e-7, 60.0)))
 
 
+@pytest.mark.parametrize("reference, other", [(0, 1.5), (0, 1.0), (1.0, 0), (0, True),
+                                              (False, 1), (0, "1"), (0, None)])
+def test_range_difference_set_refuses_an_index_that_is_not_an_integer(reference, other):
+    # 1.5 was truncated to receiver 1, and a reference of 1.0 was stored and
+    # failed later with a TypeError.
+    for build in (lambda: RangeDifferenceSet(reference, ((other, 1e-7, 30.0),)),
+                  lambda: RangeDifferenceSet.from_range_differences(reference, [(other, 30.0)],
+                                                                    C)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert info.value.field == "deltas"
+
+
+def test_range_difference_set_takes_numpy_integer_indices():
+    rd = RangeDifferenceSet(np.int64(1), ((np.int32(0), 1e-7, 30.0), (np.uint8(2), 0.0, 0.0)))
+    assert (rd.reference_index, [d.other_index for d in rd.deltas]) == (1, [0, 2])
+    assert rd == RangeDifferenceSet(1, ((0, 1e-7, 30.0), (2, 0.0, 0.0)))
+    recv = (Point.of(0, 0), Point.of(100, 0), Point.of(0, 100))
+    assert hyperbolic_residuals(recv, rd, Point.of(3, 4)).tolist() == \
+        hyperbolic_residuals(recv, RangeDifferenceSet(1, rd.deltas), Point.of(3, 4)).tolist()
+
+
 def test_range_difference_set_non_finite_is_a_package_error():
     # An overflowing timing jitter reaches here; cli.run embeds the error.
     for delta in ((1, 1e300, math.inf), (1, math.nan, math.nan)):
@@ -381,10 +412,13 @@ def test_range_difference_set_non_finite_is_a_package_error():
         assert info.value.field == "deltas"
 
 
-@pytest.mark.parametrize("c", [0.0, -3e8, math.inf, math.nan])
+@pytest.mark.parametrize("c", [0.0, -3e8, math.inf, math.nan, True, "3e8", None, 3e8 + 0j,
+                               10 ** 400])
 def test_public_constructors_refuse_a_speed_scenario_refuses(c):
     # A zero c divided by zero, a negative one flipped every delta_t and a
-    # zero one made every difference 0; each is now Scenario's ValidationError.
+    # zero one made every difference 0; True simulated at 1 m/s, and a
+    # string, None, a complex or an int beyond the float range raised a bare
+    # TypeError or OverflowError. Each is now Scenario's ValidationError.
     arrivals = ArrivalSet(np.array([[2e-7], [1e-7]]))
     for build in (lambda: RangeDifferenceSet.from_range_differences(0, [(1, 5.0)], c),
                   lambda: arrival_deltas(arrivals, 0, 0, c)):
@@ -604,7 +638,7 @@ def test_batched_fixes_equal_public_solves():
     d = np.linalg.norm(emitters[:, None] - recv, axis=2)
     deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 30.0, (10, 2))
     receivers = tuple(Point.of(*r) for r in recv)
-    closed, fix = tdoa._fixes(_lift(recv), deltas, 0.0, 2, SolverOptions())
+    closed, fix = tdoa._fixes(_lift(recv), deltas, 0.0, 2)
     assert len(closed) == len(deltas)
     for k, row in enumerate(deltas):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
@@ -626,7 +660,7 @@ def test_batched_fixes_equal_public_solves_3d():
     noise = np.tile([0.0, 1.0, 30.0, 300.0], 5)[:, None]
     deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (20, 2)) * noise
     receivers = tuple(Point.of(*r) for r in recv)
-    _closed, fix = tdoa._fixes(recv, deltas, plane, 3, SolverOptions())
+    _closed, fix = tdoa._fixes(recv, deltas, plane, 3)
     kinds = set()
     for k, row in enumerate(deltas):
         rd = RangeDifferenceSet.from_range_differences(0, [(1, row[0]), (2, row[1])], C)
@@ -668,7 +702,7 @@ def test_closed_form_roots_reach_the_rounding_floor():
     for recv, emitters, dim in _roundtrip_geometries(rng):
         d = np.linalg.norm(emitters[:, None] - recv, axis=2)
         deltas = d[:, :1] - d[:, 1:]
-        closed, fix = tdoa._fixes(recv, deltas, 0.0, dim, SolverOptions())
+        closed, fix = tdoa._fixes(recv, deltas, 0.0, dim)
         for k in range(len(deltas)):
             result = fix(k)
             assert closed[k] is not None and not result.flags

@@ -9,7 +9,6 @@ from conftest import consistent_trilat_case
 from rfloc import (
     Point,
     SolveResult,
-    SolverOptions,
     distance,
     finite_difference_jacobian,
     grid_search,

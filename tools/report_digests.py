@@ -12,9 +12,11 @@ sweep whose mean error overflows a plain sum, a tdoa2d sweep whose
 Gauss-Newton start overflows, a two-emitter tdoa2d run with one fallback
 that does not converge, single runs of three trilat3d receivers and of
 two converging tdoa3d emitters, sweeps whose single epoch needs the
-Gauss-Newton fallback or fails, a pipeline and a tdoa3d run whose drones
-and beacons sit at x = 1e308, where the sum of the drones' x overflows,
-and a pipeline run and a tdoa2d sweep at a Unix-time emission_time.
+Gauss-Newton fallback or fails (one of them again with every solve.options
+field at a value other than its default), a pipeline and a tdoa3d run
+whose drones and beacons sit at x = 1e308, where the sum of the drones' x
+overflows, and a pipeline run and a tdoa2d sweep at a Unix-time
+emission_time.
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -139,6 +141,12 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
     # sweep row solves.
     docs["tdoa2d_sweep_fallback"] = _edit(tdoa, {"noise_sigma_t": 1e-6, "seed": 4},
                                           monte_carlo=_sweep(0.0, 1e-7))
+    # The same sweep with every solve.options field at a value other than its
+    # default: the fields once tuned the Gauss-Newton run and are now ignored.
+    docs["tdoa2d_sweep_fallback_options"] = _edit(
+        docs["tdoa2d_sweep_fallback"], solve={"options": {
+            "max_iterations": 3, "step_tolerance": 1e-3, "residual_tolerance": 1e-3,
+            "damping_initial": 10.0}})
     docs["tdoa2d_sweep_best_iterate"] = _edit(tdoa, {"noise_sigma_t": 1e-6, "seed": 3},
                                               monte_carlo=_sweep(0.0, 1e-7))
     docs["pipeline_sweep_single_noroot"] = _edit(pipe, {"noise_sigma_t": 1e-9, "seed": 3},
