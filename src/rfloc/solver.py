@@ -85,16 +85,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] for every row k, through the same matmul loop as `@` on
-    two vectors (b may be one vector for all rows). Another summation order
-    changes results in the last bits."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """a[k] . b[k] for every row k (b may be one vector for all rows): numpy's
+    own reduction, not BLAS, so one summation order on every CPU kernel."""
+    return np.add.reduce(a * b, axis=-1)
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(diff, axis=-1) without its argument handling: the same
-    reduction, so the same bits."""
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    """np.linalg.norm(diff, axis=-1): the same reduction, without its overhead."""
+    return np.sqrt(_rowdot(diff, diff))
 
 
 def _centroid(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:

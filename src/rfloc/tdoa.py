@@ -64,6 +64,13 @@ class _RangeDelta(NamedTuple):
     delta_d: float   # meters, c * delta_t
 
 
+def _index(i, name: str, field: str = "deltas") -> int:
+    """i as an int, if it is a Python or numpy integer and not a bool."""
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {i!r}", field=field)
+    return int(i)
+
+
 @dataclass(frozen=True)
 class RangeDifferenceSet:
     """Arrival-time and range differences of every receiver against a reference."""
@@ -72,20 +79,21 @@ class RangeDifferenceSet:
     deltas: tuple[_RangeDelta, ...]
 
     def __post_init__(self):
-        indices = [self.reference_index, *(d[0] for d in self.deltas)]
-        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in indices):
-            raise ValidationError(f"receiver indices must be integers: {indices}", field="deltas")
-        object.__setattr__(
-            self, "deltas",
-            tuple(_RangeDelta(int(d[0]), float(d[1]), float(d[2])) for d in self.deltas))
+        _index(self.reference_index, "reference_index")
+        deltas = []
+        for d in self.deltas:
+            if not (isinstance(d, (tuple, list)) and len(d) == 3 and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in d[1:])):
+                raise ValidationError(f"{d!r} is not (index, delta_t, delta_d)", field="deltas")
+            if not (_finite_real(d[1]) and _finite_real(d[2])):
+                raise ValidationError("non-finite range difference", field="deltas")
+            deltas.append(_RangeDelta(_index(d[0], "receiver index"), float(d[1]), float(d[2])))
+        object.__setattr__(self, "deltas", tuple(deltas))
         others = [d.other_index for d in self.deltas]
         if self.reference_index in others:
             raise ValueError("reference receiver cannot appear as 'other'")
         if len(set(others)) != len(others):
             raise ValueError("duplicate receiver in range differences")
-        for d in self.deltas:
-            if not (math.isfinite(d.delta_t) and math.isfinite(d.delta_d)):
-                raise ValidationError("non-finite range difference", field="deltas")
 
     @classmethod
     def from_range_differences(cls, reference_index: int,
@@ -93,8 +101,7 @@ class RangeDifferenceSet:
                                c: float) -> "RangeDifferenceSet":
         """Build from (other_index, delta_d meters) pairs, deriving delta_t = delta_d / c."""
         _check_speed(c)
-        return cls(reference_index,
-                   tuple(_RangeDelta(i, dd / c, dd) for i, dd in pairs))
+        return cls(reference_index, tuple(_RangeDelta(i, dd / c, dd) for i, dd in pairs))
 
 
 def _range_differences(times: np.ndarray, c: float, reference_index: int = 0) -> np.ndarray:
@@ -117,6 +124,8 @@ def arrival_deltas(arrivals: ArrivalSet, emitter_index: int,
     n_receivers = arrivals.times.shape[0]
     if n_receivers < 2:
         raise InsufficientReceivers("need at least 2 receivers for arrival differences")
+    _index(reference_index, "reference_index", "reference_index")
+    _index(emitter_index, "emitter_index", "emitter_index")
     if not 0 <= reference_index < n_receivers:
         raise IndexError(f"reference index {reference_index} out of range")
     if not 0 <= emitter_index < arrivals.times.shape[1]:
@@ -220,7 +229,7 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
 def _triangle(recv: np.ndarray) -> float:
     """The diameter of a receiver triangle (3, 3); GeometryDegenerate when collinear."""
     sides = recv[[1, 2, 2]] - recv[[0, 0, 1]]
-    diam = math.sqrt(max(_rowdot(sides, sides).tolist()))
+    diam = max(_norms(sides).tolist())
     v1, v2, _ = sides.tolist()
     # hypot: twice the area without overflow, and exactly |normal_z| for a
     # triangle on the plane z = 0.
@@ -268,8 +277,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
     branches do not meet) gets Gauss-Newton starts on the line instead, and
     a rank-deficient row the receiver centroid as its one start.
 
-    Each row has the bits of a solve of that row alone: row dot products and
-    matrix products go through the loops `@` uses on one row.
+    Each row has the bits of a solve of that row alone, on any CPU (_rowdot).
     """
     rows = len(deltas)
     planar = recv[:, :2]
@@ -301,8 +309,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0);
         # g[:, 2::-2] is (g11, g00).
         w = g[:, 2::-2] * rhs - g01[:, None] * rhs[:, ::-1]
-        W[:, 3] = (W[:, :2].swapaxes(1, 2) @ w[..., None])[..., 0] / \
-            (g00g11 - g01 * g01)[:, None]
+        W[:, 3] = (W[:, 0] * w[:, :1] + W[:, 1] * w[:, 1:]) / (g00g11 - g01 * g01)[:, None]
         # a = |n_xy|^2 - n_z^2, b = 2 (m_xy . n_xy - m_z n_z), c = |m_xy|^2 + h_0^2 - m_z^2
         pairs = W.take(_QUAD, axis=1)
         left, right = pairs[:, :3], pairs[:, 3:]
@@ -323,14 +330,13 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         u = m[:, None] + t[..., None] * n[:, None]
         uxy = u[..., :2]
         valid = u[..., 2] >= deltas.max(axis=1, initial=0.0)[:, None]
-        valid &= np.sqrt(_rowdot(uxy, uxy)) <= _RUNAWAY_DIAMS * diam
+        valid &= _norms(uxy) <= _RUNAWAY_DIAMS * diam
         valid &= ~rank_def[:, None]
         roots = planar[0] + uxy
         roots[~valid] = 0.0  # what follows never sees a slot without a root as inf or NaN
 
         # Each root's residual norm; a slot without a root (0.0) has an unused one.
-        r = _closures(recv, deltas[:, None], plane)[0](roots)
-        norms = np.sqrt(_rowdot(r, r))
+        norms = _norms(_closures(recv, deltas[:, None], plane)[0](roots))
 
         # Candidates by norm, then x, y; the second one dropped within
         # _DEDUP_TOL of the first; the residual-tied ones by distance to the
@@ -339,8 +345,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         order = np.lexsort((roots[..., 1], roots[..., 0], norms, ~valid), axis=-1)
         pick = np.arange(rows)[:, None]
         roots, norms = roots[pick, order], norms[pick, order]
-        gap = roots[:, 1] - roots[:, 0]
-        count -= (count == 2) & (np.sqrt(_rowdot(gap, gap)) < _DEDUP_TOL)
+        count -= (count == 2) & (_norms(roots[:, 1] - roots[:, 0]) < _DEDUP_TOL)
         # Sorted, the first candidate is the best one (admissible first, then
         # the least norm, NaN last): it sets the tie, and a row is all tied
         # when its second candidate is.
@@ -349,7 +354,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         gap = np.empty((rows, 2, 3))
         gap[..., :2] = roots - (cx, cy)
         gap[..., 2] = plane - cz
-        dist = np.sqrt(_rowdot(gap, gap))
+        dist = _norms(gap)
         near = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)[:, 0]
 
         # Starts on the line for the rows with no root: the quadratic's vertex,

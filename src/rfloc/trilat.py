@@ -8,8 +8,8 @@ best one wins; when even the best residual norm exceeds the inconsistency
 tolerance the result is flagged rather than silently trusted.
 
 The closed forms are one array program over rows of ranges against one
-anchor triangle (_closed_form). _batch is its one driver, which the CLI's
-single runs and sweeps share, and trilaterate is its one-row case.
+anchor triangle (_closed_form), which calls no BLAS. _batch is its driver
+for the CLI's single runs and sweeps, and trilaterate is its one-row case.
 Each row comes back as its solve alone would: its result or its error.
 
 The pipeline's team step, team_relative_position, uses bearings, not
@@ -129,9 +129,7 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     the anchors alone is computed once. The rest runs in extended precision,
     relative to the first anchor for conditioning: the radical-line (plane)
     constants are O(range^2), and cancellation in plain float64 costs the
-    last couple of digits at km scales. Row dot products go through
-    _rowdot, which sums as `@` does; another summation order changes
-    reports in the last bits.
+    last couple of digits at km scales. Dot products go through _rowdot.
 
     Returns the roots (N, 2, D), their residual norms against all three
     ranges (N, 2), whether the second root is distinct (N,), the radicand
@@ -147,8 +145,8 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
         scale = max(float(np.hypot(*e2)), float(np.hypot(*e3)))
     else:
         cross = _cross(e2, e3)
-        area2 = float(np.sqrt(cross @ cross))
-        scale = max(float(np.sqrt(e2 @ e2)), float(np.sqrt(e3 @ e3)))
+        area2 = float(np.sqrt(_rowdot(cross, cross)))
+        scale = max(float(np.sqrt(_rowdot(e2, e2))), float(np.sqrt(_rowdot(e3, e3))))
     if scale == 0.0 or area2 <= 1e-12 * scale * scale:
         raise GeometryDegenerate("emitters are collinear (or coincident)")
 
@@ -158,9 +156,9 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
         # closest to the third anchor p0 is offset from the circle crossings
         # purely along the line direction u.
         n = 2.0 * e2
-        nn = n @ n
-        h = sq[:, 0] - sq[:, 1] + e2 @ e2
-        p0 = e3 + ((h - n @ e3) / nn)[:, None] * n
+        nn = _rowdot(n, n)
+        h = sq[:, 0] - sq[:, 1] + _rowdot(e2, e2)
+        p0 = e3 + ((h - _rowdot(n, e3)) / nn)[:, None] * n
         u = np.array([-n[1], n[0]]) / np.sqrt(nn)
         ref = sq[:, 2]
         radicand = ref - _rowdot(p0 - e3, p0 - e3)
@@ -169,14 +167,14 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
         # the anchor plane; p0 is the minimum-norm solution of the 2x3 system,
         # p0 = A^T (A A^T)^{-1} b, kept in the anchor plane through anchor 1.
         A = np.array([2.0 * e2, 2.0 * e3])
-        AAt = A @ A.T
+        AAt = _rowdot(A[:, None], A)
         det = AAt[0, 0] * AAt[1, 1] - AAt[0, 1] * AAt[1, 0]
-        u = cross / np.sqrt(cross @ cross)
-        b0 = sq[:, 0] - sq[:, 1] + e2 @ e2
-        b1 = sq[:, 0] - sq[:, 2] + e3 @ e3
+        u = cross / np.sqrt(_rowdot(cross, cross))
+        b0 = sq[:, 0] - sq[:, 1] + _rowdot(e2, e2)
+        b1 = sq[:, 0] - sq[:, 2] + _rowdot(e3, e3)
         w = np.stack([(AAt[1, 1] * b0 - AAt[0, 1] * b1) / det,
                       (AAt[0, 0] * b1 - AAt[1, 0] * b0) / det], axis=1)
-        p0 = w @ A
+        p0 = w[:, :1] * A[0] + w[:, 1:] * A[1]
         p0 = p0 - _rowdot(p0, u)[:, None] * u
         ref = sq[:, 0]
         radicand = ref - _rowdot(p0, p0)

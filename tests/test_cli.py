@@ -173,6 +173,47 @@ def test_report_deterministic_apart_from_timestamp():
     assert json.dumps(a) == json.dumps(b)
 
 
+# Digests the closed forms' output: two shipped reports less their timestamps,
+# and tdoa._fixes' and trilat._batch's closed-form estimates of 2,000 seeded
+# rows each. Nothing it runs reaches the Gauss-Newton fallback.
+_CLOSED_FORM_DIGEST = """
+import hashlib, json, sys
+import numpy as np
+from rfloc import cli, tdoa, trilat
+reports = []
+for path in sys.argv[1:]:
+    report = cli.run(cli.parse_scenario(path))
+    report.pop("timestamp")
+    reports.append(report)
+rng = np.random.default_rng(2028)
+recv = np.column_stack((rng.uniform(-500, 500, (3, 2)), rng.uniform(100, 200, 3)))
+emitters = np.column_stack((rng.uniform(-5e3, 5e3, (2000, 2)), np.zeros(2000)))
+d = np.linalg.norm(emitters[:, None] - recv, axis=-1) + rng.normal(0, 5, (2000, 3))
+fixes = tdoa._fixes(recv, d[:, :1] - d[:, 1:], 0.0, 3)[0]
+anchors = rng.uniform(-500, 500, (3, 3))
+points = rng.uniform(-2e3, 2e3, (2000, 3))
+ranges = np.linalg.norm(points[:, None] - anchors, axis=-1) + rng.normal(0, 1, (2000, 3))
+batch = trilat._batch(anchors, np.abs(ranges))[0]
+print(hashlib.sha256(json.dumps([reports, fixes, batch]).encode()).hexdigest())
+"""
+
+
+def test_closed_forms_keep_their_bits_on_every_blas_kernel():
+    # The closed forms sum their dot products with numpy's own reduction,
+    # never BLAS, so forcing OpenBLAS onto its oldest x86-64 kernel changes
+    # none of their bits. On a numpy whose BLAS has no run-time kernel choice
+    # (another BLAS, or an OpenBLAS built for one CPU) OPENBLAS_CORETYPE does
+    # nothing, and this test cannot fail.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"), env.get("PYTHONPATH", "")])
+    digests = [subprocess.run([sys.executable, "-c", _CLOSED_FORM_DIGEST, BASELINE, PIPELINE],
+                              env={**env, **kernel}, capture_output=True, text=True,
+                              check=True, timeout=120).stdout
+               for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
 def test_report_roundtrip_fixed_point():
     report = run(parse_scenario(BASELINE))
     text = json.dumps(report, indent=2)

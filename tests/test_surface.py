@@ -218,6 +218,29 @@ def test_one_linear_solve_serves_every_newton_step():
         == {("solver.py", "gauss_newton_raw", "_solve")}
 
 
+def test_blas_and_lapack_are_called_only_by_the_gauss_newton():
+    # A matmul or an np.linalg call runs whichever kernel OpenBLAS picks for
+    # the CPU, and its bits can differ between kernels. Only the damped
+    # Gauss-Newton's normal equations and its one linear solve call them; the
+    # closed forms sum through solver._rowdot. This set may only shrink.
+    sites = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                    if isinstance(node.op, ast.MatMult):
+                        sites.add((*where, "@"))
+                elif isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg":
+                    sites.add((*where, "np.linalg"))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    if "linalg" in ast.unparse(node):
+                        sites.add((*where, "import"))
+    assert sites == {("solver.py", "gauss_newton_raw", "@"), ("solver.py", "_solve", "np.linalg")}
+    for name in ("tdoa.py", "trilat.py"):
+        assert "linalg" not in _source(name) and " @ " not in _source(name), name
+
+
 def test_gauss_newton_has_two_callers():
     # The TDOA fallback and the trilateration least squares; both end in _outcome.
     callers = {(path.name, *caller) for path in SOURCES

@@ -89,6 +89,25 @@ def test_deltas_emitter_index_out_of_range():
             arrival_deltas(arrivals, 0, index, C)
 
 
+@pytest.mark.parametrize("emitters", [1, 2])
+@pytest.mark.parametrize("field", ["emitter_index", "reference_index"])
+@pytest.mark.parametrize("index", [1.0, 0.5, True, np.True_, "0", None], ids=repr)
+def test_arrival_deltas_refuses_an_index_that_is_not_an_integer(index, field, emitters):
+    # 1.0 raised a bare TypeError from slicing and 0.5 numpy's IndexError;
+    # True was a boolean mask with two emitters and "out of range" with one.
+    arrivals = ArrivalSet(np.arange(1.0, 1.0 + 3 * emitters).reshape(3, emitters) * 1e-7)
+    args = {"emitter_index": 0, "reference_index": 0, field: index}
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer") as info:
+        arrival_deltas(arrivals, args["emitter_index"], args["reference_index"], C)
+    assert info.value.field == field
+
+
+def test_arrival_deltas_takes_numpy_integer_indices():
+    arrivals = ArrivalSet(np.array([[1e-7, 4e-7], [2e-7, 5e-7], [3e-7, 6e-7]]))
+    assert arrival_deltas(arrivals, np.int64(1), np.uint8(2), C) == \
+        arrival_deltas(arrivals, 1, 2, C)
+
+
 _RECEIVERS_2D = (Point.of(0, 0), Point.of(100, 0), Point.of(0, 100))
 _RD = RangeDifferenceSet.from_range_differences(0, [(1, -17.0), (2, 12.5)], C)
 
@@ -395,6 +414,26 @@ def test_range_difference_set_refuses_an_index_that_is_not_an_integer(reference,
         assert info.value.field == "deltas"
 
 
+@pytest.mark.parametrize("deltas", [((1, 2.0),), (1, 2, 3), ((1, 1e-8, 3.0, 9),),
+                                    ((1, "x", 3.0),), ((1, None, 3.0),), ((1, True, 3.0),),
+                                    ((1, 1e-8, False),), ((1, 1e-8, 3.0 + 0j),), (None,),
+                                    ("abc",)], ids=repr)
+def test_range_difference_set_refuses_a_malformed_entry(deltas):
+    # Entries are exactly (integer index, real delta_t, real delta_d). A short
+    # one raised a bare IndexError, a flat set of numbers a bare TypeError, a
+    # string or None a bare ValueError or TypeError; a fourth item was
+    # dropped and a bool stored as 1.0.
+    with pytest.raises(ValidationError, match=r"is not \(index, delta_t, delta_d\)") as info:
+        RangeDifferenceSet(0, deltas)
+    assert info.value.field == "deltas"
+
+
+def test_range_difference_set_takes_lists_and_numpy_numbers():
+    rd = RangeDifferenceSet(0, ([1, np.float32(0.5), np.float64(2.0)], (2, 1, -3)))
+    assert rd.deltas == ((1, 0.5, 2.0), (2, 1.0, -3.0))
+    assert all(type(v) is float for d in rd.deltas for v in d[1:])
+
+
 def test_range_difference_set_takes_numpy_integer_indices():
     rd = RangeDifferenceSet(np.int64(1), ((np.int32(0), 1e-7, 30.0), (np.uint8(2), 0.0, 0.0)))
     assert (rd.reference_index, [d.other_index for d in rd.deltas]) == (1, [0, 2])
@@ -406,8 +445,8 @@ def test_range_difference_set_takes_numpy_integer_indices():
 
 def test_range_difference_set_non_finite_is_a_package_error():
     # An overflowing timing jitter reaches here; cli.run embeds the error.
-    for delta in ((1, 1e300, math.inf), (1, math.nan, math.nan)):
-        with pytest.raises(ValidationError) as info:
+    for delta in ((1, 1e300, math.inf), (1, math.nan, math.nan), (1, 1e-8, 10 ** 400)):
+        with pytest.raises(ValidationError, match="^non-finite range difference$") as info:
             RangeDifferenceSet(0, (delta,))
         assert info.value.field == "deltas"
 
