@@ -47,8 +47,8 @@ MODES = tuple(_MODES)
 # kept in memory and written out, so a bigger sweep is refused, not truncated.
 MC_MAX_ROWS = 1_000_000
 # Driver rows (trilaterations, or TDOA emitter solves) per closed-form batch
-# of a sweep: enough rows that numpy's per-call cost vanishes, few enough
-# that the batch's temporaries stay a few MB.
+# of a file's epochs: enough rows that numpy's per-call cost vanishes, few
+# enough that the batch's temporaries stay a few MB.
 _MC_CHUNK = 1 << 14
 
 
@@ -403,20 +403,6 @@ def _solves(sf: ScenarioFile, fix, first: int = 0
     return solves + [("team_position", team, truth, {})]
 
 
-def _single_run_entries(sf: ScenarioFile, times: np.ndarray | None, fix=None) -> list[dict]:
-    """The single-epoch solves of arrival times (R, E), None for doppler mode
-    and explicit trilat distances, from fix if a sweep's first driver batch
-    solved them as its block 0, else from a _rows call of their own."""
-    if _MODES[sf.mode][1] == "doppler":
-        reading = DopplerReading(f_emitted=sf.carrier, f_received=sf.doppler_f_received,
-                                 c=sf.c)
-        est = doppler_distance(reading)
-        return [{"kind": "doppler", "shift_hz": doppler_shift(reading),
-                 "distance_m": est.meters, "idealized": est.idealized}]
-    return [_solve_entry(kind, result, truth, **extra)
-            for kind, result, truth, extra in _solves(sf, fix or _rows(sf, times)[1])]
-
-
 def _error_entry(stage: str, exc: RflocError) -> dict:
     return {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
 
@@ -449,20 +435,21 @@ def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
     return _mc_outcome(lambda: _solves(sf, _rows(sf, ArrivalSet(times).times)[1])[-1][1:3])
 
 
-def _trials(sf: ScenarioFile, times: np.ndarray, lead: bool = False) -> list:
-    """_mc_trial of every (R, E) slice of times, from one _rows call per
-    chunk of _MC_CHUNK driver rows.
+def _trials(sf: ScenarioFile, times: np.ndarray) -> list:
+    """The file's epochs, stacked (N, R, E) in times, from one _rows call per
+    chunk of _MC_CHUNK driver rows: times[0] is its single epoch, and the
+    rest are its sweep's trials.
 
-    Each row is bit-identical to _mc_trial's solve of it, or is the error
-    that solve raises: a trilat or tdoa row with a closed form is its one
-    driver row's estimate; every other trial is its _solves from the
-    chunk's fix. Only trials whose times are not finite run _mc_trial, for
-    the error ArrivalSet raises. With lead, times[0] is the file's single
-    epoch, riding in the first batch: in its place the list holds that
-    batch's fix, whose driver rows 0, 1, ... are the single epoch's.
+    In the single epoch's place the list holds the first batch's fix, whose
+    driver rows 0, 1, ... are the epoch's. Each trial's place holds
+    _mc_trial's solve of it, bit for bit, or the error that solve raises: a
+    trilat or tdoa trial with a closed form is its one driver row's
+    estimate; every other trial is its _solves from the chunk's fix. An
+    epoch whose times are not finite, the single one included, is
+    _mc_trial's error, the one ArrivalSet raises.
     """
     family = _MODES[sf.mode][1]
-    n_rows = 1 if family == "trilat" else times.shape[2]  # driver rows per trial
+    n_rows = 1 if family == "trilat" else times.shape[2]  # driver rows per epoch
     finite = np.isfinite(times).all(axis=(1, 2)).tolist()
     at = (sf.receivers if family == "trilat" else sf.emitters)[0].coords
     trials = []
@@ -470,10 +457,10 @@ def _trials(sf: ScenarioFile, times: np.ndarray, lead: bool = False) -> list:
     for lo in range(0, len(times), per):
         closed, fix = _rows(sf, times[lo:lo + per])
         for i, finite_i in enumerate(finite[lo:lo + per]):
-            if lo + i < lead:
-                trials.append(fix)
-            elif not finite_i:
+            if not finite_i:
                 trials.append(_mc_trial(sf, times[lo + i]))
+            elif lo + i == 0:
+                trials.append(fix)
             elif family != "pipeline" and closed[i] is not None:
                 coords, norm = closed[i]  # (*coords, 0.0)[:3] is (x, y, z), z = 0 in 2D
                 trials.append((*coords, 0.0)[:3] + (norm, True, math.dist(coords, at)))
@@ -518,27 +505,16 @@ def _mean(values: Sequence[float]) -> float:
     return float(top * (np.add.reduce(v / top) / len(v)))
 
 
-def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError,
-                 lead: np.ndarray | None, noisy: list[np.ndarray], errors: list[dict]) -> tuple:
-    """Noise sweep of the file's one noise-free simulation, or of the error
-    simulating raised, which every trial then reports. noisy holds each
-    sigma_t's jittered times of monte_carlo.trials trials (see run), whose
-    trials are solved in closed-form batches. lead, the single epoch's
-    times or None, rides in the first batch; returns (that batch's fix or
-    None, the section)."""
+def _monte_carlo(sf: ScenarioFile, outcomes: list, errors: list[dict]) -> dict:
+    """The monte_carlo section of a sweep's outcomes, the _trials rows or
+    errors of its trials, sigma_t by sigma_t, monte_carlo.trials each. An
+    error is appended to errors, not made a row."""
     sigmas, trials = sf.monte_carlo_sigmas, sf.monte_carlo_trials
-    if isinstance(arrivals, RflocError):
-        fix, outcomes = None, [[arrivals] * trials for _ in sigmas]
-    else:
-        head = [] if lead is None else [lead[None]]
-        flat = _trials(sf, np.concatenate(head + noisy), bool(head))
-        fix = flat.pop(0) if head else None
-        outcomes = [flat[i * trials:(i + 1) * trials] for i in range(len(sigmas))]
     rows = []
     summaries = []
-    for sigma_t, sigma_outcomes in zip(sigmas, outcomes):
+    for k, sigma_t in enumerate(sigmas):
         trial_errors = []
-        for trial, outcome in enumerate(sigma_outcomes):
+        for trial, outcome in enumerate(outcomes[k * trials:(k + 1) * trials]):
             if isinstance(outcome, RflocError):
                 errors.append(_error_entry(f"monte_carlo sigma_t={sigma_t} trial={trial}",
                                            outcome))
@@ -554,21 +530,20 @@ def _monte_carlo(sf: ScenarioFile, arrivals: ArrivalSet | RflocError,
             p10, p50, p90 = _quantiles(trial_errors, (0.1, 0.5, 0.9))
         summaries.append({"sigma_t": sigma_t, "n": len(trial_errors), "mean_error_m": mean,
                           "p10_error_m": p10, "median_error_m": p50, "p90_error_m": p90})
-    return fix, {"trials": trials,
-                 "sigma_t_list": list(sigmas),
-                 "summaries": summaries, "rows": rows}
+    return {"trials": trials, "sigma_t_list": list(sigmas),
+            "summaries": summaries, "rows": rows}
 
 
 def run(sf: ScenarioFile, seed: int | None = None) -> dict:
     """Execute a validated scenario and build the JSON-ready report.
 
-    One noise-free simulation serves the single solve and the sweep; the
-    single epoch's jitter comes from trial 0's draw, which has its seed,
-    and the epoch rides in the sweep's first driver batch (see _trials).
-    Module errors raised by individual solves are embedded under "errors",
-    the solve's before the sweep's, rather than propagated; the CLI turns a
-    non-empty error list into exit code 1. Deterministic for a fixed
-    scenario file and seed.
+    One noise-free simulation serves the single epoch and the sweep, and
+    one _trials call solves them all: the single epoch is its block 0, with
+    the jitter of trial 0's draw, which has its seed. Module errors raised
+    by individual solves are embedded under "errors", the single epoch's
+    before the sweep's, rather than propagated; the CLI turns a non-empty
+    error list into exit code 1. Deterministic for a fixed scenario file
+    and seed.
     """
     base_seed = sf.seed if seed is None else seed
     errors: list[dict] = []
@@ -582,30 +557,35 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
         "monte_carlo": None,
         "errors": errors,
     }
-    sigmas = sf.monte_carlo_sigmas
-    arrivals = lead = fix = noisy = None
+    sigmas, trials = sf.monte_carlo_sigmas or (), sf.monte_carlo_trials or 1
+    outcomes = None
     try:
-        if _MODES[sf.mode][1] != "doppler" and sf.distances is None:
-            arrivals = simulate_arrivals(sf.scenario())
+        if _MODES[sf.mode][1] == "doppler":
+            reading = DopplerReading(f_emitted=sf.carrier, f_received=sf.doppler_f_received,
+                                     c=sf.c)
+            est = doppler_distance(reading)
+            report["solves"] = [{"kind": "doppler", "shift_hz": doppler_shift(reading),
+                                 "distance_m": est.meters, "idealized": est.idealized}]
+            return report
+        if sf.distances is not None:
+            fix = _rows(sf, None)[1]
+        else:
             # trial k is seeded base_seed + k: trial 0 shares the single epoch's draw
-            times, *noisy = _perturb(arrivals.times, sf.noise_sigma_t, sigmas or (),
-                                     range(base_seed, base_seed + (sf.monte_carlo_trials or 1)))
-            lead = ArrivalSet(times).times
-    except RflocError as exc:
-        errors.append(_error_entry("solve", exc))
-        if noisy is None:
-            arrivals = exc  # nothing drawn: every trial raises it again
-    sweep_errors: list[dict] = []
-    if sigmas is not None:
-        fix, report["monte_carlo"] = _monte_carlo(sf, arrivals, lead, noisy, sweep_errors)
-    try:
-        if not errors:  # the single epoch was simulated and drawn
-            report["solves"] = _single_run_entries(sf, lead, fix)
+            times, *noisy = _perturb(simulate_arrivals(sf.scenario()).times, sf.noise_sigma_t,
+                                     sigmas, range(base_seed, base_seed + trials))
+            fix, *outcomes = _trials(sf, np.concatenate([times[None], *noisy]))
+            if isinstance(fix, RflocError):  # the single epoch's times are not finite
+                raise fix
+        report["solves"] = [_solve_entry(kind, result, truth, **extra)
+                            for kind, result, truth, extra in _solves(sf, fix)]
     except RflocError as exc:
         errors.append(_error_entry("solve", exc))
         if isinstance(exc, NoConvergence) and exc.best is not None:
             report["solves"] = [_solve_entry("best_iterate", exc.best, None)]
-    errors += sweep_errors
+        if outcomes is None:  # nothing drawn: every trial raises it again
+            outcomes = [exc] * (trials * len(sigmas))
+    if sf.monte_carlo_sigmas is not None:
+        report["monte_carlo"] = _monte_carlo(sf, outcomes, errors)
     return report
 
 

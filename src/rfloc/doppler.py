@@ -8,10 +8,10 @@ should rely on the TDOA and trilateration modules instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .solver import _finite_real
 
 __all__ = [
     "LIGHT_SPEED_NOMINAL",
@@ -39,7 +39,7 @@ class DopplerReading:
     def __post_init__(self):
         for name in ("f_emitted", "f_received", "c"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
+            if not (_finite_real(value) and value > 0.0):
                 raise ValidationError(f"{name} must be strictly positive and finite", field=name)
 
 

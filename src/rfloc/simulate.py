@@ -10,8 +10,6 @@ any platform, and one draw serves every sigma of a sweep.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidNoise, ValidationError
 from .geometry import Point
-from .solver import _norms
+from .solver import _finite_real, _norms
 
 __all__ = [
     "Scenario",
@@ -33,14 +31,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def _finite_real(x) -> bool:
-    """Whether x is a finite real number other than a bool (an int past floats is not)."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 def _check_speed(c: float) -> None:

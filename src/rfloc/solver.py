@@ -18,6 +18,7 @@ callable is scanned exhaustively, chunk by chunk.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,6 +59,14 @@ _GRID_BUDGET = 50_000_000
 # (32, 4), and 33.3 at (32, 8) and (8, 4): sums of medians of 11, the sizes
 # alternated call by call. The first three are within noise of each other.
 _GRID_LEVELS = {2: (64, 8), 3: (16, 4)}
+
+
+def _finite_real(x) -> bool:
+    """Whether x is a finite real number other than a bool (an int past floats is not)."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -226,8 +235,8 @@ def finite_difference_jacobian(
     h: float,
 ) -> np.ndarray:
     """Central-difference Jacobian: entry (i, k) = (r_i(q + h e_k) - r_i(q - h e_k)) / 2h."""
-    if not h > 0.0:
-        raise ValueError("step h must be positive")
+    if not (_finite_real(h) and h > 0.0):
+        raise ValueError(f"step h must be a positive finite number, got {h!r}")
     x = np.array(q.coords) if isinstance(q, Point) else np.asarray(q, dtype=float).ravel()
     n = len(x)
     base = np.asarray(residual_fn(x), dtype=float)

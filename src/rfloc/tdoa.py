@@ -40,9 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .simulate import ArrivalSet, _check_speed, _finite_real
-from .solver import (_TIE_EPS, SolveResult, _centroid, _cross, _norms, _outcome, _rowdot,
-                     _unit_rows, gauss_newton_raw)
+from .simulate import ArrivalSet, _check_speed
+from .solver import (_TIE_EPS, SolveResult, _centroid, _cross, _finite_real, _norms, _outcome,
+                     _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDifferenceSet",
@@ -71,6 +71,17 @@ def _index(i, name: str, field: str = "deltas") -> int:
     return int(i)
 
 
+def _entry(d, names: tuple[str, ...]) -> tuple:
+    """d, a tuple or list (index, *names) of an integer and finite real
+    numbers other than bools, as (int, *floats); anything else is refused."""
+    if not (isinstance(d, (tuple, list)) and len(d) == 1 + len(names) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in d[1:])):
+        raise ValidationError(f"{d!r} is not (index, {', '.join(names)})", field="deltas")
+    if not all(_finite_real(v) for v in d[1:]):
+        raise ValidationError("non-finite range difference", field="deltas")
+    return (_index(d[0], "receiver index"), *map(float, d[1:]))
+
+
 @dataclass(frozen=True)
 class RangeDifferenceSet:
     """Arrival-time and range differences of every receiver against a reference."""
@@ -80,15 +91,8 @@ class RangeDifferenceSet:
 
     def __post_init__(self):
         _index(self.reference_index, "reference_index")
-        deltas = []
-        for d in self.deltas:
-            if not (isinstance(d, (tuple, list)) and len(d) == 3 and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool) for v in d[1:])):
-                raise ValidationError(f"{d!r} is not (index, delta_t, delta_d)", field="deltas")
-            if not (_finite_real(d[1]) and _finite_real(d[2])):
-                raise ValidationError("non-finite range difference", field="deltas")
-            deltas.append(_RangeDelta(_index(d[0], "receiver index"), float(d[1]), float(d[2])))
-        object.__setattr__(self, "deltas", tuple(deltas))
+        deltas = tuple(_RangeDelta(*_entry(d, ("delta_t", "delta_d"))) for d in self.deltas)
+        object.__setattr__(self, "deltas", deltas)
         others = [d.other_index for d in self.deltas]
         if self.reference_index in others:
             raise ValueError("reference receiver cannot appear as 'other'")
@@ -101,6 +105,7 @@ class RangeDifferenceSet:
                                c: float) -> "RangeDifferenceSet":
         """Build from (other_index, delta_d meters) pairs, deriving delta_t = delta_d / c."""
         _check_speed(c)
+        pairs = [_entry(pair, ("delta_d",)) for pair in pairs]
         return cls(reference_index, tuple(_RangeDelta(i, dd / c, dd) for i, dd in pairs))
 
 

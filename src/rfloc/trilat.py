@@ -35,8 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, _centroid, _cross, _norms,
-                     _outcome, _rowdot, _unit_rows, gauss_newton_raw)
+from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, _centroid, _cross,
+                     _finite_real, _norms, _outcome, _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "TrilaterationProblem",
@@ -66,7 +66,7 @@ class TrilaterationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "emitters", tuple(self.emitters))
-        object.__setattr__(self, "distances", tuple(float(d) for d in self.distances))
+        object.__setattr__(self, "distances", tuple(self.distances))
         if len(self.emitters) < 3:
             raise ValidationError("at least 3 emitters required", field="emitters")
         if len(self.distances) != len(self.emitters):
@@ -75,8 +75,9 @@ class TrilaterationProblem:
             raise DimensionError(f"dimension must be 2 or 3, got {self.dimension}")
         if any(p.dim != self.dimension for p in self.emitters):
             raise DimensionError("emitter dimensions disagree with the problem dimension")
-        if not all(math.isfinite(d) and d >= 0.0 for d in self.distances):
+        if not all(_finite_real(d) and d >= 0.0 for d in self.distances):
             raise _bad_distances()
+        object.__setattr__(self, "distances", tuple(map(float, self.distances)))
 
     @property
     def anchor_array(self) -> np.ndarray:

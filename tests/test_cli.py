@@ -982,7 +982,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     sf = _validate(doc)
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(sf.seed, sf.seed + 40))[1:])
-    batched = cli._trials(sf, times)
+    batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     recv = cli._receivers(sf)
@@ -1137,7 +1137,7 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(3, 3 + trials))[1:])
-    batched = cli._trials(sf, times)
+    batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     assert len(batched) == trials * len(sigmas)
@@ -1160,7 +1160,7 @@ def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, recei
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(seed, seed + trials))[1:])
-    batched = cli._trials(sf, times)
+    batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
     alone = [cli._mc_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     finite_times = np.isfinite(times).all(axis=(1, 2))

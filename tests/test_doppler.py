@@ -71,3 +71,10 @@ def test_reading_validation():
         DopplerReading(1e9, -1.0)
     with pytest.raises(ValidationError):
         DopplerReading(1e9, 1e9, c=float("inf"))
+    # True was taken as 1 Hz; a string or None raised a bare TypeError, and
+    # an int past the float range a bare OverflowError.
+    for field in ("f_emitted", "f_received", "c"):
+        for value in (True, "1e9", None, 10 ** 400, 1e9 + 0j):
+            with pytest.raises(ValidationError) as exc:
+                DopplerReading(**{"f_emitted": 1e9, "f_received": 1e9, "c": 3e8, field: value})
+            assert exc.value.field == field

@@ -169,8 +169,11 @@ def test_fd_jacobian_linear_exact():
 
 
 def test_fd_jacobian_requires_positive_h():
-    with pytest.raises(ValueError):
-        finite_difference_jacobian(lambda x: x, np.array([1.0, 2.0]), h=0.0)
+    # An infinite h gave an all-NaN Jacobian with a RuntimeWarning, and "x"
+    # raised a bare TypeError.
+    for h in (0.0, -1e-6, math.inf, math.nan, "x", None, True, 10 ** 400):
+        with pytest.raises(ValueError, match="step h must be a positive finite number"):
+            finite_difference_jacobian(lambda x: x, np.array([1.0, 2.0]), h=h)
 
 
 def test_grid_exact_lattice_minimum():

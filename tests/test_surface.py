@@ -142,8 +142,17 @@ def test_cli_assembles_a_trial_in_one_function():
     cli = Path(rfloc.__file__).parent / "cli.py"
     assert _callers(cli, ("_team",)) == {("_solves", "_team")}
     assert _callers(cli, ("fix",)) == {("_solves", "fix")}
-    assert _callers(cli, ("_solves",)) == {("_single_run_entries", "_solves"),
-                                           ("_mc_trial", "_solves"), ("_trials", "_solves")}
+    assert _callers(cli, ("_solves",)) == {("run", "_solves"), ("_mc_trial", "_solves"),
+                                           ("_trials", "_solves")}
+
+
+def test_cli_solves_a_file_on_one_path():
+    # A file's single epoch and its sweep's trials come from one _trials
+    # call; explicit trilat distances and the per-trial reference are the
+    # only other row drivers.
+    cli = Path(rfloc.__file__).parent / "cli.py"
+    assert _callers(cli, ("_rows",)) == {("run", "_rows"), ("_mc_trial", "_rows"),
+                                         ("_trials", "_rows")}
 
 
 def _reachable(start: str) -> set[str]:

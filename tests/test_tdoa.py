@@ -414,17 +414,26 @@ def test_range_difference_set_refuses_an_index_that_is_not_an_integer(reference,
         assert info.value.field == "deltas"
 
 
-@pytest.mark.parametrize("deltas", [((1, 2.0),), (1, 2, 3), ((1, 1e-8, 3.0, 9),),
-                                    ((1, "x", 3.0),), ((1, None, 3.0),), ((1, True, 3.0),),
-                                    ((1, 1e-8, False),), ((1, 1e-8, 3.0 + 0j),), (None,),
-                                    ("abc",)], ids=repr)
-def test_range_difference_set_refuses_a_malformed_entry(deltas):
-    # Entries are exactly (integer index, real delta_t, real delta_d). A short
-    # one raised a bare IndexError, a flat set of numbers a bare TypeError, a
-    # string or None a bare ValueError or TypeError; a fourth item was
-    # dropped and a bool stored as 1.0.
-    with pytest.raises(ValidationError, match=r"is not \(index, delta_t, delta_d\)") as info:
-        RangeDifferenceSet(0, deltas)
+@pytest.mark.parametrize("values, deltas", [
+    *(pytest.param("delta_t, delta_d", d, id=repr(d)) for d in (
+        ((1, 2.0),), (1, 2, 3), ((1, 1e-8, 3.0, 9),), ((1, "x", 3.0),), ((1, None, 3.0),),
+        ((1, True, 3.0),), ((1, 1e-8, False),), ((1, 1e-8, 3.0 + 0j),), (None,), ("abc",))),
+    *(pytest.param("delta_d", p, id=f"pairs={p!r}") for p in (
+        [(1,)], [(1, "x")], [5], [(1, None)], [(1, True)], [(1, 2.0, 3.0)], ["ab"])),
+])
+def test_range_difference_set_refuses_a_malformed_entry(values, deltas):
+    # Entries are exactly (integer index, real delta_t, real delta_d), and the
+    # pairs of from_range_differences (integer index, real delta_d). A short
+    # entry raised a bare IndexError, a flat set of numbers a bare TypeError,
+    # a string or None a bare ValueError or TypeError; a fourth item was
+    # dropped and a bool stored as 1.0. A pair was unpacked and divided before
+    # any check: a short one raised a bare ValueError, a string or a bare
+    # number a bare TypeError.
+    with pytest.raises(ValidationError, match=rf"is not \(index, {values}\)") as info:
+        if values == "delta_d":
+            RangeDifferenceSet.from_range_differences(0, deltas, C)
+        else:
+            RangeDifferenceSet(0, deltas)
     assert info.value.field == "deltas"
 
 
@@ -444,10 +453,15 @@ def test_range_difference_set_takes_numpy_integer_indices():
 
 
 def test_range_difference_set_non_finite_is_a_package_error():
-    # An overflowing timing jitter reaches here; cli.run embeds the error.
-    for delta in ((1, 1e300, math.inf), (1, math.nan, math.nan), (1, 1e-8, 10 ** 400)):
+    # An overflowing timing jitter reaches here; cli.run embeds the error. A
+    # pair's int past the float range raised a bare OverflowError when divided.
+    for build in (lambda: RangeDifferenceSet(0, ((1, 1e300, math.inf),)),
+                  lambda: RangeDifferenceSet(0, ((1, math.nan, math.nan),)),
+                  lambda: RangeDifferenceSet(0, ((1, 1e-8, 10 ** 400),)),
+                  *(lambda dd=dd: RangeDifferenceSet.from_range_differences(0, [(1, dd)], C)
+                    for dd in (math.inf, math.nan, 10 ** 400))):
         with pytest.raises(ValidationError, match="^non-finite range difference$") as info:
-            RangeDifferenceSet(0, (delta,))
+            build()
         assert info.value.field == "deltas"
 
 

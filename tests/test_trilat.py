@@ -467,6 +467,19 @@ def test_problem_validation():
         trilaterate(TrilaterationProblem(
             (Point.of(0, 0), Point.of(10, 0), Point.of(0, 10), Point.of(10, 10)),
             (5.0, 5.0, 5.0, 5.0), 2))
+    # Each distance was passed to float() before the check: "5" and True
+    # were taken as 5.0 and 1.0, and the rest raised a bare ValueError,
+    # TypeError or OverflowError.
+    for d in ("5", True, "x", None, 10 ** 400, math.inf, 5 + 0j):
+        with pytest.raises(ValidationError, match="^distances must be finite and >= 0$") as info:
+            TrilaterationProblem(DEMO_EMITTERS, (5.0, d, 5.0), 2)
+        assert info.value.field == "distances"
+
+
+def test_problem_stores_its_distances_as_floats():
+    problem = TrilaterationProblem(DEMO_EMITTERS, [5, np.float32(5.0), np.int64(5)], 2)
+    assert problem.distances == (5.0, 5.0, 5.0)
+    assert all(type(d) is float for d in problem.distances)
 
 
 def test_point_and_start_must_match_the_problem_dimension():
