@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
-from .geometry import Point, distance
+from .geometry import Point, _finite_real, distance
 from .simulate import ArrivalSet, Scenario, _perturb, simulate_arrivals
 from .solver import SolveResult, _centroid
 from .tdoa import _fixes, _range_differences
@@ -86,13 +86,8 @@ def _fail(where: str, what: str) -> ValidationError:
                            field=where.rpartition(".")[2].partition("[")[0])
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
 def _finite(value, where: str) -> float:
-    # abs() <= max also refuses NaN and integers beyond the float range.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= _FLOAT_MAX):
+    if not _finite_real(value):  # a bool, NaN or an int past the float range is not
         raise _fail(where, "must be a finite number")
     return float(value)
 

@@ -18,7 +18,6 @@ callable is scanned exhaustively, chunk by chunk.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceeded, NoConvergence
-from .geometry import Point
+from .geometry import Point, _finite_real
 
 __all__ = [
     "SolveResult",
@@ -61,22 +60,14 @@ _GRID_BUDGET = 50_000_000
 _GRID_LEVELS = {2: (64, 8), 3: (16, 4)}
 
 
-def _finite_real(x) -> bool:
-    """Whether x is a finite real number other than a bool (an int past floats is not)."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of a solve: primary estimate plus every candidate found.
 
-    candidates are (point, residual_norm) pairs sorted ascending by residual
-    norm, then lexicographically by coordinates. The estimate always carries
-    the minimal residual norm among them (ties may be broken by op-specific
-    conventions, e.g. proximity to the receiver centroid).
+    candidates are (point, residual_norm) pairs, the estimate first. A closed
+    form ranks its roots by _rank: those tied in norm with the least by the
+    solver's convention (nearest the receiver centroid for TDOA, greater z
+    for 3D trilateration), then the others by norm; x, then y, break ties.
     """
 
     estimate: Point
@@ -102,6 +93,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norms(diff: np.ndarray) -> np.ndarray:
     """np.linalg.norm(diff, axis=-1): the same reduction, without its overhead."""
     return np.sqrt(_rowdot(diff, diff))
+
+
+def _rank(roots: np.ndarray, norms: np.ndarray, key: np.ndarray):
+    """Each row's roots (N, 2, D) and residual norms (N, 2) in candidate
+    order, the estimate first: the roots within _TIE_EPS of the row's least
+    norm by the solver's policy key (N, 2), then the others by norm, each
+    group then by x, y. The one candidate ranking of the closed forms."""
+    tied = norms <= norms.min(axis=1, keepdims=True) + _TIE_EPS
+    order = np.lexsort((roots[..., 1], roots[..., 0], np.where(tied, key, norms), ~tied), axis=-1)
+    rows = np.arange(len(roots))[:, None]
+    return roots[rows, order], norms[rows, order]
 
 
 def _centroid(rows: Sequence[Sequence[float]]) -> tuple[float, ...]:

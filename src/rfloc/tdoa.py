@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geometry import Point
 from .simulate import ArrivalSet, _check_speed
-from .solver import (_TIE_EPS, SolveResult, _centroid, _cross, _finite_real, _norms, _outcome,
+from .solver import (SolveResult, _centroid, _cross, _finite_real, _norms, _outcome, _rank,
                      _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
@@ -247,9 +247,8 @@ class _PlaneRoots(NamedTuple):
     """The closed-form solve of N rows of differences (see _plane_batch)."""
 
     roots: np.ndarray     # (N, 2, 2) planar points, in candidate order
-    norms: np.ndarray     # (N, 2) their residual norms
+    norms: np.ndarray     # (N, 2) their residual norms, inf where there is no root
     count: np.ndarray     # (N,) distinct admissible roots, 0 to 2
-    near: np.ndarray      # (N,) the residual-tied candidate nearest the centroid
     starts: np.ndarray    # (N, 2, 2) fallback starts of the rows with no root
     start_ok: np.ndarray  # (N, 2) which of them count
 
@@ -276,11 +275,12 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
     with e_k the planar offset of receiver k from the reference. Their
     solutions form the line m + t n (minimum-norm m, unit null direction n),
     and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
-    roots (r0 >= 0, r0 >= d_k, within the runaway radius) are deduplicated
-    at 1e-6 m and sorted by residual norm, then x, then y; near is the
-    residual-tied one nearest the receiver centroid. A row with no root (the
-    branches do not meet) gets Gauss-Newton starts on the line instead, and
-    a rank-deficient row the receiver centroid as its one start.
+    roots (r0 >= 0, r0 >= d_k, within the runaway radius) are ranked by
+    solver._rank, the residual-tied ones nearest the receiver centroid
+    first, so the first is the estimate; a second root within 1e-6 m of it
+    is dropped. A row with no root (the branches do not meet) gets
+    Gauss-Newton starts on the line instead, and a rank-deficient row the
+    receiver centroid as its one start.
 
     Each row has the bits of a solve of that row alone, on any CPU (_rowdot).
     """
@@ -338,29 +338,18 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         valid &= _norms(uxy) <= _RUNAWAY_DIAMS * diam
         valid &= ~rank_def[:, None]
         roots = planar[0] + uxy
-        roots[~valid] = 0.0  # what follows never sees a slot without a root as inf or NaN
+        roots[~valid] = 0.0  # a slot without a root is never NaN, and ranks last by its norm
 
-        # Each root's residual norm; a slot without a root (0.0) has an unused one.
+        # Ranked by residual norm, the tied ones by distance to the receiver
+        # centroid; a second candidate within _DEDUP_TOL of the first is dropped.
         norms = _norms(_closures(recv, deltas[:, None], plane)[0](roots))
-
-        # Candidates by norm, then x, y; the second one dropped within
-        # _DEDUP_TOL of the first; the residual-tied ones by distance to the
-        # receiver centroid, then x, y.
-        count = valid.sum(axis=1)
-        order = np.lexsort((roots[..., 1], roots[..., 0], norms, ~valid), axis=-1)
-        pick = np.arange(rows)[:, None]
-        roots, norms = roots[pick, order], norms[pick, order]
-        count -= (count == 2) & (_norms(roots[:, 1] - roots[:, 0]) < _DEDUP_TOL)
-        # Sorted, the first candidate is the best one (admissible first, then
-        # the least norm, NaN last): it sets the tie, and a row is all tied
-        # when its second candidate is.
-        tied = norms <= (norms[:, :1] + _TIE_EPS)
-        tied[:, 1] &= count == 2
+        norms[~valid] = np.inf
         gap = np.empty((rows, 2, 3))
         gap[..., :2] = roots - (cx, cy)
         gap[..., 2] = plane - cz
-        dist = _norms(gap)
-        near = np.lexsort((roots[..., 1], roots[..., 0], dist, ~tied), axis=-1)[:, 0]
+        roots, norms = _rank(roots, norms, _norms(gap))
+        count = valid.sum(axis=1)
+        count -= (count == 2) & (_norms(roots[:, 1] - roots[:, 0]) < _DEDUP_TOL)
 
         # Starts on the line for the rows with no root: the quadratic's vertex,
         # and the point with the least far-field residual. Along the line every
@@ -381,7 +370,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
             pts[alone, 0] = np.where(rank_def[miss][alone, None], (cx, cy),
                                      planar[0] + m[alone, :2])
             starts[miss], start_ok[miss] = pts, ok
-    return _PlaneRoots(roots, norms, count, near, starts, start_ok)
+    return _PlaneRoots(roots, norms, count, starts, start_ok)
 
 
 def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
@@ -407,10 +396,9 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
     else:
         centroid = _centroid(recv.tolist())
         batch = _plane_batch(recv, deltas, plane, diam, centroid)
-        rows, near = np.arange(len(deltas)), batch.near
         closed = [((x, y, plane)[:dim], n) if c and f else None
-                  for (x, y), n, c, f in zip(batch.roots[rows, near].tolist(),
-                                             batch.norms[rows, near].tolist(),
+                  for (x, y), n, c, f in zip(batch.roots[:, 0].tolist(),
+                                             batch.norms[:, 0].tolist(),
                                              batch.count.tolist(), finite)]
 
     def fix(k: int) -> SolveResult:
@@ -422,12 +410,11 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
         if not count:
             return _fallback(recv, deltas[k], plane, dim, diam, centroid[:2],
                              batch.starts[k][batch.start_ok[k]])
-        norms = batch.norms[k].tolist()
-        near = int(batch.near[k])
         cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
-                           for x, y in batch.roots[k, :count].tolist()], norms))
-        return SolveResult(estimate=cands[near][0], candidates=cands,
-                           residual_norm=norms[near], iterations=0, converged=True)
+                           for x, y in batch.roots[k, :count].tolist()],
+                          batch.norms[k].tolist()))
+        return SolveResult(estimate=cands[0][0], candidates=cands,
+                           residual_norm=cands[0][1], iterations=0, converged=True)
 
     return closed, fix
 

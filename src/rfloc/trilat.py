@@ -35,8 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import Point
-from .solver import (_TIE_EPS, INCONSISTENCY_TOL, SolveResult, _centroid, _cross,
-                     _finite_real, _norms, _outcome, _rowdot, _unit_rows, gauss_newton_raw)
+from .solver import (INCONSISTENCY_TOL, SolveResult, _centroid, _cross, _finite_real, _norms,
+                     _outcome, _rank, _rowdot, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "TrilaterationProblem",
@@ -190,21 +190,6 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
 
 
-def _order(roots: np.ndarray, norms: np.ndarray, two: np.ndarray):
-    """Each row's candidates in (norm, x, y, z) order, as index pairs (N, 2),
-    and the index of its estimate (N,): in 2D the first candidate, in 3D the
-    residual-tied root with the greater z, then the lower x, y. A row with
-    one root has index 0."""
-    cols = roots.transpose(2, 0, 1)
-    order = np.lexsort((*cols[::-1], norms), axis=-1)
-    if roots.shape[2] == 2:
-        pick = order[:, 0]
-    else:
-        tied = norms <= norms.min(axis=1, keepdims=True) + _TIE_EPS
-        pick = np.lexsort((cols[1], cols[0], -cols[2], ~tied), axis=-1)[:, 0]
-    return order, np.where(two, pick, 0)
-
-
 def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     """Closed-form trilateration of N range triples against one anchor
     triangle, each row as trilaterate solves it alone.
@@ -212,8 +197,10 @@ def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns (closed,
     fix). closed[k] is (coords, residual_norm) of row k's estimate, or None
     when row k's solve raises. fix(k) returns row k's SolveResult, its
-    candidates in (norm, x, y, z) order, flagged mirror_ambiguity (two 3D
-    roots) and inconsistent (even the best norm exceeds INCONSISTENCY_TOL);
+    candidates ranked by solver._rank with the estimate first (in 3D the
+    residual-tied ones by greater z, in 2D all by norm; then x, y), flagged
+    mirror_ambiguity (two 3D roots) and inconsistent (even the best norm
+    exceeds INCONSISTENCY_TOL);
     or raises that row's error: the TrilaterationProblem error of a range
     that is not finite or is negative, GeometryDegenerate for collinear or
     coincident anchors, Inconsistent when the radicand falls below the slack
@@ -248,23 +235,22 @@ def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
                             for root in roots[k].tolist()]
                 if not np.isfinite(norms[k]).all():
                     errors[k] = Inconsistent("the residual norm overflows float64")
-        order, pick = _order(roots, norms, two)
-        rows = np.arange(len(ranges))
+        # A row with one root holds it twice; equal keys keep its order.
+        roots, norms = _rank(roots, norms, -roots[..., 2] if dim == 3 else norms)
         closed = [None if error is not None else (p, n) for error, p, n in
-                  zip(errors, zip(*roots[rows, pick].T.tolist()), norms[rows, pick].tolist())]
+                  zip(errors, zip(*roots[:, 0].T.tolist()), norms[:, 0].tolist())]
 
     def fix(k: int) -> SolveResult:
         if errors[k] is not None:
             raise errors[k]
-        coords, norm = closed[k]
-        cands = tuple((Point.of(*roots[k, j].tolist()), float(norms[k, j]))
-                      for j in (order[k] if two[k] else (0,)))
+        cands = tuple(zip([Point.of(*p) for p in roots[k, :1 + two[k]].tolist()],
+                          norms[k].tolist()))
         flags = set()
         if two[k] and dim == 3:
             flags.add("mirror_ambiguity")
         if cands[0][1] > INCONSISTENCY_TOL:
             flags.add("inconsistent")
-        return SolveResult(estimate=Point.of(*coords), candidates=cands, residual_norm=norm,
+        return SolveResult(estimate=cands[0][0], candidates=cands, residual_norm=cands[0][1],
                            iterations=0, converged=True, flags=frozenset(flags))
 
     return closed, fix

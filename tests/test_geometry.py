@@ -54,3 +54,17 @@ def test_point_validation():
         Point(1.0, 2.0, 3.0, dim=2)  # 2D points carry z == 0
     with pytest.raises(DimensionError, match="dim must be 2 or 3, got 4"):
         Point(1.0, 2.0, 3.0, dim=4)
+    # A coordinate is a finite real number other than a bool, checked before
+    # float(): a string, a bool, None, a complex or an int past the float
+    # range is the ValueError that NaN is, naming the coordinate, never
+    # float()'s value or a bare TypeError or OverflowError.
+    for bad in ("1", True, None, 10**400, 1j, float("-inf")):
+        for coords, name in (((bad, 2), "'x'"), ((0, bad), "'y'"), ((0, 1, bad), "'z'")):
+            with pytest.raises(ValueError, match=name):
+                Point.of(*coords)
+    with pytest.raises(ValueError, match="'x'"):
+        Point(True, 2.0, 0.0, 2)
+    with pytest.raises(ValueError, match="'z'"):
+        Point(1.0, 2.0, "0", 3)
+    for value in (3, np.float64(3.0), np.int32(3), np.float32(3.0)):  # stored as floats
+        assert [type(c) for c in Point.of(value, value, value).coords] == [float] * 3

@@ -12,6 +12,7 @@ from rfloc import (
     Point,
     RangeDifferenceSet,
     TrilaterationProblem,
+    distance,
     finite_difference_jacobian,
     grid_search,
     hyperbolic_objective,
@@ -19,7 +20,7 @@ from rfloc import (
     trilateration_objective,
     trilateration_residuals,
 )
-from rfloc import _kernels, solver
+from rfloc import _kernels, solver, tdoa, trilat
 from rfloc.errors import BudgetExceeded, NoConvergence
 
 
@@ -147,6 +148,48 @@ def test_centroid_is_numpys_mean_or_a_finite_mean(rows):
             assert np.float64(value).tobytes() == mean.tobytes()
         else:
             assert math.isfinite(value) and column.min() <= value <= column.max()
+
+
+def _nudged(rows: np.ndarray) -> np.ndarray:
+    """rows, then rows with their first column moved up by one ulp."""
+    nudged = rows.copy()
+    nudged[:, 0] = np.nextafter(nudged[:, 0], math.inf)
+    return np.concatenate([rows, nudged])
+
+
+def test_candidate_order_survives_a_one_ulp_nudge():
+    # Both roots of a noise-free two-root solve fit the data to rounding, so
+    # their residual norms tie and a last-bit change can reorder them; the
+    # candidate order must not follow it. Tight drone clusters over far
+    # ground emitters (TDOA), and mirror pairs about anchors near the ground
+    # (3D trilateration), each row solved as given and with one range
+    # difference, or one range, one ulp larger.
+    rng = np.random.default_rng(7)
+    results = []
+    for _ in range(60):
+        center = np.array([*rng.uniform(-50, 50, 2), rng.uniform(100, 250)])
+        recv = center + rng.uniform(-0.25, 0.25, size=(3, 3))
+        angle, radius = rng.uniform(0.0, 2 * math.pi), rng.uniform(4000, 10000)
+        emitter = center + (radius * math.cos(angle), radius * math.sin(angle), -center[2])
+        d = np.linalg.norm(emitter - recv, axis=1)
+        fix = tdoa._fixes(recv, _nudged(np.array([d[:1] - d[1:]])), 0.0, 3)[1]
+        results.append((fix(0), fix(1)))
+    for _ in range(60):
+        anchors = np.column_stack([rng.uniform(-500, 500, (3, 2)), rng.uniform(0, 50, 3)])
+        p = np.array([*rng.uniform(-500, 500, 2), rng.uniform(100, 300)])
+        fix = trilat._batch(anchors, _nudged(np.linalg.norm(p - anchors, axis=1)[None]))[1]
+        results.append((fix(0), fix(1)))
+    two = 0
+    for plain, nudged in results:
+        for result in (plain, nudged):
+            assert result.estimate == result.candidates[0][0]
+            assert result.residual_norm == result.candidates[0][1]
+        if len(plain.candidates) == 2 == len(nudged.candidates):
+            two += 1
+            (p, _), (q, _) = plain.candidates
+            for i, (r, _) in enumerate(nudged.candidates):
+                assert (distance(r, p) < distance(r, q)) == (i == 0)
+    assert two >= 60
 
 
 def test_fd_jacobian_quadratic():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rfloc
-from rfloc import Scenario, solver
+from rfloc import Scenario, solver, tdoa
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -131,6 +131,20 @@ def test_only_batch_drives_the_closed_form_trilateration(path):
     assert _callers(path, ("_closed_form",)) == expected
 
 
+def test_one_candidate_ranking_serves_both_closed_forms():
+    # solver._rank orders the roots of the TDOA and the trilateration closed
+    # forms, the estimate first; only it reads the residual tie _TIE_EPS, and
+    # the TDOA batch carries no separate pick of its estimate.
+    callers = {(path.name, *caller) for path in SOURCES for caller in _callers(path, ("_rank",))}
+    assert callers == {("tdoa.py", "_plane_batch", "_rank"), ("trilat.py", "_batch", "_rank")}
+    readers = {(path.name, getattr(top, "name", "<module>")) for path in SOURCES
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top) if isinstance(node, ast.Name)
+               and node.id == "_TIE_EPS" and isinstance(node.ctx, ast.Load)}
+    assert readers == {("solver.py", "_rank")}
+    assert "near" not in tdoa._PlaneRoots._fields
+
+
 def test_cli_picks_its_row_driver_in_one_function():
     cli = Path(rfloc.__file__).parent / "cli.py"
     assert _callers(cli, ("_fixes", "_batch")) == {("_rows", "_fixes"), ("_rows", "_batch")}
@@ -199,13 +213,15 @@ def test_cli_row_driver_returns_the_drivers_unwrapped():
 @pytest.mark.parametrize("name", ["order_candidates", "_solve_one", "_trilaterate_rows",
                                   "_trilat_trials", "_tdoa_trials", "_solve_rows",
                                   "_polish", "_POLISH_STEPS", "_FLOOR_ULPS", "SolverOptions",
+                                  "_order",
                                   *(f"{solve}_{dim}d" for solve in ("trilaterate", "locate_emitter")
                                     for dim in (2, 3))])
 def test_one_row_driver_per_solver_leaves_no_twin(name):
     # Single runs and sweeps share trilat._batch and tdoa._fixes; the
     # per-problem solve, the Python-sorted candidate order, the per-family
     # sweep loops, the per-dimension public solves, the stacked linear solve,
-    # the TDOA roots' Newton polish and the Gauss-Newton's options are gone.
+    # the TDOA roots' Newton polish, the Gauss-Newton's options and
+    # trilateration's own candidate order (now solver._rank) are gone.
     # (The per-dimension solves are spelled from parts, so that this file
     # does not name them either.)
     for path in SOURCES:

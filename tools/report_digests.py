@@ -25,7 +25,9 @@ taken as a separate `rfloc run` process would print it: each warning once
 per source line and file, with TREE and DIR replaced by fixed names. Run it
 on two trees with the same seeds and compare the outputs with diff. rfloc
 and the generators are imported from TREE (default: the checkout this
-script is in).
+script is in). The hashed report text is also written beside its file as
+NAME.report.json, so with --workdir, `diff -r` of two runs' directories
+names the fields that moved.
 
 After the files come the grid oracle's lines, one per oracle_grid lattice
 and seed, generated as perfbench/run.py generates them: oracle_grid_N/NAME,
@@ -204,8 +206,11 @@ def digest_line(path: str, root: str, workdir: str) -> str:
     if out.getvalue():
         report = json.loads(out.getvalue())
         report.pop("timestamp")
-        report_sha = _sha(json.dumps(report, indent=2))
+        text = json.dumps(report, indent=2)
+        report_sha = _sha(text)
         csv_sha = _sha(cli.report_to_csv(report))
+        with open(os.path.splitext(path)[0] + ".report.json", "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     stderr = err.getvalue().replace(workdir, "<corpus>").replace(root, "<root>")
     return f"{os.path.relpath(path, workdir)} {report_sha} {csv_sha} {code} {_sha(stderr)}"
 
@@ -232,8 +237,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--root", default=ROOT, help="source tree to run (default: this one)")
     parser.add_argument("--workdir", default=None,
-                        help="empty or missing directory for the corpus (default: a "
-                             "temporary one, removed afterwards)")
+                        help="empty or missing directory for the corpus, kept with each "
+                             "report beside its file (default: a temporary one, removed "
+                             "afterwards)")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
