@@ -127,10 +127,8 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     """Both closed-form roots of every row of ranges against one anchor triangle.
 
     anchors is (3, D) with D = 2 or 3 and ranges is (N, 3). What depends on
-    the anchors alone is computed once. The rest runs in extended precision,
-    relative to the first anchor for conditioning: the radical-line (plane)
-    constants are O(range^2), and cancellation in plain float64 costs the
-    last couple of digits at km scales. Dot products go through _rowdot.
+    the anchors alone is computed once. The rest runs relative to the first
+    anchor for conditioning, and dot products go through _rowdot.
 
     Returns the roots (N, 2, D), their residual norms against all three
     ranges (N, 2), whether the second root is distinct (N,), the radicand
@@ -138,20 +136,19 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     """
     e = anchors
     dim = e.shape[1]
-    ld = np.longdouble
-    e2 = (e[1] - e[0]).astype(ld)
-    e3 = (e[2] - e[0]).astype(ld)
+    e2 = e[1] - e[0]
+    e3 = e[2] - e[0]
     if dim == 2:
-        area2 = abs(float(e2[0] * e3[1] - e2[1] * e3[0]))
-        scale = max(float(np.hypot(*e2)), float(np.hypot(*e3)))
+        area2 = abs(e2[0] * e3[1] - e2[1] * e3[0])
+        scale = max(np.hypot(*e2), np.hypot(*e3))
     else:
         cross = _cross(e2, e3)
-        area2 = float(np.sqrt(_rowdot(cross, cross)))
-        scale = max(float(np.sqrt(_rowdot(e2, e2))), float(np.sqrt(_rowdot(e3, e3))))
+        area2 = np.sqrt(_rowdot(cross, cross))
+        scale = max(np.sqrt(_rowdot(e2, e2)), np.sqrt(_rowdot(e3, e3)))
     if scale == 0.0 or area2 <= 1e-12 * scale * scale:
         raise GeometryDegenerate("emitters are collinear (or coincident)")
 
-    sq = ranges.astype(ld) ** 2
+    sq = ranges ** 2
     if dim == 2:
         # Subtracting the first two circle equations leaves a line. Its point
         # closest to the third anchor p0 is offset from the circle crossings
@@ -182,10 +179,8 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     # A radicand within the slack of 0 clamps to one (tangent) root.
     miss = radicand < -_RADICAND_SLACK * ref
     two = radicand > _RADICAND_SLACK * ref
-    tu = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), ld(0.0))[:, None] * u
-    roots = np.empty((len(ranges), 2, dim))
-    roots[:, 0], roots[:, 1] = p0 + tu, p0 - tu  # longdouble rounded to float64
-    roots += e[0]
+    tu = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), 0.0)[:, None] * u
+    roots = np.stack([p0 + tu, p0 - tu], axis=1) + e[0]
     r = _residuals(roots, e, ranges[:, None, :])
     return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
 

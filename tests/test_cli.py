@@ -1217,8 +1217,9 @@ def test_sweeps_solve_finite_times_without_per_trial_runs(monkeypatch, mode, sce
 
 
 def test_overflowing_mean_error_is_finite(tmp_path):
-    # Three finite errors near 1e308 whose plain sum overflows: the summary's
-    # mean is finite, lies between them, and no numpy warning is raised.
+    # At sigma_t = 1e300 most trials are refused and the 3 rows left have
+    # residual norms near 1e308: the summary is finite, its mean lies
+    # between the errors, and no numpy warning is raised.
     doc = {"schema_version": 1, "solve": {"mode": "trilat2d"},
            "scenario": {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[120, 80]],
                         "seed": 3},
@@ -1234,13 +1235,22 @@ def test_overflowing_mean_error_is_finite(tmp_path):
     errors = [r["error_m"] for r in report["monte_carlo"]["rows"]]
     assert summary["n"] == len(errors) == 3
     assert min(errors) <= summary["mean_error_m"] <= max(errors)
-    assert math.isinf(sum(errors))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=200))
 def test_mean_keeps_numpy_bits(values):
     assert cli._mean(values) == float(np.mean(values))
+
+
+def test_mean_of_errors_whose_sum_overflows_is_finite():
+    values = [1.1818150704011427e308, 4.0587007928863537e307, 9e307]
+    assert math.isinf(sum(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = cli._mean(values)
+    assert math.isfinite(mean)
+    assert min(values) <= mean <= max(values)
 
 
 def _edge_documents():

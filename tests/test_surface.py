@@ -266,6 +266,15 @@ def test_blas_and_lapack_are_called_only_by_the_gauss_newton():
         assert "linalg" not in _source(name) and " @ " not in _source(name), name
 
 
+def test_no_number_type_whose_width_depends_on_the_platform():
+    # np.longdouble is 80-bit extended on x86-64 Linux, binary128 on aarch64
+    # Linux and float64 on Windows and macOS-arm64: computing in it would give
+    # one scenario file different report bits on different CPUs.
+    extended = re.compile(r"\b(c?longdouble|float96|float128|longfloat)\b")
+    assert {path.name for path in SOURCES if extended.search(path.read_text(encoding="utf-8"))} \
+        == set()
+
+
 def test_gauss_newton_has_two_callers():
     # The TDOA fallback and the trilateration least squares; both end in _outcome.
     callers = {(path.name, *caller) for path in SOURCES

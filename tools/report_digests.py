@@ -8,7 +8,7 @@ tdoa2d_sweep files that perfbench/workloads.py generates for each seed (as
 documents derived from the shipped ones: huge noise, huge or collinear
 geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
 off-ground emitter planes, pipeline sweeps whose branches do not meet, a
-sweep whose mean error overflows a plain sum, a tdoa2d sweep whose
+sweep whose rows have residual norms near 1e308, a tdoa2d sweep whose
 Gauss-Newton start overflows, a two-emitter tdoa2d run with one fallback
 that does not converge, single runs of three trilat3d receivers and of
 two converging tdoa3d emitters, sweeps whose single epoch needs the
@@ -94,7 +94,8 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
         docs[f"trilat3d_sweep_{tag}"] = _edit(trilat, trilat_receiver, drop=("distances",),
                                               monte_carlo=_sweep(0.0, 1e-9, sigma))
     docs["trilat2d_sweep_1e300"] = _edit(trilat2, monte_carlo=_sweep(0.0, 1e-9, 1e300))
-    # Finite errors near 1e308 whose sum overflows in the summary's mean.
+    # sigma_t = 1e300: most trials are refused, and the 3 rows left have
+    # residual norms near 1e308. cli._mean's overflow branch has its own test.
     docs["trilat2d_mean_overflow"] = _edit(trilat2, {"receivers": [[120.0, 80.0]], "seed": 3},
                                            monte_carlo=_sweep(1e300, trials=50))
     # Collinear anchors: every trial of the sweep reports GeometryDegenerate.
