@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceeded, NoConvergence
+from .errors import BudgetExceeded, GeometryDegenerate, NoConvergence
 from .geometry import Point, _finite_real
 
 __all__ = [
@@ -82,6 +82,26 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a x b for 3-vectors; np.cross costs more than a closed-form solve itself."""
     return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                      a[0] * b[1] - a[1] * b[0]])
+
+
+def _triangle(points: np.ndarray, what: str) -> float:
+    """The diameter (longest side) of the triangle of points (3, D), D = 2 or
+    3, in plain floats: the one triangle rule of both closed forms. Raises
+    GeometryDegenerate, naming the points what, when the diameter overflows
+    float64 or twice the area is at most 1e-12 diameter^2 (in any order)."""
+    a, b, c = (p + [0.0] * (3 - len(p)) for p in points.tolist())
+    u, v, w = ([q - p for p, q in zip(s, t)] for s, t in ((a, b), (a, c), (b, c)))
+    diam = max(math.sqrt(x * x + y * y + z * z) for x, y, z in (u, v, w))
+    if diam == math.inf:
+        raise GeometryDegenerate(f"the {what}' triangle overflows float64 (a side above "
+                                 "about 1.3e154 m)")
+    # hypot: twice the area without overflow, and exactly |normal_z| for a
+    # triangle on the plane z = 0.
+    area2 = math.hypot(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                       u[0] * v[1] - u[1] * v[0])
+    if diam == 0.0 or area2 <= 1e-12 * diam * diam:
+        raise GeometryDegenerate(f"{what} are collinear (or coincident)")
+    return diam
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

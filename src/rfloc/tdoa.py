@@ -25,7 +25,6 @@ fallback.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -41,8 +40,8 @@ from .errors import (
 )
 from .geometry import Point
 from .simulate import ArrivalSet, _check_speed
-from .solver import (SolveResult, _centroid, _cross, _finite_real, _norms, _outcome, _rank,
-                     _rowdot, _unit_rows, gauss_newton_raw)
+from .solver import (SolveResult, _centroid, _finite_real, _norms, _outcome, _rank, _rowdot,
+                     _triangle, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "RangeDifferenceSet",
@@ -231,18 +230,6 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
     return residual, jacobian
 
 
-def _triangle(recv: np.ndarray) -> float:
-    """The diameter of a receiver triangle (3, 3); GeometryDegenerate when collinear."""
-    sides = recv[[1, 2, 2]] - recv[[0, 0, 1]]
-    diam = max(_norms(sides).tolist())
-    v1, v2, _ = sides.tolist()
-    # hypot: twice the area without overflow, and exactly |normal_z| for a
-    # triangle on the plane z = 0.
-    if diam == 0.0 or math.hypot(*_cross(v1, v2)) <= 1e-12 * diam * diam:
-        raise GeometryDegenerate("receivers are collinear (or coincident)")
-    return diam
-
-
 class _PlaneRoots(NamedTuple):
     """The closed-form solve of N rows of differences (see _plane_batch)."""
 
@@ -382,14 +369,14 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
     closed-form estimate, its coords those of a dim-D point, or None when the
     row has no root or a non-finite difference. fix(k) returns row k's
     SolveResult, as dim-D points, or raises that solve's error: ValidationError
-    for a non-finite difference, GeometryDegenerate for collinear receivers,
-    NoConvergence when the Gauss-Newton fallback of a row with no root does
-    not converge. The rows share one _plane_batch, and collinear receivers
-    and the receivers' centroid are found once.
+    for a non-finite difference, GeometryDegenerate for receivers that
+    solver._triangle refuses, NoConvergence when the Gauss-Newton fallback of
+    a row with no root does not converge. The rows share one _plane_batch,
+    and the triangle rule and the receivers' centroid are applied once.
     """
     finite = np.isfinite(deltas).all(axis=1).tolist()
     try:
-        diam = _triangle(recv)
+        diam = _triangle(recv, "receivers")
     except GeometryDegenerate as exc:
         diam, degenerate = None, str(exc)
         closed = [None] * len(deltas)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import Point
 from .solver import (INCONSISTENCY_TOL, SolveResult, _centroid, _cross, _finite_real, _norms,
-                     _outcome, _rank, _rowdot, _unit_rows, gauss_newton_raw)
+                     _outcome, _rank, _rowdot, _triangle, _unit_rows, gauss_newton_raw)
 
 __all__ = [
     "TrilaterationProblem",
@@ -126,28 +126,20 @@ def trilateration_objective(problem: TrilaterationProblem) -> _kernels.GridObjec
 def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
     """Both closed-form roots of every row of ranges against one anchor triangle.
 
-    anchors is (3, D) with D = 2 or 3 and ranges is (N, 3). What depends on
-    the anchors alone is computed once. The rest runs relative to the first
-    anchor for conditioning, and dot products go through _rowdot.
+    anchors is (3, D) with D = 2 or 3 and ranges is (N, 3). The triangle is
+    refused by solver._triangle, and what depends on the anchors alone is
+    computed once. The rest runs relative to the first anchor for
+    conditioning, and dot products go through _rowdot.
 
     Returns the roots (N, 2, D), their residual norms against all three
     ranges (N, 2), whether the second root is distinct (N,), the radicand
     (N,), and whether it falls below the slack (N,): no real intersection.
     """
+    _triangle(anchors, "emitters")
     e = anchors
     dim = e.shape[1]
     e2 = e[1] - e[0]
     e3 = e[2] - e[0]
-    if dim == 2:
-        area2 = abs(e2[0] * e3[1] - e2[1] * e3[0])
-        scale = max(np.hypot(*e2), np.hypot(*e3))
-    else:
-        cross = _cross(e2, e3)
-        area2 = np.sqrt(_rowdot(cross, cross))
-        scale = max(np.sqrt(_rowdot(e2, e2)), np.sqrt(_rowdot(e3, e3)))
-    if scale == 0.0 or area2 <= 1e-12 * scale * scale:
-        raise GeometryDegenerate("emitters are collinear (or coincident)")
-
     sq = ranges ** 2
     if dim == 2:
         # Subtracting the first two circle equations leaves a line. Its point
@@ -165,6 +157,7 @@ def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
         # the anchor plane; p0 is the minimum-norm solution of the 2x3 system,
         # p0 = A^T (A A^T)^{-1} b, kept in the anchor plane through anchor 1.
         A = np.array([2.0 * e2, 2.0 * e3])
+        cross = _cross(e2, e3)
         AAt = _rowdot(A[:, None], A)
         det = AAt[0, 0] * AAt[1, 1] - AAt[0, 1] * AAt[1, 0]
         u = cross / np.sqrt(_rowdot(cross, cross))
@@ -197,43 +190,36 @@ def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     mirror_ambiguity (two 3D roots) and inconsistent (even the best norm
     exceeds INCONSISTENCY_TOL);
     or raises that row's error: the TrilaterationProblem error of a range
-    that is not finite or is negative, GeometryDegenerate for collinear or
-    coincident anchors, Inconsistent when the radicand falls below the slack
-    or a residual norm does not fit in a float64. The norms of a row whose
-    float64 sum of squares overflows are taken again with math.dist and
-    math.hypot, which scale; every other row keeps the plain bits.
+    that is not finite or is negative, GeometryDegenerate for anchors that
+    solver._triangle refuses, and Inconsistent when the radicand overflows
+    float64 (a range above about 1.3e154 m does), when it falls below the
+    slack, or when a residual norm overflows float64.
     """
     anchors = np.asarray(anchors, dtype=float)
     ranges = np.asarray(ranges, dtype=float)
-    if anchors.shape[0] != 3 or anchors.shape[1] not in (2, 3) or ranges.shape[1:] != (3,):
-        raise ValueError(f"need anchors (3, 2|3) and ranges (N, 3), got "
-                         f"{anchors.shape} and {ranges.shape}")
     dim = anchors.shape[1]
-    valid = (np.isfinite(ranges) & (ranges >= 0.0)).all(axis=1).tolist()
+    invalid = ~(np.isfinite(ranges) & (ranges >= 0.0)).all(axis=1)
+    errors, degenerate = [None] * len(ranges), None
     try:
-        with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a rejected row
+        with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a refused row
             roots, norms, two, radicand, miss = _closed_form(anchors, ranges)
     except GeometryDegenerate as exc:
-        errors = [GeometryDegenerate(str(exc)) if ok else _bad_distances() for ok in valid]
-        closed = [None] * len(ranges)
+        degenerate, refused, closed = str(exc), np.ones_like(invalid), [None] * len(ranges)
     else:
-        what = ("third circle misses the radical line" if dim == 2
-                else "spheres admit no real intersection")
-        errors = [_bad_distances() if not ok else None if not missed else
-                  Inconsistent(f"{what} (radicand {float(radicand[k]):.3e})")
-                  for k, (ok, missed) in enumerate(zip(valid, miss.tolist()))]
-        finite = np.isfinite(norms)
-        for k in [] if finite.all() else np.nonzero(~finite.all(axis=1))[0].tolist():
-            if errors[k] is None:  # math.dist and math.hypot scale: no overflow on the way
-                norms[k] = [math.hypot(*(math.dist(root, a) - r for a, r in
-                                         zip(anchors.tolist(), ranges[k].tolist())))
-                            for root in roots[k].tolist()]
-                if not np.isfinite(norms[k]).all():
-                    errors[k] = Inconsistent("the residual norm overflows float64")
+        overflow = ~np.isfinite(radicand)
+        refused = invalid | overflow | miss | ~np.isfinite(norms).all(axis=1)
         # A row with one root holds it twice; equal keys keep its order.
         roots, norms = _rank(roots, norms, -roots[..., 2] if dim == 3 else norms)
-        closed = [None if error is not None else (p, n) for error, p, n in
-                  zip(errors, zip(*roots[:, 0].T.tolist()), norms[:, 0].tolist())]
+        closed = list(zip(zip(*roots[:, 0].T.tolist()), norms[:, 0].tolist()))
+    what = ("third circle misses the radical line" if dim == 2
+            else "spheres admit no real intersection")
+    for k in np.flatnonzero(refused).tolist():
+        closed[k] = None
+        errors[k] = (_bad_distances() if invalid[k] else
+                     GeometryDegenerate(degenerate) if degenerate else
+                     Inconsistent("the radicand overflows float64") if overflow[k] else
+                     Inconsistent(f"{what} (radicand {float(radicand[k]):.3e})") if miss[k] else
+                     Inconsistent("the residual norm overflows float64"))
 
     def fix(k: int) -> SolveResult:
         if errors[k] is not None:
@@ -264,7 +250,9 @@ def trilaterate(problem: TrilaterationProblem) -> SolveResult:
     matching the aerial-receivers-above-ground convention. The inconsistent
     flag is set when even the best norm exceeds INCONSISTENCY_TOL. A
     radicand below -1e-9 * d^2 of that circle or sphere's range d raises
-    Inconsistent; within that slack it clamps to 0.
+    Inconsistent; within that slack it clamps to 0. A radicand or residual
+    norm that overflows float64 raises Inconsistent too, and anchors that
+    solver._triangle refuses raise GeometryDegenerate.
     """
     if len(problem.emitters) != 3:
         raise ValueError(f"trilaterate needs exactly 3 emitters, got {len(problem.emitters)}")

@@ -19,7 +19,7 @@ from rfloc import cli, errors as rfloc_errors, tdoa
 from rfloc.cli import MC_MAX_ROWS, _validate, main, parse_scenario, report_to_csv, run
 from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, ValidationError
 from rfloc.simulate import _perturb
-from rfloc.solver import _centroid
+from rfloc.solver import _centroid, _triangle
 
 from conftest import pipeline_raw_scenario, report_to_csv_reference
 
@@ -987,7 +987,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     recv = cli._receivers(sf)
     batch = tdoa._plane_batch(recv, tdoa._range_differences(times, sf.c).reshape(-1, 2),
-                              sf.emitter_plane_z, tdoa._triangle(recv),
+                              sf.emitter_plane_z, _triangle(recv, "receivers"),
                               _centroid(recv.tolist()))
     assert (batch.count == 0).any() and (batch.count == 2).any()
 
@@ -1145,15 +1145,15 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
 
 
 @pytest.mark.parametrize("mode, emitters, receiver, norm_overflows", [
-    ("trilat2d", [[0, 0], [500, 0], [0, 500]], [120, 80], True),
+    ("trilat2d", [[0, 0], [500, 0], [0, 500]], [120, 80], False),
     ("trilat3d", [[0, 0, 0], [500, 0, 0], [0, 500, 0]], [180, 90, 222], False),
 ])
 def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, receiver,
                                                            norm_overflows):
     # Every trial of a batched trilat sweep is the row (or error) of its own
-    # solve, to the bit. At 1e300 s some ranges overflow and, in 2D, the
-    # plain float64 residual norm of a row overflows, so the row's norm is
-    # taken with scaled arithmetic; at 1.7e308 s some times overflow too.
+    # solve, to the bit. At 1e300 s some ranges overflow; a row whose
+    # radicand or plain float64 residual norm overflows is refused, so no
+    # accepted row's norm overflows. At 1.7e308 s some times overflow too.
     sigmas, trials, seed = [0.0, 1e-9, 1e300, 1.7e308], 40, 3
     sf = _validate({"schema_version": 1, "solve": {"mode": mode},
                     "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
@@ -1217,9 +1217,10 @@ def test_sweeps_solve_finite_times_without_per_trial_runs(monkeypatch, mode, sce
 
 
 def test_overflowing_mean_error_is_finite(tmp_path):
-    # At sigma_t = 1e300 most trials are refused and the 3 rows left have
-    # residual norms near 1e308: the summary is finite, its mean lies
-    # between the errors, and no numpy warning is raised.
+    # At sigma_t = 1e300 every trial is refused: a range, the radicand or
+    # the residual norm overflows, or the circles miss. The summary of no
+    # rows is finite JSON, and no numpy warning is raised. cli._mean's
+    # overflow branch has its own test below.
     doc = {"schema_version": 1, "solve": {"mode": "trilat2d"},
            "scenario": {"emitters": [[0, 0], [500, 0], [0, 500]], "receivers": [[120, 80]],
                         "seed": 3},
@@ -1232,9 +1233,26 @@ def test_overflowing_mean_error_is_finite(tmp_path):
     report = json.loads(out.read_text())
     summary, = report["monte_carlo"]["summaries"]
     json.dumps(report["monte_carlo"]["summaries"], allow_nan=False)
-    errors = [r["error_m"] for r in report["monte_carlo"]["rows"]]
-    assert summary["n"] == len(errors) == 3
-    assert min(errors) <= summary["mean_error_m"] <= max(errors)
+    assert summary["n"] == len(report["monte_carlo"]["rows"]) == 0
+    assert len(report["errors"]) == 50
+
+
+def test_receivers_too_far_apart_for_float64_are_refused_by_name(tmp_path, capsys):
+    # Sides of 2e154 m square past the float range: the run refuses the
+    # triangle as one that overflows float64, not as collinear, and no
+    # numpy warning is printed on the way.
+    with open(PIPELINE) as fh:
+        doc = json.load(fh)
+    doc["scenario"]["receivers"] = [[-1e154, 0, 150], [1e154, 0, 150], [0, 1e154, 151]]
+    path, out = tmp_path / "far.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--quiet", "--output", str(out)]) == 1
+    error, = json.loads(out.read_text())["errors"]
+    assert error["type"] == "GeometryDegenerate"
+    assert error["message"].startswith("the receivers' triangle overflows float64")
+    assert "Warning" not in capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None)
@@ -1271,7 +1289,7 @@ def test_edge_documents_give_strict_json_reports():
     # every report is JSON without NaN or Infinity, and its CSV is
     # csv.writer's.
     docs = _edge_documents()
-    assert len(docs) == 57
+    assert len(docs) == 61
     loose, reports = [], {}
     for name, doc in docs.items():
         reports[name] = run(_validate(doc))

@@ -119,10 +119,33 @@ def _callers(path: Path, names: tuple[str, ...]) -> set[tuple[str, str]]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_fixes_drives_the_plane_batch(path):
-    # The closed-form TDOA batch and its collinearity check have one caller.
-    expected = {("_fixes", "_plane_batch"), ("_fixes", "_triangle")}
-    assert _callers(path, ("_plane_batch", "_triangle")) == (
-        expected if path.name == "tdoa.py" else set())
+    # The closed-form TDOA batch has one caller. solver._triangle, the one
+    # triangle rule of both closed forms, has one caller in each.
+    expected = {"tdoa.py": {("_fixes", "_plane_batch"), ("_fixes", "_triangle")},
+                "trilat.py": {("_closed_form", "_triangle")}}
+    assert _callers(path, ("_plane_batch", "_triangle")) == expected.get(path.name, set())
+
+
+def test_one_triangle_rule_serves_both_closed_forms():
+    # Only solver defines _triangle, and only it builds a "collinear"
+    # message: trilateration has no collinearity test of its own.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert {name for name, tree in trees.items() if "_triangle" in _defined(tree)} == {"solver.py"}
+    assert {name for name, tree in trees.items() for call in ast.walk(tree)
+            if isinstance(call, ast.Call) for node in ast.walk(call)
+            if isinstance(node, ast.Constant) and "collinear" in str(node.value)} == {"solver.py"}
+
+
+def test_trilateration_batch_takes_no_norm_of_its_own():
+    # _batch refuses a row whose plain residual norm overflows: it takes no
+    # norm again with math.dist or math.hypot, and checks no shapes (its two
+    # callers pass validated ones).
+    batch = next(node for node in ast.parse(_source("trilat.py")).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_batch")
+    attributes = {(node.value.id, node.attr) for node in ast.walk(batch)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert not attributes & {("math", "dist"), ("math", "hypot")}
+    assert "ValueError" not in {node.id for node in ast.walk(batch) if isinstance(node, ast.Name)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -30,7 +30,7 @@ from rfloc.errors import (
     RflocError,
     ValidationError,
 )
-from rfloc.solver import _centroid
+from rfloc.solver import _centroid, _triangle
 
 C = 3e8
 
@@ -624,7 +624,7 @@ def _batch_rows(recv, deltas, fixed_z):
             return [0, batch.starts[k][batch.start_ok[k]].tobytes()]
         return [count, batch.roots[k, :count].tobytes(), batch.norms[k, :count].tobytes()]
 
-    diam, centroid = tdoa._triangle(recv), _centroid(recv.tolist())
+    diam, centroid = _triangle(recv, "receivers"), _centroid(recv.tolist())
     together = tdoa._plane_batch(recv, deltas, fixed_z, diam, centroid)
     counts = together.count.tolist()
     for k in range(len(deltas)):

@@ -1,5 +1,6 @@
 """Closed-form and least-squares trilateration, plus the team resection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from conftest import consistent_trilat_case
 from rfloc import (
     Point,
+    RangeDifferenceSet,
     SolveResult,
     distance,
     finite_difference_jacobian,
     grid_search,
+    locate_emitter,
     team_relative_position,
     trilaterate,
     trilaterate_lsq,
@@ -100,13 +103,60 @@ def test_2d_collinear():
 def test_2d_residual_norm_overflow_is_inconsistent():
     # Equal huge ranges to anchors 0 and 1 put the radical line on their
     # bisector, and the unit circle about anchor 2 meets it at two roots
-    # about 1 m from every anchor. Both roots have residuals of -1.5e308
-    # against ranges 0 and 1, whose root sum of squares, 2.1e308, does not
-    # fit in a float64 even when math.hypot takes it.
+    # about 1 m from every anchor. The squared ranges, 1.69e308, and the
+    # radicand fit in a float64, but both roots have residuals of -1.3e154
+    # against ranges 0 and 1, whose plain sum of squares overflows.
     problem = TrilaterationProblem(
-        (Point.of(0, 0), Point.of(2, 0), Point.of(1, 1)), (1.5e308, 1.5e308, 1.0), 2)
+        (Point.of(0, 0), Point.of(2, 0), Point.of(1, 1)), (1.3e154, 1.3e154, 1.0), 2)
     with pytest.raises(Inconsistent, match="residual norm overflows"):
         trilaterate(problem)
+
+
+@pytest.mark.parametrize("anchors, ranges", [
+    # A squared range of inf makes the radicand inf, not a tangent root.
+    ([(0, 0), (500, 0), (0, 500)], (100.0, 100.0, 1e308)),
+    # Every squared range inf: inf - inf leaves the radicand NaN.
+    ([(0, 0), (500, 0), (0, 500)], (1e200, 1e200, 1e200)),
+    ([(0, 0), (2, 0), (1, 1)], (1.5e308, 1.5e308, 1.0)),
+    ([(0, 0, 0), (500, 0, 0), (0, 500, 0)], (300.0, 400.0, 1e155)),
+])
+def test_radicand_overflow_is_inconsistent(anchors, ranges):
+    emitters = tuple(Point.of(*a) for a in anchors)
+    with pytest.raises(Inconsistent, match="the radicand overflows float64"):
+        trilaterate(TrilaterationProblem(emitters, ranges, len(anchors[0])))
+    # A row that solves beside it keeps its result.
+    solvable = [math.dist((0.3, 0.4, 0.5)[:len(a)], a) for a in anchors]
+    closed, fix = _batch(anchors, [ranges, solvable])
+    assert closed[0] is None and closed[1] is not None
+    with pytest.raises(Inconsistent, match="the radicand overflows float64"):
+        fix(0)
+
+
+def test_every_anchor_order_gets_the_tdoa_verdict():
+    # Twice the area is 5e-11, below 1e-12 times the squared diameter (10 m):
+    # the one triangle rule refuses the anchors in every order, as
+    # locate_emitter refuses them as receivers. A scale taken from the two
+    # sides at the first anchor would solve the orders with (5, 0) first.
+    anchors = [(0.0, 0.0), (5.0, 0.0), (10.0, 1e-11)]
+    truth = (4.0, 3.0)
+    for order in itertools.permutations(anchors):
+        ranges = [math.dist(truth, a) for a in order]
+        with pytest.raises(GeometryDegenerate, match="emitters are collinear"):
+            trilaterate(TrilaterationProblem(tuple(Point.of(*a) for a in order), ranges, 2))
+        rd = RangeDifferenceSet.from_range_differences(
+            0, [(1, ranges[0] - ranges[1]), (2, ranges[0] - ranges[2])], 1.0)
+        with pytest.raises(GeometryDegenerate, match="receivers are collinear"):
+            locate_emitter([Point.of(*a) for a in order], rd)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_anchors_too_far_apart_for_float64_are_degenerate(dim):
+    # Sides of 2e154 m square past the float range: the triangle's diameter
+    # overflows, and the message says so, not "collinear".
+    anchors = [(-1e154, 0.0, 0.0), (1e154, 0.0, 0.0), (0.0, 1e154, 1.0)]
+    emitters = tuple(Point.of(*a[:dim]) for a in anchors)
+    with pytest.raises(GeometryDegenerate, match="emitters' triangle overflows float64"):
+        trilaterate(TrilaterationProblem(emitters, (1e154,) * 3, dim))
 
 
 def test_2d_inconsistent_when_circle_unreachable():

@@ -8,7 +8,9 @@ tdoa2d_sweep files that perfbench/workloads.py generates for each seed (as
 documents derived from the shipped ones: huge noise, huge or collinear
 geometry (collinear anchors of trilat2d/3d sweeps included), a subnormal c,
 off-ground emitter planes, pipeline sweeps whose branches do not meet, a
-sweep whose rows have residual norms near 1e308, a tdoa2d sweep whose
+sweep whose every trial is refused at sigma_t = 1e300, a trilat run whose
+squared distance overflows, near-collinear trilat anchors in two orders, a
+pipeline whose receivers are too far apart for float64, a tdoa2d sweep whose
 Gauss-Newton start overflows, a two-emitter tdoa2d run with one fallback
 that does not converge, single runs of three trilat3d receivers and of
 two converging tdoa3d emitters, sweeps whose single epoch needs the
@@ -94,10 +96,21 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
         docs[f"trilat3d_sweep_{tag}"] = _edit(trilat, trilat_receiver, drop=("distances",),
                                               monte_carlo=_sweep(0.0, 1e-9, sigma))
     docs["trilat2d_sweep_1e300"] = _edit(trilat2, monte_carlo=_sweep(0.0, 1e-9, 1e300))
-    # sigma_t = 1e300: most trials are refused, and the 3 rows left have
-    # residual norms near 1e308. cli._mean's overflow branch has its own test.
+    # sigma_t = 1e300: every trial is refused, as a range or the radicand
+    # overflows or the circles miss. cli._mean's overflow branch has its own test.
     docs["trilat2d_mean_overflow"] = _edit(trilat2, {"receivers": [[120.0, 80.0]], "seed": 3},
                                            monte_carlo=_sweep(1e300, trials=50))
+    # A distance whose square overflows: the radicand is inf, a refused row.
+    docs["trilat2d_distances_1e308"] = _edit(
+        trilat, {"emitters": [[0.0, 0.0], [500.0, 0.0], [0.0, 500.0]],
+                 "distances": [100.0, 100.0, 1e308]}, solve={"mode": "trilat2d"})
+    # Near-collinear anchors: twice the area is 5e-11 against a 10 m
+    # diameter, refused in every order. A scale taken from the two sides at
+    # the first anchor would solve the middle anchor first, not an end one.
+    for tag, emitters in (("middle_first", [[5.0, 0.0], [0.0, 0.0], [10.0, 1e-11]]),
+                          ("end_first", [[0.0, 0.0], [5.0, 0.0], [10.0, 1e-11]])):
+        docs[f"trilat2d_near_collinear_{tag}"] = _edit(
+            trilat2, {"emitters": emitters, "receivers": [[4.0, 3.0]]})
     # Collinear anchors: every trial of the sweep reports GeometryDegenerate.
     docs["trilat2d_collinear_sweep"] = _edit(
         trilat2, {"emitters": [[0.0, 0.0], [250.0, 0.0], [500.0, 0.0]]},
@@ -105,6 +118,10 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
     docs["trilat3d_collinear_sweep"] = _edit(
         trilat, {"emitters": [[0.0, 0.0, 0.0], [250.0, 0.0, 0.0], [500.0, 0.0, 0.0]],
                  **trilat_receiver}, drop=("distances",), monte_carlo=_sweep(0.0, 1e-9))
+    # Sides of 2e154 m: the triangle's diameter overflows float64.
+    docs["pipeline_far_2e154"] = _edit(pipe, {"receivers": [[-1e154, 0.0, 150.0],
+                                                            [1e154, 0.0, 150.0],
+                                                            [0.0, 1e154, 151.0]]})
     for tag, receivers in (("huge_1e90", huge), ("overflow_1e308", overflow),
                            ("collinear", collinear3), ("coincident", coincident3)):
         docs[f"pipeline_{tag}"] = _edit(pipe, {"receivers": receivers})
