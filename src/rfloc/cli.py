@@ -631,21 +631,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "validate":
             cmd.add_argument("--seed", type=int, default=None,
                              help="override the scenario seed")
-            cmd.add_argument("--mode", choices=MODES, default=None,
-                             help="override the solve mode")
             cmd.add_argument("--output", default=None,
                              help="write the report here instead of stdout")
     return parser
-
-
-def _load_with_overrides(path: str, mode: str | None) -> ScenarioFile:
-    sf = parse_scenario(path)
-    if mode is not None and mode != sf.mode:
-        raw = dict(sf.raw)
-        raw["solve"] = dict(raw.get("solve", {}))
-        raw["solve"]["mode"] = mode
-        sf = _validate(raw)
-    return sf
 
 
 def _emit(text: str, out) -> None:
@@ -671,7 +659,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         if args.seed is not None and args.seed < 0:
             raise ValidationError("--seed must be non-negative", field="seed")
-        sf = _load_with_overrides(args.file, args.mode)
+        sf = parse_scenario(args.file)
     except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -86,11 +86,12 @@ def _distances(scenario: Scenario) -> np.ndarray:
 
 
 def simulate_arrivals(scenario: Scenario) -> ArrivalSet:
-    """Noise-free arrivals: the flight times times[i][j] = d[i][j] / c."""
+    """Noise-free arrivals: the flight times times[i][j] = d[i][j] / c.
+    Raises ValidationError when a distance d[i][j] overflows float64."""
     with np.errstate(over="ignore"):  # an overflowed distance or time is refused
         d = _distances(scenario)
         if not np.isfinite(d).all():
-            raise ValidationError("distances must be finite and >= 0", field="d")
+            raise ValidationError("a receiver-emitter distance overflows float64")
         return ArrivalSet(d / scenario.c)
 
 

@@ -8,11 +8,12 @@ accepted ones). Accepted squared-residual norms never increase.
 
 grid_search is the independent oracle: the exact minimum of a lattice, with
 a deterministic lexicographic tie-break. It never shares the iterative path.
-The GridObjective of a range or TDOA problem is minimized by a two-level
-branch and bound: the lattice's tiles, then the leaves of the tiles that
-can hold the minimum, are bounded from below (GridObjective.bound), and
-only the nodes of the leaves that can hold it are evaluated. Any other
-callable is scanned exhaustively, chunk by chunk.
+Every objective is minimized by one two-level branch and bound: the
+lattice's tiles, then the leaves of the tiles that can hold the minimum,
+are bounded from below, and only the nodes of the leaves that can hold it
+are evaluated. A GridObjective bounds its boxes (GridObjective.bound); any
+other callable has no bound, so nothing is pruned and every node is
+evaluated.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ _RESIDUAL_TOL = 1e-12     # meters^2: so does a smaller fall of the squared resi
 _DAMPING_INITIAL = 1e-3   # the damping ladder's first rung
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
-# Nodes per chunk of grid_search's exhaustive scan, the path of any objective
-# but a GridObjective: 1 << 16 beat 1 << 18 by 20-30 %. The bounded search
-# takes at most as many nodes per evaluator call, and leaves per bound call.
+# Nodes per evaluator call of grid_search's bounded search (one leaf if a
+# leaf holds more), and leaves per bound call: memory stays bounded when
+# nothing is pruned.
 _GRID_CHUNK = 1 << 16
 # grid_search refuses a lattice of more nodes than this before allocating it.
 _GRID_BUDGET = 50_000_000
@@ -288,13 +289,30 @@ def _along(k: int, dim: int, count: int, size: int) -> tuple:
     return (count,) + tuple(size if j == k else 1 for j in range(dim))
 
 
-def _prune(objective: _kernels.GridObjective, evaluate, axes: list[np.ndarray],
-           firsts: list[np.ndarray], size: int, cut: float):
+def _points(objective: Callable[[np.ndarray], np.ndarray]):
+    """An evaluator of a plain objective, as GridObjective.evaluator() gives
+    one: it gathers the coordinate columns of the nodes into one (N, D)
+    float64 array, column-major so that its column views are contiguous,
+    and reshapes the objective's (N,) values to the nodes' shape."""
+    def evaluate(coords) -> np.ndarray:
+        points = np.stack(np.broadcast_arrays(*coords))
+        return np.asarray(objective(points.reshape(len(coords), -1).T),
+                          dtype=float).reshape(points.shape[1:])
+    return evaluate
+
+
+def _no_bound(lo, hi) -> np.ndarray:
+    """The bound of a plain objective: -inf on every box, so none is pruned."""
+    return np.full(np.broadcast_shapes(*(np.shape(v) for v in lo + hi)), -math.inf)
+
+
+def _prune(evaluate, bound, axes: list[np.ndarray], firsts: list[np.ndarray], size: int,
+           cut: float):
     """One level of _bounded_search: M products of boxes of `size` nodes per
     axis, firsts[k] (M, R_k) the first node index along axis k of each box.
 
-    Bounds every box in one call, from (M, R_0, 1) and (M, 1, R_1) edge
-    columns, and lowers cut to the least value, NaN passed over, at the
+    Bounds every box in one bound call, from (M, R_0, 1) and (M, 1, R_1)
+    edge columns, and lowers cut to the least value, NaN passed over, at the
     center nodes of the 8 boxes of least bound. Returns the cut and the
     first node indices (per axis, flat) of the boxes bounded at or below it,
     a NaN bound counting as -inf. Boxes are cut short at the lattice's end;
@@ -304,8 +322,8 @@ def _prune(objective: _kernels.GridObjective, evaluate, axes: list[np.ndarray],
     inside = [f < a.size for f, a in zip(firsts, axes)]
     firsts = [np.minimum(f, (a.size - 1) // size * size) for f, a in zip(firsts, axes)]
     lasts = [np.minimum(f + size, a.size) - 1 for f, a in zip(firsts, axes)]
-    bounds = objective.bound([a[f].reshape(s) for a, f, s in zip(axes, firsts, shapes)],
-                             [a[l].reshape(s) for a, l, s in zip(axes, lasts, shapes)])
+    bounds = bound([a[f].reshape(s) for a, f, s in zip(axes, firsts, shapes)],
+                   [a[l].reshape(s) for a, l, s in zip(axes, lasts, shapes)])
     bounds = np.where(np.isnan(bounds), -math.inf, bounds)
     pick = np.unravel_index(np.argpartition(bounds.ravel(), min(7, bounds.size - 1))[:8],
                             bounds.shape)
@@ -320,30 +338,32 @@ def _prune(objective: _kernels.GridObjective, evaluate, axes: list[np.ndarray],
     return cut, [f[kept[0], kept[k + 1]] for k, f in enumerate(firsts)]
 
 
-def _bounded_search(objective: _kernels.GridObjective, axes: list[np.ndarray]):
-    """The least value of objective on the lattice of axes and its node index,
-    (inf, None) if no node has a value below +inf.
+def _bounded_search(evaluate, bound, axes: list[np.ndarray]):
+    """The least value on the lattice of axes and its node index, (inf, None)
+    if no node has a value below +inf. evaluate(coords) gives the values at
+    the nodes that coordinate columns span, as GridObjective.evaluator()'s
+    evaluator does, and bound(lo, hi) a lower bound of them over each box
+    given by its per-axis edges, as GridObjective.bound does.
 
     A two-level branch and bound, each step one array pass (_prune). The
     lattice is cut into tiles of _GRID_LEVELS[dim][0] nodes per axis, and
-    every tile's objective.bound over the box its nodes span is computed at
-    once. The least value at the center nodes of the 8 tiles of least bound
-    is a lattice value, so no less than the minimum: only the tiles bounded
-    at or below it can hold the minimum or a tie. Those tiles are split
+    every tile's bound over the box its nodes span is computed at once.
+    The least value at the center nodes of the 8 tiles of least bound is a
+    lattice value, so no less than the minimum: only the tiles bounded at
+    or below it can hold the minimum or a tie. Those tiles are split
     into leaves of _GRID_LEVELS[dim][1] nodes per axis, their leaves are
     bounded at once (in groups of at most _GRID_CHUNK leaves), the cut is
     lowered by the center nodes of the 8 leaves of least bound and by the
     best value found, and the nodes of the leaves bounded at or below it
     are evaluated, gathered as coordinate columns, at most _GRID_CHUNK
-    nodes (or one leaf) per evaluator call. A box holding a node of value v
+    nodes (or one leaf) per evaluate call. A box holding a node of value v
     has a bound no greater than v, so every node of the least value is
     evaluated, and the smallest lexicographic index among them wins.
     """
     dim = len(axes)
     tile, leaf = _GRID_LEVELS[dim]
     counts = [a.size for a in axes]
-    evaluate = objective.evaluator()
-    cut, tiles = _prune(objective, evaluate, axes, [np.arange(0, n, tile)[None] for n in counts],
+    cut, tiles = _prune(evaluate, bound, axes, [np.arange(0, n, tile)[None] for n in counts],
                         tile, math.inf)
     best_val, best_flat = math.inf, None
     # Kept tiles are split in groups of at most _GRID_CHUNK leaves, and the
@@ -356,7 +376,7 @@ def _bounded_search(objective: _kernels.GridObjective, axes: list[np.ndarray]):
     chunk = max(1, _GRID_CHUNK // leaf ** dim)
     offsets = np.arange(leaf)
     for g in range(0, len(tiles[0]), group):
-        cut, leaves = _prune(objective, evaluate, axes,
+        cut, leaves = _prune(evaluate, bound, axes,
                              [t[g:g + group, None] + np.arange(0, tile, leaf) for t in tiles],
                              leaf, min(cut, best_val))
         for c in range(0, len(leaves[0]), chunk):
@@ -393,21 +413,17 @@ def grid_search(
     over. Node values are computed elementwise, so the result is the same,
     bit for bit, whichever nodes share a call.
 
-    A GridObjective (the objective of trilateration_objective and
-    hyperbolic_objective) is minimized exactly by bounds, in two levels:
-    every tile of the lattice is bounded by GridObjective.bound, the tiles
-    whose bound exceeds a lattice value are dropped, the rest are split
-    into leaves and bounded and cut the same way, and only the nodes of the
-    leaves left are evaluated, by objective.evaluator() from their
-    coordinate columns (_bounded_search).
-
-    Any other objective is scanned exhaustively in chunks of at most
-    _GRID_CHUNK nodes in lexicographic order. A chunk holds whole rows of
-    the last axis (a row longer than a chunk is split into pieces), and the
-    objective receives its nodes as an (R*W, dim) float64 array,
-    column-major so that its column views are contiguous, and must return
-    the (R*W,) values. Ties go to the first occurrence within a chunk, and
-    strict < across chunks.
+    Every objective takes one exact two-level branch and bound
+    (_bounded_search), which evaluates only the nodes of the lattice's
+    leaves bounded at or below a lattice value. A GridObjective (the
+    objective of trilateration_objective and hyperbolic_objective) is
+    bounded by GridObjective.bound and evaluated by objective.evaluator()
+    from the nodes' coordinate columns. Any other objective has no bound,
+    so every node is evaluated: it receives nodes as an (N, dim) float64
+    array, column-major so that its column views are contiguous, and must
+    return their (N,) values. The nodes come in no fixed order, a node may
+    come more than once, and a call holds at most _GRID_CHUNK nodes, or one
+    leaf (64 nodes) if that is more.
 
     Raises ValueError on a resolution or bound that is not finite, and
     when no node has a value below +inf; BudgetExceeded, before anything is
@@ -437,34 +453,9 @@ def grid_search(
 
     axes = [los[k] + np.arange(counts[k]) * resolution for k in range(dim)]
     if isinstance(objective, _kernels.GridObjective):
-        best_val, best_index = _bounded_search(objective, axes)
-        if best_index is None:
-            raise ValueError("objective has no finite value on the lattice")
-        return Point.of(*(float(a[i]) for a, i in zip(axes, best_index))), best_val
-
-    last = axes[-1]
-    n_rows = total // last.size
-    rows_per_chunk = max(1, _GRID_CHUNK // last.size)
-    width = min(last.size, _GRID_CHUNK)
-
-    best_val = math.inf
-    best_node: tuple | None = None
-    for r0 in range(0, n_rows, rows_per_chunk):
-        rows = np.unravel_index(np.arange(r0, min(r0 + rows_per_chunk, n_rows)),
-                                tuple(counts[:-1]))
-        prefixes = np.column_stack([axes[k][rows[k]] for k in range(dim - 1)])
-        for c0 in range(0, last.size, width):
-            piece = last[c0:c0 + width]
-            block = np.empty((dim, prefixes.shape[0], piece.size))
-            block[:-1] = prefixes.T[:, :, None]
-            block[-1] = piece
-            values = np.asarray(objective(block.reshape(dim, -1).T), dtype=float)
-            pos = _first_min(values)
-            if pos is not None and values[pos] < best_val:  # strict: earlier chunks win ties
-                best_val = float(values[pos])
-                i, j = divmod(pos, piece.size)
-                best_node = (*prefixes[i].tolist(), float(piece[j]))
-
-    if best_node is None:
+        best_val, best_index = _bounded_search(objective.evaluator(), objective.bound, axes)
+    else:
+        best_val, best_index = _bounded_search(_points(objective), _no_bound, axes)
+    if best_index is None:
         raise ValueError("objective has no finite value on the lattice")
-    return Point.of(*best_node), best_val
+    return Point.of(*(float(a[i]) for a, i in zip(axes, best_index))), best_val

@@ -8,10 +8,34 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
 from rfloc import Point
+
+
+def reference_grid_scan(objective, bounds, resolution: float, chunk: int = 1 << 16):
+    """grid_search's result by a plain scan, the reference its tests compare
+    against: objective receives the lattice's nodes in lexicographic order,
+    `chunk` of them per call as an (N, D) array, and the first least value
+    wins, NaN passed over and +inf never recorded. Returns (Point, value);
+    raises grid_search's ValueError when no node has a value below +inf."""
+    axes = [lo + np.arange(math.floor((hi - lo) / resolution + 1e-9) + 1) * resolution
+            for lo, hi in bounds]
+    counts = [a.size for a in axes]
+    total = math.prod(counts)
+    best_val, best_node = math.inf, None
+    for start in range(0, total, chunk):
+        index = np.unravel_index(np.arange(start, min(start + chunk, total)), counts)
+        points = np.column_stack([a[i] for a, i in zip(axes, index)])
+        values = np.asarray(objective(points), dtype=float)
+        pos = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
+        if values[pos] < best_val:  # strict: the earlier node keeps a tie
+            best_val, best_node = float(values[pos]), points[pos].tolist()
+    if best_node is None:
+        raise ValueError("objective has no finite value on the lattice")
+    return Point.of(*best_node), best_val
 
 
 def triangle_angles_deg(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[float]:

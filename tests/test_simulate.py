@@ -60,6 +60,19 @@ def test_arrivals_hand_value():
     assert simulate_arrivals(s).times[0, 0] == 50.0 / C
 
 
+def test_arrivals_refuse_an_overflowed_distance():
+    # Receivers at +-1e308: the distance between them and an emitter at the
+    # origin is finite, but the one across them overflows. The error names
+    # that overflow, not a field of the scenario file: a TDOA or pipeline
+    # file has no distances.
+    s = Scenario(emitters=(Point.of(0, 0, 0), Point.of(1e308, 0, 0)),
+                 receivers=(Point.of(-1e308, 0, 0), Point.of(1e308, 0, 0)))
+    with pytest.raises(ValidationError) as info:
+        simulate_arrivals(s)
+    assert str(info.value) == "a receiver-emitter distance overflows float64"
+    assert info.value.field is None
+
+
 def test_arrivals_deterministic():
     rng = np.random.default_rng(31)
     emitters = tuple(Point.of(*rng.uniform(-500, 500, 3)) for _ in range(2))

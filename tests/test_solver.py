@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_grid_scan
+
 from rfloc import (
     Point,
     RangeDifferenceSet,
@@ -240,6 +242,8 @@ def test_grid_constant_objective_tie_break():
 
 
 def test_grid_includes_endpoints():
+    # A plain objective has no bound, so every one of the 25 nodes is
+    # evaluated (some more than once), the endpoints of both axes included.
     seen = []
 
     def objective(points):
@@ -247,9 +251,9 @@ def test_grid_includes_endpoints():
         return points[:, 0] + points[:, 1]
 
     grid_search(objective, [(0, 1), (0, 1)], 0.25)
-    nodes = np.vstack(seen)
+    nodes = np.unique(np.vstack(seen), axis=0)
     assert nodes.shape[0] == 25
-    assert nodes[:, 0].max() == 1.0 and nodes[:, 0].min() == 0.0
+    assert (nodes.min(axis=0) == 0.0).all() and (nodes.max(axis=0) == 1.0).all()
 
 
 def _never_called(points):
@@ -337,11 +341,13 @@ def _brute_force(objective, bounds, resolution):
 
 
 def _recording(objective, dim, calls):
-    """objective, asserting the chunk contract and keeping every chunk it sees."""
+    """objective as a plain callable, asserting the call contract of one
+    (at most _GRID_CHUNK nodes, or one leaf if more) and keeping every call's
+    nodes."""
     def wrapped(points):
         assert isinstance(points, np.ndarray) and points.dtype == np.float64
         assert points.ndim == 2 and points.shape[1] == dim
-        assert 0 < points.shape[0] <= solver._GRID_CHUNK
+        assert 0 < points.shape[0] <= max(solver._GRID_CHUNK, solver._GRID_LEVELS[dim][1] ** dim)
         calls.append(points.copy())
         return objective(points)
     return wrapped
@@ -369,23 +375,23 @@ def test_grid_matches_brute_force(monkeypatch, chunk, bounds, resolution):
     want_node, want_value, nodes = _brute_force(objective, bounds, resolution)
     assert node.coords[:dim] == want_node
     assert value == want_value
-    assert np.array_equal(np.vstack(calls), nodes)  # every node once, in order
+    assert np.array_equal(np.unique(np.vstack(calls), axis=0), nodes)  # every node, no other
+    assert _hexes(node, value) == _hexes(*reference_grid_scan(objective, bounds, resolution))
     # The bare objective goes through its evaluator, never the point kernel,
     # to the same node and value, bit for bit.
     monkeypatch.setattr(_kernels, "sum_sq_range_residuals", None)
-    lattice_node, lattice_value = grid_search(objective, bounds, resolution)
-    assert ([v.hex() for v in (*lattice_node.coords, lattice_value)]
-            == [v.hex() for v in (*node.coords, value)])
+    assert _hexes(*grid_search(objective, bounds, resolution)) == _hexes(node, value)
 
 
 @pytest.mark.parametrize("bounds, ties", [
     ([(0.0, 9.0), (0.0, 9.0)], [(2.0, 0.0), (1.0, 9.0)]),            # across rows
-    ([(0.0, 0.0), (0.0, 99.0)], [(0.0, 25.0), (0.0, 24.0)]),          # inside a split row
+    ([(0.0, 0.0), (0.0, 99.0)], [(0.0, 24.0), (0.0, 23.0)]),          # inside one row
     ([(0.0, 2.0), (0.0, 1.0), (0.0, 9.0)], [(1.0, 0.0, 0.0), (0.0, 1.0, 9.0)]),
 ])
 def test_grid_tie_across_chunk_boundary_goes_to_earlier_node(monkeypatch, bounds, ties):
-    # 25-node chunks: two 10-node rows, or 25-node pieces of a 100-node row, so
-    # each pair of tied nodes sits on either side of a chunk boundary.
+    # 25-node chunks, less than a leaf: one leaf per call. Each pair of tied
+    # nodes lies in two leaves, so no call holds both, and the smaller node
+    # wins across calls.
     monkeypatch.setattr(solver, "_GRID_CHUNK", 25)
     dim = len(bounds)
     tied = np.array(ties)
@@ -399,20 +405,22 @@ def test_grid_tie_across_chunk_boundary_goes_to_earlier_node(monkeypatch, bounds
     first = min(ties)
     assert node.coords[:dim] == first and value == 0.0
     assert _brute_force(objective, bounds, 1.0)[0] == first
-    starts = np.cumsum([0] + [len(c) for c in calls])
-    nodes = np.vstack(calls)
-    index = [int(np.flatnonzero((nodes == t).all(axis=1))[0]) for t in sorted(ties)]
-    assert any(index[0] < s <= index[1] for s in starts)  # the tie straddles a boundary
+    assert max(len(c) for c in calls) == solver._GRID_LEVELS[dim][1] ** dim
+    holds = [[(c == t).all(axis=1).any() for c in calls] for t in tied]
+    assert all(any(h) for h in holds)
+    assert not any(a and b for a, b in zip(*holds))  # the tie straddles a boundary
 
 
 def test_grid_long_row_is_split(monkeypatch):
+    # A 20,001-node row goes through in calls of at most 1000 nodes.
     monkeypatch.setattr(solver, "_GRID_CHUNK", 1000)
     calls = []
     objective = lambda p: (p[:, 1] - 1234.56) ** 2
     bounds = [(0.0, 0.0), (0.0, 2000.0)]
     node, value = grid_search(_recording(objective, 2, calls), bounds, 0.1)
-    assert [len(c) for c in calls] == [1000] * 20 + [1]
-    want_node, want_value, _ = _brute_force(objective, bounds, 0.1)
+    assert max(len(c) for c in calls) <= 1000 < sum(len(c) for c in calls)
+    want_node, want_value, nodes = _brute_force(objective, bounds, 0.1)
+    assert np.array_equal(np.unique(np.vstack(calls), axis=0), nodes)
     assert node.coords == want_node and value == want_value
 
 
@@ -445,14 +453,15 @@ def _random_case(rng, dim, tdoa):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
 def test_bounded_search_matches_exhaustive_scan(dim, tdoa):
-    # The bare GridObjective takes the bounded search; the same objective
-    # behind a plain callable takes the exhaustive chunk scan.
+    # The bare GridObjective is pruned by its bound; the same objective
+    # behind a plain callable has none. Both give the reference scan's bits.
     rng = np.random.default_rng(90 + 2 * dim + tdoa)
     for _ in range(25):
         objective, bounds, resolution = _random_case(rng, dim, tdoa)
-        bounded = grid_search(objective, bounds, resolution)
-        scanned = grid_search(lambda p: objective(p), bounds, resolution)
-        assert _hexes(*bounded) == _hexes(*scanned), (bounds, resolution)
+        scanned = _hexes(*reference_grid_scan(objective, bounds, resolution))
+        for candidate in (objective, lambda p: objective(p)):
+            assert _hexes(*grid_search(candidate, bounds, resolution)) == scanned, \
+                (bounds, resolution)
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,8 +485,7 @@ def test_bounded_search_matches_exhaustive_scan_on_drawn_lattices(data):
         lo = float(source[k]) - data.draw(st.floats(0.0, 1.0)) * nodes * resolution
         bounds.append((lo, lo + (nodes - 1) * resolution))
     bounded = grid_search(objective, bounds, resolution)
-    scanned = grid_search(lambda p: objective(p), bounds, resolution)
-    assert _hexes(*bounded) == _hexes(*scanned)
+    assert _hexes(*bounded) == _hexes(*reference_grid_scan(objective, bounds, resolution))
 
 
 class _Recording(_kernels.GridObjective):
@@ -502,13 +510,15 @@ class _Recording(_kernels.GridObjective):
         return np.vstack(self.calls)
 
 
-def test_bounded_search_tie_between_mirror_nodes_goes_to_smaller_node(monkeypatch):
+@pytest.mark.parametrize("plain", [False, True], ids=["bare", "lambda"])
+def test_bounded_search_tie_between_mirror_nodes_goes_to_smaller_node(monkeypatch, plain):
     # Anchors on the line x = y make the objective symmetric under swapping x
     # and y, bit for bit (dx*dx + dy*dy commutes). Its zeros are (0, 4) and
     # (4, 0). Along y a tile boundary, so a leaf boundary, falls between 0
     # and 4: the two lie in different leaves, and (4, 0)'s comes first in
-    # the gathered leaves. Both are evaluated, in one evaluator call or, at
-    # one leaf per call, in two, and the smaller node index wins.
+    # the gathered leaves. Both are evaluated, in one call or, at one leaf
+    # per call, in two, and the smaller node index wins: through the bare
+    # objective's bound and evaluator, and through a plain callable.
     tile, leaf = solver._GRID_LEVELS[2]
     anchors = np.array([[0.0, 0.0], [4.0, 4.0], [-3.0, -3.0]])
     bounds = [(-2.0, 10.0), (1.0 - tile, 10.0)]
@@ -519,11 +529,13 @@ def test_bounded_search_tie_between_mirror_nodes_goes_to_smaller_node(monkeypatc
     for chunk in (solver._GRID_CHUNK, leaf ** 2):
         monkeypatch.setattr(solver, "_GRID_CHUNK", chunk)
         objective = _Recording(anchors, np.array([4.0, 4.0, math.sqrt(58.0)]), tdoa=False)
-        node, value = grid_search(objective, bounds, 1.0)
+        calls = []
+        node, value = grid_search(_recording(objective, 2, calls) if plain else objective,
+                                  bounds, 1.0)
         assert node.coords == mirrors[0] and value == 0.0
-        evaluated = objective.nodes()
+        evaluated = np.vstack(calls) if plain else objective.nodes()
         assert all((evaluated == m).all(axis=1).any() for m in mirrors)
-        assert _hexes(node, value) == _hexes(*grid_search(lambda p: objective(p), bounds, 1.0))
+        assert _hexes(node, value) == _hexes(*reference_grid_scan(objective, bounds, 1.0))
 
 
 @pytest.mark.parametrize("tdoa", [False, True], ids=["range", "tdoa"])
@@ -535,12 +547,13 @@ def test_bounded_search_with_no_finite_value_raises_as_the_scan_does(tdoa):
         objective = _kernels.GridObjective(anchors, np.ones(2 if tdoa else 3), tdoa)
         bounds = [(0.0, 7.0)] * dim
         errors = []
-        for candidate in (objective, lambda p: objective(p)):
+        for search in (grid_search, lambda f, *a: grid_search(lambda p: f(p), *a),
+                       reference_grid_scan):
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(ValueError) as caught:
-                grid_search(candidate, bounds, 0.1)
+                search(objective, bounds, 0.1)
             errors.append(str(caught.value))
-        assert errors[0] == errors[1] == "objective has no finite value on the lattice"
+        assert errors == ["objective has no finite value on the lattice"] * 3
 
 
 class _HalfNanBound(_kernels.GridObjective):
@@ -600,7 +613,7 @@ def test_bounded_search_prunes_nothing_when_every_probe_is_inf():
             node, value = grid_search(objective, bounds, 1.0)
             assert len(np.unique(objective.nodes(), axis=0)) == 2 * tile * 21 ** (dim - 1)
             assert node.x % 2 == 0 and value < math.inf
-            assert _hexes(node, value) == _hexes(*grid_search(lambda p: objective(p), bounds, 1.0))
+            assert _hexes(node, value) == _hexes(*reference_grid_scan(objective, bounds, 1.0))
 
 
 class _NanBound(_kernels.GridObjective):
@@ -627,7 +640,7 @@ def test_bounded_search_memory_stays_bounded_when_nothing_prunes():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
-    assert _hexes(node, value) == _hexes(*grid_search(lambda p: base(p), bounds, 0.01))
+    assert _hexes(node, value) == _hexes(*reference_grid_scan(base, bounds, 0.01))
 
 
 def _random_boxes(rng, dim, scale):

@@ -352,3 +352,21 @@ def test_arrivals_are_flight_times():
             assert len(named) == 1 and table.lineno <= named[0] <= table.end_lineno
         else:
             assert not named, path.name
+
+
+def test_grid_search_has_one_minimizer():
+    # Every objective goes through the branch and bound, a plain callable
+    # with a bound that prunes nothing: grid_search has no loop of its own,
+    # and only _first_min, called by the bounded search alone, takes an
+    # argmin of node values.
+    path = Path(solver.__file__)
+    assert _callers(path, ("_first_min",)) == {("_bounded_search", "_first_min")}
+    assert _callers(path, ("_bounded_search",)) == {("grid_search", "_bounded_search")}
+    search = next(node for node in ast.parse(_source("solver.py")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "grid_search")
+    assert not [node for node in ast.walk(search) if isinstance(node, (ast.For, ast.While))]
+    argmins = {(path.name, getattr(top, "name", "<module>")) for path in SOURCES
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr in ("argmin", "nanargmin")}
+    assert argmins == {("solver.py", "_first_min")}
