@@ -1,20 +1,20 @@
 """Hot numeric kernels: batch objective evaluation for the solvers' oracles.
 
-One numpy implementation, behind `GridObjective.evaluator()`, which
-grid_search, a GridObjective called on points and the point kernels all use.
-perfbench's traced `kernels.*` metrics read 0 on oracle_grid: its tracer
-wraps the point kernels, which grid_search never calls.
+One numpy implementation, `GridObjective.evaluate`, which grid_search, a
+GridObjective called on points and the point kernels all use. perfbench's
+traced `kernels.*` metrics read 0 on oracle_grid: its tracer wraps the
+point kernels, which grid_search never calls.
 
-One routine (`_sum_sq`) evaluates both objectives over coordinate columns
-that broadcast: the columns of (N, D) points, or blocks of lattice nodes
-given per axis, such as (M, 8, 1) and (M, 1, 8) columns for M blocks of
-8x8 nodes. A block's squared offsets from an anchor are computed once per
+`evaluate` computes both objectives over coordinate columns that
+broadcast: the columns of (N, D) points, or blocks of lattice nodes given
+per axis, such as (M, 8, 1) and (M, 1, 8) columns for M blocks of 8x8
+nodes. A block's squared offsets from an anchor are computed once per
 coordinate ((x - a_x)^2, 8 values per block along x) and added as a
-broadcast, not D times per node. Every step writes into preallocated
-buffers with in-place ufuncs, so a sweep allocates no per-node
-temporaries. Each distance is accumulated as dx*dx + dy*dy (+ dz*dz), left
-to right: the order of numpy's row sum `((points - a) ** 2).sum(axis=1)`,
-so every layout is bit-identical to that formula. The expansion
+broadcast, not D times per node. Each step after the first works in place
+on the temporaries of its own call, and every result is a fresh array.
+Each distance is accumulated as dx*dx + dy*dy (+ dz*dz), left to right:
+the order of numpy's row sum `((points - a) ** 2).sum(axis=1)`, so every
+layout is bit-identical to that formula. The expansion
 |p|^2 - 2 p.a + |a|^2 is not used: it cancels, and at 1e3 m coordinates
 its squared distances are off by up to about 2e-9 m^2.
 
@@ -28,63 +28,24 @@ interval and axis, not one per box.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["GridObjective", "sum_sq_range_residuals", "sum_sq_tdoa_residuals"]
 
 # GridObjective.bound shrinks each residual's gap from 0 by this share of the
 # distances and target it was formed from: far above the few ulps by which
-# the evaluator's rounding can move a node's residual.
+# evaluate's rounding can move a node's residual.
 _BOUND_SLACK = 1e-9
 
 
-def _distances(coords, a, out, head, scratch, tail) -> np.ndarray:
-    """|p - a| for every node p that coords span, written into out.
-
-    coords[k] holds the nodes' k-th coordinates, D >= 2 of them, and they
-    broadcast to out's shape. head and scratch are buffers of the shape the
-    first D-1 broadcast to, tail one of the last one's.
-    """
-    np.subtract(coords[0], a[0], out=head)
-    np.multiply(head, head, out=head)
-    for k in range(1, len(coords) - 1):
-        np.subtract(coords[k], a[k], out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        np.add(head, scratch, out=head)
-    np.subtract(coords[-1], a[-1], out=tail)
-    np.multiply(tail, tail, out=tail)
-    np.add(head, tail, out=out)
-    return np.sqrt(out, out=out)
-
-
-def _sum_sq(coords, anchors: np.ndarray, targets: np.ndarray, tdoa: bool,
-            total: np.ndarray, r: np.ndarray, d_ref: np.ndarray | None, work) -> np.ndarray:
-    """The objective at every node that coords span, written into total.
-
-    Range: sum over anchors of (|p - anchor| - target)^2. TDOA: sum over
-    k >= 1 of (|p - r0| - |p - rk| - targets[k-1])^2, with r0 = anchors[0]
-    and its distances kept in d_ref. total, r (the residual) and d_ref have
-    the nodes' shape; work is _distances' (head, scratch, tail). The first
-    term is written straight into total: 0.0 + x is x.
-    """
-    if len(targets) == 0:
-        total.fill(0.0)
-        return total
-    if tdoa:
-        _distances(coords, anchors[0], d_ref, *work)
-        anchors = anchors[1:]
-    for k, (a, t) in enumerate(zip(anchors, targets)):
-        res = r if k else total
-        _distances(coords, a, res, *work)
-        if tdoa:
-            np.subtract(d_ref, res, out=res)
-        np.subtract(res, t, out=res)
-        np.multiply(res, res, out=res)
-        if k:
-            np.add(total, res, out=total)
-    return total
+def _distances(coords, a) -> np.ndarray:
+    """|p - a| for every node p that coords span: coords[k] holds the nodes'
+    k-th coordinates, D >= 2 arrays that broadcast to the nodes' shape."""
+    for k, (c, a_k) in enumerate(zip(coords, a)):
+        d = c - a_k
+        d *= d
+        total = d if k == 0 else total + d
+    return np.sqrt(total, out=total)
 
 
 def sum_sq_range_residuals(points: np.ndarray, anchors: np.ndarray,
@@ -132,11 +93,10 @@ class GridObjective:
     """A sum-of-squared-residuals objective for the grid_search oracles.
 
     Called on (N, D) points it returns their (N,) values, evaluated from
-    the points' columns by a fresh evaluator(), so the result is the
-    caller's. evaluator() gives grid_search an evaluator of nodes by their
-    coordinate columns, and bound() a lower bound of the objective over
-    boxes given by their per-axis edges, so that it need evaluate only the
-    lattice leaves that can hold the minimum.
+    the points' columns. evaluate() gives grid_search the objective at
+    nodes given by their coordinate columns, and bound() a lower bound of
+    it over boxes given by their per-axis edges, so that it need evaluate
+    only the lattice leaves that can hold the minimum.
     """
 
     __slots__ = ("anchors", "targets", "tdoa")
@@ -145,39 +105,33 @@ class GridObjective:
         self.anchors, self.targets, self.tdoa = anchors, targets, tdoa
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
-        return self.evaluator()([points[:, k] for k in range(points.shape[1])])
+        return self.evaluate(list(np.asarray(points, dtype=np.float64).T))
 
-    def evaluator(self):
-        """A node evaluator: evaluate(coords) returns the objective at every
-        node that coords span, with the same bits for any layout of the
-        same nodes. coords[k] holds the nodes' k-th coordinates, D arrays
-        that broadcast to the nodes' shape: (N,) columns of points, or
-        (M, 8, 1) and (M, 1, 8) for M blocks of 8x8 nodes, whose squared
-        offsets from an anchor are then computed once per distinct
-        coordinate and added as a broadcast.
+    def evaluate(self, coords) -> np.ndarray:
+        """The objective at every node that coords span, as a fresh array,
+        with the same bits for any layout of the same nodes. coords[k] holds
+        the nodes' k-th coordinates, D arrays that broadcast to the nodes'
+        shape: (N,) columns of points, or (M, 8, 1) and (M, 1, 8) for M
+        blocks of 8x8 nodes.
 
-        It keeps its buffers from call to call, since each fresh megabyte
-        array costs a page fault per 4 KiB page, so a result holds only
-        until the next call.
+        Range: sum over anchors of (|p - anchor| - target)^2. TDOA: sum
+        over k >= 1 of (|p - r0| - |p - rk| - targets[k-1])^2, with
+        r0 = anchors[0].
         """
-        pool: dict[str, np.ndarray] = {}
-
-        def buffer(name: str, shape: tuple) -> np.ndarray:
-            n = math.prod(shape)
-            if name not in pool or pool[name].size < n:
-                pool[name] = np.empty(n)
-            return pool[name][:n].reshape(shape)
-
-        def evaluate(coords) -> np.ndarray:
-            head = np.broadcast(*coords[:-1]).shape
-            shape = np.broadcast(*coords).shape
-            work = (buffer("head", head), buffer("scratch", head),
-                    buffer("tail", np.shape(coords[-1])))
-            return _sum_sq(coords, self.anchors, self.targets, self.tdoa, buffer("total", shape),
-                           buffer("r", shape), buffer("d_ref", shape) if self.tdoa else None, work)
-
-        return evaluate
+        anchors, targets = self.anchors, self.targets
+        if len(targets) == 0:
+            return np.zeros(np.broadcast_shapes(*(np.shape(c) for c in coords)))
+        if self.tdoa:
+            d_ref = _distances(coords, anchors[0])
+            anchors = anchors[1:]
+        for k, (a, t) in enumerate(zip(anchors, targets)):
+            res = _distances(coords, a)
+            if self.tdoa:
+                np.subtract(d_ref, res, out=res)
+            res -= t
+            res *= res
+            total = res if k == 0 else np.add(total, res, out=total)
+        return total
 
     def bound(self, lo, hi) -> np.ndarray:
         """A lower bound of the objective over each box [lo, hi].
@@ -199,10 +153,10 @@ class GridObjective:
         1964), which narrows the interval where the box is far from both
         receivers. A term is the squared gap between 0 and the interval,
         shrunk first by _BOUND_SLACK times the magnitudes it came from; the
-        terms add in the evaluator's order. Every value that evaluator() or
-        the point kernel computes at a node of the box is NaN or at least
-        the bound. The bound is NaN, silently, where the squares overflow:
-        the evaluator warns of the node values themselves.
+        terms add in evaluate's order. Every value that evaluate() or the
+        point kernel computes at a node of the box is NaN or at least the
+        bound. The bound is NaN, silently, where the squares overflow:
+        evaluate warns of the node values themselves.
         """
         lo = [np.asarray(v, dtype=float) for v in lo]
         hi = [np.asarray(v, dtype=float) for v in hi]

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .doppler import DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
-from .geometry import Point, _finite_real, distance
+from .geometry import Point, _finite_real, _natural, distance
 from .simulate import ArrivalSet, Scenario, _perturb, simulate_arrivals
 from .solver import SolveResult, _centroid
 from .tdoa import _fixes, _range_differences
@@ -115,7 +115,7 @@ def _count(value, where: str) -> int:
 
 
 def _seed(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _natural(value):
         raise _fail(where, "must be a non-negative integer")
     return value
 

@@ -26,6 +26,11 @@ def _finite_real(x) -> bool:
         return False
 
 
+def _natural(x) -> bool:
+    """Whether x is an int >= 0 other than a bool: the one rule for seeds."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _float(c):
     """c as a float if it is a finite real number other than a bool, else c
     itself for Point to refuse: float() alone takes "1" and True."""

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, InvalidNoise, ValidationError
-from .geometry import Point
+from .geometry import Point, _natural
 from .solver import _finite_real, _norms
 
 __all__ = [
@@ -98,7 +98,10 @@ def simulate_arrivals(scenario: Scenario) -> ArrivalSet:
 def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> ArrivalSet:
     """Add independent zero-mean Gaussian jitter of std sigma_t to every time:
     the lead copy of _perturb(arrivals.times, sigma_t, (), (seed,)), bit for
-    bit. sigma_t = 0 returns arrivals itself."""
+    bit. sigma_t = 0 returns arrivals itself. Raises InvalidNoise for a seed
+    that is not an int >= 0 (a bool is not one)."""
+    if not _natural(seed):
+        raise InvalidNoise(f"seed must be a non-negative integer, got {seed!r}")
     if sigma_t == 0.0:
         return arrivals
     return ArrivalSet(_perturb(arrivals.times, sigma_t, (), (seed,))[0])

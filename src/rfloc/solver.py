@@ -45,7 +45,7 @@ _RESIDUAL_TOL = 1e-12     # meters^2: so does a smaller fall of the squared resi
 _DAMPING_INITIAL = 1e-3   # the damping ladder's first rung
 _DAMPING_MAX = 1e15
 _DAMPING_MIN = 1e-15
-# Nodes per evaluator call of grid_search's bounded search (one leaf if a
+# Nodes per evaluate call of grid_search's bounded search (one leaf if a
 # leaf holds more), and leaves per bound call: memory stays bounded when
 # nothing is pruned.
 _GRID_CHUNK = 1 << 16
@@ -290,8 +290,8 @@ def _along(k: int, dim: int, count: int, size: int) -> tuple:
 
 
 def _points(objective: Callable[[np.ndarray], np.ndarray]):
-    """An evaluator of a plain objective, as GridObjective.evaluator() gives
-    one: it gathers the coordinate columns of the nodes into one (N, D)
+    """An evaluator of a plain objective, called as GridObjective.evaluate
+    is: it gathers the coordinate columns of the nodes into one (N, D)
     float64 array, column-major so that its column views are contiguous,
     and reshapes the objective's (N,) values to the nodes' shape."""
     def evaluate(coords) -> np.ndarray:
@@ -341,9 +341,9 @@ def _prune(evaluate, bound, axes: list[np.ndarray], firsts: list[np.ndarray], si
 def _bounded_search(evaluate, bound, axes: list[np.ndarray]):
     """The least value on the lattice of axes and its node index, (inf, None)
     if no node has a value below +inf. evaluate(coords) gives the values at
-    the nodes that coordinate columns span, as GridObjective.evaluator()'s
-    evaluator does, and bound(lo, hi) a lower bound of them over each box
-    given by its per-axis edges, as GridObjective.bound does.
+    the nodes that coordinate columns span, as GridObjective.evaluate does,
+    and bound(lo, hi) a lower bound of them over each box given by its
+    per-axis edges, as GridObjective.bound does.
 
     A two-level branch and bound, each step one array pass (_prune). The
     lattice is cut into tiles of _GRID_LEVELS[dim][0] nodes per axis, and
@@ -356,7 +356,8 @@ def _bounded_search(evaluate, bound, axes: list[np.ndarray]):
     lowered by the center nodes of the 8 leaves of least bound and by the
     best value found, and the nodes of the leaves bounded at or below it
     are evaluated, gathered as coordinate columns, at most _GRID_CHUNK
-    nodes (or one leaf) per evaluate call. A box holding a node of value v
+    nodes (or one leaf) per evaluate call; on an axis of fewer nodes than a
+    leaf, a leaf holds only the axis's nodes. A box holding a node of value v
     has a bound no greater than v, so every node of the least value is
     evaluated, and the smallest lexicographic index among them wins.
     """
@@ -369,19 +370,19 @@ def _bounded_search(evaluate, bound, axes: list[np.ndarray]):
     # Kept tiles are split in groups of at most _GRID_CHUNK leaves, and the
     # kept leaves' nodes evaluated `chunk` leaves per call, as (C, L, 1) and
     # (C, 1, L) columns for C leaves of L x L nodes, so that memory stays
-    # bounded when nothing is pruned. A leaf cut short by the lattice's end
-    # repeats its last node. The best value found is a lattice value, so it
-    # cuts later groups too.
+    # bounded when nothing is pruned. A leaf spans at most the axis's nodes;
+    # one cut short by the lattice's end repeats its last node. The best
+    # value found is a lattice value, so it cuts later groups too.
     group = max(1, _GRID_CHUNK // (tile // leaf) ** dim)
     chunk = max(1, _GRID_CHUNK // leaf ** dim)
-    offsets = np.arange(leaf)
+    offsets = [np.arange(min(leaf, n)) for n in counts]
     for g in range(0, len(tiles[0]), group):
         cut, leaves = _prune(evaluate, bound, axes,
                              [t[g:g + group, None] + np.arange(0, tile, leaf) for t in tiles],
                              leaf, min(cut, best_val))
         for c in range(0, len(leaves[0]), chunk):
-            nodes = [np.minimum(f[c:c + chunk, None] + offsets, n - 1)
-                     for f, n in zip(leaves, counts)]
+            nodes = [np.minimum(f[c:c + chunk, None] + o, n - 1)
+                     for f, o, n in zip(leaves, offsets, counts)]
             values = evaluate([a[i].reshape(_along(k, dim, *i.shape))
                                for k, (a, i) in enumerate(zip(axes, nodes))])
             pos = _first_min(values.ravel())
@@ -417,30 +418,32 @@ def grid_search(
     (_bounded_search), which evaluates only the nodes of the lattice's
     leaves bounded at or below a lattice value. A GridObjective (the
     objective of trilateration_objective and hyperbolic_objective) is
-    bounded by GridObjective.bound and evaluated by objective.evaluator()
+    bounded by GridObjective.bound and evaluated by GridObjective.evaluate
     from the nodes' coordinate columns. Any other objective has no bound,
     so every node is evaluated: it receives nodes as an (N, dim) float64
     array, column-major so that its column views are contiguous, and must
     return their (N,) values. The nodes come in no fixed order, a node may
     come more than once, and a call holds at most _GRID_CHUNK nodes, or one
-    leaf (64 nodes) if that is more.
+    leaf (at most 64 nodes) if that is more.
 
-    Raises ValueError on a resolution or bound that is not finite, and
-    when no node has a value below +inf; BudgetExceeded, before anything is
-    allocated, when the lattice is larger than _GRID_BUDGET nodes.
+    Raises ValueError on a resolution or bound that is not a finite real
+    number other than a bool, and when no node has a value below +inf;
+    BudgetExceeded, before anything is allocated, when the lattice is
+    larger than _GRID_BUDGET nodes.
     """
-    if not 0.0 < resolution < math.inf:
-        raise ValueError("resolution must be positive and finite")
+    if not (_finite_real(resolution) and resolution > 0.0):
+        raise ValueError("resolution must be a positive finite real number")
     if not bounds:
         raise ValueError("bounds must be non-empty")
     dim = len(bounds)
     if dim not in (2, 3):
         raise ValueError(f"bounds must cover 2 or 3 dimensions, got {dim}")
 
-    los = [float(lo) for lo, _ in bounds]
-    his = [float(hi) for _, hi in bounds]
-    if not all(map(math.isfinite, los + his)):
-        raise ValueError("bounds must be finite")
+    los = [lo for lo, _ in bounds]
+    his = [hi for _, hi in bounds]
+    if not all(map(_finite_real, los + his)):
+        raise ValueError("bounds must be finite real numbers")
+    los, his = [float(lo) for lo in los], [float(hi) for hi in his]
     if any(hi < lo for lo, hi in zip(los, his)):
         raise ValueError("each bound needs lo <= hi")
     # Python ints: an int64 product can wrap below the budget. A span that
@@ -453,7 +456,7 @@ def grid_search(
 
     axes = [los[k] + np.arange(counts[k]) * resolution for k in range(dim)]
     if isinstance(objective, _kernels.GridObjective):
-        best_val, best_index = _bounded_search(objective.evaluator(), objective.bound, axes)
+        best_val, best_index = _bounded_search(objective.evaluate, objective.bound, axes)
     else:
         best_val, best_index = _bounded_search(_points(objective), _no_bound, axes)
     if best_index is None:

@@ -199,7 +199,7 @@ def hyperbolic_objective(receivers: Sequence[Point],
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
     Called on an (N, dim) array of trial points it returns (N,) values; its
-    evaluator and bound methods, which take coordinates and box edges as
+    evaluate and bound methods, which take coordinates and box edges as
     per-axis columns, let grid_search evaluate only the lattice leaves that
     can hold the minimum (see _kernels.GridObjective).
     """

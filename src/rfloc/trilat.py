@@ -115,7 +115,7 @@ def trilateration_jacobian(problem: TrilaterationProblem, q: Point) -> np.ndarra
 def trilateration_objective(problem: TrilaterationProblem) -> _kernels.GridObjective:
     """Vectorized sum-of-squared-residuals objective for grid_search oracles.
 
-    Callable on (N, dim) points; its evaluator and bound methods, which take
+    Callable on (N, dim) points; its evaluate and bound methods, which take
     coordinates and box edges as per-axis columns, let grid_search evaluate
     only the lattice leaves that can hold the minimum (see
     _kernels.GridObjective).

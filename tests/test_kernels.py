@@ -98,12 +98,11 @@ def _layouts(points):
 
 
 def _columns(rng, dim):
-    """Coordinate columns as grid_search's bounded search passes them to the
-    evaluator, each with its nodes in order: the center nodes of 8 boxes as
-    (8,) columns, then two chunks of C leaves of L nodes per axis as
-    (C, L, 1) and (C, 1, L) columns (in 3D (C, L, 1, 1), ...). The second
-    chunk is larger, so an evaluator that sees them in turn must grow its
-    buffers."""
+    """Coordinate columns as grid_search's bounded search passes them to
+    GridObjective.evaluate, each with its nodes in order: the center nodes
+    of 8 boxes as (8,) columns, then two chunks of C leaves of L nodes per
+    axis as (C, L, 1) and (C, 1, L) columns (in 3D (C, L, 1, 1), ...), the
+    second larger than the first."""
     leaf = solver._GRID_LEVELS[dim][1]
     axes = [np.sort(rng.uniform(-1000, 1000, 40)) for _ in range(dim)]
     index = [rng.integers(0, 40, 8) for _ in axes]
@@ -130,7 +129,7 @@ def test_range_kernel_bit_identical_to_row_sum(dim):
     for layout, pts in _layouts(points).items():
         got = _kernels.sum_sq_range_residuals(pts, anchors, dists)
         assert np.array_equal(got, _row_sum_range(pts, anchors, dists)), layout
-    evaluate = _kernels.GridObjective(anchors, dists, tdoa=False).evaluator()
+    evaluate = _kernels.GridObjective(anchors, dists, tdoa=False).evaluate
     for columns, nodes in _columns(rng, dim):
         got = evaluate(columns)
         assert got.shape == np.broadcast(*columns).shape
@@ -146,7 +145,7 @@ def test_tdoa_kernel_bit_identical_to_row_sum(dim):
     for layout, pts in _layouts(points).items():
         got = _kernels.sum_sq_tdoa_residuals(pts, receivers, deltas)
         assert np.array_equal(got, _row_sum_tdoa(pts, receivers, deltas)), layout
-    evaluate = _kernels.GridObjective(receivers, deltas, tdoa=True).evaluator()
+    evaluate = _kernels.GridObjective(receivers, deltas, tdoa=True).evaluate
     for columns, nodes in _columns(rng, dim):
         got = evaluate(columns)
         assert got.shape == np.broadcast(*columns).shape

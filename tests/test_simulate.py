@@ -14,6 +14,7 @@ from rfloc import (
     perturb_arrivals,
     simulate_arrivals,
 )
+from rfloc import cli
 from rfloc.errors import DimensionError, InvalidNoise, ValidationError
 from rfloc.simulate import _distances, _perturb
 
@@ -105,6 +106,17 @@ def test_perturb_zero_sigma_identity():
     a = ArrivalSet(times)
     out = perturb_arrivals(a, 0.0, seed=5)
     assert np.array_equal(out.times, a.times)
+
+
+@pytest.mark.parametrize("seed", [True, False, -1, 1.5, 2.0, "3", None])
+def test_perturb_refuses_a_seed_the_cli_refuses(seed):
+    # One seed rule: the CLI's, whatever sigma_t is, as a package error.
+    with pytest.raises(ValidationError):
+        cli._seed(seed, "seed")
+    a = ArrivalSet(np.ones((3, 4)) * 1e-6)
+    for sigma_t in (0.0, 1e-9):
+        with pytest.raises(InvalidNoise, match="^seed must be a non-negative integer"):
+            perturb_arrivals(a, sigma_t, seed)
 
 
 def test_perturb_seed_determinism():

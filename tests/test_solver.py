@@ -299,6 +299,14 @@ def test_grid_rejects_bad_inputs():
         ([(0, 1), (math.nan, 1)], 0.1),
         ([(0, math.inf), (0, 1)], 0.1),
         ([(-math.inf, 0), (0, 1)], 0.1),
+        # The package's one number rule (_finite_real): a ValueError, not a
+        # lattice, an OverflowError or a TypeError.
+        ([("0", "1"), (0, 1)], 0.1),
+        ([(0, 1), (0, True)], 0.1),
+        ([(0, 10**400), (0, 1)], 0.1),
+        ([(0, 1), (0, 1)], True),
+        ([(0, 1), (0, 1)], "0.5"),
+        ([(0, 1), (0, 1)], 10**400),
     ]:
         for objective in (_never_called, _UNIT_OBJECTIVE):
             with warnings.catch_warnings():
@@ -405,7 +413,11 @@ def test_grid_tie_across_chunk_boundary_goes_to_earlier_node(monkeypatch, bounds
     first = min(ties)
     assert node.coords[:dim] == first and value == 0.0
     assert _brute_force(objective, bounds, 1.0)[0] == first
-    assert max(len(c) for c in calls) == solver._GRID_LEVELS[dim][1] ** dim
+    # A leaf spans at most an axis's nodes: 8 x 8, 1 x 8 on the one-node
+    # row, and 3 x 2 x 4 where two axes are shorter than a 4-node leaf.
+    leaf = solver._GRID_LEVELS[dim][1]
+    assert max(len(c) for c in calls) == math.prod(min(leaf, round(hi - lo) + 1)
+                                                   for lo, hi in bounds)
     holds = [[(c == t).all(axis=1).any() for c in calls] for t in tied]
     assert all(any(h) for h in holds)
     assert not any(a and b for a, b in zip(*holds))  # the tie straddles a boundary
@@ -423,6 +435,21 @@ def test_grid_long_row_is_split(monkeypatch):
     assert np.array_equal(np.unique(np.vstack(calls), axis=0), nodes)
     assert node.coords == want_node and value == want_value
 
+
+@pytest.mark.parametrize("bounds, resolution, evaluated", [
+    ([(0.0, 0.0), (0.0, 2000.0)], 0.1, 20_024),             # 1 x 20,001
+    ([(0.0, 0.0), (0.0, 0.0), (0.0, 999.0)], 1.0, 1_016),   # 1 x 1 x 1,000
+])
+def test_thin_lattice_leaves_hold_each_node_once(bounds, resolution, evaluated):
+    # A leaf on an axis of one node holds that node once, not 8 (2D) or 16
+    # (3D) copies of it. The counts are every node, the 16 probe nodes, and
+    # in 2D the 7 repeats of the last node in the row's last, partial leaf.
+    calls = []
+    dim = len(bounds)
+    node, value = grid_search(_recording(lambda p: (p[:, -1] - 12.3) ** 2, dim, calls),
+                              bounds, resolution)
+    assert sum(len(c) for c in calls) == evaluated
+    assert node.coords[dim - 1] == pytest.approx(12.3, abs=resolution)
 
 
 def _hexes(node, value):
@@ -489,21 +516,19 @@ def test_bounded_search_matches_exhaustive_scan_on_drawn_lattices(data):
 
 
 class _Recording(_kernels.GridObjective):
-    """A GridObjective whose evaluator() keeps every node it evaluates."""
+    """A GridObjective whose evaluate() keeps every node it evaluates."""
 
     __slots__ = ("calls",)
 
-    def evaluator(self):
+    def __init__(self, anchors, targets, tdoa):
+        super().__init__(anchors, targets, tdoa)
         self.calls = []
-        evaluate = super().evaluator()
 
-        def recorded(coords):
-            values = evaluate(coords)
-            self.calls.append(np.column_stack([np.broadcast_to(c, values.shape).ravel()
-                                               for c in coords]))
-            return values
-
-        return recorded
+    def evaluate(self, coords):
+        values = super().evaluate(coords)
+        self.calls.append(np.column_stack([np.broadcast_to(c, values.shape).ravel()
+                                           for c in coords]))
+        return values
 
     def nodes(self):
         """Every node evaluated, (N, D); a node evaluated twice appears twice."""
@@ -587,15 +612,10 @@ class _InfAtOddX(_Recording):
     def __call__(self, points):
         return np.where(points[:, 0] % 2 == 1, math.inf, super().__call__(points))
 
-    def evaluator(self):
-        evaluate = super().evaluator()
-
-        def masked(coords):
-            values = evaluate(coords)
-            values[np.broadcast_to(coords[0] % 2 == 1, values.shape)] = math.inf
-            return values
-
-        return masked
+    def evaluate(self, coords):
+        values = super().evaluate(coords)
+        values[np.broadcast_to(coords[0] % 2 == 1, values.shape)] = math.inf
+        return values
 
 
 def test_bounded_search_prunes_nothing_when_every_probe_is_inf():
@@ -658,7 +678,7 @@ def test_bound_is_below_every_node_value_in_the_box(dim, tdoa):
         anchors = rng.uniform(-scale, scale, size=(4, dim))
         targets = rng.uniform(-scale, scale, 3) if tdoa else rng.uniform(0.0, 2 * scale, 4)
         objective = _kernels.GridObjective(anchors, targets, tdoa)
-        evaluate = objective.evaluator()
+        evaluate = objective.evaluate
         boxes = list(_random_boxes(rng, dim, scale))
         bounds = objective.bound(np.array([b[0] for b in boxes]).T,
                                  np.array([b[1] for b in boxes]).T)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rfloc
-from rfloc import Scenario, solver, tdoa
+from rfloc import Scenario, _kernels, solver, tdoa
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -370,3 +370,15 @@ def test_grid_search_has_one_minimizer():
                for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and node.attr in ("argmin", "nanargmin")}
     assert argmins == {("solver.py", "_first_min")}
+
+
+def test_grid_objective_has_one_node_evaluator_and_no_buffers():
+    # GridObjective.evaluate returns a fresh array from temporaries of its
+    # own call: no evaluator factory, no buffer pool, no buffer parameters.
+    # The residual sum is folded into evaluate, its one caller.
+    assert not hasattr(_kernels.GridObjective, "evaluator")
+    assert list(inspect.signature(_kernels.GridObjective.evaluate).parameters) == [
+        "self", "coords"]
+    assert list(inspect.signature(_kernels._distances).parameters) == ["coords", "a"]
+    assert not hasattr(_kernels, "_sum_sq")
+    assert not re.search(r"\bnp\.empty\b", _source("_kernels.py"))
