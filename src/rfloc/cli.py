@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .doppler import DopplerReading, doppler_distance, doppler_shift
+from .doppler import LIGHT_SPEED_NOMINAL, DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, _finite_real, _natural, distance
 from .simulate import ArrivalSet, Scenario, _perturb, simulate_arrivals
@@ -198,7 +198,7 @@ _SECTIONS = {
                       "damping_initial": (_positive, _IGNORED),
                       "multistart_count": (_count, _IGNORED)},
     "scenario": {"emitters": (_points, ()), "receivers": (_points, ()),
-                 "c": (_positive, 3.0e8), "carrier": (_positive, 1.0e9),
+                 "c": (_positive, LIGHT_SPEED_NOMINAL), "carrier": (_positive, 1.0e9),
                  "emission_time": (_finite, _IGNORED), "noise_sigma_t": (_nonneg, 0.0),
                  "seed": (_seed, 0), "distances": (_nonneg_list, None)},
     "doppler": {"f_received": (_positive, _REQUIRED)},

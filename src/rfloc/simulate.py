@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .doppler import LIGHT_SPEED_NOMINAL
 from .errors import DimensionError, InvalidNoise, ValidationError
 from .geometry import Point, _natural
 from .solver import _finite_real, _norms
@@ -49,7 +50,7 @@ class Scenario:
 
     emitters: tuple[Point, ...]
     receivers: tuple[Point, ...]
-    c: float = 3.0e8
+    c: float = LIGHT_SPEED_NOMINAL
 
     def __post_init__(self):
         object.__setattr__(self, "emitters", tuple(self.emitters))

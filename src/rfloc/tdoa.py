@@ -231,13 +231,12 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
 
 
 class _PlaneRoots(NamedTuple):
-    """The closed-form solve of N rows of differences (see _plane_batch)."""
+    """N rows' closed-form roots, or each no-root row's one fallback start (see _plane_batch)."""
 
-    roots: np.ndarray     # (N, 2, 2) planar points, in candidate order
-    norms: np.ndarray     # (N, 2) their residual norms, inf where there is no root
-    count: np.ndarray     # (N,) distinct admissible roots, 0 to 2
-    starts: np.ndarray    # (N, 2, 2) fallback starts of the rows with no root
-    start_ok: np.ndarray  # (N, 2) which of them count
+    roots: np.ndarray  # (N, 2, 2) planar points, in candidate order
+    norms: np.ndarray  # (N, 2) their residual norms, inf where there is no root
+    count: np.ndarray  # (N,) distinct admissible roots, 0 to 2
+    start: np.ndarray  # (N, 2) the Gauss-Newton start of a row with no root, else unset
 
 
 # _plane_batch's work rows are the linearized equations A_0, A_1, the null
@@ -265,9 +264,10 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
     roots (r0 >= 0, r0 >= d_k, within the runaway radius) are ranked by
     solver._rank, the residual-tied ones nearest the receiver centroid
     first, so the first is the estimate; a second root within 1e-6 m of it
-    is dropped. A row with no root (the branches do not meet) gets
-    Gauss-Newton starts on the line instead, and a rank-deficient row the
-    receiver centroid as its one start.
+    is dropped. A row with no root (the branches do not meet) gets its
+    Gauss-Newton start instead: of two points on the line, the finite one
+    that fits the differences better, the first on a tie or a NaN fit; m
+    when neither is finite, and the receiver centroid for a rank-deficient row.
 
     Each row has the bits of a solve of that row alone, on any CPU (_rowdot).
     """
@@ -343,8 +343,7 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         # residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the vertex minimizes |q|,
         # and t* minimizes the far-field |q| / r0^2 (a zero of
         # (q' r0 - 2 q r0') / r0^3, linear in t).
-        starts = np.empty((rows, 2, 2))
-        start_ok = np.zeros((rows, 2), dtype=bool)
+        start = np.empty((rows, 2))
         miss = np.nonzero(count == 0)[0]
         if miss.size:
             m, n, a, b, c = m[miss], n[miss], a[miss], b[miss], c[miss]
@@ -353,11 +352,12 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
             pts = planar[0] + (m[:, None] + t[..., None] * n[:, None])[..., :2]
             ok = np.isfinite(t) & ~rank_def[miss, None]
             alone = ~ok.any(axis=1)
-            ok[alone, 0] = True
             pts[alone, 0] = np.where(rank_def[miss][alone, None], (cx, cy),
                                      planar[0] + m[alone, :2])
-            starts[miss], start_ok[miss] = pts, ok
-    return _PlaneRoots(roots, norms, count, starts, start_ok)
+            fit = _norms(_closures(recv, deltas[miss, None], plane)[0](pts))
+            later = ok[:, 1] & (~ok[:, 0] | (fit[:, 1] < fit[:, 0]))
+            start[miss] = np.where(later[:, None], pts[:, 1], pts[:, 0])
+    return _PlaneRoots(roots, norms, count, start)
 
 
 def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
@@ -395,8 +395,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
             raise GeometryDegenerate(degenerate)
         count = int(batch.count[k])
         if not count:
-            return _fallback(recv, deltas[k], plane, dim, diam, centroid[:2],
-                             batch.starts[k][batch.start_ok[k]])
+            return _fallback(recv, deltas[k], plane, dim, diam, centroid[:2], batch.start[k])
         cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
                            for x, y in batch.roots[k, :count].tolist()],
                           batch.norms[k].tolist()))
@@ -407,9 +406,9 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
 
 
 def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
-              center: tuple[float, float], starts: np.ndarray) -> SolveResult:
-    """One damped Gauss-Newton run from whichever start fits the differences
-    better, flagged inconsistent beyond INCONSISTENCY_TOL.
+              center: tuple[float, float], start: np.ndarray) -> SolveResult:
+    """One damped Gauss-Newton run from start, the one _plane_batch picked,
+    flagged inconsistent beyond INCONSISTENCY_TOL.
 
     The hyperbolic objective plateaus toward the branch asymptotes, so the
     residual-change criterion can fire on iterates that ran off to enormous
@@ -420,7 +419,6 @@ def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam
     """
     residual, jacobian = _closures(recv, deltas, plane)
     with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
-        start = min(starts, key=lambda x: float(_norms(residual(x))))
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start)
     ok = ok and float(_norms(x - center)) <= _RUNAWAY_DIAMS * diam
     return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,

@@ -8,9 +8,9 @@ best one wins; when even the best residual norm exceeds the inconsistency
 tolerance the result is flagged rather than silently trusted.
 
 The closed forms are one array program over rows of ranges against one
-anchor triangle (_closed_form), which calls no BLAS. _batch is its driver
-for the CLI's single runs and sweeps, and trilaterate is its one-row case.
-Each row comes back as its solve alone would: its result or its error.
+anchor triangle, which calls no BLAS: _batch, the CLI's driver for single
+runs and sweeps, of which trilaterate is the one-row case. It decides each
+row once: its result or the error its solve alone would raise.
 
 The pipeline's team step, team_relative_position, uses bearings, not
 ranges: a closed-form bearing resection of the team's planar position
@@ -123,77 +123,26 @@ def trilateration_objective(problem: TrilaterationProblem) -> _kernels.GridObjec
     return _kernels.GridObjective(problem.anchor_array, problem.distance_array, tdoa=False)
 
 
-def _closed_form(anchors: np.ndarray, ranges: np.ndarray):
-    """Both closed-form roots of every row of ranges against one anchor triangle.
-
-    anchors is (3, D) with D = 2 or 3 and ranges is (N, 3). The triangle is
-    refused by solver._triangle, and what depends on the anchors alone is
-    computed once. The rest runs relative to the first anchor for
-    conditioning, and dot products go through _rowdot.
-
-    Returns the roots (N, 2, D), their residual norms against all three
-    ranges (N, 2), whether the second root is distinct (N,), the radicand
-    (N,), and whether it falls below the slack (N,): no real intersection.
-    """
-    _triangle(anchors, "emitters")
-    e = anchors
-    dim = e.shape[1]
-    e2 = e[1] - e[0]
-    e3 = e[2] - e[0]
-    sq = ranges ** 2
-    if dim == 2:
-        # Subtracting the first two circle equations leaves a line. Its point
-        # closest to the third anchor p0 is offset from the circle crossings
-        # purely along the line direction u.
-        n = 2.0 * e2
-        nn = _rowdot(n, n)
-        h = sq[:, 0] - sq[:, 1] + _rowdot(e2, e2)
-        p0 = e3 + ((h - _rowdot(n, e3)) / nn)[:, None] * n
-        u = np.array([-n[1], n[0]]) / np.sqrt(nn)
-        ref = sq[:, 2]
-        radicand = ref - _rowdot(p0 - e3, p0 - e3)
-    else:
-        # Radical planes of spheres (1,2) and (1,3) meet in a line normal to
-        # the anchor plane; p0 is the minimum-norm solution of the 2x3 system,
-        # p0 = A^T (A A^T)^{-1} b, kept in the anchor plane through anchor 1.
-        A = np.array([2.0 * e2, 2.0 * e3])
-        cross = _cross(e2, e3)
-        AAt = _rowdot(A[:, None], A)
-        det = AAt[0, 0] * AAt[1, 1] - AAt[0, 1] * AAt[1, 0]
-        u = cross / np.sqrt(_rowdot(cross, cross))
-        b0 = sq[:, 0] - sq[:, 1] + _rowdot(e2, e2)
-        b1 = sq[:, 0] - sq[:, 2] + _rowdot(e3, e3)
-        w = np.stack([(AAt[1, 1] * b0 - AAt[0, 1] * b1) / det,
-                      (AAt[0, 0] * b1 - AAt[1, 0] * b0) / det], axis=1)
-        p0 = w[:, :1] * A[0] + w[:, 1:] * A[1]
-        p0 = p0 - _rowdot(p0, u)[:, None] * u
-        ref = sq[:, 0]
-        radicand = ref - _rowdot(p0, p0)
-    # A radicand within the slack of 0 clamps to one (tangent) root.
-    miss = radicand < -_RADICAND_SLACK * ref
-    two = radicand > _RADICAND_SLACK * ref
-    tu = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), 0.0)[:, None] * u
-    roots = np.stack([p0 + tu, p0 - tu], axis=1) + e[0]
-    r = _residuals(roots, e, ranges[:, None, :])
-    return roots, np.sqrt(_rowdot(r, r)), two, radicand, miss
-
-
 def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     """Closed-form trilateration of N range triples against one anchor
     triangle, each row as trilaterate solves it alone.
 
-    anchors is (3, D) with D = 2 or 3, ranges is (N, 3). Returns (closed,
-    fix). closed[k] is (coords, residual_norm) of row k's estimate, or None
-    when row k's solve raises. fix(k) returns row k's SolveResult, its
-    candidates ranked by solver._rank with the estimate first (in 3D the
-    residual-tied ones by greater z, in 2D all by norm; then x, y), flagged
-    mirror_ambiguity (two 3D roots) and inconsistent (even the best norm
-    exceeds INCONSISTENCY_TOL);
-    or raises that row's error: the TrilaterationProblem error of a range
+    anchors is (3, D) with D = 2 or 3, ranges is (N, 3). The triangle is
+    refused by solver._triangle before any row arithmetic; the rows then run
+    relative to the first anchor for conditioning, what depends on the
+    anchors alone is computed once, and dot products go through _rowdot.
+
+    Returns (closed, fix). closed[k] is (coords, residual_norm) of row k's
+    estimate, or None when row k's solve raises. fix(k) returns row k's
+    SolveResult, its candidates ranked by solver._rank with the estimate
+    first (in 3D the residual-tied ones by greater z, in 2D all by norm;
+    then x, y), flagged mirror_ambiguity (two 3D roots) and inconsistent
+    (even the best norm exceeds INCONSISTENCY_TOL); or raises that row's
+    error, the first that applies: the TrilaterationProblem error of a range
     that is not finite or is negative, GeometryDegenerate for anchors that
     solver._triangle refuses, and Inconsistent when the radicand overflows
     float64 (a range above about 1.3e154 m does), when it falls below the
-    slack, or when a residual norm overflows float64.
+    slack (no real intersection), or when a residual norm overflows float64.
     """
     anchors = np.asarray(anchors, dtype=float)
     ranges = np.asarray(ranges, dtype=float)
@@ -201,11 +150,48 @@ def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
     invalid = ~(np.isfinite(ranges) & (ranges >= 0.0)).all(axis=1)
     errors, degenerate = [None] * len(ranges), None
     try:
-        with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a refused row
-            roots, norms, two, radicand, miss = _closed_form(anchors, ranges)
+        _triangle(anchors, "emitters")
     except GeometryDegenerate as exc:
         degenerate, refused, closed = str(exc), np.ones_like(invalid), [None] * len(ranges)
     else:
+        e2, e3 = anchors[1:] - anchors[0]
+        with np.errstate(invalid="ignore", over="ignore"):  # a huge range overflows: a refused row
+            sq = ranges ** 2
+            if dim == 2:
+                # Subtracting the first two circle equations leaves a line. Its point
+                # closest to the third anchor p0 is offset from the circle crossings
+                # purely along the line direction u.
+                n = 2.0 * e2
+                nn = _rowdot(n, n)
+                h = sq[:, 0] - sq[:, 1] + _rowdot(e2, e2)
+                p0 = e3 + ((h - _rowdot(n, e3)) / nn)[:, None] * n
+                u = np.array([-n[1], n[0]]) / np.sqrt(nn)
+                ref = sq[:, 2]
+                radicand = ref - _rowdot(p0 - e3, p0 - e3)
+            else:
+                # Radical planes of spheres (1,2) and (1,3) meet in a line normal to
+                # the anchor plane; p0 is the minimum-norm solution of the 2x3 system,
+                # p0 = A^T (A A^T)^{-1} b, kept in the anchor plane through anchor 1.
+                A = np.array([2.0 * e2, 2.0 * e3])
+                cross = _cross(e2, e3)
+                AAt = _rowdot(A[:, None], A)
+                det = AAt[0, 0] * AAt[1, 1] - AAt[0, 1] * AAt[1, 0]
+                u = cross / np.sqrt(_rowdot(cross, cross))
+                b0 = sq[:, 0] - sq[:, 1] + _rowdot(e2, e2)
+                b1 = sq[:, 0] - sq[:, 2] + _rowdot(e3, e3)
+                w = np.stack([(AAt[1, 1] * b0 - AAt[0, 1] * b1) / det,
+                              (AAt[0, 0] * b1 - AAt[1, 0] * b0) / det], axis=1)
+                p0 = w[:, :1] * A[0] + w[:, 1:] * A[1]
+                p0 = p0 - _rowdot(p0, u)[:, None] * u
+                ref = sq[:, 0]
+                radicand = ref - _rowdot(p0, p0)
+            # A radicand within the slack of 0 clamps to one (tangent) root.
+            miss = radicand < -_RADICAND_SLACK * ref
+            two = radicand > _RADICAND_SLACK * ref
+            tu = np.where(two, np.sqrt(np.where(two, radicand, 1.0)), 0.0)[:, None] * u
+            roots = np.stack([p0 + tu, p0 - tu], axis=1) + anchors[0]
+            r = _residuals(roots, anchors, ranges[:, None, :])
+            norms = np.sqrt(_rowdot(r, r))
         overflow = ~np.isfinite(radicand)
         refused = invalid | overflow | miss | ~np.isfinite(norms).all(axis=1)
         # A row with one root holds it twice; equal keys keep its order.

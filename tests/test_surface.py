@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rfloc
-from rfloc import Scenario, _kernels, solver, tdoa
+from rfloc import Scenario, _kernels, doppler, solver, tdoa
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -120,9 +120,9 @@ def _callers(path: Path, names: tuple[str, ...]) -> set[tuple[str, str]]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_fixes_drives_the_plane_batch(path):
     # The closed-form TDOA batch has one caller. solver._triangle, the one
-    # triangle rule of both closed forms, has one caller in each.
+    # triangle rule of both closed forms, is called by their row drivers alone.
     expected = {"tdoa.py": {("_fixes", "_plane_batch"), ("_fixes", "_triangle")},
-                "trilat.py": {("_closed_form", "_triangle")}}
+                "trilat.py": {("_batch", "_triangle")}}
     assert _callers(path, ("_plane_batch", "_triangle")) == expected.get(path.name, set())
 
 
@@ -150,8 +150,26 @@ def test_trilateration_batch_takes_no_norm_of_its_own():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_batch_drives_the_closed_form_trilateration(path):
-    expected = {("_batch", "_closed_form")} if path.name == "trilat.py" else set()
-    assert _callers(path, ("_closed_form",)) == expected
+    # _batch owns the trilateration algebra and decides each row once: no
+    # helper hands it roots and verdicts to re-read.
+    assert "_closed_form" not in _defined(ast.parse(path.read_text(encoding="utf-8")))
+    assert _callers(path, ("_closed_form",)) == set()
+
+
+def test_trilateration_batch_refuses_the_triangle_before_any_row_arithmetic():
+    # As tdoa._fixes does: the try holds the triangle rule alone, and every
+    # dot product of the algebra runs in its else branch.
+    batch = next(node for node in ast.parse(_source("trilat.py")).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_batch")
+    guard = next(node for node in batch.body if isinstance(node, ast.Try))
+    assert [ast.unparse(node) for node in guard.body] == ["_triangle(anchors, 'emitters')"]
+    assert [ast.unparse(h.type) for h in guard.handlers] == ["GeometryDegenerate"]
+
+    def rowdots(nodes):
+        return sum(isinstance(call, ast.Call) and ast.unparse(call.func) == "_rowdot"
+                   for node in nodes for call in ast.walk(node))
+
+    assert rowdots(guard.orelse) == rowdots([batch]) > 0
 
 
 def test_one_candidate_ranking_serves_both_closed_forms():
@@ -166,6 +184,26 @@ def test_one_candidate_ranking_serves_both_closed_forms():
                and node.id == "_TIE_EPS" and isinstance(node.ctx, ast.Load)}
     assert readers == {("solver.py", "_rank")}
     assert "near" not in tdoa._PlaneRoots._fields
+
+
+def test_plane_batch_picks_the_fallback_start():
+    # _plane_batch scores both starts of every no-root row in one call and
+    # hands the fallback the one it picked: _fallback runs one Gauss-Newton
+    # from it and chooses nothing.
+    assert tdoa._PlaneRoots._fields == ("roots", "norms", "count", "start")
+    fallback = next(node for node in ast.parse(_source("tdoa.py")).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_fallback")
+    calls = [ast.unparse(node.func) for node in ast.walk(fallback) if isinstance(node, ast.Call)]
+    assert "min" not in calls and calls.count("gauss_newton_raw") == 1
+
+
+def test_one_nominal_propagation_speed():
+    # doppler.LIGHT_SPEED_NOMINAL is the default c of the scenario and the
+    # scenario file; no other module spells the number.
+    spelled = re.compile(r"(?<![\w.])3(\.0)?e\+?0*8\b")
+    assert {path.name for path in SOURCES if spelled.search(path.read_text(encoding="utf-8"))} \
+        == {"doppler.py"}
+    assert Scenario.__dataclass_fields__["c"].default == doppler.LIGHT_SPEED_NOMINAL
 
 
 def test_cli_picks_its_row_driver_in_one_function():

@@ -617,11 +617,11 @@ def _lift(recv):
 def _batch_rows(recv, deltas, fixed_z):
     """Each row of one _plane_batch call and of a call on that row alone, as
     the bytes of what the row means: its candidates in order, estimate
-    first, and their norms, or its fallback starts when it has no root."""
+    first, and their norms, or its fallback start when it has no root."""
     def meaning(batch, k):
         count = int(batch.count[k])
         if not count:
-            return [0, batch.starts[k][batch.start_ok[k]].tobytes()]
+            return [0, batch.start[k].tobytes()]
         return [count, batch.roots[k, :count].tobytes(), batch.norms[k, :count].tobytes()]
 
     diam, centroid = _triangle(recv, "receivers"), _centroid(recv.tolist())
@@ -635,7 +635,7 @@ def _batch_rows(recv, deltas, fixed_z):
 
 def test_plane_batch_rows_equal_single_row_solves():
     # One call over many rows gives each row the bits of a call on that row
-    # alone: roots in candidate order, norms, and the fallback starts of rows
+    # alone: roots in candidate order, norms, and the fallback start of rows
     # with no root. The rows mix exact, noisy, diverging and overflowing
     # differences.
     rng = np.random.default_rng(97)
