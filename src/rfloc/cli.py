@@ -31,7 +31,7 @@ from . import __version__
 from .doppler import LIGHT_SPEED_NOMINAL, DopplerReading, doppler_distance, doppler_shift
 from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, _finite_real, _natural, distance
-from .simulate import ArrivalSet, Scenario, _perturb, simulate_arrivals
+from .simulate import Scenario, _not_finite, _perturb, simulate_arrivals
 from .solver import SolveResult, _centroid
 from .tdoa import _fixes, _range_differences
 from .trilat import _batch, team_relative_position
@@ -342,15 +342,6 @@ def _receivers(sf: ScenarioFile) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in sf.receivers])
 
 
-def _team(sf: ScenarioFile, fixes: Sequence[SolveResult]
-          ) -> tuple[SolveResult, Point, tuple[Point, ...]]:
-    """The pipeline's team position by resection of its emitter fixes
-    against the beacons at scenario.emitters, its truth and the root of each
-    fix it rests on. The truth is the receivers' centroid."""
-    team, selected = team_relative_position(sf.receivers, fixes, sf.emitters)
-    return team, Point.of(*_centroid([(p.x, p.y, p.z) for p in sf.receivers])), selected
-
-
 def _rows(sf: ScenarioFile, times: np.ndarray | None):
     """The row driver of sf's mode over arrival times (..., R, E), as
     (closed, fix) (see trilat._batch and tdoa._fixes): one trilateration row
@@ -370,7 +361,9 @@ def _solves(sf: ScenarioFile, fix, first: int = 0
     report order, from the fix of a _rows call whose driver rows first,
     first + 1, ... are the trial's.
 
-    A pipeline's team position comes last, after its per-emitter solves; an
+    A pipeline's team position comes last: the resection of its emitter
+    fixes against the beacons at scenario.emitters (see
+    trilat.team_relative_position), its truth the receivers' centroid. An
     emitter's NoConvergence is raised without its best iterate, which is an
     emitter position, not the team's.
     """
@@ -389,9 +382,8 @@ def _solves(sf: ScenarioFile, fix, first: int = 0
     if family == "tdoa":
         return [("tdoa_emitter", result, sf.emitters[j], {"emitter_index": j})
                 for j, result in enumerate(fixes)]
-    # The team rests on one root per emitter: the combination whose bearing
-    # lines meet best at the beacons (see trilat.team_relative_position).
-    team, truth, selected = _team(sf, fixes)
+    team, selected = team_relative_position(sf.receivers, fixes, sf.emitters)
+    truth = Point.of(*_centroid(_receivers(sf).tolist()))
     solves = [("pipeline_emitter", result, sf.emitters[j],
                {"emitter_index": j, "selected": root})
               for j, (result, root) in enumerate(zip(fixes, selected))]
@@ -402,13 +394,15 @@ def _error_entry(stage: str, exc: RflocError) -> dict:
     return {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
 
 
-def _mc_outcome(solve) -> tuple | RflocError:
-    """A sweep row from solve() -> (result, truth): (x, y, z, residual_norm,
-    converged, error_m), with error_m None when the solve did not converge,
-    or the error it raised, without its traceback: a sweep keeps its errors,
-    not the frames and batch arrays they were raised from."""
+def _mc_outcome(sf: ScenarioFile, fix, first: int) -> tuple | RflocError:
+    """The row of the trial whose driver rows of fix start at first: its last
+    solve's (x, y, z, residual_norm, converged, error_m), error_m None if it
+    did not converge, or the error it raised, without its traceback (not the
+    frames and batch arrays it was raised from). The last solve is the row:
+    validation allows one emitter per tdoa sweep and one receiver per trilat
+    sweep, and a pipeline's team position comes last."""
     try:
-        result, truth = solve()
+        _, result, truth, _ = _solves(sf, fix, first)[-1]
     except NoConvergence as exc:
         if exc.best is None:
             return exc.with_traceback(None)
@@ -420,28 +414,16 @@ def _mc_outcome(solve) -> tuple | RflocError:
     return p.x, p.y, p.z, result.residual_norm, result.converged, distance(p, truth)
 
 
-def _mc_trial(sf: ScenarioFile, times: np.ndarray) -> tuple | RflocError:
-    """One trial solved on its own from its jittered arrival times.
-
-    A sweep's row is its file's last solve: validation allows one emitter
-    per tdoa sweep and one receiver per trilat sweep, and a pipeline's team
-    position comes last.
-    """
-    return _mc_outcome(lambda: _solves(sf, _rows(sf, ArrivalSet(times).times)[1])[-1][1:3])
-
-
 def _trials(sf: ScenarioFile, times: np.ndarray) -> list:
     """The file's epochs, stacked (N, R, E) in times, from one _rows call per
     chunk of _MC_CHUNK driver rows: times[0] is its single epoch, and the
     rest are its sweep's trials.
 
     In the single epoch's place the list holds the first batch's fix, whose
-    driver rows 0, 1, ... are the epoch's. Each trial's place holds
-    _mc_trial's solve of it, bit for bit, or the error that solve raises: a
-    trilat or tdoa trial with a closed form is its one driver row's
-    estimate; every other trial is its _solves from the chunk's fix. An
-    epoch whose times are not finite, the single one included, is
-    _mc_trial's error, the one ArrivalSet raises.
+    driver rows 0, 1, ... are the epoch's. A trilat or tdoa trial with a
+    closed form is its one driver row's estimate; every other trial is its
+    _mc_outcome from the chunk's fix. An epoch whose times are not finite,
+    the single one included, is ArrivalSet's error (simulate._not_finite).
     """
     family = _MODES[sf.mode][1]
     n_rows = 1 if family == "trilat" else times.shape[2]  # driver rows per epoch
@@ -453,14 +435,14 @@ def _trials(sf: ScenarioFile, times: np.ndarray) -> list:
         closed, fix = _rows(sf, times[lo:lo + per])
         for i, finite_i in enumerate(finite[lo:lo + per]):
             if not finite_i:
-                trials.append(_mc_trial(sf, times[lo + i]))
+                trials.append(_not_finite())
             elif lo + i == 0:
                 trials.append(fix)
             elif family != "pipeline" and closed[i] is not None:
                 coords, norm = closed[i]  # (*coords, 0.0)[:3] is (x, y, z), z = 0 in 2D
                 trials.append((*coords, 0.0)[:3] + (norm, True, math.dist(coords, at)))
             else:  # a tdoa fallback run, a pipeline team, or a trilat row's error
-                trials.append(_mc_outcome(lambda: _solves(sf, fix, i * n_rows)[-1][1:3]))
+                trials.append(_mc_outcome(sf, fix, i * n_rows))
     return trials
 
 

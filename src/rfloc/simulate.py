@@ -76,7 +76,12 @@ class ArrivalSet:
         if self.times.ndim != 2:
             raise ValidationError("times must be a receiver-by-emitter matrix", field="times")
         if not np.isfinite(self.times).all():
-            raise ValidationError("arrival times must be finite", field="times")
+            raise _not_finite()
+
+
+def _not_finite() -> ValidationError:
+    """The error for arrival times that are not all finite."""
+    return ValidationError("arrival times must be finite", field="times")
 
 
 def _distances(scenario: Scenario) -> np.ndarray:

@@ -273,16 +273,6 @@ def finite_difference_jacobian(
     return J
 
 
-def _first_min(values: np.ndarray) -> int | None:
-    """Position of the first least value, passing over NaN; None if all are NaN."""
-    pos = int(np.argmin(values))  # first occurrence: lexicographic within a block
-    if math.isnan(values[pos]):   # argmin stops at the first NaN
-        if np.isnan(values).all():
-            return None
-        pos = int(np.nanargmin(values))
-    return pos
-
-
 def _along(k: int, dim: int, count: int, size: int) -> tuple:
     """The shape (count, 1, ..., size, ..., 1) of count columns of size values
     along axis k of a dim-dimensional lattice."""
@@ -357,9 +347,10 @@ def _bounded_search(evaluate, bound, axes: list[np.ndarray]):
     best value found, and the nodes of the leaves bounded at or below it
     are evaluated, gathered as coordinate columns, at most _GRID_CHUNK
     nodes (or one leaf) per evaluate call; on an axis of fewer nodes than a
-    leaf, a leaf holds only the axis's nodes. A box holding a node of value v
-    has a bound no greater than v, so every node of the least value is
-    evaluated, and the smallest lexicographic index among them wins.
+    leaf, a leaf holds only the axis's nodes. Each call's least value, NaN
+    passed over, is np.fmin.reduce's, as in _prune. A box holding a node of
+    value v has a bound no greater than v, so every node of the least value
+    is evaluated, and the smallest lexicographic index among them wins.
     """
     dim = len(axes)
     tile, leaf = _GRID_LEVELS[dim]
@@ -385,11 +376,8 @@ def _bounded_search(evaluate, bound, axes: list[np.ndarray]):
                      for f, o, n in zip(leaves, offsets, counts)]
             values = evaluate([a[i].reshape(_along(k, dim, *i.shape))
                                for k, (a, i) in enumerate(zip(axes, nodes))])
-            pos = _first_min(values.ravel())
-            if pos is None:
-                continue
-            value = float(values.flat[pos])
-            if value == math.inf or value > best_val:  # +inf records nothing, as strict < does
+            value = float(np.fmin.reduce(values.ravel()))  # NaN only if every value is
+            if not value < math.inf or value > best_val:  # NaN or +inf records nothing
                 continue
             tied = np.unravel_index(np.flatnonzero(values == value), values.shape)
             flat = int(np.ravel_multi_index([i[tied[0], tied[k + 1]] for k, i in enumerate(nodes)],

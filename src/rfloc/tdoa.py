@@ -70,6 +70,11 @@ def _index(i, name: str, field: str = "deltas") -> int:
     return int(i)
 
 
+def _non_finite_difference() -> ValidationError:
+    """The error for a range difference that is not finite."""
+    return ValidationError("non-finite range difference", field="deltas")
+
+
 def _entry(d, names: tuple[str, ...]) -> tuple:
     """d, a tuple or list (index, *names) of an integer and finite real
     numbers other than bools, as (int, *floats); anything else is refused."""
@@ -77,7 +82,7 @@ def _entry(d, names: tuple[str, ...]) -> tuple:
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in d[1:])):
         raise ValidationError(f"{d!r} is not (index, {', '.join(names)})", field="deltas")
     if not all(_finite_real(v) for v in d[1:]):
-        raise ValidationError("non-finite range difference", field="deltas")
+        raise _non_finite_difference()
     return (_index(d[0], "receiver index"), *map(float, d[1:]))
 
 
@@ -261,7 +266,8 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
     with e_k the planar offset of receiver k from the reference. Their
     solutions form the line m + t n (minimum-norm m, unit null direction n),
     and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
-    roots (r0 >= 0, r0 >= d_k, within the runaway radius) are ranked by
+    roots (r0 >= 0, r0 >= d_k, within the runaway radius of the receivers'
+    planar centroid, as _fallback's iterate must be) are ranked by
     solver._rank, the residual-tied ones nearest the receiver centroid
     first, so the first is the estimate; a second root within 1e-6 m of it
     is dropped. A row with no root (the branches do not meet) gets its
@@ -320,11 +326,10 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         np.divide(c, q, out=t[:, 1])
         n, m = W[:, 2], W[:, 3]
         u = m[:, None] + t[..., None] * n[:, None]
-        uxy = u[..., :2]
+        roots = planar[0] + u[..., :2]
         valid = u[..., 2] >= deltas.max(axis=1, initial=0.0)[:, None]
-        valid &= _norms(uxy) <= _RUNAWAY_DIAMS * diam
+        valid &= _norms(roots - (cx, cy)) <= _RUNAWAY_DIAMS * diam
         valid &= ~rank_def[:, None]
-        roots = planar[0] + uxy
         roots[~valid] = 0.0  # a slot without a root is never NaN, and ranks last by its norm
 
         # Ranked by residual norm, the tied ones by distance to the receiver
@@ -390,7 +395,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
 
     def fix(k: int) -> SolveResult:
         if not finite[k]:
-            raise ValidationError("non-finite range difference", field="deltas")
+            raise _non_finite_difference()
         if diam is None:
             raise GeometryDegenerate(degenerate)
         count = int(batch.count[k])

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from rfloc import Point
+from rfloc import Point, cli
+from rfloc.errors import RflocError
+from rfloc.simulate import ArrivalSet
 
 
 def reference_grid_scan(objective, bounds, resolution: float, chunk: int = 1 << 16):
@@ -36,6 +38,18 @@ def reference_grid_scan(objective, bounds, resolution: float, chunk: int = 1 << 
     if best_node is None:
         raise ValueError("objective has no finite value on the lattice")
     return Point.of(*best_node), best_val
+
+
+def reference_trial(sf, times: np.ndarray):
+    """A sweep trial solved on its own from its arrival times (R, E), the
+    reference that tests compare cli._trials' rows against: its own _rows
+    call, then cli._mc_outcome of its solves; or the error ArrivalSet raises
+    for times that are not finite, without its traceback."""
+    try:
+        times = ArrivalSet(times).times
+    except RflocError as exc:
+        return exc.with_traceback(None)
+    return cli._mc_outcome(sf, cli._rows(sf, times)[1], 0)
 
 
 def triangle_angles_deg(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[float]:

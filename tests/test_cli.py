@@ -21,7 +21,7 @@ from rfloc.errors import Inconsistent, NoConvergence, ParseError, RflocError, Va
 from rfloc.simulate import _perturb
 from rfloc.solver import _centroid, _triangle
 
-from conftest import pipeline_raw_scenario, report_to_csv_reference
+from conftest import pipeline_raw_scenario, reference_trial, report_to_csv_reference
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 BASELINE = os.path.join(SCENARIO_DIR, "trilat3d_baseline.json")
@@ -986,7 +986,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(sf.seed, sf.seed + 40))[1:])
     batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
-    alone = [cli._mc_trial(sf, t) for t in times]
+    alone = [reference_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     recv = cli._receivers(sf)
     batch = tdoa._plane_batch(recv, tdoa._range_differences(times, sf.c).reshape(-1, 2),
@@ -1141,7 +1141,7 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(3, 3 + trials))[1:])
     batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
-    alone = [cli._mc_trial(sf, t) for t in times]
+    alone = [reference_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     assert len(batched) == trials * len(sigmas)
     assert all(type(o) is rfloc_errors.GeometryDegenerate for o in batched)
@@ -1162,7 +1162,7 @@ def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, recei
     arrivals = simulate_arrivals(sf.scenario())
     times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(seed, seed + trials))[1:])
     batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
-    alone = [cli._mc_trial(sf, t) for t in times]
+    alone = [reference_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
     finite_times = np.isfinite(times).all(axis=(1, 2))
     finite_ranges = np.isfinite(cli._ranges(sf, times[:, 0])).all(axis=1)
@@ -1188,20 +1188,21 @@ def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, recei
 ], ids=["tdoa2d-collinear", "pipeline-collinear", "trilat2d-collinear", "trilat3d-collinear",
         "pipeline", "tdoa2d", "trilat2d", "trilat3d"])
 def test_sweeps_solve_finite_times_without_per_trial_runs(monkeypatch, mode, scenario, sigmas):
-    # _mc_trial is left for the trials whose jittered times are not finite,
-    # for ArrivalSet's error; at these sigmas there are none.
+    # Every epoch, the single one and the sweep's trials, goes through one
+    # _rows call: no trial is solved on its own.
     calls = []
-    mc_trial = cli._mc_trial
+    rows = cli._rows
 
     def counted(sf, times):
-        calls.append(times)
-        return mc_trial(sf, times)
+        calls.append(len(times))
+        return rows(sf, times)
 
-    monkeypatch.setattr(cli, "_mc_trial", counted)
+    monkeypatch.setattr(cli, "_rows", counted)
+    trials = 20
     report = run(_validate({"schema_version": 1, "scenario": {**scenario, "seed": 3},
                             "solve": {"mode": mode},
-                            "monte_carlo": {"trials": 20, "sigma_t_list": sigmas}}))
-    assert calls == []
+                            "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}}))
+    assert calls == [1 + trials * len(sigmas)]
     assert report["errors"]
 
 

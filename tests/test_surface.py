@@ -197,6 +197,14 @@ def test_plane_batch_picks_the_fallback_start():
     assert "min" not in calls and calls.count("gauss_newton_raw") == 1
 
 
+def test_one_spelling_per_refusal_message():
+    # ArrivalSet and the CLI's sweeps refuse times that are not finite with
+    # simulate._not_finite; RangeDifferenceSet and tdoa._fixes refuse a
+    # range difference that is not finite with tdoa._non_finite_difference.
+    for message in ("arrival times must be finite", "non-finite range difference"):
+        assert sum(path.read_text(encoding="utf-8").count(message) for path in SOURCES) == 1
+
+
 def test_one_nominal_propagation_speed():
     # doppler.LIGHT_SPEED_NOMINAL is the default c of the scenario and the
     # scenario file; no other module spells the number.
@@ -212,22 +220,18 @@ def test_cli_picks_its_row_driver_in_one_function():
 
 
 def test_cli_assembles_a_trial_in_one_function():
-    # Single runs, sweep rows and the per-trial reference take a trial's
-    # solves, and a pipeline's team, from _solves alone.
+    # Single runs and sweep rows take a trial's solves, and a pipeline's
+    # team, from _solves alone.
     cli = Path(rfloc.__file__).parent / "cli.py"
-    assert _callers(cli, ("_team",)) == {("_solves", "_team")}
     assert _callers(cli, ("fix",)) == {("_solves", "fix")}
-    assert _callers(cli, ("_solves",)) == {("run", "_solves"), ("_mc_trial", "_solves"),
-                                           ("_trials", "_solves")}
+    assert _callers(cli, ("_solves",)) == {("run", "_solves"), ("_mc_outcome", "_solves")}
 
 
 def test_cli_solves_a_file_on_one_path():
     # A file's single epoch and its sweep's trials come from one _trials
-    # call; explicit trilat distances and the per-trial reference are the
-    # only other row drivers.
+    # call; explicit trilat distances are the only other row driver.
     cli = Path(rfloc.__file__).parent / "cli.py"
-    assert _callers(cli, ("_rows",)) == {("run", "_rows"), ("_mc_trial", "_rows"),
-                                         ("_trials", "_rows")}
+    assert _callers(cli, ("_rows",)) == {("run", "_rows"), ("_trials", "_rows")}
 
 
 def _reachable(start: str) -> set[str]:
@@ -256,9 +260,10 @@ def _reachable(start: str) -> set[str]:
 
 def test_team_step_runs_no_gauss_newton():
     # The pipeline's team position is a closed-form resection: no call path
-    # from cli._team reaches the damped Gauss-Newton or a linear solve.
-    reached = _reachable("_team")
-    assert {"team_relative_position", "_line_fit"} <= reached
+    # from trilat.team_relative_position reaches the damped Gauss-Newton or
+    # a linear solve.
+    reached = _reachable("team_relative_position")
+    assert "_line_fit" in reached
     assert not reached & {"gauss_newton_raw", "_solve", "trilaterate_lsq"}
 
 
@@ -395,10 +400,9 @@ def test_arrivals_are_flight_times():
 def test_grid_search_has_one_minimizer():
     # Every objective goes through the branch and bound, a plain callable
     # with a bound that prunes nothing: grid_search has no loop of its own,
-    # and only _first_min, called by the bounded search alone, takes an
-    # argmin of node values.
+    # and the least value of a batch of nodes is np.fmin.reduce's alone, no
+    # argmin in src/rfloc.
     path = Path(solver.__file__)
-    assert _callers(path, ("_first_min",)) == {("_bounded_search", "_first_min")}
     assert _callers(path, ("_bounded_search",)) == {("grid_search", "_bounded_search")}
     search = next(node for node in ast.parse(_source("solver.py")).body
                   if isinstance(node, ast.FunctionDef) and node.name == "grid_search")
@@ -407,7 +411,7 @@ def test_grid_search_has_one_minimizer():
                for top in ast.parse(path.read_text(encoding="utf-8")).body
                for node in ast.walk(top)
                if isinstance(node, ast.Attribute) and node.attr in ("argmin", "nanargmin")}
-    assert argmins == {("solver.py", "_first_min")}
+    assert argmins == set()
 
 
 def test_grid_objective_has_one_node_evaluator_and_no_buffers():

@@ -554,6 +554,21 @@ def test_locate_2d_diverging_branches_keep_bearing():
                                                       abs=1e-3)
 
 
+def test_roots_and_fallback_share_one_runaway_center(monkeypatch):
+    # A root's runaway radius is measured from the receivers' planar
+    # centroid, as the fallback's iterate is. With a radius of 2 diameters
+    # (2.83), this emitter is 2.64 from the centroid but 3.11 from
+    # receiver 0: the closed-form root is admissible.
+    monkeypatch.setattr(tdoa, "_RUNAWAY_DIAMS", 2.0)
+    receivers = (Point.of(0, 0), Point.of(1, 0), Point.of(0, 1))
+    truth = Point.of(2.2, 2.2)
+    radius = 2.0 * math.sqrt(2.0)
+    assert distance(truth, Point.of(1 / 3, 1 / 3)) < radius < distance(truth, receivers[0])
+    result = locate_emitter(receivers, _deltas_from_truth(receivers, truth))
+    assert result.iterations == 0 and result.converged
+    assert distance(result.estimate, truth) < 1e-9
+
+
 def test_locate_3d_far_field_branches_just_miss():
     # A 0.4 m drone cluster, an emitter ~8 km out and 3 mm of range noise:
     # the branches miss each other and the least-squares point lies tens of
