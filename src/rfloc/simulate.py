@@ -105,12 +105,12 @@ def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> Arrival
     """Add independent zero-mean Gaussian jitter of std sigma_t to every time:
     the lead copy of _perturb(arrivals.times, sigma_t, (), (seed,)), bit for
     bit. sigma_t = 0 returns arrivals itself. Raises InvalidNoise for a seed
-    that is not an int >= 0 (a bool is not one)."""
+    that is not an int >= 0 (a bool is not one), and as _perturb does for a
+    sigma_t that is not a finite real number >= 0 (False and 0j included)."""
     if not _natural(seed):
         raise InvalidNoise(f"seed must be a non-negative integer, got {seed!r}")
-    if sigma_t == 0.0:
-        return arrivals
-    return ArrivalSet(_perturb(arrivals.times, sigma_t, (), (seed,))[0])
+    lead = _perturb(arrivals.times, sigma_t, (), (seed,))[0]
+    return arrivals if lead is arrivals.times else ArrivalSet(lead)
 
 
 def _perturb(times: np.ndarray, lead_sigma: float, sigmas: Sequence[float],

@@ -13,14 +13,14 @@ Three receivers give two equations, so every solve is on a known emitter
 plane and in closed form (Schau & Robinson 1987; Chan & Ho 1994): a 3D
 emitter on the plane z = emitter_plane_z, a 2D one on the plane z = 0 with
 its receivers lifted to 3D. A free emitter height is refused. The closed
-form is one array program over rows of range differences against one
-receiver triangle (_plane_batch), and _fixes is its one driver:
-locate_emitter is its one-row case, and the CLI sends a pipeline
-fix's emitters, or every trial of a sweep, through it. Each row comes back
-as its solve alone would: its result, with the bits of that solve, or the
-error that solve raises. Its roots are the quadratic's own, not refined by
-Newton steps. A row whose branches do not meet runs one damped Gauss-Newton
-fallback.
+form and its fallback are one function, _fixes: one array program over rows
+of range differences against one receiver triangle, whose fix(k) runs the
+one damped Gauss-Newton fallback of a row whose branches do not meet.
+locate_emitter is its one-row case, and the CLI sends a pipeline fix's
+emitters, or every trial of a sweep, through it. Each row comes back as its
+solve alone would: its result, with the bits of that solve, or the error
+that solve raises. Its roots are the quadratic's own, not refined by Newton
+steps.
 """
 
 from __future__ import annotations
@@ -235,29 +235,21 @@ def _closures(recv: np.ndarray, deltas: np.ndarray, plane: float):
     return residual, jacobian
 
 
-class _PlaneRoots(NamedTuple):
-    """N rows' closed-form roots, or each no-root row's one fallback start (see _plane_batch)."""
-
-    roots: np.ndarray  # (N, 2, 2) planar points, in candidate order
-    norms: np.ndarray  # (N, 2) their residual norms, inf where there is no root
-    count: np.ndarray  # (N,) distinct admissible roots, 0 to 2
-    start: np.ndarray  # (N, 2) the Gauss-Newton start of a row with no root, else unset
-
-
-# _plane_batch's work rows are the linearized equations A_0, A_1, the null
-# direction n and the minimum-norm point m, each over (x, y, r0). These
-# pairs of them give A_0.A_0, A_0.A_1, A_1.A_1, n.n, then n.n, m.n, m.m.
-# Each lists the left rows, then the right ones.
+# _fixes' work rows are the linearized equations A_0, A_1, the null direction
+# n and the minimum-norm point m, each over (x, y, r0). These pairs of them
+# give A_0.A_0, A_0.A_1, A_1.A_1, n.n, then n.n, m.n, m.m. Each lists the
+# left rows, then the right ones.
 _GRAM = np.array([0, 0, 1, 2, 0, 1, 1, 2])
 _QUAD = np.array([2, 3, 3, 2, 2, 3])
 
 
-def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float,
-                 centroid: tuple[float, float, float]) -> _PlaneRoots:
-    """Closed-form intersections of the two branches on the emitter plane
-    z = plane, for every row of deltas (N, 2) against one reference-first
-    receiver triangle recv (3, 3), of diameter diam and with the _centroid
-    of its rows, centroid.
+def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
+           ) -> tuple[list, Callable[[int], SolveResult]]:
+    """Every row of deltas (N, 2) solved on the plane z = plane against the
+    reference-first receivers recv (3, 3), each as a solve of that row alone,
+    with its bits on any CPU (_rowdot). The triangle rule, solver._triangle,
+    is applied once before any row arithmetic, and the receivers' centroid
+    once after it.
 
     With u = p - s_0 on the plane and h_k each receiver's height above it,
     squaring |p - s_k| = r0 - d_k against r0 = |p - s_0| leaves
@@ -265,170 +257,147 @@ def _plane_batch(recv: np.ndarray, deltas: np.ndarray, plane: float, diam: float
         2 e_k . u - 2 d_k r0 = |e_k|^2 + h_k^2 - h_0^2 - d_k^2,
     with e_k the planar offset of receiver k from the reference. Their
     solutions form the line m + t n (minimum-norm m, unit null direction n),
-    and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its admissible
-    roots (r0 >= 0, r0 >= d_k, within the runaway radius of the receivers'
-    planar centroid, as _fallback's iterate must be) are ranked by
-    solver._rank, the residual-tied ones nearest the receiver centroid
-    first, so the first is the estimate; a second root within 1e-6 m of it
-    is dropped. A row with no root (the branches do not meet) gets its
-    Gauss-Newton start instead: of two points on the line, the finite one
-    that fits the differences better, the first on a tie or a NaN fit; m
-    when neither is finite, and the receiver centroid for a rank-deficient row.
+    and |u|^2 + h_0^2 = r0^2 along it is a quadratic in t. Its roots are the
+    quadratic's own, not refined by Newton steps. The admissible ones (r0 >= 0,
+    r0 >= d_k, within the runaway radius, _RUNAWAY_DIAMS triangle diameters,
+    of the receivers' planar centroid) are ranked by solver._rank, the
+    residual-tied ones nearest the receiver centroid first, so the first is
+    the estimate; a second root within 1e-6 m of it is dropped.
 
-    Each row has the bits of a solve of that row alone, on any CPU (_rowdot).
-    """
-    rows = len(deltas)
-    planar = recv[:, :2]
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = recv.tolist()
-    cx, cy, cz = centroid
-    ex1, ey1, ex2, ey2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
-    ax, ay, bx, by = 2 * ex1, 2 * ey1, 2 * ex2, 2 * ey2
-    h0, h1, h2 = z0 - plane, z1 - plane, z2 - plane
-    W = np.empty((rows, 4, 3))
-    # A row whose numbers overflow ends NaN or infinite: no admissible root.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # |e_k|^2 + h_k^2 - h_0^2, where h_0^2 is a power, not a product: the
-        # two can differ in the last bit.
-        h0sq = np.float64(h0) ** 2
-        rhs = np.subtract((ex1 * ex1 + ey1 * ey1 + h1 * h1 - h0sq,
-                           ex2 * ex2 + ey2 * ey2 + h2 * h2 - h0sq), deltas * deltas)
-        W[:, :2, :2] = ((ax, ay), (bx, by))
-        dz = W[:, :2, 2]
-        np.multiply(deltas, -2.0, out=dz)
-        W[:, 2, :2] = dz[:, ::-1] * (ay, bx) - dz * (by, ax)   # A_0 x A_1
-        W[:, 2, 2] = ax * by - ay * bx
-        pairs = W.take(_GRAM, axis=1)
-        g = _rowdot(pairs[:, :4], pairs[:, 4:])
-        g00, g01, g11, n_norm = g.T
-        n_norm = np.sqrt(n_norm)
-        g00g11 = g00 * g11
-        rank_def = n_norm <= _RANK_TOL * np.sqrt(g00g11)
-        W[:, 2] /= n_norm[:, None]
-        # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0);
-        # g[:, 2::-2] is (g11, g00).
-        w = g[:, 2::-2] * rhs - g01[:, None] * rhs[:, ::-1]
-        W[:, 3] = (W[:, 0] * w[:, :1] + W[:, 1] * w[:, 1:]) / (g00g11 - g01 * g01)[:, None]
-        # a = |n_xy|^2 - n_z^2, b = 2 (m_xy . n_xy - m_z n_z), c = |m_xy|^2 + h_0^2 - m_z^2
-        pairs = W.take(_QUAD, axis=1)
-        left, right = pairs[:, :3], pairs[:, 3:]
-        quad = _rowdot(left[..., :2], right[..., :2])
-        quad[:, 2] += h0 * h0
-        quad -= left[..., 2] * right[..., 2]
-        a, b, c = quad.T
-        b = 2 * b
-        disc = b * b - 4 * a * c
-        # a -> 0 in the far field: the pair q/a, c/q avoids the cancellation
-        # that would wreck the near root there. A negative disc, a = 0 or
-        # q = 0 leaves that root NaN or infinite, so not admissible.
-        q = -(b + np.copysign(np.sqrt(disc), b)) / 2
-        t = np.empty((rows, 2))
-        np.divide(q, a, out=t[:, 0])
-        np.divide(c, q, out=t[:, 1])
-        n, m = W[:, 2], W[:, 3]
-        u = m[:, None] + t[..., None] * n[:, None]
-        roots = planar[0] + u[..., :2]
-        valid = u[..., 2] >= deltas.max(axis=1, initial=0.0)[:, None]
-        valid &= _norms(roots - (cx, cy)) <= _RUNAWAY_DIAMS * diam
-        valid &= ~rank_def[:, None]
-        roots[~valid] = 0.0  # a slot without a root is never NaN, and ranks last by its norm
-
-        # Ranked by residual norm, the tied ones by distance to the receiver
-        # centroid; a second candidate within _DEDUP_TOL of the first is dropped.
-        norms = _norms(_closures(recv, deltas[:, None], plane)[0](roots))
-        norms[~valid] = np.inf
-        gap = np.empty((rows, 2, 3))
-        gap[..., :2] = roots - (cx, cy)
-        gap[..., 2] = plane - cz
-        roots, norms = _rank(roots, norms, _norms(gap))
-        count = valid.sum(axis=1)
-        count -= (count == 2) & (_norms(roots[:, 1] - roots[:, 0]) < _DEDUP_TOL)
-
-        # Starts on the line for the rows with no root: the quadratic's vertex,
-        # and the point with the least far-field residual. Along the line every
-        # residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the vertex minimizes |q|,
-        # and t* minimizes the far-field |q| / r0^2 (a zero of
-        # (q' r0 - 2 q r0') / r0^3, linear in t).
-        start = np.empty((rows, 2))
-        miss = np.nonzero(count == 0)[0]
-        if miss.size:
-            m, n, a, b, c = m[miss], n[miss], a[miss], b[miss], c[miss]
-            t = np.stack([-b / (2 * a), (2 * c * n[:, 2] - b * m[:, 2]) /
-                          (2 * a * m[:, 2] - b * n[:, 2])], axis=1)
-            pts = planar[0] + (m[:, None] + t[..., None] * n[:, None])[..., :2]
-            ok = np.isfinite(t) & ~rank_def[miss, None]
-            alone = ~ok.any(axis=1)
-            pts[alone, 0] = np.where(rank_def[miss][alone, None], (cx, cy),
-                                     planar[0] + m[alone, :2])
-            fit = _norms(_closures(recv, deltas[miss, None], plane)[0](pts))
-            later = ok[:, 1] & (~ok[:, 0] | (fit[:, 1] < fit[:, 0]))
-            start[miss] = np.where(later[:, None], pts[:, 1], pts[:, 0])
-    return _PlaneRoots(roots, norms, count, start)
-
-
-def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
-           ) -> tuple[list, Callable[[int], SolveResult]]:
-    """Every row of deltas (N, 2) solved on the plane z = plane against the
-    reference-first receivers recv (3, 3), each as a solve of that row alone.
+    A row with no root (the branches do not meet) runs one damped
+    Gauss-Newton fallback, flagged inconsistent beyond INCONSISTENCY_TOL. Its
+    start is one of two points on the line, the finite one that fits the
+    differences better, the first on a tie or a NaN fit; m when neither is
+    finite, and the receiver centroid for a rank-deficient row. The
+    hyperbolic objective plateaus toward the branch asymptotes, so the
+    residual-change criterion can fire on iterates that ran off to enormous
+    coordinates: a run that stops beyond the runaway radius fails like one
+    that does not converge, with NoConvergence carrying its iterate as the
+    best one, or none when it overflowed.
 
     Returns (closed, fix). closed[k] is (coords, residual_norm) of row k's
     closed-form estimate, its coords those of a dim-D point, or None when the
     row has no root or a non-finite difference. fix(k) returns row k's
     SolveResult, as dim-D points, or raises that solve's error: ValidationError
     for a non-finite difference, GeometryDegenerate for receivers that
-    solver._triangle refuses, NoConvergence when the Gauss-Newton fallback of
-    a row with no root does not converge. The rows share one _plane_batch,
-    and the triangle rule and the receivers' centroid are applied once.
+    solver._triangle refuses, NoConvergence when the fallback does not converge.
     """
     finite = np.isfinite(deltas).all(axis=1).tolist()
+    degenerate = None
     try:
-        diam = _triangle(recv, "receivers")
+        radius = _RUNAWAY_DIAMS * _triangle(recv, "receivers")
     except GeometryDegenerate as exc:
-        diam, degenerate = None, str(exc)
-        closed = [None] * len(deltas)
+        degenerate, closed = str(exc), [None] * len(deltas)
     else:
-        centroid = _centroid(recv.tolist())
-        batch = _plane_batch(recv, deltas, plane, diam, centroid)
+        rows = len(deltas)
+        planar = recv[:, :2]
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = recv.tolist()
+        cx, cy, cz = _centroid(recv.tolist())
+        ex1, ey1, ex2, ey2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+        ax, ay, bx, by = 2 * ex1, 2 * ey1, 2 * ex2, 2 * ey2
+        h0, h1, h2 = z0 - plane, z1 - plane, z2 - plane
+        W = np.empty((rows, 4, 3))
+        # A row whose numbers overflow ends NaN or infinite: no admissible root.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # |e_k|^2 + h_k^2 - h_0^2, where h_0^2 is a power, not a product:
+            # the two can differ in the last bit.
+            h0sq = np.float64(h0) ** 2
+            rhs = np.subtract((ex1 * ex1 + ey1 * ey1 + h1 * h1 - h0sq,
+                               ex2 * ex2 + ey2 * ey2 + h2 * h2 - h0sq), deltas * deltas)
+            W[:, :2, :2] = ((ax, ay), (bx, by))
+            dz = W[:, :2, 2]
+            np.multiply(deltas, -2.0, out=dz)
+            W[:, 2, :2] = dz[:, ::-1] * (ay, bx) - dz * (by, ax)   # A_0 x A_1
+            W[:, 2, 2] = ax * by - ay * bx
+            pairs = W.take(_GRAM, axis=1)
+            g = _rowdot(pairs[:, :4], pairs[:, 4:])
+            g00, g01, g11, n_norm = g.T
+            n_norm = np.sqrt(n_norm)
+            g00g11 = g00 * g11
+            rank_def = n_norm <= _RANK_TOL * np.sqrt(g00g11)
+            W[:, 2] /= n_norm[:, None]
+            # m = A^T (A A^T)^-1 rhs, the solution nearest the origin of (u, r0);
+            # g[:, 2::-2] is (g11, g00).
+            w = g[:, 2::-2] * rhs - g01[:, None] * rhs[:, ::-1]
+            W[:, 3] = (W[:, 0] * w[:, :1] + W[:, 1] * w[:, 1:]) / (g00g11 - g01 * g01)[:, None]
+            # a = |n_xy|^2 - n_z^2, b = 2 (m_xy . n_xy - m_z n_z), c = |m_xy|^2 + h_0^2 - m_z^2
+            pairs = W.take(_QUAD, axis=1)
+            left, right = pairs[:, :3], pairs[:, 3:]
+            quad = _rowdot(left[..., :2], right[..., :2])
+            quad[:, 2] += h0 * h0
+            quad -= left[..., 2] * right[..., 2]
+            a, b, c = quad.T
+            b = 2 * b
+            disc = b * b - 4 * a * c
+            # a -> 0 in the far field: the pair q/a, c/q avoids the cancellation
+            # that would wreck the near root there. A negative disc, a = 0 or
+            # q = 0 leaves that root NaN or infinite, so not admissible.
+            q = -(b + np.copysign(np.sqrt(disc), b)) / 2
+            t = np.empty((rows, 2))
+            np.divide(q, a, out=t[:, 0])
+            np.divide(c, q, out=t[:, 1])
+            n, m = W[:, 2], W[:, 3]
+            u = m[:, None] + t[..., None] * n[:, None]
+            roots = planar[0] + u[..., :2]
+            valid = u[..., 2] >= deltas.max(axis=1, initial=0.0)[:, None]
+            valid &= _norms(roots - (cx, cy)) <= radius
+            valid &= ~rank_def[:, None]
+            roots[~valid] = 0.0  # a slot without a root is never NaN, and ranks last by its norm
+
+            # Ranked by residual norm, the tied ones by distance to the receiver
+            # centroid; a second candidate within _DEDUP_TOL of the first is dropped.
+            norms = _norms(_closures(recv, deltas[:, None], plane)[0](roots))
+            norms[~valid] = np.inf
+            gap = np.empty((rows, 2, 3))
+            gap[..., :2] = roots - (cx, cy)
+            gap[..., 2] = plane - cz
+            roots, norms = _rank(roots, norms, _norms(gap))
+            count = valid.sum(axis=1)
+            count -= (count == 2) & (_norms(roots[:, 1] - roots[:, 0]) < _DEDUP_TOL)
+
+            # Starts on the line for the rows with no root: the quadratic's
+            # vertex, and the point with the least far-field residual. Along
+            # the line every residual is ~ q(t) d_k / (2 r0 (r0 - d_k)): the
+            # vertex minimizes |q|, and t* minimizes the far-field |q| / r0^2
+            # (a zero of (q' r0 - 2 q r0') / r0^3, linear in t).
+            start = np.empty((rows, 2))
+            miss = np.nonzero(count == 0)[0]
+            if miss.size:
+                m, n, a, b, c = m[miss], n[miss], a[miss], b[miss], c[miss]
+                t = np.stack([-b / (2 * a), (2 * c * n[:, 2] - b * m[:, 2]) /
+                              (2 * a * m[:, 2] - b * n[:, 2])], axis=1)
+                pts = planar[0] + (m[:, None] + t[..., None] * n[:, None])[..., :2]
+                ok = np.isfinite(t) & ~rank_def[miss, None]
+                alone = ~ok.any(axis=1)
+                pts[alone, 0] = np.where(rank_def[miss][alone, None], (cx, cy),
+                                         planar[0] + m[alone, :2])
+                fit = _norms(_closures(recv, deltas[miss, None], plane)[0](pts))
+                later = ok[:, 1] & (~ok[:, 0] | (fit[:, 1] < fit[:, 0]))
+                start[miss] = np.where(later[:, None], pts[:, 1], pts[:, 0])
         closed = [((x, y, plane)[:dim], n) if c and f else None
-                  for (x, y), n, c, f in zip(batch.roots[:, 0].tolist(),
-                                             batch.norms[:, 0].tolist(),
-                                             batch.count.tolist(), finite)]
+                  for (x, y), n, c, f in zip(roots[:, 0].tolist(), norms[:, 0].tolist(),
+                                             count.tolist(), finite)]
 
     def fix(k: int) -> SolveResult:
         if not finite[k]:
             raise _non_finite_difference()
-        if diam is None:
+        if degenerate is not None:
             raise GeometryDegenerate(degenerate)
-        count = int(batch.count[k])
-        if not count:
-            return _fallback(recv, deltas[k], plane, dim, diam, centroid[:2], batch.start[k])
-        cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
-                           for x, y in batch.roots[k, :count].tolist()],
-                          batch.norms[k].tolist()))
-        return SolveResult(estimate=cands[0][0], candidates=cands,
-                           residual_norm=cands[0][1], iterations=0, converged=True)
+        found = int(count[k])
+        if found:
+            cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
+                               for x, y in roots[k, :found].tolist()], norms[k].tolist()))
+            return SolveResult(estimate=cands[0][0], candidates=cands,
+                               residual_norm=cands[0][1], iterations=0, converged=True)
+        residual, jacobian = _closures(recv, deltas[k], plane)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
+            x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start[k])
+        ok = ok and float(_norms(x - (cx, cy))) <= radius
+        return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
+                        "the branches do not meet and the least-squares run did not converge "
+                        "to a finite point")
 
     return closed, fix
-
-
-def _fallback(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int, diam: float,
-              center: tuple[float, float], start: np.ndarray) -> SolveResult:
-    """One damped Gauss-Newton run from start, the one _plane_batch picked,
-    flagged inconsistent beyond INCONSISTENCY_TOL.
-
-    The hyperbolic objective plateaus toward the branch asymptotes, so the
-    residual-change criterion can fire on iterates that ran off to enormous
-    coordinates: a run that stops beyond the runaway radius of center, the
-    receivers' planar centroid, fails like one that does not converge, with
-    NoConvergence carrying its iterate as the best one, or none when it
-    overflowed.
-    """
-    residual, jacobian = _closures(recv, deltas, plane)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
-        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start)
-    ok = ok and float(_norms(x - center)) <= _RUNAWAY_DIAMS * diam
-    return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
-                    "the branches do not meet and the least-squares run did not converge "
-                    "to a finite point")
 
 
 def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
@@ -445,7 +414,7 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
     bools included), or not 0 for 2D receivers, is a ValidationError.
 
     The squared range differences are linear in (x, y, r0) up to one
-    quadratic (see _plane_batch); each admissible root comes back as a
+    quadratic (see _fixes); each admissible root comes back as a
     candidate, with its residual norm on the unsquared differences
     (deduplicated at 1e-6 m), since the two branches may cross at two points
     that both reproduce the measured differences. When the branches do not

@@ -217,9 +217,12 @@ def test_perturb_negative_sigma():
         perturb_arrivals(a, -1e-9, seed=0)
 
 
-@pytest.mark.parametrize("sigma", [True, "1e-9", None, 1e-9 + 0j, 10 ** 400])
+@pytest.mark.parametrize("sigma", [True, "1e-9", None, 1e-9 + 0j, 10 ** 400,
+                                   False, np.False_, 0j])
 def test_perturb_refuses_a_sigma_that_is_not_a_real_number(sigma):
-    # True jittered by 1 s; the others raised a bare TypeError or OverflowError.
+    # True jittered by 1 s; False, np.False_ and 0j compared equal to 0 and
+    # returned the arrivals unchecked; the others raised a bare TypeError or
+    # OverflowError.
     a = ArrivalSet(np.zeros((1, 1)))
     with pytest.raises(InvalidNoise):
         perturb_arrivals(a, sigma, seed=0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rfloc
-from rfloc import Scenario, _kernels, doppler, solver, tdoa
+from rfloc import Scenario, _kernels, doppler, solver
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -119,9 +119,10 @@ def _callers(path: Path, names: tuple[str, ...]) -> set[tuple[str, str]]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_fixes_drives_the_plane_batch(path):
-    # The closed-form TDOA batch has one caller. solver._triangle, the one
-    # triangle rule of both closed forms, is called by their row drivers alone.
-    expected = {"tdoa.py": {("_fixes", "_plane_batch"), ("_fixes", "_triangle")},
+    # The closed-form TDOA batch is _fixes itself: no module calls a batch
+    # of its own. solver._triangle, the one triangle rule of both closed
+    # forms, is called by their row drivers alone.
+    expected = {"tdoa.py": {("_fixes", "_triangle")},
                 "trilat.py": {("_batch", "_triangle")}}
     assert _callers(path, ("_plane_batch", "_triangle")) == expected.get(path.name, set())
 
@@ -156,20 +157,50 @@ def test_only_batch_drives_the_closed_form_trilateration(path):
     assert _callers(path, ("_closed_form",)) == set()
 
 
+def _rowdots(nodes) -> int:
+    """The _rowdot calls in nodes and everything under them."""
+    return sum(isinstance(call, ast.Call) and ast.unparse(call.func) == "_rowdot"
+               for node in nodes for call in ast.walk(node))
+
+
+def _guard(module: str, name: str) -> tuple[ast.FunctionDef, ast.Try]:
+    """The top-level function name of module, and its first try statement."""
+    driver = next(node for node in ast.parse(_source(module)).body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+    return driver, next(node for node in driver.body if isinstance(node, ast.Try))
+
+
 def test_trilateration_batch_refuses_the_triangle_before_any_row_arithmetic():
     # As tdoa._fixes does: the try holds the triangle rule alone, and every
     # dot product of the algebra runs in its else branch.
-    batch = next(node for node in ast.parse(_source("trilat.py")).body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_batch")
-    guard = next(node for node in batch.body if isinstance(node, ast.Try))
+    batch, guard = _guard("trilat.py", "_batch")
     assert [ast.unparse(node) for node in guard.body] == ["_triangle(anchors, 'emitters')"]
     assert [ast.unparse(h.type) for h in guard.handlers] == ["GeometryDegenerate"]
+    assert _rowdots(guard.orelse) == _rowdots([batch]) > 0
 
-    def rowdots(nodes):
-        return sum(isinstance(call, ast.Call) and ast.unparse(call.func) == "_rowdot"
-                   for node in nodes for call in ast.walk(node))
 
-    assert rowdots(guard.orelse) == rowdots([batch]) > 0
+def test_tdoa_fixes_refuses_the_triangle_before_any_row_arithmetic():
+    # As trilat._batch does. The try's one statement applies the triangle
+    # rule and keeps the runaway radius it gives, the one spelling of
+    # _RUNAWAY_DIAMS * diameter that both the roots and the fallback's
+    # iterate are held to.
+    fixes, guard = _guard("tdoa.py", "_fixes")
+    assert [ast.unparse(node) for node in guard.body] == [
+        "radius = _RUNAWAY_DIAMS * _triangle(recv, 'receivers')"]
+    assert [ast.unparse(h.type) for h in guard.handlers] == ["GeometryDegenerate"]
+    assert _rowdots(guard.orelse) == _rowdots([fixes]) > 0
+    assert sum(isinstance(node, ast.Name) and node.id == "_RUNAWAY_DIAMS"
+               and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(ast.parse(_source("tdoa.py")))) == 1
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_fixes_holds_the_tdoa_closed_form(path):
+    # _fixes owns the TDOA algebra, the start pick and the Gauss-Newton
+    # fallback: no helper hands it roots, starts or a fallback result.
+    names = ("_plane_batch", "_PlaneRoots", "_fallback")
+    assert not set(names) & _defined(ast.parse(path.read_text(encoding="utf-8")))
+    assert _callers(path, names) == set()
 
 
 def test_one_candidate_ranking_serves_both_closed_forms():
@@ -177,24 +208,23 @@ def test_one_candidate_ranking_serves_both_closed_forms():
     # forms, the estimate first; only it reads the residual tie _TIE_EPS, and
     # the TDOA batch carries no separate pick of its estimate.
     callers = {(path.name, *caller) for path in SOURCES for caller in _callers(path, ("_rank",))}
-    assert callers == {("tdoa.py", "_plane_batch", "_rank"), ("trilat.py", "_batch", "_rank")}
+    assert callers == {("tdoa.py", "_fixes", "_rank"), ("trilat.py", "_batch", "_rank")}
     readers = {(path.name, getattr(top, "name", "<module>")) for path in SOURCES
                for top in ast.parse(path.read_text(encoding="utf-8")).body
                for node in ast.walk(top) if isinstance(node, ast.Name)
                and node.id == "_TIE_EPS" and isinstance(node.ctx, ast.Load)}
     assert readers == {("solver.py", "_rank")}
-    assert "near" not in tdoa._PlaneRoots._fields
 
 
 def test_plane_batch_picks_the_fallback_start():
-    # _plane_batch scores both starts of every no-root row in one call and
-    # hands the fallback the one it picked: _fallback runs one Gauss-Newton
-    # from it and chooses nothing.
-    assert tdoa._PlaneRoots._fields == ("roots", "norms", "count", "start")
-    fallback = next(node for node in ast.parse(_source("tdoa.py")).body
-                    if isinstance(node, ast.FunctionDef) and node.name == "_fallback")
-    calls = [ast.unparse(node.func) for node in ast.walk(fallback) if isinstance(node, ast.Call)]
-    assert "min" not in calls and calls.count("gauss_newton_raw") == 1
+    # _fixes scores both starts of every no-root row in one pass, row by
+    # row, and fix(k) runs one Gauss-Newton from the one it picked: no
+    # least value over rows or over runs chooses a start.
+    fixes = next(node for node in ast.parse(_source("tdoa.py")).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_fixes")
+    calls = [ast.unparse(node.func) for node in ast.walk(fixes) if isinstance(node, ast.Call)]
+    assert not [call for call in calls if call == "min" or call.endswith(".min")]
+    assert calls.count("gauss_newton_raw") == 1
 
 
 def test_one_spelling_per_refusal_message():
@@ -345,8 +375,8 @@ def test_gauss_newton_has_two_callers():
     # The TDOA fallback and the trilateration least squares; both end in _outcome.
     callers = {(path.name, *caller) for path in SOURCES
                for caller in _callers(path, ("gauss_newton_raw", "_outcome"))}
-    assert callers == {("tdoa.py", "_fallback", "gauss_newton_raw"),
-                       ("tdoa.py", "_fallback", "_outcome"),
+    assert callers == {("tdoa.py", "_fixes", "gauss_newton_raw"),
+                       ("tdoa.py", "_fixes", "_outcome"),
                        ("trilat.py", "trilaterate_lsq", "gauss_newton_raw"),
                        ("trilat.py", "trilaterate_lsq", "_outcome")}
 

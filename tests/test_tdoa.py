@@ -30,7 +30,6 @@ from rfloc.errors import (
     RflocError,
     ValidationError,
 )
-from rfloc.solver import _centroid, _triangle
 
 C = 3e8
 
@@ -629,29 +628,32 @@ def _lift(recv):
     return np.column_stack((recv, np.zeros(len(recv))))
 
 
-def _batch_rows(recv, deltas, fixed_z):
-    """Each row of one _plane_batch call and of a call on that row alone, as
-    the bytes of what the row means: its candidates in order, estimate
-    first, and their norms, or its fallback start when it has no root."""
-    def meaning(batch, k):
-        count = int(batch.count[k])
-        if not count:
-            return [0, batch.start[k].tobytes()]
-        return [count, batch.roots[k, :count].tobytes(), batch.norms[k, :count].tobytes()]
+def _batch_rows(recv, deltas, fixed_z, dim):
+    """Each row of one _fixes call and of a call on that row alone, as the
+    repr of its closed-form estimate and of what fix(k) gives: the
+    SolveResult, or the error's type name, message and best iterate. Returns
+    each row's closed-form root count, 0 for a row that runs the fallback."""
+    def meaning(closed, fix, k):
+        try:
+            outcome = fix(k)
+        except RflocError as exc:
+            outcome = (type(exc).__name__, str(exc), getattr(exc, "best", None))
+        return repr((closed[k], outcome)), outcome
 
-    diam, centroid = _triangle(recv, "receivers"), _centroid(recv.tolist())
-    together = tdoa._plane_batch(recv, deltas, fixed_z, diam, centroid)
-    counts = together.count.tolist()
+    closed, fix = tdoa._fixes(recv, deltas, fixed_z, dim)
+    counts = []
     for k in range(len(deltas)):
-        alone = tdoa._plane_batch(recv, deltas[k:k + 1], fixed_z, diam, centroid)
-        assert meaning(together, k) == meaning(alone, 0), k
+        together, outcome = meaning(closed, fix, k)
+        assert together == meaning(*tdoa._fixes(recv, deltas[k:k + 1], fixed_z, dim), 0)[0], k
+        counts.append(0 if closed[k] is None else len(outcome.candidates))
     return counts
 
 
 def test_plane_batch_rows_equal_single_row_solves():
-    # One call over many rows gives each row the bits of a call on that row
-    # alone: roots in candidate order, norms, and the fallback start of rows
-    # with no root. The rows mix exact, noisy, diverging and overflowing
+    # One _fixes call over many rows gives each row the bits of a call on
+    # that row alone: roots in candidate order and their norms, or the
+    # Gauss-Newton fallback's result or error for rows with no root, which
+    # shows that each picked the start it would pick alone. The rows mix exact, noisy, diverging and overflowing
     # differences.
     rng = np.random.default_rng(97)
     counts = []
@@ -662,17 +664,17 @@ def test_plane_batch_rows_equal_single_row_solves():
         d = np.linalg.norm(emitters[:, None] - recv, axis=2)
         deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (40, 1)) * \
             rng.choice([0.0, 1e-3, 1.0, 100.0], size=(40, 1))
-        counts += _batch_rows(_lift(recv), deltas, 0.0)
+        counts += _batch_rows(_lift(recv), deltas, 0.0, 2)
     # The near-tangent row, branches that do not meet, branches that
     # diverge, all-zero and overflowing differences.
     recv = np.array([[-25.814673143228674, 709.0416618385482],
                      [-478.2913255998525, 758.5592218065922],
                      [267.06328842875496, -539.9102004661636]])
     counts += _batch_rows(_lift(recv), np.array([[-159.77828150915775, 1282.8321216788809],
-                                                 [0.0, 0.0], [1e300, -3.0]]), 0.0)
+                                                 [0.0, 0.0], [1e300, -3.0]]), 0.0, 2)
     square = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 1000.0]])
     counts += _batch_rows(_lift(square), np.array([[-630.0, 810.0], [-720.0, 720.0],
-                                                   [100.0, 50.0], [1e300, 1e300]]), 0.0)
+                                                   [100.0, 50.0], [1e300, 1e300]]), 0.0, 2)
     assert {0, 1, 2} <= set(counts)
 
 
@@ -691,9 +693,9 @@ def test_plane_batch_rows_equal_single_row_solves_3d():
         d = np.linalg.norm(emitters[:, None] - recv, axis=2)
         deltas = d[:, :1] - d[:, 1:] + rng.normal(0.0, 1.0, (30, 1)) * \
             rng.choice([0.0, 1e-4, 1e-2, 1.0], size=(30, 1))
-        counts += _batch_rows(recv, deltas, plane)
+        counts += _batch_rows(recv, deltas, plane, 3)
     drones = np.array([[0.0, 0.0, 100.0], [100.0, 0.0, 150.0], [200.0, 0.0, 120.0]])
-    counts += _batch_rows(drones, np.array([[10.0, 20.0], [10.0, 5.0], [1e300, 0.0]]), 0.0)
+    counts += _batch_rows(drones, np.array([[10.0, 20.0], [10.0, 5.0], [1e300, 0.0]]), 0.0, 3)
     assert {0, 1, 2} <= set(counts)
 
 
