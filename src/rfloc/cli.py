@@ -33,7 +33,7 @@ from .errors import NoConvergence, ParseError, RflocError, ValidationError
 from .geometry import Point, _finite_real, _natural, distance
 from .simulate import Scenario, _not_finite, _perturb, simulate_arrivals
 from .solver import SolveResult, _centroid
-from .tdoa import _fixes, _range_differences
+from .tdoa import _FREE_HEIGHT, _fixes, _range_differences
 from .trilat import _batch, team_relative_position
 
 __all__ = ["ScenarioFile", "parse_scenario", "run", "report_to_csv", "main"]
@@ -216,10 +216,8 @@ def _validate(raw) -> ScenarioFile:
         if dim == 2 or "emitter_plane_z" not in raw["solve"]:
             plane = 0.0  # 2D emitters are solved on the plane z = 0; 3D ones default to ground
         elif plane is None:
-            raise ValidationError(
-                f"solve.emitter_plane_z must be a number in {mode} mode: three receivers "
-                "give two range differences, too few for a free emitter height",
-                field="emitter_plane_z")
+            raise ValidationError(f"solve.emitter_plane_z must be a number in {mode} mode: "
+                                  f"{_FREE_HEIGHT}", field="emitter_plane_z")
     emitters, receivers, distances = scen["emitters"], scen["receivers"], scen["distances"]
     for key, points in (("emitters", emitters), ("receivers", receivers)):
         if points and dim is not None and points[0].dim != dim:

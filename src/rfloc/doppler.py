@@ -8,6 +8,7 @@ should rely on the TDOA and trilateration modules instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -60,7 +61,16 @@ def doppler_distance(reading: DopplerReading) -> DopplerRange:
     """Idealized range estimate (c * shift) / (2 * f_emitted), in meters.
 
     Valid only under the stationary, negligible-relative-velocity assumption;
-    the `idealized` flag on the result records that caveat.
+    the `idealized` flag on the result records that caveat. Mantissas and
+    powers of two are divided apart (math.frexp, math.ldexp), so a product
+    that leaves float64's normal range does not spoil a range inside it;
+    where the plain formula's product and quotient are normal, these are its
+    bits. Raises ValidationError when the range overflows float64.
     """
-    meters = (reading.c * doppler_shift(reading)) / (2.0 * reading.f_emitted)
+    (mc, ec), (ms, es), (mf, ef) = map(math.frexp, (reading.c, doppler_shift(reading),
+                                                   reading.f_emitted))
+    try:
+        meters = math.ldexp((mc * ms) / (2.0 * mf), ec + es - ef)
+    except OverflowError:
+        raise ValidationError("the Doppler range overflows float64") from None
     return DopplerRange(meters=meters, idealized=True)

@@ -28,12 +28,6 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_speed(c: float) -> None:
     """Refuse a propagation speed c that is not a positive finite real number."""
     if not (_finite_real(c) and c > 0.0):
@@ -72,7 +66,9 @@ class ArrivalSet:
     times: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _frozen_array(self.times))
+        times = np.array(self.times, dtype=float)
+        times.setflags(write=False)
+        object.__setattr__(self, "times", times)
         if self.times.ndim != 2:
             raise ValidationError("times must be a receiver-by-emitter matrix", field="times")
         if not np.isfinite(self.times).all():

@@ -98,8 +98,7 @@ def _triangle(points: np.ndarray, what: str) -> float:
                                  "about 1.3e154 m)")
     # hypot: twice the area without overflow, and exactly |normal_z| for a
     # triangle on the plane z = 0.
-    area2 = math.hypot(u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                       u[0] * v[1] - u[1] * v[0])
+    area2 = math.hypot(*_cross(u, v).tolist())
     if diam == 0.0 or area2 <= 1e-12 * diam * diam:
         raise GeometryDegenerate(f"{what} are collinear (or coincident)")
     return diam
@@ -188,46 +187,43 @@ def gauss_newton_raw(
     iterate (the accepted objective is monotone non-increasing, so the last
     accepted iterate is the best).
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual_fn(x), dtype=float)
-    f = float(r @ r)
-    lam_memory = _DAMPING_INITIAL
-    iterations = 0
-    converged = False
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge problem overflows: the run fails
+        x = np.asarray(x0, dtype=float).copy()
+        r = np.asarray(residual_fn(x), dtype=float)
+        f = float(r @ r)
+        lam_memory = _DAMPING_INITIAL
+        iterations = 0
+        converged = False
 
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        J = np.asarray(jacobian_fn(x), dtype=float)
-        Jt = J.T
-        minus_g = -(Jt @ r)
-        JtJ = Jt @ J
+        for iterations in range(1, _MAX_ITERATIONS + 1):
+            J = np.asarray(jacobian_fn(x), dtype=float)
+            Jt = J.T
+            minus_g = -(Jt @ r)
+            JtJ = Jt @ J
 
-        # Pure Gauss-Newton first; damping ladder only if it fails.
-        accepted = False
-        lam = 0.0
-        while True:
-            A = JtJ if lam == 0.0 else JtJ + lam * np.eye(len(JtJ))
-            step = _solve(A, minus_g)
-            # A singular rung leaves NaN: np.isfinite(step).all(), on floats.
-            if all(map(math.isfinite, step.tolist())):
-                x_new = x + step
-                r_new = np.asarray(residual_fn(x_new), dtype=float)
-                f_new = float(r_new @ r_new)
-                if math.isfinite(f_new) and f_new <= f:
-                    accepted = True
-                    break
-            lam = lam_memory if lam == 0.0 else lam * 10.0
-            if lam > _DAMPING_MAX:
+            # Pure Gauss-Newton first, then the damping ladder; past its top rung the run ends.
+            lam = 0.0
+            while lam <= _DAMPING_MAX:
+                A = JtJ if lam == 0.0 else JtJ + lam * np.eye(len(JtJ))
+                step = _solve(A, minus_g)
+                # A singular rung leaves NaN: np.isfinite(step).all(), on floats.
+                if all(map(math.isfinite, step.tolist())):
+                    x_new = x + step
+                    r_new = np.asarray(residual_fn(x_new), dtype=float)
+                    f_new = float(r_new @ r_new)
+                    if math.isfinite(f_new) and f_new <= f:
+                        break
+                lam = lam_memory if lam == 0.0 else lam * 10.0
+            else:
                 break
-        if not accepted:
-            break
-        lam_memory = max((lam_memory if lam == 0.0 else lam) / 10.0, _DAMPING_MIN)
+            lam_memory = max((lam_memory if lam == 0.0 else lam) / 10.0, _DAMPING_MIN)
 
-        step_norm = math.sqrt(step @ step)  # np.linalg.norm(step), without its overhead
-        improvement = f - f_new
-        x, r, f = x_new, r_new, f_new
-        if step_norm < _STEP_TOL or improvement < _RESIDUAL_TOL:
-            converged = True
-            break
+            step_norm = math.sqrt(step @ step)  # np.linalg.norm(step), without its overhead
+            improvement = f - f_new
+            x, r, f = x_new, r_new, f_new
+            if step_norm < _STEP_TOL or improvement < _RESIDUAL_TOL:
+                converged = True
+                break
 
     return x, math.sqrt(f), iterations, converged
 

@@ -55,6 +55,8 @@ __all__ = [
 _DEDUP_TOL = 1e-6      # meters between distinct minimizers
 _RUNAWAY_DIAMS = 1e6   # points beyond this many triangle diameters are divergent
 _RANK_TOL = 1e-12      # relative: parallel linearized rows mean no unique line
+# Why a solve needs a known emitter plane; the CLI's refusal says it too.
+_FREE_HEIGHT = "three receivers give two range differences, too few for a free emitter height"
 
 
 class _RangeDelta(NamedTuple):
@@ -390,8 +392,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
             return SolveResult(estimate=cands[0][0], candidates=cands,
                                residual_norm=cands[0][1], iterations=0, converged=True)
         residual, jacobian = _closures(recv, deltas[k], plane)
-        with np.errstate(over="ignore", invalid="ignore"):  # huge differences overflow: no fix
-            x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start[k])
+        x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start[k])
         ok = ok and float(_norms(x - (cx, cy))) <= radius
         return _outcome((*x.tolist(), plane)[:dim], norm, iters, ok,
                         "the branches do not meet and the least-squares run did not converge "
@@ -434,10 +435,8 @@ def locate_emitter(receivers: Sequence[Point], rd: RangeDifferenceSet,
         raise ValueError("need range differences for exactly 2 receiver pairs")
     plane = emitter_plane_z
     if not _finite_real(plane) or (dim == 2 and plane != 0):
-        raise ValidationError(
-            f"emitter_plane_z must be a finite number (0 for 2D receivers), got {plane!r}: "
-            "three receivers give two range differences, too few for a free emitter height",
-            field="emitter_plane_z")
+        raise ValidationError(f"emitter_plane_z must be a finite number (0 for 2D receivers), "
+                              f"got {plane!r}: {_FREE_HEIGHT}", field="emitter_plane_z")
     if dim == 2:
         recv = np.column_stack((recv, np.zeros(3)))
     return _fixes(recv, deltas[None], float(plane), dim)[1](0)

@@ -264,9 +264,8 @@ def trilaterate_lsq(problem: TrilaterationProblem, init) -> SolveResult:
             raise DimensionError(f"init has {x0.size} coordinates, problem is "
                                  f"{problem.dimension}D")
     anchors, ranges = problem.anchor_array, problem.distance_array
-    with np.errstate(over="ignore", invalid="ignore"):  # huge anchors: an overflowed step fails
-        x, norm, iterations, converged = gauss_newton_raw(
-            lambda x: _residuals(x, anchors, ranges), lambda x: _unit_rows(x, anchors), x0)
+    x, norm, iterations, converged = gauss_newton_raw(
+        lambda x: _residuals(x, anchors, ranges), lambda x: _unit_rows(x, anchors), x0)
     return _outcome(x.tolist(), norm, iterations, converged,
                     "trilaterate_lsq did not converge after {iterations} iterations")
 

@@ -1,16 +1,18 @@
 """Scenario parsing, report generation, CSV export, and exit codes."""
 
+import copy
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfloc import (Point, Scenario, TrilaterationProblem, arrival_deltas, distance,
                    locate_emitter, perturb_arrivals, simulate_arrivals, team_relative_position,
@@ -1258,17 +1260,24 @@ def test_mean_of_errors_whose_sum_overflows_is_finite():
     assert min(values) <= mean <= max(values)
 
 
+def _shipped() -> dict[str, dict]:
+    shipped = {}
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        with open(os.path.join(SCENARIO_DIR, name)) as fh:
+            shipped[name[:-len(".json")]] = json.load(fh)
+    return shipped
+
+
+SHIPPED = _shipped()
+
+
 def _edge_documents():
     """tools/report_digests.py's edge documents, built from the shipped scenarios."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "report_digests.py")
     spec = importlib.util.spec_from_file_location("report_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    shipped = {}
-    for name in sorted(os.listdir(SCENARIO_DIR)):
-        with open(os.path.join(SCENARIO_DIR, name)) as fh:
-            shipped[name[:-len(".json")]] = json.load(fh)
-    return module.edge_documents(shipped)
+    return module.edge_documents(copy.deepcopy(SHIPPED))
 
 
 def test_edge_documents_give_strict_json_reports():
@@ -1276,7 +1285,7 @@ def test_edge_documents_give_strict_json_reports():
     # every report is JSON without NaN or Infinity, and its CSV is
     # csv.writer's.
     docs = _edge_documents()
-    assert len(docs) == 61
+    assert len(docs) == 65
     loose, reports = [], {}
     for name, doc in docs.items():
         reports[name] = run(_validate(doc))
@@ -1292,6 +1301,83 @@ def test_edge_documents_give_strict_json_reports():
     assert far["errors"] == []
     emitters = [e for e in far["solves"] if e["kind"] == "pipeline_emitter"]
     assert len(emitters) == 3 and all(e["error_m"] <= 1e-6 for e in emitters)
+    # Doppler c * shift overflows: a range that fits float64 is reported,
+    # one that does not is an embedded ValidationError.
+    for name, meters in (("carrier_1.7e308", 1.5e8), ("received_1.7e308", 2.5499999999999997e307)):
+        assert [e["distance_m"] for e in reports[f"doppler_{name}"]["solves"]] == [meters]
+    for name in ("c_1.7e308", "carrier_1e-320"):
+        report = reports[f"doppler_{name}"]
+        assert report["solves"] == [] and [(e["type"], e["message"]) for e in report["errors"]] \
+            == [("ValidationError", "the Doppler range overflows float64")]
+
+
+# Numbers at and near float64's ends, zero and two plain ones.
+_EXTREMES = [0, 5e-324, 1e-300, 1e154, 1e300, 1.7e308, -1.7e308, 3, 2.5]
+
+
+def _numeric_leaves(node, path=()) -> list[tuple]:
+    """The paths of the numbers (not bools) in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _numeric_leaves(value, path + (key,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@st.composite
+def _mutated_scenarios(draw) -> dict:
+    """A shipped scenario, maybe in another mode and with a small sweep, with
+    one to three of its numbers replaced by extremes."""
+    doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    if draw(st.booleans()):
+        doc["solve"]["mode"] = draw(st.sampled_from(cli.MODES))
+    if draw(st.booleans()):
+        doc["monte_carlo"] = {"trials": draw(st.integers(1, 5)), "sigma_t_list": draw(
+            st.lists(st.sampled_from([0.0, 1e-9, 1e-7]), min_size=1, max_size=3))}
+    for path in draw(st.lists(st.sampled_from(_numeric_leaves(doc)), min_size=1, max_size=3)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(_EXTREMES))
+    return doc
+
+
+def _doppler_doc(scenario: dict, f_received: float | None = None) -> dict:
+    doc = copy.deepcopy(SHIPPED["doppler_demo"])
+    doc["scenario"].update(scenario)
+    if f_received is not None:
+        doc["doppler"]["f_received"] = f_received
+    return doc
+
+
+def _refuse_constant(name: str):
+    raise AssertionError(f"the report holds {name}")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_mutated_scenarios(), verb=st.sampled_from(["run", "export-csv"]))
+@example(doc=_doppler_doc({"carrier": 1.7e308}, 1e-9), verb="run")
+@example(doc=_doppler_doc({}, 1.7e308), verb="run")
+@example(doc=_doppler_doc({"c": 1.7e308, "carrier": 1e-300}), verb="run")
+@example(doc=_doppler_doc({"carrier": 1e-320}), verb="run")
+def test_extreme_numbers_give_an_exit_code_and_a_strict_report(doc, verb):
+    # Aim 3: any file gets exit 0, 1 or 2, never a traceback or a numpy
+    # warning (tier-1 makes warnings errors), and a written report is JSON
+    # without NaN or Infinity, or a CSV without nan or inf.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "report")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main([verb, path, "--quiet", "--output", out])
+        assert code in (0, 1, 2)
+        if not os.path.exists(out):
+            assert code == 2
+            return
+        with open(out) as fh:
+            text = fh.read()
+    if verb == "run":
+        json.loads(text, parse_constant=_refuse_constant)
+    else:
+        assert "nan" not in text and "inf" not in text
 
 
 @pytest.mark.parametrize("emission_time", [1.0, 1.7e9])

@@ -78,3 +78,18 @@ def test_reading_validation():
             with pytest.raises(ValidationError) as exc:
                 DopplerReading(**{"f_emitted": 1e9, "f_received": 1e9, "c": 3e8, field: value})
             assert exc.value.field == field
+
+
+def test_distance_whose_product_overflows_is_still_given():
+    # c * shift overflowed float64 although the range fits it: the report
+    # read NaN (inf / inf) and Infinity. Carrier 1.7e308 Hz heard at 1e-9 Hz,
+    # and 1e9 Hz heard at 1.7e308 Hz.
+    assert doppler_distance(DopplerReading(1.7e308, 1e-9, 3e8)).meters == 1.5e8
+    assert doppler_distance(DopplerReading(1e9, 1.7e308, 3e8)).meters == 2.5499999999999997e307
+
+
+@pytest.mark.parametrize("reading", [(1e-300, 1.0000001e9, 1.7e308), (1e-320, 1.0000001e9, 3e8)],
+                         ids=["c_1.7e308", "carrier_1e-320"])
+def test_distance_beyond_float64_is_refused(reading):
+    with pytest.raises(ValidationError, match="the Doppler range overflows float64"):
+        doppler_distance(DopplerReading(*reading))

@@ -1,16 +1,24 @@
-"""The exact grid oracle as a gate over random inconsistent solves, local half.
+"""The exact grid oracle as a gate over random inconsistent solves.
 
-A converged least-squares estimate is a local minimum of its objective: no
-node of a lattice around it may fall below the objective at the estimate by
-more than SLACK * (1 + f). The lattice is +-1 m at 0.01 m in 2D and
-+-0.3 m at 0.02 m in 3D; a 3D TDOA point, pinned to its emitter plane, is
-checked on the 2D lattice in x and y on that plane. The slack was fixed
-before the first run.
+Local half: a converged least-squares estimate is a local minimum of its
+objective, so no node of a lattice around it may fall below the objective at
+the estimate by more than SLACK * (1 + f). The lattice is +-1 m at 0.01 m in
+2D and +-0.3 m at 0.02 m in 3D; a 3D TDOA point, pinned to its emitter
+plane, is checked on the 2D lattice in x and y on that plane.
+
+Global half, tdoa2d: the no-root rows' fallback points are checked against
+the least node of a lattice over the receiver centroid +- 3 triangle
+diameters at diameter / 200, refined by a lattice of +- 2 of its steps at
+step / 100 around that node. A converged point may not lie above it by more
+than the slack; a best iterate of a run that did not converge is held to
+the same lattices, without slack, and fails on most rows (a strict xfail).
+The slack was fixed before the first run.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from conftest import sample_triangle_2d
 from rfloc import (Point, RangeDifferenceSet, grid_search, hyperbolic_objective,
@@ -56,13 +64,12 @@ def test_noisy_lsq_estimates_are_lattice_local_minima():
     assert checked == 60 and below == []
 
 
-def test_tdoa2d_fallback_points_are_lattice_local_minima():
-    # Range differences with noise of 5 % of the triangle's diameter, an
-    # emitter within 3 diameters of the receiver centroid: the rows whose
-    # branches do not meet and whose Gauss-Newton fallback converges within
-    # 3,000 m of the centroid are checked.
+def _tdoa2d_rows():
+    """(receivers, rd, centroid, diameter, outcome) of seed 16's 400 tdoa2d
+    rows: a receiver triangle, an emitter within 3 diameters of its centroid,
+    range differences with noise of 5 % of the diameter, and locate_emitter's
+    SolveResult or the NoConvergence it raised."""
     rng = np.random.default_rng(16)
-    below, checked = [], 0
     for _ in range(400):
         recv = sample_triangle_2d(rng)
         receivers = [Point.of(*p) for p in recv]
@@ -73,16 +80,70 @@ def test_tdoa2d_fallback_points_are_lattice_local_minima():
         rd = RangeDifferenceSet.from_range_differences(
             0, [(k, float(d[0] - d[k] + rng.normal(0.0, 0.05 * diam))) for k in (1, 2)], 3e8)
         try:
-            result = locate_emitter(receivers, rd)
-        except NoConvergence:
-            continue
+            outcome = locate_emitter(receivers, rd)
+        except NoConvergence as exc:
+            outcome = exc
+        yield receivers, rd, centroid, diam, outcome
+
+
+def _converged_fallbacks():
+    """The rows of _tdoa2d_rows whose branches do not meet and whose
+    Gauss-Newton fallback converges within 3,000 m of the centroid, as
+    (objective, estimate coordinates, centroid, diameter)."""
+    for receivers, rd, centroid, diam, result in _tdoa2d_rows():
         # A closed-form root takes no iterations; only the fallback iterates.
-        if result.iterations == 0 or math.dist(result.estimate.coords, centroid) > 3000.0:
+        if isinstance(result, NoConvergence) or result.iterations == 0 \
+                or math.dist(result.estimate.coords, centroid) > 3000.0:
             continue
-        f, low = _lattice_low(hyperbolic_objective(receivers, rd), result.estimate.coords)
+        yield hyperbolic_objective(receivers, rd), result.estimate.coords, centroid, diam
+
+
+def _global_low(objective, centroid, diam: float) -> float:
+    """The least node of the lattice over centroid +- 3 diam at diam / 200,
+    refined on +- 2 of its steps at step / 100 around that node."""
+    step = diam / 200.0
+    node, coarse = grid_search(objective, [(c - 3.0 * diam, c + 3.0 * diam) for c in centroid],
+                               step)
+    _, fine = grid_search(objective, [(v - 2.0 * step, v + 2.0 * step) for v in node.coords],
+                          step / 100.0)
+    return min(coarse, fine)
+
+
+def test_tdoa2d_fallback_points_are_lattice_local_minima():
+    below, checked = [], 0
+    for objective, coords, _, _ in _converged_fallbacks():
+        f, low = _lattice_low(objective, coords)
         checked += 1
         if low < f - SLACK * (1.0 + f):
             below.append((f, low))
+    assert checked >= 40 and below == []
+
+
+def test_tdoa2d_fallback_points_are_lattice_global_minima():
+    below, checked = [], 0
+    for objective, coords, centroid, diam in _converged_fallbacks():
+        f = float(objective(np.array([coords]))[0])
+        low = _global_low(objective, centroid, diam)
+        checked += 1
+        if low < f - SLACK * (1.0 + f):
+            below.append((f, low))
+    assert checked >= 40 and below == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 6 and 13: the fallback's point is "
+                                       "not the least-squares one")
+def test_tdoa2d_best_iterates_are_lattice_global_minima():
+    # The rows whose fallback raises NoConvergence with a best iterate: no
+    # node of the same lattices may fall below its objective.
+    below, checked = [], 0
+    for receivers, rd, centroid, diam, outcome in _tdoa2d_rows():
+        if not isinstance(outcome, NoConvergence) or outcome.best is None:
+            continue
+        objective = hyperbolic_objective(receivers, rd)
+        f = float(objective(np.array([outcome.best.estimate.coords]))[0])
+        checked += 1
+        if _global_low(objective, centroid, diam) < f:
+            below.append(f)
     assert checked >= 40 and below == []
 
 

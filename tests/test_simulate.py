@@ -249,3 +249,8 @@ def test_arrival_set_validation():
         with pytest.raises(ValidationError, match="receiver-by-emitter matrix") as info:
             ArrivalSet(times)
         assert info.value.field == "times"
+    # Times are kept as a read-only float64 copy of what was passed.
+    given = [[1, 2], [3, 4]]
+    times = ArrivalSet(given).times
+    assert times.dtype == np.float64 and not times.flags.writeable
+    assert times.tolist() == given

@@ -98,13 +98,14 @@ def _source(name: str) -> str:
 
 def test_cli_reaches_the_solvers_only_through_their_row_drivers():
     # A sweep's TDOA rows come from tdoa._fixes and its trilateration rows
-    # from trilat._batch; the CLI never rebuilds a row from their parts.
+    # from trilat._batch; the CLI never rebuilds a row from their parts. It
+    # takes tdoa's free-height refusal text, _FREE_HEIGHT, to spell it once.
     tree = ast.parse(_source("cli.py"))
     private = {(node.module, alias.name) for node in tree.body
                if isinstance(node, ast.ImportFrom) and node.module in ("tdoa", "trilat")
                for alias in node.names if alias.name.startswith("_")}
     assert private == {("tdoa", "_fixes"), ("tdoa", "_range_differences"),
-                       ("trilat", "_batch")}
+                       ("tdoa", "_FREE_HEIGHT"), ("trilat", "_batch")}
     for name in ("_plane_batch", "_triangle", "_fix", "_inconsistent", "_PlaneRoots"):
         assert not re.search(rf"\b{name}\b", _source("cli.py")), name
 
@@ -230,8 +231,11 @@ def test_plane_batch_picks_the_fallback_start():
 def test_one_spelling_per_refusal_message():
     # ArrivalSet and the CLI's sweeps refuse times that are not finite with
     # simulate._not_finite; RangeDifferenceSet and tdoa._fixes refuse a
-    # range difference that is not finite with tdoa._non_finite_difference.
-    for message in ("arrival times must be finite", "non-finite range difference"):
+    # range difference that is not finite with tdoa._non_finite_difference;
+    # locate_emitter and the CLI refuse a free emitter height with
+    # tdoa._FREE_HEIGHT's reason.
+    for message in ("arrival times must be finite", "non-finite range difference",
+                    "too few for a free emitter height"):
         assert sum(path.read_text(encoding="utf-8").count(message) for path in SOURCES) == 1
 
 
@@ -309,15 +313,16 @@ def test_cli_row_driver_returns_the_drivers_unwrapped():
 @pytest.mark.parametrize("name", ["order_candidates", "_solve_one", "_trilaterate_rows",
                                   "_trilat_trials", "_tdoa_trials", "_solve_rows",
                                   "_polish", "_POLISH_STEPS", "_FLOOR_ULPS", "SolverOptions",
-                                  "_order",
+                                  "_order", "_frozen_array",
                                   *(f"{solve}_{dim}d" for solve in ("trilaterate", "locate_emitter")
                                     for dim in (2, 3))])
 def test_one_row_driver_per_solver_leaves_no_twin(name):
     # Single runs and sweeps share trilat._batch and tdoa._fixes; the
     # per-problem solve, the Python-sorted candidate order, the per-family
     # sweep loops, the per-dimension public solves, the stacked linear solve,
-    # the TDOA roots' Newton polish, the Gauss-Newton's options and
-    # trilateration's own candidate order (now solver._rank) are gone.
+    # the TDOA roots' Newton polish, the Gauss-Newton's options,
+    # trilateration's own candidate order (now solver._rank) and the
+    # one-caller array freezer (ArrivalSet.__post_init__ freezes its own) are gone.
     # (The per-dimension solves are spelled from parts, so that this file
     # does not name them either.)
     for path in SOURCES:
@@ -379,6 +384,54 @@ def test_gauss_newton_has_two_callers():
                        ("tdoa.py", "_fixes", "_outcome"),
                        ("trilat.py", "trilaterate_lsq", "gauss_newton_raw"),
                        ("trilat.py", "trilaterate_lsq", "_outcome")}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.parse(_source(module)).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _errstates(node: ast.AST) -> list[ast.With]:
+    """The with statements under node that enter an np.errstate."""
+    return [w for w in ast.walk(node) if isinstance(w, ast.With)
+            and any(ast.unparse(item.context_expr).startswith("np.errstate(")
+                    for item in w.items)]
+
+
+def test_gauss_newton_owns_its_overflow_rule():
+    # One np.errstate at the top of the run covers every callback call, and
+    # no caller wraps its call in one of its own.
+    run = _function("solver.py", "gauss_newton_raw")
+    blocks = _errstates(run)
+    assert [ast.unparse(w.items[0].context_expr) for w in blocks] == [
+        "np.errstate(over='ignore', invalid='ignore')"]
+    assert blocks[0] in run.body
+    callbacks = [node for node in ast.walk(run) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) in ("residual_fn", "jacobian_fn")]
+    assert len(callbacks) == 3 and all(node in ast.walk(blocks[0]) for node in callbacks)
+    for path in SOURCES:
+        for block in _errstates(ast.parse(path.read_text(encoding="utf-8"))):
+            assert "gauss_newton_raw" not in ast.unparse(block), path.name
+
+
+def test_gauss_newton_ladder_has_one_exit():
+    # The damping ladder is a while loop over its rungs whose else clause
+    # ends the run: no flag records whether a rung was accepted.
+    run = _function("solver.py", "gauss_newton_raw")
+    assert "accepted" not in {node.id for node in ast.walk(run) if isinstance(node, ast.Name)}
+    ladders = [node for node in ast.walk(run) if isinstance(node, ast.While)]
+    assert [ast.unparse(node.test) for node in ladders] == ["lam <= _DAMPING_MAX"]
+    assert [ast.unparse(node) for node in ladders[0].orelse] == ["break"]
+
+
+def test_one_cross_product():
+    # solver._cross is the cross product of the triangle rule's area and of
+    # the 3D trilateration's normal; nothing else spells one.
+    assert {(path.name, *caller) for path in SOURCES for caller in _callers(path, ("_cross",))} \
+        == {("solver.py", "_triangle", "_cross"), ("trilat.py", "_batch", "_cross")}
+    for path in SOURCES:
+        assert not [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, ast.Attribute) and node.attr == "cross"], path.name
 
 
 def test_gauss_newton_takes_no_options():

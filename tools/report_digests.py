@@ -17,8 +17,11 @@ two converging tdoa3d emitters, sweeps whose single epoch needs the
 Gauss-Newton fallback or fails (one of them again with every solve.options
 field at a value other than its default), a pipeline and a tdoa3d run
 whose drones and beacons sit at x = 1e308, where the sum of the drones' x
-overflows, and a pipeline run and a tdoa2d sweep at a Unix-time
-emission_time.
+overflows, a pipeline run and a tdoa2d sweep at a Unix-time
+emission_time, and Doppler runs whose c * shift overflows float64: two
+whose range fits it (a 1.7e308 Hz carrier heard at 1e-9 Hz, a 1e9 Hz one
+heard at 1.7e308 Hz) and two whose range does not (c = 1.7e308 m/s with a
+1e-300 Hz carrier, a 1e-320 Hz carrier).
 
 Each line is: file, sha256 of the report less `timestamp` as
 json.dumps(indent=2) writes it, sha256 of report_to_csv of that report, the
@@ -56,12 +59,14 @@ WORKLOAD_INDEX = {"pipeline_fix": 0, "trilat_sweep": 1, "tdoa2d_sweep": 3}
 ORACLE_GRID_INDEX = 2
 
 
-def _edit(doc: dict, scenario=None, solve=None, monte_carlo=None, drop=()) -> dict:
+def _edit(doc: dict, scenario=None, solve=None, monte_carlo=None, drop=(), doppler=None) -> dict:
     doc = copy.deepcopy(doc)
     for key in drop:
         doc["scenario"].pop(key, None)
     doc["scenario"].update(scenario or {})
     doc["solve"].update(solve or {})
+    if doppler is not None:
+        doc["doppler"].update(doppler)
     if monte_carlo is not None:
         doc["monte_carlo"] = monte_carlo
     return doc
@@ -181,6 +186,14 @@ def edge_documents(shipped: dict[str, dict]) -> dict[str, dict]:
     # Emission at a Unix time: the arrival times' absolute value must cancel.
     docs["pipeline_emission_1.7e9"] = _edit(pipe, {"emission_time": 1.7e9})
     docs["tdoa2d_sweep_emission_1.7e9"] = _edit(tdoa, {"emission_time": 1.7e9})
+    # c * shift overflows: ranges of 1.5e8 m and 2.55e307 m, then two
+    # ranges beyond float64, each refused with a ValidationError.
+    dopp = shipped["doppler_demo"]
+    docs["doppler_carrier_1.7e308"] = _edit(dopp, {"carrier": 1.7e308},
+                                            doppler={"f_received": 1e-9})
+    docs["doppler_received_1.7e308"] = _edit(dopp, doppler={"f_received": 1.7e308})
+    docs["doppler_c_1.7e308"] = _edit(dopp, {"c": 1.7e308, "carrier": 1e-300})
+    docs["doppler_carrier_1e-320"] = _edit(dopp, {"carrier": 1e-320})
     return docs
 
 
