@@ -17,6 +17,7 @@ timestamp field, identical runs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -56,7 +57,6 @@ _MC_CHUNK = 1 << 14
 class ScenarioFile:
     """A validated scenario document plus the raw dict it came from."""
 
-    schema_version: int
     mode: str
     emitters: tuple[Point, ...]
     receivers: tuple[Point, ...]
@@ -271,7 +271,7 @@ def _validate(raw) -> ScenarioFile:
                                   field="receivers")
 
     return ScenarioFile(
-        schema_version=1, mode=mode, **scen, emitter_plane_z=plane,
+        mode=mode, **scen, emitter_plane_z=plane,
         monte_carlo_trials=None if mc is None else mc["trials"],
         monte_carlo_sigmas=None if mc is None else mc["sigma_t_list"],
         doppler_f_received=f_received, raw=raw,
@@ -545,10 +545,11 @@ def run(sf: ScenarioFile, seed: int | None = None) -> dict:
         if sf.distances is not None:
             fix = _rows(sf, None)[1]
         else:
-            # trial k is seeded base_seed + k: trial 0 shares the single epoch's draw
-            times, *noisy = _perturb(simulate_arrivals(sf.scenario()).times, sf.noise_sigma_t,
-                                     sigmas, range(base_seed, base_seed + trials))
-            fix, *outcomes = _trials(sf, np.concatenate([times[None], *noisy]))
+            # trial k is seeded base_seed + k; the single epoch is row 0 of noise_sigma_t's block
+            single, *noisy = _perturb(simulate_arrivals(sf.scenario()).times,
+                                      (sf.noise_sigma_t, *sigmas),
+                                      range(base_seed, base_seed + trials))
+            fix, *outcomes = _trials(sf, np.concatenate([single[:1], *noisy]))
             if isinstance(fix, RflocError):  # the single epoch's times are not finite
                 raise fix
         report["solves"] = [_solve_entry(kind, result, truth, **extra)
@@ -617,15 +618,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out) -> None:
-    """Write text to stdout, or to out, an open --output file, and close it."""
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
-    else:
-        with out:
-            out.write(text)
+    """Write text, ending in one newline, to stdout, or to out, an open
+    --output file, and close it: the same bytes either way."""
+    with contextlib.nullcontext(sys.stdout) if out is None else out as stream:
+        stream.write(text)
+        stream.write("" if text.endswith("\n") else "\n")
+        stream.flush()  # a closed pipe raises here, not at the interpreter's exit
 
 
 def main(argv: Sequence[str] | None = None) -> int:

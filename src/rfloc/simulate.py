@@ -99,39 +99,38 @@ def simulate_arrivals(scenario: Scenario) -> ArrivalSet:
 
 def perturb_arrivals(arrivals: ArrivalSet, sigma_t: float, seed: int) -> ArrivalSet:
     """Add independent zero-mean Gaussian jitter of std sigma_t to every time:
-    the lead copy of _perturb(arrivals.times, sigma_t, (), (seed,)), bit for
-    bit. sigma_t = 0 returns arrivals itself. Raises InvalidNoise for a seed
-    that is not an int >= 0 (a bool is not one), and as _perturb does for a
+    _perturb(arrivals.times, (sigma_t,), (seed,))[0][0], bit for bit.
+    sigma_t = 0 returns arrivals itself. Raises InvalidNoise for a seed that
+    is not an int >= 0 (a bool is not one), and as _perturb does for a
     sigma_t that is not a finite real number >= 0 (False and 0j included)."""
     if not _natural(seed):
         raise InvalidNoise(f"seed must be a non-negative integer, got {seed!r}")
-    lead = _perturb(arrivals.times, sigma_t, (), (seed,))[0]
-    return arrivals if lead is arrivals.times else ArrivalSet(lead)
+    times = _perturb(arrivals.times, (sigma_t,), (seed,))[0][0]
+    return arrivals if sigma_t == 0.0 else ArrivalSet(times)
 
 
-def _perturb(times: np.ndarray, lead_sigma: float, sigmas: Sequence[float],
+def _perturb(times: np.ndarray, sigmas: Sequence[float],
              seeds: Sequence[int]) -> list[np.ndarray]:
-    """[lead, *copies]: times plus zero-mean Gaussian jitter, one draw per seed.
+    """times plus zero-mean Gaussian jitter, one draw per seed: one
+    (len(seeds), *times.shape) array per sigma in sigmas, row k with
+    seeds[k]'s jitter.
 
-    lead is times plus lead_sigma's jitter for seeds[0]; copies holds one
-    (len(seeds), *times.shape) array per sigma in sigmas, row k with seeds[k]'s
-    jitter. Seed k's standard normals z come from PCG64(seeds[k]), drawn only
-    if some sigma is above 0, and a sigma adds 0.0 + sigma * z, as
+    Seed k's standard normals z come from PCG64(seeds[k]), drawn only if
+    some sigma is above 0, and a sigma adds 0.0 + sigma * z, as
     Generator.normal(0.0, sigma) does: each row is bit-identical to times +
-    normal(0.0, sigma, times.shape) from a generator of its own. A sigma of 0
-    leaves times as they are (a copy is then a read-only broadcast). Raises
+    normal(0.0, sigma, times.shape) from a generator of its own. A sigma of
+    0 leaves times as they are, as a read-only broadcast. Raises
     InvalidNoise for a sigma that is not a finite real number >= 0.
     """
-    for sigma_t in (lead_sigma, *sigmas):
+    for sigma_t in sigmas:
         if not (_finite_real(sigma_t) and sigma_t >= 0.0):
             raise InvalidNoise(f"sigma_t must be >= 0, got {sigma_t!r}")
     shape = (len(seeds),) + times.shape
-    if max((lead_sigma, *sigmas)) == 0.0:
-        return [times] + [np.broadcast_to(times, shape)] * len(sigmas)
+    if max(sigmas, default=0.0) == 0.0:
+        return [np.broadcast_to(times, shape)] * len(sigmas)
     z = np.empty(shape)
     for k, seed in enumerate(seeds):
         np.random.Generator(np.random.PCG64(seed)).standard_normal(out=z[k])
     with np.errstate(over="ignore"):  # as Generator.normal: a huge sigma_t gives inf
-        lead = times + (0.0 + lead_sigma * z[0]) if lead_sigma > 0.0 else times
-        return [lead] + [times + (0.0 + sigma_t * z) if sigma_t > 0.0
-                         else np.broadcast_to(times, shape) for sigma_t in sigmas]
+        return [times + (0.0 + sigma_t * z) if sigma_t > 0.0
+                else np.broadcast_to(times, shape) for sigma_t in sigmas]

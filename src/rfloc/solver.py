@@ -63,20 +63,28 @@ _GRID_LEVELS = {2: (64, 8), 3: (16, 4)}
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a solve: primary estimate plus every candidate found.
+    """Outcome of a solve: every candidate found, the estimate first.
 
-    candidates are (point, residual_norm) pairs, the estimate first. A closed
-    form ranks its roots by _rank: those tied in norm with the least by the
-    solver's convention (nearest the receiver centroid for TDOA, greater z
-    for 3D trilateration), then the others by norm; x, then y, break ties.
+    candidates are (point, residual_norm) pairs; the estimate and its
+    residual norm are candidate 0's. A closed form ranks its roots by _rank:
+    those tied in norm with the least by the solver's convention (nearest
+    the receiver centroid for TDOA, greater z for 3D trilateration), then
+    the others by norm; x, then y, break ties. iterations and converged
+    default to a closed form's 0 and True.
     """
 
-    estimate: Point
     candidates: tuple[tuple[Point, float], ...]
-    residual_norm: float
-    iterations: int
-    converged: bool
+    iterations: int = 0
+    converged: bool = True
     flags: frozenset[str] = frozenset()
+
+    @property
+    def estimate(self) -> Point:
+        return self.candidates[0][0]
+
+    @property
+    def residual_norm(self) -> float:
+        return self.candidates[0][1]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,10 +247,8 @@ def _outcome(coords, norm: float, iterations: int, converged: bool,
         raise NoConvergence(f"{message}; the iterate is not finite")
     if not math.isfinite(norm):
         raise NoConvergence(f"{message}; the residual norm is not finite")
-    estimate = Point.of(*coords)
     flags = frozenset({"inconsistent"} if norm > INCONSISTENCY_TOL else ())
-    result = SolveResult(estimate=estimate, candidates=((estimate, norm),), residual_norm=norm,
-                         iterations=iterations, converged=converged, flags=flags)
+    result = SolveResult(((Point.of(*coords), norm),), iterations, converged, flags)
     if not converged:
         raise NoConvergence(message, best=result)
     return result

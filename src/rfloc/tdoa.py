@@ -389,8 +389,7 @@ def _fixes(recv: np.ndarray, deltas: np.ndarray, plane: float, dim: int
         if found:
             cands = tuple(zip([Point.of(*(x, y, plane)[:dim])
                                for x, y in roots[k, :found].tolist()], norms[k].tolist()))
-            return SolveResult(estimate=cands[0][0], candidates=cands,
-                               residual_norm=cands[0][1], iterations=0, converged=True)
+            return SolveResult(cands)
         residual, jacobian = _closures(recv, deltas[k], plane)
         x, norm, iters, ok = gauss_newton_raw(residual, jacobian, start[k])
         ok = ok and float(_norms(x - (cx, cy))) <= radius

@@ -217,8 +217,7 @@ def _batch(anchors, ranges) -> tuple[list, Callable[[int], SolveResult]]:
             flags.add("mirror_ambiguity")
         if cands[0][1] > INCONSISTENCY_TOL:
             flags.add("inconsistent")
-        return SolveResult(estimate=cands[0][0], candidates=cands, residual_norm=cands[0][1],
-                           iterations=0, converged=True, flags=frozenset(flags))
+        return SolveResult(cands, flags=frozenset(flags))
 
     return closed, fix
 
@@ -364,8 +363,5 @@ def team_relative_position(drones: Sequence[Point], emitter_fixes: Sequence[Solv
     coords = (bx + x, by + y, cz)[:dim]
     if not all(map(math.isfinite, (*coords, norm))):
         raise GeometryDegenerate("the team position overflows float64")
-    estimate = Point.of(*coords)
     flags = frozenset({"ill_conditioned"} if ill else ())
-    return (SolveResult(estimate=estimate, candidates=((estimate, norm),), residual_norm=norm,
-                        iterations=0, converged=True, flags=flags),
-            tuple(p for p, _ in combo))
+    return SolveResult(((Point.of(*coords), norm),), flags=flags), tuple(p for p, _ in combo)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_schema_version_enforced():
 def test_schema_version_refuses_bools(tmp_path, capsys):
     raw = _baseline_raw()
     raw["schema_version"] = 1.0  # the same JSON number as 1
-    assert _validate(raw).schema_version == 1
+    assert _validate(raw) == _validate(_baseline_raw())
     for value in (False, True):
         raw["schema_version"] = value
         with pytest.raises(ValidationError) as exc:
@@ -985,7 +986,7 @@ def test_tdoa_monte_carlo_batch_matches_per_trial_solves(mode, sigmas):
     doc["monte_carlo"] = {"trials": 40, "sigma_t_list": sigmas}
     sf = _validate(doc)
     arrivals = simulate_arrivals(sf.scenario())
-    times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(sf.seed, sf.seed + 40))[1:])
+    times = np.concatenate(_perturb(arrivals.times, sigmas, range(sf.seed, sf.seed + 40)))
     batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
     alone = [reference_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
@@ -1138,7 +1139,7 @@ def test_degenerate_sweeps_equal_their_per_trial_solves(mode, scenario):
                     "solve": {"mode": mode},
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
-    times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(3, 3 + trials))[1:])
+    times = np.concatenate(_perturb(arrivals.times, sigmas, range(3, 3 + trials)))
     batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
     alone = [reference_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
@@ -1159,7 +1160,7 @@ def test_trilat_monte_carlo_batch_matches_per_trial_solves(mode, emitters, recei
                     "scenario": {"emitters": emitters, "receivers": [receiver], "seed": seed},
                     "monte_carlo": {"trials": trials, "sigma_t_list": sigmas}})
     arrivals = simulate_arrivals(sf.scenario())
-    times = np.concatenate(_perturb(arrivals.times, 0.0, sigmas, range(seed, seed + trials))[1:])
+    times = np.concatenate(_perturb(arrivals.times, sigmas, range(seed, seed + trials)))
     batched = cli._trials(sf, np.concatenate([times[:1], times]))[1:]
     alone = [reference_trial(sf, t) for t in times]
     assert [repr(o) for o in batched] == [repr(o) for o in alone]
@@ -1498,7 +1499,8 @@ def test_closed_stdout_pipe_leaves_no_traceback():
 @pytest.mark.parametrize("verb", ["run", "export-csv"])
 def test_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, verb):
     # --output is opened before the run: a path that cannot be written costs
-    # no solve, and a writable one gets exactly the text of the report.
+    # no solve, and a writable one gets exactly the text of the report,
+    # ending in one newline.
     reports = []
 
     def recorded(sf, seed=None):
@@ -1513,8 +1515,29 @@ def test_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypat
     good = tmp_path / "r.out"
     assert main([verb, NOISE_SWEEP, "--quiet", "--output", str(good)]) == 0
     [report] = reports
-    text = json.dumps(report, indent=2) if verb == "run" else report_to_csv(report)
+    text = json.dumps(report, indent=2) + "\n" if verb == "run" else report_to_csv(report)
     assert good.read_bytes() == text.encode()
+
+
+class _FixedClock:
+    """A stand-in for cli.datetime whose now() is always the same instant."""
+
+    @staticmethod
+    def now(tz):
+        return datetime(2024, 1, 1, tzinfo=tz)
+
+
+@pytest.mark.parametrize("verb", ["run", "export-csv"])
+def test_output_file_gets_the_bytes_of_stdout(tmp_path, capsysbinary, monkeypatch, verb):
+    # --output writes what stdout gets, its one trailing newline included;
+    # the clock is pinned, so the two reports share their timestamp.
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    out = tmp_path / "out"
+    assert main([verb, BASELINE, "--quiet", "--output", str(out)]) == 0
+    assert main([verb, BASELINE, "--quiet"]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")
+    assert out.read_bytes() == stdout
 
 
 def _single_epoch_doc(base, solve=None, **scenario):

@@ -148,15 +148,14 @@ _SIGMAS = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-12, 1e-9, 1e300]),
 
 @settings(max_examples=150, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=4),
-       lead_sigma=_SIGMAS, sigmas=st.lists(_SIGMAS, max_size=3),
+       sigmas=st.lists(_SIGMAS, max_size=4),
        times=st.lists(st.floats(min_value=0.0, max_value=1e-3), min_size=6, max_size=6))
-def test_one_draw_matches_a_generator_per_seed_and_sigma(seeds, lead_sigma, sigmas, times):
-    # Every copy _perturb returns, the lead and each sigma's, is bit for bit
-    # what a fresh PCG64 generator of its seed draws. Flight times are never
-    # -0.0, so at sigma = 0 the reference, times + 0.0, is times itself.
+def test_one_draw_matches_a_generator_per_seed_and_sigma(seeds, sigmas, times):
+    # Every copy _perturb returns, one per sigma, is bit for bit what a fresh
+    # PCG64 generator of each seed draws. Flight times are never -0.0, so at
+    # sigma = 0 the reference, times + 0.0, is times itself.
     times = np.array(times).reshape(3, 2)
-    lead, *copies = _perturb(times, lead_sigma, sigmas, seeds)
-    assert lead.tobytes() == _drawn(times, seeds[0], lead_sigma).tobytes()
+    copies = _perturb(times, sigmas, seeds)
     assert len(copies) == len(sigmas)
     for sigma, copy in zip(sigmas, copies):
         assert copy.shape == (len(seeds), 3, 2)
@@ -165,30 +164,35 @@ def test_one_draw_matches_a_generator_per_seed_and_sigma(seeds, lead_sigma, sigm
 
 
 def test_perturb_draws_a_single_run_without_sweep_sigmas():
-    # A file without a sweep passes no sigmas: only the lead copy comes back.
+    # A file without a sweep passes one sigma, its noise_sigma_t, and one
+    # seed; no sigma gives no copy. perturb_arrivals is that one-row case,
+    # and at sigma_t = 0 (or -0.0) it returns its arrivals.
     times = np.zeros((3, 1))
-    assert _perturb(times, 0.0, [], [1, 2])[1:] == []
-    [still] = _perturb(times, 0.0, (), range(7, 8))
-    assert still is times
-    [lead] = _perturb(times, 1e-9, (), range(7, 8))
+    assert _perturb(times, [], [1, 2]) == []
+    [[still]] = _perturb(times, (0.0,), range(7, 8))
+    assert np.shares_memory(still, times) and not still.flags.writeable
+    assert still.tobytes() == times.tobytes()
+    [[lead]] = _perturb(times, (1e-9,), range(7, 8))
     assert lead.tobytes() == perturb_arrivals(ArrivalSet(times), 1e-9, seed=7).times.tobytes()
+    arrivals = ArrivalSet(times)
+    assert all(perturb_arrivals(arrivals, sigma, seed=7) is arrivals for sigma in (0.0, -0.0, 0))
 
 
 def test_perturb_times_one_copy_per_seed():
     times = np.arange(6, dtype=float).reshape(2, 3) * 1e-6
     seeds = range(40, 45)
-    [out] = _perturb(times, 0.0, [1e-9], seeds)[1:]
+    [out] = _perturb(times, [1e-9], seeds)
     assert out.shape == (5, 2, 3)
     for k, seed in enumerate(seeds):
         noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, 1e-9, size=(2, 3))
         assert np.array_equal(out[k], times + noise)
     assert np.array_equal(out[2], perturb_arrivals(ArrivalSet(times), 1e-9, seed=42).times)
-    [still] = _perturb(times, 0.0, [0.0], seeds)[1:]
+    [still] = _perturb(times, [0.0], seeds)
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
-        _perturb(times, 0.0, [math.inf], seeds)
+        _perturb(times, [math.inf], seeds)
     with pytest.raises(InvalidNoise):
-        _perturb(times, -1e-9, [], seeds)
+        _perturb(times, [-1e-9], seeds)
 
 
 @pytest.mark.parametrize("sigma", [5e-324, 1e-12, 1e-9, 1e-7, 1e300])
@@ -198,17 +202,17 @@ def test_perturb_sweep_scales_one_draw_bit_for_bit(sigma):
     # which a time of -0.0 then shows.
     times = np.array([[-0.0, -0.0, -0.0], [1e-6, 2e-6, 3e-6]])
     seeds = range(40, 45)
-    lead, still, noisy = _perturb(times, sigma, [0.0, sigma], seeds)
+    first, still, noisy = _perturb(times, [sigma, 0.0, sigma], seeds)
     for k, seed in enumerate(seeds):
         z = np.random.Generator(np.random.PCG64(seed)).standard_normal((2, 3))
         noise = np.random.Generator(np.random.PCG64(seed)).normal(0.0, sigma, size=(2, 3))
         assert (0.0 + sigma * z).tobytes() == noise.tobytes()
         assert noisy[k].tobytes() == (times + noise).tobytes()
-    assert lead.tobytes() == noisy[0].tobytes()
-    assert _perturb(times, 0.0, [sigma], seeds)[1].tobytes() == noisy.tobytes()
+    assert first.tobytes() == noisy.tobytes()
+    assert _perturb(times, [0.0, sigma], seeds)[1].tobytes() == noisy.tobytes()
     assert still.shape == (5, 2, 3) and all(np.array_equal(t, times) for t in still)
     with pytest.raises(InvalidNoise):
-        _perturb(times, 0.0, [sigma, -1e-9], seeds)
+        _perturb(times, [sigma, -1e-9], seeds)
 
 
 def test_perturb_negative_sigma():
@@ -227,7 +231,7 @@ def test_perturb_refuses_a_sigma_that_is_not_a_real_number(sigma):
     with pytest.raises(InvalidNoise):
         perturb_arrivals(a, sigma, seed=0)
     with pytest.raises(InvalidNoise):
-        _perturb(a.times, 0.0, [1e-9, sigma], [0])
+        _perturb(a.times, [1e-9, sigma], [0])
 
 
 def test_scenario_validation():

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import rfloc
-from rfloc import Scenario, _kernels, doppler, solver
+from rfloc import Scenario, _kernels, doppler, simulate, solver
+from rfloc.cli import ScenarioFile
 
 SOURCES = sorted(Path(rfloc.__file__).parent.glob("*.py"))
 
@@ -462,6 +463,28 @@ def test_cli_draws_single_runs_and_sweeps_in_one_call():
     assert not re.search(r"\bperturb_arrivals\b", _source("cli.py"))
     for path in SOURCES:
         assert not re.search(r"\bperturb_sweep\b", path.read_text(encoding="utf-8")), path.name
+
+
+def test_solve_result_is_its_ranked_candidates():
+    # The estimate and its residual norm are candidate 0's, read from the
+    # candidates, not stored beside them; iterations and converged default
+    # to a closed form's.
+    assert [field.name for field in dataclasses.fields(solver.SolveResult)] == [
+        "candidates", "iterations", "converged", "flags"]
+    p, q = rfloc.Point.of(1.0, 2.0), rfloc.Point.of(3.0, 4.0)
+    result = solver.SolveResult(((p, 0.5), (q, 0.25)))
+    assert result.estimate is p and result.residual_norm == 0.5
+    assert (result.iterations, result.converged, result.flags) == (0, True, frozenset())
+
+
+def test_perturb_takes_every_sigma_in_one_list():
+    # A single epoch's noise_sigma_t is one more sigma, not a lead argument.
+    assert list(inspect.signature(simulate._perturb).parameters) == ["times", "sigmas", "seeds"]
+
+
+def test_scenario_file_holds_no_schema_version():
+    # The parser accepts schema_version 1 alone, so the field could hold nothing else.
+    assert "schema_version" not in {field.name for field in dataclasses.fields(ScenarioFile)}
 
 
 def test_arrivals_are_flight_times():

@@ -387,8 +387,7 @@ def test_jacobian_matches_finite_differences():
 def _fix(*roots):
     """An emitter fix whose candidates are roots, all with residual 0."""
     cands = tuple((p, 0.0) for p in roots)
-    return SolveResult(estimate=roots[0], candidates=cands, residual_norm=0.0, iterations=0,
-                       converged=True)
+    return SolveResult(cands)
 
 
 def _along(origin, beacon, scale):
